@@ -5,11 +5,11 @@ each tree, ``NA == DA`` — at a CPU cost competitive with the
 vectorized synchronized traversal.  This bench verifies both halves on
 the same trees: the pair sets must be identical and PBSM's NA must not
 exceed the traversal's (that inequality is the whole reason the
-optimizer ever picks it), and with NumPy the batched tile probe must
-hold wall-clock *parity* with the vectorized traversal
-(:data:`MIN_PBSM_RATIO` — PBSM losing by worse than that factor means
-the chunked owner-filter/predicate kernels have regressed to the
-per-candidate scalar loop).  Under ``REPRO_PURE_PYTHON=1`` the scalar
+optimizer ever picks it), and with NumPy the arena engine must not
+lose to the vectorized traversal on the wall clock
+(:data:`MIN_PBSM_RATIO` — PBSM slower than the traversal means the
+arena scatter/probe has regressed toward the per-candidate scalar
+loop).  Under ``REPRO_PURE_PYTHON=1`` the scalar
 fallback is correctness-only: the numbers are recorded with
 ``assert_skipped: true`` and the parity assertion is skipped, exactly
 as the other entries of ``BENCH_join.json`` handle their NumPy-less
@@ -36,10 +36,10 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_join.json"
 BENCH_SIZE = 6_000
 REPS = 3
 #: Required wall-clock ratio sj/pbsm on the NumPy leg: PBSM may not be
-#: more than 2.5x slower than the vectorized traversal (measured ~0.8x
-#: at BENCH_SIZE; the floor leaves CI headroom without letting the
-#: batched probe silently regress to the scalar loop, which is ~7x).
-MIN_PBSM_RATIO = 0.4
+#: slower than the vectorized traversal (measured ~2.8x at BENCH_SIZE;
+#: the floor leaves CI headroom without letting the arena probe
+#: silently regress to the scalar loop (0.26x without NumPy).
+MIN_PBSM_RATIO = 1.0
 
 
 def _update_bench(key: str, payload: dict) -> None:
@@ -113,7 +113,7 @@ def test_pbsm_parity_with_traversal(emit):
                     "correctness, not speed (pair-set and NA checks "
                     "above were still enforced)")
     assert ratio >= MIN_PBSM_RATIO, (
-        f"PBSM must hold wall-clock parity with the vectorized "
+        f"PBSM must not be slower than the vectorized "
         f"traversal at N={len(t1)}: got {ratio:.2f}x "
         f"(sj {sj_seconds:.3f}s vs pbsm {pbsm_seconds:.3f}s) — the "
-        f"batched tile probe has regressed")
+        f"arena tile probe has regressed")

@@ -11,6 +11,21 @@ parallelize embarrassingly (``mode="threads"``/``"processes"`` of the
 engine's one-scan I/O profile against the traversal's revisit-heavy
 one (:func:`repro.optimizer.make_pbsm_join`).
 
+**Two engines, one contract.**  With NumPy, a predicate that has a
+:meth:`~repro.join.JoinPredicate.pair_mask` kernel and a buildable
+:class:`~repro.geometry.TreeArena` per tree, the whole pipeline after
+the charged page scan runs on the arenas' coordinate blocks: the scan
+collects leaf *page ids*, the arena index turns them into one slot
+array per tree, the scatter replicates and sorts slots into CSR tile
+segments, and each segment pair is probed in place without a Python
+loop per opener (``docs/performance.md`` has the layout).  Everything
+else — pure Python, a kernel-less predicate, an arena that cannot be
+built — takes the scalar path over ``Entry`` lists, and says so: the
+``partition`` trace event carries ``engine`` and ``fallback``, and a
+``pbsm.fallback.<reason>`` counter is bumped.  Both engines produce
+the same pair list *in the same order*, the same ``comparisons`` and
+the same per-level :class:`~repro.storage.AccessStats`.
+
 **NA/DA semantics for a non-tree engine.**  The cost currencies stay
 :class:`~repro.storage.AccessStats` charges through a
 :class:`~repro.storage.MeteredReader`, so PBSM numbers are directly
@@ -38,8 +53,9 @@ pair is emitted twice, and because the owner tile lies inside both
 rectangles' replication ranges, none is dropped.
 
 **Governance.**  The shared :class:`~repro.exec.ExecutionGovernor` is
-checked at every build-phase page read and at every probe-phase
-candidate, so deadlines, NA/DA budgets (tripping during the build
+checked at every build-phase page read and throughout the probe — per
+candidate in the scalar engine, per :data:`_PROBE_CHUNK` candidates in
+the arena engine — so deadlines, NA/DA budgets (tripping during the build
 scan), result budgets and cancellation stop the engine cleanly.  With
 ``governor.partial`` a stop yields a
 :class:`~repro.join.PartialJoinResult` whose pairs are the union of the
@@ -57,15 +73,21 @@ from __future__ import annotations
 import math
 from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
+from dataclasses import replace
 
 from ..exec import CancellationToken, ExecutionGovernor
 from ..exec.budget import Budget, BudgetExceeded, Cancelled
 from ..exec.config import ExecutionConfig
+from ..geometry import Rect
+from ..geometry.arena import (arena_from_shared_memory,
+                              arena_to_shared_memory)
+from ..geometry.columnar import _get_numpy
 from ..reliability import ResilientReader, RetryPolicy
 from ..rtree import Entry, RTreeBase
 from ..storage import AccessStats, BufferManager, MeteredReader, PathBuffer
+from .batch import tree_arena
 from .plane_sweep import sweep_pairs_batch
-from .predicates import OVERLAP, JoinPredicate
+from .predicates import OVERLAP, JoinPredicate, WithinDistance
 from .result import R1, R2, JoinResult, PartialJoinResult
 
 __all__ = ["partition_spatial_join", "DEFAULT_TILE_TARGET",
@@ -83,6 +105,10 @@ MAX_TILES_PER_AXIS = 64
 #: Seconds between coordinator governor polls in ``"processes"`` mode.
 _PROCESS_POLL_INTERVAL = 0.05
 
+#: Candidate pairs expanded per filter pass (and governor check) of the
+#: arena probe; bounds the probe's memory whatever the tile holds.
+_PROBE_CHUNK = 8192
+
 
 class _Grid:
     """The uniform tile grid over the first ``axes`` dimensions.
@@ -90,7 +116,8 @@ class _Grid:
     ``tile_of`` is the monotone floor-and-clamp map that gives every
     coordinate exactly one tile — the explicit tiebreak for degenerate
     rectangles and tile-boundary coordinates the reference-point rule
-    relies on (module docstring).
+    relies on (module docstring).  ``tile_column`` is the same
+    arithmetic over a float64 column.
     """
 
     __slots__ = ("origin", "width", "tiles", "axes", "slack")
@@ -111,6 +138,11 @@ class _Grid:
         if t >= self.tiles[k]:
             return self.tiles[k] - 1
         return t
+
+    def tile_column(self, np, k: int, x):
+        t = ((x - self.origin[k]) / self.width[k]) \
+            .astype(np.int64)                # trunc, as int() does
+        return np.clip(t, 0, self.tiles[k] - 1, out=t)
 
     def owner(self, rect1, rect2) -> tuple[int, ...]:
         """The unique tile owning this candidate pair's reference point."""
@@ -138,6 +170,18 @@ def _tiles_per_axis(n_entries: int, axes: int,
     return max(1, min(int(per_axis), MAX_TILES_PER_AXIS))
 
 
+def _make_grid(lo: list[float], hi: list[float], per_axis: int,
+               slack: float) -> _Grid:
+    width = []
+    for a, b in zip(lo, hi):
+        step = (b - a) / per_axis
+        # A degenerate axis (all coordinates equal), or an extent so
+        # small that the step underflows to zero, collapses to one tile
+        # column; any positive width keeps tile_of well-defined.
+        width.append(step if step > 0.0 else 1.0)
+    return _Grid(tuple(lo), tuple(width), (per_axis,) * len(lo), slack)
+
+
 def _reader(pager, label, stats: AccessStats, buffer,
             retry_policy: RetryPolicy | None, tracer):
     if retry_policy is not None:
@@ -146,16 +190,17 @@ def _reader(pager, label, stats: AccessStats, buffer,
     return MeteredReader(pager, label, stats, buffer, tracer=tracer)
 
 
-def _scan_leaf_entries(tree: RTreeBase, reader,
-                       governor: ExecutionGovernor | None,
-                       stats: AccessStats) -> list[Entry]:
+def _scan_leaves(tree: RTreeBase, reader,
+                 governor: ExecutionGovernor | None,
+                 stats: AccessStats) -> list:
     """The partition build for one tree: one charged read per non-root
     page, in deterministic depth-first order, governor-checked per page.
+    Returns the leaf nodes in scan order.
     """
     root = reader.read_pinned(tree.root_id, tree.height)
     if root.is_leaf:
-        return list(root.entries)
-    out: list[Entry] = []
+        return [root]
+    leaves = []
     stack = [(e.ref, root.level - 1) for e in reversed(root.entries)]
     while stack:
         if governor is not None:
@@ -163,15 +208,234 @@ def _scan_leaf_entries(tree: RTreeBase, reader,
         page_id, level = stack.pop()
         node = reader.fetch(page_id, level)
         if node.is_leaf:
-            out.extend(node.entries)
+            leaves.append(node)
         else:
             stack.extend((e.ref, node.level - 1)
                          for e in reversed(node.entries))
-    return out
+    return leaves
 
 
-def _build_grid(entries1: list[Entry], entries2: list[Entry],
-                axes: int, per_axis: int, slack: float) -> _Grid:
+def _select_engine(predicate: JoinPredicate, tree1, tree2):
+    """``((arena1, arena2), None)`` when the arena pipeline can run,
+    else ``(None, reason)`` — the reason the scalar path is taken."""
+    np = _get_numpy()
+    if np is None:
+        return None, "pure-python"
+    empty = np.empty((tree1.ndim, 0), dtype=np.float64)
+    if predicate.pair_mask(np, empty, empty, empty, empty) is None:
+        return None, "no-pair-mask"
+    arena1, arena2 = tree_arena(tree1), tree_arena(tree2)
+    if arena1 is None or arena2 is None:
+        return None, "arena-unavailable"
+    return (arena1, arena2), None
+
+
+# -- arena engine: slot arrays, CSR tiles, loop-free tile sweep ------------
+
+
+def _leaf_slots(np, arena, leaves):
+    """Arena slots of every entry of the scanned leaves, in scan order."""
+    spans = [arena.index[node.page_id] for node in leaves]
+    offset = np.array([s[0] for s in spans], dtype=np.int64)
+    count = np.array([s[1] for s in spans], dtype=np.int64)
+    first = np.cumsum(count) - count
+    return (np.repeat(offset - first, count)
+            + np.arange(int(count.sum()), dtype=np.int64))
+
+
+def _scatter_arena(np, grid: _Grid, slots, lo, hi, refs,
+                   inflate: float):
+    """Replicate each slot into every tile its rectangle touches and
+    sort the replicas into CSR tile segments.
+
+    Returns ``(replicas, tile_ids, offsets)``: the replicated slots
+    ordered by ``(tile, lo0, hi0, ref)`` — row-major tile id, then the
+    sweep key, so every segment is already in sweep order — the ids of
+    the occupied tiles ascending, and the ``len(tile_ids) + 1`` segment
+    boundaries into ``replicas``.
+    """
+    first = [grid.tile_column(np, k, lo[k] - inflate)
+             for k in range(grid.axes)]
+    span = [grid.tile_column(np, k, hi[k] + inflate) - first[k] + 1
+            for k in range(grid.axes)]
+    count = span[0] if grid.axes == 1 else span[0] * span[1]
+    total = int(count.sum())
+    rep = np.repeat(np.arange(len(slots)), count)
+    within = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    if grid.axes == 1:
+        tile = first[0][rep] + within
+    else:
+        cols = span[1][rep]
+        tile = ((first[0][rep] + within // cols) * grid.tiles[1]
+                + first[1][rep] + within % cols)
+    # lexsort: last key is primary.  The sort is stable, so replicas
+    # with equal keys keep scan order, as the scalar path's sorted().
+    order = np.lexsort((refs[rep], hi[0][rep], lo[0][rep], tile))
+    tile = tile[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], tile[1:] != tile[:-1])))
+    return slots[rep[order]], tile[starts], np.append(starts, total)
+
+
+def _partition_arena(arenas, leaves1, leaves2, axes: int,
+                     tiles: int | None, slack: float):
+    """Grid, tile tasks and entry/replica counts of the arena engine.
+
+    A task is ``(tile, slots1, slots2)`` — two sweep-ordered slices of
+    the replica arrays.  ``None`` when either input is empty.
+    """
+    np = arenas[0].np
+    sides = []
+    lo_bound = [math.inf] * axes
+    hi_bound = [-math.inf] * axes
+    for arena, leaves, inflate in ((arenas[0], leaves1, 0.0),
+                                   (arenas[1], leaves2, slack)):
+        slots = _leaf_slots(np, arena, leaves)
+        if not len(slots):
+            return None
+        lo, hi = arena._coords[:, :axes].take(slots, axis=2)
+        for k in range(axes):
+            lo_bound[k] = min(lo_bound[k], float((lo[k] - inflate).min()))
+            hi_bound[k] = max(hi_bound[k], float((hi[k] + inflate).max()))
+        sides.append((slots, lo, hi, arena._refs[slots], inflate))
+    per_axis = _tiles_per_axis(max(len(side[0]) for side in sides), axes,
+                               tiles)
+    grid = _make_grid(lo_bound, hi_bound, per_axis, slack)
+    (rep1, ids1, off1), (rep2, ids2, off2) = (
+        _scatter_arena(np, grid, *side) for side in sides)
+    # Ascending tile id is row-major tile order, which keeps the pair
+    # list deterministic; one-sided tiles cannot produce pairs.
+    common, at1, at2 = np.intersect1d(ids1, ids2, assume_unique=True,
+                                      return_indices=True)
+    tasks = [((t,) if axes == 1 else divmod(t, per_axis),
+              rep1[off1[i]:off1[i + 1]], rep2[off2[j]:off2[j + 1]])
+             for t, i, j in zip(common.tolist(), at1.tolist(),
+                                at2.tolist())]
+    return grid, tasks, (len(sides[0][0]), len(sides[1][0]),
+                         len(rep1), len(rep2))
+
+
+def _confirm(np, predicate: JoinPredicate, lo1, hi1, lo2, hi2):
+    """Exact scalar verdicts for the survivors of an inexact kernel.
+
+    The arguments are aligned per-axis columns.  ``WithinDistance``
+    is confirmed with ``math.hypot`` over the per-axis gaps, computed on
+    the arena's float64 bits — the arithmetic of
+    :meth:`repro.geometry.Rect.min_distance`; any other predicate gets
+    its own ``leaf_test`` over rebuilt rectangles.
+    """
+    if type(predicate) is WithinDistance:
+        gaps = np.maximum(np.maximum(lo1 - hi2, lo2 - hi1), 0.0)
+        distance = predicate.distance
+        hypot = math.hypot
+        return [hypot(*g) <= distance for g in zip(*gaps.tolist())]
+    corners = [zip(*c.tolist()) for c in (lo1, hi1, lo2, hi2)]
+    return [predicate.leaf_test(Rect(a, b), Rect(c, d))
+            for a, b, c, d in zip(*corners)]
+
+
+def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
+                grid: _Grid, tile: tuple[int, ...], collect_pairs: bool,
+                governor: ExecutionGovernor | None, stats: AccessStats,
+                base_results: int,
+                ) -> tuple[list[tuple[int, int]], int, int]:
+    """The arena tile probe: the plane sweep without a loop per opener.
+
+    ``slots1``/``slots2`` are one tile's CSR segments, already in sweep
+    order.  The merged opener order of the two-pointer sweep (R1 opens
+    key ties) is one ``lexsort`` with a side flag; an opener's first
+    partner is the count of other-side openers before it (a
+    ``cumsum``), its last the position of ``hi + slack`` among the
+    other side's lower bounds (one ``searchsorted`` per side).
+    Candidates are expanded :data:`_PROBE_CHUNK` at a time, in sweep
+    order, and filtered cheapest-rejection first: the predicate kernel,
+    then the reference-point owner rule on the survivors, then the
+    exact confirm an inexact kernel needs.  The filters are pure
+    per-candidate tests, so their order changes neither the surviving
+    pairs nor their order; ``comparisons`` counts every candidate.
+    """
+    np = arenas[0].np
+    coords1, coords2 = arenas[0]._coords, arenas[1]._coords
+    lo1, hi1 = coords1.take(slots1, axis=2)      # tile-local blocks
+    lo2, hi2 = coords2.take(slots2, axis=2)
+    refs1, refs2 = arenas[0]._refs[slots1], arenas[1]._refs[slots2]
+    slack = grid.slack
+    n1 = len(slots1)
+    n = n1 + len(slots2)
+    position = np.arange(n)
+    side = position >= n1                    # False: an R1 opener
+    order = np.lexsort((side, np.concatenate((refs1, refs2)),
+                        np.concatenate((hi1[0], hi2[0])),
+                        np.concatenate((lo1[0], lo2[0]))))
+    side = side[order]
+    own = np.where(side, order - n1, order)
+    before2 = np.cumsum(side) - side         # R2 openers already past
+    start = np.where(side, position - before2, before2)
+    end = np.concatenate(
+        (np.searchsorted(lo2[0], hi1[0] + slack, side="right"),
+         np.searchsorted(lo1[0], hi2[0] + slack, side="right")))[order]
+    width = np.maximum(end - start, 0)
+    upto = np.cumsum(width)
+    total = int(upto[-1])
+
+    pairs: list[tuple[int, int]] = []
+    count = 0
+    a = done = 0
+    while done < total:
+        # The shortest run of openers holding a full chunk, as a sweep
+        # that flushes once enough candidates are pending.
+        b = min(n, int(np.searchsorted(upto, done + _PROBE_CHUNK)) + 1)
+        size = int(upto[b - 1]) - done
+        w = width[a:b]
+        other = np.arange(size) + np.repeat(
+            start[a:b] - (upto[a:b] - w - done), w)
+        opener = np.repeat(own[a:b], w)
+        flipped = np.repeat(side[a:b], w)
+        idx1 = np.where(flipped, other, opener)
+        idx2 = np.where(flipped, opener, other)
+        mask, exact = predicate.pair_mask(
+            np, lo1.take(idx1, axis=1), hi1.take(idx1, axis=1),
+            lo2.take(idx2, axis=1), hi2.take(idx2, axis=1))
+        idx1, idx2 = idx1[mask], idx2[mask]
+        keep = None
+        for k in range(grid.axes):
+            ref = np.maximum(lo1[k].take(idx1),
+                             lo2[k].take(idx2) - slack)
+            m = grid.tile_column(np, k, ref) == tile[k]
+            keep = m if keep is None else keep & m
+        idx1, idx2 = idx1[keep], idx2[keep]
+        if not exact and len(idx1):
+            keep = np.array(_confirm(
+                np, predicate, lo1.take(idx1, axis=1),
+                hi1.take(idx1, axis=1), lo2.take(idx2, axis=1),
+                hi2.take(idx2, axis=1)), dtype=bool)
+            idx1, idx2 = idx1[keep], idx2[keep]
+        count += len(idx1)
+        if collect_pairs and len(idx1):
+            pairs.extend(zip(refs1[idx1].tolist(),
+                             refs2[idx2].tolist()))
+        if governor is not None:
+            governor.check(stats, base_results + count)
+        a, done = b, done + size
+    return pairs, count, total
+
+
+# -- scalar engine: Entry lists, dict of tiles, per-candidate loop ---------
+
+
+def _partition_scalar(leaves1, leaves2, axes: int, tiles: int | None,
+                      slack: float):
+    """Grid, tile tasks and entry/replica counts of the scalar engine.
+
+    A task is ``(tile, entries1, entries2)``.  ``None`` when either
+    input is empty.
+    """
+    entries1 = [e for node in leaves1 for e in node.entries]
+    entries2 = [e for node in leaves2 for e in node.entries]
+    if not entries1 or not entries2:
+        return None
+    per_axis = _tiles_per_axis(max(len(entries1), len(entries2)), axes,
+                               tiles)
     lo = [math.inf] * axes
     hi = [-math.inf] * axes
     for entries, inflate in ((entries1, 0.0), (entries2, slack)):
@@ -182,13 +446,16 @@ def _build_grid(entries1: list[Entry], entries2: list[Entry],
                     lo[k] = rect.lo[k] - inflate
                 if rect.hi[k] + inflate > hi[k]:
                     hi[k] = rect.hi[k] + inflate
-    width = []
-    for k in range(axes):
-        extent = hi[k] - lo[k]
-        # A degenerate axis (all coordinates equal) collapses to one
-        # tile column; any positive width keeps tile_of well-defined.
-        width.append(extent / per_axis if extent > 0.0 else 1.0)
-    return _Grid(tuple(lo), tuple(width), (per_axis,) * axes, slack)
+    grid = _make_grid(lo, hi, per_axis, slack)
+    tiles1 = _scatter(entries1, grid, 0.0)
+    tiles2 = _scatter(entries2, grid, slack)
+    # Row-major tile order keeps the pair list deterministic;
+    # one-sided tiles cannot produce pairs and are skipped.
+    tasks = [(tile, tiles1[tile], tiles2[tile])
+             for tile in sorted(tiles1) if tile in tiles2]
+    return grid, tasks, (len(entries1), len(entries2),
+                         sum(len(v) for v in tiles1.values()),
+                         sum(len(v) for v in tiles2.values()))
 
 
 def _scatter(entries: list[Entry], grid: _Grid, inflate: float,
@@ -215,36 +482,28 @@ def _tile_product(ranges: list[tuple[int, int]]):
             yield (i, j)
 
 
-def _join_tile(entries1: list[Entry], entries2: list[Entry],
-               predicate: JoinPredicate, grid: _Grid,
+def _join_tile(side1, side2, predicate: JoinPredicate, grid: _Grid,
                tile: tuple[int, ...], collect_pairs: bool,
                governor: ExecutionGovernor | None,
-               stats: AccessStats, base_results: int = 0,
+               stats: AccessStats, base_results: int = 0, arenas=None,
                ) -> tuple[list[tuple[int, int]], int, int]:
     """Solve one tile: sweep, reference-point filter, exact predicate.
 
-    This is the worker body for every execution mode.  With NumPy and a
-    predicate that has a :meth:`~repro.join.JoinPredicate.pair_mask`
-    kernel the candidates are filtered in chunked batches (same pairs,
-    same order); otherwise the scalar loop below runs, with the
+    This is the worker body for every execution mode.  With ``arenas``
+    the sides are slot arrays and :func:`_probe_tile` runs; without,
+    they are ``Entry`` lists and the scalar loop below runs, with the
     governor checked per candidate (the probe-phase analogue of the
     traversal's per-node-pair check).  ``base_results`` lets the serial
     driver enforce the result budget against the global running count.
     """
-    from ..geometry.columnar import _get_numpy
-    np = _get_numpy()
-    if np is not None and entries1 and entries2:
-        result = _join_tile_batch(np, entries1, entries2, predicate,
-                                  grid, tile, collect_pairs, governor,
-                                  stats, base_results)
-        if result is not None:
-            return result
+    if arenas is not None:
+        return _probe_tile(arenas, side1, side2, predicate, grid, tile,
+                           collect_pairs, governor, stats, base_results)
     pairs: list[tuple[int, int]] = []
     count = 0
     comparisons = 0
     slack = grid.slack
-    for e1, e2, cost in sweep_pairs_batch(entries1, entries2,
-                                          slack=slack):
+    for e1, e2, cost in sweep_pairs_batch(side1, side2, slack=slack):
         comparisons += cost
         if governor is not None:
             governor.check(stats, base_results + count)
@@ -257,127 +516,17 @@ def _join_tile(entries1: list[Entry], entries2: list[Entry],
     return pairs, count, comparisons
 
 
-#: Candidate pairs accumulated before each batched filter pass (and
-#: governor check) in the vectorized tile probe.
-_BATCH_CHUNK = 8192
+# -- execution modes -------------------------------------------------------
 
 
-def _join_tile_batch(np, entries1, entries2,
-                     predicate: JoinPredicate, grid: _Grid,
-                     tile: tuple[int, ...], collect_pairs: bool,
-                     governor: ExecutionGovernor | None,
-                     stats: AccessStats, base_results: int,
-                     ) -> tuple[list[tuple[int, int]], int, int] | None:
-    """The vectorized tile probe: same pairs, same order, in batches.
-
-    The sweep's two-pointer scan only *locates* each opener's partner
-    window (one bisect per opener); the per-candidate work — the
-    reference-point owner filter and the predicate — runs on whole
-    index arrays per :data:`_BATCH_CHUNK`.  The owner filter reuses the
-    exact truncate-and-clamp arithmetic of :meth:`_Grid.tile_of`, and
-    inexact predicate kernels (``exact=False``) confirm survivors with
-    the scalar ``leaf_test``, so the result is bit-identical to the
-    scalar loop.  Returns ``None`` when the predicate has no
-    ``pair_mask`` kernel (probed with empty arrays up front, before any
-    work is done).
-    """
-    from bisect import bisect_right
-
-    ndim = len(entries1[0].rect.lo)
-    empty = np.empty((ndim, 0), dtype=np.float64)
-    if predicate.pair_mask(np, empty, empty, empty, empty) is None:
-        return None
-
-    def prepare(entries):
-        lo = np.array([e.rect.lo for e in entries],
-                      dtype=np.float64).T
-        hi = np.array([e.rect.hi for e in entries],
-                      dtype=np.float64).T
-        refs = np.array([e.ref for e in entries])
-        # lexsort: last key is primary — (lo, hi, ref), the sweep key.
-        order = np.lexsort((refs, hi[0], lo[0]))
-        ordered = [entries[t] for t in order.tolist()]
-        return ordered, lo[:, order], hi[:, order], refs[order]
-
-    sorted1, lo1, hi1, refs1 = prepare(entries1)
-    sorted2, lo2, hi2, refs2 = prepare(entries2)
-    # Scalar copies of the sweep-axis keys: the two-pointer loop and
-    # its bisects run on plain lists, the filters on the arrays.
-    lo1s, hi1s, r1s = lo1[0].tolist(), hi1[0].tolist(), refs1.tolist()
-    lo2s, hi2s, r2s = lo2[0].tolist(), hi2[0].tolist(), refs2.tolist()
-
-    slack = grid.slack
-    pairs: list[tuple[int, int]] = []
-    count = 0
-    comparisons = 0
-    parts1: list = []
-    parts2: list = []
-    pending = 0
-
-    def flush():
-        nonlocal count, comparisons, pending
-        idx1 = np.concatenate(parts1)
-        idx2 = np.concatenate(parts2)
-        parts1.clear()
-        parts2.clear()
-        pending = 0
-        comparisons += len(idx1)
-        c_lo1, c_hi1 = lo1[:, idx1], hi1[:, idx1]
-        c_lo2, c_hi2 = lo2[:, idx2], hi2[:, idx2]
-        keep = None
-        for k in range(grid.axes):
-            ref = np.maximum(c_lo1[k], c_lo2[k] - slack)
-            t = ((ref - grid.origin[k]) / grid.width[k]) \
-                .astype(np.int64)            # trunc, as int() does
-            np.clip(t, 0, grid.tiles[k] - 1, out=t)
-            m = t == tile[k]
-            keep = m if keep is None else keep & m
-        idx1, idx2 = idx1[keep], idx2[keep]
-        mask, exact = predicate.pair_mask(
-            np, c_lo1[:, keep], c_hi1[:, keep],
-            c_lo2[:, keep], c_hi2[:, keep])
-        idx1, idx2 = idx1[mask], idx2[mask]
-        hits1, hits2 = idx1.tolist(), idx2.tolist()
-        if not exact:
-            confirmed = [t for t, (a, b) in enumerate(zip(hits1, hits2))
-                         if predicate.leaf_test(sorted1[a].rect,
-                                                sorted2[b].rect)]
-            hits1 = [hits1[t] for t in confirmed]
-            hits2 = [hits2[t] for t in confirmed]
-        count += len(hits1)
-        if collect_pairs and hits1:
-            pairs.extend(zip(refs1[hits1].tolist(),
-                             refs2[hits2].tolist()))
-        if governor is not None:
-            governor.check(stats, base_results + count)
-
-    n1, n2 = len(sorted1), len(sorted2)
-    i = j = 0
-    while i < n1 and j < n2:
-        if (lo1s[i], hi1s[i], r1s[i]) <= (lo2s[j], hi2s[j], r2s[j]):
-            end = bisect_right(lo2s, hi1s[i] + slack)
-            if end > j:
-                parts1.append(np.full(end - j, i, dtype=np.intp))
-                parts2.append(np.arange(j, end, dtype=np.intp))
-                pending += end - j
-            i += 1
-        else:
-            end = bisect_right(lo1s, hi2s[j] + slack)
-            if end > i:
-                parts1.append(np.arange(i, end, dtype=np.intp))
-                parts2.append(np.full(end - i, j, dtype=np.intp))
-                pending += end - i
-            j += 1
-        if pending >= _BATCH_CHUNK:
-            flush()
-    if pending:
-        flush()
-    return pairs, count, comparisons
-
-
-def _process_tile(entries1, entries2, predicate, grid, tile,
-                  collect_pairs, budget: Budget | None):
+def _process_tile(side1, side2, predicate, grid, tile, collect_pairs,
+                  budget: Budget | None, handles):
     """Worker-process body: plain picklable data in, plain data out.
+
+    For the arena engine the sides are the tile's two slot slices and
+    ``handles`` names the coordinator's two shared-memory arena
+    segments, attached here zero-copy; for the scalar engine the sides
+    are pickled ``Entry`` lists and ``handles`` is ``None``.
 
     The governor cannot cross the process boundary; the worker rebuilds
     one from the shipped budget (deadline already rebased to dispatch
@@ -389,8 +538,12 @@ def _process_tile(entries1, entries2, predicate, grid, tile,
     if budget is not None and not budget.unlimited:
         governor = ExecutionGovernor(budget)
         governor.start()
-    return _join_tile(entries1, entries2, predicate, grid, tile,
-                      collect_pairs, governor, AccessStats())
+    arenas = None
+    if handles is not None:
+        arenas = tuple(arena_from_shared_memory(h) for h in handles)
+    return _join_tile(side1, side2, predicate, grid, tile,
+                      collect_pairs, governor, AccessStats(),
+                      arenas=arenas)
 
 
 def _tile_budget(governor: ExecutionGovernor | None) -> Budget | None:
@@ -410,21 +563,22 @@ def _tile_budget(governor: ExecutionGovernor | None) -> Budget | None:
     return budget
 
 
-def _run_tiles_serial(tasks, predicate, grid, collect_pairs, governor,
-                      stats, collected: dict) -> None:
+def _run_tiles_serial(tasks, arenas, predicate, grid, collect_pairs,
+                      governor, stats, collected: dict) -> None:
     done_count = 0
-    for index, (tile, e1s, e2s) in enumerate(tasks):
+    for index, (tile, side1, side2) in enumerate(tasks):
         if governor is not None:
             governor.check(stats, done_count)
-        result = _join_tile(e1s, e2s, predicate, grid, tile,
+        result = _join_tile(side1, side2, predicate, grid, tile,
                             collect_pairs, governor, stats,
-                            base_results=done_count)
+                            base_results=done_count, arenas=arenas)
         collected[index] = result
         done_count += result[1]
 
 
-def _run_tiles_threads(tasks, predicate, grid, collect_pairs, governor,
-                       stats, workers: int, collected: dict) -> None:
+def _run_tiles_threads(tasks, arenas, predicate, grid, collect_pairs,
+                       governor, stats, workers: int,
+                       collected: dict) -> None:
     """Tiles on a thread pool with shared-abort drain semantics.
 
     Mirrors the parallel join's thread driver: the first non-Cancelled
@@ -452,10 +606,10 @@ def _run_tiles_threads(tasks, predicate, grid, collect_pairs, governor,
     with ThreadPoolExecutor(max_workers=max_workers,
                             thread_name_prefix="pbsm-tile") as pool:
         futures = []
-        for tile, e1s, e2s in tasks:
-            fut = pool.submit(_join_tile, e1s, e2s, predicate, grid,
+        for tile, side1, side2 in tasks:
+            fut = pool.submit(_join_tile, side1, side2, predicate, grid,
                               tile, collect_pairs, worker_governor(),
-                              stats)
+                              stats, 0, arenas)
             fut.add_done_callback(on_done)
             futures.append(fut)
         for index, fut in enumerate(futures):
@@ -471,10 +625,17 @@ def _run_tiles_threads(tasks, predicate, grid, collect_pairs, governor,
         raise failure
 
 
-def _run_tiles_processes(tasks, predicate, grid, collect_pairs,
+def _run_tiles_processes(tasks, arenas, predicate, grid, collect_pairs,
                          governor, stats, workers: int,
                          collected: dict) -> None:
     """Tiles on a process pool with coordinator-side polling.
+
+    The arena engine exports each arena once into a shared-memory
+    segment (:func:`~repro.geometry.arena.arena_to_shared_memory`); a
+    submission then pickles the two segment handles — without their
+    page index, which the probe never reads — and the tile's two slot
+    slices.  The leases are closed in this function's ``finally``, on
+    the failure, crash and governor-trip paths too.
 
     Workers self-enforce the rebased budget; the coordinator re-checks
     its governor between completions so an expired deadline or a
@@ -488,13 +649,20 @@ def _run_tiles_processes(tasks, predicate, grid, collect_pairs,
     budget = _tile_budget(governor)
     failure: BaseException | None = None
     crashed = False
+    leases = []
     pool = ProcessPoolExecutor(
         max_workers=max(1, min(workers, len(tasks))))
     try:
+        handles = None
+        if arenas is not None:
+            for arena in arenas:
+                leases.append(arena_to_shared_memory(arena))
+            handles = tuple(replace(lease.handle, index=())
+                            for lease in leases)
         futures = [
-            pool.submit(_process_tile, e1s, e2s, predicate, grid, tile,
-                        collect_pairs, budget)
-            for tile, e1s, e2s in tasks
+            pool.submit(_process_tile, side1, side2, predicate, grid,
+                        tile, collect_pairs, budget, handles)
+            for tile, side1, side2 in tasks
         ]
         pending = set(futures)
         while pending:
@@ -533,6 +701,9 @@ def _run_tiles_processes(tasks, predicate, grid, collect_pairs,
             raise failure
     finally:
         pool.shutdown(wait=not crashed)
+        # Unlink only after the children are gone (or abandoned).
+        for lease in leases:
+            lease.close()
 
 
 def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
@@ -588,6 +759,7 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                 tracer.admission(join_id,
                                  governor.last_admission.as_dict())
 
+    arenas, fallback = _select_engine(predicate, tree1, tree2)
     buffer.reset()
     stats = AccessStats()
     if governor is not None:
@@ -598,46 +770,45 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                       tracer)
 
     collected: dict[int, tuple[list[tuple[int, int]], int, int]] = {}
-    tasks: list[tuple[tuple[int, ...], list[Entry], list[Entry]]] = []
+    tasks: list[tuple] = []
     try:
-        entries1 = _scan_leaf_entries(tree1, reader1, governor, stats)
-        entries2 = _scan_leaf_entries(tree2, reader2, governor, stats)
-        if entries1 and entries2:
-            axes = min(tree1.ndim, 2)
-            per_axis = _tiles_per_axis(
-                max(len(entries1), len(entries2)), axes, tiles)
-            grid = _build_grid(entries1, entries2, axes, per_axis,
-                               slack)
-            tiles1 = _scatter(entries1, grid, 0.0)
-            tiles2 = _scatter(entries2, grid, slack)
-            # Row-major tile order keeps the pair list deterministic;
-            # one-sided tiles cannot produce pairs and are skipped.
-            tasks = [(tile, tiles1[tile], tiles2[tile])
-                     for tile in sorted(tiles1)
-                     if tile in tiles2]
+        leaves1 = _scan_leaves(tree1, reader1, governor, stats)
+        leaves2 = _scan_leaves(tree2, reader2, governor, stats)
+        axes = min(tree1.ndim, 2)
+        if arenas is not None:
+            partition = _partition_arena(arenas, leaves1, leaves2, axes,
+                                         tiles, slack)
+        else:
+            partition = _partition_scalar(leaves1, leaves2, axes, tiles,
+                                          slack)
+        if partition is not None:
+            grid, tasks, (entries1, entries2,
+                          replicas1, replicas2) = partition
             if tracer is not None:
                 tracer.emit(
                     "partition", join=join_id, tiles=len(tasks),
-                    grid=[per_axis] * axes,
-                    entries1=len(entries1), entries2=len(entries2),
-                    replicas1=sum(len(v) for v in tiles1.values()),
-                    replicas2=sum(len(v) for v in tiles2.values()))
+                    grid=list(grid.tiles),
+                    engine="scalar" if arenas is None else "arena",
+                    fallback=fallback,
+                    entries1=entries1, entries2=entries2,
+                    replicas1=replicas1, replicas2=replicas2)
             if config.mode == "threads" and config.workers > 1:
-                _run_tiles_threads(tasks, predicate, grid,
+                _run_tiles_threads(tasks, arenas, predicate, grid,
                                    collect_pairs, governor, stats,
                                    config.workers, collected)
             elif config.mode == "processes" and config.workers > 1:
-                _run_tiles_processes(tasks, predicate, grid,
+                _run_tiles_processes(tasks, arenas, predicate, grid,
                                      collect_pairs, governor, stats,
                                      config.workers, collected)
             else:
-                _run_tiles_serial(tasks, predicate, grid,
+                _run_tiles_serial(tasks, arenas, predicate, grid,
                                   collect_pairs, governor, stats,
                                   collected)
     except (BudgetExceeded, Cancelled) as exc:
         pairs, count, comparisons = _merge(collected, len(tasks))
         _observe(tracer, metrics, governor, join_id, stats, count,
-                 comparisons, len(tasks), complete=False, trip=exc)
+                 comparisons, len(tasks), fallback, complete=False,
+                 trip=exc)
         if governor is not None and governor.partial:
             return PartialJoinResult(pairs, stats, comparisons, count,
                                      None, exc, None, None)
@@ -645,7 +816,7 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
 
     pairs, count, comparisons = _merge(collected, len(tasks))
     _observe(tracer, metrics, governor, join_id, stats, count,
-             comparisons, len(tasks), complete=True)
+             comparisons, len(tasks), fallback, complete=True)
     return JoinResult(pairs, stats, comparisons, pair_count=count)
 
 
@@ -669,7 +840,7 @@ def _merge(collected: dict, n_tasks: int,
 
 def _observe(tracer, metrics, governor, join_id, stats: AccessStats,
              count: int, comparisons: int, n_tiles: int,
-             complete: bool, trip=None) -> None:
+             fallback: str | None, complete: bool, trip=None) -> None:
     if tracer is not None:
         if trip is not None:
             tracer.budget_trip(join_id, trip.as_dict())
@@ -684,6 +855,8 @@ def _observe(tracer, metrics, governor, join_id, stats: AccessStats,
         metrics.counter("join.comparisons").inc(comparisons)
         metrics.counter("pbsm.joins").inc()
         metrics.counter("pbsm.tiles").inc(n_tiles)
+        if fallback is not None:
+            metrics.counter(f"pbsm.fallback.{fallback}").inc()
         metrics.record_access_stats(stats, prefix="join")
         if governor is not None:
             metrics.counter("governor.checks").inc(governor.checks)

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
 from repro.geometry import Rect
 from repro.rtree import GuttmanRTree, RStarTree
+
+
+def arena_segments() -> list[str]:
+    """Shared-memory arena segments currently present in ``/dev/shm``."""
+    if not os.path.isdir("/dev/shm"):    # pragma: no cover - non-Linux
+        return []
+    return [f for f in os.listdir("/dev/shm")
+            if f.startswith("repro_arena_")]
 
 
 def make_items(n: int, ndim: int = 2, seed: int = 0,

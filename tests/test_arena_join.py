@@ -8,7 +8,6 @@ half of the file pins the ``/dev/shm`` hygiene guarantees: no segment
 survives a join, a failed join, or a closed lease.
 """
 
-import os
 import random
 
 import pytest
@@ -21,14 +20,7 @@ from repro.join import (PartialJoinResult, SpatialJoin,
 from repro.rtree import RStarTree, share_tree
 from repro.rtree.arena_view import ArenaTreeView
 
-SHM_DIR = "/dev/shm"
-
-
-def _segments() -> list[str]:
-    if not os.path.isdir(SHM_DIR):       # pragma: no cover - non-Linux
-        return []
-    return [f for f in os.listdir(SHM_DIR)
-            if f.startswith("repro_arena_")]
+from .conftest import arena_segments as _segments
 
 
 def _tree(n: int, seed: int, side: float = 0.04) -> RStarTree:

@@ -4,13 +4,15 @@ Tracing, metrics and the accuracy ledger are write-only hooks; a run
 with all three enabled must produce NA/DA counters, result pairs,
 comparison counts and checkpoint files that are *bit-identical* to an
 unobserved run.  These tests assert exactly that, across both
-pair-enumeration backends and both parallel driver modes.
+pair-enumeration backends, both parallel driver modes, and the PBSM
+partition engine in all three of its execution modes.
 """
 
 import pytest
 
-from repro.exec import Budget, ExecutionGovernor
-from repro.join import SpatialJoin, parallel_spatial_join
+from repro.exec import Budget, ExecutionConfig, ExecutionGovernor
+from repro.join import (SpatialJoin, parallel_spatial_join,
+                        partition_spatial_join)
 from repro.obs import AccuracyLedger, MemorySink, MetricsRegistry, Tracer
 from repro.storage import PathBuffer
 
@@ -103,6 +105,38 @@ class TestParallelJoin:
         # Coordinator emits worker events in bucket order, so the
         # trace itself is deterministic too.
         assert [r["worker"] for r in finishes] == [0, 1, 2]
+
+
+class TestPartitionJoin:
+    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+    def test_traced_pbsm_bit_identical(self, trees, mode):
+        t1, t2 = trees
+        config = ExecutionConfig(strategy="pbsm", mode=mode,
+                                 workers=1 if mode == "serial" else 2)
+        plain = partition_spatial_join(t1, t2, buffer=PathBuffer(),
+                                       config=config, tiles=3)
+        tracer, metrics, _ = observed_hooks()
+        traced = partition_spatial_join(t1, t2, buffer=PathBuffer(),
+                                        config=config, tiles=3,
+                                        tracer=tracer, metrics=metrics)
+        assert traced.pairs == plain.pairs           # order included
+        assert traced.pair_count == plain.pair_count
+        assert traced.comparisons == plain.comparisons
+        assert traced.stats.as_dict() == plain.stats.as_dict()
+        # ... and the trace says which engine ran, and why.
+        [event] = [r for r in tracer.sink.records
+                   if r["event"] == "partition"]
+        counters = metrics.as_dict()["counters"]
+        assert (event["engine"], event["fallback"]) in (
+            ("arena", None), ("scalar", "pure-python"))
+        assert (event["fallback"] is None) == (not any(
+            name.startswith("pbsm.fallback.") for name in counters))
+        assert event["tiles"] == counters["pbsm.tiles"]
+        assert event["replicas1"] >= event["entries1"] == len(t1)
+        assert event["replicas2"] >= event["entries2"] == len(t2)
+        assert any(r["event"] == "buffer_access"
+                   for r in tracer.sink.records)
+        assert counters["join.na"] == plain.na_total
 
 
 class TestAccuracyLedgerIntegration:

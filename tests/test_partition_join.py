@@ -2,14 +2,18 @@
 
 The partition-based engine is the first join whose result set must be
 *proven* equal to the tree-based reference — the property tests here
-drive both predicates, both sweep backends (NumPy batch and the pure
-Python fallback), degenerate (zero-extent) rectangles and rectangles
+drive both predicates, both engines (the arena pipeline and the scalar
+fallback), degenerate (zero-extent) rectangles and rectangles
 sitting exactly on tile boundaries, asserting pair-for-pair equality
 with ``spatial_join`` and that no pair is duplicated or dropped by the
-reference-point rule.
+reference-point rule.  ``TestArenaEqualsScalar`` then holds the arena
+engine to the scalar one on everything observable: pairs in order,
+comparisons, NA/DA per tree per level, tiles.
 """
 
+import importlib.util
 import os
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,9 +26,36 @@ from repro.geometry import Rect
 from repro.join import (OVERLAP, PartialJoinResult, SpatialJoin,
                         WithinDistance, parallel_spatial_join,
                         partition_spatial_join, spatial_join)
+from repro.join.predicates import Overlap
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 
-from .conftest import build_rstar, make_items
+from .conftest import arena_segments, build_rstar, make_items
+
+needs_numpy = pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="NumPy unavailable")
+
+
+@contextmanager
+def backend(pure_python: bool):
+    """Force the scalar engine (or allow the arena one) for a block.
+
+    The switch is read per call, so plain env manipulation is enough
+    and plays well with ``@given``; the previous value is restored, so
+    the ``REPRO_PURE_PYTHON=1`` leg stays on its leg afterwards.
+    """
+    previous = os.environ.get("REPRO_PURE_PYTHON")
+    if pure_python:
+        os.environ["REPRO_PURE_PYTHON"] = "1"
+    else:
+        os.environ.pop("REPRO_PURE_PYTHON", None)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_PURE_PYTHON", None)
+        else:
+            os.environ["REPRO_PURE_PYTHON"] = previous
+
 
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -82,16 +113,11 @@ class TestPairSetEquality:
            st.integers(1, 4))
     def test_equals_tree_reference_pure_python(self, items1, items2,
                                                predicate, tiles):
-        # Forces sweep_pairs_batch down its scalar fallback, so the
-        # per-tile sweeps run the pure Python backend (the switch is
-        # read per call, so plain env manipulation is enough and plays
-        # well with @given).
-        os.environ["REPRO_PURE_PYTHON"] = "1"
-        try:
+        # The scalar engine, with sweep_pairs_batch down its scalar
+        # fallback too.
+        with backend(pure_python=True):
             assert_matches_reference(items1, items2, predicate,
                                      tiles=tiles)
-        finally:
-            os.environ.pop("REPRO_PURE_PYTHON", None)
 
     @SLOW
     @given(items_strategy, items_strategy, predicates,
@@ -131,12 +157,199 @@ class TestPairSetEquality:
                                           tiles=3)
         assert result.pair_count == 4 * 5
 
+    @pytest.mark.parametrize("pure_python", [False, True])
+    def test_subnormal_extent_collapses_the_axis(self, pure_python):
+        # The x-extent (5e-324) is positive but extent / tiles
+        # underflows to 0.0: the axis must collapse to one tile column
+        # instead of dividing by a zero width.
+        tiny = 5e-324
+        items1 = [(Rect((0.0, y / 4), (tiny, y / 4 + 0.3)), y)
+                  for y in range(4)]
+        items2 = [(Rect((0.0, y / 4), (0.0, y / 4 + 0.3)), y)
+                  for y in range(4)]
+        with backend(pure_python):
+            result = assert_matches_reference(items1, items2, OVERLAP,
+                                              tiles=2)
+        assert result.pair_count == 10       # |y1 - y2| <= 1
+
     def test_empty_inputs(self):
         t1 = build_rstar(make_items(50, seed=1))
         empty = build_rstar([])
         assert partition_spatial_join(t1, empty).pair_count == 0
         assert partition_spatial_join(empty, t1).pair_count == 0
         assert partition_spatial_join(empty, empty).pair_count == 0
+
+
+def traced_join(t1, t2, pure_python, **kwargs):
+    """One observed PBSM join on the chosen engine:
+    ``(result, partition event or None, counters)``."""
+    tracer = Tracer(MemorySink())
+    metrics = MetricsRegistry()
+    with backend(pure_python):
+        result = partition_spatial_join(t1, t2, tracer=tracer,
+                                        metrics=metrics, **kwargs)
+    events = [e for e in tracer.sink.records if e["event"] == "partition"]
+    return (result, events[0] if events else None,
+            metrics.as_dict()["counters"])
+
+
+def assert_engines_agree(t1, t2, predicate, tiles):
+    arena, a_event, a_counters = traced_join(
+        t1, t2, False, predicate=predicate, tiles=tiles)
+    scalar, s_event, s_counters = traced_join(
+        t1, t2, True, predicate=predicate, tiles=tiles)
+    assert arena.pairs == scalar.pairs              # order included
+    assert arena.pair_count == scalar.pair_count
+    assert arena.comparisons == scalar.comparisons
+    assert arena.stats.as_dict() == scalar.stats.as_dict()
+    assert a_counters["pbsm.tiles"] == s_counters["pbsm.tiles"]
+    assert s_counters["pbsm.fallback.pure-python"] == 1
+    assert not any(k.startswith("pbsm.fallback.") for k in a_counters)
+    if a_event is None:                  # an empty side: nothing to tile
+        assert s_event is None
+        return arena
+    assert (a_event["engine"], a_event["fallback"]) == ("arena", None)
+    assert (s_event["engine"], s_event["fallback"]) == \
+        ("scalar", "pure-python")
+    for key in ("tiles", "grid", "entries1", "entries2", "replicas1",
+                "replicas2"):
+        assert a_event[key] == s_event[key], key
+    return arena
+
+
+@needs_numpy
+class TestArenaEqualsScalar:
+    """The arena engine against the scalar one, observable by observable."""
+
+    @SLOW
+    @given(items_strategy, items_strategy, predicates,
+           st.sampled_from([1, 2, 7]), st.sampled_from([4, 8, 64]))
+    def test_differential(self, items1, items2, predicate, tiles,
+                          max_entries):
+        # max_entries=64 keeps every tree a single-leaf root; 4 grows
+        # them three and four levels tall.
+        assert_engines_agree(build_rstar(items1, max_entries=max_entries),
+                             build_rstar(items2, max_entries=max_entries),
+                             predicate, tiles)
+
+    @pytest.mark.parametrize("predicate",
+                             [OVERLAP, WithinDistance(0.05)])
+    @pytest.mark.parametrize("n1,n2", [(300, 6), (6, 300), (5, 5)])
+    def test_unequal_heights_and_leaf_roots(self, n1, n2, predicate):
+        t1 = build_rstar(make_items(n1, seed=21))
+        t2 = build_rstar(make_items(n2, seed=22))
+        assert (t1.height == 1) == (n1 < 8)
+        assert (t2.height == 1) == (n2 < 8)
+        for tiles in (1, 2, 7):
+            result = assert_engines_agree(t1, t2, predicate, tiles)
+            assert sorted(result.pairs) == sorted(
+                spatial_join(t1, t2, predicate=predicate).pairs)
+
+    def test_default_grid_and_three_dimensions(self):
+        # The density heuristic's grid (tiles=None), and a third
+        # dimension the grid ignores but the predicate does not.
+        assert_engines_agree(build_rstar(make_items(700, seed=23)),
+                             build_rstar(make_items(650, seed=24)),
+                             OVERLAP, None)
+        t1 = build_rstar(make_items(200, ndim=3, seed=25, side=0.15),
+                         ndim=3)
+        t2 = build_rstar(make_items(200, ndim=3, seed=26, side=0.15),
+                         ndim=3)
+        for predicate in (OVERLAP, WithinDistance(0.05)):
+            arena, event, _ = traced_join(t1, t2, False,
+                                          predicate=predicate, tiles=3)
+            scalar, _, _ = traced_join(t1, t2, True,
+                                       predicate=predicate, tiles=3)
+            assert event["engine"] == "arena"
+            assert arena.pairs == scalar.pairs
+            assert arena.comparisons == scalar.comparisons
+            assert sorted(arena.pairs) == sorted(
+                spatial_join(t1, t2, predicate=predicate).pairs)
+
+    def test_stale_arena_is_rebuilt(self):
+        # An insert after tree.arena() must reach the join: the engine
+        # reads slots of the *current* arena, never a cached stale one.
+        t1 = build_rstar(make_items(120, seed=27))
+        t2 = build_rstar(make_items(120, seed=28))
+        stale = t1.arena()
+        before = partition_spatial_join(t1, t2)
+        t1.insert(Rect((0.0, 0.0), (1.0, 1.0)), 10_000)
+        result, event, _ = traced_join(t1, t2, False)
+        assert t1.arena() is not stale
+        assert event["engine"] == "arena"
+        assert event["entries1"] == 121
+        assert result.pair_count == before.pair_count + 120
+        scalar, _, _ = traced_join(t1, t2, True)
+        assert result.pairs == scalar.pairs
+        assert result.stats.as_dict() == scalar.stats.as_dict()
+
+    def test_threads_and_processes_run_the_arena_probe(self):
+        t1 = build_rstar(make_items(400, seed=29))
+        t2 = build_rstar(make_items(400, seed=30))
+        serial, _, _ = traced_join(t1, t2, False, tiles=4)
+        for mode in ("threads", "processes"):
+            result, event, _ = traced_join(
+                t1, t2, False, tiles=4,
+                config=ExecutionConfig(strategy="pbsm", mode=mode,
+                                       workers=2))
+            assert event["engine"] == "arena"
+            assert result.pairs == serial.pairs
+            assert result.comparisons == serial.comparisons
+            assert result.stats.as_dict() == serial.stats.as_dict()
+        assert arena_segments() == []
+
+
+class _KernelLessOverlap(Overlap):
+    def pair_mask(self, np, lo1, hi1, lo2, hi2):
+        return None
+
+
+class _SupersetKernelOverlap(Overlap):
+    """An inexact kernel (sweep-axis test only): every survivor must be
+    confirmed with ``leaf_test``."""
+
+    def pair_mask(self, np, lo1, hi1, lo2, hi2):
+        return (lo1[0] <= hi2[0]) & (lo2[0] <= hi1[0]), False
+
+
+@needs_numpy
+class TestFallbackIsRecorded:
+    """No silent fallback: the trace and a counter name the reason."""
+
+    def _trees(self):
+        return (build_rstar(make_items(150, seed=31)),
+                build_rstar(make_items(150, seed=32)))
+
+    def test_no_pair_mask(self):
+        t1, t2 = self._trees()
+        want, _, _ = traced_join(t1, t2, False)
+        got, event, counters = traced_join(
+            t1, t2, False, predicate=_KernelLessOverlap())
+        assert (event["engine"], event["fallback"]) == \
+            ("scalar", "no-pair-mask")
+        assert counters["pbsm.fallback.no-pair-mask"] == 1
+        assert got.pairs == want.pairs
+        assert got.comparisons == want.comparisons
+
+    def test_inexact_custom_kernel_stays_on_the_arena_engine(self):
+        t1, t2 = self._trees()
+        want, _, _ = traced_join(t1, t2, False, tiles=3)
+        got, event, _ = traced_join(
+            t1, t2, False, tiles=3, predicate=_SupersetKernelOverlap())
+        assert (event["engine"], event["fallback"]) == ("arena", None)
+        assert got.pairs == want.pairs
+        assert got.comparisons == want.comparisons
+
+    def test_arena_unavailable(self, monkeypatch):
+        t1, t2 = self._trees()
+        want, _, _ = traced_join(t1, t2, False)
+        monkeypatch.setattr(t2, "arena", None)
+        got, event, counters = traced_join(t1, t2, False)
+        assert (event["engine"], event["fallback"]) == \
+            ("scalar", "arena-unavailable")
+        assert counters["pbsm.fallback.arena-unavailable"] == 1
+        assert got.pairs == want.pairs
+        assert got.stats.as_dict() == want.stats.as_dict()
 
 
 class TestAccessSemantics:
@@ -247,6 +460,30 @@ class TestGovernedPartition:
                 t1, t2, governor=governor,
                 config=ExecutionConfig(strategy="pbsm", mode="threads",
                                        workers=4))
+
+    @pytest.mark.parametrize("partial", [True, False])
+    def test_process_budget_trip_unlinks_the_arena_segments(self,
+                                                            partial):
+        # Process workers attach the coordinator's shared-memory
+        # arenas; a worker tripping its result budget must not strand
+        # the segments, whether the join raises or returns a partial.
+        t1, t2 = self._trees()
+        full = partition_spatial_join(t1, t2)
+        governor = ExecutionGovernor(Budget(max_results=5),
+                                     partial=partial)
+        config = ExecutionConfig(strategy="pbsm", mode="processes",
+                                 workers=2)
+        if partial:
+            result = partition_spatial_join(t1, t2, governor=governor,
+                                            config=config, tiles=3)
+            assert isinstance(result, PartialJoinResult)
+            assert result.reason.resource == "results"
+            assert set(result.pairs) <= set(full.pairs)
+        else:
+            with pytest.raises(BudgetExceeded):
+                partition_spatial_join(t1, t2, governor=governor,
+                                       config=config, tiles=3)
+        assert arena_segments() == []
 
     def test_cancellation_token(self):
         t1, t2 = self._trees()
