@@ -15,6 +15,7 @@ worker's disk accesses (makespan) — and verifies:
 
 import pytest
 
+from repro.exec import ExecutionConfig
 from repro.experiments import format_table
 from repro.join import parallel_spatial_join, spatial_join
 
@@ -33,13 +34,14 @@ def join_setup(scale, uniform_grid_2d, tree_cache):
 
 def test_parallel_scaling_table(join_setup, emit, benchmark):
     t1, t2, sequential = join_setup
-    benchmark(lambda: parallel_spatial_join(t1, t2, 4,
-                                            collect_pairs=False))
+    benchmark(lambda: parallel_spatial_join(t1, t2, collect_pairs=False,
+                                            config=ExecutionConfig(workers=4)))
     rows = []
     for strategy in ("round-robin", "greedy"):
         for w in WORKERS:
-            r = parallel_spatial_join(t1, t2, w, assignment=strategy,
-                                      collect_pairs=False)
+            r = parallel_spatial_join(
+                t1, t2, collect_pairs=False, config=ExecutionConfig(
+                    workers=w, assignment=strategy))
             speedup = r.speedup_da(sequential.da_total)
             rows.append([
                 f"{strategy}/{w}", r.makespan_da, r.total_da,
@@ -57,15 +59,16 @@ def test_output_matches_sequential(join_setup, benchmark):
     benchmark(lambda: None)
     reference = spatial_join(t1, t2).pairs
     for w in WORKERS:
-        r = parallel_spatial_join(t1, t2, w)
+        r = parallel_spatial_join(t1, t2, config=ExecutionConfig(workers=w))
         assert sorted(r.pairs) == sorted(reference)
 
 
 def test_speedup_monotone(join_setup, benchmark):
     t1, t2, sequential = join_setup
     benchmark(lambda: None)
-    makespans = [parallel_spatial_join(t1, t2, w,
-                                       collect_pairs=False).makespan_da
+    makespans = [parallel_spatial_join(
+                     t1, t2, collect_pairs=False,
+                     config=ExecutionConfig(workers=w)).makespan_da
                  for w in WORKERS]
     for earlier, later in zip(makespans, makespans[1:]):
         assert later <= earlier
@@ -76,8 +79,10 @@ def test_greedy_beats_or_ties_round_robin(join_setup, benchmark):
     t1, t2, _sequential = join_setup
     benchmark(lambda: None)
     for w in (2, 4, 8):
-        rr = parallel_spatial_join(t1, t2, w, assignment="round-robin",
-                                   collect_pairs=False)
-        greedy = parallel_spatial_join(t1, t2, w, assignment="greedy",
-                                       collect_pairs=False)
+        rr = parallel_spatial_join(
+            t1, t2, collect_pairs=False, config=ExecutionConfig(
+                workers=w, assignment="round-robin"))
+        greedy = parallel_spatial_join(
+            t1, t2, collect_pairs=False, config=ExecutionConfig(
+                workers=w, assignment="greedy"))
         assert greedy.makespan_da <= rr.makespan_da * 1.2

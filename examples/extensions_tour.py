@@ -12,8 +12,8 @@ implements them, and this script demonstrates each in a few lines:
 Run:  python examples/extensions_tour.py
 """
 
-from repro import (RStarTree, clustered_rectangles, nearest_neighbors,
-                   parallel_spatial_join, spatial_join,
+from repro import (ExecutionConfig, RStarTree, clustered_rectangles,
+                   nearest_neighbors, parallel_spatial_join, spatial_join,
                    uniform_rectangles)
 from repro.costmodel import (AnalyticalTreeParams, FractalTreeParams,
                              correlation_dimension, join_na_total,
@@ -37,7 +37,8 @@ def main():
 
     # 1. Plane sweep: same output, fraction of the comparisons.
     nested = spatial_join(t1, t2)
-    swept = spatial_join(t1, t2, pair_enumeration="plane-sweep")
+    swept = spatial_join(t1, t2, config=ExecutionConfig(
+        pair_enumeration="plane-sweep"))
     assert sorted(nested.pairs) == sorted(swept.pairs)
     print("1. plane sweep: "
           f"{nested.comparisons} -> {swept.comparisons} comparisons "
@@ -48,8 +49,8 @@ def main():
     sequential_da = nested.da_total
     print("2. parallel SJ (greedy LPT assignment):")
     for workers in (2, 4, 8):
-        par = parallel_spatial_join(t1, t2, workers,
-                                    collect_pairs=False)
+        par = parallel_spatial_join(t1, t2, collect_pairs=False,
+                                    config=ExecutionConfig(workers=workers))
         print(f"   {workers} workers: makespan DA {par.makespan_da} "
               f"(speedup {par.speedup_da(sequential_da):.2f}x)")
 

@@ -348,8 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--serial-threshold", type=int, default=None,
                      metavar="N",
                      help="degrade process-parallel requests to serial "
-                          "below this tree size (default from "
-                          "BENCH_join.json)")
+                          "below this tree size (default 2000; see "
+                          "join.parallel.processes_ms of "
+                          "`python3 -m bench`)")
     srv.add_argument("--drain-grace", type=float, default=10.0,
                      metavar="SECONDS",
                      help="how long SIGTERM waits for running joins "
@@ -558,20 +559,21 @@ def _cmd_join(args: argparse.Namespace) -> int:
 def _run_join(args, t1, t2, buffer, retry_policy, governor,
               tracer, metrics, ledger, stats) -> int:
     """The measured part of ``repro join``, after setup/validation."""
+    from .exec import DEFAULT_WORKER_TIMEOUT, ExecutionConfig
+    exec_cfg = ExecutionConfig(pair_enumeration=args.pair_enum,
+                               traversal=args.traversal,
+                               strategy=args.strategy)
     if args.workers is not None:
-        from .exec import DEFAULT_WORKER_TIMEOUT, ExecutionConfig
         timeout = (args.worker_timeout if args.worker_timeout is not None
                    else DEFAULT_WORKER_TIMEOUT)
-        exec_cfg = ExecutionConfig(
-            mode=args.mode, workers=args.workers,
-            pair_enumeration=args.pair_enum,
-            assignment=args.assignment, worker_timeout=timeout,
-            on_worker_crash=args.on_worker_crash,
-            shared_memory=args.shared_memory,
-            traversal=args.traversal, strategy=args.strategy)
         result = parallel_spatial_join(
             t1, t2, collect_pairs=False, governor=governor,
-            tracer=tracer, metrics=metrics, config=exec_cfg)
+            tracer=tracer, metrics=metrics,
+            config=exec_cfg.with_options(
+                mode=args.mode, workers=args.workers,
+                assignment=args.assignment, worker_timeout=timeout,
+                on_worker_crash=args.on_worker_crash,
+                shared_memory=args.shared_memory))
         print(f"R1: {args.tree1} (N={len(t1)}, h={t1.height})")
         print(f"R2: {args.tree2} (N={len(t2)}, h={t2.height})")
         print(f"result pairs: {result.pair_count}")
@@ -585,14 +587,9 @@ def _run_join(args, t1, t2, buffer, retry_policy, governor,
         _print_obs(args, metrics, ledger)
         return 0
 
-    from .exec import ExecutionConfig
     sj = SpatialJoin(t1, t2, buffer=buffer, retry_policy=retry_policy,
                      governor=governor, tracer=tracer, metrics=metrics,
-                     ledger=ledger,
-                     config=ExecutionConfig(
-                         pair_enumeration=args.pair_enum,
-                         traversal=args.traversal,
-                         strategy=args.strategy))
+                     ledger=ledger, config=exec_cfg)
     if args.resume is not None:
         result = sj.resume(JoinCheckpoint.load(args.resume))
     else:

@@ -56,7 +56,6 @@ cross-height combos — the two readings coincide exactly.
 
 from __future__ import annotations
 
-from ._compat import renamed_kwargs
 from .join_na import StageCost, stage_pairs
 from .params import TreeParams
 from .range_query import intsect
@@ -87,7 +86,6 @@ def _da_r2(left: TreeParams, right: TreeParams,
     return n2 * intsect(n1_parent, s1_parent, s2)
 
 
-@renamed_kwargs(params1="left", params2="right")
 def join_da_breakdown(left: TreeParams, right: TreeParams,
                       mixed_height_mode: str = "traversal",
                       ) -> list[StageCost]:
@@ -119,7 +117,6 @@ def join_da_breakdown(left: TreeParams, right: TreeParams,
     return out
 
 
-@renamed_kwargs(params1="left", params2="right")
 def join_da_total(left: TreeParams, right: TreeParams,
                   mixed_height_mode: str = "traversal") -> float:
     """Eqs. 10/12: expected total disk accesses of the spatial join."""
@@ -128,7 +125,6 @@ def join_da_total(left: TreeParams, right: TreeParams,
                      mixed_height_mode=mixed_height_mode).da()
 
 
-@renamed_kwargs(params1="left", params2="right")
 def join_da_by_tree(left: TreeParams, right: TreeParams,
                     mixed_height_mode: str = "traversal",
                     ) -> tuple[float, float]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._compat import renamed_kwargs
 from .params import TreeParams
 from .range_query import intsect
 from .stages import Stage, traversal_stages
@@ -45,7 +44,6 @@ class StageCost:
         return self.cost1 + self.cost2
 
 
-@renamed_kwargs(params1="left", params2="right")
 def stage_pairs(left: TreeParams, right: TreeParams,
                 stage: Stage) -> float:
     """Eq. 6 at one stage: expected intersecting node pairs."""
@@ -56,7 +54,6 @@ def stage_pairs(left: TreeParams, right: TreeParams,
     return n2 * intsect(n1, s1, s2)
 
 
-@renamed_kwargs(params1="left", params2="right")
 def join_na_breakdown(left: TreeParams,
                       right: TreeParams) -> list[StageCost]:
     """Per-stage NA attribution (each side is charged the pair count).
@@ -74,7 +71,6 @@ def join_na_breakdown(left: TreeParams,
     return out
 
 
-@renamed_kwargs(params1="left", params2="right")
 def join_na_total(left: TreeParams, right: TreeParams) -> float:
     """Eqs. 7/11: expected total node accesses of the spatial join.
 

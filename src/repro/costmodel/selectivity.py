@@ -25,7 +25,6 @@ API (:func:`~repro.estimator.estimate_batch`) evaluates them vectorized.
 from __future__ import annotations
 
 from ..datasets import LocalDensityGrid, SpatialDataset
-from ._compat import renamed_kwargs
 from .params import AnalyticalTreeParams
 from .range_query import intsect
 
@@ -33,7 +32,6 @@ __all__ = ["join_selectivity_pairs", "join_selectivity_fraction",
            "join_selectivity_pairs_grid"]
 
 
-@renamed_kwargs(params1="left", params2="right")
 def join_selectivity_pairs(left: AnalyticalTreeParams,
                            right: AnalyticalTreeParams,
                            distance: float = 0.0) -> float:
@@ -47,7 +45,6 @@ def join_selectivity_pairs(left: AnalyticalTreeParams,
     return Estimator(left, right).selectivity(distance)
 
 
-@renamed_kwargs(params1="left", params2="right")
 def join_selectivity_fraction(left: AnalyticalTreeParams,
                               right: AnalyticalTreeParams,
                               distance: float = 0.0) -> float:
@@ -56,7 +53,6 @@ def join_selectivity_fraction(left: AnalyticalTreeParams,
     return Estimator(left, right).selectivity_fraction(distance)
 
 
-@renamed_kwargs(dataset1="left", dataset2="right")
 def join_selectivity_pairs_grid(left: SpatialDataset,
                                 right: SpatialDataset,
                                 resolution: int = 6,

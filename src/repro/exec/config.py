@@ -1,15 +1,10 @@
 """The unified execution configuration.
 
-Historically every entry point grew its own copies of the execution
-knobs: ``SpatialJoin`` took ``pair_enumeration``,
-``parallel_spatial_join`` took ``mode`` / ``assignment`` /
-``on_worker_crash`` / ``worker_timeout`` on top of that, the optimizer
-executor and the serve daemon forwarded their own subsets, and the CLI
-mapped flags onto each.  :class:`ExecutionConfig` is the one place
-those knobs live now; every execution entry point accepts a
-``config=`` argument, and the old per-knob keywords keep working
-through :func:`merge_legacy_kwargs` (a :class:`DeprecationWarning`
-shim following the ``costmodel/_compat`` pattern).
+Every execution entry point — ``spatial_join``, ``SpatialJoin``,
+``parallel_spatial_join``, ``partition_spatial_join``, the optimizer
+executor, the serve daemon and the CLI — takes its execution knobs as
+one :class:`ExecutionConfig` passed as ``config=``; there is no other
+way to pass them.
 
 The canonical knob vocabularies (:data:`PAIR_ENUMERATIONS`,
 :data:`EXECUTION_MODES`, …) are defined here — the bottom of the
@@ -19,8 +14,7 @@ compatibility.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 __all__ = [
     "ASSIGNMENT_STRATEGIES",
@@ -72,16 +66,6 @@ ON_WORKER_CRASH = ("raise", "serial")
 #: Default watchdog: how long the coordinator waits without *any*
 #: bucket completing before declaring the worker pool hung.
 DEFAULT_WORKER_TIMEOUT = 300.0
-
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from any real value."""
-
-    def __repr__(self) -> str:       # pragma: no cover - debug aid
-        return "<unset>"
-
-
-UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -168,17 +152,7 @@ class ExecutionConfig:
         return replace(self, **changes)
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "mode": self.mode,
-            "workers": self.workers,
-            "pair_enumeration": self.pair_enumeration,
-            "assignment": self.assignment,
-            "on_worker_crash": self.on_worker_crash,
-            "worker_timeout": self.worker_timeout,
-            "shared_memory": self.shared_memory,
-            "traversal": self.traversal,
-            "strategy": self.strategy,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecutionConfig":
@@ -196,32 +170,3 @@ class ExecutionConfig:
                 f"unknown ExecutionConfig keys {sorted(unknown)!r} "
                 f"(expected a subset of {sorted(known)!r})")
         return cls(**doc)
-
-
-def merge_legacy_kwargs(fn_name: str,
-                        config: ExecutionConfig | None,
-                        **legacy) -> ExecutionConfig:
-    """Fold deprecated per-knob keywords into an :class:`ExecutionConfig`.
-
-    Entry points pass each legacy knob with :data:`UNSET` as the
-    "not given" default; any knob that *was* given emits a
-    :class:`DeprecationWarning` pointing at the caller and is applied
-    on top of a default config.  Mixing a ``config`` with a legacy
-    knob is an error (mirroring the duplicate-argument TypeError of
-    ``costmodel/_compat.renamed_kwargs``).
-    """
-    supplied = {name: value for name, value in legacy.items()
-                if not isinstance(value, _Unset)}
-    if not supplied:
-        return config if config is not None else ExecutionConfig()
-    if config is not None:
-        names = ", ".join(repr(n) for n in sorted(supplied))
-        raise TypeError(
-            f"{fn_name}() got both 'config' and the deprecated "
-            f"keyword(s) {names}")
-    for name in supplied:
-        warnings.warn(
-            f"{fn_name}(): keyword {name!r} is deprecated, pass "
-            f"config=ExecutionConfig({name}=...)",
-            DeprecationWarning, stacklevel=3)
-    return ExecutionConfig(**supplied)

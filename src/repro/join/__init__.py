@@ -11,7 +11,8 @@ from .plane_sweep import nested_loop_pairs, sweep_pairs, sweep_pairs_batch
 from .nested_loop import index_nested_loop_join
 from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
 from .result import R1, R2, JoinResult, PartialJoinResult
-from .sync import PAIR_ENUMERATIONS, SpatialJoin, spatial_join
+from .sync import (PAIR_ENUMERATIONS, SpatialJoin, select_traversal,
+                   spatial_join, traversal_state)
 from .vectorized import vectorized_pairs
 
 __all__ = [
@@ -38,10 +39,12 @@ __all__ = [
     "nested_loop_pairs",
     "parallel_spatial_join",
     "partition_spatial_join",
+    "select_traversal",
     "spatial_join",
     "supports_level_batch",
     "sweep_pairs",
     "sweep_pairs_batch",
+    "traversal_state",
     "tree_arena",
     "vectorized_pairs",
 ]

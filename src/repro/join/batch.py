@@ -40,8 +40,9 @@ level order.  The engine therefore runs in two phases:
 Configurations the batch engine cannot express — pure-Python backend,
 plane-sweep enumerations (different read order by design), custom
 predicates, checkpoint resume (cursors restore stack-machine
-iterators) — fall back to the stack machine; see
-:meth:`repro.join.SpatialJoin._state`.
+iterators) — fall back to the stack machine, and the join says so
+(``fallback`` on its ``join_start`` event, a ``join.fallback.<reason>``
+counter); see :func:`repro.join.select_traversal`.
 """
 
 from __future__ import annotations
@@ -70,18 +71,25 @@ MAX_CHUNK_ITEMS = 1 << 20
 
 
 def supports_level_batch(predicate: JoinPredicate,
-                         pair_enumeration: str) -> bool:
-    """Whether the batch engine can reproduce this configuration.
+                         pair_enumeration: str) -> str | None:
+    """Why the batch engine cannot reproduce this configuration.
 
-    ``True`` requires the NumPy backend, a nested-loop or vectorized
-    enumeration, and one of the built-in predicates (a subclass could
-    override the tests the kernels mirror, so exact types only).
+    ``None`` — it can — requires the NumPy backend (else
+    ``"pure-python"``), a nested-loop or vectorized enumeration (else
+    ``"enumeration"``) and one of the built-in predicates (else
+    ``"predicate"``: a subclass could override the tests the kernels
+    mirror, so exact types only).  The reason is what the join records
+    as its ``fallback``; :func:`repro.join.select_traversal` adds the
+    two that depend on the trees and the run (``"no-arena"``,
+    ``"resume"``).
     """
     if _get_numpy() is None:
-        return False
+        return "pure-python"
     if pair_enumeration not in BATCH_PAIR_ENUMERATIONS:
-        return False
-    return type(predicate) in (Overlap, WithinDistance)
+        return "enumeration"
+    if type(predicate) not in (Overlap, WithinDistance):
+        return "predicate"
+    return None
 
 
 def tree_arena(tree):
@@ -178,6 +186,9 @@ class LevelBatchState:
     :class:`repro.join.SpatialJoin` runs either engine through one code
     path.
     """
+
+    engine = "level-batch"
+    fallback = None
 
     def __init__(self, reader1: MeteredReader, reader2: MeteredReader,
                  predicate: JoinPredicate, collect_pairs: bool,

@@ -19,84 +19,42 @@ This module simulates exactly that:
 
 Three execution modes drive the workers.  ``"serial"`` (default) runs
 the buckets one after another in the calling thread — fully
-deterministic, what the benches use.  ``"threads"`` runs each bucket in
-a thread pool: the access accounting is identical (workers share
-nothing but the read-only pagers), and the mode exercises the
-governance path — every worker observes a shared
-:class:`~repro.exec.CancellationToken`, so one worker's failure (or an
-exhausted budget, or an external cancel) makes the siblings drain
-cleanly, and the first real failure is re-raised at the pool boundary
-**with its original worker traceback**.  ``"processes"`` runs each
-bucket in its own OS process — real CPU parallelism for the vectorized
-enumerators: every worker unpickles a private copy of both trees (its
-own pager, its own path buffer — the shared-nothing setting of
-[BKS96]), executes its bucket, and ships plain-data results back; the
-coordinator merges the per-worker :class:`~repro.storage.AccessStats`
-into counters equal to the serial mode's.  Governance crosses the
-process boundary in two halves: workers receive the budget with the
-deadline rebased to the time remaining at dispatch, while the
-coordinator polls the governor between completions (poll-and-abort) so
-an expired deadline or a cancelled token abandons queued buckets
-without waiting for them.
+deterministic.  ``"threads"`` runs each bucket in a thread pool: the
+access accounting is identical (workers share nothing but the
+read-only pagers).  ``"processes"`` runs each bucket in its own OS
+process — real CPU parallelism for the vectorized enumerators, in the
+shared-nothing setting of [BKS96]: every worker has its own pager and
+path buffer over both trees, executes its bucket and ships plain-data
+results back; the coordinator merges the per-worker
+:class:`~repro.storage.AccessStats` into counters equal to the serial
+mode's.  How the two pools are driven — the abort token that drains
+sibling threads, the rebased worker budget and coordinator polling of
+the process pool, the watchdog and the crash policy — is the business
+of :mod:`repro.join.fanout`, the one driver this join shares with the
+PBSM engine's tiles.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
-
-from ..exec import CancellationToken, ExecutionGovernor
+from ..exec import ExecutionGovernor
 from ..exec.budget import Budget, BudgetExceeded, Cancelled
-from ..exec.config import (ASSIGNMENT_STRATEGIES, DEFAULT_WORKER_TIMEOUT,
-                           EXECUTION_MODES, ON_WORKER_CRASH, UNSET,
-                           ExecutionConfig, merge_legacy_kwargs)
-from ..reliability import ReproError
+from ..exec.config import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
+                           ON_WORKER_CRASH, ExecutionConfig)
 from ..rtree import RTreeBase
 from ..rtree.arena_view import ArenaTreeHandle, share_tree
 from ..storage import AccessStats, MeteredReader, PathBuffer
-from .batch import LevelBatchState, supports_level_batch, tree_arena
+from .fanout import WorkerCrashed, fan_out, worker_governor
 from .predicates import OVERLAP, JoinPredicate
 from .result import R1, R2
-from .sync import PAIR_ENUMERATIONS, _TraversalState
+from .sync import select_traversal, traversal_state
 
 __all__ = ["parallel_spatial_join", "ParallelJoinResult",
            "ASSIGNMENT_STRATEGIES", "EXECUTION_MODES",
            "ON_WORKER_CRASH", "WorkerCrashed"]
 
-# ASSIGNMENT_STRATEGIES / EXECUTION_MODES / ON_WORKER_CRASH /
-# DEFAULT_WORKER_TIMEOUT are canonically defined on
-# repro.exec.ExecutionConfig and re-exported here for compatibility.
-
-#: Seconds between coordinator governor polls in ``"processes"`` mode.
-_PROCESS_POLL_INTERVAL = 0.05
-
-
-class WorkerCrashed(ReproError):
-    """A parallel worker process died or hung instead of finishing.
-
-    Raised by ``parallel_spatial_join(mode="processes",
-    on_worker_crash="raise")`` when the OS kills a worker (SIGKILL,
-    OOM), the pool breaks, or no bucket completes within the watchdog
-    timeout.  ``buckets`` lists the bucket indices whose results were
-    lost; ``cause`` is a short machine-readable reason string.
-    """
-
-    def __init__(self, buckets: list[int], cause: str,
-                 message: str | None = None):
-        self.buckets = list(buckets)
-        self.cause = cause
-        super().__init__(
-            message or f"parallel worker crashed ({cause}); "
-                       f"lost buckets {self.buckets}")
-
-    def as_dict(self) -> dict[str, object]:
-        """Machine-readable reason (the CLI prints this as JSON)."""
-        return {"error": "worker-crashed", "buckets": self.buckets,
-                "cause": self.cause}
-
-    def __reduce__(self):
-        return (WorkerCrashed, (self.buckets, self.cause, str(self)))
+# ASSIGNMENT_STRATEGIES / EXECUTION_MODES / ON_WORKER_CRASH are
+# canonically defined on repro.exec.ExecutionConfig, WorkerCrashed on
+# repro.join.fanout; both are re-exported here for compatibility.
 
 
 class ParallelJoinResult:
@@ -155,8 +113,7 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
                 root1, root2, predicate: JoinPredicate,
                 collect_pairs: bool,
                 governor: ExecutionGovernor | None,
-                pair_enumeration: str = "nested-loop",
-                metrics=None, traversal: str = "stack",
+                config: ExecutionConfig, metrics=None,
                 ) -> tuple[AccessStats, list[tuple[int, int]], int,
                            object]:
     """Execute one worker's task bucket against a private buffer.
@@ -171,36 +128,21 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
     element of the result tuple for the coordinator to merge — no
     shared mutable state between workers.
 
-    With ``traversal="level-batch"`` the worker drives its subtree
-    pairs through :class:`~repro.join.batch.LevelBatchState` — one
-    frontier plan per task over the arenas (in ``"processes"`` mode the
-    zero-copy shared-memory arenas of the attached
-    :class:`~repro.rtree.ArenaTreeView`) — with NA/DA/pairs identical
-    to the stack machine; unsupported configurations keep the stack
-    machine, exactly as in the serial join.
+    The traversal engine is whatever
+    :func:`~repro.join.traversal_state` builds for ``config``: with
+    ``traversal="level-batch"`` one frontier plan per task over the
+    arenas (in ``"processes"`` mode the zero-copy shared-memory arenas
+    of the attached :class:`~repro.rtree.ArenaTreeView`), NA/DA/pairs
+    identical to the stack machine; unsupported configurations keep the
+    stack machine, exactly as in the serial join.
     """
     stats = AccessStats()
     buffer = PathBuffer()                # each worker owns its disk/buffer
-    reader1 = MeteredReader(tree1.pager, R1, stats, buffer)
-    reader2 = MeteredReader(tree2.pager, R2, stats, buffer)
-    state = None
-    if traversal == "level-batch" \
-            and supports_level_batch(predicate, pair_enumeration):
-        arena1 = tree_arena(tree1)
-        arena2 = tree_arena(tree2)
-        if arena1 is not None and arena2 is not None:
-            state = LevelBatchState(
-                reader1, reader2, predicate, collect_pairs,
-                pinned1=tree1.root_id, pinned2=tree2.root_id,
-                arena1=arena1, arena2=arena2,
-                pair_enumeration=pair_enumeration,
-                stats=stats, governor=governor, metrics=metrics)
-    if state is None:
-        state = _TraversalState(
-            reader1, reader2, predicate, collect_pairs,
-            pinned1=tree1.root_id, pinned2=tree2.root_id,
-            pair_enumeration=pair_enumeration,
-            stats=stats, governor=governor)
+    state = traversal_state(
+        config, predicate, tree1, tree2,
+        MeteredReader(tree1.pager, R1, stats, buffer),
+        MeteredReader(tree2.pager, R2, stats, buffer),
+        collect_pairs, stats, governor, metrics=metrics)
     for _cost, e1, e2 in bucket:
         if governor is not None:
             governor.check(stats, state.pair_count)
@@ -222,10 +164,9 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
 
 def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
                     tree2: RTreeBase, predicate: JoinPredicate,
-                    collect_pairs: bool, pair_enumeration: str,
+                    collect_pairs: bool, config: ExecutionConfig,
                     budget: Budget | None,
                     collect_metrics: bool = False,
-                    traversal: str = "stack",
                     ) -> tuple[dict, list[tuple[int, int]], int,
                                dict | None]:
     """Worker-*process* body: plain picklable data in, plain data out.
@@ -251,34 +192,25 @@ def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
         tree1 = tree1.attach()
     if isinstance(tree2, ArenaTreeHandle):
         tree2 = tree2.attach()
-    governor = None
-    if budget is not None and not budget.unlimited:
-        governor = ExecutionGovernor(budget)
-        governor.start()
-    metrics = None
-    if collect_metrics:
-        from ..obs import MetricsRegistry
-        metrics = MetricsRegistry()
-    root1 = tree1.root()
-    root2 = tree2.root()
     stats, pairs, count, metrics = _run_bucket(
-        bucket, tree1, tree2, root1, root2, predicate, collect_pairs,
-        governor, pair_enumeration, metrics, traversal)
+        bucket, tree1, tree2, tree1.root(), tree2.root(), predicate,
+        collect_pairs, worker_governor(budget), config,
+        _fresh_metrics(collect_metrics))
     return (stats.as_dict(), pairs, count,
             metrics.as_dict() if metrics is not None else None)
 
 
-def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
-                          workers: int | None = None,
+def _decode_bucket(result: tuple) -> tuple:
+    """A process worker's result in the shape ``_run_bucket`` returns."""
+    stats_doc, pairs, count, metrics_doc = result
+    return AccessStats.from_dict(stats_doc), pairs, count, metrics_doc
+
+
+def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
                           predicate: JoinPredicate = OVERLAP,
-                          assignment=UNSET,
                           collect_pairs: bool = True,
                           governor: ExecutionGovernor | None = None,
-                          mode=UNSET,
-                          pair_enumeration=UNSET,
                           tracer=None, metrics=None,
-                          worker_timeout=UNSET,
-                          on_worker_crash=UNSET,
                           config: ExecutionConfig | None = None,
                           ) -> ParallelJoinResult:
     """Run the SJ join split into subtree-pair tasks over workers.
@@ -286,14 +218,13 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
     The execution knobs — worker count, driving ``mode``, bucket
     ``assignment``, ``pair_enumeration`` kernel, ``traversal`` engine,
     crash policy, watchdog timeout and the shared-memory switch — live
-    on one :class:`~repro.exec.ExecutionConfig` passed as ``config``.
+    on one :class:`~repro.exec.ExecutionConfig` passed as ``config``;
+    everything after ``tree2`` is keyword-only.
     With ``traversal="level-batch"`` each worker advances its subtree
     pairs frontier-at-a-time through :mod:`repro.join.batch` (process
     workers batch directly over the zero-copy shared-memory arenas of
     their :class:`~repro.rtree.ArenaTreeView`); all counters stay
-    identical to the stack machine's.  The
-    historical per-knob keywords (including the ``workers``
-    positional) keep working but emit a :class:`DeprecationWarning`.
+    identical to the stack machine's.
 
     The result set equals the sequential join's; only the access
     accounting is partitioned.
@@ -306,34 +237,27 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
     is not supported here (checkpoints describe a single synchronized
     traversal): a partial governor is refused.
 
-    ``mode="threads"`` executes the buckets on a thread pool; the first
-    worker failure cancels the shared abort token (siblings drain as
-    :class:`~repro.exec.Cancelled`) and is re-raised with its original
-    traceback.
+    ``mode="threads"`` and ``mode="processes"`` hand the buckets to
+    :func:`~repro.join.fanout.fan_out`: the first worker failure is
+    re-raised with its original traceback while the siblings drain, and
+    a SIGKILLed, OOM-killed or hung worker process can never hang this
+    call — ``worker_timeout`` bounds the wait and ``on_worker_crash``
+    picks between a typed :class:`WorkerCrashed` naming the lost
+    buckets (``"raise"``, the default) and re-running exactly those
+    buckets here (``"serial"``; completed buckets are kept, so the
+    result equals an undisturbed run's).
 
-    ``mode="processes"`` executes each bucket in a worker process;
-    merged counters equal the serial mode's.  With the default
-    ``shared_memory=True`` both trees are exported once as columnar
-    arenas in ``multiprocessing.shared_memory`` segments and each
-    submission ships only the segment names plus the index tables —
-    workers attach zero-copy and materialize just the nodes their
-    bucket visits.  The segments are unlinked in a ``finally`` (crash
-    and governor-stop paths included) with an ``atexit`` backstop for
-    abnormal teardown.  ``shared_memory=False`` restores the historical
-    behaviour of pickling a private tree copy into every worker.
-    Workers enforce the budget themselves (deadline rebased to dispatch
-    time), while the coordinator polls the governor between completions
-    and abandons queued buckets the moment the deadline or token trips.
-
-    A SIGKILLed (or OOM-killed, or hung) worker process can never hang
-    the coordinator: a broken pool and a ``worker_timeout`` seconds
-    stretch without any bucket completing are both treated as a crash.
-    ``on_worker_crash`` selects the reaction — ``"raise"`` (default)
-    raises a typed :class:`WorkerCrashed` naming the lost buckets,
-    ``"serial"`` degrades gracefully by re-executing the lost buckets
-    serially in the coordinator process (completed buckets are kept, so
-    the result is identical to an undisturbed run).  Both knobs apply
-    only to ``mode="processes"``.
+    In ``"processes"`` mode with the default ``shared_memory=True`` both
+    trees are exported once as columnar arenas in
+    ``multiprocessing.shared_memory`` segments and each submission
+    ships only the segment names plus the index tables — workers attach
+    zero-copy and materialize just the nodes their bucket visits.  The
+    segments are unlinked in the driver's ``finally`` (crash and
+    governor-stop paths included) with an ``atexit`` backstop for
+    abnormal teardown; the coordinator keeps the real trees, so the
+    serial re-run stays valid after the segments are gone.
+    ``shared_memory=False`` pickles a private tree copy into every
+    worker instead.
 
     ``tracer``/``metrics`` are the :mod:`repro.obs` hooks.  Workers
     never touch the tracer (sinks don't cross process boundaries; the
@@ -345,19 +269,10 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
     are write-only: pairs/NA/DA of an observed run are bit-identical to
     an unobserved one.
     """
-    config = merge_legacy_kwargs(
-        "parallel_spatial_join", config,
-        workers=UNSET if workers is None else workers,
-        assignment=assignment, mode=mode,
-        pair_enumeration=pair_enumeration,
-        worker_timeout=worker_timeout, on_worker_crash=on_worker_crash)
+    if config is None:
+        config = ExecutionConfig()
     workers = config.workers
-    assignment = config.assignment
     mode = config.mode
-    pair_enumeration = config.pair_enumeration
-    worker_timeout = config.worker_timeout
-    on_worker_crash = config.on_worker_crash
-    traversal = config.traversal
     if governor is not None and governor.partial:
         raise ValueError(
             "parallel_spatial_join cannot produce partial results; "
@@ -412,7 +327,7 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
             tasks.append((1.0, None, None))
 
     buckets: list[list[tuple]] = [[] for _ in range(workers)]
-    if assignment == "round-robin":
+    if config.assignment == "round-robin":
         for i, task in enumerate(tasks):
             buckets[i % workers].append(task)
     else:
@@ -424,13 +339,10 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
             buckets[w].append(task)
             loads[w] += task[0]
 
-    if traversal == "level-batch" and mode in ("serial", "threads") \
-            and supports_level_batch(predicate, pair_enumeration):
-        # Warm the cached whole-tree arenas in the coordinator so
-        # thread workers never race on the lazy build (process workers
-        # get theirs from share_tree / their private tree copy).
-        tree_arena(tree1)
-        tree_arena(tree2)
+    # What the workers' traversal_state will decide, decided here first:
+    # the trace gets the engine, and the cached whole-tree arenas are
+    # warm before any thread worker can race on their lazy build.
+    arenas, fallback = select_traversal(config, predicate, tree1, tree2)
 
     if governor is not None:
         governor.start()                 # deadline shared by all workers
@@ -440,55 +352,57 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         join_id = tracer.new_join_id()
         tracer.join_start(
             join_id, n1=len(tree1), n2=len(tree2), mode=mode,
-            workers=workers, assignment=assignment, tasks=len(tasks),
-            pair_enumeration=pair_enumeration,
-            governed=governor is not None)
+            workers=workers, assignment=config.assignment,
+            tasks=len(tasks),
+            pair_enumeration=config.pair_enumeration,
+            engine="stack" if arenas is None else "level-batch",
+            fallback=fallback, governed=governor is not None)
 
+    with_metrics = metrics is not None
+
+    def run_local(bucket, spawned):
+        return _run_bucket(bucket, tree1, tree2, root1, root2, predicate,
+                           collect_pairs, spawned, config,
+                           _fresh_metrics(with_metrics))
+
+    def remote(leases: list):
+        ship1, ship2 = tree1, tree2
+        if config.shared_memory:
+            ship1, lease = share_tree(tree1)
+            leases.append(lease)
+            ship2, lease = share_tree(tree2)
+            leases.append(lease)
+        return lambda bucket, budget: (
+            _process_bucket, bucket, ship1, ship2, predicate,
+            collect_pairs, config, budget, with_metrics)
+
+    collected: dict[int, tuple] = {}
     try:
-        if mode == "threads":
-            results = _drive_threads(buckets, tree1, tree2, root1, root2,
-                                     predicate, collect_pairs, governor,
-                                     pair_enumeration,
-                                     with_metrics=metrics is not None,
-                                     traversal=traversal)
-        elif mode == "processes":
-            results = _drive_processes(buckets, tree1, tree2, predicate,
-                                       collect_pairs, governor,
-                                       pair_enumeration,
-                                       with_metrics=metrics is not None,
-                                       worker_timeout=worker_timeout,
-                                       on_worker_crash=on_worker_crash,
-                                       tracer=tracer, join_id=join_id,
-                                       metrics=metrics,
-                                       shared_memory=config.shared_memory,
-                                       traversal=traversal)
+        if mode == "serial":
+            for index, bucket in enumerate(buckets):
+                collected[index] = run_local(
+                    bucket,
+                    governor.spawn() if governor is not None else None)
         else:
-            results = []
-            for bucket in buckets:
-                worker_gov = governor.spawn() if governor is not None \
-                    else None
-                results.append(_run_bucket(
-                    bucket, tree1, tree2, root1, root2, predicate,
-                    collect_pairs, worker_gov, pair_enumeration,
-                    _fresh_metrics(metrics is not None), traversal))
+            # Empty stats for the coordinator's own checks: all
+            # charging happens in the workers, so only the deadline and
+            # the token can trip here.
+            fan_out(buckets, run_local, remote, config=config,
+                    governor=governor, stats=AccessStats(),
+                    collected=collected, decode=_decode_bucket,
+                    tracer=tracer, join_id=join_id, metrics=metrics)
     except (BudgetExceeded, Cancelled) as exc:
         if tracer is not None:
             tracer.budget_trip(join_id, exc.as_dict())
         if metrics is not None:
             metrics.counter("governor.trips").inc()
         raise
-    except WorkerCrashed as exc:
-        if tracer is not None:
-            tracer.emit("worker_crash", join=join_id,
-                        reason=exc.as_dict())
-        if metrics is not None:
-            metrics.counter("parallel.worker_crashes").inc()
-        raise
 
     all_pairs: list[tuple[int, int]] = []
     pair_count = 0
     worker_stats: list[AccessStats] = []
-    for index, (stats, pairs, count, delta) in enumerate(results):
+    for index, bucket in enumerate(buckets):
+        stats, pairs, count, delta = collected[index]
         worker_stats.append(stats)
         all_pairs.extend(pairs)
         pair_count += count
@@ -497,10 +411,12 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         if tracer is not None:
             tracer.worker_finish(join_id, index, na=stats.na(),
                                  da=stats.da(), pairs=count,
-                                 tasks=len(buckets[index]))
+                                 tasks=len(bucket))
     result = ParallelJoinResult(all_pairs, worker_stats, pair_count)
     if metrics is not None:
         metrics.counter("parallel.joins").inc()
+        if fallback is not None:
+            metrics.counter(f"join.fallback.{fallback}").inc()
         hist = metrics.histogram("parallel.worker_da")
         for stats in worker_stats:
             hist.observe(stats.da())
@@ -519,258 +435,3 @@ def _fresh_metrics(enabled: bool):
         return None
     from ..obs import MetricsRegistry   # local import: obs is optional
     return MetricsRegistry()
-
-
-def _drive_threads(buckets, tree1, tree2, root1, root2, predicate,
-                   collect_pairs, governor, pair_enumeration,
-                   with_metrics=False, traversal="stack"):
-    """Run the buckets on a thread pool, propagating the first failure.
-
-    Workers observe an internal abort token (linked into each worker's
-    governor): the moment any worker raises something other than
-    :class:`Cancelled`, the token is cancelled and the siblings stop at
-    their next governor check.  Results are gathered in bucket order, so
-    the pair list and worker stats are deterministic; the preferred
-    failure to re-raise is the first *cause* (budget/fault), never the
-    secondary ``Cancelled`` it induced — and it propagates with the
-    original worker traceback attached by ``Future.result``.
-    """
-    abort = CancellationToken()
-
-    def worker_governor() -> ExecutionGovernor:
-        if governor is not None:
-            return governor.spawn(abort)
-        return ExecutionGovernor(token=abort)
-
-    def on_done(fut) -> None:
-        if not fut.cancelled():
-            exc = fut.exception()
-            if exc is not None and not isinstance(exc, Cancelled):
-                abort.cancel()           # make the siblings drain
-
-    failure: BaseException | None = None
-    results = []
-    with ThreadPoolExecutor(max_workers=max(1, len(buckets)),
-                            thread_name_prefix="sj-worker") as pool:
-        futures = []
-        for bucket in buckets:
-            fut = pool.submit(_run_bucket, bucket, tree1, tree2,
-                              root1, root2, predicate, collect_pairs,
-                              worker_governor(), pair_enumeration,
-                              _fresh_metrics(with_metrics), traversal)
-            fut.add_done_callback(on_done)
-            futures.append(fut)
-        for fut in futures:
-            try:
-                results.append(fut.result())
-            except Cancelled as exc:
-                if failure is None:
-                    failure = exc
-            except Exception as exc:
-                if failure is None or isinstance(failure, Cancelled):
-                    failure = exc        # prefer the cause over the drain
-    if failure is not None:
-        raise failure
-    return results
-
-
-def _worker_budget(governor) -> Budget | None:
-    """The budget a worker process should self-enforce.
-
-    The deadline is rebased to the wall-clock time remaining *now*, at
-    dispatch: the worker's fresh clock then expires when the
-    coordinator's would have.  An already-expired deadline raises here,
-    before any process is spawned.
-    """
-    if governor is None:
-        return None
-    budget = governor.budget
-    deadline = budget.deadline
-    if deadline is not None:
-        governor.start()
-        remaining = deadline - governor.elapsed()
-        if remaining <= 0.0:
-            raise BudgetExceeded("deadline", deadline, governor.elapsed())
-        return Budget(deadline=remaining, max_na=budget.max_na,
-                      max_da=budget.max_da,
-                      max_results=budget.max_results)
-    return budget
-
-
-def _drive_processes(buckets, tree1, tree2, predicate, collect_pairs,
-                     governor, pair_enumeration, with_metrics=False,
-                     worker_timeout: float | None = DEFAULT_WORKER_TIMEOUT,
-                     on_worker_crash: str = "raise",
-                     tracer=None, join_id=None, metrics=None,
-                     shared_memory: bool = True, traversal: str = "stack"):
-    """Run the buckets on a process pool with coordinator-side polling.
-
-    With ``shared_memory`` (the default) each tree is exported once via
-    :func:`~repro.rtree.share_tree`: its whole-tree columnar arena goes
-    into a ``multiprocessing.shared_memory`` segment and every
-    submission pickles only a tiny :class:`ArenaTreeHandle` (segment
-    name plus index table) — workers attach zero-copy.  The segments
-    are closed and unlinked in this function's ``finally``, which runs
-    on the crash, failure and governor-trip paths too; the coordinator
-    keeps the real trees, so the serial crash-degrade re-run below
-    stays valid after the segments are gone.  With
-    ``shared_memory=False`` each submission pickles the full trees into
-    the child (the historical transport).  Either way results come back
-    as plain data and the stats dicts are rebuilt into
-    :class:`AccessStats` in bucket order, keeping pair list and worker
-    stats deterministic.
-
-    A process cannot observe the coordinator's cancellation token or a
-    clock started in another process, so enforcement is split: workers
-    run their own governor on the rebased budget (they stop themselves),
-    and the coordinator re-checks its governor every
-    ``_PROCESS_POLL_INTERVAL`` seconds between completions — a deadline
-    or cancellation trip cancels the not-yet-started buckets and raises
-    immediately instead of waiting for the queue to drain.  As in the
-    thread mode, a real worker failure is preferred over any
-    :class:`Cancelled` it induced.
-
-    Worker *death* is handled by a watchdog, never by blocking: a
-    broken pool (a child was SIGKILLed, OOM-killed or segfaulted) or
-    ``worker_timeout`` seconds without any bucket completing hands off
-    to :func:`_handle_worker_crash`, which kills the remaining children
-    instead of joining them.  The pool is shut down without waiting on
-    the crash path, so a dead or hung worker cannot wedge the caller.
-    """
-    if governor is not None:
-        # Trip a pre-cancelled token or spent deadline before paying
-        # for a single process spawn.
-        governor.check(AccessStats())
-    worker_budget = _worker_budget(governor)
-    failure: BaseException | None = None
-    crash_cause: str | None = None
-    leases = []
-    pool = ProcessPoolExecutor(max_workers=max(1, len(buckets)))
-    try:
-        ship1, ship2 = tree1, tree2
-        if shared_memory:
-            handle1, lease1 = share_tree(tree1)
-            leases.append(lease1)
-            handle2, lease2 = share_tree(tree2)
-            leases.append(lease2)
-            ship1, ship2 = handle1, handle2
-        futures = [
-            pool.submit(_process_bucket, bucket, ship1, ship2, predicate,
-                        collect_pairs, pair_enumeration, worker_budget,
-                        with_metrics, traversal)
-            for bucket in buckets
-        ]
-        pending = set(futures)
-        last_progress = time.monotonic()
-        while pending:
-            done, pending = wait(pending,
-                                 timeout=_PROCESS_POLL_INTERVAL)
-            if done:
-                last_progress = time.monotonic()
-            for fut in done:
-                if fut.cancelled():
-                    continue
-                exc = fut.exception()
-                if isinstance(exc, BrokenExecutor):
-                    crash_cause = "broken-pool"
-                elif exc is not None and not isinstance(exc, Cancelled) \
-                        and (failure is None
-                             or isinstance(failure, Cancelled)):
-                    failure = exc
-            if crash_cause is None and pending \
-                    and worker_timeout is not None \
-                    and time.monotonic() - last_progress \
-                    >= worker_timeout:
-                crash_cause = "watchdog-timeout"
-            if crash_cause is not None:
-                break
-            if pending and governor is not None and failure is None:
-                try:
-                    # Empty stats: only the deadline and the token can
-                    # trip — exactly the axes workers cannot share.
-                    governor.check(AccessStats())
-                except (BudgetExceeded, Cancelled) as exc:
-                    failure = exc
-            if failure is not None:
-                for fut in pending:
-                    fut.cancel()         # queued buckets never start
-                break
-        if crash_cause is not None:
-            return _handle_worker_crash(
-                crash_cause, pool, futures, buckets, tree1, tree2,
-                predicate, collect_pairs, governor, pair_enumeration,
-                with_metrics, on_worker_crash, tracer, join_id, metrics,
-                traversal)
-        if failure is not None:
-            raise failure
-        ordered = []
-        for fut in futures:
-            stats_doc, pairs, count, metrics_doc = fut.result()
-            ordered.append((AccessStats.from_dict(stats_doc), pairs,
-                            count, metrics_doc))
-        return ordered
-    finally:
-        # Non-crash paths drain normally (every future is already done
-        # or cancelled).  The crash path already shut the pool down
-        # without waiting — this second shutdown is a no-op, crucially
-        # never a join on a dead or hung child.
-        pool.shutdown(wait=crash_cause is None)
-        # Unlink the shared-memory segments only after the children are
-        # gone (or abandoned): close() is idempotent and the atexit
-        # sweep backstops an interpreter that dies before reaching here.
-        for lease in leases:
-            lease.close()
-
-
-def _handle_worker_crash(cause, pool, futures, buckets, tree1, tree2,
-                         predicate, collect_pairs, governor,
-                         pair_enumeration, with_metrics, on_worker_crash,
-                         tracer, join_id, metrics, traversal="stack"):
-    """React to a dead or hung worker pool: raise typed, or go serial.
-
-    First puts the pool beyond doubt — surviving children are killed
-    (they may be mid-bucket; their results are lost anyway) and the pool
-    is shut down *without waiting*.  Then either raises
-    :class:`WorkerCrashed` naming the lost buckets, or — with
-    ``on_worker_crash="serial"`` — re-executes exactly those buckets
-    serially in this process.  Buckets that completed before the crash
-    are salvaged, so the degraded result is identical to an undisturbed
-    run's (the union of bucket outputs does not depend on where they
-    ran).
-    """
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
-        if proc.is_alive():
-            proc.kill()
-    pool.shutdown(wait=False, cancel_futures=True)
-    salvaged: dict[int, tuple] = {}
-    lost: list[int] = []
-    for index, fut in enumerate(futures):
-        if fut.done() and not fut.cancelled() \
-                and fut.exception() is None:
-            salvaged[index] = fut.result()
-        else:
-            lost.append(index)
-    if on_worker_crash == "raise":
-        raise WorkerCrashed(lost, cause)
-    if tracer is not None:
-        tracer.emit("degraded_serial", join=join_id, cause=cause,
-                    buckets=lost)
-    if metrics is not None:
-        metrics.counter("parallel.worker_crashes").inc()
-        metrics.counter("parallel.degraded_serial").inc()
-    root1 = tree1.root()
-    root2 = tree2.root()
-    results = []
-    for index, bucket in enumerate(buckets):
-        if index in salvaged:
-            stats_doc, pairs, count, metrics_doc = salvaged[index]
-            results.append((AccessStats.from_dict(stats_doc), pairs,
-                            count, metrics_doc))
-        else:
-            worker_gov = governor.spawn() if governor is not None \
-                else None
-            results.append(_run_bucket(
-                bucket, tree1, tree2, root1, root2, predicate,
-                collect_pairs, worker_gov, pair_enumeration,
-                _fresh_metrics(with_metrics), traversal))
-    return results

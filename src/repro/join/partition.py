@@ -65,30 +65,34 @@ In the parallel modes the budget is enforced per tile worker, exactly
 as :func:`~repro.join.parallel_spatial_join` enforces it per bucket
 worker; process workers re-enforce a deadline rebased to dispatch time
 and their own result counts (NA/DA were already charged in the
-coordinator's build phase).
+coordinator's build phase).  The pools are the parallel join's — one
+driver, :mod:`repro.join.fanout` — so ``worker_timeout`` and
+``on_worker_crash`` mean here what they mean there: a killed or hung
+tile worker trips the watchdog and either raises
+:class:`~repro.join.WorkerCrashed` or has its tiles re-run serially.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
 from dataclasses import replace
 
-from ..exec import CancellationToken, ExecutionGovernor
+from ..exec import ExecutionGovernor
 from ..exec.budget import Budget, BudgetExceeded, Cancelled
 from ..exec.config import ExecutionConfig
 from ..geometry import Rect
 from ..geometry.arena import (arena_from_shared_memory,
                               arena_to_shared_memory)
 from ..geometry.columnar import _get_numpy
-from ..reliability import ResilientReader, RetryPolicy
+from ..reliability import RetryPolicy
 from ..rtree import Entry, RTreeBase
-from ..storage import AccessStats, BufferManager, MeteredReader, PathBuffer
+from ..storage import AccessStats, BufferManager, PathBuffer
 from .batch import tree_arena
+from .fanout import fan_out, worker_governor
 from .plane_sweep import sweep_pairs_batch
 from .predicates import OVERLAP, JoinPredicate, WithinDistance
 from .result import R1, R2, JoinResult, PartialJoinResult
+from .sync import _admit, _reader
 
 __all__ = ["partition_spatial_join", "DEFAULT_TILE_TARGET",
            "MAX_TILES_PER_AXIS"]
@@ -101,9 +105,6 @@ DEFAULT_TILE_TARGET = 512
 #: Upper bound on tiles per axis — past this, replication overhead and
 #: per-tile bookkeeping outweigh the smaller sweeps.
 MAX_TILES_PER_AXIS = 64
-
-#: Seconds between coordinator governor polls in ``"processes"`` mode.
-_PROCESS_POLL_INTERVAL = 0.05
 
 #: Candidate pairs expanded per filter pass (and governor check) of the
 #: arena probe; bounds the probe's memory whatever the tile holds.
@@ -180,14 +181,6 @@ def _make_grid(lo: list[float], hi: list[float], per_axis: int,
         # column; any positive width keeps tile_of well-defined.
         width.append(step if step > 0.0 else 1.0)
     return _Grid(tuple(lo), tuple(width), (per_axis,) * len(lo), slack)
-
-
-def _reader(pager, label, stats: AccessStats, buffer,
-            retry_policy: RetryPolicy | None, tracer):
-    if retry_policy is not None:
-        return ResilientReader(pager, label, stats, buffer,
-                               retry_policy, tracer=tracer)
-    return MeteredReader(pager, label, stats, buffer, tracer=tracer)
 
 
 def _scan_leaves(tree: RTreeBase, reader,
@@ -534,33 +527,12 @@ def _process_tile(side1, side2, predicate, grid, tile, collect_pairs,
     build phase charged them in the coordinator — so only the deadline,
     the per-worker result budget and cancellation can trip here.
     """
-    governor = None
-    if budget is not None and not budget.unlimited:
-        governor = ExecutionGovernor(budget)
-        governor.start()
     arenas = None
     if handles is not None:
         arenas = tuple(arena_from_shared_memory(h) for h in handles)
     return _join_tile(side1, side2, predicate, grid, tile,
-                      collect_pairs, governor, AccessStats(),
-                      arenas=arenas)
-
-
-def _tile_budget(governor: ExecutionGovernor | None) -> Budget | None:
-    """The budget a tile process should self-enforce (deadline rebased)."""
-    if governor is None:
-        return None
-    budget = governor.budget
-    if budget.deadline is not None:
-        governor.start()
-        remaining = budget.deadline - governor.elapsed()
-        if remaining <= 0.0:
-            raise BudgetExceeded("deadline", budget.deadline,
-                                 governor.elapsed())
-        return Budget(deadline=remaining, max_na=budget.max_na,
-                      max_da=budget.max_da,
-                      max_results=budget.max_results)
-    return budget
+                      collect_pairs, worker_governor(budget),
+                      AccessStats(), arenas=arenas)
 
 
 def _run_tiles_serial(tasks, arenas, predicate, grid, collect_pairs,
@@ -576,134 +548,40 @@ def _run_tiles_serial(tasks, arenas, predicate, grid, collect_pairs,
         done_count += result[1]
 
 
-def _run_tiles_threads(tasks, arenas, predicate, grid, collect_pairs,
-                       governor, stats, workers: int,
-                       collected: dict) -> None:
-    """Tiles on a thread pool with shared-abort drain semantics.
+def _fan_out_tiles(tasks, arenas, predicate, grid, collect_pairs,
+                   governor, stats, config: ExecutionConfig,
+                   collected: dict, tracer, join_id, metrics) -> None:
+    """Tiles on the shared thread/process driver of
+    :mod:`repro.join.fanout`.
 
-    Mirrors the parallel join's thread driver: the first non-Cancelled
-    failure cancels the shared abort token, the sibling tiles drain at
-    their next governor check, results land in ``collected`` keyed by
-    tile index (so a budget trip still leaves the completed tiles for
-    the partial result), and the preferred re-raise is the original
-    cause, never the secondary ``Cancelled`` it induced.
-    """
-    abort = CancellationToken()
-
-    def worker_governor() -> ExecutionGovernor:
-        if governor is not None:
-            return governor.spawn(abort)
-        return ExecutionGovernor(token=abort)
-
-    def on_done(fut) -> None:
-        if not fut.cancelled():
-            exc = fut.exception()
-            if exc is not None and not isinstance(exc, Cancelled):
-                abort.cancel()           # make the sibling tiles drain
-
-    failure: BaseException | None = None
-    max_workers = max(1, min(workers, len(tasks)))
-    with ThreadPoolExecutor(max_workers=max_workers,
-                            thread_name_prefix="pbsm-tile") as pool:
-        futures = []
-        for tile, side1, side2 in tasks:
-            fut = pool.submit(_join_tile, side1, side2, predicate, grid,
-                              tile, collect_pairs, worker_governor(),
-                              stats, 0, arenas)
-            fut.add_done_callback(on_done)
-            futures.append(fut)
-        for index, fut in enumerate(futures):
-            try:
-                collected[index] = fut.result()
-            except Cancelled as exc:
-                if failure is None:
-                    failure = exc
-            except Exception as exc:
-                if failure is None or isinstance(failure, Cancelled):
-                    failure = exc        # prefer the cause over the drain
-    if failure is not None:
-        raise failure
-
-
-def _run_tiles_processes(tasks, arenas, predicate, grid, collect_pairs,
-                         governor, stats, workers: int,
-                         collected: dict) -> None:
-    """Tiles on a process pool with coordinator-side polling.
-
-    The arena engine exports each arena once into a shared-memory
-    segment (:func:`~repro.geometry.arena.arena_to_shared_memory`); a
+    Thread workers (and the serial re-run of tiles lost to a crashed
+    process) run :func:`_join_tile` against the coordinator's arenas
+    and its already-charged ``stats``.  For process workers the arena
+    engine exports each arena once into a shared-memory segment
+    (:func:`~repro.geometry.arena.arena_to_shared_memory`); a
     submission then pickles the two segment handles — without their
     page index, which the probe never reads — and the tile's two slot
-    slices.  The leases are closed in this function's ``finally``, on
-    the failure, crash and governor-trip paths too.
-
-    Workers self-enforce the rebased budget; the coordinator re-checks
-    its governor between completions so an expired deadline or a
-    cancelled token abandons queued tiles immediately.  Completed tiles
-    are salvaged into ``collected`` even on the failure path.  A broken
-    pool (a child was killed) raises the parallel join's typed
-    :class:`~repro.join.WorkerCrashed`.
+    slices.  The scalar engine pickles the tile's ``Entry`` lists.
     """
-    if governor is not None:
-        governor.check(stats)            # pre-flight: token/deadline
-    budget = _tile_budget(governor)
-    failure: BaseException | None = None
-    crashed = False
-    leases = []
-    pool = ProcessPoolExecutor(
-        max_workers=max(1, min(workers, len(tasks))))
-    try:
+    def run_local(task, spawned):
+        tile, side1, side2 = task
+        return _join_tile(side1, side2, predicate, grid, tile,
+                          collect_pairs, spawned, stats, arenas=arenas)
+
+    def remote(leases: list):
         handles = None
         if arenas is not None:
             for arena in arenas:
                 leases.append(arena_to_shared_memory(arena))
             handles = tuple(replace(lease.handle, index=())
                             for lease in leases)
-        futures = [
-            pool.submit(_process_tile, side1, side2, predicate, grid,
-                        tile, collect_pairs, budget, handles)
-            for tile, side1, side2 in tasks
-        ]
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending,
-                                 timeout=_PROCESS_POLL_INTERVAL)
-            for fut in done:
-                if fut.cancelled():
-                    continue
-                exc = fut.exception()
-                if isinstance(exc, BrokenExecutor):
-                    crashed = True
-                elif exc is not None and not isinstance(exc, Cancelled) \
-                        and (failure is None
-                             or isinstance(failure, Cancelled)):
-                    failure = exc
-            if crashed:
-                from .parallel import WorkerCrashed
-                lost = [i for i, f in enumerate(futures)
-                        if not (f.done() and not f.cancelled()
-                                and f.exception() is None)]
-                failure = WorkerCrashed(lost, "broken-pool")
-            if pending and governor is not None and failure is None:
-                try:
-                    governor.check(stats)
-                except (BudgetExceeded, Cancelled) as exc:
-                    failure = exc
-            if failure is not None:
-                for fut in pending:
-                    fut.cancel()         # queued tiles never start
-                break
-        for index, fut in enumerate(futures):
-            if fut.done() and not fut.cancelled() \
-                    and fut.exception() is None:
-                collected[index] = fut.result()
-        if failure is not None:
-            raise failure
-    finally:
-        pool.shutdown(wait=not crashed)
-        # Unlink only after the children are gone (or abandoned).
-        for lease in leases:
-            lease.close()
+        return lambda task, budget: (
+            _process_tile, task[1], task[2], predicate, grid, task[0],
+            collect_pairs, budget, handles)
+
+    fan_out(tasks, run_local, remote, config=config, governor=governor,
+            stats=stats, collected=collected, tracer=tracer,
+            join_id=join_id, metrics=metrics)
 
 
 def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
@@ -748,16 +626,10 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
             height1=tree1.height, height2=tree2.height,
             strategy="pbsm", mode=config.mode, workers=config.workers,
             buffer=buffer.kind, governed=governor is not None)
-    if governor is not None and governor.admission != "off":
-        # Admission prices the synchronized traversal (Eq. 7/10) — a
-        # conservative ceiling for PBSM, whose build scan never exceeds
-        # the traversal's page reads.
-        try:
-            governor.admit(tree1, tree2)
-        finally:
-            if tracer is not None and governor.last_admission is not None:
-                tracer.admission(join_id,
-                                 governor.last_admission.as_dict())
+    # Admission prices the synchronized traversal (Eq. 7/10) — a
+    # conservative ceiling for PBSM, whose build scan never exceeds the
+    # traversal's page reads.
+    _admit(governor, tree1, tree2, tracer, join_id)
 
     arenas, fallback = _select_engine(predicate, tree1, tree2)
     buffer.reset()
@@ -792,18 +664,14 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                     fallback=fallback,
                     entries1=entries1, entries2=entries2,
                     replicas1=replicas1, replicas2=replicas2)
-            if config.mode == "threads" and config.workers > 1:
-                _run_tiles_threads(tasks, arenas, predicate, grid,
-                                   collect_pairs, governor, stats,
-                                   config.workers, collected)
-            elif config.mode == "processes" and config.workers > 1:
-                _run_tiles_processes(tasks, arenas, predicate, grid,
-                                     collect_pairs, governor, stats,
-                                     config.workers, collected)
-            else:
+            if config.mode == "serial" or config.workers == 1:
                 _run_tiles_serial(tasks, arenas, predicate, grid,
                                   collect_pairs, governor, stats,
                                   collected)
+            else:
+                _fan_out_tiles(tasks, arenas, predicate, grid,
+                               collect_pairs, governor, stats, config,
+                               collected, tracer, join_id, metrics)
     except (BudgetExceeded, Cancelled) as exc:
         pairs, count, comparisons = _merge(collected, len(tasks))
         _observe(tracer, metrics, governor, join_id, stats, count,

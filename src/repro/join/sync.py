@@ -40,7 +40,7 @@ from __future__ import annotations
 from ..exec import (CheckpointMismatch, ExecutionGovernor, JoinCheckpoint,
                     predict_join_cost, tree_fingerprint)
 from ..exec.budget import BudgetExceeded, Cancelled
-from ..exec.config import (UNSET, ExecutionConfig, merge_legacy_kwargs)
+from ..exec.config import ExecutionConfig
 from ..geometry.columnar import _get_numpy
 from ..reliability import ResilientReader, RetryPolicy
 from ..rtree import Node, RTreeBase
@@ -51,7 +51,8 @@ from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
 from .result import R1, R2, JoinResult, PartialJoinResult
 from .vectorized import vectorized_pairs
 
-__all__ = ["spatial_join", "SpatialJoin", "PAIR_ENUMERATIONS"]
+__all__ = ["spatial_join", "SpatialJoin", "PAIR_ENUMERATIONS",
+           "select_traversal", "traversal_state"]
 
 #: Pair-matching strategies inside one node pair — ``"nested-loop"``
 #: (the paper's Fig. 2 loops, the reference), ``"plane-sweep"`` (BKS93
@@ -78,11 +79,92 @@ def _predicate_spec(predicate: JoinPredicate) -> dict:
     return {"kind": "custom", "repr": repr(predicate)}
 
 
+def _reader(pager, label: object, stats: AccessStats,
+            buffer: BufferManager, retry_policy: RetryPolicy | None,
+            tracer) -> MeteredReader:
+    """The charged access path of one tree: retrying under a policy."""
+    if retry_policy is not None:
+        return ResilientReader(pager, label, stats, buffer, retry_policy,
+                               tracer=tracer)
+    return MeteredReader(pager, label, stats, buffer, tracer=tracer)
+
+
+def _admit(governor: ExecutionGovernor | None, tree1, tree2, tracer,
+           join_id) -> None:
+    """Admission control (Eq. 7/10 against the budget), traced."""
+    if governor is None or governor.admission == "off":
+        return
+    try:
+        governor.admit(tree1, tree2)
+    finally:
+        # admit() sets last_admission before raising, so a rejection
+        # is traced too.
+        if tracer is not None and governor.last_admission is not None:
+            tracer.admission(join_id, governor.last_admission.as_dict())
+
+
+def select_traversal(config: ExecutionConfig, predicate: JoinPredicate,
+                     tree1, tree2, resume: bool = False):
+    """Choose the traversal engine — the only place that does.
+
+    Returns ``(arenas, fallback)``.  ``arenas`` is the pair of
+    :class:`~repro.geometry.TreeArena` the level-batch engine runs on,
+    or ``None`` when the Fig. 2 stack machine runs.  ``fallback`` is
+    ``None`` when the engine ``config.traversal`` names is the one that
+    runs, else why ``"level-batch"`` was asked for and the stack
+    machine runs instead: a :func:`~repro.join.supports_level_batch`
+    reason, ``"no-arena"`` (a tree has no NumPy arena, or building it
+    failed under fault injection) or ``"resume"`` (checkpoint cursors
+    restore the stack machine's iterators).
+    """
+    if config.traversal != "level-batch":
+        return None, None
+    reason = "resume" if resume else supports_level_batch(
+        predicate, config.pair_enumeration)
+    if reason is None:
+        arena1, arena2 = tree_arena(tree1), tree_arena(tree2)
+        if arena1 is not None and arena2 is not None:
+            return (arena1, arena2), None
+        reason = "no-arena"
+    return None, reason
+
+
+def traversal_state(config: ExecutionConfig, predicate: JoinPredicate,
+                    tree1, tree2, reader1: MeteredReader,
+                    reader2: MeteredReader, collect_pairs: bool,
+                    stats: AccessStats,
+                    governor: ExecutionGovernor | None,
+                    tracer=None, join_id: str | None = None,
+                    metrics=None, resume: bool = False):
+    """Build the state of one traversal on the engine
+    :func:`select_traversal` picks.
+
+    Both engines expose the same driver surface (``push``/``drain``/
+    ``join``, ``stack``, ``stats``, ``pairs``, counters), so the serial
+    join and the parallel workers run either through one code path;
+    ``state.engine`` and ``state.fallback`` say which one it is and why.
+    """
+    arenas, fallback = select_traversal(config, predicate, tree1, tree2,
+                                        resume)
+    common = dict(pinned1=tree1.root_id, pinned2=tree2.root_id,
+                  pair_enumeration=config.pair_enumeration,
+                  stats=stats, governor=governor,
+                  tracer=tracer, join_id=join_id)
+    if arenas is not None:
+        state = LevelBatchState(reader1, reader2, predicate, collect_pairs,
+                                arena1=arenas[0], arena2=arenas[1],
+                                metrics=metrics, **common)
+    else:
+        state = _TraversalState(reader1, reader2, predicate, collect_pairs,
+                                **common)
+    state.fallback = fallback
+    return state
+
+
 def spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                  buffer: BufferManager | None = None,
-                 predicate: JoinPredicate = OVERLAP,
+                 predicate: JoinPredicate = OVERLAP, *,
                  collect_pairs: bool = True,
-                 pair_enumeration=UNSET,
                  retry_policy: RetryPolicy | None = None,
                  governor: ExecutionGovernor | None = None,
                  tracer=None, metrics=None, ledger=None,
@@ -99,16 +181,6 @@ def spatial_join(tree1: RTreeBase, tree2: RTreeBase,
     collect_pairs:
         Set ``False`` for measurement-only runs over large data (the
         counters are unaffected, the pair list stays empty).
-    pair_enumeration:
-        Deprecated keyword — pass
-        ``config=ExecutionConfig(pair_enumeration=...)`` instead.  One
-        of :data:`PAIR_ENUMERATIONS`.  ``"nested-loop"`` (the paper's
-        Fig. 2 loops) is the default; ``"vectorized"`` runs the same
-        loops as batched kernels over columnar MBRs with bit-identical
-        NA/DA; ``"plane-sweep"`` is the BKS93 CPU optimisation (same
-        output, fewer comparisons, slightly different read order) and
-        ``"vectorized-sweep"`` its batched equivalent.  See
-        ``docs/performance.md``.
     retry_policy:
         When given, page reads go through a
         :class:`~repro.reliability.ResilientReader` that retries
@@ -130,14 +202,21 @@ def spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         run are bit-identical to an unobserved one.
     config:
         An :class:`~repro.exec.ExecutionConfig`; the synchronized
-        traversal consumes its ``pair_enumeration`` and ``traversal``
+        traversal consumes its ``pair_enumeration`` — one of
+        :data:`PAIR_ENUMERATIONS`: ``"nested-loop"`` (the paper's
+        Fig. 2 loops, the default), ``"vectorized"`` (the same loops as
+        batched kernels over columnar MBRs, bit-identical NA/DA),
+        ``"plane-sweep"`` (the BKS93 CPU optimisation: same output,
+        fewer comparisons, slightly different read order) and
+        ``"vectorized-sweep"`` (its batched equivalent), see
+        ``docs/performance.md`` — and its ``traversal``
         (``traversal="level-batch"`` advances whole frontiers through
         the NumPy engine of :mod:`repro.join.batch` with bit-identical
         NA/DA/pairs/checkpoints; the parallel knobs belong to
         :func:`~repro.join.parallel_spatial_join`).
+
+    Everything after ``predicate`` is keyword-only.
     """
-    config = merge_legacy_kwargs("spatial_join", config,
-                                 pair_enumeration=pair_enumeration)
     return SpatialJoin(tree1, tree2, buffer, predicate,
                        retry_policy=retry_policy, governor=governor,
                        tracer=tracer, metrics=metrics, ledger=ledger,
@@ -149,8 +228,7 @@ class SpatialJoin:
 
     def __init__(self, tree1: RTreeBase, tree2: RTreeBase,
                  buffer: BufferManager | None = None,
-                 predicate: JoinPredicate = OVERLAP,
-                 pair_enumeration=UNSET,
+                 predicate: JoinPredicate = OVERLAP, *,
                  retry_policy: RetryPolicy | None = None,
                  governor: ExecutionGovernor | None = None,
                  tracer=None, metrics=None, ledger=None,
@@ -158,8 +236,8 @@ class SpatialJoin:
         if tree1.ndim != tree2.ndim:
             raise ValueError(
                 f"dimensionality mismatch: {tree1.ndim} vs {tree2.ndim}")
-        config = merge_legacy_kwargs("SpatialJoin", config,
-                                     pair_enumeration=pair_enumeration)
+        if config is None:
+            config = ExecutionConfig()
         self.tree1 = tree1
         self.tree2 = tree2
         self.buffer = buffer if buffer is not None else PathBuffer()
@@ -176,39 +254,16 @@ class SpatialJoin:
         self.ledger = ledger            #: optional AccuracyLedger
         self._join_id = None
 
-    def _reader(self, pager, label: object, stats: AccessStats
-                ) -> MeteredReader:
-        if self.retry_policy is not None:
-            return ResilientReader(pager, label, stats, self.buffer,
-                                   self.retry_policy, tracer=self.tracer)
-        return MeteredReader(pager, label, stats, self.buffer,
-                             tracer=self.tracer)
-
     def _state(self, stats: AccessStats, collect_pairs: bool,
-               allow_batch: bool = True):
-        reader1 = self._reader(self.tree1.pager, R1, stats)
-        reader2 = self._reader(self.tree2.pager, R2, stats)
-        if allow_batch and self.config.traversal == "level-batch" \
-                and supports_level_batch(self.predicate,
-                                         self.pair_enumeration):
-            arena1 = tree_arena(self.tree1)
-            arena2 = tree_arena(self.tree2)
-            if arena1 is not None and arena2 is not None:
-                return LevelBatchState(
-                    reader1, reader2, self.predicate, collect_pairs,
-                    pinned1=self.tree1.root_id,
-                    pinned2=self.tree2.root_id,
-                    arena1=arena1, arena2=arena2,
-                    pair_enumeration=self.pair_enumeration,
-                    stats=stats, governor=self.governor,
-                    tracer=self.tracer, join_id=self._join_id,
-                    metrics=self.metrics)
-        return _TraversalState(
-            reader1, reader2, self.predicate, collect_pairs,
-            pinned1=self.tree1.root_id, pinned2=self.tree2.root_id,
-            pair_enumeration=self.pair_enumeration,
-            stats=stats, governor=self.governor,
-            tracer=self.tracer, join_id=self._join_id)
+               resume: bool = False):
+        return traversal_state(
+            self.config, self.predicate, self.tree1, self.tree2,
+            _reader(self.tree1.pager, R1, stats, self.buffer,
+                    self.retry_policy, self.tracer),
+            _reader(self.tree2.pager, R2, stats, self.buffer,
+                    self.retry_policy, self.tracer),
+            collect_pairs, stats, self.governor, tracer=self.tracer,
+            join_id=self._join_id, metrics=self.metrics, resume=resume)
 
     def run(self, collect_pairs: bool = True) -> JoinResult:
         """Execute the join, returning pairs and fresh access counters.
@@ -235,24 +290,17 @@ class SpatialJoin:
         tracer = self.tracer
         if tracer is not None:
             self._join_id = tracer.new_join_id()
+        state = self._state(AccessStats(), collect_pairs)
+        if tracer is not None:
             tracer.join_start(
                 self._join_id, n1=len(self.tree1), n2=len(self.tree2),
                 height1=self.tree1.height, height2=self.tree2.height,
                 pair_enumeration=self.pair_enumeration,
+                engine=state.engine, fallback=state.fallback,
                 buffer=self.buffer.kind,
                 governed=governor is not None)
-        if governor is not None and governor.admission != "off":
-            try:
-                governor.admit(self.tree1, self.tree2)
-            finally:
-                # admit() sets last_admission before raising, so a
-                # rejection is traced too.
-                if tracer is not None \
-                        and governor.last_admission is not None:
-                    tracer.admission(self._join_id,
-                                     governor.last_admission.as_dict())
+        _admit(governor, self.tree1, self.tree2, tracer, self._join_id)
         self.buffer.reset()
-        state = self._state(AccessStats(), collect_pairs)
         # Pinned-root reads go through the readers (uncharged) so the
         # retry loop also protects them under fault injection.
         root1 = state.reader1.read_pinned(self.tree1.root_id,
@@ -307,15 +355,17 @@ class SpatialJoin:
         self.buffer.restore(cp.buffer_state)
         if self.tracer is not None:
             self._join_id = self.tracer.new_join_id()
-            self.tracer.resume(
-                self._join_id, frames=len(cp.stack),
-                pair_count=cp.pair_count,
-                pair_enumeration=cp.pair_enumeration)
         # Resume always drains on the stack machine: checkpoint cursors
         # restore its deterministic iterators directly, and the result
         # is bit-identical whichever engine took the cut.
         state = self._state(AccessStats.from_dict(cp.stats),
-                            cp.collect_pairs, allow_batch=False)
+                            cp.collect_pairs, resume=True)
+        if self.tracer is not None:
+            self.tracer.resume(
+                self._join_id, frames=len(cp.stack),
+                pair_count=cp.pair_count,
+                pair_enumeration=cp.pair_enumeration,
+                engine=state.engine, fallback=state.fallback)
         state.pair_count = cp.pair_count
         state.comparisons = cp.comparisons
         if cp.collect_pairs and cp.pairs:
@@ -376,6 +426,8 @@ class SpatialJoin:
             metrics.counter("join.count").inc()
             metrics.counter("join.pairs").inc(state.pair_count)
             metrics.counter("join.comparisons").inc(state.comparisons)
+            if state.fallback is not None:
+                metrics.counter(f"join.fallback.{state.fallback}").inc()
             metrics.record_access_stats(stats, prefix="join")
             if self.governor is not None:
                 metrics.counter("governor.checks").inc(
@@ -450,6 +502,11 @@ class _Frame:
 class _TraversalState:
     """Mutable state of one traversal (readers, stack, output, counters)."""
 
+    engine = "stack"
+    #: Why ``"level-batch"`` was asked for and this engine runs instead
+    #: (set by :func:`traversal_state`); ``None`` when it was not.
+    fallback: str | None = None
+
     def __init__(self, reader1: MeteredReader, reader2: MeteredReader,
                  predicate: JoinPredicate, collect_pairs: bool,
                  pinned1: int, pinned2: int,
@@ -457,9 +514,6 @@ class _TraversalState:
                  stats: AccessStats | None = None,
                  governor: ExecutionGovernor | None = None,
                  tracer=None, join_id: str | None = None):
-        if pair_enumeration not in PAIR_ENUMERATIONS:
-            raise ValueError(
-                f"pair_enumeration must be one of {PAIR_ENUMERATIONS}")
         self.pair_enumeration = pair_enumeration
         # Vectorized enumerators apply the predicate inside the kernel,
         # so the step handlers must not re-test the yielded pairs.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exec import ExecutionGovernor
-from ..exec.config import UNSET, ExecutionConfig, merge_legacy_kwargs
+from ..exec.config import ExecutionConfig
 from ..geometry import Rect
 from ..rtree import RTreeBase
 from ..storage import AccessStats, MeteredReader, PathBuffer
@@ -80,8 +80,7 @@ class ExecutionResult:
 
 
 def execute_plan(plan: Plan, indexes: dict[str, RTreeBase],
-                 governor: ExecutionGovernor | None = None,
-                 pair_enumeration=UNSET,
+                 governor: ExecutionGovernor | None = None, *,
                  tracer=None, metrics=None,
                  config: ExecutionConfig | None = None,
                  ) -> ExecutionResult:
@@ -99,8 +98,7 @@ def execute_plan(plan: Plan, indexes: dict[str, RTreeBase],
     every SJ operator in the plan (see
     :data:`~repro.join.PAIR_ENUMERATIONS`); DA — what plans are priced
     in — is identical across kernels except the plane sweeps' slightly
-    shifted buffer-hit pattern.  The bare ``pair_enumeration`` keyword
-    is deprecated but still honoured.
+    shifted buffer-hit pattern.
 
     ``tracer``/``metrics`` are the :mod:`repro.obs` hooks: every SJ
     operator in the plan runs traced/metered, and the plan's end-to-end
@@ -108,8 +106,8 @@ def execute_plan(plan: Plan, indexes: dict[str, RTreeBase],
     counters.  Both are write-only — executing an observed plan yields
     the same tuples and counters as an unobserved one.
     """
-    config = merge_legacy_kwargs("execute_plan", config,
-                                 pair_enumeration=pair_enumeration)
+    if config is None:
+        config = ExecutionConfig()
     if governor is not None and governor.partial:
         raise ValueError(
             "execute_plan cannot produce partial results; run the join "
@@ -130,19 +128,23 @@ def execute_plan(plan: Plan, indexes: dict[str, RTreeBase],
 
 
 def _execute(plan: Plan, indexes: dict[str, RTreeBase],
-             stats: AccessStats,
-             governor: ExecutionGovernor | None = None,
-             config: ExecutionConfig | None = None,
-             tracer=None, metrics=None,
+             stats: AccessStats, governor: ExecutionGovernor | None,
+             config: ExecutionConfig, tracer, metrics,
              ) -> list[ResultTuple]:
     if isinstance(plan, IndexScanPlan):
         return _execute_scan(plan, indexes)
     if isinstance(plan, SpatialJoinPlan):
-        return _execute_sj(plan, indexes, stats, governor,
-                           config, tracer, metrics)
-    if isinstance(plan, PBSMJoinPlan):
-        return _execute_pbsm(plan, indexes, stats, governor,
+        if plan.traversal != "stack" and config.traversal == "stack":
+            # A plan-level engine choice (make_spatial_join(traversal=...))
+            # rides into the operator unless the caller's config already
+            # picked one explicitly.
+            config = config.with_options(traversal=plan.traversal)
+        return _execute_join(plan, indexes, stats, governor,
                              config, tracer, metrics)
+    if isinstance(plan, PBSMJoinPlan):
+        return _execute_join(plan, indexes, stats, governor,
+                             config.with_options(strategy="pbsm"),
+                             tracer, metrics)
     if isinstance(plan, IndexNestedLoopPlan):
         return _execute_inl(plan, indexes, stats, governor,
                             config, tracer, metrics)
@@ -168,45 +170,16 @@ def _execute_scan(plan: IndexScanPlan,
             for e in tree.leaf_entries()]
 
 
-def _execute_sj(plan: SpatialJoinPlan, indexes: dict[str, RTreeBase],
-                stats: AccessStats,
-                governor: ExecutionGovernor | None = None,
-                config: ExecutionConfig | None = None,
-                tracer=None, metrics=None,
-                ) -> list[ResultTuple]:
-    from ..join import SpatialJoin   # local import: avoids a cycle
-
-    tree1 = _tree_for(plan.data, indexes)
-    tree2 = _tree_for(plan.query, indexes)
-    if config is None:
-        config = ExecutionConfig()
-    if plan.traversal != "stack" and config.traversal == "stack":
-        # A plan-level engine choice (make_spatial_join(traversal=...))
-        # rides into the operator unless the caller's config already
-        # picked one explicitly.
-        config = config.with_options(traversal=plan.traversal)
-    join = SpatialJoin(tree1, tree2, buffer=PathBuffer(),
-                       governor=governor, tracer=tracer,
-                       metrics=metrics, config=config)
-    result = join.run(collect_pairs=True)
-    stats.merge(result.stats)
-    return _pair_tuples(plan, tree1, tree2, result.pairs)
-
-
-def _execute_pbsm(plan: PBSMJoinPlan, indexes: dict[str, RTreeBase],
-                  stats: AccessStats,
-                  governor: ExecutionGovernor | None = None,
-                  config: ExecutionConfig | None = None,
-                  tracer=None, metrics=None,
+def _execute_join(plan: SpatialJoinPlan | PBSMJoinPlan,
+                  indexes: dict[str, RTreeBase], stats: AccessStats,
+                  governor: ExecutionGovernor | None,
+                  config: ExecutionConfig, tracer, metrics,
                   ) -> list[ResultTuple]:
+    """Either binary join operator; ``config.strategy`` names the engine."""
     from ..join import SpatialJoin   # local import: avoids a cycle
 
     tree1 = _tree_for(plan.data, indexes)
     tree2 = _tree_for(plan.query, indexes)
-    if config is None:
-        config = ExecutionConfig()
-    if config.strategy != "pbsm":
-        config = config.with_options(strategy="pbsm")
     join = SpatialJoin(tree1, tree2, buffer=PathBuffer(),
                        governor=governor, tracer=tracer,
                        metrics=metrics, config=config)
@@ -231,9 +204,8 @@ def _pair_tuples(plan, tree1: RTreeBase, tree2: RTreeBase,
 def _execute_inl(plan: IndexNestedLoopPlan,
                  indexes: dict[str, RTreeBase],
                  stats: AccessStats,
-                 governor: ExecutionGovernor | None = None,
-                 config: ExecutionConfig | None = None,
-                 tracer=None, metrics=None,
+                 governor: ExecutionGovernor | None,
+                 config: ExecutionConfig, tracer, metrics,
                  ) -> list[ResultTuple]:
     stream = _execute(plan.stream, indexes, stats, governor,
                       config, tracer, metrics)

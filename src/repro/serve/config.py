@@ -19,9 +19,11 @@ from ..exec.config import ExecutionConfig
 __all__ = ["ServeConfig", "DEFAULT_SERIAL_THRESHOLD"]
 
 #: Below this tree size, process-parallel execution is known to lose to
-#: serial (``BENCH_join.json`` measures ~10x overhead at N=2000 on the
-#: reference machine): the service silently degrades such requests to
-#: the serial engine instead of paying worker start-up for nothing.
+#: serial: worker start-up is a fixed cost (the traced
+#: ``join-uniform-60k`` run of ``python3 -m bench`` reads
+#: ``join.parallel.processes_ms`` at twice ``join.batch_ms`` even at
+#: N = 60 000 on two cores), so the service degrades such requests to
+#: the serial engine — and says so — instead of paying it for nothing.
 DEFAULT_SERIAL_THRESHOLD = 2000
 
 

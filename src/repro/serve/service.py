@@ -46,12 +46,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..exec import (Budget, CancellationToken, EXECUTION_MODES,
-                    ExecutionGovernor, JoinCheckpoint, tree_params)
+from ..exec import (Budget, CancellationToken, ExecutionGovernor,
+                    JoinCheckpoint, tree_params)
 from ..io import load_tree
-from ..join import (ON_WORKER_CRASH, PAIR_ENUMERATIONS, STRATEGIES,
-                    TRAVERSALS, PartialJoinResult, SpatialJoin,
-                    parallel_spatial_join)
+from ..join import PartialJoinResult, SpatialJoin, parallel_spatial_join
 from ..obs import MetricsRegistry
 from ..reliability import ReproError
 from ..storage import AccessStats, LRUBuffer, NoBuffer, PathBuffer
@@ -69,6 +67,10 @@ _REQUEST_FIELDS = frozenset({
     "workers", "mode", "collect_pairs", "resume_token", "admission",
     "idempotency_key", "strategy",
 })
+
+#: Request fields that override the service-wide ``ExecutionConfig``
+#: under their own name (``workers`` is range-checked separately).
+_EXECUTION_FIELDS = ("pair_enumeration", "traversal", "mode", "strategy")
 
 
 def _journal_request(doc: dict) -> dict:
@@ -163,8 +165,16 @@ class _Running:
         self.rid = None          #: journal id, when the request is durable
 
 
-class _ParsedRequest:
-    """A validated join request (raises ``ValueError`` on bad input)."""
+class JoinRequest:
+    """A validated join request (raises ``ValueError`` on bad input).
+
+    ``execution`` is the request's one
+    :class:`~repro.exec.ExecutionConfig`: the service-wide defaults
+    overridden by the request's ``pair_enumeration``/``traversal``/
+    ``mode``/``strategy``/``workers`` fields, validated by the config
+    itself.  Every execution path — serial, durable, parallel — runs
+    on this object.
+    """
 
     def __init__(self, doc: dict, config: ServeConfig):
         if not isinstance(doc, dict):
@@ -204,26 +214,19 @@ class _ParsedRequest:
                     f"'lru:' needs an integer page count") from None
             if self._lru_pages < 1:
                 raise ValueError("lru buffer needs at least one page")
-        self.pair_enumeration = doc.get(
-            "pair_enumeration", config.execution.pair_enumeration)
-        if self.pair_enumeration not in PAIR_ENUMERATIONS:
-            raise ValueError(
-                f"pair_enumeration must be one of {PAIR_ENUMERATIONS}")
-        self.traversal = doc.get(
-            "traversal", config.execution.traversal)
-        if self.traversal not in TRAVERSALS:
-            raise ValueError(
-                f"traversal must be one of {TRAVERSALS}")
-        self.workers = doc.get("workers")
-        if self.workers is not None and (
-                not isinstance(self.workers, int) or self.workers < 1):
+        workers = doc.get("workers")
+        if workers is not None and (
+                not isinstance(workers, int) or workers < 1):
             raise ValueError("workers must be a positive integer")
-        self.mode = doc.get("mode", config.execution.mode)
-        if self.mode not in EXECUTION_MODES:
-            raise ValueError(f"mode must be one of {EXECUTION_MODES}")
-        self.strategy = doc.get("strategy", config.execution.strategy)
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
+        # A request without ``workers`` runs the single synchronized
+        # traversal whatever the service-wide default says; a crashed
+        # worker always degrades to serial (the daemon must answer,
+        # not raise).
+        self.execution = config.execution.with_options(
+            workers=workers if workers is not None else 1,
+            on_worker_crash="serial",
+            **{name: doc[name] for name in _EXECUTION_FIELDS
+               if name in doc})
         self.collect_pairs = bool(doc.get("collect_pairs", False))
         self.resume_token = doc.get("resume_token")
         self.admission = doc.get("admission", "reject")
@@ -234,11 +237,12 @@ class _ParsedRequest:
                 not isinstance(self.idempotency_key, str)
                 or not self.idempotency_key):
             raise ValueError("idempotency_key must be a non-empty string")
-        if self.resume_token is not None and self.workers is not None:
+        if self.resume_token is not None and workers is not None:
             raise ValueError(
                 "resume_token is incompatible with workers (checkpoints "
                 "describe the single synchronized traversal)")
-        if self.resume_token is not None and self.strategy == "pbsm":
+        if self.resume_token is not None \
+                and self.execution.strategy == "pbsm":
             raise ValueError(
                 "resume_token is incompatible with strategy 'pbsm' "
                 "(the partition engine has no resumable frontier)")
@@ -485,7 +489,7 @@ class JoinService:
         :class:`ServiceDraining`, ``ValueError`` for malformed requests
         — which the transport maps to status codes.
         """
-        req = _ParsedRequest(request, self.config)
+        req = JoinRequest(request, self.config)
         key = req.idempotency_key
         if key is not None:
             cached = self._idem_get(key)
@@ -591,7 +595,7 @@ class JoinService:
 
     # -- slot management ----------------------------------------------------
 
-    def _acquire_slot(self, req: _ParsedRequest,
+    def _acquire_slot(self, req: JoinRequest,
                       predicted_na, predicted_da,
                       outer_token: CancellationToken | None = None):
         config = self.config
@@ -655,31 +659,22 @@ class JoinService:
     def _run(self, req, reg1, reg2, checkpoint, token, join_id):
         """Run the admitted join; returns ``(result, degraded_reason)``."""
         degraded = None
-        workers = req.workers
-        mode = req.mode
-        if workers is not None and workers > 1 and mode == "processes" \
+        config = req.execution
+        if config.workers > 1 and config.mode == "processes" \
                 and min(reg1.size, reg2.size) < self.config.serial_threshold:
-            # Known-unprofitable regime (BENCH_join.json): worker
+            # Known-unprofitable regime (`join.parallel.processes_ms`
+            # against `join.batch_ms` of `python3 -m bench`): worker
             # start-up dominates below the threshold, so run serially.
             degraded = "serial-small-tree"
             self.metrics.counter("serve.degraded.small_tree").inc()
-            workers = None
-        if workers is not None and workers > 1:
+            config = config.with_options(workers=1)
+        if config.workers > 1:
             governor = ExecutionGovernor(req.budget, token, partial=False)
-            # Request fields override the service-wide execution
-            # defaults; a crashed worker always degrades to serial
-            # (the daemon must answer, not raise).
-            exec_cfg = self.config.execution.with_options(
-                mode=mode, workers=workers,
-                pair_enumeration=req.pair_enumeration,
-                traversal=req.traversal,
-                strategy=req.strategy,
-                on_worker_crash="serial")
             result = parallel_spatial_join(
                 reg1.tree, reg2.tree,
                 collect_pairs=req.collect_pairs, governor=governor,
                 tracer=self.tracer, metrics=self.metrics,
-                config=exec_cfg)
+                config=config)
             return result, degraded
         rid = None
         if self.durable is not None:
@@ -687,7 +682,7 @@ class JoinService:
                 entry = self._running.get(join_id)
             rid = entry.rid if entry is not None else None
         if rid is not None:
-            if req.strategy == "pbsm":
+            if config.strategy == "pbsm":
                 # The partition engine has no resumable frontier to
                 # spill, so durable slicing is skipped: the request is
                 # still journaled (recovery replays it from scratch)
@@ -701,12 +696,7 @@ class JoinService:
         governor = ExecutionGovernor(req.budget, token, partial=True)
         join = SpatialJoin(reg1.tree, reg2.tree, req.make_buffer(),
                            governor=governor, tracer=self.tracer,
-                           metrics=self.metrics,
-                           config=self.config.execution.with_options(
-                               mode="serial", workers=1,
-                               pair_enumeration=req.pair_enumeration,
-                               traversal=req.traversal,
-                               strategy=req.strategy))
+                           metrics=self.metrics, config=config)
         if checkpoint is not None:
             self.metrics.counter("serve.resumed").inc()
             return join.resume(checkpoint), degraded
@@ -726,18 +716,14 @@ class JoinService:
         to the caller unchanged, after a final spill so even the
         partial frontier survives a crash.
         """
-        if req.strategy == "pbsm":
+        config = req.execution
+        if config.strategy == "pbsm":
             # Recovery path for a journaled PBSM request: no frontier
             # to slice or spill, so replay the join in one piece.
             governor = ExecutionGovernor(req.budget, token, partial=True)
             join = SpatialJoin(reg1.tree, reg2.tree, req.make_buffer(),
                                governor=governor, tracer=self.tracer,
-                               metrics=self.metrics,
-                               config=self.config.execution.with_options(
-                                   mode="serial", workers=1,
-                                   pair_enumeration=req.pair_enumeration,
-                                   traversal=req.traversal,
-                                   strategy="pbsm"))
+                               metrics=self.metrics, config=config)
             return join.run(collect_pairs=req.collect_pairs)
         interval = self.config.spill_na_interval
         budget = req.budget
@@ -768,11 +754,7 @@ class JoinService:
             governor = ExecutionGovernor(slice_budget, token, partial=True)
             join = SpatialJoin(reg1.tree, reg2.tree, req.make_buffer(),
                                governor=governor, tracer=self.tracer,
-                               metrics=self.metrics,
-                               config=self.config.execution.with_options(
-                                   mode="serial", workers=1,
-                                   pair_enumeration=req.pair_enumeration,
-                                   traversal=req.traversal))
+                               metrics=self.metrics, config=config)
             if checkpoint is not None:
                 result = join.resume(checkpoint)
             else:
@@ -863,9 +845,12 @@ class JoinService:
         # the other budget axes still bind on the resumed run.
         reqdoc.pop("deadline", None)
         reqdoc.pop("resume_token", None)
+        # Nor does the worker pool of the dead process bind: recovery
+        # finishes every join on the single serial traversal.
+        reqdoc.pop("workers", None)
         checkpoint = None
         try:
-            req = _ParsedRequest(reqdoc, self.config)
+            req = JoinRequest(reqdoc, self.config)
             reg1 = self._lookup(req.tree1)
             reg2 = self._lookup(req.tree2)
         except Exception as exc:

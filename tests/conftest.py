@@ -7,8 +7,15 @@ import random
 
 import pytest
 
+from repro.exec import ExecutionConfig
 from repro.geometry import Rect
 from repro.rtree import GuttmanRTree, RStarTree
+
+#: One config per pair enumeration, for the tests that compare kernels.
+NESTED_LOOP = ExecutionConfig(pair_enumeration="nested-loop")
+PLANE_SWEEP = ExecutionConfig(pair_enumeration="plane-sweep")
+VECTORIZED = ExecutionConfig(pair_enumeration="vectorized")
+VECTORIZED_SWEEP = ExecutionConfig(pair_enumeration="vectorized-sweep")
 
 
 def arena_segments() -> list[str]:

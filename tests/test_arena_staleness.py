@@ -68,7 +68,7 @@ def _arena_matches_tree(tree) -> bool:
 
 def _batch_equals_stack(t1, t2) -> None:
     """Behavioral check: a stale arena would break this equality."""
-    if not supports_level_batch(Overlap(), "nested-loop"):
+    if supports_level_batch(Overlap(), "nested-loop") is not None:
         return                           # pure python: batch falls back
     batch = spatial_join(t1, t2, config=BATCH)
     stack = spatial_join(t1, t2, config=STACK)

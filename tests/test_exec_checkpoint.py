@@ -11,7 +11,7 @@ from repro.join import OVERLAP, SpatialJoin, WithinDistance
 from repro.reliability import CorruptPageError, MalformedFileError
 from repro.storage import AccessStats, LRUBuffer, NoBuffer, PathBuffer
 
-from .conftest import build_rstar, make_items
+from .conftest import PLANE_SWEEP, build_rstar, make_items
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +154,7 @@ class TestResumeValidation:
 
     def test_wrong_enumeration_rejected(self, partial, trees):
         t1, t2 = trees
-        sj = SpatialJoin(t1, t2, PathBuffer(),
-                         pair_enumeration="plane-sweep")
+        sj = SpatialJoin(t1, t2, PathBuffer(), config=PLANE_SWEEP)
         with pytest.raises(CheckpointMismatch):
             sj.resume(partial.checkpoint)
 

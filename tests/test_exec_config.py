@@ -1,16 +1,13 @@
-"""The unified ExecutionConfig API and its legacy-keyword shims.
+"""The unified ExecutionConfig API.
 
-One frozen :class:`repro.exec.ExecutionConfig` now carries every
-execution knob; each entrypoint that used to take the knobs as loose
-keywords (``spatial_join``, :class:`SpatialJoin`,
-``parallel_spatial_join``, ``execute_plan``, the serve config) accepts
-``config=`` and keeps the old keywords working behind a
-``DeprecationWarning``.  These tests pin that contract: same results
-either way, loud ``TypeError`` on mixing, no warnings on the new path,
-and validation messages identical to the historical per-function ones.
+One frozen :class:`repro.exec.ExecutionConfig` carries every execution
+knob, and ``config=`` is the only way to pass one: ``spatial_join``,
+:class:`SpatialJoin`, ``parallel_spatial_join``, ``execute_plan`` and
+the serve config take nothing else.  These tests pin the config's own
+contract (defaults, validation messages, round trip) and that a call
+written against the removed per-knob parameters fails loudly instead
+of binding its values to whatever now sits in that position.
 """
-
-import warnings
 
 import pytest
 
@@ -18,9 +15,9 @@ from repro.datasets import uniform_rectangles
 from repro.exec import (ASSIGNMENT_STRATEGIES, DEFAULT_WORKER_TIMEOUT,
                         EXECUTION_MODES, ON_WORKER_CRASH,
                         PAIR_ENUMERATIONS, ExecutionConfig)
-from repro.join import SpatialJoin, parallel_spatial_join, spatial_join
-from repro.optimizer import (Catalog, IndexScanPlan, execute_plan,
-                             make_spatial_join)
+from repro.join import (OVERLAP, SpatialJoin, parallel_spatial_join,
+                        spatial_join)
+from repro.optimizer import execute_plan
 from repro.serve.config import ServeConfig
 
 from .conftest import build_rstar
@@ -102,74 +99,42 @@ class TestExecutionConfig:
             ExecutionConfig.from_dict({"mode": "serial", "turbo": True})
 
 
-class TestLegacyKeywordShims:
-    def test_spatial_join_legacy_warns_and_matches(self, trees):
-        t1, t2 = trees
-        new = spatial_join(t1, t2, config=ExecutionConfig(
-            pair_enumeration="vectorized"))
-        with pytest.warns(DeprecationWarning,
-                          match="pair_enumeration.*deprecated"):
-            old = spatial_join(t1, t2, pair_enumeration="vectorized")
-        assert sorted(old.pairs) == sorted(new.pairs)
-        assert old.na_total == new.na_total
-        assert old.da_total == new.da_total
+class TestRemovedPositionals:
+    """Everything after ``predicate`` (after ``tree2`` for the parallel
+    join) is keyword-only, so a stale positional or a removed keyword is
+    a ``TypeError`` — never a string bound to ``retry_policy`` or a
+    worker count bound to ``predicate``."""
 
-    def test_spatial_join_config_path_is_warning_free(self, trees):
+    def test_spatial_join(self, trees):
         t1, t2 = trees
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            spatial_join(t1, t2, config=ExecutionConfig(
-                pair_enumeration="vectorized"))
+        with pytest.raises(TypeError, match="positional"):
+            spatial_join(t1, t2, None, OVERLAP, True)
+        with pytest.raises(TypeError, match="pair_enumeration"):
+            spatial_join(t1, t2, pair_enumeration="vectorized")
 
-    def test_sjoin_class_legacy_positional(self, trees):
+    def test_spatial_join_class(self, trees):
         t1, t2 = trees
-        with pytest.warns(DeprecationWarning):
-            join = SpatialJoin(t1, t2, None, None, "plane-sweep")
-        assert join.pair_enumeration == "plane-sweep"
-        assert join.config.pair_enumeration == "plane-sweep"
+        with pytest.raises(TypeError, match="positional"):
+            SpatialJoin(t1, t2, None, OVERLAP, "plane-sweep")
+        with pytest.raises(TypeError, match="pair_enumeration"):
+            SpatialJoin(t1, t2, pair_enumeration="plane-sweep")
 
-    def test_mixing_config_and_legacy_is_an_error(self, trees):
+    def test_parallel_spatial_join(self, trees):
         t1, t2 = trees
-        with pytest.raises(TypeError, match="both 'config' and"):
-            spatial_join(t1, t2, pair_enumeration="vectorized",
-                         config=ExecutionConfig())
-        with pytest.raises(TypeError, match="both 'config' and"):
-            parallel_spatial_join(t1, t2, 2,
-                                  config=ExecutionConfig(workers=2))
+        with pytest.raises(TypeError, match="positional"):
+            parallel_spatial_join(t1, t2, 3)
+        for knob in ({"workers": 3}, {"mode": "threads"},
+                     {"assignment": "round-robin"},
+                     {"worker_timeout": 1.0},
+                     {"on_worker_crash": "serial"}):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                parallel_spatial_join(t1, t2, **knob)
 
-    def test_parallel_join_legacy_workers_positional(self, trees):
-        t1, t2 = trees
-        new = parallel_spatial_join(t1, t2, config=ExecutionConfig(
-            workers=3, assignment="round-robin"))
-        with pytest.warns(DeprecationWarning, match="workers"):
-            old = parallel_spatial_join(t1, t2, 3,
-                                        assignment="round-robin")
-        assert sorted(old.pairs) == sorted(new.pairs)
-        assert [s.as_dict() for s in old.worker_stats] == \
-            [s.as_dict() for s in new.worker_stats]
-
-    def test_parallel_join_invalid_config_message(self, trees):
-        t1, t2 = trees
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            parallel_spatial_join(t1, t2, 0)
-
-    def test_execute_plan_legacy_matches_config(self):
-        ds1 = uniform_rectangles(200, 0.5, 2, seed=73)
-        ds2 = uniform_rectangles(200, 0.5, 2, seed=74)
-        trees = {"a": build_rstar(ds1.items, max_entries=8),
-                 "b": build_rstar(ds2.items, max_entries=8)}
-        catalog = Catalog(max_entries=8)
-        catalog.register_dataset("a", ds1)
-        catalog.register_dataset("b", ds2)
-        plan = make_spatial_join(IndexScanPlan(catalog.get("a")),
-                                 IndexScanPlan(catalog.get("b")))
-        new = execute_plan(plan, trees, config=ExecutionConfig(
-            pair_enumeration="vectorized"))
-        with pytest.warns(DeprecationWarning):
-            old = execute_plan(plan, trees,
-                               pair_enumeration="vectorized")
-        assert old.key_set() == new.key_set()
-        assert old.da_total == new.da_total
+    def test_execute_plan(self):
+        with pytest.raises(TypeError, match="pair_enumeration"):
+            execute_plan(None, {}, pair_enumeration="vectorized")
+        with pytest.raises(TypeError, match="positional"):
+            execute_plan(None, {}, None, "vectorized")
 
 
 class TestServeConfigExecution:

@@ -18,7 +18,7 @@ from repro.join import OVERLAP, PartialJoinResult, SpatialJoin, WithinDistance
 from repro.reliability import FaultInjector, FaultyPager, RetryPolicy
 from repro.storage import LRUBuffer, PathBuffer
 
-from .conftest import build_rstar, make_items
+from .conftest import PLANE_SWEEP, build_rstar, make_items
 
 RETRY_POLICY = RetryPolicy(max_attempts=12)
 
@@ -147,8 +147,7 @@ class TestResumeVariants:
 
     def test_plane_sweep_enumeration(self, trees):
         t1, t2 = trees
-        self._invariant_at_cuts(t1, t2, (5, 17, 41),
-                                pair_enumeration="plane-sweep")
+        self._invariant_at_cuts(t1, t2, (5, 17, 41), config=PLANE_SWEEP)
 
     def test_within_distance_predicate(self, trees):
         t1, t2 = trees

@@ -2,10 +2,11 @@
 
 The equivalence guarantees live in ``test_property_level_batch.py``;
 this file pins the *plumbing*: which configurations actually dispatch
-to :class:`~repro.join.LevelBatchState`, which silently fall back to
-the stack machine (the flag must never make a join illegal), how the
-observability hooks surface the batch engine, and how the optimizer
-carries the traversal choice from a priced plan into execution.
+to :class:`~repro.join.LevelBatchState`, which fall back to the stack
+machine (the flag must never make a join illegal) and under which
+recorded reason, how the observability hooks surface the batch engine,
+and how the optimizer carries the traversal choice from a priced plan
+into execution.
 """
 
 import pytest
@@ -46,6 +47,15 @@ def _state(t1, t2, config=BATCH, predicate=Overlap(), **kw):
     return join._state(AccessStats(), collect_pairs=True)
 
 
+def _recorded(t1, t2, config=BATCH, predicate=Overlap()):
+    """``(join_start event, counters)`` of one traced, metered run."""
+    sink, metrics = MemorySink(), MetricsRegistry()
+    spatial_join(t1, t2, predicate=predicate, config=config,
+                 tracer=Tracer(sink), metrics=metrics)
+    start, = [r for r in sink.records if r["event"] == "join_start"]
+    return start, metrics.as_dict()["counters"]
+
+
 class TestSelection:
     def test_traversals_vocabulary(self):
         assert TRAVERSALS == ("stack", "level-batch")
@@ -73,26 +83,46 @@ class TestSelection:
 
 
 class TestFallback:
+    """No silent fallback: the stack machine runs, and the join says why
+    (``engine``/``fallback`` on ``join_start``, one counter per reason).
+    """
+
+    def _assert_fell_back(self, trees, reason, **kw):
+        state = _state(*trees, **kw)
+        assert isinstance(state, _TraversalState)
+        assert (state.engine, state.fallback) == ("stack", reason)
+        start, counters = _recorded(*trees, **kw)
+        assert (start["engine"], start["fallback"]) == ("stack", reason)
+        assert counters[f"join.fallback.{reason}"] == 1
+
     def test_pure_python_falls_back(self, trees):
         with force_backend("python"):
-            assert not supports_level_batch(Overlap(), "nested-loop")
-            assert isinstance(_state(*trees), _TraversalState)
+            assert supports_level_batch(Overlap(), "nested-loop") \
+                == "pure-python"
+            self._assert_fell_back(trees, "pure-python")
 
     @needs_numpy
     @pytest.mark.parametrize("enum", ["plane-sweep", "vectorized-sweep"])
     def test_plane_sweeps_fall_back(self, trees, enum):
-        assert not supports_level_batch(Overlap(), enum)
-        cfg = BATCH.with_options(pair_enumeration=enum)
-        assert isinstance(_state(*trees, config=cfg), _TraversalState)
+        assert supports_level_batch(Overlap(), enum) == "enumeration"
+        self._assert_fell_back(
+            trees, "enumeration",
+            config=BATCH.with_options(pair_enumeration=enum))
 
     @needs_numpy
     def test_predicate_subclass_falls_back(self, trees):
         class Narrower(Overlap):          # could override leaf_test
             pass
-        assert not supports_level_batch(Narrower(), "nested-loop")
-        assert isinstance(_state(*trees, predicate=Narrower()),
-                          _TraversalState)
-        assert supports_level_batch(WithinDistance(0.1), "vectorized")
+        assert supports_level_batch(Narrower(), "nested-loop") \
+            == "predicate"
+        self._assert_fell_back(trees, "predicate", predicate=Narrower())
+        assert supports_level_batch(WithinDistance(0.1),
+                                    "vectorized") is None
+
+    @needs_numpy
+    def test_tree_without_arena_falls_back(self, trees, monkeypatch):
+        monkeypatch.setattr(trees[0], "arena", None)   # shadows the builder
+        self._assert_fell_back(trees, "no-arena")
 
     @needs_numpy
     def test_resume_always_uses_stack_machine(self, trees):
@@ -100,12 +130,40 @@ class TestFallback:
         gov = ExecutionGovernor(Budget(max_na=10), partial=True)
         first = SpatialJoin(t1, t2, governor=gov, config=BATCH).run()
         assert isinstance(first, PartialJoinResult)
-        join = SpatialJoin(t1, t2, config=BATCH)
-        # The dispatch honours allow_batch=False, which resume() passes.
-        state = join._state(AccessStats(), True, allow_batch=False)
+        sink, metrics = MemorySink(), MetricsRegistry()
+        join = SpatialJoin(t1, t2, config=BATCH, tracer=Tracer(sink),
+                           metrics=metrics)
+        state = join._state(AccessStats(), True, resume=True)
         assert isinstance(state, _TraversalState)
         final = join.resume(first.checkpoint)
         assert final.complete
+        resumed, = [r for r in sink.records if r["event"] == "resume"]
+        assert (resumed["engine"], resumed["fallback"]) \
+            == ("stack", "resume")
+        assert metrics.as_dict()["counters"]["join.fallback.resume"] == 1
+
+    @needs_numpy
+    def test_the_engine_asked_for_is_not_a_fallback(self, trees):
+        for config, engine in ((BATCH, "level-batch"),
+                               (ExecutionConfig(), "stack")):
+            start, counters = _recorded(*trees, config=config)
+            assert (start["engine"], start["fallback"]) == (engine, None)
+            assert not [c for c in counters
+                        if c.startswith("join.fallback.")]
+
+    @needs_numpy
+    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+    def test_parallel_join_records_it_too(self, trees, mode):
+        sink, metrics = MemorySink(), MetricsRegistry()
+        parallel_spatial_join(
+            *trees, tracer=Tracer(sink), metrics=metrics,
+            config=BATCH.with_options(mode=mode, workers=2,
+                                      pair_enumeration="plane-sweep"))
+        start, = [r for r in sink.records if r["event"] == "join_start"]
+        assert (start["engine"], start["fallback"]) \
+            == ("stack", "enumeration")
+        counters = metrics.as_dict()["counters"]
+        assert counters["join.fallback.enumeration"] == 1
 
 
 @needs_numpy

@@ -5,11 +5,16 @@ import traceback
 import pytest
 
 from repro.exec import (Budget, BudgetExceeded, Cancelled,
-                        CancellationToken, ExecutionGovernor)
+                        CancellationToken, ExecutionConfig,
+                        ExecutionGovernor)
 from repro.join import naive_join, parallel_spatial_join, spatial_join
 from repro.reliability import CorruptPageError, FaultInjector, FaultyPager
 
-from .conftest import build_rstar, make_items
+from .conftest import arena_segments, build_rstar, make_items
+
+
+def with_workers(n: int, **knobs) -> ExecutionConfig:
+    return ExecutionConfig(workers=n, **knobs)
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +30,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("assignment", ["round-robin", "greedy"])
     def test_same_output_as_sequential(self, joined, workers, assignment):
         a, b, t1, t2 = joined
-        result = parallel_spatial_join(t1, t2, workers,
-                                       assignment=assignment)
+        result = parallel_spatial_join(t1, t2, config=with_workers(
+            workers, assignment=assignment))
         assert sorted(result.pairs) == sorted(naive_join(a, b))
         assert result.pair_count == len(result.pairs)
 
@@ -38,7 +43,7 @@ class TestCorrectness:
         assert ts.height != tl.height
         for t1, t2, items1, items2 in ((ts, tl, small, large),
                                        (tl, ts, large, small)):
-            result = parallel_spatial_join(t1, t2, 3)
+            result = parallel_spatial_join(t1, t2, config=with_workers(3))
             assert sorted(result.pairs) == \
                 sorted(naive_join(items1, items2))
 
@@ -46,7 +51,7 @@ class TestCorrectness:
         from repro.rtree import RStarTree
         empty = RStarTree(2, 8)
         other = build_rstar(make_items(50, seed=5))
-        result = parallel_spatial_join(empty, other, 4)
+        result = parallel_spatial_join(empty, other, config=with_workers(4))
         assert result.pairs == []
         assert result.makespan_da == 0
 
@@ -54,22 +59,24 @@ class TestCorrectness:
         tiny1 = build_rstar(make_items(5, seed=6))
         tiny2 = build_rstar(make_items(5, seed=7))
         assert tiny1.height == tiny2.height == 1
-        result = parallel_spatial_join(tiny1, tiny2, 2)
+        result = parallel_spatial_join(tiny1, tiny2, config=with_workers(2))
         assert sorted(result.pairs) == sorted(
             naive_join(make_items(5, seed=6), make_items(5, seed=7)))
 
     def test_invalid_args(self, joined):
         _a, _b, t1, t2 = joined
         with pytest.raises(ValueError):
-            parallel_spatial_join(t1, t2, 0)
+            parallel_spatial_join(t1, t2, config=with_workers(0))
         with pytest.raises(ValueError):
-            parallel_spatial_join(t1, t2, 2, assignment="random")
+            parallel_spatial_join(t1, t2,
+                                  config=with_workers(2, assignment="random"))
 
 
 class TestAccounting:
     def test_makespan_shrinks_with_workers(self, joined):
         _a, _b, t1, t2 = joined
-        makespans = [parallel_spatial_join(t1, t2, w).makespan_da
+        makespans = [parallel_spatial_join(
+                         t1, t2, config=with_workers(w)).makespan_da
                      for w in (1, 2, 4, 8)]
         assert makespans[0] >= makespans[1] >= makespans[3]
         assert makespans[3] < makespans[0]
@@ -77,7 +84,8 @@ class TestAccounting:
     def test_speedup_over_sequential(self, joined):
         _a, _b, t1, t2 = joined
         sequential = spatial_join(t1, t2, collect_pairs=False).da_total
-        result = parallel_spatial_join(t1, t2, 4, collect_pairs=False)
+        result = parallel_spatial_join(t1, t2, collect_pairs=False,
+                                       config=with_workers(4))
         assert result.speedup_da(sequential) > 1.5
 
     def test_total_work_roughly_preserved(self, joined):
@@ -85,28 +93,33 @@ class TestAccounting:
         # aggregate cost up: total DA within 2x of sequential.
         _a, _b, t1, t2 = joined
         sequential = spatial_join(t1, t2, collect_pairs=False).da_total
-        result = parallel_spatial_join(t1, t2, 8, collect_pairs=False)
+        result = parallel_spatial_join(t1, t2, collect_pairs=False,
+                                       config=with_workers(8))
         assert sequential <= result.total_da <= 2 * sequential
 
     def test_greedy_balances_at_least_as_well_on_average(self, joined):
         _a, _b, t1, t2 = joined
-        rr = parallel_spatial_join(t1, t2, 4, assignment="round-robin",
-                                   collect_pairs=False)
-        greedy = parallel_spatial_join(t1, t2, 4, assignment="greedy",
-                                       collect_pairs=False)
+        rr = parallel_spatial_join(
+            t1, t2, collect_pairs=False,
+            config=with_workers(4, assignment="round-robin"))
+        greedy = parallel_spatial_join(
+            t1, t2, collect_pairs=False,
+            config=with_workers(4, assignment="greedy"))
         # Greedy LPT has a 4/3 worst-case bound; allow slack but expect
         # no catastrophic imbalance relative to round-robin.
         assert greedy.makespan_da <= rr.makespan_da * 1.34
 
     def test_single_worker_matches_sequential_structure(self, joined):
         _a, _b, t1, t2 = joined
-        one = parallel_spatial_join(t1, t2, 1, collect_pairs=False)
+        one = parallel_spatial_join(t1, t2, collect_pairs=False,
+                                    config=with_workers(1))
         assert one.workers == 1
         assert one.total_da == one.makespan_da
 
     def test_worker_stats_per_tree(self, joined):
         _a, _b, t1, t2 = joined
-        result = parallel_spatial_join(t1, t2, 3, collect_pairs=False)
+        result = parallel_spatial_join(t1, t2, collect_pairs=False,
+                                       config=with_workers(3))
         for stats in result.worker_stats:
             assert stats.da() <= stats.na()
 
@@ -115,9 +128,9 @@ class TestThreadsMode:
     @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_same_output_as_serial_mode(self, joined, workers):
         a, b, t1, t2 = joined
-        serial = parallel_spatial_join(t1, t2, workers)
-        threaded = parallel_spatial_join(t1, t2, workers,
-                                         mode="threads")
+        serial = parallel_spatial_join(t1, t2, config=with_workers(workers))
+        threaded = parallel_spatial_join(
+            t1, t2, config=with_workers(workers, mode="threads"))
         assert sorted(threaded.pairs) == sorted(serial.pairs)
         assert sorted(threaded.pairs) == sorted(naive_join(a, b))
         # Deterministic accounting: workers share nothing, so per-
@@ -128,25 +141,28 @@ class TestThreadsMode:
     def test_invalid_mode(self, joined):
         _a, _b, t1, t2 = joined
         with pytest.raises(ValueError):
-            parallel_spatial_join(t1, t2, 2, mode="fibers")
+            parallel_spatial_join(t1, t2,
+                                  config=with_workers(2, mode="fibers"))
 
     def test_invalid_pair_enumeration(self, joined):
         _a, _b, t1, t2 = joined
         with pytest.raises(ValueError):
-            parallel_spatial_join(t1, t2, 2, pair_enumeration="simd")
+            parallel_spatial_join(
+                t1, t2, config=with_workers(2, pair_enumeration="simd"))
 
     def test_partial_governor_refused(self, joined):
         _a, _b, t1, t2 = joined
         gov = ExecutionGovernor(Budget(max_na=10), partial=True)
         with pytest.raises(ValueError):
-            parallel_spatial_join(t1, t2, 2, governor=gov)
+            parallel_spatial_join(t1, t2, governor=gov, config=with_workers(2))
 
     @pytest.mark.parametrize("mode", ["serial", "threads"])
     def test_per_worker_budget_raises(self, joined, mode):
         _a, _b, t1, t2 = joined
         gov = ExecutionGovernor(Budget(max_na=3))
         with pytest.raises(BudgetExceeded) as err:
-            parallel_spatial_join(t1, t2, 4, governor=gov, mode=mode)
+            parallel_spatial_join(t1, t2, governor=gov,
+                                  config=with_workers(4, mode=mode))
         assert err.value.resource == "na"
 
     @pytest.mark.parametrize("mode", ["serial", "threads"])
@@ -155,13 +171,14 @@ class TestThreadsMode:
         gov = ExecutionGovernor()
         gov.token.cancel()
         with pytest.raises(Cancelled):
-            parallel_spatial_join(t1, t2, 4, governor=gov, mode=mode)
+            parallel_spatial_join(t1, t2, governor=gov,
+                                  config=with_workers(4, mode=mode))
 
     def test_generous_budget_completes(self, joined):
         a, b, t1, t2 = joined
         gov = ExecutionGovernor(Budget(max_na=10**9))
-        result = parallel_spatial_join(t1, t2, 4, governor=gov,
-                                       mode="threads")
+        result = parallel_spatial_join(t1, t2, governor=gov,
+                                       config=with_workers(4, mode="threads"))
         assert sorted(result.pairs) == sorted(naive_join(a, b))
 
     def test_poisoned_worker_propagates_original_traceback(self, joined):
@@ -175,7 +192,8 @@ class TestThreadsMode:
         t2.pager = FaultyPager(t2.pager, injector)
         try:
             with pytest.raises(CorruptPageError) as err:
-                parallel_spatial_join(t1, t2, 4, mode="threads")
+                parallel_spatial_join(t1, t2,
+                                      config=with_workers(4, mode="threads"))
             frames = traceback.format_tb(err.value.__traceback__)
             assert any("_run_bucket" in frame for frame in frames)
             assert not isinstance(err.value, Cancelled)
@@ -195,8 +213,8 @@ class TestThreadsMode:
         t2.pager = FaultyPager(t2.pager, injector)
         try:
             with pytest.raises(CorruptPageError):
-                parallel_spatial_join(t1, t2, 4, governor=gov,
-                                      mode="threads")
+                parallel_spatial_join(t1, t2, governor=gov,
+                                      config=with_workers(4, mode="threads"))
             assert abort.cancelled is False   # caller token untouched
         finally:
             t1.pager = t1.pager.inner
@@ -207,8 +225,9 @@ class TestProcessesMode:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_same_output_as_serial_mode(self, joined, workers):
         a, b, t1, t2 = joined
-        serial = parallel_spatial_join(t1, t2, workers)
-        proc = parallel_spatial_join(t1, t2, workers, mode="processes")
+        serial = parallel_spatial_join(t1, t2, config=with_workers(workers))
+        proc = parallel_spatial_join(
+            t1, t2, config=with_workers(workers, mode="processes"))
         assert proc.pairs == serial.pairs
         assert sorted(proc.pairs) == sorted(naive_join(a, b))
         # Shared-nothing workers on private tree copies: the merged
@@ -218,9 +237,10 @@ class TestProcessesMode:
 
     def test_vectorized_enumeration_matches(self, joined):
         _a, _b, t1, t2 = joined
-        base = parallel_spatial_join(t1, t2, 3)
-        vec = parallel_spatial_join(t1, t2, 3, mode="processes",
-                                    pair_enumeration="vectorized")
+        base = parallel_spatial_join(t1, t2, config=with_workers(3))
+        vec = parallel_spatial_join(
+            t1, t2, config=with_workers(
+                3, mode="processes", pair_enumeration="vectorized"))
         assert vec.pairs == base.pairs
         for got, want in zip(vec.worker_stats, base.worker_stats):
             got, want = got.as_dict(), want.as_dict()
@@ -231,8 +251,8 @@ class TestProcessesMode:
         _a, _b, t1, t2 = joined
         gov = ExecutionGovernor(Budget(max_na=3))
         with pytest.raises(BudgetExceeded) as err:
-            parallel_spatial_join(t1, t2, 4, governor=gov,
-                                  mode="processes")
+            parallel_spatial_join(t1, t2, governor=gov,
+                                  config=with_workers(4, mode="processes"))
         assert err.value.resource == "na"
 
     def test_expired_deadline_aborts_before_spawn(self, joined):
@@ -242,8 +262,8 @@ class TestProcessesMode:
                                 clock=lambda: next(clock))
         gov.start()
         with pytest.raises(BudgetExceeded) as err:
-            parallel_spatial_join(t1, t2, 4, governor=gov,
-                                  mode="processes")
+            parallel_spatial_join(t1, t2, governor=gov,
+                                  config=with_workers(4, mode="processes"))
         assert err.value.resource == "deadline"
 
     def test_pre_cancelled_token_polled(self, joined):
@@ -251,8 +271,8 @@ class TestProcessesMode:
         gov = ExecutionGovernor()
         gov.token.cancel()
         with pytest.raises(Cancelled):
-            parallel_spatial_join(t1, t2, 4, governor=gov,
-                                  mode="processes")
+            parallel_spatial_join(t1, t2, governor=gov,
+                                  config=with_workers(4, mode="processes"))
 
     def test_budget_error_pickles_across_boundary(self):
         import pickle
@@ -281,46 +301,78 @@ _FORK_ONLY = pytest.mark.skipif(
 
 @_FORK_ONLY
 class TestWorkerCrash:
-    """A SIGKILLed or hung worker must never hang the coordinator."""
+    """A SIGKILLed or hung worker must never hang the coordinator.
 
-    def _patch(self, monkeypatch, body):
+    Subtree-pair buckets (``sync``) and PBSM tiles (``pbsm``) run on the
+    same fan-out driver, so both engines honour ``worker_timeout`` and
+    ``on_worker_crash`` and neither leaves a shared-memory segment.
+    """
+
+    STRATEGIES = pytest.mark.parametrize("strategy", ["sync", "pbsm"])
+
+    @pytest.fixture(autouse=True)
+    def _several_tiles_and_no_leak(self, monkeypatch):
+        import repro.join.partition as partition_mod
+
+        # 500 entries fit one default-sized tile; crash a pool of many.
+        monkeypatch.setattr(partition_mod, "DEFAULT_TILE_TARGET", 32)
+        before = set(arena_segments())
+        yield
+        assert set(arena_segments()) == before
+
+    def _crashing(self, monkeypatch, strategy, body, **knobs):
+        """Swap the engine's process-worker body for ``body``; the
+        config that then runs into it."""
         import repro.join.parallel as parallel_mod
-        monkeypatch.setattr(parallel_mod, "_process_bucket", body)
+        import repro.join.partition as partition_mod
+        module, name = {"sync": (parallel_mod, "_process_bucket"),
+                        "pbsm": (partition_mod, "_process_tile")}[strategy]
+        monkeypatch.setattr(module, name, body)
+        return ExecutionConfig(strategy=strategy, workers=2,
+                               mode="processes", **knobs)
 
-    def test_sigkilled_worker_raises_typed_error(self, joined,
+    def _undisturbed(self, t1, t2, strategy):
+        return parallel_spatial_join(t1, t2, config=ExecutionConfig(
+            strategy=strategy, workers=2))
+
+    @STRATEGIES
+    def test_sigkilled_worker_raises_typed_error(self, joined, strategy,
                                                  monkeypatch):
         from repro.join import WorkerCrashed
         _a, _b, t1, t2 = joined
-        self._patch(monkeypatch, _sigkill_worker)
+        config = self._crashing(monkeypatch, strategy, _sigkill_worker,
+                                worker_timeout=60.0)
         with pytest.raises(WorkerCrashed) as err:
-            parallel_spatial_join(t1, t2, 2, mode="processes",
-                                  worker_timeout=60.0)
+            parallel_spatial_join(t1, t2, config=config)
         doc = err.value.as_dict()
         assert doc["error"] == "worker-crashed"
         assert doc["buckets"]          # the lost buckets are named
         assert doc["cause"] in ("broken-pool", "watchdog-timeout")
 
-    def test_sigkilled_worker_degrades_to_serial(self, joined,
+    @STRATEGIES
+    def test_sigkilled_worker_degrades_to_serial(self, joined, strategy,
                                                  monkeypatch):
         _a, _b, t1, t2 = joined
-        want = parallel_spatial_join(t1, t2, 2)     # undisturbed serial
-        self._patch(monkeypatch, _sigkill_worker)
-        got = parallel_spatial_join(t1, t2, 2, mode="processes",
-                                    worker_timeout=60.0,
-                                    on_worker_crash="serial")
+        want = self._undisturbed(t1, t2, strategy)
+        config = self._crashing(monkeypatch, strategy, _sigkill_worker,
+                                worker_timeout=60.0,
+                                on_worker_crash="serial")
+        got = parallel_spatial_join(t1, t2, config=config)
         assert got.pairs == want.pairs
         assert [s.as_dict() for s in got.worker_stats] == \
             [s.as_dict() for s in want.worker_stats]
 
-    def test_degraded_run_is_observable(self, joined, monkeypatch):
+    @STRATEGIES
+    def test_degraded_run_is_observable(self, joined, strategy,
+                                        monkeypatch):
         from repro.obs import MemorySink, MetricsRegistry, Tracer
         _a, _b, t1, t2 = joined
-        self._patch(monkeypatch, _sigkill_worker)
+        config = self._crashing(monkeypatch, strategy, _sigkill_worker,
+                                worker_timeout=60.0,
+                                on_worker_crash="serial")
         sink = MemorySink()
         metrics = MetricsRegistry()
-        parallel_spatial_join(t1, t2, 2, mode="processes",
-                              worker_timeout=60.0,
-                              on_worker_crash="serial",
+        parallel_spatial_join(t1, t2, config=config,
                               tracer=Tracer(sink), metrics=metrics)
         events = {r["event"] for r in sink.records}
         assert "degraded_serial" in events
@@ -328,26 +380,30 @@ class TestWorkerCrash:
         assert snap["parallel.worker_crashes"] == 1
         assert snap["parallel.degraded_serial"] == 1
 
-    def test_watchdog_catches_hung_worker(self, joined, monkeypatch):
+    @STRATEGIES
+    def test_watchdog_catches_hung_worker(self, joined, strategy,
+                                          monkeypatch):
         import time
         from repro.join import WorkerCrashed
         _a, _b, t1, t2 = joined
-        self._patch(monkeypatch, _hung_worker)
+        config = self._crashing(monkeypatch, strategy, _hung_worker,
+                                worker_timeout=1.0)
         started = time.monotonic()
         with pytest.raises(WorkerCrashed) as err:
-            parallel_spatial_join(t1, t2, 2, mode="processes",
-                                  worker_timeout=1.0)
+            parallel_spatial_join(t1, t2, config=config)
         assert err.value.cause == "watchdog-timeout"
         # The whole point: we came back in ~the timeout, not "forever".
         assert time.monotonic() - started < 30.0
 
-    def test_hung_worker_degrades_to_serial(self, joined, monkeypatch):
+    @STRATEGIES
+    def test_hung_worker_degrades_to_serial(self, joined, strategy,
+                                            monkeypatch):
         _a, _b, t1, t2 = joined
-        want = parallel_spatial_join(t1, t2, 2)
-        self._patch(monkeypatch, _hung_worker)
-        got = parallel_spatial_join(t1, t2, 2, mode="processes",
-                                    worker_timeout=1.0,
-                                    on_worker_crash="serial")
+        want = self._undisturbed(t1, t2, strategy)
+        config = self._crashing(monkeypatch, strategy, _hung_worker,
+                                worker_timeout=1.0,
+                                on_worker_crash="serial")
+        got = parallel_spatial_join(t1, t2, config=config)
         assert got.pairs == want.pairs
 
     def test_crash_error_pickles(self):
@@ -361,11 +417,13 @@ class TestWorkerCrash:
     def test_invalid_crash_policy_rejected(self, joined):
         _a, _b, t1, t2 = joined
         with pytest.raises(ValueError):
-            parallel_spatial_join(t1, t2, 2, mode="processes",
-                                  on_worker_crash="panic")
+            parallel_spatial_join(t1, t2,
+                                  config=with_workers(2, mode="processes",
+                                                      on_worker_crash="panic"))
         with pytest.raises(ValueError):
-            parallel_spatial_join(t1, t2, 2, mode="processes",
-                                  worker_timeout=0.0)
+            parallel_spatial_join(t1, t2,
+                                  config=with_workers(2, mode="processes",
+                                                      worker_timeout=0.0))
 
 
 class TestSpeedupDa:

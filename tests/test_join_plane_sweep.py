@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exec import ExecutionConfig
 from repro.geometry import Rect
 from repro.join import (PAIR_ENUMERATIONS, WithinDistance, naive_join,
                         spatial_join)
@@ -13,7 +14,8 @@ from repro.join.plane_sweep import (nested_loop_pairs, sweep_pairs,
                                     sweep_pairs_batch)
 from repro.rtree import Entry
 
-from .conftest import build_rstar, make_items
+from .conftest import (NESTED_LOOP, PLANE_SWEEP, VECTORIZED_SWEEP,
+                       build_rstar, make_items)
 
 SLOW = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -145,8 +147,8 @@ class TestSweepInSpatialJoin:
         a = make_items(200, seed=5)
         b = make_items(200, seed=6)
         t1, t2 = build_rstar(a), build_rstar(b)
-        nl = spatial_join(t1, t2, pair_enumeration="nested-loop")
-        ps = spatial_join(t1, t2, pair_enumeration="plane-sweep")
+        nl = spatial_join(t1, t2, config=NESTED_LOOP)
+        ps = spatial_join(t1, t2, config=PLANE_SWEEP)
         assert sorted(nl.pairs) == sorted(ps.pairs) == \
             sorted(naive_join(a, b))
 
@@ -155,8 +157,8 @@ class TestSweepInSpatialJoin:
         b = make_items(400, seed=8)
         t1, t2 = build_rstar(a, max_entries=16), \
             build_rstar(b, max_entries=16)
-        nl = spatial_join(t1, t2, pair_enumeration="nested-loop")
-        ps = spatial_join(t1, t2, pair_enumeration="plane-sweep")
+        nl = spatial_join(t1, t2, config=NESTED_LOOP)
+        ps = spatial_join(t1, t2, config=PLANE_SWEEP)
         assert ps.comparisons < nl.comparisons
 
     def test_na_unchanged(self):
@@ -165,21 +167,22 @@ class TestSweepInSpatialJoin:
         a = make_items(300, seed=9)
         b = make_items(300, seed=10)
         t1, t2 = build_rstar(a), build_rstar(b)
-        nl = spatial_join(t1, t2, pair_enumeration="nested-loop")
-        ps = spatial_join(t1, t2, pair_enumeration="plane-sweep")
+        nl = spatial_join(t1, t2, config=NESTED_LOOP)
+        ps = spatial_join(t1, t2, config=PLANE_SWEEP)
         assert ps.na_total == nl.na_total
 
     def test_unknown_enumeration_rejected(self):
         t = build_rstar(make_items(10, seed=11))
         with pytest.raises(ValueError, match="pair_enumeration"):
-            spatial_join(t, t, pair_enumeration="quantum")
+            spatial_join(t, t,
+                         config=ExecutionConfig(pair_enumeration="quantum"))
 
     def test_vectorized_sweep_identical_to_plane_sweep(self):
         a = make_items(250, seed=12)
         b = make_items(250, seed=13)
         t1, t2 = build_rstar(a), build_rstar(b)
-        ps = spatial_join(t1, t2, pair_enumeration="plane-sweep")
-        vs = spatial_join(t1, t2, pair_enumeration="vectorized-sweep")
+        ps = spatial_join(t1, t2, config=PLANE_SWEEP)
+        vs = spatial_join(t1, t2, config=VECTORIZED_SWEEP)
         assert vs.pairs == ps.pairs
         assert vs.stats.as_dict() == ps.stats.as_dict()
 
@@ -246,7 +249,7 @@ class TestSweepSlackRegressions:
         expected = sorted(naive_join(items1, items2, predicate=pred))
         for enum in PAIR_ENUMERATIONS:
             got = spatial_join(t1, t2, predicate=pred,
-                               pair_enumeration=enum)
+                               config=ExecutionConfig(pair_enumeration=enum))
             assert sorted(got.pairs) == expected, enum
 
     def test_degenerate_gap_pair_not_dropped(self):
@@ -258,9 +261,9 @@ class TestSweepSlackRegressions:
         items2 = [(Rect((0.5, 0.25), (0.5, 0.25)), 0)]
         pred = WithinDistance(0.25)
         for enum in PAIR_ENUMERATIONS:
-            result = spatial_join(build_rstar(items1),
-                                  build_rstar(items2), predicate=pred,
-                                  pair_enumeration=enum)
+            result = spatial_join(
+                build_rstar(items1), build_rstar(items2), predicate=pred,
+                config=ExecutionConfig(pair_enumeration=enum))
             assert list(result.pairs) == [(0, 0)], enum
 
     def test_shared_lower_bound_zero_width_ties(self):

@@ -21,7 +21,7 @@ from repro.join.predicates import JoinPredicate
 from repro.rtree import Entry, Node
 from repro.storage import PathBuffer
 
-from .conftest import build_rstar, make_items
+from .conftest import NESTED_LOOP, VECTORIZED, build_rstar, make_items
 
 
 def node_of(rects, page_id=0, level=1):
@@ -221,10 +221,8 @@ class TestVectorizedJoinIdentity:
     def test_bit_identical_to_nested_loop(self, predicate):
         t1 = build_rstar(make_items(300, seed=16))
         t2 = build_rstar(make_items(280, seed=17))
-        nl = spatial_join(t1, t2, predicate=predicate,
-                          pair_enumeration="nested-loop")
-        vec = spatial_join(t1, t2, predicate=predicate,
-                           pair_enumeration="vectorized")
+        nl = spatial_join(t1, t2, predicate=predicate, config=NESTED_LOOP)
+        vec = spatial_join(t1, t2, predicate=predicate, config=VECTORIZED)
         assert vec.pairs == nl.pairs            # list order included
         got, want = vec.stats.as_dict(), nl.stats.as_dict()
         assert got["node_accesses"] == want["node_accesses"]
@@ -234,7 +232,7 @@ class TestVectorizedJoinIdentity:
         a = make_items(200, seed=18)
         b = make_items(200, seed=19)
         t1, t2 = build_rstar(a), build_rstar(b)
-        vec = spatial_join(t1, t2, pair_enumeration="vectorized")
+        vec = spatial_join(t1, t2, config=VECTORIZED)
         assert sorted(vec.pairs) == sorted(naive_join(a, b))
 
     def test_mixed_heights(self):
@@ -243,8 +241,8 @@ class TestVectorizedJoinIdentity:
         for items1, items2 in ((small, large), (large, small)):
             t1, t2 = build_rstar(items1), build_rstar(items2)
             assert t1.height != t2.height
-            nl = spatial_join(t1, t2, pair_enumeration="nested-loop")
-            vec = spatial_join(t1, t2, pair_enumeration="vectorized")
+            nl = spatial_join(t1, t2, config=NESTED_LOOP)
+            vec = spatial_join(t1, t2, config=VECTORIZED)
             assert vec.pairs == nl.pairs
             assert vec.stats.as_dict()["node_accesses"] == \
                 nl.stats.as_dict()["node_accesses"]
@@ -253,28 +251,27 @@ class TestVectorizedJoinIdentity:
         t1 = build_rstar(make_items(5, seed=22))
         t2 = build_rstar(make_items(5, seed=23))
         assert t1.height == t2.height == 1
-        nl = spatial_join(t1, t2, pair_enumeration="nested-loop")
-        vec = spatial_join(t1, t2, pair_enumeration="vectorized")
+        nl = spatial_join(t1, t2, config=NESTED_LOOP)
+        vec = spatial_join(t1, t2, config=VECTORIZED)
         assert vec.pairs == nl.pairs
 
     def test_empty_tree(self):
         from repro.rtree import RStarTree
         empty = RStarTree(2, 8)
         other = build_rstar(make_items(40, seed=24))
-        assert spatial_join(
-            empty, other, pair_enumeration="vectorized").pairs == []
+        assert spatial_join(empty, other, config=VECTORIZED).pairs == []
 
     def test_pure_python_backend_identical(self, monkeypatch):
         t1 = build_rstar(make_items(200, seed=25))
         t2 = build_rstar(make_items(200, seed=26))
-        with_np = spatial_join(t1, t2, pair_enumeration="vectorized")
+        with_np = spatial_join(t1, t2, config=VECTORIZED)
         monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
         # Fresh trees: the cached columns of the old ones are rebuilt
         # anyway (current() sees the flip), but build anew to also
         # exercise from_rects on the fallback arrays.
         t1b = build_rstar(make_items(200, seed=25))
         t2b = build_rstar(make_items(200, seed=26))
-        without = spatial_join(t1b, t2b, pair_enumeration="vectorized")
+        without = spatial_join(t1b, t2b, config=VECTORIZED)
         assert without.pairs == with_np.pairs
         assert without.stats.as_dict() == with_np.stats.as_dict()
 
@@ -283,17 +280,14 @@ class TestVectorizedCheckpointResume:
     def test_resume_completes_bit_identically(self):
         t1 = build_rstar(make_items(300, seed=27))
         t2 = build_rstar(make_items(300, seed=28))
-        full = SpatialJoin(t1, t2, PathBuffer(),
-                           pair_enumeration="vectorized").run()
+        full = SpatialJoin(t1, t2, PathBuffer(), config=VECTORIZED).run()
 
         gov = ExecutionGovernor(Budget(max_na=25), partial=True)
-        partial = SpatialJoin(t1, t2, PathBuffer(),
-                              pair_enumeration="vectorized",
-                              governor=gov).run()
+        partial = SpatialJoin(t1, t2, PathBuffer(), governor=gov,
+                              config=VECTORIZED).run()
         assert not partial.complete
         resumed = SpatialJoin(
-            t1, t2, PathBuffer(),
-            pair_enumeration="vectorized").resume(partial.checkpoint)
+            t1, t2, PathBuffer(), config=VECTORIZED).resume(partial.checkpoint)
         assert resumed.complete
         assert resumed.pairs == full.pairs
         assert resumed.na_total == full.na_total
@@ -304,11 +298,9 @@ class TestVectorizedCheckpointResume:
         t1 = build_rstar(make_items(150, seed=29))
         t2 = build_rstar(make_items(150, seed=30))
         gov = ExecutionGovernor(Budget(max_na=20), partial=True)
-        partial = SpatialJoin(t1, t2, PathBuffer(),
-                              pair_enumeration="vectorized",
-                              governor=gov).run()
+        partial = SpatialJoin(t1, t2, PathBuffer(), governor=gov,
+                              config=VECTORIZED).run()
         assert not partial.complete
         with pytest.raises(CheckpointMismatch):
             SpatialJoin(t1, t2, PathBuffer(),
-                        pair_enumeration="nested-loop",
-                        ).resume(partial.checkpoint)
+                        config=NESTED_LOOP).resume(partial.checkpoint)

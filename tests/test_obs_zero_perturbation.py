@@ -4,8 +4,10 @@ Tracing, metrics and the accuracy ledger are write-only hooks; a run
 with all three enabled must produce NA/DA counters, result pairs,
 comparison counts and checkpoint files that are *bit-identical* to an
 unobserved run.  These tests assert exactly that, across both
-pair-enumeration backends, both parallel driver modes, and the PBSM
-partition engine in all three of its execution modes.
+pair-enumeration backends, both traversal engines (with the
+``engine``/``fallback`` fields their selection records), both parallel
+driver modes, and the PBSM partition engine in all three of its
+execution modes.
 """
 
 import pytest
@@ -39,12 +41,12 @@ class TestSerialJoin:
     @pytest.mark.parametrize("enum", ENUMS)
     def test_counters_bit_identical(self, trees, enum):
         t1, t2 = trees
+        config = ExecutionConfig(pair_enumeration=enum)
         plain = SpatialJoin(t1, t2, buffer=PathBuffer(),
-                            pair_enumeration=enum).run(collect_pairs=True)
+                            config=config).run(collect_pairs=True)
         tracer, metrics, ledger = observed_hooks()
-        traced = SpatialJoin(t1, t2, buffer=PathBuffer(),
-                             pair_enumeration=enum, tracer=tracer,
-                             metrics=metrics,
+        traced = SpatialJoin(t1, t2, buffer=PathBuffer(), config=config,
+                             tracer=tracer, metrics=metrics,
                              ledger=ledger).run(collect_pairs=True)
         assert traced.stats.as_dict() == plain.stats.as_dict()
         assert sorted(traced.pairs) == sorted(plain.pairs)
@@ -65,8 +67,8 @@ class TestSerialJoin:
                 tracer, metrics, ledger = observed_hooks()
                 kwargs = dict(tracer=tracer, metrics=metrics,
                               ledger=ledger)
-            sj = SpatialJoin(t1, t2, buffer=PathBuffer(),
-                             pair_enumeration=enum, governor=governor,
+            sj = SpatialJoin(t1, t2, buffer=PathBuffer(), governor=governor,
+                             config=ExecutionConfig(pair_enumeration=enum),
                              **kwargs)
             result = sj.run(collect_pairs=False)
             result.checkpoint.save(path)
@@ -80,16 +82,58 @@ class TestSerialJoin:
         assert traced.stats.as_dict() == plain.stats.as_dict()
 
 
+    @pytest.mark.parametrize("enum", ["vectorized", "plane-sweep"])
+    def test_engine_and_fallback_fields_do_not_perturb(self, trees, enum,
+                                                       tmp_path):
+        # ``level-batch`` with an enumeration it runs and with one it
+        # falls back on: recording ``engine``/``fallback`` (and counting
+        # the reason) changes neither a complete run nor a cut one.
+        t1, t2 = trees
+        config = ExecutionConfig(traversal="level-batch",
+                                 pair_enumeration=enum)
+
+        def run(path, **hooks):
+            full = SpatialJoin(t1, t2, buffer=PathBuffer(), config=config,
+                               **hooks).run()
+            cut = SpatialJoin(
+                t1, t2, buffer=PathBuffer(), config=config,
+                governor=ExecutionGovernor(Budget(max_na=40), partial=True),
+                **hooks).run()
+            cut.checkpoint.save(str(path))
+            return full, cut, path.read_bytes()
+
+        tracer, metrics, ledger = observed_hooks()
+        plain = run(tmp_path / "plain.json")
+        traced = run(tmp_path / "traced.json", tracer=tracer,
+                     metrics=metrics, ledger=ledger)
+        for got, want in zip(traced[:2], plain[:2]):
+            assert got.pairs == want.pairs           # order included
+            assert got.comparisons == want.comparisons
+            assert got.stats.as_dict() == want.stats.as_dict()
+        assert traced[2] == plain[2]                 # checkpoint bytes
+        starts = [r for r in tracer.sink.records
+                  if r["event"] == "join_start"]
+        assert len(starts) == 2
+        expected = ({"vectorized": ("level-batch", None),
+                     "plane-sweep": ("stack", "enumeration")}[enum],
+                    ("stack", "pure-python"))
+        counters = metrics.as_dict()["counters"]
+        for start in starts:
+            assert (start["engine"], start["fallback"]) in expected
+            assert (start["fallback"] is None) == (not any(
+                name.startswith("join.fallback.") for name in counters))
+
+
 class TestParallelJoin:
     @pytest.mark.parametrize("mode", ["threads", "processes"])
     @pytest.mark.parametrize("enum", ENUMS)
     def test_counters_bit_identical(self, trees, mode, enum):
         t1, t2 = trees
-        plain = parallel_spatial_join(t1, t2, 3, mode=mode,
-                                      pair_enumeration=enum)
+        config = ExecutionConfig(workers=3, mode=mode,
+                                 pair_enumeration=enum)
+        plain = parallel_spatial_join(t1, t2, config=config)
         tracer, metrics, _ = observed_hooks()
-        traced = parallel_spatial_join(t1, t2, 3, mode=mode,
-                                       pair_enumeration=enum,
+        traced = parallel_spatial_join(t1, t2, config=config,
                                        tracer=tracer, metrics=metrics)
         assert traced.total_na == plain.total_na
         assert traced.total_da == plain.total_da

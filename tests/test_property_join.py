@@ -3,11 +3,14 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exec import ExecutionConfig
 from repro.geometry import Rect
 from repro.join import (WithinDistance, naive_join, parallel_spatial_join,
                         spatial_join)
 from repro.rtree import RStarTree
 from repro.storage import LRUBuffer, NoBuffer, PathBuffer
+
+from .conftest import NESTED_LOOP, PLANE_SWEEP
 
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -64,8 +67,8 @@ def test_parallel_join_partition_invariants(items1, items2, workers,
                                             assignment):
     t1, t2 = build(items1), build(items2)
     sequential = spatial_join(t1, t2)
-    result = parallel_spatial_join(t1, t2, workers,
-                                   assignment=assignment)
+    result = parallel_spatial_join(t1, t2, config=ExecutionConfig(
+        workers=workers, assignment=assignment))
     # Output is a partition of the sequential output: same multiset.
     assert sorted(result.pairs) == sorted(sequential.pairs)
     # Makespan bounded by total; both non-negative.
@@ -76,8 +79,8 @@ def test_parallel_join_partition_invariants(items1, items2, workers,
 @given(items_strategy, items_strategy)
 def test_plane_sweep_equivalence(items1, items2):
     t1, t2 = build(items1), build(items2)
-    nl = spatial_join(t1, t2, pair_enumeration="nested-loop")
-    ps = spatial_join(t1, t2, pair_enumeration="plane-sweep")
+    nl = spatial_join(t1, t2, config=NESTED_LOOP)
+    ps = spatial_join(t1, t2, config=PLANE_SWEEP)
     assert sorted(nl.pairs) == sorted(ps.pairs)
     assert nl.na_total == ps.na_total
 

@@ -19,6 +19,8 @@ from repro.join import WithinDistance, spatial_join
 from repro.join.plane_sweep import sweep_pairs, sweep_pairs_batch
 from repro.rtree import Entry, RStarTree
 
+from .conftest import NESTED_LOOP, VECTORIZED
+
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],
                 deadline=None)
@@ -79,8 +81,8 @@ def build(items):
 def test_vectorized_join_bit_identical(items1, items2, backend):
     with force_backend(backend):
         t1, t2 = build(items1), build(items2)
-        nl = spatial_join(t1, t2, pair_enumeration="nested-loop")
-        vec = spatial_join(t1, t2, pair_enumeration="vectorized")
+        nl = spatial_join(t1, t2, config=NESTED_LOOP)
+        vec = spatial_join(t1, t2, config=VECTORIZED)
         assert vec.pairs == nl.pairs
         got, want = vec.stats.as_dict(), nl.stats.as_dict()
         assert got["node_accesses"] == want["node_accesses"]
@@ -95,10 +97,8 @@ def test_vectorized_distance_join_bit_identical(items1, items2,
     with force_backend(backend):
         pred = WithinDistance(distance)
         t1, t2 = build(items1), build(items2)
-        nl = spatial_join(t1, t2, predicate=pred,
-                          pair_enumeration="nested-loop")
-        vec = spatial_join(t1, t2, predicate=pred,
-                           pair_enumeration="vectorized")
+        nl = spatial_join(t1, t2, predicate=pred, config=NESTED_LOOP)
+        vec = spatial_join(t1, t2, predicate=pred, config=VECTORIZED)
         assert vec.pairs == nl.pairs
         got, want = vec.stats.as_dict(), nl.stats.as_dict()
         assert got["node_accesses"] == want["node_accesses"]

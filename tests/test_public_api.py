@@ -105,6 +105,26 @@ def test_pbsm_api_is_exported(modname, names):
         assert getattr(mod, name, None) is not None
 
 
+def test_keyword_rename_shim_is_gone():
+    # The params1/params2 -> left/right keyword shim of the cost-model
+    # functions was removed with its last in-repo caller.
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.costmodel._compat")
+    from repro.costmodel import join_na_total
+    assert not hasattr(join_na_total, "__wrapped__")
+
+
+def test_shared_driver_and_engine_selection_are_exported():
+    # What replaced the duplicate worker drivers and the two copies of
+    # the engine choice.
+    import repro.join
+    import repro.join.fanout
+    assert {"select_traversal", "traversal_state"} <= set(
+        repro.join.__all__)
+    assert {"WorkerCrashed", "fan_out"} <= set(repro.join.fanout.__all__)
+    assert repro.join.WorkerCrashed is repro.join.fanout.WorkerCrashed
+
+
 def test_docs_list_every_top_level_export():
     text = Path(__file__).resolve().parent.parent.joinpath(
         "docs", "api.md").read_text()

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.cli import EXIT_BUDGET, EXIT_USAGE, main
-from repro.exec import AdmissionRejected
+from repro.exec import AdmissionRejected, ExecutionConfig
 from repro.join import SpatialJoin
 from repro.reliability import MalformedFileError
 from repro.serve import (JoinService, Overloaded, ServeClient,
@@ -128,6 +128,18 @@ class TestTypedErrorsOverHttp:
     def test_bad_request_400(self, client):
         with pytest.raises(ValueError, match="400"):
             client.join("a", "b", bogus=1)
+
+    @pytest.mark.parametrize("field", ["mode", "strategy", "traversal",
+                                       "pair_enumeration"])
+    def test_bad_execution_knob_400_with_the_config_message(self, client,
+                                                            field):
+        # The request schema does not re-check the vocabularies: the
+        # 400 carries ExecutionConfig's own validation message.
+        with pytest.raises(ValueError) as want:
+            ExecutionConfig(**{field: "wat"})
+        with pytest.raises(ValueError, match="400") as err:
+            client.join("a", "b", **{field: "wat"})
+        assert str(want.value) in str(err.value)
 
     def test_request_budget_rejection_413(self, client):
         with pytest.raises(AdmissionRejected) as err:

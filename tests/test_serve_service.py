@@ -9,12 +9,14 @@ import time
 
 import pytest
 
-from repro.exec import AdmissionRejected, Cancelled
-from repro.join import SpatialJoin
+import repro.serve.service as service_mod
+from repro.exec import AdmissionRejected, Cancelled, ExecutionConfig
+from repro.join import SpatialJoin, parallel_spatial_join
 from repro.reliability import MalformedFileError
 from repro.serve import (JoinService, Overloaded, QuotaExceeded,
                          ServeConfig, ServiceDraining, UnknownTree,
                          decode_resume_token)
+from repro.serve.service import JoinRequest
 from repro.storage import LRUBuffer, PathBuffer
 
 from .conftest import build_rstar, make_items
@@ -182,6 +184,74 @@ class TestAdmission:
         with pytest.raises(MalformedFileError):
             svc.execute({"tree1": "a", "tree2": "b",
                          "resume_token": "garbage"})
+
+
+class TestRequestExecutionConfig:
+    """One ``ExecutionConfig`` per request, validated by the config."""
+
+    @pytest.mark.parametrize("field", ["mode", "strategy", "traversal",
+                                       "pair_enumeration"])
+    def test_bad_knob_raises_the_configs_own_error(self, trees, field):
+        svc = make_service(trees)
+        with pytest.raises(ValueError) as want:
+            ExecutionConfig(**{field: "wat"})
+        with pytest.raises(ValueError) as err:
+            svc.execute({"tree1": "a", "tree2": "b", field: "wat"})
+        assert str(err.value) == str(want.value)
+        assert svc._running == {}            # refused before any slot
+
+    def test_request_fields_override_service_defaults(self, trees):
+        defaults = ExecutionConfig(workers=4, mode="threads",
+                                   traversal="level-batch",
+                                   shared_memory=False)
+        req = JoinRequest({"tree1": "a", "tree2": "b", "strategy": "pbsm",
+                           "pair_enumeration": "vectorized"},
+                          ServeConfig(execution=defaults))
+        assert req.execution == defaults.with_options(
+            workers=1, on_worker_crash="serial", strategy="pbsm",
+            pair_enumeration="vectorized")
+
+    @pytest.mark.parametrize("path, request_fields, config_kw", [
+        ("serial", {}, {}),
+        ("durable", {}, {"spill_na_interval": 50}),
+        ("parallel", {"workers": 2, "mode": "threads"},
+         {"serial_threshold": 1}),
+    ])
+    def test_every_path_runs_on_the_requests_one_config(
+            self, trees, path, request_fields, config_kw, tmp_path,
+            monkeypatch):
+        if path == "durable":
+            config_kw["state_dir"] = str(tmp_path)
+        svc = make_service(trees, **config_kw)
+        built, used = [], []
+
+        class SpyRequest(JoinRequest):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.execution)
+
+        class SpyJoin(SpatialJoin):
+            def __init__(self, *args, config, **kw):
+                used.append(config)
+                super().__init__(*args, config=config, **kw)
+
+        def spy_parallel(*args, config, **kw):
+            used.append(config)
+            return parallel_spatial_join(*args, config=config, **kw)
+
+        monkeypatch.setattr(service_mod, "JoinRequest", SpyRequest)
+        monkeypatch.setattr(service_mod, "SpatialJoin", SpyJoin)
+        monkeypatch.setattr(service_mod, "parallel_spatial_join",
+                            spy_parallel)
+        resp = svc.execute({"tree1": "a", "tree2": "b",
+                            "traversal": "level-batch", **request_fields})
+        assert resp["status"] == "complete" and resp["degraded"] is None
+        [config] = built
+        assert config.traversal == "level-batch"
+        assert len(used) > (1 if path == "durable" else 0)
+        assert all(c is config for c in used)
+        if path == "durable":
+            svc.drain(grace=0.1)
 
 
 class TestDeadlineAndResume:
