@@ -56,8 +56,9 @@ from .datasets import (LocalDensityGrid, clustered_rectangles,
                        uniform_rectangles, zipf_rectangles)
 from .estimator import Estimator, estimate_batch
 from .exec import (ADMISSION_MODES, AdmissionRejected, Budget,
-                   BudgetExceeded, Cancelled, ExecutionGovernor,
-                   JoinCheckpoint, evaluate_admission, predict_join_cost)
+                   BudgetExceeded, Cancelled, ExecutionConfig,
+                   ExecutionGovernor, JoinCheckpoint, evaluate_admission,
+                   predict_join_cost)
 from .io import load_dataset, load_tree, save_dataset, save_tree, \
     verify_tree_file
 from .join import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
@@ -187,54 +188,56 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="compare the Eq. 7/10 predicted cost against "
                            "the budget before reading any page: warn "
                            "(default), reject (exit 5), or off")
+    # Every execution default is ExecutionConfig's own.
+    defaults = ExecutionConfig()
     join.add_argument("--pair-enum", dest="pair_enum",
-                      choices=PAIR_ENUMERATIONS, default="nested-loop",
+                      choices=PAIR_ENUMERATIONS,
+                      default=defaults.pair_enumeration,
                       help="node-pair matching kernel: the paper's "
-                           "nested loops (default), the batched "
-                           "'vectorized' kernel (identical NA/DA), or "
-                           "the plane sweeps")
+                           "nested loops, the batched 'vectorized' "
+                           "kernel (identical NA/DA), or the plane "
+                           "sweeps (default: %(default)s)")
     join.add_argument("--traversal", choices=TRAVERSALS,
-                      default="stack",
-                      help="traversal engine: the per-node-pair 'stack' "
-                           "machine (default), or 'level-batch' — whole "
-                           "frontiers advanced per NumPy kernel call "
-                           "over the tree arenas with identical "
-                           "NA/DA/pairs/checkpoints (falls back to the "
-                           "stack machine without NumPy)")
-    join.add_argument("--strategy", choices=STRATEGIES, default="sync",
-                      help="join engine: the paper's synchronized tree "
-                           "traversal (default), or 'pbsm' — uniform "
-                           "grid partitioning with per-tile plane "
-                           "sweeps and reference-point duplicate "
-                           "avoidance (same pair set, different I/O "
-                           "profile; partials are not resumable)")
+                      default=defaults.traversal,
+                      help="traversal engine: 'level-batch' advances "
+                           "whole frontiers per NumPy kernel call over "
+                           "the tree arenas (the stack machine runs "
+                           "where it cannot, e.g. without NumPy), "
+                           "'stack' is the paper's per-node-pair "
+                           "machine; identical NA/DA/pairs/checkpoints "
+                           "(default: %(default)s)")
+    join.add_argument("--strategy", choices=STRATEGIES,
+                      default=defaults.strategy,
+                      help="join engine: the paper's synchronized "
+                           "tree traversal, or 'pbsm' — uniform grid "
+                           "partitioning with per-tile plane sweeps and "
+                           "reference-point duplicate avoidance (same "
+                           "pair set, different I/O profile; partials "
+                           "are not resumable; default: %(default)s)")
     join.add_argument("--workers", type=int, default=None, metavar="W",
                       help="split the join into subtree-pair tasks over "
                            "W parallel workers (incompatible with "
                            "--partial/--checkpoint/--resume)")
     join.add_argument("--mode", choices=EXECUTION_MODES,
-                      default="serial",
+                      default=defaults.mode,
                       help="how parallel workers are driven "
-                           "(with --workers)")
+                           "(with --workers; default: %(default)s)")
     join.add_argument("--assignment", choices=ASSIGNMENT_STRATEGIES,
-                      default="greedy",
-                      help="task-to-worker assignment (with --workers)")
-    join.add_argument("--worker-timeout", type=float, default=None,
+                      default=defaults.assignment,
+                      help="task-to-worker assignment (with --workers; "
+                           "default: %(default)s)")
+    join.add_argument("--worker-timeout", type=float,
+                      default=defaults.worker_timeout,
                       metavar="SECONDS",
                       help="with --mode processes: declare the pool "
                            "crashed after this long without any bucket "
-                           "completing (default 300)")
+                           "completing (default: %(default)s)")
     join.add_argument("--on-worker-crash", choices=ON_WORKER_CRASH,
-                      default="raise",
+                      default=defaults.on_worker_crash,
                       help="with --mode processes: 'raise' a typed "
                            "error (exit 4) when a worker dies, or "
                            "'serial' to re-run the lost buckets "
-                           "serially and still finish")
-    join.add_argument("--no-shared-memory", dest="shared_memory",
-                      action="store_false", default=True,
-                      help="with --mode processes: pickle a private "
-                           "tree copy into every worker instead of "
-                           "attaching the shared-memory arena")
+                           "serially (default: %(default)s)")
     join.add_argument("--trace", metavar="OUT.jsonl", default=None,
                       help="write a structured JSONL trace of the run "
                            "(summarize it later with 'repro report'); "
@@ -559,27 +562,25 @@ def _cmd_join(args: argparse.Namespace) -> int:
 def _run_join(args, t1, t2, buffer, retry_policy, governor,
               tracer, metrics, ledger, stats) -> int:
     """The measured part of ``repro join``, after setup/validation."""
-    from .exec import DEFAULT_WORKER_TIMEOUT, ExecutionConfig
     exec_cfg = ExecutionConfig(pair_enumeration=args.pair_enum,
                                traversal=args.traversal,
                                strategy=args.strategy)
     if args.workers is not None:
-        timeout = (args.worker_timeout if args.worker_timeout is not None
-                   else DEFAULT_WORKER_TIMEOUT)
         result = parallel_spatial_join(
             t1, t2, collect_pairs=False, governor=governor,
             tracer=tracer, metrics=metrics,
             config=exec_cfg.with_options(
                 mode=args.mode, workers=args.workers,
-                assignment=args.assignment, worker_timeout=timeout,
-                on_worker_crash=args.on_worker_crash,
-                shared_memory=args.shared_memory))
+                assignment=args.assignment,
+                worker_timeout=args.worker_timeout,
+                on_worker_crash=args.on_worker_crash))
         print(f"R1: {args.tree1} (N={len(t1)}, h={t1.height})")
         print(f"R2: {args.tree2} (N={len(t2)}, h={t2.height})")
         print(f"result pairs: {result.pair_count}")
         print(f"workers: {result.workers} (mode={args.mode}, "
               f"assignment={args.assignment}, "
               f"pair-enum={args.pair_enum})")
+        print(_engine_line(result))
         print(f"total NA: {result.total_na}, total DA: "
               f"{result.total_da}")
         print(f"makespan NA: {result.makespan_na}, makespan DA: "
@@ -597,6 +598,7 @@ def _run_join(args, t1, t2, buffer, retry_policy, governor,
 
     print(f"R1: {args.tree1} (N={len(t1)}, h={t1.height})")
     print(f"R2: {args.tree2} (N={len(t2)}, h={t2.height})")
+    print(_engine_line(result))
     if result.complete:
         print(f"result pairs: {result.pair_count}")
     print(f"node accesses NA: {result.na_total} "
@@ -639,6 +641,12 @@ def _run_join(args, t1, t2, buffer, retry_policy, governor,
           f"DA = {est.da():.0f}, "
           f"pairs = {est.selectivity():.0f}")
     return 0
+
+
+def _engine_line(result) -> str:
+    """Which engine ran, and why it is not the one asked for."""
+    why = "" if result.fallback is None else f" (fallback={result.fallback})"
+    return f"engine={result.engine}{why}"
 
 
 def _print_obs(args: argparse.Namespace, metrics, ledger) -> None:

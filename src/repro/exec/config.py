@@ -33,13 +33,14 @@ PAIR_ENUMERATIONS = ("nested-loop", "plane-sweep", "vectorized",
                      "vectorized-sweep")
 
 #: Traversal engines of the synchronized join: ``"stack"`` is the
-#: per-node-pair stack machine of :mod:`repro.join.sync`;
-#: ``"level-batch"`` is the breadth-first frontier engine of
-#: :mod:`repro.join.batch` that advances a whole tree level per NumPy
-#: kernel call over the :class:`~repro.geometry.TreeArena` and then
-#: replays page charging in stack-machine order (NA/DA, pairs and
-#: checkpoints stay bit-identical; configurations the batch engine
-#: cannot express fall back to the stack machine).
+#: per-node-pair stack machine of :mod:`repro.join.sync`, the paper's
+#: Fig. 2 and the reference; ``"level-batch"`` (the default) is the
+#: breadth-first frontier engine of :mod:`repro.join.batch` that
+#: advances a whole tree level per NumPy kernel call over the
+#: :class:`~repro.geometry.TreeArena` and then replays page charging in
+#: stack-machine order (NA/DA, pairs and checkpoints stay
+#: bit-identical; configurations the batch engine cannot express fall
+#: back to the stack machine, with the reason recorded).
 TRAVERSALS = ("stack", "level-batch")
 
 #: Join execution strategies: ``"sync"`` is the paper's synchronized
@@ -91,19 +92,13 @@ class ExecutionConfig:
     worker_timeout:
         Watchdog seconds without any bucket completing before the pool
         is declared hung (``None`` disables the watchdog).
-    shared_memory:
-        Whether ``mode="processes"`` ships trees as shared-memory
-        columnar arenas (workers attach zero-copy) instead of pickling
-        a private tree copy into every worker.
     traversal:
-        Traversal engine, one of :data:`TRAVERSALS`.  ``"stack"`` (the
-        default) walks node pairs one at a time; ``"level-batch"``
-        materializes whole frontiers as arena index arrays and advances
-        each level with a handful of NumPy kernel calls, with NA/DA,
-        pairs and checkpoint bytes bit-identical to the stack machine.
-        Where the batch engine does not apply (pure-Python backend,
-        plane-sweep enumerations, custom predicates, resume) the stack
-        machine runs instead.
+        Traversal engine, one of :data:`TRAVERSALS`.  Where the default
+        ``"level-batch"`` does not apply (no NumPy, a tree without an
+        arena, plane-sweep enumerations, custom predicates, resume) the
+        stack machine runs instead and the join records why
+        (:func:`repro.join.select_traversal`); ``"stack"`` asks for
+        that machine outright.
     strategy:
         Join engine, one of :data:`STRATEGIES`.  ``"sync"`` (the
         default) is the paper's synchronized tree traversal;
@@ -120,8 +115,7 @@ class ExecutionConfig:
     assignment: str = "greedy"
     on_worker_crash: str = "raise"
     worker_timeout: float | None = DEFAULT_WORKER_TIMEOUT
-    shared_memory: bool = True
-    traversal: str = "stack"
+    traversal: str = "level-batch"
     strategy: str = "sync"
 
     def __post_init__(self) -> None:

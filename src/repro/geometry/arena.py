@@ -1,22 +1,18 @@
 """Tree-wide columnar MBR arena and its shared-memory transport.
 
-:class:`~repro.geometry.columnar.ColumnarMBRs` snapshots used to be
-built lazily, one private copy per node.  The arena replaces that with
-a single contiguous float64 coordinate block for *every* node's entry
-MBRs, plus an index table (node id → offset, count, level) — the
+The arena is the one columnar copy of a tree: a single contiguous
+``(2, ndim, total)`` float64 NumPy block for *every* node's entry MBRs,
+plus an index table (node id → offset, count, level) — the
 struct-of-arrays layout the SIMD-ified R-tree work keeps its kernels
-hot with (PAPERS.md, arXiv 2309.16913).  Node views are zero-copy
-slices of the block, on either backend:
-
-* NumPy — the block is a ``(2, ndim, total)`` float64 array; a node's
-  ``lo``/``hi`` are transposed views of ``block[corner, :, off:end]``;
-* pure Python — the block is a flat ``array('d')`` in the same
-  corner-major, dimension-major layout; a node's per-dimension columns
-  are ``memoryview`` slices.
+hot with (PAPERS.md, arXiv 2309.16913).  A node's view
+(:meth:`TreeArena.slice`) is a zero-copy pair of transposed slices
+``block[corner, :, off:end]``.  Without NumPy (not installed, or
+disabled by ``REPRO_PURE_PYTHON``) there is no arena: joins run the
+scalar predicates over the ``Rect`` objects, the source of truth.
 
 Because coordinates are stored as raw float64 (the exact bits of the
 ``Rect`` tuples they came from), every kernel result over an arena
-slice is bit-identical to the per-node snapshot it replaces.
+slice is bit-identical to the scalar predicates over those tuples.
 
 The same property makes the arena the unit of *transport* for process
 parallelism: :func:`arena_to_shared_memory` copies the block once into
@@ -33,11 +29,10 @@ from __future__ import annotations
 
 import atexit
 import uuid
-from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
-from .columnar import ColumnarMBRs, _get_numpy
+from .columnar import ColumnarMBRs
 
 __all__ = ["ArenaHandle", "SHM_PREFIX", "SharedArena", "TreeArena",
            "arena_from_shared_memory", "arena_to_shared_memory"]
@@ -50,13 +45,29 @@ _COORD_BYTES = 8        # float64
 _REF_BYTES = 8          # int64
 
 
+def _get_numpy():
+    # Deferred import: repro.geometry must stay importable before (and
+    # without) repro.estimator, and the env switch is read per call.
+    from ..estimator.backend import get_numpy
+    return get_numpy()
+
+
+def _require_numpy():
+    np = _get_numpy()
+    if np is None:
+        raise RuntimeError(
+            "a TreeArena needs NumPy (not installed, or disabled by "
+            "REPRO_PURE_PYTHON); repro.join.tree_arena() answers None "
+            "instead of raising")
+    return np
+
+
 class TreeArena:
     """One contiguous columnar block for every node of one R-tree.
 
-    Flat layout: corner-major (lo block then hi block), dimension-major
+    Layout: corner-major (lo block then hi block), dimension-major
     within a corner, entry-slot-minor — so the per-dimension column of
-    one node is a contiguous run, sliceable as a ``memoryview`` without
-    NumPy and as a strided view with it.
+    one node is a contiguous run.
 
     Instances are immutable snapshots of the tree at build time;
     staleness tracking lives with the owner
@@ -87,6 +98,7 @@ class TreeArena:
         Empty nodes (an empty leaf root) get an index entry with
         ``count == 0`` and no coordinate slots.
         """
+        np = _require_numpy()
         index: dict[int, tuple[int, int, int]] = {}
         rects = []
         refs: list[int] = []
@@ -100,28 +112,14 @@ class TreeArena:
                 refs.append(entry.ref)
             offset += count
         total = offset
-        np = _get_numpy()
-        if np is not None:
-            coords = np.empty((2, ndim, total), dtype=np.float64)
-            for k in range(ndim):
-                coords[0, k, :] = [r.lo[k] for r in rects]
-                coords[1, k, :] = [r.hi[k] for r in rects]
-            return cls(ndim, total, index, coords,
-                       np.array(refs, dtype=np.int64), np)
-        flat = array("d")
-        for corner in ("lo", "hi"):
-            for k in range(ndim):
-                if corner == "lo":
-                    flat.extend(r.lo[k] for r in rects)
-                else:
-                    flat.extend(r.hi[k] for r in rects)
-        return cls(ndim, total, index, memoryview(flat), refs, None)
+        coords = np.empty((2, ndim, total), dtype=np.float64)
+        for k in range(ndim):
+            coords[0, k, :] = [r.lo[k] for r in rects]
+            coords[1, k, :] = [r.hi[k] for r in rects]
+        return cls(ndim, total, index, coords,
+                   np.array(refs, dtype=np.int64), np)
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        return "python" if self.np is None else "numpy"
 
     @property
     def nbytes(self) -> int:
@@ -139,19 +137,9 @@ class TreeArena:
         offset, count, _level = self.index[page_id]
         if count == 0:
             raise ValueError(f"node {page_id} has no entries")
-        ndim = self.ndim
-        if self.np is not None:
-            lo = self._coords[0, :, offset:offset + count].T
-            hi = self._coords[1, :, offset:offset + count].T
-            return ColumnarMBRs(count, ndim, lo, hi, self.np)
-        total = self.total
-        mv = self._coords
-        lo = tuple(mv[k * total + offset:k * total + offset + count]
-                   for k in range(ndim))
-        hi = tuple(mv[(ndim + k) * total + offset:
-                      (ndim + k) * total + offset + count]
-                   for k in range(ndim))
-        return ColumnarMBRs(count, ndim, lo, hi, None)
+        return ColumnarMBRs(count, self.ndim,
+                            self._coords[0, :, offset:offset + count].T,
+                            self._coords[1, :, offset:offset + count].T)
 
     def materialize(self, page_id: int,
                     ) -> tuple[int, list[tuple[tuple, tuple, int]]]:
@@ -164,41 +152,13 @@ class TreeArena:
         offset, count, level = self.index[page_id]
         if count == 0:
             return level, []
-        lo_cols = [self._column(0, k, offset, count)
-                   for k in range(self.ndim)]
-        hi_cols = [self._column(1, k, offset, count)
-                   for k in range(self.ndim)]
-        refs = self._refs_slice(offset, count)
-        return level, list(zip(zip(*lo_cols), zip(*hi_cols), refs))
-
-    def _column(self, corner: int, k: int, offset: int,
-                count: int) -> list[float]:
-        if self.np is not None:
-            return self._coords[corner, k, offset:offset + count].tolist()
-        start = (corner * self.ndim + k) * self.total + offset
-        return list(self._coords[start:start + count])
-
-    def _refs_slice(self, offset: int, count: int) -> list[int]:
-        if self.np is not None:
-            return self._refs[offset:offset + count].tolist()
-        return list(self._refs[offset:offset + count])
-
-    # -- raw bytes (shared-memory export) ----------------------------------
-
-    def _coords_bytes(self) -> bytes:
-        if self.np is not None:
-            return self._coords.tobytes()
-        return bytes(self._coords)
-
-    def _refs_bytes(self) -> bytes:
-        if self.np is not None:
-            return self._refs.tobytes()
-        return array("q", self._refs).tobytes()
+        lo, hi = self._coords[:, :, offset:offset + count].tolist()
+        refs = self._refs[offset:offset + count].tolist()
+        return level, list(zip(zip(*lo), zip(*hi), refs))
 
     def __repr__(self) -> str:
         return (f"TreeArena(nodes={len(self.index)}, "
-                f"entries={self.total}, ndim={self.ndim}, "
-                f"backend={self.backend!r})")
+                f"entries={self.total}, ndim={self.ndim})")
 
 
 @dataclass(frozen=True)
@@ -291,9 +251,9 @@ def arena_to_shared_memory(arena: TreeArena,
         name = SHM_PREFIX + uuid.uuid4().hex[:16]
     shm = shared_memory.SharedMemory(name=name, create=True, size=size)
     if arena.total:
-        shm.buf[0:coords_bytes] = arena._coords_bytes()
+        shm.buf[0:coords_bytes] = arena._coords.tobytes()
         shm.buf[coords_bytes:coords_bytes + refs_bytes] = \
-            arena._refs_bytes()
+            arena._refs.tobytes()
     handle = ArenaHandle(
         shm.name, arena.ndim, arena.total,
         tuple((page_id, offset, count, level)
@@ -303,11 +263,7 @@ def arena_to_shared_memory(arena: TreeArena,
 
 
 def arena_from_shared_memory(handle: ArenaHandle) -> TreeArena:
-    """Attach to an exported arena, zero-copy, on the local backend.
-
-    The attaching process reads the same raw float64 bits regardless of
-    backend, so a worker running the pure-Python kernels over a segment
-    exported under NumPy (or vice versa) stays bit-identical.
+    """Attach to an exported arena, zero-copy.
 
     The segment is *not* registered with the attaching process's
     ``resource_tracker``: unlink belongs to the coordinator alone.
@@ -320,6 +276,8 @@ def arena_from_shared_memory(handle: ArenaHandle) -> TreeArena:
     registration call is suppressed for the duration of the attach.
     """
     from multiprocessing import resource_tracker, shared_memory
+
+    np = _require_numpy()
 
     class _AttachedSegment(shared_memory.SharedMemory):
         # The zero-copy views below keep exported pointers into the
@@ -343,15 +301,9 @@ def arena_from_shared_memory(handle: ArenaHandle) -> TreeArena:
     coords_bytes = 2 * ndim * _COORD_BYTES * total
     index = {page_id: (offset, count, level)
              for page_id, offset, count, level in handle.index}
-    np = _get_numpy()
-    if np is not None:
-        coords = np.frombuffer(shm.buf, dtype=np.float64,
-                               count=2 * ndim * total)
-        coords = coords.reshape(2, ndim, total)
-        refs = np.frombuffer(shm.buf, dtype=np.int64,
-                             offset=coords_bytes, count=total)
-        return TreeArena(ndim, total, index, coords, refs, np, shm=shm)
-    coords = shm.buf[0:coords_bytes].cast("d")
-    refs = shm.buf[coords_bytes:
-                   coords_bytes + _REF_BYTES * total].cast("q")
-    return TreeArena(ndim, total, index, coords, refs, None, shm=shm)
+    coords = np.frombuffer(shm.buf, dtype=np.float64,
+                           count=2 * ndim * total)
+    coords = coords.reshape(2, ndim, total)
+    refs = np.frombuffer(shm.buf, dtype=np.int64,
+                         offset=coords_bytes, count=total)
+    return TreeArena(ndim, total, index, coords, refs, np, shm=shm)

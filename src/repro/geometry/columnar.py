@@ -1,23 +1,25 @@
-"""Columnar (struct-of-arrays) MBR storage and batched box kernels.
+"""Columnar (struct-of-arrays) MBR views and batched box kernels.
 
 The SJ traversal's hot operation is testing every entry pair of two
 joined nodes against the overlap (or within-distance) condition.  As a
 list of :class:`~repro.geometry.rect.Rect` objects, one ``|n1| x |n2|``
 block costs thousands of Python-level attribute lookups and tuple
-comparisons.  This module stores the same rectangles *columnar*: one
-flat coordinate array per corner, so a whole block evaluates in a
-handful of array operations ("SIMD-ified R-tree Query Processing", see
-PAPERS.md).
+comparisons.  A :class:`ColumnarMBRs` holds the same rectangles as two
+NumPy coordinate arrays, so a whole block evaluates in a handful of
+array operations ("SIMD-ified R-tree Query Processing", see PAPERS.md).
 
-Backends mirror :mod:`repro.estimator.backend`: NumPy when importable
-(and not disabled via ``REPRO_PURE_PYTHON``), otherwise a dependency-
-free fallback built on :mod:`array` module columns.  Both backends are
-**comparison-exact**: only IEEE-exact operations (``<=`` and ``-`` on
-float64) are vectorized, so a batched kernel qualifies exactly the
-pairs the scalar :class:`Rect` predicates qualify, bit for bit.  The
-within-distance kernel therefore only *prefilters* (per-axis gaps are
-exact; the Euclidean norm is not) and the caller confirms candidates
-with the scalar ``math.hypot`` test.
+There is one columnar copy of a tree — its
+:class:`~repro.geometry.TreeArena` — and a :class:`ColumnarMBRs` is a
+zero-copy view of one node's run in it (:meth:`TreeArena.slice`).
+Columnar therefore means NumPy: a host without it has no arena and runs
+the scalar predicates over the ``Rect`` objects.
+
+The kernels are **comparison-exact**: only IEEE-exact operations
+(``<=`` and ``-`` on float64) are vectorized, so a batched kernel
+qualifies exactly the pairs the scalar :class:`Rect` predicates
+qualify, bit for bit.  The within-distance kernel therefore only
+*prefilters* (per-axis gaps are exact; the Euclidean norm is not) and
+the caller confirms candidates with the scalar ``math.hypot`` test.
 
 Index pairs are emitted in the paper's loop order — outer R2 (``j``),
 inner R1 (``i``) — so a traversal that fetches children per qualifying
@@ -27,101 +29,37 @@ loops.
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterable, Sequence
-
-from .rect import Rect
-
 __all__ = ["ColumnarMBRs", "overlap_pairs", "distance_candidate_pairs"]
-
-
-def _get_numpy():
-    # Deferred import: repro.geometry must stay importable before (and
-    # without) repro.estimator, and the env switch is read per call.
-    from ..estimator.backend import get_numpy
-    return get_numpy()
 
 
 class ColumnarMBRs:
     """A struct-of-arrays view of a fixed sequence of rectangles.
 
-    With NumPy, ``lo`` and ``hi`` are ``(count, ndim)`` float64 arrays;
-    in the pure-Python fallback they are tuples of per-dimension
-    ``array('d')`` columns.  Use :meth:`lo_col`/:meth:`hi_col` for
-    backend-independent per-axis access.  Instances are immutable
-    snapshots — rebuilding after mutation is the owner's job (see
-    :meth:`repro.rtree.Node.columns`, which caches and invalidates).
+    ``lo`` and ``hi`` are ``(count, ndim)`` float64 NumPy arrays (views
+    into the owning arena's block).  Instances are immutable snapshots
+    — staleness is the arena owner's job (see
+    :meth:`repro.rtree.RTreeBase.arena`).
     """
 
-    __slots__ = ("count", "ndim", "lo", "hi", "np")
+    __slots__ = ("count", "ndim", "lo", "hi")
 
-    def __init__(self, count: int, ndim: int, lo, hi, np_module):
+    def __init__(self, count: int, ndim: int, lo, hi):
         self.count = count
         self.ndim = ndim
         self.lo = lo
         self.hi = hi
-        self.np = np_module
-
-    @classmethod
-    def from_rects(cls, rects: Iterable[Rect]) -> "ColumnarMBRs":
-        """Build a columnar snapshot of a non-empty rectangle sequence."""
-        rects = rects if isinstance(rects, (list, tuple)) else list(rects)
-        if not rects:
-            raise ValueError("cannot build columns of zero rectangles")
-        ndim = rects[0].ndim
-        np = _get_numpy()
-        if np is not None:
-            lo = np.array([r.lo for r in rects], dtype=np.float64)
-            hi = np.array([r.hi for r in rects], dtype=np.float64)
-            if lo.shape != (len(rects), ndim):
-                raise ValueError("mixed dimensionalities in from_rects()")
-        else:
-            for r in rects:
-                if r.ndim != ndim:
-                    raise ValueError(
-                        "mixed dimensionalities in from_rects()")
-            lo = tuple(array("d", (r.lo[k] for r in rects))
-                       for k in range(ndim))
-            hi = tuple(array("d", (r.hi[k] for r in rects))
-                       for k in range(ndim))
-        return cls(len(rects), ndim, lo, hi, np)
-
-    @property
-    def backend(self) -> str:
-        """``"numpy"`` or ``"python"`` — which kernels this view feeds."""
-        return "python" if self.np is None else "numpy"
-
-    def current(self) -> bool:
-        """True while this snapshot's backend matches the environment.
-
-        ``REPRO_PURE_PYTHON`` is read per call, so a cached view built
-        under one backend must be rebuilt when the switch flips (the
-        node cache checks this).
-        """
-        return self.np is _get_numpy()
-
-    def lo_col(self, k: int) -> Sequence[float]:
-        """The ``k``-th lower-corner coordinate of every rectangle."""
-        return self.lo[:, k] if self.np is not None else self.lo[k]
-
-    def hi_col(self, k: int) -> Sequence[float]:
-        """The ``k``-th upper-corner coordinate of every rectangle."""
-        return self.hi[:, k] if self.np is not None else self.hi[k]
 
     def __len__(self) -> int:
         return self.count
 
     def __repr__(self) -> str:
-        return (f"ColumnarMBRs(count={self.count}, ndim={self.ndim}, "
-                f"backend={self.backend!r})")
+        return f"ColumnarMBRs(count={self.count}, ndim={self.ndim})"
 
 
 def _check_pairable(a: ColumnarMBRs, b: ColumnarMBRs) -> None:
     if a.ndim != b.ndim:
         raise ValueError(
             f"dimensionality mismatch: {a.ndim} vs {b.ndim}")
-    if (a.np is None) != (b.np is None):
-        raise ValueError("columnar operands use different backends")
 
 
 def overlap_pairs(a: ColumnarMBRs, b: ColumnarMBRs,
@@ -129,38 +67,25 @@ def overlap_pairs(a: ColumnarMBRs, b: ColumnarMBRs,
     """Index pairs ``(i, j)`` of intersecting boxes, in j-major order.
 
     Exact: closed-box intersection uses only ``<=`` comparisons, so the
-    result equals ``{(i, j) | a[i].intersects(b[j])}`` on either
-    backend, emitted outer-``j`` (R2), inner-``i`` (R1) — the paper's
-    Figure-2 loop order.
+    result equals ``{(i, j) | a[i].intersects(b[j])}``, emitted
+    outer-``j`` (R2), inner-``i`` (R1) — the paper's Figure-2 loop
+    order.
     """
     _check_pairable(a, b)
-    np = a.np
-    if np is not None:
-        # Per-axis 2-D masks, accumulated in place: an order of
-        # magnitude cheaper than one (|a|, |b|, ndim) broadcast with an
-        # ``.all(axis=2)`` reduction.  Shape (|b|, |a|) — row-major
-        # nonzero is then already j-major.
-        mask = None
-        for k in range(a.ndim):
-            axis = ((a.lo[:, k][None, :] <= b.hi[:, k][:, None])
-                    & (b.lo[:, k][:, None] <= a.hi[:, k][None, :]))
-            if mask is None:
-                mask = axis
-            else:
-                mask &= axis
-        jj, ii = np.nonzero(mask)
-        return list(zip(ii.tolist(), jj.tolist()))
-    out: list[tuple[int, int]] = []
-    ndim = a.ndim
-    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
-    for j in range(b.count):
-        for i in range(a.count):
-            for k in range(ndim):
-                if alo[k][i] > bhi[k][j] or blo[k][j] > ahi[k][i]:
-                    break
-            else:
-                out.append((i, j))
-    return out
+    # Per-axis 2-D masks, accumulated in place: an order of magnitude
+    # cheaper than one (|a|, |b|, ndim) broadcast with an
+    # ``.all(axis=2)`` reduction.  Shape (|b|, |a|) — row-major nonzero
+    # is then already j-major.
+    mask = None
+    for k in range(a.ndim):
+        axis = ((a.lo[:, k][None, :] <= b.hi[:, k][:, None])
+                & (b.lo[:, k][:, None] <= a.hi[:, k][None, :]))
+        if mask is None:
+            mask = axis
+        else:
+            mask &= axis
+    jj, ii = mask.nonzero()
+    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def distance_candidate_pairs(a: ColumnarMBRs, b: ColumnarMBRs,
@@ -170,37 +95,22 @@ def distance_candidate_pairs(a: ColumnarMBRs, b: ColumnarMBRs,
     A **superset** of the qualifying pairs: it keeps exactly those whose
     per-axis gap is at most ``distance`` on every axis (a necessary
     condition, since each axis gap bounds the Euclidean gap from below).
-    The per-axis test uses only exact float64 subtraction/comparison, so
-    the candidate set is backend-independent; callers confirm with the
-    scalar ``math.hypot`` predicate to stay bit-identical to the
-    nested-loop reference.
+    The per-axis test uses only exact float64 subtraction/comparison;
+    callers confirm with the scalar ``math.hypot`` predicate to stay
+    bit-identical to the nested-loop reference.
     """
     _check_pairable(a, b)
     if distance < 0.0:
         raise ValueError("distance must be >= 0")
-    np = a.np
-    if np is not None:
-        mask = None
-        for k in range(a.ndim):
-            axis = ((a.lo[:, k][None, :] - b.hi[:, k][:, None]
-                     <= distance)
-                    & (b.lo[:, k][:, None] - a.hi[:, k][None, :]
-                       <= distance))
-            if mask is None:
-                mask = axis
-            else:
-                mask &= axis
-        jj, ii = np.nonzero(mask)
-        return list(zip(ii.tolist(), jj.tolist()))
-    out: list[tuple[int, int]] = []
-    ndim = a.ndim
-    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
-    for j in range(b.count):
-        for i in range(a.count):
-            for k in range(ndim):
-                if (alo[k][i] - bhi[k][j] > distance
-                        or blo[k][j] - ahi[k][i] > distance):
-                    break
-            else:
-                out.append((i, j))
-    return out
+    mask = None
+    for k in range(a.ndim):
+        axis = ((a.lo[:, k][None, :] - b.hi[:, k][:, None]
+                 <= distance)
+                & (b.lo[:, k][:, None] - a.hi[:, k][None, :]
+                   <= distance))
+        if mask is None:
+            mask = axis
+        else:
+            mask &= axis
+    jj, ii = mask.nonzero()
+    return list(zip(ii.tolist(), jj.tolist()))

@@ -37,12 +37,13 @@ level order.  The engine therefore runs in two phases:
    ``_TraversalState.drain`` exactly, so budget trips land on the same
    item and checkpoint to the same bytes.
 
-Configurations the batch engine cannot express — pure-Python backend,
-plane-sweep enumerations (different read order by design), custom
+Configurations the batch engine cannot express — no NumPy (so no
+arena), plane-sweep enumerations (different read order by design), custom
 predicates, checkpoint resume (cursors restore stack-machine
 iterators) — fall back to the stack machine, and the join says so
-(``fallback`` on its ``join_start`` event, a ``join.fallback.<reason>``
-counter); see :func:`repro.join.select_traversal`.
+(``fallback`` on its result and its ``join_start`` event, a
+``join.fallback.<reason>`` counter); see
+:func:`repro.join.select_traversal`.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ from __future__ import annotations
 import math
 
 from ..exec import ExecutionGovernor
-from ..geometry.columnar import _get_numpy
-from ..reliability import ReproError
+from ..geometry.arena import _get_numpy
+from ..reliability import FaultyPager
 from ..storage import AccessStats, MeteredReader
 from .predicates import JoinPredicate, Overlap, WithinDistance
 
 __all__ = ["BATCH_PAIR_ENUMERATIONS", "LevelBatchState", "MAX_CHUNK_ITEMS",
-           "supports_level_batch", "tree_arena"]
+           "arena_pair", "supports_level_batch", "tree_arena"]
 
 #: Pair enumerations the batch engine reproduces bit-identically.  The
 #: plane sweeps visit children in a deliberately different order (their
@@ -93,26 +94,29 @@ def supports_level_batch(predicate: JoinPredicate,
 
 
 def tree_arena(tree):
-    """The tree's NumPy :class:`~repro.geometry.TreeArena`, or ``None``.
+    """The tree's :class:`~repro.geometry.TreeArena`, or ``None``.
 
-    Handles both arena owners: :class:`~repro.rtree.RTreeBase` exposes
-    a builder *method* ``arena()`` (cached, staleness-checked) while the
-    worker-side :class:`~repro.rtree.ArenaTreeView` carries the attached
-    arena as an *attribute*.  Returns ``None`` — meaning "use the stack
-    machine" — for trees without an arena, pure-Python arenas, or when
-    building the arena fails under fault injection (the stack machine
-    would not have issued those reads at all).
+    ``None`` — "run over the ``Rect`` objects" — is answered before any
+    page is read: without NumPy there is no arena, and a tree whose
+    pager injects faults is never probed (building or revalidating the
+    arena reads every node through that pager, consuming injector draws
+    the stack machine would not have issued).  So is a tree-like object
+    with no ``arena()`` accessor.
     """
-    attr = getattr(tree, "arena", None)
-    if attr is None:
+    if _get_numpy() is None or isinstance(tree.pager, FaultyPager):
         return None
-    try:
-        arena = attr() if callable(attr) else attr
-    except ReproError:
-        return None
-    if arena is None or getattr(arena, "np", None) is None:
-        return None
-    return arena
+    build = getattr(tree, "arena", None)
+    return build() if build is not None else None
+
+
+def arena_pair(tree1, tree2):
+    """``((arena1, arena2), None)`` when both trees have an arena, else
+    ``(None, reason)``: ``"pure-python"`` without NumPy, ``"no-arena"``
+    when :func:`tree_arena` answered ``None`` for another reason."""
+    arena1, arena2 = tree_arena(tree1), tree_arena(tree2)
+    if arena1 is not None and arena2 is not None:
+        return (arena1, arena2), None
+    return None, "pure-python" if _get_numpy() is None else "no-arena"
 
 
 class _PageRef:
@@ -201,9 +205,6 @@ class LevelBatchState:
             raise ValueError(
                 f"level-batch traversal supports pair_enumeration in "
                 f"{BATCH_PAIR_ENUMERATIONS}, not {pair_enumeration!r}")
-        if arena1.np is None or arena2.np is None:
-            raise ValueError(
-                "level-batch traversal requires NumPy-backed arenas")
         self.np = arena1.np
         self.pair_enumeration = pair_enumeration
         self.vectorized = pair_enumeration == "vectorized"

@@ -29,8 +29,9 @@ pool lives here, once:
   coordinator.
 * Completed tasks are salvaged into the caller's ``collected`` mapping
   on every exit path (a PBSM partial result is the union of its
-  completed tiles), and the shared-memory leases the caller's export
-  registered are closed in a ``finally`` — after the pool is gone.
+  completed tiles).  Shared-memory segments the submissions name are
+  the caller's: it exports them before the call and closes its leases
+  after it — the pool is gone by then on every path.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class WorkerCrashed(ReproError):
         return (WorkerCrashed, (self.buckets, self.cause, str(self)))
 
 
-def fan_out(tasks: list, run_local, remote, *, config: ExecutionConfig,
+def fan_out(tasks: list, run_local, call, *, config: ExecutionConfig,
             governor: ExecutionGovernor | None, stats: AccessStats,
             collected: dict, decode=None,
             tracer=None, join_id=None, metrics=None) -> None:
@@ -90,11 +91,8 @@ def fan_out(tasks: list, run_local, remote, *, config: ExecutionConfig,
 
     ``run_local(task, governor)`` is the worker body in this process:
     what a thread worker runs, and what re-runs a lost task after a
-    crash.  ``remote(leases)`` is called once in ``"processes"`` mode
-    to export whatever the workers attach to — appending each
-    shared-memory lease to ``leases`` as it is created, so a failing
-    export leaks nothing — and returns ``call(task, budget)``, which
-    yields the picklable ``(function, *arguments)`` of one submission.
+    crash.  ``call(task, budget)`` yields the picklable
+    ``(function, *arguments)`` of one ``"processes"`` submission.
     ``decode`` turns a process worker's plain-data result into the
     shape ``run_local`` returns.
 
@@ -106,7 +104,7 @@ def fan_out(tasks: list, run_local, remote, *, config: ExecutionConfig,
     if config.mode == "threads":
         _run_threads(tasks, run_local, max_workers, governor, collected)
     else:
-        _run_processes(tasks, run_local, remote, max_workers, config,
+        _run_processes(tasks, run_local, call, max_workers, config,
                        governor, stats, collected, decode, tracer,
                        join_id, metrics)
 
@@ -185,7 +183,7 @@ def worker_governor(budget: Budget | None) -> ExecutionGovernor | None:
     return governor
 
 
-def _run_processes(tasks, run_local, remote, max_workers, config,
+def _run_processes(tasks, run_local, call, max_workers, config,
                    governor, stats, collected, decode, tracer, join_id,
                    metrics) -> None:
     if governor is not None:
@@ -196,10 +194,8 @@ def _run_processes(tasks, run_local, remote, max_workers, config,
     worker_timeout = config.worker_timeout
     failure: BaseException | None = None
     crash_cause: str | None = None
-    leases: list = []
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
-        call = remote(leases)
         futures = [pool.submit(*call(task, budget)) for task in tasks]
         pending = set(futures)
         last_progress = time.monotonic()
@@ -282,8 +278,3 @@ def _run_processes(tasks, run_local, remote, max_workers, config,
         # waiting — this second shutdown is a no-op, crucially never a
         # join on a dead or hung child.
         pool.shutdown(wait=crash_cause is None)
-        # Unlink the shared-memory segments only after the children are
-        # gone (or abandoned): close() is idempotent and the atexit
-        # sweep backstops an interpreter that dies before reaching here.
-        for lease in leases:
-            lease.close()

@@ -43,6 +43,7 @@ from ..exec.config import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
 from ..rtree import RTreeBase
 from ..rtree.arena_view import ArenaTreeHandle, share_tree
 from ..storage import AccessStats, MeteredReader, PathBuffer
+from .batch import arena_pair
 from .fanout import WorkerCrashed, fan_out, worker_governor
 from .predicates import OVERLAP, JoinPredicate
 from .result import R1, R2
@@ -58,13 +59,17 @@ __all__ = ["parallel_spatial_join", "ParallelJoinResult",
 
 
 class ParallelJoinResult:
-    """Outcome of a simulated parallel SJ execution."""
+    """Outcome of a simulated parallel SJ execution (``engine`` and
+    ``fallback`` as on :class:`~repro.join.JoinResult`)."""
 
     def __init__(self, pairs: list[tuple[int, int]],
-                 worker_stats: list[AccessStats], pair_count: int):
+                 worker_stats: list[AccessStats], pair_count: int, *,
+                 engine: str | None = None, fallback: str | None = None):
         self.pairs = pairs
         self.worker_stats = worker_stats
         self.pair_count = pair_count
+        self.engine = engine
+        self.fallback = fallback
 
     @property
     def workers(self) -> int:
@@ -129,10 +134,10 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
     shared mutable state between workers.
 
     The traversal engine is whatever
-    :func:`~repro.join.traversal_state` builds for ``config``: with
-    ``traversal="level-batch"`` one frontier plan per task over the
-    arenas (in ``"processes"`` mode the zero-copy shared-memory arenas
-    of the attached :class:`~repro.rtree.ArenaTreeView`), NA/DA/pairs
+    :func:`~repro.join.traversal_state` builds for ``config``: on
+    level-batch one frontier plan per task over the arenas (in
+    ``"processes"`` mode the zero-copy shared-memory arenas of the
+    attached :class:`~repro.rtree.ArenaTreeView`), NA/DA/pairs
     identical to the stack machine; unsupported configurations keep the
     stack machine, exactly as in the serial join.
     """
@@ -174,8 +179,8 @@ def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
     Each tree arrives either as an :class:`ArenaTreeHandle` — the
     shared-memory fast path: the worker attaches the coordinator's
     columnar arena zero-copy and materializes only the nodes its bucket
-    visits — or, with ``shared_memory=False``, as a full pickled tree
-    copy (private pager included).  Either way the traversal below is
+    visits — or, when there was no arena to export, as a full pickled
+    tree copy (private pager included).  Either way the traversal below is
     identical and its NA/DA/pairs are bit-identical to the serial
     join's.
 
@@ -217,11 +222,11 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
 
     The execution knobs — worker count, driving ``mode``, bucket
     ``assignment``, ``pair_enumeration`` kernel, ``traversal`` engine,
-    crash policy, watchdog timeout and the shared-memory switch — live
-    on one :class:`~repro.exec.ExecutionConfig` passed as ``config``;
+    crash policy and watchdog timeout — live on one
+    :class:`~repro.exec.ExecutionConfig` passed as ``config``;
     everything after ``tree2`` is keyword-only.
-    With ``traversal="level-batch"`` each worker advances its subtree
-    pairs frontier-at-a-time through :mod:`repro.join.batch` (process
+    On the level-batch engine each worker advances its subtree pairs
+    frontier-at-a-time through :mod:`repro.join.batch` (process
     workers batch directly over the zero-copy shared-memory arenas of
     their :class:`~repro.rtree.ArenaTreeView`); all counters stay
     identical to the stack machine's.
@@ -247,17 +252,19 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
     buckets here (``"serial"``; completed buckets are kept, so the
     result equals an undisturbed run's).
 
-    In ``"processes"`` mode with the default ``shared_memory=True`` both
-    trees are exported once as columnar arenas in
+    In ``"processes"`` mode, when both trees have an arena, they are
+    exported once as columnar arenas in
     ``multiprocessing.shared_memory`` segments and each submission
     ships only the segment names plus the index tables — workers attach
     zero-copy and materialize just the nodes their bucket visits.  The
     segments are unlinked in the driver's ``finally`` (crash and
     governor-stop paths included) with an ``atexit`` backstop for
     abnormal teardown; the coordinator keeps the real trees, so the
-    serial re-run stays valid after the segments are gone.
-    ``shared_memory=False`` pickles a private tree copy into every
-    worker instead.
+    serial re-run stays valid after the segments are gone.  When a
+    tree has no arena, or the export raises ``OSError`` (a ``/dev/shm``
+    that is too small), a private pickled tree copy goes into every
+    worker instead; ``join_start`` records which ``transport`` ran and
+    the ``transport_fallback`` reason.
 
     ``tracer``/``metrics`` are the :mod:`repro.obs` hooks.  Workers
     never touch the tracer (sinks don't cross process boundaries; the
@@ -292,7 +299,8 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
             collect_pairs=collect_pairs, governor=governor,
             tracer=tracer, metrics=metrics, config=config)
         return ParallelJoinResult(result.pairs, [result.stats],
-                                  result.pair_count)
+                                  result.pair_count, engine=result.engine,
+                                  fallback=result.fallback)
 
     root1 = tree1.root()
     root2 = tree2.root()
@@ -342,21 +350,11 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
     # What the workers' traversal_state will decide, decided here first:
     # the trace gets the engine, and the cached whole-tree arenas are
     # warm before any thread worker can race on their lazy build.
-    arenas, fallback = select_traversal(config, predicate, tree1, tree2)
+    engine, _arenas, fallback = select_traversal(config, predicate,
+                                                 tree1, tree2)
 
     if governor is not None:
         governor.start()                 # deadline shared by all workers
-
-    join_id = None
-    if tracer is not None:
-        join_id = tracer.new_join_id()
-        tracer.join_start(
-            join_id, n1=len(tree1), n2=len(tree2), mode=mode,
-            workers=workers, assignment=config.assignment,
-            tasks=len(tasks),
-            pair_enumeration=config.pair_enumeration,
-            engine="stack" if arenas is None else "level-batch",
-            fallback=fallback, governed=governor is not None)
 
     with_metrics = metrics is not None
 
@@ -365,19 +363,25 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
                            collect_pairs, spawned, config,
                            _fresh_metrics(with_metrics))
 
-    def remote(leases: list):
-        ship1, ship2 = tree1, tree2
-        if config.shared_memory:
-            ship1, lease = share_tree(tree1)
-            leases.append(lease)
-            ship2, lease = share_tree(tree2)
-            leases.append(lease)
-        return lambda bucket, budget: (
-            _process_bucket, bucket, ship1, ship2, predicate,
-            collect_pairs, config, budget, with_metrics)
-
+    leases: list = []
+    shipped = (tree1, tree2)
+    transport = transport_fallback = None
+    join_id = None
     collected: dict[int, tuple] = {}
     try:
+        if mode == "processes":
+            shipped, transport_fallback = _export_trees(tree1, tree2, leases)
+            transport = "pickle" if transport_fallback else "shared-memory"
+        if tracer is not None:
+            join_id = tracer.new_join_id()
+            tracer.join_start(
+                join_id, n1=len(tree1), n2=len(tree2), mode=mode,
+                workers=workers, assignment=config.assignment,
+                tasks=len(tasks),
+                pair_enumeration=config.pair_enumeration,
+                engine=engine, fallback=fallback, transport=transport,
+                transport_fallback=transport_fallback,
+                governed=governor is not None)
         if mode == "serial":
             for index, bucket in enumerate(buckets):
                 collected[index] = run_local(
@@ -387,8 +391,11 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
             # Empty stats for the coordinator's own checks: all
             # charging happens in the workers, so only the deadline and
             # the token can trip here.
-            fan_out(buckets, run_local, remote, config=config,
-                    governor=governor, stats=AccessStats(),
+            fan_out(buckets, run_local,
+                    lambda bucket, budget: (
+                        _process_bucket, bucket, *shipped, predicate,
+                        collect_pairs, config, budget, with_metrics),
+                    config=config, governor=governor, stats=AccessStats(),
                     collected=collected, decode=_decode_bucket,
                     tracer=tracer, join_id=join_id, metrics=metrics)
     except (BudgetExceeded, Cancelled) as exc:
@@ -397,6 +404,9 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
         if metrics is not None:
             metrics.counter("governor.trips").inc()
         raise
+    finally:
+        for lease in leases:             # the pool is gone: unlink now
+            lease.close()
 
     all_pairs: list[tuple[int, int]] = []
     pair_count = 0
@@ -412,7 +422,8 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
             tracer.worker_finish(join_id, index, na=stats.na(),
                                  da=stats.da(), pairs=count,
                                  tasks=len(bucket))
-    result = ParallelJoinResult(all_pairs, worker_stats, pair_count)
+    result = ParallelJoinResult(all_pairs, worker_stats, pair_count,
+                                engine=engine, fallback=fallback)
     if metrics is not None:
         metrics.counter("parallel.joins").inc()
         if fallback is not None:
@@ -427,6 +438,34 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
                            makespan_na=result.makespan_na,
                            makespan_da=result.makespan_da)
     return result
+
+
+def _export_trees(tree1: RTreeBase, tree2: RTreeBase, leases: list):
+    """What crosses the process boundary, from what this process can
+    observe: ``((ship1, ship2), why)``.
+
+    With ``why`` ``None`` both are :class:`ArenaTreeHandle` s of
+    shared-memory exports whose leases were appended to ``leases``.
+    Otherwise both are the trees themselves, to be pickled into every
+    worker, because a tree has no arena (an :func:`arena_pair` reason)
+    or creating a segment raised ``OSError`` (``"export-failed"``: a
+    ``/dev/shm`` that is too small; what was exported before it is
+    unlinked here).
+    """
+    arenas, why = arena_pair(tree1, tree2)
+    if arenas is None:
+        return (tree1, tree2), why
+    handles = []
+    try:
+        for tree in (tree1, tree2):
+            handle, lease = share_tree(tree)
+            leases.append(lease)
+            handles.append(handle)
+    except OSError:
+        while leases:
+            leases.pop().close()
+        return (tree1, tree2), "export-failed"
+    return tuple(handles), None
 
 
 def _fresh_metrics(enabled: bool):

@@ -81,9 +81,8 @@ from ..exec import ExecutionGovernor
 from ..exec.budget import Budget, BudgetExceeded, Cancelled
 from ..exec.config import ExecutionConfig
 from ..geometry import Rect
-from ..geometry.arena import (arena_from_shared_memory,
+from ..geometry.arena import (_get_numpy, arena_from_shared_memory,
                               arena_to_shared_memory)
-from ..geometry.columnar import _get_numpy
 from ..reliability import RetryPolicy
 from ..rtree import Entry, RTreeBase
 from ..storage import AccessStats, BufferManager, PathBuffer
@@ -568,20 +567,24 @@ def _fan_out_tiles(tasks, arenas, predicate, grid, collect_pairs,
         return _join_tile(side1, side2, predicate, grid, tile,
                           collect_pairs, spawned, stats, arenas=arenas)
 
-    def remote(leases: list):
-        handles = None
-        if arenas is not None:
+    def call(task, budget):
+        return (_process_tile, task[1], task[2], predicate, grid, task[0],
+                collect_pairs, budget, handles)
+
+    handles = None
+    leases: list = []
+    try:
+        if arenas is not None and config.mode == "processes":
             for arena in arenas:
                 leases.append(arena_to_shared_memory(arena))
             handles = tuple(replace(lease.handle, index=())
                             for lease in leases)
-        return lambda task, budget: (
-            _process_tile, task[1], task[2], predicate, grid, task[0],
-            collect_pairs, budget, handles)
-
-    fan_out(tasks, run_local, remote, config=config, governor=governor,
-            stats=stats, collected=collected, tracer=tracer,
-            join_id=join_id, metrics=metrics)
+        fan_out(tasks, run_local, call, config=config, governor=governor,
+                stats=stats, collected=collected, tracer=tracer,
+                join_id=join_id, metrics=metrics)
+    finally:
+        for lease in leases:             # the pool is gone: unlink now
+            lease.close()
 
 
 def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
@@ -632,6 +635,7 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
     _admit(governor, tree1, tree2, tracer, join_id)
 
     arenas, fallback = _select_engine(predicate, tree1, tree2)
+    engine = "scalar" if arenas is None else "arena"
     buffer.reset()
     stats = AccessStats()
     if governor is not None:
@@ -660,8 +664,7 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                 tracer.emit(
                     "partition", join=join_id, tiles=len(tasks),
                     grid=list(grid.tiles),
-                    engine="scalar" if arenas is None else "arena",
-                    fallback=fallback,
+                    engine=engine, fallback=fallback,
                     entries1=entries1, entries2=entries2,
                     replicas1=replicas1, replicas2=replicas2)
             if config.mode == "serial" or config.workers == 1:
@@ -679,13 +682,16 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                  trip=exc)
         if governor is not None and governor.partial:
             return PartialJoinResult(pairs, stats, comparisons, count,
-                                     None, exc, None, None)
+                                     None, exc, None, None,
+                                     engine="pbsm-" + engine,
+                                     fallback=fallback)
         raise
 
     pairs, count, comparisons = _merge(collected, len(tasks))
     _observe(tracer, metrics, governor, join_id, stats, count,
              comparisons, len(tasks), fallback, complete=True)
-    return JoinResult(pairs, stats, comparisons, pair_count=count)
+    return JoinResult(pairs, stats, comparisons, pair_count=count,
+                      engine="pbsm-" + engine, fallback=fallback)
 
 
 def _merge(collected: dict, n_tasks: int,

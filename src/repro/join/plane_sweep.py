@@ -120,23 +120,22 @@ def sweep_pairs_batch(entries1: list[Entry], entries2: list[Entry],
     speed).
 
     ``cols1``/``cols2`` optionally hand over the entries' columnar MBR
-    views (node caches or tree-arena slices): the sweep-axis
-    coordinates are then read straight from the existing float64
-    columns — the same bits the per-``Rect`` extraction would produce —
-    instead of being rebuilt from the ``Rect`` objects.  A view is
-    ignored unless it is NumPy-backed and matches the entry count.
+    views (tree-arena slices): the sweep-axis coordinates are then read
+    straight from the existing float64 columns — the same bits the
+    per-``Rect`` extraction would produce — instead of being rebuilt
+    from the ``Rect`` objects.  A view is ignored unless it matches the
+    entry count.
     """
-    from ..geometry.columnar import _get_numpy
+    from ..geometry.arena import _get_numpy
     np = _get_numpy()
     if np is None or not entries1 or not entries2:
         yield from sweep_pairs(entries1, entries2, axis, slack)
         return
 
     def prepare(entries, cols):
-        if cols is not None and cols.np is np \
-                and len(cols) == len(entries):
-            lo = np.ascontiguousarray(cols.lo_col(axis))
-            hi = np.ascontiguousarray(cols.hi_col(axis))
+        if cols is not None and len(cols) == len(entries):
+            lo = np.ascontiguousarray(cols.lo[:, axis])
+            hi = np.ascontiguousarray(cols.hi[:, axis])
         else:
             lo = np.array([e.rect.lo[axis] for e in entries],
                           dtype=np.float64)

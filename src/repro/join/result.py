@@ -22,15 +22,22 @@ class JoinResult:
     ``stats`` the per-tree, per-level NA/DA counters gathered during the
     traversal.  ``comparisons`` counts rectangle-pair predicate
     evaluations — a CPU-cost indicator the paper excludes from its model
-    but that the ablation benches report.
+    but that the ablation benches report.  ``engine`` names the engine
+    that ran (``"level-batch"`` or ``"stack"``, see
+    :func:`~repro.join.select_traversal`; ``"pbsm-arena"`` or
+    ``"pbsm-scalar"`` for the partition join) and ``fallback`` why it
+    is not the run the config names (``None`` when it is).
     """
 
     def __init__(self, pairs: list[tuple[int, int]], stats: AccessStats,
-                 comparisons: int = 0, pair_count: int | None = None):
+                 comparisons: int = 0, pair_count: int | None = None, *,
+                 engine: str | None = None, fallback: str | None = None):
         self.pairs = pairs
         self.stats = stats
         self.comparisons = comparisons
         self.pair_count = pair_count if pair_count is not None else len(pairs)
+        self.engine = engine
+        self.fallback = fallback
 
     @property
     def na_total(self) -> int:
@@ -89,8 +96,10 @@ class PartialJoinResult(JoinResult):
                  checkpoint: JoinCheckpoint,
                  reason: BudgetExceeded | Cancelled,
                  remaining_na_estimate: float | None = None,
-                 remaining_da_estimate: float | None = None):
-        super().__init__(pairs, stats, comparisons, pair_count)
+                 remaining_da_estimate: float | None = None, *,
+                 engine: str | None = None, fallback: str | None = None):
+        super().__init__(pairs, stats, comparisons, pair_count,
+                         engine=engine, fallback=fallback)
         self.checkpoint = checkpoint
         self.reason = reason
         self.remaining_na_estimate = remaining_na_estimate

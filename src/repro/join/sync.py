@@ -41,11 +41,10 @@ from ..exec import (CheckpointMismatch, ExecutionGovernor, JoinCheckpoint,
                     predict_join_cost, tree_fingerprint)
 from ..exec.budget import BudgetExceeded, Cancelled
 from ..exec.config import ExecutionConfig
-from ..geometry.columnar import _get_numpy
 from ..reliability import ResilientReader, RetryPolicy
 from ..rtree import Node, RTreeBase
 from ..storage import AccessStats, BufferManager, MeteredReader, PathBuffer
-from .batch import LevelBatchState, supports_level_batch, tree_arena
+from .batch import LevelBatchState, arena_pair, supports_level_batch
 from .plane_sweep import nested_loop_pairs, sweep_pairs, sweep_pairs_batch
 from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
 from .result import R1, R2, JoinResult, PartialJoinResult
@@ -103,30 +102,38 @@ def _admit(governor: ExecutionGovernor | None, tree1, tree2, tracer,
             tracer.admission(join_id, governor.last_admission.as_dict())
 
 
+#: Pair enumerations whose stack-machine kernels read arena slices.
+_COLUMNAR_PAIR_ENUMERATIONS = ("vectorized", "vectorized-sweep")
+
+
 def select_traversal(config: ExecutionConfig, predicate: JoinPredicate,
                      tree1, tree2, resume: bool = False):
-    """Choose the traversal engine — the only place that does.
+    """Choose the traversal engine and its columnar input — the only
+    place that does.
 
-    Returns ``(arenas, fallback)``.  ``arenas`` is the pair of
-    :class:`~repro.geometry.TreeArena` the level-batch engine runs on,
-    or ``None`` when the Fig. 2 stack machine runs.  ``fallback`` is
-    ``None`` when the engine ``config.traversal`` names is the one that
-    runs, else why ``"level-batch"`` was asked for and the stack
-    machine runs instead: a :func:`~repro.join.supports_level_batch`
-    reason, ``"no-arena"`` (a tree has no NumPy arena, or building it
-    failed under fault injection) or ``"resume"`` (checkpoint cursors
-    restore the stack machine's iterators).
+    Returns ``(engine, arenas, fallback)``: the engine that runs
+    (``"level-batch"`` or the Fig. 2 ``"stack"`` machine), the pair of
+    :class:`~repro.geometry.TreeArena` it reads (level-batch always,
+    the stack machine for the ``vectorized`` enumerations; ``None``
+    when it runs over the ``Rect`` objects) and the first reason the
+    run is not the one ``config`` names, or ``None``.  Level-batch
+    gives way to the stack machine for a
+    :func:`~repro.join.supports_level_batch` reason or ``"resume"``
+    (checkpoint cursors restore the stack machine's iterators); a
+    batched kernel, level-batch or a ``vectorized`` enumeration's,
+    gives way to the scalar predicates for an :func:`arena_pair` one.
     """
-    if config.traversal != "level-batch":
-        return None, None
-    reason = "resume" if resume else supports_level_batch(
-        predicate, config.pair_enumeration)
-    if reason is None:
-        arena1, arena2 = tree_arena(tree1), tree_arena(tree2)
-        if arena1 is not None and arena2 is not None:
-            return (arena1, arena2), None
-        reason = "no-arena"
-    return None, reason
+    fallback = None
+    if config.traversal == "level-batch":
+        fallback = "resume" if resume else supports_level_batch(
+            predicate, config.pair_enumeration)
+    batch = config.traversal == "level-batch" and fallback is None
+    arenas = None
+    if batch or config.pair_enumeration in _COLUMNAR_PAIR_ENUMERATIONS:
+        arenas, why = arena_pair(tree1, tree2)
+        fallback = fallback or why
+    engine = "level-batch" if batch and arenas is not None else "stack"
+    return engine, arenas, fallback
 
 
 def traversal_state(config: ExecutionConfig, predicate: JoinPredicate,
@@ -144,19 +151,19 @@ def traversal_state(config: ExecutionConfig, predicate: JoinPredicate,
     join and the parallel workers run either through one code path;
     ``state.engine`` and ``state.fallback`` say which one it is and why.
     """
-    arenas, fallback = select_traversal(config, predicate, tree1, tree2,
-                                        resume)
+    engine, arenas, fallback = select_traversal(config, predicate, tree1,
+                                                tree2, resume)
     common = dict(pinned1=tree1.root_id, pinned2=tree2.root_id,
                   pair_enumeration=config.pair_enumeration,
                   stats=stats, governor=governor,
                   tracer=tracer, join_id=join_id)
-    if arenas is not None:
+    if engine == "level-batch":
         state = LevelBatchState(reader1, reader2, predicate, collect_pairs,
                                 arena1=arenas[0], arena2=arenas[1],
                                 metrics=metrics, **common)
     else:
         state = _TraversalState(reader1, reader2, predicate, collect_pairs,
-                                **common)
+                                arenas=arenas, **common)
     state.fallback = fallback
     return state
 
@@ -209,11 +216,14 @@ def spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         ``"plane-sweep"`` (the BKS93 CPU optimisation: same output,
         fewer comparisons, slightly different read order) and
         ``"vectorized-sweep"`` (its batched equivalent), see
-        ``docs/performance.md`` — and its ``traversal``
-        (``traversal="level-batch"`` advances whole frontiers through
-        the NumPy engine of :mod:`repro.join.batch` with bit-identical
-        NA/DA/pairs/checkpoints; the parallel knobs belong to
-        :func:`~repro.join.parallel_spatial_join`).
+        ``docs/performance.md`` — and its ``traversal`` (the default
+        ``"level-batch"`` advances whole frontiers through the NumPy
+        engine of :mod:`repro.join.batch` with bit-identical
+        NA/DA/pairs/checkpoints, and gives way to the Fig. 2 stack
+        machine where it does not apply; ``"stack"`` asks for that
+        machine outright; the parallel knobs belong to
+        :func:`~repro.join.parallel_spatial_join`).  The result's
+        ``engine``/``fallback`` say what ran.
 
     Everything after ``predicate`` is keyword-only.
     """
@@ -406,7 +416,8 @@ class SpatialJoin:
                 return self._partial(state, exc)
             raise
         result = JoinResult(state.pairs, state.stats, state.comparisons,
-                            pair_count=state.pair_count)
+                            pair_count=state.pair_count,
+                            engine=state.engine, fallback=state.fallback)
         self._observe(state, complete=True)
         return result
 
@@ -475,7 +486,9 @@ class SpatialJoin:
         return PartialJoinResult(state.pairs, state.stats,
                                  state.comparisons, state.pair_count,
                                  checkpoint, exc,
-                                 remaining_na, remaining_da)
+                                 remaining_na, remaining_da,
+                                 engine=state.engine,
+                                 fallback=state.fallback)
 
 
 class _Frame:
@@ -503,8 +516,9 @@ class _TraversalState:
     """Mutable state of one traversal (readers, stack, output, counters)."""
 
     engine = "stack"
-    #: Why ``"level-batch"`` was asked for and this engine runs instead
-    #: (set by :func:`traversal_state`); ``None`` when it was not.
+    #: Why the run is not the one the config names (set by
+    #: :func:`traversal_state`, see :func:`select_traversal`); ``None``
+    #: when it is.
     fallback: str | None = None
 
     def __init__(self, reader1: MeteredReader, reader2: MeteredReader,
@@ -513,8 +527,12 @@ class _TraversalState:
                  pair_enumeration: str = "nested-loop",
                  stats: AccessStats | None = None,
                  governor: ExecutionGovernor | None = None,
-                 tracer=None, join_id: str | None = None):
+                 tracer=None, join_id: str | None = None, arenas=None):
         self.pair_enumeration = pair_enumeration
+        #: The two trees' arenas, whose per-node slices feed the
+        #: ``vectorized`` enumerations' kernels; ``None`` runs them over
+        #: the ``Rect`` objects.
+        self.arenas = arenas
         # Vectorized enumerators apply the predicate inside the kernel,
         # so the step handlers must not re-test the yielded pairs.
         self.pretested = pair_enumeration == "vectorized"
@@ -554,8 +572,13 @@ class _TraversalState:
     def _entry_pairs(self, n1: Node, n2: Node, leaf: bool):
         """The configured pair enumeration over one node pair."""
         enum = self.pair_enumeration
+        cols1 = cols2 = None
+        if self.arenas is not None and n1.entries and n2.entries:
+            cols1 = self.arenas[0].slice(n1.page_id)
+            cols2 = self.arenas[1].slice(n2.page_id)
         if enum == "vectorized":
-            return vectorized_pairs(n1, n2, self.predicate, leaf)
+            return vectorized_pairs(n1, n2, self.predicate, leaf,
+                                    cols1, cols2)
         # The sweep enumerations widen each partner window by the
         # predicate's slack (0 for overlap; d for WithinDistance(d)) so
         # pairs matching at a positive distance are never skipped.
@@ -563,16 +586,8 @@ class _TraversalState:
             return sweep_pairs(n1.entries, n2.entries,
                                slack=self.predicate.sweep_slack())
         if enum == "vectorized-sweep":
-            if _get_numpy() is not None:
-                # Hand the batched sweep the columnar views (arena
-                # slices when installed) so it reads coordinates
-                # without re-extracting them from the Rect objects.
-                return sweep_pairs_batch(
-                    n1.entries, n2.entries,
-                    cols1=n1.columns(), cols2=n2.columns(),
-                    slack=self.predicate.sweep_slack())
             return sweep_pairs_batch(
-                n1.entries, n2.entries,
+                n1.entries, n2.entries, cols1=cols1, cols2=cols2,
                 slack=self.predicate.sweep_slack())
         return nested_loop_pairs(n1.entries, n2.entries)
 

@@ -4,17 +4,19 @@ The SJ traversal of Figure 2 spends its CPU time testing the
 ``|n1| x |n2|`` entry pairs of every visited node pair.  The
 :func:`vectorized_pairs` enumerator evaluates that block against the
 join predicate in one batched kernel over the nodes' columnar MBR
-views (:meth:`repro.rtree.Node.columns`) and yields **only the
-qualifying pairs, already tested** — the traversal skips its per-pair
-predicate call entirely.
+views (their :meth:`repro.geometry.TreeArena.slice`) and yields **only
+the qualifying pairs, already tested** — the traversal skips its
+per-pair predicate call entirely.  Without the views (no NumPy, or a
+tree with no arena) the same block is tested scalar-side: same yields,
+same order, same accounting.
 
 Equivalence guarantees (property-tested in
 ``tests/test_property_vectorized.py``):
 
 * the qualifying-pair *set* equals the nested-loop reference exactly,
-  on both backends — the kernels vectorize only IEEE-exact comparisons
-  and confirm anything else (the within-distance Euclidean norm)
-  scalar-side;
+  with and without the kernels — they vectorize only IEEE-exact
+  comparisons and confirm anything else (the within-distance Euclidean
+  norm) scalar-side;
 * pairs are emitted in the paper's outer-R2/inner-R1 order, so the
   child ``ReadPage`` sequence — and therefore NA and DA under any
   buffer — is bit-identical to ``pair_enumeration="nested-loop"``.
@@ -41,21 +43,25 @@ __all__ = ["vectorized_pairs"]
 
 def vectorized_pairs(node1: "Node", node2: "Node",
                      predicate: JoinPredicate, leaf: bool,
+                     cols1=None, cols2=None,
                      ) -> Iterator[tuple[Entry, Entry, int]]:
     """Qualifying entry pairs of two nodes, batch-evaluated.
 
     Yields ``(e1, e2, comparisons)`` triples in outer-R2/inner-R1 order
     for exactly the pairs satisfying ``predicate.leaf_test`` (with
     ``leaf=True``) or ``predicate.node_test`` — the caller must *not*
-    re-test them.  Predicates without a batched kernel
-    (:meth:`~repro.join.JoinPredicate.block_pairs` returning ``None``)
-    are applied scalar-side over the full block, preserving the
-    pretested contract for custom predicates.
+    re-test them.  ``cols1``/``cols2`` are the nodes' columnar views
+    (:meth:`repro.geometry.TreeArena.slice`).  Without them, and for
+    predicates without a batched kernel
+    (:meth:`~repro.join.JoinPredicate.block_pairs` returning ``None``),
+    the predicate is applied scalar-side over the full block,
+    preserving the pretested contract.
     """
     entries1, entries2 = node1.entries, node2.entries
     if not entries1 or not entries2:
         return
-    block = predicate.block_pairs(node1.columns(), node2.columns())
+    block = (None if cols1 is None
+             else predicate.block_pairs(cols1, cols2))
     if block is None:
         n1 = len(entries1)
         candidates = ((i, j) for j in range(len(entries2))

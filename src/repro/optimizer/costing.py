@@ -27,7 +27,6 @@ from typing import Iterable
 
 from ..costmodel import range_query_na
 from ..estimator import EstimateRequest, Estimator, estimate_batch
-from ..exec.config import TRAVERSALS
 from .catalog import CatalogEntry
 from .plans import (IndexNestedLoopPlan, IndexScanPlan, PBSMJoinPlan,
                     Plan, SpatialJoinPlan)
@@ -39,23 +38,12 @@ METRICS = ("na", "da")
 
 
 def make_spatial_join(data: IndexScanPlan, query: IndexScanPlan,
-                      metric: str = "da",
-                      traversal: str = "stack") -> SpatialJoinPlan:
-    """Price an SJ plan with an explicit role assignment.
-
-    ``traversal`` (one of :data:`~repro.exec.TRAVERSALS`) is carried on
-    the plan for the executor; it does not change the priced I/O — the
-    level-batch engine issues the identical ``ReadPage`` sequence, so
-    Eq. 7/10 apply to both engines unchanged.
-    """
+                      metric: str = "da") -> SpatialJoinPlan:
+    """Price an SJ plan with an explicit role assignment."""
     _check_metric(metric)
-    if traversal not in TRAVERSALS:
-        raise ValueError(
-            f"traversal must be one of {TRAVERSALS}, got {traversal!r}")
     est = Estimator(data.entry.params, query.entry.params)
     cost = est.da() if metric == "da" else est.na()
-    return SpatialJoinPlan(data, query, cost, est.selectivity(),
-                           traversal=traversal)
+    return SpatialJoinPlan(data, query, cost, est.selectivity())
 
 
 def make_spatial_joins_batch(pairs: Iterable[tuple[IndexScanPlan,

@@ -134,11 +134,6 @@ def _execute(plan: Plan, indexes: dict[str, RTreeBase],
     if isinstance(plan, IndexScanPlan):
         return _execute_scan(plan, indexes)
     if isinstance(plan, SpatialJoinPlan):
-        if plan.traversal != "stack" and config.traversal == "stack":
-            # A plan-level engine choice (make_spatial_join(traversal=...))
-            # rides into the operator unless the caller's config already
-            # picked one explicitly.
-            config = config.with_options(traversal=plan.traversal)
         return _execute_join(plan, indexes, stats, governor,
                              config, tracer, metrics)
     if isinstance(plan, PBSMJoinPlan):

@@ -74,21 +74,16 @@ class IndexScanPlan(Plan):
 class SpatialJoinPlan(Plan):
     """SJ between two indexed relations; ``data`` is R1, ``query`` R2.
 
-    ``traversal`` selects the execution engine (one of
-    :data:`~repro.exec.TRAVERSALS`): ``"level-batch"`` performs the
-    identical page reads frontier-at-a-time through NumPy kernels, so
-    the I/O *cost* of the plan is unchanged — the knob prices the same
-    and only changes CPU time (see docs/performance.md for when to
-    prefer it).
+    The plan prices page reads; which traversal engine issues them is
+    the executor's ``ExecutionConfig`` (both engines issue the identical
+    ``ReadPage`` sequence, so Eq. 7/10 apply to either).
     """
 
     def __init__(self, data: IndexScanPlan, query: IndexScanPlan,
-                 cost: float, out_cardinality: float,
-                 traversal: str = "stack"):
+                 cost: float, out_cardinality: float):
         self.data = data
         self.query = query
         self.cost = cost
-        self.traversal = traversal
         self.out_cardinality = out_cardinality
         # A qualifying pair's MBR spans both tuples; under overlap the
         # combined extent is bounded by (and close to) the extent sum.
@@ -102,10 +97,8 @@ class SpatialJoinPlan(Plan):
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
         inner = " " * (indent + 2)
-        engine = "" if self.traversal == "stack" \
-            else f", traversal={self.traversal}"
         return (f"{pad}SpatialJoin(cost={self.cost:.0f}, "
-                f"out~{self.out_cardinality:.0f}{engine})\n"
+                f"out~{self.out_cardinality:.0f})\n"
                 f"{inner}data  (R1): {self.data.describe().strip()}\n"
                 f"{inner}query (R2): {self.query.describe().strip()}")
 

@@ -2,8 +2,8 @@
 
 A parallel-join worker process does not need a mutable R-tree — it
 needs exactly what the synchronized traversal touches: a pager that
-answers ``read(page_id)``, the pinned root, and per-node columnar
-views for the vectorized kernels.  :class:`ArenaTreeView` provides
+answers ``read(page_id)``, the pinned root, and the arena the batched
+kernels read.  :class:`ArenaTreeView` provides
 that over a :class:`~repro.geometry.TreeArena`, materializing ``Node``
 objects lazily (only the pages a bucket actually visits) from the
 arena's raw float64 coordinates — which rebuild ``Rect``/``Entry``
@@ -44,10 +44,7 @@ class _ArenaPager:
     """Materializing pager: ``read(page_id)`` -> cached ``Node``.
 
     Nodes are built once and cached so repeated reads return the same
-    object — the path buffer relies on stable identity — and each gets
-    its arena slice installed as the columnar view, so the vectorized
-    kernels read the shared block directly instead of rebuilding
-    per-node copies.
+    object — the path buffer relies on stable identity.
     """
 
     __slots__ = ("_arena", "_nodes")
@@ -63,8 +60,6 @@ class _ArenaPager:
             entries = [Entry(_rebuild_rect(lo, hi), ref)
                        for lo, hi, ref in rows]
             node = Node(page_id, level, entries)
-            if entries:
-                node.install_columns(self._arena.slice(page_id))
             self._nodes[page_id] = node
         return node
 
@@ -74,12 +69,16 @@ class ArenaTreeView:
 
     def __init__(self, arena: TreeArena, root_id: int, height: int,
                  ndim: int, size: int):
-        self.arena = arena
+        self._arena = arena
         self.pager = _ArenaPager(arena)
         self.root_id = root_id
         self.height = height
         self.ndim = ndim
         self.size = size
+
+    def arena(self) -> TreeArena:
+        """The attached arena (same accessor as ``RTreeBase.arena``)."""
+        return self._arena
 
     def node(self, page_id: int) -> Node:
         return self.pager.read(page_id)

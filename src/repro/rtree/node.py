@@ -5,18 +5,16 @@ follow the paper's numbering: leaves are level 1 and the root is level
 ``h`` (Section 2.2: "the root is assumed to be at level j=h, and the
 leaf-nodes at level j=1").
 
-Each node also carries a lazily-built **columnar view** of its entry
-MBRs (:meth:`Node.columns`): flat lower/upper coordinate arrays that
-the vectorized join enumerators evaluate block-at-a-time instead of
-per-``Rect``.  The view is a cache: the entry list is wrapped in a
-version-counting list so any mutation — ``append``, ``del``, slice or
-index assignment, rebinding ``node.entries`` — invalidates it without
-the tree-maintenance code having to know the cache exists.
+The entry list is wrapped in a version-counting list, so the tree can
+tell that its columnar arena (:meth:`repro.rtree.RTreeBase.arena`) went
+stale after any mutation — ``append``, ``del``, slice or index
+assignment, rebinding ``node.entries`` — without the tree-maintenance
+code having to know the arena exists.
 """
 
 from __future__ import annotations
 
-from ..geometry import ColumnarMBRs, Rect
+from ..geometry import Rect
 from .entry import Entry
 
 __all__ = ["Node", "LEAF_LEVEL"]
@@ -29,8 +27,8 @@ class _EntryList(list):
     """A list of entries that counts its mutations.
 
     ``version`` increments on every in-place change, letting
-    :meth:`Node.columns` validate its cached columnar view with one
-    integer comparison instead of rebuilding per call.
+    :meth:`repro.rtree.RTreeBase.arena` validate its snapshot of this
+    node with one integer comparison.
     """
 
     __slots__ = ("version",)
@@ -91,8 +89,7 @@ class _EntryList(list):
 class Node:
     """One R-tree node (page): a level and a list of entries."""
 
-    __slots__ = ("page_id", "level", "_entries", "_columns",
-                 "_columns_version")
+    __slots__ = ("page_id", "level", "_entries")
 
     def __init__(self, page_id: int, level: int,
                  entries: list[Entry] | None = None):
@@ -104,14 +101,12 @@ class Node:
 
     @property
     def entries(self) -> list[Entry]:
-        """The entry list (mutations are tracked for the column cache)."""
+        """The entry list (mutations are counted, see ``_EntryList``)."""
         return self._entries
 
     @entries.setter
     def entries(self, value) -> None:
         self._entries = _EntryList(value)
-        self._columns = None
-        self._columns_version = -1
 
     @property
     def is_leaf(self) -> bool:
@@ -126,37 +121,6 @@ class Node:
         if not self._entries:
             raise ValueError(f"node {self.page_id} is empty")
         return Rect.bounding(e.rect for e in self._entries)
-
-    def columns(self) -> ColumnarMBRs:
-        """Columnar (struct-of-arrays) view of the entry MBRs, cached.
-
-        Built on first use and reused until the entry list changes (or
-        the ``REPRO_PURE_PYTHON`` backend switch flips).  Raises
-        :class:`ValueError` on an empty node, like :meth:`mbr`.
-        """
-        entries = self._entries
-        cols = self._columns
-        if (cols is None or self._columns_version != entries.version
-                or len(cols) != len(entries) or not cols.current()):
-            cols = ColumnarMBRs.from_rects([e.rect for e in entries])
-            self._columns = cols
-            self._columns_version = entries.version
-        return cols
-
-    def install_columns(self, cols: ColumnarMBRs) -> None:
-        """Adopt an externally built columnar view (an arena slice).
-
-        Validated against the current entry-list length and stamped
-        with the current mutation version, so :meth:`columns` serves it
-        until the entries change — after which the node transparently
-        falls back to a private rebuild, exactly as for its own cache.
-        """
-        if len(cols) != len(self._entries):
-            raise ValueError(
-                f"columnar view holds {len(cols)} entries, node "
-                f"{self.page_id} holds {len(self._entries)}")
-        self._columns = cols
-        self._columns_version = self._entries.version
 
     def entry_for_child(self, child_id: int) -> int:
         """Index of the entry referencing a given child page id."""
@@ -174,9 +138,6 @@ class Node:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # Pickled nodes (shipped to parallel-join worker processes) travel
-    # without their columnar cache: workers rebuild it on first use,
-    # under their own backend environment.
     def __getstate__(self) -> dict:
         return {"page_id": self.page_id, "level": self.level,
                 "entries": list(self._entries)}

@@ -307,39 +307,28 @@ class RTreeBase:
 
     # -- columnar arena -------------------------------------------------------------
 
-    def arena(self, rebuild: bool = False) -> TreeArena:
+    def arena(self) -> TreeArena:
         """The tree-wide columnar arena, built once and cached.
 
         Building snapshots every node's entry MBRs into one contiguous
-        block (see :class:`~repro.geometry.TreeArena`) and installs the
-        per-node slices as the nodes' columnar views, so the vectorized
-        kernels read the arena directly.  The cache is invalidated by
-        the tree's own mutation counter *and* by the mutation-counting
-        entry lists: any ``insert``/``delete``, and any direct entry
-        mutation a test may perform, forces a rebuild on next call.
-        A node mutated *after* a build stays correct regardless —
-        :meth:`~repro.rtree.Node.columns` detects the stale version and
-        rebuilds its own private view.
+        NumPy block (see :class:`~repro.geometry.TreeArena`), the only
+        columnar copy of the tree, which the batched kernels read in
+        place.  The cache is invalidated by the tree's own mutation
+        counter *and* by the mutation-counting entry lists: any
+        ``insert``/``delete``, and any direct entry mutation a test may
+        perform, forces a rebuild on next call.  Raises
+        :class:`RuntimeError` without NumPy; join code asks
+        :func:`repro.join.tree_arena`, which answers ``None`` instead.
         """
-        if not rebuild and self._arena is not None \
-                and self._arena_current():
+        if self._arena is not None and self._arena_current():
             return self._arena
         arena = TreeArena.build(self.nodes(), self.ndim)
-        snapshot: dict[int, tuple] = {}
-        for node in self.nodes():
-            snapshot[node.page_id] = (node.entries,
-                                      node.entries.version)
-            if node.entries:
-                node.install_columns(arena.slice(node.page_id))
         self._arena = arena
-        self._arena_snapshot = snapshot
+        self._arena_snapshot = {
+            node.page_id: (node.entries, node.entries.version)
+            for node in self.nodes()}
         self._arena_mutations = self._mutations
         return arena
-
-    def drop_arena(self) -> None:
-        """Forget the cached arena (the next :meth:`arena` rebuilds)."""
-        self._arena = None
-        self._arena_snapshot = None
 
     def _arena_current(self) -> bool:
         """Is the cached arena still a faithful snapshot of the tree?

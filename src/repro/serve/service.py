@@ -49,7 +49,8 @@ from typing import Any
 from ..exec import (Budget, CancellationToken, ExecutionGovernor,
                     JoinCheckpoint, tree_params)
 from ..io import load_tree
-from ..join import PartialJoinResult, SpatialJoin, parallel_spatial_join
+from ..join import (PartialJoinResult, SpatialJoin, parallel_spatial_join,
+                    tree_arena)
 from ..obs import MetricsRegistry
 from ..reliability import ReproError
 from ..storage import AccessStats, LRUBuffer, NoBuffer, PathBuffer
@@ -320,12 +321,11 @@ class JoinService:
             params = tree_params(tree)
         except ValueError:
             params = None            # empty tree: unpriceable, servable
-        arena_builder = getattr(tree, "arena", None)
-        if callable(arena_builder):
-            # Build the whole-tree columnar arena once, at registration:
-            # every later parallel join exports it straight to shared
-            # memory instead of paying the build on the request path.
-            arena_builder()
+        # Build the whole-tree columnar arena once, at registration:
+        # every later join reads it (and a parallel one exports it
+        # straight to shared memory) instead of paying the build on the
+        # request path.
+        tree_arena(tree)
         path = None
         if self.durable is not None:
             if source_path is not None:
@@ -930,8 +930,12 @@ class JoinService:
             doc["pairs"] = [list(p) for p in result.pairs]
         # Degradation is part of the contract, not a hidden fallback:
         # the field is always present (None = ran as requested) and the
-        # generic counter aggregates the per-reason ones.
+        # generic counter aggregates the per-reason ones.  So is the
+        # engine: it is chosen, not requested, and ``fallback`` says
+        # why it is not the one the request's config names.
         doc["degraded"] = degraded
+        doc["engine"] = result.engine
+        doc["fallback"] = result.fallback
         if degraded is not None:
             self.metrics.counter("serve.degraded").inc()
         if isinstance(result, PartialJoinResult):

@@ -2,25 +2,28 @@
 
 The arena is a pure transport/layout change, so every observable of a
 join must be unchanged by it: pairs, NA, DA, checkpoint bytes — whether
-the kernels read node caches, arena slices, an attached
-:class:`ArenaTreeView`, or shared-memory worker processes.  The second
-half of the file pins the ``/dev/shm`` hygiene guarantees: no segment
-survives a join, a failed join, or a closed lease.
+the kernels read arena slices, an attached :class:`ArenaTreeView`, or
+shared-memory worker processes, or no arena at all.  The second half of
+the file pins the ``/dev/shm`` hygiene guarantees: no segment survives
+a join, a failed join, a failed export, or a closed lease.
 """
 
 import random
 
 import pytest
 
+from repro.estimator import have_numpy
 from repro.exec import Budget, ExecutionConfig, ExecutionGovernor
 from repro.exec.checkpoint import _canonical
 from repro.geometry import Rect
 from repro.join import (PartialJoinResult, SpatialJoin,
                         parallel_spatial_join, spatial_join)
+from repro.obs import MemorySink, Tracer
 from repro.rtree import RStarTree, share_tree
 from repro.rtree.arena_view import ArenaTreeView
 
 from .conftest import arena_segments as _segments
+from .conftest import needs_numpy
 
 
 def _tree(n: int, seed: int, side: float = 0.04) -> RStarTree:
@@ -38,20 +41,21 @@ def trees():
 
 
 def test_arena_backed_kernels_match_nested_loop(trees):
+    """The stack machine's kernels over arena slices against Fig. 2."""
     t1, t2 = trees
-    baseline = spatial_join(
-        t1, t2, config=ExecutionConfig(pair_enumeration="nested-loop"))
-    t1.arena()
-    t2.arena()
+    fig2 = ExecutionConfig(traversal="stack", pair_enumeration="nested-loop")
+    baseline = spatial_join(t1, t2, config=fig2)
     for enum in ("vectorized", "vectorized-sweep"):
         got = spatial_join(
-            t1, t2, config=ExecutionConfig(pair_enumeration=enum))
+            t1, t2, config=fig2.with_options(pair_enumeration=enum))
+        assert got.fallback == (None if have_numpy() else "pure-python")
         assert sorted(got.pairs) == sorted(baseline.pairs)
         assert got.na_total == baseline.na_total
         if enum == "vectorized":         # sweeps shift buffer hits
             assert got.da_total == baseline.da_total
 
 
+@needs_numpy
 def test_arena_view_join_equals_tree_join(trees):
     t1, t2 = trees
     want = spatial_join(t1, t2)
@@ -72,18 +76,43 @@ def test_arena_view_join_equals_tree_join(trees):
     assert _segments() == []
 
 
-@pytest.mark.parametrize("shared_memory", [True, False])
-def test_process_join_matches_serial(trees, shared_memory):
+@pytest.mark.parametrize("export_works", [True, False])
+def test_process_join_matches_serial(trees, export_works, monkeypatch):
+    """Over exported arenas, and over pickled trees when the export
+    raises ``OSError`` (a full ``/dev/shm``): same join, transport
+    recorded, no segment left either way."""
     t1, t2 = trees
     cfg = ExecutionConfig(workers=2, pair_enumeration="vectorized")
     serial = parallel_spatial_join(t1, t2, config=cfg)
+    if not export_works:
+        from multiprocessing import shared_memory
+        real, exported = shared_memory.SharedMemory, []
+
+        def full(*args, **kwargs):
+            # The first segment is created (and must be unlinked again),
+            # the second hits the full device.
+            if exported:
+                raise OSError(28, "No space left on device")
+            exported.append(real(*args, **kwargs))
+            return exported[0]
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", full)
+    sink = MemorySink()
     procs = parallel_spatial_join(
-        t1, t2, config=cfg.with_options(mode="processes",
-                                        shared_memory=shared_memory))
+        t1, t2, config=cfg.with_options(mode="processes"),
+        tracer=Tracer(sink))
     assert sorted(procs.pairs) == sorted(serial.pairs)
     assert [s.as_dict() for s in procs.worker_stats] == \
         [s.as_dict() for s in serial.worker_stats]
     assert _segments() == []
+    start, = [r for r in sink.records if r["event"] == "join_start"]
+    if not have_numpy():
+        want = ("pickle", "pure-python")
+    elif export_works:
+        want = ("shared-memory", None)
+    else:
+        want = ("pickle", "export-failed")
+    assert (start["transport"], start["transport_fallback"]) == want
 
 
 def test_process_join_cleans_segments_on_failure(trees):
@@ -97,6 +126,7 @@ def test_process_join_cleans_segments_on_failure(trees):
     assert _segments() == []
 
 
+@needs_numpy
 def test_closed_lease_is_idempotent_and_unlinks(trees):
     t1, _ = trees
     handle, lease = share_tree(t1)
@@ -111,18 +141,21 @@ def test_closed_lease_is_idempotent_and_unlinks(trees):
 def test_checkpoint_bytes_identical_on_arena_backed_trees(trees):
     t1, t2 = trees
 
-    def first_checkpoint():
+    def first_checkpoint(config):
         gov = ExecutionGovernor(Budget(max_na=40), partial=True)
-        result = SpatialJoin(t1, t2, governor=gov).run()
+        result = SpatialJoin(t1, t2, governor=gov, config=config).run()
         assert isinstance(result, PartialJoinResult)
         return _canonical(result.checkpoint.to_dict())
 
-    plain = first_checkpoint()
-    t1.arena()
-    t2.arena()
-    assert first_checkpoint() == plain
+    # Fig. 2 before any arena exists, the default (which builds and
+    # reads them), Fig. 2 again now that they are cached.
+    fig2 = ExecutionConfig(traversal="stack")
+    plain = first_checkpoint(fig2)
+    assert first_checkpoint(ExecutionConfig()) == plain
+    assert first_checkpoint(fig2) == plain
 
 
+@needs_numpy
 def test_pickled_tree_sheds_arena_state(trees):
     import pickle
     t1, _ = trees

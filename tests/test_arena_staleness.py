@@ -20,13 +20,16 @@ import pytest
 
 from repro.exec import ExecutionConfig
 from repro.geometry import Rect
-from repro.join import spatial_join, supports_level_batch
-from repro.join.predicates import Overlap
+from repro.join import spatial_join
 from repro.rtree import RStarTree, hilbert_pack, str_pack
 from repro.rtree.node import Entry
 
+from .conftest import needs_numpy
+
+pytestmark = needs_numpy
+
 BATCH = ExecutionConfig(traversal="level-batch")
-STACK = ExecutionConfig()
+STACK = ExecutionConfig(traversal="stack")
 
 
 def _rect(rng: random.Random, side: float = 0.05) -> Rect:
@@ -58,8 +61,8 @@ def _arena_matches_tree(tree) -> bool:
         if len(cols) != len(node.entries):
             return False
         for k in range(tree.ndim):
-            lo = [float(v) for v in cols.lo_col(k)]
-            hi = [float(v) for v in cols.hi_col(k)]
+            lo = cols.lo[:, k].tolist()
+            hi = cols.hi[:, k].tolist()
             for i, entry in enumerate(node.entries):
                 if lo[i] != entry.rect.lo[k] or hi[i] != entry.rect.hi[k]:
                     return False
@@ -68,10 +71,9 @@ def _arena_matches_tree(tree) -> bool:
 
 def _batch_equals_stack(t1, t2) -> None:
     """Behavioral check: a stale arena would break this equality."""
-    if supports_level_batch(Overlap(), "nested-loop") is not None:
-        return                           # pure python: batch falls back
     batch = spatial_join(t1, t2, config=BATCH)
     stack = spatial_join(t1, t2, config=STACK)
+    assert (batch.engine, stack.engine) == ("level-batch", "stack")
     assert batch.pairs == stack.pairs
     assert batch.na_total == stack.na_total
     assert batch.da_total == stack.da_total
@@ -86,15 +88,6 @@ def test_unmutated_tree_reuses_cached_arena():
     assert tree.arena() is first
     tree.range_query(Rect((0.1, 0.1), (0.4, 0.4)))    # reads don't count
     assert tree.arena() is first
-    assert tree.arena(rebuild=True) is not first      # explicit rebuild
-
-
-def test_drop_arena_forces_rebuild():
-    tree = _tree(60, seed=2)
-    first = tree.arena()
-    tree.drop_arena()
-    assert tree.arena() is not first
-    assert _arena_matches_tree(tree)
 
 
 # -- insert / delete ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.estimator import have_numpy
 
 
 def run(capsys, *argv):
@@ -82,6 +83,9 @@ class TestBuildJoinEstimate:
         assert "result pairs:" in out
         assert "node accesses NA:" in out
         assert "analytical:" in out
+        # No engine flags: the fast engine runs, or the join says why not.
+        assert ("engine=level-batch" if have_numpy()
+                else "engine=stack (fallback=pure-python)") in out
 
     def test_join_buffer_specs(self, two_trees, capsys):
         for spec in ("none", "path", "lru:16"):
@@ -96,11 +100,11 @@ class TestBuildJoinEstimate:
                     if line.startswith(("result pairs:",
                                         "node accesses NA:",
                                         "disk accesses DA:"))]
-        code, out, _err = run(capsys, "join", str(two_trees[0]),
-                              str(two_trees[1]))
+        code, out, _err = run(capsys, "join", "--traversal", "stack",
+                              str(two_trees[0]), str(two_trees[1]))
         assert code == 0
-        code, batch_out, _err = run(capsys, "join", "--traversal",
-                                    "level-batch", str(two_trees[0]),
+        assert "engine=stack\n" in out
+        code, batch_out, _err = run(capsys, "join", str(two_trees[0]),
                                     str(two_trees[1]))
         assert code == 0
         assert counters(batch_out) == counters(out)
@@ -109,6 +113,9 @@ class TestBuildJoinEstimate:
         with pytest.raises(SystemExit):     # argparse choices
             run(capsys, "join", str(two_trees[0]), str(two_trees[1]),
                 "--traversal", "magic")
+        with pytest.raises(SystemExit):     # transport is not a flag
+            run(capsys, "join", str(two_trees[0]), str(two_trees[1]),
+                "--workers", "2", "--no-shared-memory")
 
     def test_join_pbsm_strategy_matches_sync(self, two_trees, capsys):
         def counters(text):

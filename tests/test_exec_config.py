@@ -40,7 +40,9 @@ class TestExecutionConfig:
         assert config.assignment == "greedy"
         assert config.on_worker_crash == "raise"
         assert config.worker_timeout == DEFAULT_WORKER_TIMEOUT
-        assert config.shared_memory is True
+        assert config.traversal == "level-batch"
+        assert config.strategy == "sync"
+        assert len(config.as_dict()) == 8        # and nothing else
 
     @pytest.mark.parametrize("kw, message", [
         ({"mode": "fibers"}, "mode must be one of"),
@@ -144,10 +146,10 @@ class TestServeConfigExecution:
 
     def test_as_dict_embeds_execution_and_round_trips(self):
         config = ServeConfig(execution=ExecutionConfig(
-            workers=4, shared_memory=False))
+            workers=4, traversal="stack"))
         doc = config.as_dict()
         assert doc["execution"]["workers"] == 4
-        assert doc["execution"]["shared_memory"] is False
+        assert doc["execution"]["traversal"] == "stack"
         rebuilt = ServeConfig(**doc)
         assert rebuilt == config
 

@@ -5,8 +5,7 @@ this file pins the *plumbing*: which configurations actually dispatch
 to :class:`~repro.join.LevelBatchState`, which fall back to the stack
 machine (the flag must never make a join illegal) and under which
 recorded reason, how the observability hooks surface the batch engine,
-and how the optimizer carries the traversal choice from a priced plan
-into execution.
+and that a priced plan executes on the engine the config names.
 """
 
 import pytest
@@ -26,13 +25,11 @@ from repro.optimizer import (Catalog, IndexScanPlan, execute_plan,
 from repro.rtree import share_tree
 from repro.storage import AccessStats
 
-from .conftest import build_rstar, make_items
+from .conftest import build_rstar, make_items, needs_numpy
 from .test_property_vectorized import force_backend
 
-needs_numpy = pytest.mark.skipif(not have_numpy(),
-                                 reason="requires the NumPy backend")
-
 BATCH = ExecutionConfig(traversal="level-batch")
+STACK = ExecutionConfig(traversal="stack")
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +63,24 @@ class TestSelection:
     def test_level_batch_config_selects_batch_engine(self, trees):
         assert isinstance(_state(*trees), LevelBatchState)
 
-    def test_default_config_selects_stack(self, trees):
-        assert isinstance(_state(*trees, config=ExecutionConfig()),
-                          _TraversalState)
+    def test_default_config_selects_batch_engine(self, trees):
+        """``ExecutionConfig()`` runs level-batch with NumPy, and says
+        why it could not without."""
+        state = _state(*trees, config=ExecutionConfig())
+        result = spatial_join(*trees, config=ExecutionConfig())
+        if have_numpy():
+            assert isinstance(state, LevelBatchState)
+            want = ("level-batch", None)
+        else:
+            assert isinstance(state, _TraversalState)
+            want = ("stack", "pure-python")
+        assert (state.engine, state.fallback) == want
+        assert (result.engine, result.fallback) == want
+
+    def test_stack_config_selects_stack(self, trees):
+        state = _state(*trees, config=STACK)
+        assert isinstance(state, _TraversalState)
+        assert (state.engine, state.fallback) == ("stack", None)
 
     @needs_numpy
     def test_arena_view_selects_batch_engine(self, trees):
@@ -144,8 +156,7 @@ class TestFallback:
 
     @needs_numpy
     def test_the_engine_asked_for_is_not_a_fallback(self, trees):
-        for config, engine in ((BATCH, "level-batch"),
-                               (ExecutionConfig(), "stack")):
+        for config, engine in ((BATCH, "level-batch"), (STACK, "stack")):
             start, counters = _recorded(*trees, config=config)
             assert (start["engine"], start["fallback"]) == (engine, None)
             assert not [c for c in counters
@@ -206,43 +217,23 @@ class TestOptimizerPassThrough:
             catalog.register_dataset(n, ds)
         return trees, catalog
 
-    def test_plan_carries_and_describes_traversal(self, world):
-        _trees, catalog = world
-        scans = (IndexScanPlan(catalog.get("a")),
-                 IndexScanPlan(catalog.get("b")))
-        stack = make_spatial_join(*scans)
-        batch = make_spatial_join(*scans, traversal="level-batch")
-        assert stack.traversal == "stack"
-        assert batch.traversal == "level-batch"
-        assert "traversal=level-batch" in batch.describe()
-        assert "traversal=" not in stack.describe()
-        # The knob never changes the priced I/O.
-        assert batch.cost == stack.cost
-
-    def test_make_spatial_join_rejects_bad_traversal(self, world):
-        _trees, catalog = world
-        with pytest.raises(ValueError, match="traversal"):
-            make_spatial_join(IndexScanPlan(catalog.get("a")),
-                              IndexScanPlan(catalog.get("b")),
-                              traversal="magic")
-
     def test_executed_plan_counters_identical(self, world):
+        """The plan prices I/O; the config alone names the engine."""
         trees, catalog = world
-        scans = (IndexScanPlan(catalog.get("a")),
-                 IndexScanPlan(catalog.get("b")))
-        stack = execute_plan(make_spatial_join(*scans), trees)
-        batch = execute_plan(
-            make_spatial_join(*scans, traversal="level-batch"), trees)
+        plan = make_spatial_join(IndexScanPlan(catalog.get("a")),
+                                 IndexScanPlan(catalog.get("b")))
+        assert not hasattr(plan, "traversal")
+        assert "traversal" not in plan.describe()
+        runs = {}
+        for config in (STACK, BATCH):
+            sink = MemorySink()
+            runs[config.traversal] = execute_plan(
+                plan, trees, config=config, tracer=Tracer(sink))
+            start, = [r for r in sink.records
+                      if r["event"] == "join_start"]
+            assert start["engine"] == (
+                config.traversal if have_numpy() else "stack")
+        stack, batch = runs["stack"], runs["level-batch"]
         assert batch.key_set() == stack.key_set()
         assert batch.na_total == stack.na_total
         assert batch.da_total == stack.da_total
-
-    def test_explicit_config_wins_over_plan(self, world):
-        trees, catalog = world
-        plan = make_spatial_join(IndexScanPlan(catalog.get("a")),
-                                 IndexScanPlan(catalog.get("b")),
-                                 traversal="level-batch")
-        want = execute_plan(plan, trees)
-        got = execute_plan(plan, trees, config=ExecutionConfig())
-        assert got.na_total == want.na_total
-        assert got.key_set() == want.key_set()

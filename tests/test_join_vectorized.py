@@ -1,19 +1,18 @@
-"""Columnar MBR views and the vectorized pair enumerators.
+"""Columnar MBR kernels and the vectorized pair enumerators.
 
 The contract under test is the one ``docs/performance.md`` documents:
 ``pair_enumeration="vectorized"`` must produce the *identical* pair
 list, NA, and DA as the paper's nested loops — the batching is a pure
-CPU optimisation, invisible to the I/O model — on the NumPy backend and
-the pure-Python fallback alike.
+CPU optimisation, invisible to the I/O model — whether the kernels read
+arena slices or, with no arena (no NumPy), the same block is tested
+scalar-side.
 """
-
-import pickle
 
 import pytest
 
 from repro.estimator.backend import have_numpy
 from repro.exec import Budget, ExecutionGovernor
-from repro.geometry import (ColumnarMBRs, Rect, distance_candidate_pairs,
+from repro.geometry import (Rect, TreeArena, distance_candidate_pairs,
                             overlap_pairs)
 from repro.join import (OVERLAP, SpatialJoin, WithinDistance, naive_join,
                         spatial_join, vectorized_pairs)
@@ -21,7 +20,8 @@ from repro.join.predicates import JoinPredicate
 from repro.rtree import Entry, Node
 from repro.storage import PathBuffer
 
-from .conftest import NESTED_LOOP, VECTORIZED, build_rstar, make_items
+from .conftest import (NESTED_LOOP, VECTORIZED, build_rstar, make_items,
+                       needs_numpy)
 
 
 def node_of(rects, page_id=0, level=1):
@@ -29,37 +29,15 @@ def node_of(rects, page_id=0, level=1):
                 [Entry(r, i) for i, r in enumerate(rects)])
 
 
-class TestColumnarMBRs:
-    def test_from_rects_round_trips_coordinates(self):
-        rects = [r for r, _o in make_items(25, seed=1)]
-        cols = ColumnarMBRs.from_rects(rects)
-        assert len(cols) == 25
-        assert cols.ndim == 2
-        for k in range(2):
-            assert list(cols.lo_col(k)) == [r.lo[k] for r in rects]
-            assert list(cols.hi_col(k)) == [r.hi[k] for r in rects]
-
-    def test_backend_reporting(self, monkeypatch):
-        rects = [Rect((0.0, 0.0), (1.0, 1.0))]
-        cols = ColumnarMBRs.from_rects(rects)
-        expected = "numpy" if have_numpy() else "python"
-        assert cols.backend == expected
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        assert ColumnarMBRs.from_rects(rects).backend == "python"
-
-    def test_current_tracks_backend_switch(self, monkeypatch):
-        if not have_numpy():
-            pytest.skip("needs the numpy backend to flip away from")
-        cols = ColumnarMBRs.from_rects([Rect((0.0, 0.0), (1.0, 1.0))])
-        assert cols.current()
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        assert not cols.current()
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            ColumnarMBRs.from_rects([])
+def slices_of(*rect_lists):
+    """One arena slice per rectangle list — what the kernels read."""
+    nodes = [node_of(rects, page_id=i)
+             for i, rects in enumerate(rect_lists)]
+    arena = TreeArena.build(nodes, 2)
+    return [arena.slice(node.page_id) for node in nodes]
 
 
+@needs_numpy
 class TestOverlapPairs:
     def brute(self, r1, r2):
         return [(i, j) for j, b in enumerate(r2)
@@ -69,9 +47,7 @@ class TestOverlapPairs:
     def test_matches_brute_force_in_j_major_order(self, seed):
         r1 = [r for r, _o in make_items(40, seed=seed)]
         r2 = [r for r, _o in make_items(35, seed=seed + 50)]
-        got = overlap_pairs(ColumnarMBRs.from_rects(r1),
-                            ColumnarMBRs.from_rects(r2))
-        assert got == self.brute(r1, r2)
+        assert overlap_pairs(*slices_of(r1, r2)) == self.brute(r1, r2)
 
     def test_touching_edges_count_as_overlap(self):
         # Closed boxes: sharing a boundary is an intersection, exactly
@@ -79,36 +55,22 @@ class TestOverlapPairs:
         r1 = [Rect((0.0, 0.0), (0.5, 0.5))]
         r2 = [Rect((0.5, 0.0), (1.0, 0.5)),   # shares the x=0.5 edge
               Rect((0.5, 0.5), (1.0, 1.0))]   # shares only the corner
-        assert overlap_pairs(ColumnarMBRs.from_rects(r1),
-                             ColumnarMBRs.from_rects(r2)) \
-            == [(0, 0), (0, 1)]
+        assert overlap_pairs(*slices_of(r1, r2)) == [(0, 0), (0, 1)]
 
     def test_degenerate_rectangles(self):
         point = Rect((0.3, 0.3), (0.3, 0.3))
         box = Rect((0.0, 0.0), (1.0, 1.0))
         away = Rect((0.5, 0.5), (0.9, 0.9))
-        got = overlap_pairs(ColumnarMBRs.from_rects([point]),
-                            ColumnarMBRs.from_rects([box, away]))
-        assert got == [(0, 0)]
-
-    def test_pure_python_identical(self, monkeypatch):
-        r1 = [r for r, _o in make_items(30, seed=4)]
-        r2 = [r for r, _o in make_items(30, seed=5)]
-        with_np = overlap_pairs(ColumnarMBRs.from_rects(r1),
-                                ColumnarMBRs.from_rects(r2))
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        without = overlap_pairs(ColumnarMBRs.from_rects(r1),
-                                ColumnarMBRs.from_rects(r2))
-        assert with_np == without
+        assert overlap_pairs(*slices_of([point], [box, away])) == [(0, 0)]
 
 
+@needs_numpy
 class TestDistanceCandidatePairs:
     def test_superset_of_true_within_distance(self):
         r1 = [r for r, _o in make_items(40, seed=6)]
         r2 = [r for r, _o in make_items(40, seed=7)]
         d = 0.05
-        cand = set(distance_candidate_pairs(
-            ColumnarMBRs.from_rects(r1), ColumnarMBRs.from_rects(r2), d))
+        cand = set(distance_candidate_pairs(*slices_of(r1, r2), d))
         truly = {(i, j) for i, a in enumerate(r1)
                  for j, b in enumerate(r2) if a.min_distance(b) <= d}
         assert truly <= cand
@@ -116,55 +78,7 @@ class TestDistanceCandidatePairs:
     def test_prunes_far_pairs(self):
         r1 = [Rect((0.0, 0.0), (0.1, 0.1))]
         r2 = [Rect((0.9, 0.9), (1.0, 1.0))]
-        assert distance_candidate_pairs(
-            ColumnarMBRs.from_rects(r1), ColumnarMBRs.from_rects(r2),
-            0.1) == []
-
-
-class TestNodeColumnsCache:
-    def test_cache_reused_until_mutation(self):
-        node = node_of([r for r, _o in make_items(10, seed=8)])
-        first = node.columns()
-        assert node.columns() is first
-
-    @pytest.mark.parametrize("mutate", [
-        lambda n: n.entries.append(Entry(Rect((0, 0), (1, 1)), 99)),
-        lambda n: n.entries.pop(),
-        lambda n: n.entries.__delitem__(0),
-        lambda n: n.replace_entry(0, Entry(Rect((0, 0), (1, 1)), 99)),
-        lambda n: n.entries.__setitem__(
-            slice(None), [Entry(Rect((0, 0), (1, 1)), 99)]),
-        lambda n: setattr(n, "entries",
-                          [Entry(Rect((0, 0), (1, 1)), 99)]),
-    ])
-    def test_every_mutation_invalidates(self, mutate):
-        node = node_of([r for r, _o in make_items(10, seed=9)])
-        stale = node.columns()
-        mutate(node)
-        fresh = node.columns()
-        assert fresh is not stale
-        assert len(fresh) == len(node.entries)
-        assert list(fresh.lo_col(0)) == \
-            [e.rect.lo[0] for e in node.entries]
-
-    def test_backend_flip_invalidates(self, monkeypatch):
-        if not have_numpy():
-            pytest.skip("needs the numpy backend to flip away from")
-        node = node_of([r for r, _o in make_items(5, seed=10)])
-        assert node.columns().backend == "numpy"
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        assert node.columns().backend == "python"
-
-    def test_pickle_round_trip_drops_cache(self):
-        node = node_of([r for r, _o in make_items(8, seed=11)],
-                       page_id=3, level=2)
-        node.columns()
-        clone = pickle.loads(pickle.dumps(node))
-        assert clone.page_id == 3 and clone.level == 2
-        assert [e.ref for e in clone.entries] == \
-            [e.ref for e in node.entries]
-        assert clone._columns is None
-        assert len(clone.columns()) == len(node.entries)
+        assert distance_candidate_pairs(*slices_of(r1, r2), 0.1) == []
 
 
 class _NoKernel(JoinPredicate):
@@ -177,10 +91,26 @@ class _NoKernel(JoinPredicate):
 
 
 class TestVectorizedPairs:
+    """Every case runs on both inputs: the kernel over arena slices
+    (with NumPy) and the no-arena scalar-side block.  Yields, order and
+    costs must be the same."""
+
     def reference(self, n1, n2, predicate, leaf):
         test = predicate.leaf_test if leaf else predicate.node_test
         return [(a.ref, b.ref) for b in n2.entries for a in n1.entries
                 if test(a.rect, b.rect)]
+
+    def yields(self, n1, n2, predicate, leaf):
+        """``[(ref1, ref2, cost), ...]``, equal with and without slices."""
+        no_arena = [(a.ref, b.ref, c) for a, b, c
+                    in vectorized_pairs(n1, n2, predicate, leaf)]
+        if have_numpy():
+            arena = TreeArena.build([n1, n2], 2)
+            kernel = [(a.ref, b.ref, c) for a, b, c in vectorized_pairs(
+                n1, n2, predicate, leaf,
+                arena.slice(n1.page_id), arena.slice(n2.page_id))]
+            assert kernel == no_arena
+        return no_arena
 
     @pytest.mark.parametrize("predicate", [
         OVERLAP, WithinDistance(0.05), WithinDistance(0.0), _NoKernel()])
@@ -188,16 +118,15 @@ class TestVectorizedPairs:
     def test_same_pairs_as_nested_loop(self, predicate, leaf):
         n1 = node_of([r for r, _o in make_items(30, seed=12)])
         n2 = node_of([r for r, _o in make_items(25, seed=13)], page_id=1)
-        got = [(a.ref, b.ref) for a, b, _c
-               in vectorized_pairs(n1, n2, predicate, leaf)]
+        got = [(r1, r2) for r1, r2, _c
+               in self.yields(n1, n2, predicate, leaf)]
         assert got == self.reference(n1, n2, predicate, leaf)
 
     def test_block_cost_charged_once(self):
         n1 = node_of([r for r, _o in make_items(12, seed=14, side=0.3)])
         n2 = node_of([r for r, _o in make_items(9, seed=15, side=0.3)],
                      page_id=1)
-        costs = [c for _a, _b, c
-                 in vectorized_pairs(n1, n2, OVERLAP, True)]
+        costs = [c for _r1, _r2, c in self.yields(n1, n2, OVERLAP, True)]
         assert costs, "fixture produced no overlapping pairs"
         assert costs[0] == 12 * 9
         assert all(c == 0 for c in costs[1:])
@@ -205,7 +134,7 @@ class TestVectorizedPairs:
     def test_no_qualifying_pairs_costs_nothing(self):
         n1 = node_of([Rect((0.0, 0.0), (0.1, 0.1))])
         n2 = node_of([Rect((0.8, 0.8), (0.9, 0.9))], page_id=1)
-        assert list(vectorized_pairs(n1, n2, OVERLAP, True)) == []
+        assert self.yields(n1, n2, OVERLAP, True) == []
 
     def test_empty_side_yields_nothing(self):
         full = node_of([Rect((0.0, 0.0), (1.0, 1.0))])
@@ -265,14 +194,15 @@ class TestVectorizedJoinIdentity:
         t1 = build_rstar(make_items(200, seed=25))
         t2 = build_rstar(make_items(200, seed=26))
         with_np = spatial_join(t1, t2, config=VECTORIZED)
+        assert with_np.fallback == (None if have_numpy()
+                                    else "pure-python")
         monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        # Fresh trees: the cached columns of the old ones are rebuilt
-        # anyway (current() sees the flip), but build anew to also
-        # exercise from_rects on the fallback arrays.
-        t1b = build_rstar(make_items(200, seed=25))
-        t2b = build_rstar(make_items(200, seed=26))
-        without = spatial_join(t1b, t2b, config=VECTORIZED)
+        # The same trees: their cached arenas are not consulted, the
+        # block is tested scalar-side and the join says so.
+        without = spatial_join(t1, t2, config=VECTORIZED)
+        assert without.fallback == "pure-python"
         assert without.pairs == with_np.pairs
+        assert without.comparisons == with_np.comparisons
         assert without.stats.as_dict() == with_np.stats.as_dict()
 
 

@@ -122,6 +122,14 @@ class TestSerialJoin:
             assert (start["engine"], start["fallback"]) in expected
             assert (start["fallback"] is None) == (not any(
                 name.startswith("join.fallback.") for name in counters))
+        # The results carry the same two facts as the events — the
+        # complete run and the cut one, observed or not — and neither
+        # reaches the checkpoint.
+        for result, bare, start in zip(traced[:2], plain[:2], starts):
+            assert (result.engine, result.fallback) \
+                == (bare.engine, bare.fallback) \
+                == (start["engine"], start["fallback"])
+        assert b"engine" not in plain[2] and b"fallback" not in plain[2]
 
 
 class TestParallelJoin:

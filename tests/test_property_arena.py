@@ -1,11 +1,11 @@
-"""Property-based equivalence of the whole-tree arena and node caches.
+"""Property-based equivalence of the whole-tree arena and the tree.
 
-The tentpole guarantee of the arena refactor: for *any* tree — built by
-any insert/delete sequence, on either kernel backend — every node's
-zero-copy :meth:`TreeArena.slice` view holds bit-for-bit the same
-coordinates as the per-node :meth:`ColumnarMBRs.from_rects` snapshot it
-replaces, and the tree-level staleness tracking rebuilds the arena
-after any mutation instead of serving stale views.
+The arena is the only columnar copy of a tree, so the guarantee is held
+against the source of truth itself: for *any* tree — built by any
+insert/delete sequence — every node's zero-copy
+:meth:`TreeArena.slice` view holds bit-for-bit the coordinates of the
+node's ``Rect`` tuples, and the tree-level staleness tracking rebuilds
+the arena after any mutation instead of serving stale views.
 """
 
 import struct
@@ -13,12 +13,13 @@ import struct
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Rect, TreeArena
-from repro.geometry.columnar import ColumnarMBRs
+from repro.geometry import TreeArena
 from repro.rtree import RStarTree
 
-from .test_property_vectorized import (backend_strategy, force_backend,
-                                       rect_strategy)
+from .conftest import needs_numpy
+from .test_property_vectorized import rect_strategy
+
+pytestmark = needs_numpy
 
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -41,123 +42,83 @@ def build(items):
 
 def column_bits(col) -> bytes:
     """The exact float64 bits of one coordinate column."""
-    return struct.pack(f"<{len(col)}d", *(float(v) for v in col))
+    return struct.pack(f"<{len(col)}d", *col)
 
 
 def assert_views_identical(arena: TreeArena, tree) -> None:
+    """Every slice against the nodes' ``Rect`` tuples themselves."""
     seen = 0
     for node in tree.nodes():
         assert node.page_id in arena
         if not node.entries:
             continue
         seen += 1
-        want = ColumnarMBRs.from_rects([e.rect for e in node.entries])
+        rects = [e.rect for e in node.entries]
         got = arena.slice(node.page_id)
-        assert len(got) == len(want) == len(node.entries)
+        assert len(got) == len(rects)
         for k in range(tree.ndim):
-            assert column_bits(got.lo_col(k)) == \
-                column_bits(want.lo_col(k))
-            assert column_bits(got.hi_col(k)) == \
-                column_bits(want.hi_col(k))
-        _level, rows = arena.materialize(node.page_id)
-        assert [r for _lo, _hi, r in rows] == \
-            [e.ref for e in node.entries]
+            assert got.lo[:, k].tobytes() == \
+                column_bits([r.lo[k] for r in rects])
+            assert got.hi[:, k].tobytes() == \
+                column_bits([r.hi[k] for r in rects])
+        level, rows = arena.materialize(node.page_id)
+        assert level == node.level
+        assert rows == [(e.rect.lo, e.rect.hi, e.ref)
+                        for e in node.entries]
     assert seen > 0 or len(tree) == 0
 
 
 @SLOW
-@given(items=items_strategy, dels=delete_strategy,
-       backend=backend_strategy)
-def test_arena_views_bit_identical_to_node_snapshots(items, dels,
-                                                     backend):
-    with force_backend(backend):
-        tree = build(items)
-        alive = {oid: rect for rect, oid in items}
-        for frac in dels:
-            if not alive:
-                break
-            oid = sorted(alive)[int(frac * (len(alive) - 1))]
-            assert tree.delete(alive.pop(oid), oid)
-        arena = tree.arena()
-        assert arena.total == len(tree) + sum(
-            len(n.entries) for n in tree.nodes() if not n.is_leaf)
-        assert_views_identical(arena, tree)
+@given(items=items_strategy, dels=delete_strategy)
+def test_arena_views_bit_identical_to_node_snapshots(items, dels):
+    tree = build(items)
+    alive = {oid: rect for rect, oid in items}
+    for frac in dels:
+        if not alive:
+            break
+        oid = sorted(alive)[int(frac * (len(alive) - 1))]
+        assert tree.delete(alive.pop(oid), oid)
+    arena = tree.arena()
+    assert arena.total == len(tree) + sum(
+        len(n.entries) for n in tree.nodes() if not n.is_leaf)
+    assert_views_identical(arena, tree)
 
 
 @SLOW
-@given(items=items_strategy, backend=backend_strategy,
-       extra=rect_strategy())
-def test_arena_staleness_rebuilds_after_mutation(items, backend, extra):
-    with force_backend(backend):
-        tree = build(items)
-        first = tree.arena()
-        assert tree.arena() is first          # cached while unmutated
-        tree.insert(extra, 10_000)
-        second = tree.arena()
-        assert second is not first
-        assert_views_identical(second, tree)
-        if items:
-            rect, oid = items[0]
-            assert tree.delete(rect, oid)
-            third = tree.arena()
-            assert third is not second
-            assert_views_identical(third, tree)
+@given(items=items_strategy, extra=rect_strategy())
+def test_arena_staleness_rebuilds_after_mutation(items, extra):
+    tree = build(items)
+    first = tree.arena()
+    assert tree.arena() is first              # cached while unmutated
+    tree.insert(extra, 10_000)
+    second = tree.arena()
+    assert second is not first
+    assert_views_identical(second, tree)
+    if items:
+        rect, oid = items[0]
+        assert tree.delete(rect, oid)
+        third = tree.arena()
+        assert third is not second
+        assert_views_identical(third, tree)
+
+
+def test_empty_tree_arena():
+    tree = RStarTree(2, 6)
+    arena = tree.arena()
+    assert arena.total == 0
+    assert len(arena) == 1                    # the empty root
+    assert tree.root_id in arena
 
 
 @SLOW
-@given(items=st.lists(rect_strategy(), min_size=1, max_size=30).map(
-    lambda rs: [(r, i) for i, r in enumerate(rs)]),
-    backend=backend_strategy, extra=rect_strategy())
-def test_node_columns_stay_correct_after_arena_install(items, backend,
-                                                       extra):
-    """install_columns never outlives the entry list it described."""
-    with force_backend(backend):
-        tree = build(items)
-        tree.arena()                          # installs node columns
-        tree.insert(extra, 10_000)
-        for node in tree.nodes():
-            if not node.entries:
-                continue
-            cols = node.columns()             # must reflect the mutation
-            want = ColumnarMBRs.from_rects(
-                [e.rect for e in node.entries])
-            assert len(cols) == len(want)
-            for k in range(tree.ndim):
-                assert column_bits(cols.lo_col(k)) == \
-                    column_bits(want.lo_col(k))
-
-
-@given(backend=backend_strategy)
-@settings(max_examples=4, deadline=None)
-def test_empty_tree_arena(backend):
-    with force_backend(backend):
-        tree = RStarTree(2, 6)
-        arena = tree.arena()
-        assert arena.total == 0
-        assert len(arena) == 1                # the empty root
-        assert tree.root_id in arena
-
-
-@SLOW
-@given(items=items_strategy, backend=backend_strategy)
-def test_arena_shared_memory_round_trip(items, backend):
-    """Export/attach round-trips the exact bits, across backends too."""
+@given(items=items_strategy)
+def test_arena_shared_memory_round_trip(items):
+    """Export/attach round-trips the exact bits."""
     from repro.geometry import (arena_from_shared_memory,
                                 arena_to_shared_memory)
-    with force_backend(backend):
-        tree = build(items)
-        arena = tree.arena()
-        with arena_to_shared_memory(arena) as shared:
-            attached = arena_from_shared_memory(shared.handle)
-            assert attached.index == arena.index
-            for node in tree.nodes():
-                if node.entries:
-                    assert attached.materialize(node.page_id) == \
-                        arena.materialize(node.page_id)
-            other = "numpy" if backend == "python" else "python"
-            with force_backend(other):
-                crossed = arena_from_shared_memory(shared.handle)
-                for node in tree.nodes():
-                    if node.entries:
-                        assert crossed.materialize(node.page_id) == \
-                            arena.materialize(node.page_id)
+    tree = build(items)
+    arena = tree.arena()
+    with arena_to_shared_memory(arena) as shared:
+        attached = arena_from_shared_memory(shared.handle)
+        assert attached.index == arena.index
+        assert_views_identical(attached, tree)

@@ -114,6 +114,32 @@ def test_keyword_rename_shim_is_gone():
     assert not hasattr(join_na_total, "__wrapped__")
 
 
+def test_one_columnar_copy_and_one_chooser():
+    # The per-node column cache, the array('d') backend, the
+    # plan-carried traversal and the shared_memory switch are gone; the
+    # arena has one accessor on both of its owners.
+    import inspect
+
+    from repro import ColumnarMBRs, ExecutionConfig, JoinResult, TreeArena
+    from repro.optimizer import SpatialJoinPlan, make_spatial_join
+    from repro.rtree import ArenaTreeView, Node, RTreeBase
+    for owner, name in ((Node, "columns"), (Node, "install_columns"),
+                        (RTreeBase, "drop_arena"),
+                        (ColumnarMBRs, "from_rects"),
+                        (ColumnarMBRs, "backend"), (TreeArena, "backend")):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    fields = list(ExecutionConfig.__dataclass_fields__)
+    assert len(fields) == 8 and "shared_memory" not in fields
+    assert ExecutionConfig().traversal == "level-batch"
+    for fn in (make_spatial_join, SpatialJoinPlan.__init__):
+        assert "traversal" not in inspect.signature(fn).parameters
+    assert list(inspect.signature(RTreeBase.arena).parameters) \
+        == list(inspect.signature(ArenaTreeView.arena).parameters) \
+        == ["self"]
+    assert {"engine", "fallback"} <= set(
+        inspect.signature(JoinResult.__init__).parameters)
+
+
 def test_shared_driver_and_engine_selection_are_exported():
     # What replaced the duplicate worker drivers and the two copies of
     # the engine choice.

@@ -218,17 +218,22 @@ class TestOverloadOverHttp:
                             % (len(body), body))
                 assert started.wait(10)
             # Socket closed mid-join: the daemon should cancel the
-            # request's token and record the disconnect.
-            release.set()
-            deadline = 10.0
+            # request's token and record the disconnect.  The join is
+            # held until it has, so that how fast the engine finishes
+            # the join does not decide the test.
             c = ServeClient(h.http_url, timeout=30.0)
             import time
-            end = time.monotonic() + deadline
-            while time.monotonic() < end:
-                counters = c.metrics()["counters"]
-                if counters.get("serve.partial"):
-                    break
-                time.sleep(0.05)
+
+            def wait_for(counter):
+                end = time.monotonic() + 10.0
+                while time.monotonic() < end:
+                    if c.metrics()["counters"].get(counter):
+                        break
+                    time.sleep(0.05)
+
+            wait_for("serve.client_disconnects")
+            release.set()
+            wait_for("serve.partial")
             counters = c.metrics()["counters"]
             assert counters.get("serve.client_disconnects") == 1
             # The orphaned join stopped at its next governor check and

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import repro.serve.service as service_mod
+from repro.estimator import have_numpy
 from repro.exec import AdmissionRejected, Cancelled, ExecutionConfig
 from repro.join import SpatialJoin, parallel_spatial_join
 from repro.reliability import MalformedFileError
@@ -202,8 +203,7 @@ class TestRequestExecutionConfig:
 
     def test_request_fields_override_service_defaults(self, trees):
         defaults = ExecutionConfig(workers=4, mode="threads",
-                                   traversal="level-batch",
-                                   shared_memory=False)
+                                   traversal="stack")
         req = JoinRequest({"tree1": "a", "tree2": "b", "strategy": "pbsm",
                            "pair_enumeration": "vectorized"},
                           ServeConfig(execution=defaults))
@@ -246,6 +246,16 @@ class TestRequestExecutionConfig:
         resp = svc.execute({"tree1": "a", "tree2": "b",
                             "traversal": "level-batch", **request_fields})
         assert resp["status"] == "complete" and resp["degraded"] is None
+        # The response says which engine ran (chosen, not requested):
+        # a durable join finishes its last slice resumed, on the stack
+        # machine.
+        if path == "durable":
+            want = ("stack", "resume")
+        elif have_numpy():
+            want = ("level-batch", None)
+        else:
+            want = ("stack", "pure-python")
+        assert (resp["engine"], resp["fallback"]) == want
         [config] = built
         assert config.traversal == "level-batch"
         assert len(used) > (1 if path == "durable" else 0)
