@@ -8,10 +8,10 @@ The paper's stated bands (at 20K-80K scale):
   result" (Eq. 9 is knowingly approximate);
 * the conclusions hold when varying density D as well as cardinality.
 
-At the scaled default (2K-9K trees) the structural estimates of Eqs. 2-5
+At the scaled default (2K-10K trees) the structural estimates of Eqs. 2-5
 carry extra small-sample noise, so the asserted bands are widened; the
 printed table records the actual errors and EXPERIMENTS.md compares them
-with the paper's (plus a paper-scale spot check).
+with the paper's (and with Figures 5a/5b at the paper's own scale).
 """
 
 import pytest

@@ -4,10 +4,12 @@ Two profiles:
 
 * :data:`PAPER_SCALE` — the paper's exact setup: 1 Kbyte pages giving
   ``M = 84`` (n=1) / ``M = 50`` (n=2), cardinalities 20K-80K, average
-  capacity 67%.  Building 80K-object R*-trees in pure Python takes tens
-  of minutes each, so this profile is for patient full-size runs.
+  capacity 67%.  With NumPy an 80K-object R*-tree builds in about half
+  a minute (0.4 ms per insert) and a whole 16-combination Figure 5 grid
+  (400K inserts) in 2-3 minutes; the scalar insert path is 10-20x
+  slower here (4-7 ms per insert), half an hour or more per grid.
 * :data:`BENCH_SCALE` — the default: 512-byte pages giving ``M = 41`` /
-  ``M = 24`` and cardinalities 2K-9K, chosen so the *structure* of the
+  ``M = 24`` and cardinalities 2K-10K, chosen so the *structure* of the
   paper's figures is preserved (DESIGN.md §3):
 
   - n=1: every tree has height 3 across the whole grid — Figure 5a/6a's
@@ -43,7 +45,7 @@ class ExperimentScale:
         return node_capacity(self.page_size, ndim)
 
 
-#: Default profile: scaled to laptop-feasible pure-Python tree builds.
+#: Default profile: the CI-sized view, seconds per tree on either backend.
 BENCH_SCALE = ExperimentScale(
     name="bench",
     page_size=512,                      # M = 41 (n=1), M = 24 (n=2)

@@ -43,26 +43,19 @@ def relative_error(model: float, measured: float) -> float | None:
 def build_tree(dataset: SpatialDataset, max_entries: int,
                variant: str = "rstar") -> RTreeBase:
     """Index a data set with the chosen tree variant."""
-    if variant == "rstar":
-        tree = RStarTree(dataset.ndim, max_entries)
-        for rect, oid in dataset:
-            tree.insert(rect, oid)
-        return tree
-    if variant == "guttman-linear":
-        tree = GuttmanRTree(dataset.ndim, max_entries, split="linear")
-        for rect, oid in dataset:
-            tree.insert(rect, oid)
-        return tree
-    if variant == "guttman-quadratic":
-        tree = GuttmanRTree(dataset.ndim, max_entries, split="quadratic")
-        for rect, oid in dataset:
-            tree.insert(rect, oid)
-        return tree
     if variant == "str":
         return str_pack(dataset.items, dataset.ndim, max_entries)
     if variant == "hilbert":
         return hilbert_pack(dataset.items, dataset.ndim, max_entries)
-    raise ValueError(f"unknown tree variant {variant!r}")
+    if variant == "rstar":
+        tree = RStarTree(dataset.ndim, max_entries)
+    elif variant in ("guttman-linear", "guttman-quadratic"):
+        tree = GuttmanRTree(dataset.ndim, max_entries,
+                            split=variant.removeprefix("guttman-"))
+    else:
+        raise ValueError(f"unknown tree variant {variant!r}")
+    tree.extend(dataset)
+    return tree
 
 
 class TreeCache:

@@ -114,13 +114,26 @@ def _fig5(ndim: int, scale: ExperimentScale,
          for n2 in scale.cardinalities],
         m, fill=scale.fill, cache=cache, governor=governor)
     summary = error_summary(obs)
+
+    def errors(*axes: str) -> str:
+        return "; ".join(
+            f"{axis.upper()} mean={summary[f'{axis}_mean']:.1%} "
+            f"max={summary[f'{axis}_max']:.1%}" for axis in axes)
+
+    def heights(role: str, by_n: dict[int, int]) -> str:
+        return f"{role} " + " ".join(
+            f"{n // 1000}K:{h}" for n, h in sorted(by_n.items()))
+
     label = "5a" if ndim == 1 else "5b"
     headers = ["N1/N2", "exper(NA)", "anal(NA)", "exper(DA)",
                "anal(DA)", "errNA", "errDA"]
     return (f"Figure {label} (n={ndim}, M={m}, {scale.name} scale)\n"
             + format_table(headers, figure5_rows(obs))
-            + f"\n|err| NA mean={summary['na_mean']:.1%} "
-              f"DA mean={summary['da_mean']:.1%}")
+            + f"\n|err| {errors('na', 'da')}"
+            + f"\n|err| per tree: {errors('da1', 'da2')}"
+            + "\nheights "
+            + heights("R1", {ob.n1: ob.height1 for ob in obs}) + "; "
+            + heights("R2", {ob.n2: ob.height2 for ob in obs}))
 
 
 _REGISTRY: dict[str, Callable[..., str]] = {

@@ -14,12 +14,27 @@ zero-copy view of one node's run in it (:meth:`TreeArena.slice`).
 Columnar therefore means NumPy: a host without it has no arena and runs
 the scalar predicates over the ``Rect`` objects.
 
-The kernels are **comparison-exact**: only IEEE-exact operations
-(``<=`` and ``-`` on float64) are vectorized, so a batched kernel
-qualifies exactly the pairs the scalar :class:`Rect` predicates
-qualify, bit for bit.  The within-distance kernel therefore only
-*prefilters* (per-axis gaps are exact; the Euclidean norm is not) and
-the caller confirms candidates with the scalar ``math.hypot`` test.
+The kernels are **exact**: every one answers what the scalar
+:class:`Rect` code answers, bit for bit, because only operations that
+IEEE 754 defines elementwise are vectorized and every order-dependent
+step keeps the scalar's order.
+
+* The pair kernels use ``<=`` and ``-`` on float64 only.  The
+  within-distance kernel therefore only *prefilters* (per-axis gaps are
+  exact; the Euclidean norm is not) and the caller confirms candidates
+  with the scalar ``math.hypot`` test.
+* :func:`least_overlap_enlargement` also uses ``*``, ``minimum`` and
+  ``maximum``, each bit-equal to the scalar operation (the sign of a
+  zero may differ; no comparison sees it).  Areas multiply the sides in
+  dimension order — the scalar's leading ``1.0 *`` is exact.  An
+  intersection with ``side <= 0`` on any axis is ``0.0`` through a
+  mask, never through a product.  The diagonal ``j == i`` the scalar
+  skips is set to ``+0.0``.  The sum over the siblings ``j`` is a
+  **left fold in index order** (``cumsum``): ``ndarray.sum`` and
+  ``np.add.reduce`` add pairwise over a contiguous axis, which differs
+  in the last bit, flips a tie-break and so builds another tree.
+* A choice among candidates is :func:`first_least`, for the kernel and
+  for every scalar loop it stands in for.
 
 Index pairs are emitted in the paper's loop order — outer R2 (``j``),
 inner R1 (``i``) — so a traversal that fetches children per qualifying
@@ -29,7 +44,10 @@ loops.
 
 from __future__ import annotations
 
-__all__ = ["ColumnarMBRs", "overlap_pairs", "distance_candidate_pairs"]
+__all__ = ["ColumnarMBRs", "overlap_pairs", "distance_candidate_pairs",
+           "first_least", "least_overlap_enlargement"]
+
+_INF = float("inf")
 
 
 class ColumnarMBRs:
@@ -114,3 +132,59 @@ def distance_candidate_pairs(a: ColumnarMBRs, b: ColumnarMBRs,
             mask &= axis
     jj, ii = mask.nonzero()
     return list(zip(ii.tolist(), jj.tolist()))
+
+
+def first_least(keys: list) -> int:
+    """Index of the first least key (floats, or equal-length tuples of
+    floats compared most significant first).
+
+    The scan is seeded from the first candidate and replaces it only by
+    a strictly smaller one, so ties go to the earliest index and a key
+    that cannot be ordered — a NaN from ``inf - inf``, when a finite
+    rectangle's area overflows — never displaces the incumbent: every
+    non-empty candidate list has an answer in range.
+    """
+    return min(range(len(keys)), key=keys.__getitem__)
+
+
+def least_overlap_enlargement(np, lo, hi, rect_lo, rect_hi) -> int:
+    """R*-tree ChooseSubtree above the leaves, one node in one pass.
+
+    ``lo``/``hi`` are one node's ``(n, ndim)`` entry corners and
+    ``rect_lo``/``rect_hi`` the corners of the rectangle being
+    inserted.  Returns the first index minimising ``(overlap
+    enlargement, area enlargement, area)`` [BKSS90 §4.1] — the index the
+    scalar loop over ``Rect.union``/``intersection_area``/``area``
+    returns, by the module's exactness contract — in O(n^2) array
+    elements instead of O(n^2) Python calls.
+    """
+    lo_t, hi_t = lo.T, hi.T
+    ndim, n = lo_t.shape
+    # Axis k of entry i as it stands at [k, 0, i] and grown to hold the
+    # rectangle at [k, 1, i]: min/max against +-inf is the identity.
+    both_lo = np.minimum(
+        lo_t[:, None, :],
+        np.array([(_INF, x) for x in rect_lo])[:, :, None])
+    both_hi = np.maximum(
+        hi_t[:, None, :],
+        np.array([(-_INF, x) for x in rect_hi])[:, :, None])
+    # side[k, g, i, j]: extent on axis k of (entry i, grown or not) with
+    # sibling j as it stands.
+    side = np.minimum(both_hi[:, :, :, None], hi_t[:, None, None, :])
+    side -= np.maximum(both_lo[:, :, :, None], lo_t[:, None, None, :])
+    disjoint = (side <= 0.0).any(axis=0)
+    extent = both_hi - both_lo
+    overlap, area = side[0], extent[0]
+    # Overflowing products are inf, as the scalar's are; a masked-out
+    # inf * 0 is not an event worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, ndim):
+            overlap *= side[k]
+            area *= extent[k]
+        np.putmask(overlap, disjoint, 0.0)
+        growth = np.subtract(overlap[1], overlap[0], out=overlap[1])
+        growth.flat[::n + 1] = 0.0
+        delta = growth.cumsum(axis=1)[:, -1]
+        enlargement = area[1] - area[0]
+    return first_least(list(zip(delta.tolist(), enlargement.tolist(),
+                                area[0].tolist())))

@@ -52,6 +52,21 @@ class Rect:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @classmethod
+    def _trusted(cls, lo: tuple[float, ...],
+                 hi: tuple[float, ...]) -> "Rect":
+        """A rectangle from corner tuples that need no checking.
+
+        For corners that are exact copies, or a per-axis ``min``/``max``,
+        of already validated rectangles' float coordinates: equal-length
+        tuples, finite, ``hi >= lo`` by construction.  Everything arriving
+        from outside goes through ``Rect(...)``.
+        """
+        rect = object.__new__(cls)
+        object.__setattr__(rect, "lo", lo)
+        object.__setattr__(rect, "hi", hi)
+        return rect
+
     # -- construction helpers ------------------------------------------------
 
     @classmethod
@@ -79,23 +94,17 @@ class Rect:
     @classmethod
     def bounding(cls, rects: Iterable["Rect"]) -> "Rect":
         """The minimum bounding rectangle of a non-empty collection."""
-        it = iter(rects)
+        rects = list(rects)
+        if not rects:
+            raise ValueError("cannot bound an empty collection")
+        # min/max per axis over the transposed corners, at C level; the
+        # first-seen value wins ties, as an explicit ``<`` scan would.
         try:
-            first = next(it)
-        except StopIteration:
-            raise ValueError("cannot bound an empty collection") from None
-        lo = list(first.lo)
-        hi = list(first.hi)
-        ndim = len(lo)
-        for r in it:
-            if len(r.lo) != ndim:
-                raise ValueError("mixed dimensionalities in bounding()")
-            for k in range(ndim):
-                if r.lo[k] < lo[k]:
-                    lo[k] = r.lo[k]
-                if r.hi[k] > hi[k]:
-                    hi[k] = r.hi[k]
-        return cls(lo, hi)
+            lo = tuple(map(min, zip(*[r.lo for r in rects], strict=True)))
+            hi = tuple(map(max, zip(*[r.hi for r in rects], strict=True)))
+        except ValueError:
+            raise ValueError("mixed dimensionalities in bounding()") from None
+        return cls._trusted(lo, hi)
 
     # -- basic properties ----------------------------------------------------
 
@@ -159,9 +168,8 @@ class Rect:
     def union(self, other: "Rect") -> "Rect":
         """Minimum bounding rectangle of the two rectangles."""
         self._check_same_ndim(other)
-        lo = tuple(min(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(max(a, b) for a, b in zip(self.hi, other.hi))
-        return Rect(lo, hi)
+        return Rect._trusted(tuple(map(min, self.lo, other.lo)),
+                             tuple(map(max, self.hi, other.hi)))
 
     def intersection(self, other: "Rect") -> "Rect | None":
         """The overlap box, or ``None`` when the rectangles are disjoint."""
@@ -170,7 +178,7 @@ class Rect:
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
         if any(b < a for a, b in zip(lo, hi)):
             return None
-        return Rect(lo, hi)
+        return Rect._trusted(lo, hi)
 
     def intersection_area(self, other: "Rect") -> float:
         """Area of the overlap box (0.0 when disjoint).

@@ -31,15 +31,6 @@ from .node import Node
 __all__ = ["ArenaTreeHandle", "ArenaTreeView", "share_tree"]
 
 
-def _rebuild_rect(lo: tuple, hi: tuple) -> Rect:
-    # The arena stored the exact float64 bits of a validated Rect, so
-    # re-validation is skipped on this hot worker-side path.
-    rect = Rect.__new__(Rect)
-    object.__setattr__(rect, "lo", lo)
-    object.__setattr__(rect, "hi", hi)
-    return rect
-
-
 class _ArenaPager:
     """Materializing pager: ``read(page_id)`` -> cached ``Node``.
 
@@ -57,7 +48,9 @@ class _ArenaPager:
         node = self._nodes.get(page_id)
         if node is None:
             level, rows = self._arena.materialize(page_id)
-            entries = [Entry(_rebuild_rect(lo, hi), ref)
+            # The arena holds the exact float64 bits of validated
+            # rectangles, so this worker-side path skips re-validation.
+            entries = [Entry(Rect._trusted(lo, hi), ref)
                        for lo, hi, ref in rows]
             node = Node(page_id, level, entries)
             self._nodes[page_id] = node

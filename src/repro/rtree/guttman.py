@@ -30,19 +30,7 @@ class GuttmanRTree(RTreeBase):
     # -- subtree choice ------------------------------------------------------
 
     def _choose_subtree(self, node: Node, rect: Rect) -> int:
-        best = -1
-        best_enlargement = float("inf")
-        best_area = float("inf")
-        for i, entry in enumerate(node.entries):
-            enlargement = entry.rect.enlargement(rect)
-            area = entry.rect.area()
-            if (enlargement < best_enlargement
-                    or (enlargement == best_enlargement
-                        and area < best_area)):
-                best = i
-                best_enlargement = enlargement
-                best_area = area
-        return best
+        return self._least_area_enlargement(node, rect)
 
     # -- splitting --------------------------------------------------------------
 

@@ -120,7 +120,7 @@ class Node:
         """
         if not self._entries:
             raise ValueError(f"node {self.page_id} is empty")
-        return Rect.bounding(e.rect for e in self._entries)
+        return Rect.bounding([e.rect for e in self._entries])
 
     def entry_for_child(self, child_id: int) -> int:
         """Index of the entry referencing a given child page id."""

@@ -17,8 +17,11 @@ Differences from Guttman's R-tree, all implemented here:
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from ..geometry import Rect
+from ..geometry.arena import _get_numpy
+from ..geometry.columnar import first_least, least_overlap_enlargement
 from .entry import Entry
 from .node import Node
 from .tree import RTreeBase
@@ -45,51 +48,39 @@ class RStarTree(RTreeBase):
     # -- ChooseSubtree -------------------------------------------------------
 
     def _choose_subtree(self, node: Node, rect: Rect) -> int:
-        if node.level == 2:
+        if node.level != 2:
+            return self._least_area_enlargement(node, rect)
+        np = _get_numpy()
+        if np is None:
             return self._least_overlap_enlargement(node, rect)
-        return self._least_area_enlargement(node, rect)
-
-    @staticmethod
-    def _least_area_enlargement(node: Node, rect: Rect) -> int:
-        best = -1
-        best_enl = float("inf")
-        best_area = float("inf")
-        for i, entry in enumerate(node.entries):
-            enl = entry.rect.enlargement(rect)
-            area = entry.rect.area()
-            if enl < best_enl or (enl == best_enl and area < best_area):
-                best = i
-                best_enl = enl
-                best_area = area
-        return best
+        # One node as a column block, rebuilt per call: O(M) against
+        # the kernel's O(M^2), and nothing to keep in step with the node.
+        block = np.array([e.rect.lo + e.rect.hi for e in node.entries])
+        return least_overlap_enlargement(
+            np, block[:, :self.ndim], block[:, self.ndim:],
+            rect.lo, rect.hi)
 
     @staticmethod
     def _least_overlap_enlargement(node: Node, rect: Rect) -> int:
-        """Minimal increase of overlap with siblings (BKSS90 §4.1)."""
+        """Minimal increase of overlap with siblings (BKSS90 §4.1).
+
+        The scalar definition: what a host without NumPy runs, and what
+        :func:`~repro.geometry.columnar.least_overlap_enlargement` must
+        answer bit for bit.
+        """
         rects = [e.rect for e in node.entries]
-        expanded = [r.union(rect) for r in rects]
-        best = -1
-        best_overlap = float("inf")
-        best_enl = float("inf")
-        best_area = float("inf")
-        for i, (old, new) in enumerate(zip(rects, expanded)):
+        keys = []
+        for i, old in enumerate(rects):
+            new = old.union(rect)
             delta = 0.0
             for j, other in enumerate(rects):
                 if j == i:
                     continue
                 delta += (new.intersection_area(other)
                           - old.intersection_area(other))
-            enl = new.area() - old.area()
             area = old.area()
-            if (delta < best_overlap
-                    or (delta == best_overlap and enl < best_enl)
-                    or (delta == best_overlap and enl == best_enl
-                        and area < best_area)):
-                best = i
-                best_overlap = delta
-                best_enl = enl
-                best_area = area
-        return best
+            keys.append((delta, new.area() - area, area))
+        return first_least(keys)
 
     # -- overflow: forced reinsertion, then split ---------------------------------
 
@@ -125,50 +116,52 @@ class RStarTree(RTreeBase):
 
     def _split_entries(self, entries: list[Entry],
                        level: int) -> tuple[list[Entry], list[Entry]]:
-        axis = self._choose_split_axis(entries)
-        return self._choose_split_index(entries, axis)
+        return self._choose_split_index(self._choose_split_axis(entries))
 
-    def _distributions(self, ordered: list[Entry]):
-        """All legal (group1, group2) prefix splits of a sorted entry list."""
-        total = len(ordered)
-        for k in range(self.min_entries, total - self.min_entries + 1):
-            yield ordered[:k], ordered[k:]
+    def _axis_cuts(self, entries: list[Entry], axis: int) -> list[tuple]:
+        """Every legal cut along one axis, as ``(ordered, k, mbr1, mbr2)``.
 
-    def _choose_split_axis(self, entries: list[Entry]) -> int:
-        """Axis whose sorted distributions have the least margin sum."""
-        best_axis = 0
-        best_margin = float("inf")
-        for axis in range(self.ndim):
-            margin = 0.0
-            for key in (lambda e: (e.rect.lo[axis], e.rect.hi[axis]),
-                        lambda e: (e.rect.hi[axis], e.rect.lo[axis])):
-                ordered = sorted(entries, key=key)
-                for g1, g2 in self._distributions(ordered):
-                    margin += (Rect.bounding(e.rect for e in g1).margin()
-                               + Rect.bounding(e.rect for e in g2).margin())
-            if margin < best_margin:
-                best_margin = margin
-                best_axis = axis
-        return best_axis
-
-    def _choose_split_index(self, entries: list[Entry], axis: int,
-                            ) -> tuple[list[Entry], list[Entry]]:
-        """Distribution with minimal overlap (ties: minimal area sum)."""
-        best: tuple[list[Entry], list[Entry]] | None = None
-        best_overlap = float("inf")
-        best_area = float("inf")
+        ``ordered`` is the entries sorted by lower bound, then by upper
+        bound; ``k`` ascends within each.  ``mbr1`` bounds
+        ``ordered[:k]`` and ``mbr2`` bounds ``ordered[k:]``, both read
+        off the running MBRs of the order taken from its head and from
+        its tail, so a sort costs O(M) unions however many cuts it has.
+        """
+        cuts = []
         for key in (lambda e: (e.rect.lo[axis], e.rect.hi[axis]),
                     lambda e: (e.rect.hi[axis], e.rect.lo[axis])):
             ordered = sorted(entries, key=key)
-            for g1, g2 in self._distributions(ordered):
-                mbr1 = Rect.bounding(e.rect for e in g1)
-                mbr2 = Rect.bounding(e.rect for e in g2)
-                overlap = mbr1.intersection_area(mbr2)
-                area = mbr1.area() + mbr2.area()
-                if (overlap < best_overlap
-                        or (overlap == best_overlap and area < best_area)):
-                    best_overlap = overlap
-                    best_area = area
-                    best = (list(g1), list(g2))
-        assert best is not None  # len(entries) = M+1 >= 2 * min_entries
-        return best
+            rects = [e.rect for e in ordered]
+            heads = list(accumulate(rects, Rect.union))
+            tails = list(accumulate(reversed(rects),
+                                    lambda mbr, rect: rect.union(mbr)))
+            tails.reverse()
+            cuts.extend(
+                (ordered, k, heads[k - 1], tails[k])
+                for k in range(self.min_entries,
+                               len(ordered) - self.min_entries + 1))
+        return cuts
+
+    def _choose_split_axis(self, entries: list[Entry]) -> list[tuple]:
+        """Cuts of the axis with the least margin sum over all of them."""
+        per_axis = [self._axis_cuts(entries, axis)
+                    for axis in range(self.ndim)]
+        margins = []
+        for cuts in per_axis:
+            # A plain left fold: ``sum()`` compensates since Python
+            # 3.12, and the last bit decides ties between axes.
+            margin = 0.0
+            for _ordered, _k, mbr1, mbr2 in cuts:
+                margin += mbr1.margin() + mbr2.margin()
+            margins.append(margin)
+        return per_axis[first_least(margins)]
+
+    @staticmethod
+    def _choose_split_index(cuts: list[tuple],
+                            ) -> tuple[list[Entry], list[Entry]]:
+        """Cut with minimal overlap (ties: minimal area sum)."""
+        # len(entries) = M + 1 >= 2 * min_entries: there is a cut.
+        ordered, k, _mbr1, _mbr2 = cuts[first_least([
+            (mbr1.intersection_area(mbr2), mbr1.area() + mbr2.area())
+            for _ordered, _k, mbr1, mbr2 in cuts])]
+        return ordered[:k], ordered[k:]

@@ -17,9 +17,10 @@ is pinned in main memory, so counted traversals never charge it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from ..geometry import Rect, TreeArena
+from ..geometry.columnar import first_least
 from ..storage import MeteredReader, Pager
 from .entry import Entry
 from .node import LEAF_LEVEL, Node
@@ -119,6 +120,24 @@ class RTreeBase:
         """
         self._split_node(path, indices)
 
+    @staticmethod
+    def _least_area_enlargement(node: Node, rect: Rect) -> int:
+        """Guttman's ChooseLeaf criterion: the entry needing the least
+        area enlargement to hold ``rect`` (ties: the smaller area).
+
+        Read off the corners — ``Rect.enlargement`` bit for bit, without
+        a union rectangle per entry.
+        """
+        keys = []
+        for entry in node.entries:
+            area = grown = 1.0
+            for a, b, c, d in zip(entry.rect.lo, entry.rect.hi,
+                                  rect.lo, rect.hi):
+                area *= b - a
+                grown *= (d if d > b else b) - (c if c < a else a)
+            keys.append((grown - area, area))
+        return first_least(keys)
+
     # -- insertion -------------------------------------------------------------
 
     def insert(self, rect: Rect, oid: int) -> None:
@@ -129,7 +148,7 @@ class RTreeBase:
         self.size += 1
         self._mutations += 1
 
-    def extend(self, items: Sequence[tuple[Rect, int]]) -> None:
+    def extend(self, items: Iterable[tuple[Rect, int]]) -> None:
         """Insert many ``(rect, oid)`` pairs."""
         for rect, oid in items:
             self.insert(rect, oid)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -26,6 +27,33 @@ VECTORIZED_SWEEP = NESTED_LOOP.with_options(
 #: without NumPy (not installed, or ``REPRO_PURE_PYTHON`` set).
 needs_numpy = pytest.mark.skipif(not have_numpy(),
                                  reason="no arena without NumPy")
+
+
+@contextmanager
+def backend(pure_python: bool):
+    """Force the scalar engine (or allow the NumPy one) for a block.
+
+    The switch is read per call, so plain env manipulation is enough
+    and plays well with ``@given``; the previous value is restored, so
+    the ``REPRO_PURE_PYTHON=1`` leg stays on its leg afterwards.
+    """
+    previous = os.environ.get("REPRO_PURE_PYTHON")
+    if pure_python:
+        os.environ["REPRO_PURE_PYTHON"] = "1"
+    else:
+        os.environ.pop("REPRO_PURE_PYTHON", None)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_PURE_PYTHON", None)
+        else:
+            os.environ["REPRO_PURE_PYTHON"] = previous
+
+
+#: ``backend(pure_python=...)`` arguments for a test that runs under both.
+BOTH_BACKENDS = [pytest.param(True, id="scalar"),
+                 pytest.param(False, id="numpy", marks=needs_numpy)]
 
 
 def arena_segments() -> list[str]:

@@ -86,6 +86,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Rect.bounding([Rect((0,), (1,)), Rect((0, 0), (1, 1))])
 
+    def test_bounding_of_an_iterator_keeps_both_errors(self):
+        # bounding() transposes the corners in one pass; a one-shot
+        # iterator, the odd rectangle first or last, changes nothing.
+        flat, square = Rect((0,), (1,)), Rect((0, 0), (1, 1))
+        for rects in ([square, square, flat], [flat, square, square]):
+            with pytest.raises(ValueError, match="mixed dimensionalities"):
+                Rect.bounding(iter(rects))
+        with pytest.raises(ValueError, match="empty"):
+            Rect.bounding(iter(()))
+        assert Rect.bounding(iter([square, square])) == square
+
 
 class TestProperties:
     def test_ndim(self):

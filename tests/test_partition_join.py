@@ -12,8 +12,6 @@ comparisons, NA/DA per tree per level, tiles.
 """
 
 import importlib.util
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,32 +27,10 @@ from repro.join import (OVERLAP, PartialJoinResult, SpatialJoin,
 from repro.join.predicates import Overlap
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 
-from .conftest import arena_segments, build_rstar, make_items
+from .conftest import arena_segments, backend, build_rstar, make_items
 
 needs_numpy = pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None, reason="NumPy unavailable")
-
-
-@contextmanager
-def backend(pure_python: bool):
-    """Force the scalar engine (or allow the arena one) for a block.
-
-    The switch is read per call, so plain env manipulation is enough
-    and plays well with ``@given``; the previous value is restored, so
-    the ``REPRO_PURE_PYTHON=1`` leg stays on its leg afterwards.
-    """
-    previous = os.environ.get("REPRO_PURE_PYTHON")
-    if pure_python:
-        os.environ["REPRO_PURE_PYTHON"] = "1"
-    else:
-        os.environ.pop("REPRO_PURE_PYTHON", None)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_PURE_PYTHON", None)
-        else:
-            os.environ["REPRO_PURE_PYTHON"] = previous
 
 
 SLOW = settings(max_examples=20,

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree import GuttmanRTree, RStarTree, check, validate
+from repro.rtree import (Entry, GuttmanRTree, Node, RStarTree, check,
+                         validate)
 
-from .conftest import build_guttman, build_rstar, make_items
+from .conftest import (BOTH_BACKENDS, backend, build_guttman, build_rstar,
+                       make_items, needs_numpy)
 
 
 class TestConstructorValidation:
@@ -152,3 +154,75 @@ class TestGuttmanSpecific:
         for node in tree.nodes():
             if node.page_id != tree.root_id:
                 assert len(node.entries) >= tree.min_entries
+
+
+def _node(level, rects):
+    return Node(0, level, [Entry(r, i) for i, r in enumerate(rects)])
+
+
+@needs_numpy
+class TestKernelAnswersTheScalarLoop:
+    """ChooseSubtree above the leaves: the NumPy kernel against
+    ``_least_overlap_enlargement``, on nodes built to part them."""
+
+    @staticmethod
+    def both_paths(node, rect):
+        tree = RStarTree(rect.ndim, 4)
+        with backend(pure_python=False):
+            kernel = tree._choose_subtree(node, rect)
+        with backend(pure_python=True):
+            scalar = tree._choose_subtree(node, rect)
+        assert scalar == RStarTree._least_overlap_enlargement(node, rect)
+        return kernel, scalar
+
+    def test_sum_over_siblings_is_a_left_fold(self):
+        # Entries 2 and 3 tie but for the rounding of their overlap
+        # sums: added pairwise (ndarray.sum over these nine siblings),
+        # entry 3 comes out ahead; added in index order, entry 2 does.
+        lo = [9, 4, 2, 3, 0, 7, 3, 7, 8]
+        extent = [3, 3, 3, 3, 3, 3, 2, 2, 3]
+        node = _node(2, [Rect((a / 10,), ((a + e) / 10,))
+                         for a, e in zip(lo, extent)])
+        rect = Rect((1 / 10 + 0.05,), (1 / 10 + 0.05 + 16 / 20,))
+        assert self.both_paths(node, rect) == (2, 2)
+
+    def test_ties_go_to_the_first_entry(self):
+        box = Rect((0.25, 0.25), (0.5, 0.5))
+        node = _node(2, [Rect((0.0, 0.0), (0.125, 0.125)), box, box, box])
+        assert self.both_paths(node, Rect((0.3, 0.3), (0.4, 0.4))) == (1, 1)
+
+    def test_overflowing_areas(self):
+        node = _node(2, [Rect((k * 1e199, 0.0), (k * 1e199 + 9e199, 9e199))
+                         for k in range(3)])
+        kernel, scalar = self.both_paths(
+            node, Rect((5e199, 5e199), (1.5e200, 1.5e200)))
+        assert kernel == scalar
+        assert kernel in range(3)
+
+
+class TestOverflowingAreas:
+    """Finite rectangles whose area is ``inf``: enlargements come out
+    ``inf - inf = NaN``, which no ``<`` orders.  Every argmin is seeded
+    from its first candidate, so each still has an answer."""
+
+    HUGE = Rect((0.0, 0.0), (1e200, 1e200))
+
+    @pytest.mark.parametrize("pure_python", BOTH_BACKENDS)
+    def test_five_huge_copies_split(self, pure_python):
+        tree = RStarTree(2, 4)
+        with backend(pure_python):
+            for oid in range(5):
+                tree.insert(self.HUGE, oid)
+        assert validate(tree) == []
+        assert sorted(tree.range_query(self.HUGE)) == list(range(5))
+
+    @pytest.mark.parametrize("pure_python", BOTH_BACKENDS)
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("tree", [
+        RStarTree(2, 4), GuttmanRTree(2, 4, split="linear")],
+        ids=["rstar", "guttman"])
+    def test_choose_subtree_answers_an_entry(self, tree, level,
+                                             pure_python):
+        node = _node(level, [self.HUGE] * 3)
+        with backend(pure_python):
+            assert tree._choose_subtree(node, self.HUGE) == 0
