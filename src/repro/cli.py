@@ -68,7 +68,7 @@ from .join import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
 from .reliability import (CorruptPageError, FaultInjector, FaultyPager,
                           ReproError, RetryPolicy, TransientPageError)
 from .serve import Overloaded, ServiceDraining
-from .storage import LRUBuffer, NoBuffer, PathBuffer
+from .storage import PathBuffer, buffer_from_spec
 
 __all__ = ["EXIT_BUDGET", "EXIT_CORRUPT", "EXIT_TRANSIENT", "EXIT_USAGE",
            "main"]
@@ -483,7 +483,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         if report is not None and not report.clean:
             print(f"warning: degraded load: {report.summary()}",
                   file=sys.stderr)
-    buffer = _parse_buffer(args.buffer)
+    buffer = buffer_from_spec(args.buffer)
     budget = Budget(deadline=args.deadline, max_na=args.max_na,
                     max_da=args.max_da, max_results=args.max_results)
 
@@ -920,17 +920,6 @@ def _cmd_serve_join(args: argparse.Namespace) -> int:
               f"{response['resume_token'][:24]}...", file=sys.stderr)
         return EXIT_BUDGET
     return 0
-
-
-def _parse_buffer(spec: str):
-    if spec == "none":
-        return NoBuffer()
-    if spec == "path":
-        return PathBuffer()
-    if spec.startswith("lru:"):
-        return LRUBuffer(int(spec.split(":", 1)[1]))
-    raise ValueError(
-        f"unknown buffer spec {spec!r} (use 'none', 'path', 'lru:<k>')")
 
 
 if __name__ == "__main__":   # pragma: no cover

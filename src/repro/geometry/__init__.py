@@ -3,11 +3,10 @@ unit workspace."""
 
 from .arena import (ArenaHandle, SharedArena, TreeArena,
                     arena_from_shared_memory, arena_to_shared_memory)
-from .columnar import ColumnarMBRs, distance_candidate_pairs, overlap_pairs
+from .columnar import ColumnarMBRs
 from .rect import Rect
 from .workspace import Workspace, clamp_to_unit, density
 
 __all__ = ["ArenaHandle", "ColumnarMBRs", "Rect", "SharedArena",
            "TreeArena", "Workspace", "arena_from_shared_memory",
-           "arena_to_shared_memory", "clamp_to_unit", "density",
-           "distance_candidate_pairs", "overlap_pairs"]
+           "arena_to_shared_memory", "clamp_to_unit", "density"]

@@ -1,4 +1,4 @@
-"""Columnar (struct-of-arrays) MBR views and batched box kernels.
+"""Columnar (struct-of-arrays) MBR views and the ChooseSubtree kernel.
 
 The SJ traversal's hot operation is testing every entry pair of two
 joined nodes against the overlap (or within-distance) condition.  As a
@@ -6,7 +6,9 @@ list of :class:`~repro.geometry.rect.Rect` objects, one ``|n1| x |n2|``
 block costs thousands of Python-level attribute lookups and tuple
 comparisons.  A :class:`ColumnarMBRs` holds the same rectangles as two
 NumPy coordinate arrays, so a whole block evaluates in a handful of
-array operations ("SIMD-ified R-tree Query Processing", see PAPERS.md).
+array operations ("SIMD-ified R-tree Query Processing", see PAPERS.md);
+the kernel that tests it is the join predicate's
+(:meth:`repro.join.JoinPredicate.pair_mask`).
 
 There is one columnar copy of a tree — its
 :class:`~repro.geometry.TreeArena` — and a :class:`ColumnarMBRs` is a
@@ -14,17 +16,13 @@ zero-copy view of one node's run in it (:meth:`TreeArena.slice`).
 Columnar therefore means NumPy: a host without it has no arena and runs
 the scalar predicates over the ``Rect`` objects.
 
-The kernels are **exact**: every one answers what the scalar
-:class:`Rect` code answers, bit for bit, because only operations that
-IEEE 754 defines elementwise are vectorized and every order-dependent
-step keeps the scalar's order.
+:func:`least_overlap_enlargement` is **exact**: it answers what the
+scalar :class:`Rect` code answers, bit for bit, because only operations
+that IEEE 754 defines elementwise are vectorized and every
+order-dependent step keeps the scalar's order.
 
-* The pair kernels use ``<=`` and ``-`` on float64 only.  The
-  within-distance kernel therefore only *prefilters* (per-axis gaps are
-  exact; the Euclidean norm is not) and the caller confirms candidates
-  with the scalar ``math.hypot`` test.
-* :func:`least_overlap_enlargement` also uses ``*``, ``minimum`` and
-  ``maximum``, each bit-equal to the scalar operation (the sign of a
+* It uses ``<=``, ``-``, ``*``, ``minimum`` and ``maximum`` on float64,
+  each bit-equal to the scalar operation (the sign of a
   zero may differ; no comparison sees it).  Areas multiply the sides in
   dimension order — the scalar's leading ``1.0 *`` is exact.  An
   intersection with ``side <= 0`` on any axis is ``0.0`` through a
@@ -35,17 +33,11 @@ step keeps the scalar's order.
   in the last bit, flips a tie-break and so builds another tree.
 * A choice among candidates is :func:`first_least`, for the kernel and
   for every scalar loop it stands in for.
-
-Index pairs are emitted in the paper's loop order — outer R2 (``j``),
-inner R1 (``i``) — so a traversal that fetches children per qualifying
-pair issues the exact same ``ReadPage`` sequence as the Figure-2 nested
-loops.
 """
 
 from __future__ import annotations
 
-__all__ = ["ColumnarMBRs", "overlap_pairs", "distance_candidate_pairs",
-           "first_least", "least_overlap_enlargement"]
+__all__ = ["ColumnarMBRs", "first_least", "least_overlap_enlargement"]
 
 _INF = float("inf")
 
@@ -72,66 +64,6 @@ class ColumnarMBRs:
 
     def __repr__(self) -> str:
         return f"ColumnarMBRs(count={self.count}, ndim={self.ndim})"
-
-
-def _check_pairable(a: ColumnarMBRs, b: ColumnarMBRs) -> None:
-    if a.ndim != b.ndim:
-        raise ValueError(
-            f"dimensionality mismatch: {a.ndim} vs {b.ndim}")
-
-
-def overlap_pairs(a: ColumnarMBRs, b: ColumnarMBRs,
-                  ) -> list[tuple[int, int]]:
-    """Index pairs ``(i, j)`` of intersecting boxes, in j-major order.
-
-    Exact: closed-box intersection uses only ``<=`` comparisons, so the
-    result equals ``{(i, j) | a[i].intersects(b[j])}``, emitted
-    outer-``j`` (R2), inner-``i`` (R1) — the paper's Figure-2 loop
-    order.
-    """
-    _check_pairable(a, b)
-    # Per-axis 2-D masks, accumulated in place: an order of magnitude
-    # cheaper than one (|a|, |b|, ndim) broadcast with an
-    # ``.all(axis=2)`` reduction.  Shape (|b|, |a|) — row-major nonzero
-    # is then already j-major.
-    mask = None
-    for k in range(a.ndim):
-        axis = ((a.lo[:, k][None, :] <= b.hi[:, k][:, None])
-                & (b.lo[:, k][:, None] <= a.hi[:, k][None, :]))
-        if mask is None:
-            mask = axis
-        else:
-            mask &= axis
-    jj, ii = mask.nonzero()
-    return list(zip(ii.tolist(), jj.tolist()))
-
-
-def distance_candidate_pairs(a: ColumnarMBRs, b: ColumnarMBRs,
-                             distance: float) -> list[tuple[int, int]]:
-    """Candidate ``(i, j)`` pairs for a within-distance join, j-major.
-
-    A **superset** of the qualifying pairs: it keeps exactly those whose
-    per-axis gap is at most ``distance`` on every axis (a necessary
-    condition, since each axis gap bounds the Euclidean gap from below).
-    The per-axis test uses only exact float64 subtraction/comparison;
-    callers confirm with the scalar ``math.hypot`` predicate to stay
-    bit-identical to the nested-loop reference.
-    """
-    _check_pairable(a, b)
-    if distance < 0.0:
-        raise ValueError("distance must be >= 0")
-    mask = None
-    for k in range(a.ndim):
-        axis = ((a.lo[:, k][None, :] - b.hi[:, k][:, None]
-                 <= distance)
-                & (b.lo[:, k][:, None] - a.hi[:, k][None, :]
-                   <= distance))
-        if mask is None:
-            mask = axis
-        else:
-            mask &= axis
-    jj, ii = mask.nonzero()
-    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def first_least(keys: list) -> int:

@@ -23,7 +23,10 @@ level order.  The engine therefore runs in two phases:
 
 1. **plan** — breadth-first, level-synchronous kernels over the arenas
    compute, per visited node pair, the qualifying entry items (and the
-   child page ids they fetch).  No page is read and nothing is charged;
+   child page ids they fetch).  Every depth, mixed-height ones
+   included, is one planner over the predicate's one kernel pair
+   (:meth:`~repro.join.JoinPredicate.pair_mask` and ``confirm``); no
+   coordinate is compared here.  No page is read and nothing is charged;
    the governor is consulted once per level boundary, plus a per-level
    NA sub-budget slicer stops planning levels the replay can provably
    never reach before its budget trips.
@@ -48,8 +51,6 @@ iterators) — fall back to the stack machine, and the join says so
 
 from __future__ import annotations
 
-import math
-
 from ..exec import ExecutionGovernor
 from ..geometry.arena import _get_numpy
 from ..reliability import FaultyPager
@@ -57,7 +58,7 @@ from ..storage import AccessStats, MeteredReader
 from .predicates import JoinPredicate, Overlap, WithinDistance
 
 __all__ = ["BATCH_PAIR_ENUMERATIONS", "LevelBatchState", "MAX_CHUNK_ITEMS",
-           "arena_pair", "supports_level_batch", "tree_arena"]
+           "arena_pair", "run_slots", "supports_level_batch", "tree_arena"]
 
 #: Pair enumerations the batch engine reproduces bit-identically.  The
 #: plane sweeps visit children in a deliberately different order (their
@@ -173,6 +174,33 @@ class _LevelPlan:
                  "comparisons_hit")
 
 
+class _Gathered:
+    """The rows of an ``(ndim, n)`` block taken at ``index``, one axis
+    at a time: ``self[k]`` gathers on access.  A predicate kernel reads
+    its operands axis by axis, so at most four gathered columns of a
+    chunk are alive at once instead of ``4 * ndim``."""
+
+    __slots__ = ("block", "index")
+
+    def __init__(self, block, index):
+        self.block = block
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, k: int):
+        return self.block[k].take(self.index)
+
+
+def run_slots(np, offset, count):
+    """Arena slots of the runs ``offset[r] : offset[r] + count[r]``,
+    concatenated in run order."""
+    first = np.cumsum(count) - count
+    return (np.repeat(offset - first, count)
+            + np.arange(int(count.sum()), dtype=np.int64))
+
+
 def _kind(l1: int, l2: int) -> str:
     if l1 > 1 and l2 > 1:
         return "int"
@@ -211,8 +239,6 @@ class LevelBatchState:
         self.reader1 = reader1
         self.reader2 = reader2
         self.predicate = predicate
-        self._distance = (predicate.distance
-                          if isinstance(predicate, WithinDistance) else None)
         self.collect_pairs = collect_pairs
         self.pinned1 = pinned1
         self.pinned2 = pinned2
@@ -289,10 +315,7 @@ class LevelBatchState:
         depth = 0
         while True:
             kind = _kind(l1, l2)
-            if kind in ("int", "leaf"):
-                plan = self._cross_level(kind, l1, l2, pages1, pages2)
-            else:
-                plan = self._mixed_level(kind, l1, l2, pages1, pages2)
+            plan = self._cross_level(kind, l1, l2, pages1, pages2)
             plans.append(plan)
             self._observe_level(depth, plan)
             if kind == "leaf" or plan.qual_total == 0:
@@ -329,25 +352,56 @@ class LevelBatchState:
                 items=plan.items_total, qualifying=plan.qual_total,
                 kernel_calls=plan.kernel_calls)
 
+    def _side(self, arena, off, cnt, pages, at_leaves: bool):
+        """``(lo, hi, refs, off, cnt)`` of one tree at one depth.
+
+        ``lo``/``hi`` are ``(ndim, n)`` corner blocks, ``refs`` what an
+        entry fetches (or, at leaf depth, reports), and visit ``v`` owns
+        entries ``off[v] : off[v] + cnt[v]`` — for a descending side,
+        its node's run of the arena.  A side already ``at_leaves`` while
+        the other still descends contributes one pseudo-entry per visit
+        instead: the leaf node's MBR, whose "child" is the leaf page
+        itself, re-fetched beside each qualifying child of the other
+        side (``sync._step_r1_leaf``/``_step_r2_leaf``).  ``min``/
+        ``max`` are exact, so the MBR has the bits of ``Node.mbr()``.
+        Planned nodes are never empty: only a root can be, and the
+        driver opens no join on one.
+        """
+        np = self.np
+        lo, hi = arena._coords
+        if not at_leaves:
+            return lo, hi, arena._refs, off[pages], cnt[pages]
+        leaves, visit = np.unique(pages, return_inverse=True)
+        count = cnt[leaves]
+        first = np.cumsum(count) - count
+        slots = run_slots(np, off[leaves], count)
+        return (np.minimum.reduceat(lo.take(slots, axis=1), first, axis=1),
+                np.maximum.reduceat(hi.take(slots, axis=1), first, axis=1),
+                leaves, visit, np.ones(len(pages), dtype=np.int64))
+
     def _cross_level(self, kind: str, l1: int, l2: int,
                      pages1, pages2) -> _LevelPlan:
-        """Plan one ``int``/``leaf`` depth: full a*b blocks, j-major."""
+        """Plan one depth of any kind: full a*b blocks, j-major.
+
+        A mixed-height depth is an ``a x 1`` or ``1 x b`` cross level
+        (:meth:`_side`), whose j-major order is the internal node's
+        entry order — what the stack machine's mixed frames iterate.
+        """
         np = self.np
+        predicate = self.predicate
         frontier = len(pages1)
-        off1 = self._off1[pages1]
-        cnt1 = self._cnt1[pages1]
-        off2 = self._off2[pages2]
-        cnt2 = self._cnt2[pages2]
+        lo1, hi1, refs1, off1, cnt1 = self._side(
+            self.arena1, self._off1, self._cnt1, pages1, kind == "r1leaf")
+        lo2, hi2, refs2, off2, cnt2 = self._side(
+            self.arena2, self._off2, self._cnt2, pages2, kind == "r2leaf")
         ab = cnt1 * cnt2
         csum = np.concatenate((np.zeros(1, dtype=np.int64),
                                np.cumsum(ab)))
-        kernel_calls = 6
-        coords1 = self.arena1._coords
-        coords2 = self.arena2._coords
-        refs1 = self.arena1._refs
-        refs2 = self.arena2._refs
-        ndim = self.arena1.ndim
-        distance = self._distance
+        # The planner's own array calls, plus one per pair_mask/confirm
+        # invocation (it cannot see inside them); a leaf-pinned side's
+        # MBRs cost ten more than a descending side's two lookups.
+        mixed = kind in ("r1leaf", "r2leaf")
+        kernel_calls = 16 if mixed else 6
         qual_counts = np.zeros(frontier, dtype=np.int64)
         pos_parts, c1_parts, c2_parts = [], [], []
         start = 0
@@ -370,33 +424,27 @@ class LevelBatchState:
             j_loc = within // a_rep
             gi = np.repeat(off1[start:end], abc) + i_loc
             gj = np.repeat(off2[start:end], abc) + j_loc
-            kernel_calls += 8
-            mask = None
-            for k in range(ndim):
-                if distance is None:
-                    mk = ((coords1[0, k].take(gi)
-                           <= coords2[1, k].take(gj))
-                          & (coords2[0, k].take(gj)
-                             <= coords1[1, k].take(gi)))
-                else:
-                    mk = (((coords1[0, k].take(gi)
-                            - coords2[1, k].take(gj)) <= distance)
-                          & ((coords2[0, k].take(gj)
-                              - coords1[1, k].take(gi)) <= distance))
-                mask = mk if mask is None else mask & mk
-                kernel_calls += 6
+            mask, exact = predicate.pair_mask(
+                np, _Gathered(lo1, gi), _Gathered(hi1, gi),
+                _Gathered(lo2, gj), _Gathered(hi2, gj))
             q = np.nonzero(mask)[0]
-            kernel_calls += 1
-            if distance is not None and len(q):
-                q = self._confirm_distance(q, gi, gj)
+            gi, gj = gi[q], gj[q]
+            kernel_calls += 12
+            if not exact and len(q):
+                keep = np.array(predicate.confirm(
+                    np, lo1.take(gi, axis=1), hi1.take(gi, axis=1),
+                    lo2.take(gj, axis=1), hi2.take(gj, axis=1)),
+                    dtype=bool)
+                q, gi, gj = q[keep], gi[keep], gj[keep]
+                kernel_calls += 9
             if len(q):
                 seg = np.repeat(np.arange(end - start, dtype=np.int64),
                                 abc)
                 qual_counts[start:end] += np.bincount(
                     seg[q], minlength=end - start)
                 pos_parts.append(within[q])
-                c1_parts.append(refs1.take(gi[q]))
-                c2_parts.append(refs2.take(gj[q]))
+                c1_parts.append(refs1.take(gi))
+                c2_parts.append(refs2.take(gj))
                 kernel_calls += 5
             start = end
         empty = np.zeros(0, dtype=np.int64)
@@ -408,7 +456,7 @@ class LevelBatchState:
         plan = _LevelPlan()
         plan.kind = kind
         plan.l1, plan.l2 = l1, l2
-        plan.fetch2_first = False
+        plan.fetch2_first = kind == "r1leaf"
         plan.frontier = frontier
         plan.items_total = int(csum[-1])
         plan.qual_total = len(child1)
@@ -422,147 +470,13 @@ class LevelBatchState:
         plan.child2_arr = child2
         # Comparison accounting (sync.py semantics): nested-loop charges
         # every enumerated item; vectorized charges a*b per block on the
-        # first qualifying yield (zero for blocks with no match).
+        # first qualifying yield (zero for blocks with no match).  Mixed
+        # frames iterate raw entries whatever the enumeration, so both
+        # accountings charge one comparison per item.
         plan.comparisons_all = plan.items_total
-        plan.comparisons_hit = int(ab[qual_counts > 0].sum())
+        plan.comparisons_hit = (plan.items_total if mixed
+                                else int(ab[qual_counts > 0].sum()))
         return plan
-
-    def _confirm_distance(self, cand, gi, gj):
-        """Exact scalar confirm of within-distance candidates.
-
-        The per-axis gap prefilter is a superset (it tests the L-inf
-        box); qualification is ``math.hypot`` over the gaps, computed on
-        the exact float64 coordinates so the verdicts are bit-identical
-        to :meth:`repro.geometry.Rect.min_distance`.
-        """
-        np = self.np
-        ndim = self.arena1.ndim
-        coords1, coords2 = self.arena1._coords, self.arena2._coords
-        gic, gjc = gi[cand], gj[cand]
-        lo1 = [coords1[0, k].take(gic).tolist() for k in range(ndim)]
-        hi1 = [coords1[1, k].take(gic).tolist() for k in range(ndim)]
-        lo2 = [coords2[0, k].take(gjc).tolist() for k in range(ndim)]
-        hi2 = [coords2[1, k].take(gjc).tolist() for k in range(ndim)]
-        distance = self._distance
-        hypot = math.hypot
-        keep = [t for t in range(len(gic))
-                if hypot(*[max(lo1[k][t] - hi2[k][t],
-                               lo2[k][t] - hi1[k][t], 0.0)
-                           for k in range(ndim)]) <= distance]
-        if len(keep) == len(gic):
-            return cand
-        return cand[np.array(keep, dtype=np.int64)] if keep \
-            else cand[:0]
-
-    def _mixed_level(self, kind: str, l1: int, l2: int,
-                     pages1, pages2) -> _LevelPlan:
-        """Plan one mixed-height depth (one tree already at its leaves).
-
-        Items are the *internal* node's entries tested against the leaf
-        node's MBR (``sync._step_r1_leaf``/``_step_r2_leaf``); each
-        qualifying item re-fetches the same leaf page alongside the
-        child page, ``fetch2`` first in the r1leaf regime.  Frontiers
-        here are charged per visited pair by the model (Section 3.2),
-        so a per-visit loop with vectorized inner tests is enough.
-        """
-        np = self.np
-        frontier = len(pages1)
-        ndim = self.arena1.ndim
-        distance = self._distance
-        r1_leaf = kind == "r1leaf"
-        if r1_leaf:
-            mbr_arena, item_arena = self.arena1, self.arena2
-        else:
-            mbr_arena, item_arena = self.arena2, self.arena1
-        mbr_coords = mbr_arena._coords
-        item_coords = item_arena._coords
-        item_refs = item_arena._refs
-        mbr_pages = (pages1 if r1_leaf else pages2).tolist()
-        item_pages = (pages2 if r1_leaf else pages1).tolist()
-        n_items = []
-        qual_start = [0]
-        qual_pos: list[int] = []
-        child1: list[int] = []
-        child2: list[int] = []
-        kernel_calls = 0
-        for v in range(frontier):
-            om, cm, _ = mbr_arena.index[mbr_pages[v]]
-            oi, ci, _ = item_arena.index[item_pages[v]]
-            n_items.append(ci)
-            if cm == 0 or ci == 0:
-                qual_start.append(len(qual_pos))
-                continue
-            sl = slice(oi, oi + ci)
-            mask = None
-            for k in range(ndim):
-                mbr_lo = float(mbr_coords[0, k, om:om + cm].min())
-                mbr_hi = float(mbr_coords[1, k, om:om + cm].max())
-                if distance is None:
-                    mk = ((mbr_lo <= item_coords[1, k, sl])
-                          & (item_coords[0, k, sl] <= mbr_hi))
-                else:
-                    mk = (((mbr_lo - item_coords[1, k, sl]) <= distance)
-                          & ((item_coords[0, k, sl] - mbr_hi) <= distance))
-                mask = mk if mask is None else mask & mk
-                kernel_calls += 8
-            q = np.nonzero(mask)[0]
-            kernel_calls += 1
-            if distance is not None and len(q):
-                q = self._confirm_mixed(q, mbr_arena, om, cm,
-                                        item_arena, oi)
-            q_list = q.tolist()
-            qual_pos.extend(q_list)
-            refs = item_refs[oi + q].tolist()
-            if r1_leaf:
-                child1.extend([mbr_pages[v]] * len(q_list))
-                child2.extend(refs)
-            else:
-                child1.extend(refs)
-                child2.extend([mbr_pages[v]] * len(q_list))
-            qual_start.append(len(qual_pos))
-        plan = _LevelPlan()
-        plan.kind = kind
-        plan.l1, plan.l2 = l1, l2
-        plan.fetch2_first = r1_leaf
-        plan.frontier = frontier
-        plan.items_total = sum(n_items)
-        plan.qual_total = len(child1)
-        plan.kernel_calls = kernel_calls
-        plan.n_items = n_items
-        plan.qual_pos = qual_pos
-        plan.qual_start = qual_start
-        plan.child1 = child1
-        plan.child2 = child2
-        plan.child1_arr = np.array(child1, dtype=np.int64)
-        plan.child2_arr = np.array(child2, dtype=np.int64)
-        # Mixed frames iterate raw entries whatever the enumeration, so
-        # both accountings charge one comparison per item.
-        plan.comparisons_all = plan.items_total
-        plan.comparisons_hit = plan.items_total
-        return plan
-
-    def _confirm_mixed(self, cand, mbr_arena, om, cm, item_arena, oi):
-        np = self.np
-        ndim = mbr_arena.ndim
-        distance = self._distance
-        mbr_lo = [float(mbr_arena._coords[0, k, om:om + cm].min())
-                  for k in range(ndim)]
-        mbr_hi = [float(mbr_arena._coords[1, k, om:om + cm].max())
-                  for k in range(ndim)]
-        pos = oi + cand
-        ilo = [item_arena._coords[0, k].take(pos).tolist()
-               for k in range(ndim)]
-        ihi = [item_arena._coords[1, k].take(pos).tolist()
-               for k in range(ndim)]
-        hypot = math.hypot
-        keep = [t for t in range(len(cand))
-                if hypot(*[max(mbr_lo[k] - ihi[k][t],
-                               ilo[k][t] - mbr_hi[k], 0.0)
-                           for k in range(ndim)]) <= distance]
-        if len(keep) == len(cand):
-            return cand
-        return cand[np.array(keep, dtype=np.int64)] if keep \
-            else cand[:0]
 
     # -- phase 2: depth-first charging replay -------------------------------
 

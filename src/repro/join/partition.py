@@ -80,16 +80,15 @@ from dataclasses import replace
 from ..exec import ExecutionGovernor
 from ..exec.budget import Budget, BudgetExceeded, Cancelled
 from ..exec.config import ExecutionConfig
-from ..geometry import Rect
 from ..geometry.arena import (_get_numpy, arena_from_shared_memory,
                               arena_to_shared_memory)
 from ..reliability import RetryPolicy
 from ..rtree import Entry, RTreeBase
 from ..storage import AccessStats, BufferManager, PathBuffer
-from .batch import tree_arena
+from .batch import arena_pair, run_slots
 from .fanout import fan_out, worker_governor
 from .plane_sweep import sweep_pairs_batch
-from .predicates import OVERLAP, JoinPredicate, WithinDistance
+from .predicates import OVERLAP, JoinPredicate
 from .result import R1, R2, JoinResult, PartialJoinResult
 from .sync import _admit, _reader
 
@@ -209,17 +208,16 @@ def _scan_leaves(tree: RTreeBase, reader,
 
 def _select_engine(predicate: JoinPredicate, tree1, tree2):
     """``((arena1, arena2), None)`` when the arena pipeline can run,
-    else ``(None, reason)`` — the reason the scalar path is taken."""
+    else ``(None, reason)`` — the reason the scalar path is taken:
+    ``"no-pair-mask"`` for a predicate without a kernel (probed before
+    any arena is built), else :func:`~repro.join.batch.arena_pair`'s."""
     np = _get_numpy()
     if np is None:
         return None, "pure-python"
     empty = np.empty((tree1.ndim, 0), dtype=np.float64)
     if predicate.pair_mask(np, empty, empty, empty, empty) is None:
         return None, "no-pair-mask"
-    arena1, arena2 = tree_arena(tree1), tree_arena(tree2)
-    if arena1 is None or arena2 is None:
-        return None, "arena-unavailable"
-    return (arena1, arena2), None
+    return arena_pair(tree1, tree2)
 
 
 # -- arena engine: slot arrays, CSR tiles, loop-free tile sweep ------------
@@ -228,11 +226,9 @@ def _select_engine(predicate: JoinPredicate, tree1, tree2):
 def _leaf_slots(np, arena, leaves):
     """Arena slots of every entry of the scanned leaves, in scan order."""
     spans = [arena.index[node.page_id] for node in leaves]
-    offset = np.array([s[0] for s in spans], dtype=np.int64)
-    count = np.array([s[1] for s in spans], dtype=np.int64)
-    first = np.cumsum(count) - count
-    return (np.repeat(offset - first, count)
-            + np.arange(int(count.sum()), dtype=np.int64))
+    return run_slots(np,
+                     np.array([s[0] for s in spans], dtype=np.int64),
+                     np.array([s[1] for s in spans], dtype=np.int64))
 
 
 def _scatter_arena(np, grid: _Grid, slots, lo, hi, refs,
@@ -307,25 +303,6 @@ def _partition_arena(arenas, leaves1, leaves2, axes: int,
                          len(rep1), len(rep2))
 
 
-def _confirm(np, predicate: JoinPredicate, lo1, hi1, lo2, hi2):
-    """Exact scalar verdicts for the survivors of an inexact kernel.
-
-    The arguments are aligned per-axis columns.  ``WithinDistance``
-    is confirmed with ``math.hypot`` over the per-axis gaps, computed on
-    the arena's float64 bits — the arithmetic of
-    :meth:`repro.geometry.Rect.min_distance`; any other predicate gets
-    its own ``leaf_test`` over rebuilt rectangles.
-    """
-    if type(predicate) is WithinDistance:
-        gaps = np.maximum(np.maximum(lo1 - hi2, lo2 - hi1), 0.0)
-        distance = predicate.distance
-        hypot = math.hypot
-        return [hypot(*g) <= distance for g in zip(*gaps.tolist())]
-    corners = [zip(*c.tolist()) for c in (lo1, hi1, lo2, hi2)]
-    return [predicate.leaf_test(Rect(a, b), Rect(c, d))
-            for a, b, c, d in zip(*corners)]
-
-
 def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
                 grid: _Grid, tile: tuple[int, ...], collect_pairs: bool,
                 governor: ExecutionGovernor | None, stats: AccessStats,
@@ -397,10 +374,10 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
             keep = m if keep is None else keep & m
         idx1, idx2 = idx1[keep], idx2[keep]
         if not exact and len(idx1):
-            keep = np.array(_confirm(
-                np, predicate, lo1.take(idx1, axis=1),
-                hi1.take(idx1, axis=1), lo2.take(idx2, axis=1),
-                hi2.take(idx2, axis=1)), dtype=bool)
+            keep = np.array(predicate.confirm(
+                np, lo1.take(idx1, axis=1), hi1.take(idx1, axis=1),
+                lo2.take(idx2, axis=1), hi2.take(idx2, axis=1)),
+                dtype=bool)
             idx1, idx2 = idx1[keep], idx2[keep]
         count += len(idx1)
         if collect_pairs and len(idx1):

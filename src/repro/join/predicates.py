@@ -14,12 +14,20 @@ For ``Overlap`` the two coincide.  For ``WithinDistance(e)`` both are a
 minimum-distance test, which is simultaneously exact at leaf level and
 conservative above it (node MBRs contain their data, so node distance is a
 lower bound on data distance).
+
+How a *batch* of rectangle pairs is tested is decided here too, once per
+predicate: :meth:`JoinPredicate.pair_mask` (the IEEE-exact mask) and
+:meth:`JoinPredicate.confirm` (exact verdicts for what an inexact mask
+lets through).  The level-batch planner, the PBSM tile probe and the
+Fig. 2 machine's ``vectorized`` block all call that pair and hold no
+coordinate arithmetic of their own.
 """
 
 from __future__ import annotations
 
-from ..geometry import (ColumnarMBRs, Rect, distance_candidate_pairs,
-                        overlap_pairs)
+import math
+
+from ..geometry import Rect
 
 __all__ = ["JoinPredicate", "Overlap", "WithinDistance", "OVERLAP"]
 
@@ -48,35 +56,47 @@ class JoinPredicate:
         """
         return 0.0
 
-    def block_pairs(self, cols1: ColumnarMBRs, cols2: ColumnarMBRs,
-                    ) -> tuple[list[tuple[int, int]], bool] | None:
-        """Batched candidate matching over two columnar MBR blocks.
-
-        Returns ``(pairs, exact)`` where ``pairs`` are ``(i, j)`` index
-        pairs in j-major (outer-R2) order and ``exact`` says whether
-        they are precisely the qualifying pairs (``True``) or a superset
-        the caller must confirm with the scalar test (``False``).
-        Returning ``None`` (the default) means the predicate has no
-        batched kernel; :func:`~repro.join.vectorized_pairs` then tests
-        the full cross product scalar-side.
-        """
-        return None
-
     def pair_mask(self, np, lo1, hi1, lo2, hi2):
-        """Batched leaf test over *aligned* candidate coordinate arrays.
+        """The batched test: a boolean mask over rectangle pairs.
 
-        ``lo1[k]``/``hi1[k]`` (and the ``2`` side) are per-axis float64
-        arrays with one element per candidate pair — element ``t`` of
-        every array describes the same pair.  Returns ``(mask, exact)``
-        where ``mask`` is a boolean array and ``exact`` says whether it
-        *is* the leaf test (``True``) or a conservative superset the
-        caller must confirm pair-by-pair with :meth:`leaf_test`
-        (``False``) — the same contract as :meth:`block_pairs`, but for
-        an arbitrary pair list instead of a node cross product.
-        Returning ``None`` (the default) means no kernel; callers fall
-        back to the scalar test.
+        ``lo1[k]``/``hi1[k]`` (and the ``2`` side) are the float64
+        coordinates of axis ``k``, ``len(lo1)`` axes in all.  The kernel
+        is **elementwise over broadcastable operands**: ``lo1[k]`` may
+        be a 1-D column aligned with ``lo2[k]`` (element ``t`` of every
+        operand describes candidate pair ``t`` — the level-batch planner
+        and the PBSM tile probe) or a ``(1, a)`` row against a
+        ``(b, 1)`` column (one node's entries against another's — the
+        Fig. 2 machine's ``vectorized`` block); the mask has the
+        broadcast shape.  Read each axis once: a caller may gather it on
+        access.
+
+        Returns ``(mask, exact)``, or ``None`` (the default) for a
+        predicate with no kernel, whose callers test scalar-side.  The
+        mask stands for **both** tests: it never rejects a pair
+        :meth:`node_test` or :meth:`leaf_test` accepts.  ``exact=True``
+        means it *is* both — true of the two built-ins, whose two tests
+        are one; with ``exact=False`` it is a superset and the caller
+        settles each survivor with :meth:`confirm` or the scalar test
+        of its level.
+
+        The built-in kernels use ``<=`` and ``-`` on float64 only,
+        which IEEE 754 defines elementwise, so they answer what the
+        scalar :class:`~repro.geometry.Rect` code answers bit for bit.
+        The within-distance kernel therefore only *prefilters*: per-axis
+        gaps are exact, the Euclidean norm is not.
         """
         return None
+
+    def confirm(self, np, lo1, hi1, lo2, hi2) -> list[bool]:
+        """Exact verdicts for the survivors of an inexact mask.
+
+        The operands are aligned ``(ndim, n)`` blocks, one column per
+        surviving pair.  The default rebuilds the rectangles and asks
+        :meth:`leaf_test`.
+        """
+        corners = [zip(*c.tolist()) for c in (lo1, hi1, lo2, hi2)]
+        return [self.leaf_test(Rect(a, b), Rect(c, d))
+                for a, b, c, d in zip(*corners)]
 
 
 class Overlap(JoinPredicate):
@@ -88,15 +108,13 @@ class Overlap(JoinPredicate):
     def leaf_test(self, r1: Rect, r2: Rect) -> bool:
         return r1.intersects(r2)
 
-    def block_pairs(self, cols1: ColumnarMBRs, cols2: ColumnarMBRs,
-                    ) -> tuple[list[tuple[int, int]], bool]:
-        # Closed-box intersection vectorizes exactly (comparisons only).
-        return overlap_pairs(cols1, cols2), True
-
     def pair_mask(self, np, lo1, hi1, lo2, hi2):
-        mask = (lo1[0] <= hi2[0]) & (lo2[0] <= hi1[0])
+        # Closed-box intersection vectorizes exactly (comparisons only).
+        mask = lo1[0] <= hi2[0]
+        mask &= lo2[0] <= hi1[0]
         for k in range(1, len(lo1)):
-            mask &= (lo1[k] <= hi2[k]) & (lo2[k] <= hi1[k])
+            mask &= lo1[k] <= hi2[k]
+            mask &= lo2[k] <= hi1[k]
         return mask, True
 
     def __repr__(self) -> str:
@@ -113,8 +131,11 @@ class WithinDistance(JoinPredicate):
     """
 
     def __init__(self, distance: float):
-        if distance < 0.0:
-            raise ValueError("distance must be >= 0")
+        # Finite, too: an infinite sweep slack gives PBSM a grid of
+        # infinite extent and NaN tile indices, and a NaN is not JSON —
+        # the predicate spec is written into checkpoints.
+        if not (math.isfinite(distance) and distance >= 0.0):
+            raise ValueError("distance must be finite and >= 0")
         self.distance = distance
 
     def node_test(self, r1: Rect, r2: Rect) -> bool:
@@ -128,23 +149,28 @@ class WithinDistance(JoinPredicate):
         # slack d keeps every qualifying pair inside the sweep window.
         return self.distance
 
-    def block_pairs(self, cols1: ColumnarMBRs, cols2: ColumnarMBRs,
-                    ) -> tuple[list[tuple[int, int]], bool]:
-        # The per-axis gap prefilter is exact (subtraction/comparison);
-        # the Euclidean norm is not, so candidates are confirmed with
-        # the scalar math.hypot test to stay bit-identical.
-        return (distance_candidate_pairs(cols1, cols2, self.distance),
-                False)
-
     def pair_mask(self, np, lo1, hi1, lo2, hi2):
-        # Per-axis gap <= d is exact arithmetic (subtract/compare); the
-        # Euclidean norm is not, so exact=False: the caller confirms
-        # survivors with the scalar min_distance test.
+        # exact=False: see the base docstring.  Two accumulated
+        # comparisons per axis are the mask ``maximum(a, b) <= d`` is (a
+        # NaN fails both) with half the temporaries alive.
         d = self.distance
-        mask = np.maximum(lo1[0] - hi2[0], lo2[0] - hi1[0]) <= d
+        mask = (lo1[0] - hi2[0]) <= d
+        mask &= (lo2[0] - hi1[0]) <= d
         for k in range(1, len(lo1)):
-            mask &= np.maximum(lo1[k] - hi2[k], lo2[k] - hi1[k]) <= d
+            mask &= (lo1[k] - hi2[k]) <= d
+            mask &= (lo2[k] - hi1[k]) <= d
         return mask, False
+
+    def confirm(self, np, lo1, hi1, lo2, hi2) -> list[bool]:
+        # Exact type only: a subclass may have redefined leaf_test.
+        if type(self) is not WithinDistance:
+            return super().confirm(np, lo1, hi1, lo2, hi2)
+        # Rect.min_distance bit for bit: ``-`` and ``max`` are exact,
+        # and the sign of a zero gap is invisible to hypot.
+        gaps = np.maximum(np.maximum(lo1 - hi2, lo2 - hi1), 0.0)
+        distance = self.distance
+        hypot = math.hypot
+        return [hypot(*g) <= distance for g in zip(*gaps.tolist())]
 
     def __repr__(self) -> str:
         return f"WithinDistance({self.distance})"

@@ -8,7 +8,9 @@ views (their :meth:`repro.geometry.TreeArena.slice`) and yields **only
 the qualifying pairs, already tested** — the traversal skips its
 per-pair predicate call entirely.  Without the views (no NumPy, or a
 tree with no arena) the same block is tested scalar-side: same yields,
-same order, same accounting.
+same order, same accounting.  The kernel is the predicate's
+:meth:`~repro.join.JoinPredicate.pair_mask` — the one the level-batch
+planner and the PBSM tile probe call.
 
 Equivalence guarantees (property-tested in
 ``tests/test_property_vectorized.py``):
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+from ..geometry.arena import _get_numpy
 from ..rtree import Entry
 from .predicates import JoinPredicate
 
@@ -51,24 +54,32 @@ def vectorized_pairs(node1: "Node", node2: "Node",
     for exactly the pairs satisfying ``predicate.leaf_test`` (with
     ``leaf=True``) or ``predicate.node_test`` — the caller must *not*
     re-test them.  ``cols1``/``cols2`` are the nodes' columnar views
-    (:meth:`repro.geometry.TreeArena.slice`).  Without them, and for
-    predicates without a batched kernel
-    (:meth:`~repro.join.JoinPredicate.block_pairs` returning ``None``),
-    the predicate is applied scalar-side over the full block,
-    preserving the pretested contract.
+    (:meth:`repro.geometry.TreeArena.slice`), handed to
+    :meth:`~repro.join.JoinPredicate.pair_mask` as a row against a
+    column.  Without them, and for predicates without a kernel
+    (``pair_mask`` returning ``None``), the predicate is applied
+    scalar-side over the full block, preserving the pretested contract;
+    an inexact mask's survivors get the same scalar test.
     """
     entries1, entries2 = node1.entries, node2.entries
     if not entries1 or not entries2:
         return
-    block = (None if cols1 is None
-             else predicate.block_pairs(cols1, cols2))
+    block = None
+    if cols1 is not None:
+        # (ndim, 1, |n1|) against (ndim, |n2|, 1): the mask is
+        # (|n2|, |n1|), so its row-major nonzero() is already j-major.
+        block = predicate.pair_mask(
+            _get_numpy(), cols1.lo.T[:, None, :], cols1.hi.T[:, None, :],
+            cols2.lo.T[:, :, None], cols2.hi.T[:, :, None])
     if block is None:
         n1 = len(entries1)
         candidates = ((i, j) for j in range(len(entries2))
                       for i in range(n1))
         exact = False
     else:
-        candidates, exact = block
+        mask, exact = block
+        jj, ii = mask.nonzero()
+        candidates = zip(ii.tolist(), jj.tolist())
     cost = len(entries1) * len(entries2)
     test = predicate.leaf_test if leaf else predicate.node_test
     for i, j in candidates:

@@ -53,7 +53,7 @@ from ..join import (PartialJoinResult, SpatialJoin, parallel_spatial_join,
                     tree_arena)
 from ..obs import MetricsRegistry
 from ..reliability import ReproError
-from ..storage import AccessStats, LRUBuffer, NoBuffer, PathBuffer
+from ..storage import AccessStats, buffer_from_spec
 from .admission import CostAdmission, ThroughputClock
 from .config import ServeConfig
 from .durable import DurableState
@@ -197,24 +197,10 @@ class JoinRequest:
             deadline=deadline, max_na=doc.get("max_na"),
             max_da=doc.get("max_da"), max_results=doc.get("max_results"))
         self.buffer_spec = doc.get("buffer", "path")
-        self._lru_pages: int | None = None
-        if self.buffer_spec not in ("none", "path"):
-            # Validate here, not in make_buffer()/buffer_footprint():
-            # those run after a concurrency slot is held, and a raise
-            # there must never be reachable from unauthenticated input.
-            if (not isinstance(self.buffer_spec, str)
-                    or not self.buffer_spec.startswith("lru:")):
-                raise ValueError(
-                    f"unknown buffer spec {self.buffer_spec!r} "
-                    f"(use 'none', 'path', 'lru:<k>')")
-            try:
-                self._lru_pages = int(self.buffer_spec[4:])
-            except ValueError:
-                raise ValueError(
-                    f"bad lru buffer spec {self.buffer_spec!r}: "
-                    f"'lru:' needs an integer page count") from None
-            if self._lru_pages < 1:
-                raise ValueError("lru buffer needs at least one page")
+        # Validate here, not in make_buffer()/buffer_footprint(): those
+        # run after a concurrency slot is held, and a raise there must
+        # never be reachable from unauthenticated input.
+        buffer_from_spec(self.buffer_spec)
         workers = doc.get("workers")
         if workers is not None and (
                 not isinstance(workers, int) or workers < 1):
@@ -249,19 +235,16 @@ class JoinRequest:
                 "(the partition engine has no resumable frontier)")
 
     def make_buffer(self):
-        if self.buffer_spec == "none":
-            return NoBuffer()
-        if self.buffer_spec == "path":
-            return PathBuffer()
-        return LRUBuffer(self._lru_pages)
+        return buffer_from_spec(self.buffer_spec)
 
     def buffer_footprint(self, height1: int, height2: int) -> int:
         """Pool pages this request's buffer holds while it runs."""
-        if self.buffer_spec == "none":
+        buffer = self.make_buffer()
+        if buffer.kind == "none":
             return 0
-        if self.buffer_spec == "path":
+        if buffer.kind == "path":
             return height1 + height2
-        return self._lru_pages
+        return buffer.capacity
 
 
 class JoinService:

@@ -1,6 +1,7 @@
 """Simulated paged storage: pager, buffer managers, access statistics."""
 
-from .buffers import BufferManager, LRUBuffer, NoBuffer, PathBuffer
+from .buffers import (BufferManager, LRUBuffer, NoBuffer, PathBuffer,
+                      buffer_from_spec)
 from .pager import PAGE_SIZE_1K, MeteredReader, Pager, node_capacity
 from .stats import AccessStats
 
@@ -13,5 +14,6 @@ __all__ = [
     "PAGE_SIZE_1K",
     "Pager",
     "PathBuffer",
+    "buffer_from_spec",
     "node_capacity",
 ]

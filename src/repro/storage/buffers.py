@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 
-__all__ = ["BufferManager", "NoBuffer", "PathBuffer", "LRUBuffer"]
+__all__ = ["BufferManager", "NoBuffer", "PathBuffer", "LRUBuffer",
+           "buffer_from_spec"]
 
 
 def _stable_key(label: object) -> str:
@@ -184,3 +185,30 @@ class LRUBuffer(BufferManager):
 
     def __repr__(self) -> str:
         return f"LRUBuffer(capacity={self.capacity}, used={len(self._pool)})"
+
+
+def buffer_from_spec(spec) -> BufferManager:
+    """The buffer a ``none | path | lru:<k>`` spec names (``k >= 1``).
+
+    The one reading of the spec: ``repro join --buffer`` and the
+    daemon's ``buffer`` request field both come here, so they accept
+    and refuse the same strings.  ``spec`` arrives from outside the
+    program (it may not even be a string); what is wrong with it is
+    the ``ValueError``'s message.
+    """
+    if spec == "none":
+        return NoBuffer()
+    if spec == "path":
+        return PathBuffer()
+    if not isinstance(spec, str) or not spec.startswith("lru:"):
+        raise ValueError(
+            f"unknown buffer spec {spec!r} (use 'none', 'path', 'lru:<k>')")
+    try:
+        pages = int(spec[4:])
+    except ValueError:
+        raise ValueError(
+            f"bad lru buffer spec {spec!r}: "
+            f"'lru:' needs an integer page count") from None
+    if pages < 1:
+        raise ValueError("lru buffer needs at least one page")
+    return LRUBuffer(pages)

@@ -195,6 +195,33 @@ class TestObservability:
         assert {"depth", "kind", "frontier", "items", "qualifying",
                 "kernel_calls"} <= set(levels[0])
 
+    @pytest.mark.parametrize("predicate", [Overlap(), WithinDistance(0.03)],
+                             ids=repr)
+    @pytest.mark.parametrize("tall_first", [True, False],
+                             ids=["r2leaf", "r1leaf"])
+    def test_mixed_level_kernel_calls_ignore_the_frontier(self, predicate,
+                                                          tall_first):
+        """No per-visit loop: a mixed-height depth goes through the one
+        planner, so its NumPy call count is the same however many node
+        pairs the depth visits — within a join and across joins."""
+        short = build_rstar(make_items(60, seed=77), max_entries=16)
+        mixed = []
+        for n, seed in ((200, 75), (600, 76)):
+            tall = build_rstar(make_items(n, seed=seed), max_entries=4)
+            assert tall.height > short.height + 1
+            sink = MemorySink()
+            spatial_join(*((tall, short) if tall_first else (short, tall)),
+                         predicate=predicate, config=BATCH,
+                         tracer=Tracer(sink))
+            mixed.append([r for r in sink.records
+                          if r["event"] == "level_batch"
+                          and r["kind"] not in ("int", "leaf")])
+        kind = "r2leaf" if tall_first else "r1leaf"
+        assert {r["kind"] for run in mixed for r in run} == {kind}
+        assert mixed[0][-1]["frontier"] != mixed[1][-1]["frontier"]
+        assert len({r["frontier"] for run in mixed for r in run}) > 2
+        assert len({r["kernel_calls"] for run in mixed for r in run}) == 1
+
     def test_parallel_modes_merge_batch_counters(self, trees):
         t1, t2 = trees
         for mode in ("serial", "threads"):

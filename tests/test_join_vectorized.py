@@ -10,10 +10,9 @@ scalar-side.
 
 import pytest
 
-from repro.estimator.backend import have_numpy
+from repro.estimator.backend import get_numpy, have_numpy
 from repro.exec import Budget, ExecutionGovernor
-from repro.geometry import (Rect, TreeArena, distance_candidate_pairs,
-                            overlap_pairs)
+from repro.geometry import Rect, TreeArena
 from repro.join import (OVERLAP, SpatialJoin, WithinDistance, naive_join,
                         spatial_join, vectorized_pairs)
 from repro.join.predicates import JoinPredicate
@@ -29,16 +28,39 @@ def node_of(rects, page_id=0, level=1):
                 [Entry(r, i) for i, r in enumerate(rects)])
 
 
-def slices_of(*rect_lists):
-    """One arena slice per rectangle list — what the kernels read."""
-    nodes = [node_of(rects, page_id=i)
-             for i, rects in enumerate(rect_lists)]
+def kernel_pairs(predicate, r1, r2):
+    """``(i, j)`` pairs ``predicate.pair_mask`` keeps, and its ``exact``
+    flag, read in both call shapes a consumer uses: one node's slice as
+    a row against the other's as a column (the Fig. 2 block — the
+    mask's row-major ``nonzero()`` is the j-major order), and aligned
+    columns gathered j-major over the full cross product (the
+    level-batch planner, the PBSM probe).  The shapes must agree."""
+    np = get_numpy()
+    nodes = [node_of(r1, page_id=0), node_of(r2, page_id=1)]
     arena = TreeArena.build(nodes, 2)
-    return [arena.slice(node.page_id) for node in nodes]
+    cols1, cols2 = (arena.slice(node.page_id) for node in nodes)
+    mask, exact = predicate.pair_mask(
+        np, cols1.lo.T[:, None, :], cols1.hi.T[:, None, :],
+        cols2.lo.T[:, :, None], cols2.hi.T[:, :, None])
+    assert mask.shape == (len(r2), len(r1))
+    jj, ii = mask.nonzero()
+    broadcast = list(zip(ii.tolist(), jj.tolist()))
+
+    t = np.arange(len(r1) * len(r2))
+    gi, gj = t % len(r1), t // len(r1)
+    aligned, aligned_exact = predicate.pair_mask(
+        np, cols1.lo.T[:, gi], cols1.hi.T[:, gi],
+        cols2.lo.T[:, gj], cols2.hi.T[:, gj])
+    q = aligned.nonzero()[0]
+    assert list(zip(gi[q].tolist(), gj[q].tolist())) == broadcast
+    assert aligned_exact == exact
+    return broadcast, exact
 
 
 @needs_numpy
 class TestOverlapPairs:
+    """``Overlap.pair_mask`` is ``Rect.intersects``, exactly."""
+
     def brute(self, r1, r2):
         return [(i, j) for j, b in enumerate(r2)
                 for i, a in enumerate(r1) if a.intersects(b)]
@@ -47,7 +69,7 @@ class TestOverlapPairs:
     def test_matches_brute_force_in_j_major_order(self, seed):
         r1 = [r for r, _o in make_items(40, seed=seed)]
         r2 = [r for r, _o in make_items(35, seed=seed + 50)]
-        assert overlap_pairs(*slices_of(r1, r2)) == self.brute(r1, r2)
+        assert kernel_pairs(OVERLAP, r1, r2) == (self.brute(r1, r2), True)
 
     def test_touching_edges_count_as_overlap(self):
         # Closed boxes: sharing a boundary is an intersection, exactly
@@ -55,30 +77,36 @@ class TestOverlapPairs:
         r1 = [Rect((0.0, 0.0), (0.5, 0.5))]
         r2 = [Rect((0.5, 0.0), (1.0, 0.5)),   # shares the x=0.5 edge
               Rect((0.5, 0.5), (1.0, 1.0))]   # shares only the corner
-        assert overlap_pairs(*slices_of(r1, r2)) == [(0, 0), (0, 1)]
+        assert kernel_pairs(OVERLAP, r1, r2)[0] == [(0, 0), (0, 1)]
 
     def test_degenerate_rectangles(self):
         point = Rect((0.3, 0.3), (0.3, 0.3))
         box = Rect((0.0, 0.0), (1.0, 1.0))
         away = Rect((0.5, 0.5), (0.9, 0.9))
-        assert overlap_pairs(*slices_of([point], [box, away])) == [(0, 0)]
+        assert kernel_pairs(OVERLAP, [point], [box, away])[0] == [(0, 0)]
 
 
 @needs_numpy
 class TestDistanceCandidatePairs:
+    """``WithinDistance.pair_mask`` is a superset of ``min_distance <=
+    d`` (it tests the L-inf box) and says so: ``exact`` is False."""
+
     def test_superset_of_true_within_distance(self):
         r1 = [r for r, _o in make_items(40, seed=6)]
         r2 = [r for r, _o in make_items(40, seed=7)]
         d = 0.05
-        cand = set(distance_candidate_pairs(*slices_of(r1, r2), d))
-        truly = {(i, j) for i, a in enumerate(r1)
-                 for j, b in enumerate(r2) if a.min_distance(b) <= d}
-        assert truly <= cand
+        cand, exact = kernel_pairs(WithinDistance(d), r1, r2)
+        truly = [(i, j) for j, b in enumerate(r2)
+                 for i, a in enumerate(r1) if a.min_distance(b) <= d]
+        assert not exact
+        assert set(truly) < set(cand), "fixture has no corner candidate"
+        # The survivors, in order, are the scalar test's pairs.
+        assert [p for p in cand if p in set(truly)] == truly
 
     def test_prunes_far_pairs(self):
         r1 = [Rect((0.0, 0.0), (0.1, 0.1))]
         r2 = [Rect((0.9, 0.9), (1.0, 1.0))]
-        assert distance_candidate_pairs(*slices_of(r1, r2), 0.1) == []
+        assert kernel_pairs(WithinDistance(0.1), r1, r2)[0] == []
 
 
 class _NoKernel(JoinPredicate):

@@ -22,12 +22,13 @@ from repro.exec import (Budget, CancellationToken, ExecutionConfig,
 from repro.exec.governor import BudgetExceeded
 from repro.geometry import Rect
 from repro.join import (OVERLAP, PartialJoinResult, SpatialJoin,
-                        WithinDistance, parallel_spatial_join,
+                        WithinDistance, parallel_spatial_join, partition,
                         partition_spatial_join, spatial_join)
 from repro.join.predicates import Overlap
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 
-from .conftest import arena_segments, backend, build_rstar, make_items
+from .conftest import (BOTH_BACKENDS, arena_segments, backend, build_rstar,
+                       make_items)
 
 needs_numpy = pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None, reason="NumPy unavailable")
@@ -323,11 +324,31 @@ class TestFallbackIsRecorded:
         want, _, _ = traced_join(t1, t2, False)
         monkeypatch.setattr(t2, "arena", None)
         got, event, counters = traced_join(t1, t2, False)
+        # One name per reason: what the traversal calls it.
         assert (event["engine"], event["fallback"]) == \
-            ("scalar", "arena-unavailable")
-        assert counters["pbsm.fallback.arena-unavailable"] == 1
+            ("scalar", "no-arena")
+        assert counters["pbsm.fallback.no-arena"] == 1
+        assert got.fallback == "no-arena"
         assert got.pairs == want.pairs
         assert got.stats.as_dict() == want.stats.as_dict()
+
+
+@pytest.mark.parametrize("pure_python", BOTH_BACKENDS)
+@pytest.mark.parametrize("distance", [float("nan"), float("inf")])
+def test_non_finite_distance_reaches_neither_engine(pure_python, distance,
+                                                    monkeypatch):
+    """Refused where the predicate is made.  An infinite sweep slack
+    used to reach the grid: ``int(nan)`` raised from the scalar
+    engine's ``tile_of`` while the arena engine cast the same NaN to
+    int64 and answered, so the two engines disagreed."""
+    reached = []
+    monkeypatch.setattr(partition, "_make_grid",
+                        lambda *args: reached.append(args))
+    t1 = build_rstar(make_items(40, seed=33))
+    t2 = build_rstar(make_items(40, seed=34))
+    with backend(pure_python), pytest.raises(ValueError, match="finite"):
+        partition_spatial_join(t1, t2, predicate=WithinDistance(distance))
+    assert not reached
 
 
 class TestAccessSemantics:

@@ -75,7 +75,9 @@ def _signature(result):
 
 
 def _configs(enum):
-    return (ExecutionConfig(pair_enumeration=enum),
+    # Name both traversals: the default is level-batch, so a config
+    # that leaves it out would compare the batch engine with itself.
+    return (ExecutionConfig(pair_enumeration=enum, traversal="stack"),
             ExecutionConfig(pair_enumeration=enum,
                             traversal="level-batch"))
 
@@ -97,17 +99,22 @@ def test_batch_join_bit_identical(items1, items2, enum, predicate,
 
 @SLOW
 @given(items_strategy(max_size=10), items_strategy(max_size=60),
-       enum_strategy, backend_strategy)
-def test_batch_join_unequal_heights(items1, items2, enum, backend):
+       enum_strategy, predicate_strategy, backend_strategy)
+def test_batch_join_unequal_heights(items1, items2, enum, predicate,
+                                    backend):
     """Small-vs-large capacity skews the heights, so the r1leaf /
-    r2leaf mixed frontiers (one tree already at its leaves) run."""
+    r2leaf mixed frontiers (one tree already at its leaves) run —
+    under both predicates: a within-distance mixed level also needs
+    the exact confirm of the leaf MBR's candidates."""
     with force_backend(backend):
         t1 = build(items1, max_entries=8)
         t2 = build(items2, max_entries=3)
         stack_cfg, batch_cfg = _configs(enum)
         for a, b in ((t1, t2), (t2, t1)):
-            stack = spatial_join(a, b, config=stack_cfg)
-            batch = spatial_join(a, b, config=batch_cfg)
+            stack = spatial_join(a, b, predicate=predicate,
+                                 config=stack_cfg)
+            batch = spatial_join(a, b, predicate=predicate,
+                                 config=batch_cfg)
             assert _signature(batch) == _signature(stack)
 
 
@@ -128,19 +135,26 @@ def test_batch_join_any_buffer_manager(items1, items2, kind, enum):
 
 @SLOW
 @given(items_strategy(), items_strategy(), enum_strategy,
-       st.floats(min_value=0.0, max_value=1.0))
+       st.floats(min_value=0.0, max_value=1.0), predicate_strategy,
+       st.sampled_from([(6, 6), (8, 3), (3, 8)]))
 def test_governed_checkpoint_bytes_identical(items1, items2, enum,
-                                             frac):
-    t1, t2 = build(items1), build(items2)
+                                             frac, predicate,
+                                             capacities):
+    """Unequal capacities skew the heights, so a cut can land inside a
+    mixed (r1leaf/r2leaf) frame as well as a cross one."""
+    t1 = build(items1, max_entries=capacities[0])
+    t2 = build(items2, max_entries=capacities[1])
     stack_cfg, batch_cfg = _configs(enum)
-    total_na = spatial_join(t1, t2, config=stack_cfg).na_total
+    total_na = spatial_join(t1, t2, predicate=predicate,
+                            config=stack_cfg).na_total
     if total_na < 2:
         return                           # nothing to interrupt
     cut = 1 + int(frac * (total_na - 2))
 
     def governed(config):
         gov = ExecutionGovernor(Budget(max_na=cut), partial=True)
-        return SpatialJoin(t1, t2, governor=gov, config=config).run()
+        return SpatialJoin(t1, t2, predicate=predicate, governor=gov,
+                           config=config).run()
 
     stack = governed(stack_cfg)
     batch = governed(batch_cfg)

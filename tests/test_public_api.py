@@ -140,6 +140,25 @@ def test_one_columnar_copy_and_one_chooser():
         inspect.signature(JoinResult.__init__).parameters)
 
 
+def test_one_predicate_kernel_pair():
+    # pair_mask + confirm are the one batched form of a predicate; the
+    # columnar pair kernels, the node-by-node block interface and the
+    # engines' private confirms are gone.
+    import repro.geometry
+    import repro.join.partition
+    import repro.storage
+    from repro.join import JoinPredicate, LevelBatchState
+    assert not {"overlap_pairs", "distance_candidate_pairs"} & set(
+        repro.geometry.__all__)
+    assert not hasattr(JoinPredicate, "block_pairs")
+    assert callable(JoinPredicate.pair_mask) \
+        and callable(JoinPredicate.confirm)
+    for name in ("_mixed_level", "_confirm_distance", "_confirm_mixed"):
+        assert not hasattr(LevelBatchState, name), name
+    assert not hasattr(repro.join.partition, "_confirm")
+    assert "buffer_from_spec" in repro.storage.__all__
+
+
 def test_shared_driver_and_engine_selection_are_exported():
     # What replaced the duplicate worker drivers and the two copies of
     # the engine choice.

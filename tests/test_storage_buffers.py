@@ -1,8 +1,14 @@
 """Unit tests for the buffer managers."""
 
-from repro.storage import LRUBuffer, NoBuffer, PathBuffer
+from repro.cli import main
+from repro.io import save_tree
+from repro.serve import ServeConfig
+from repro.serve.service import JoinRequest
+from repro.storage import LRUBuffer, NoBuffer, PathBuffer, buffer_from_spec
 
 import pytest
+
+from .conftest import build_rstar, make_items
 
 
 class TestNoBuffer:
@@ -179,3 +185,51 @@ class TestLRUBuffer:
         buf.reset()
         assert len(buf) == 0
         assert buf.access("T", 1, 1) is False
+
+
+class TestBufferFromSpec:
+    """One reading of ``none | path | lru:<k>`` behind both doors that
+    take it from outside: ``repro join --buffer`` and the daemon's
+    ``buffer`` request field used to parse it separately and disagree
+    (``lru:0`` ran in the CLI and was a 400 in the daemon)."""
+
+    @pytest.fixture(scope="class")
+    def tree_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("buffer-spec")
+        paths = []
+        for seed in (61, 62):
+            paths.append(str(root / f"t{seed}.json"))
+            save_tree(build_rstar(make_items(40, seed=seed)), paths[-1])
+        return paths
+
+    @pytest.mark.parametrize("spec, want", [
+        ("none", NoBuffer), ("path", PathBuffer), ("lru:16", LRUBuffer),
+        ("lru:0", "lru buffer needs at least one page"),
+        ("lru:abc", "'lru:' needs an integer page count"),
+        ("lru:", "'lru:' needs an integer page count"),
+        ("LRU:4", "unknown buffer spec 'LRU:4'"),
+        (7, "unknown buffer spec 7"),
+    ])
+    def test_both_doors_read_it_alike(self, spec, want, tree_files, capsys):
+        def request():
+            return JoinRequest({"tree1": "a", "tree2": "b", "buffer": spec},
+                               ServeConfig())
+        argv = ["join", *tree_files, "--buffer", spec]
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as direct:
+                buffer_from_spec(spec)
+            assert want in str(direct.value)
+            # The daemon refuses at parse time, before a slot is held.
+            with pytest.raises(ValueError) as served:
+                request()
+            assert str(served.value) == str(direct.value)
+            if isinstance(spec, str):       # argv holds strings only
+                assert main(argv) == 2
+                assert str(direct.value) in capsys.readouterr().err
+            return
+        assert type(buffer_from_spec(spec)) is want
+        assert type(request().make_buffer()) is want
+        assert main(argv) == 0
+        if want is LRUBuffer:
+            assert buffer_from_spec(spec).capacity == 16
+            assert request().buffer_footprint(3, 2) == 16
