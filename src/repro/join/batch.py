@@ -34,11 +34,17 @@ level order.  The engine therefore runs in two phases:
    issuing ``reader.fetch`` calls in exactly the stack machine's order
    (including the mixed-height re-fetch of the shorter tree's leaf and
    the pinned-root exemption) and emitting pairs/comparisons with the
-   stack machine's per-enumeration accounting.  Ungoverned, untraced
-   runs use a bulk replay that does O(NA) work; a governor (or node-pair
-   trace sampling) switches to a per-item replay that mirrors
-   ``_TraversalState.drain`` exactly, so budget trips land on the same
-   item and checkpoint to the same bytes.
+   stack machine's per-enumeration accounting.  There is one replay,
+   governed, traced or bare, and it steps once per *qualifying* item:
+   O(NA + pairs) under either enumeration.  A governor is polled where
+   a count budget can newly trip — after each descent, and at the pair
+   that spends a result budget — which is where the stack machine's
+   poll before every item first sees it, so a trip lands on the same
+   item; the frame stack, cursors and comparison count a checkpoint
+   needs are derived from the plan at that moment instead of being
+   kept per item, and serialize to the stack machine's bytes.  Sampled
+   ``node_pair`` events come from the visit-counter range each step
+   covers, skipped non-qualifying items included.
 
 Configurations the batch engine cannot express — no NumPy (so no
 arena), plane-sweep enumerations (different read order by design), custom
@@ -52,6 +58,7 @@ iterators) — fall back to the stack machine, and the join says so
 from __future__ import annotations
 
 from ..exec import ExecutionGovernor
+from ..exec.budget import BudgetExceeded, Cancelled
 from ..geometry.arena import _get_numpy
 from ..reliability import FaultyPager
 from ..storage import AccessStats, MeteredReader
@@ -131,30 +138,22 @@ class _PageRef:
 
 
 class _ReplayFrame:
-    """One stack frame of the charging replay.
+    """One stack frame of an interrupted (or not yet started) replay.
 
-    Mirrors ``sync._Frame`` closely enough for
-    :meth:`repro.join.SpatialJoin._partial` to serialize it: ``n1``/
+    Shaped like ``sync._Frame`` as far as
+    :meth:`repro.join.SpatialJoin._partial` serializes one: ``n1``/
     ``n2`` carry ``page_id``/``level`` and ``cursor`` counts consumed
-    items with the stack machine's per-enumeration semantics.  ``total``
-    is ``None`` for a frame past the sub-budget slicer's horizon — the
-    governor is guaranteed to trip before such a frame is consumed.
+    items with the stack machine's per-enumeration semantics.  A
+    running replay keeps no frames; :meth:`LevelBatchState._trip`
+    derives them when a governor stops it.
     """
 
-    __slots__ = ("depth", "visit", "n1", "n2", "cursor", "total",
-                 "qual_base", "qual_end", "qual_ptr", "ab")
+    __slots__ = ("n1", "n2", "cursor")
 
-    def __init__(self, depth: int, visit: int, n1: _PageRef, n2: _PageRef):
-        self.depth = depth
-        self.visit = visit
+    def __init__(self, n1: _PageRef, n2: _PageRef, cursor: int = 0):
         self.n1 = n1
         self.n2 = n2
-        self.cursor = 0
-        self.total = None
-        self.qual_base = 0
-        self.qual_end = 0
-        self.qual_ptr = 0
-        self.ab = 0
+        self.cursor = cursor
 
 
 class _LevelPlan:
@@ -163,15 +162,20 @@ class _LevelPlan:
     Visits at depth ``d+1`` are exactly the qualifying items of depth
     ``d`` in order, so a qualifying item's global index *is* its child
     visit index and ``qual_start`` doubles as the per-visit child
-    ranges.  All lists hold plain Python ints (checkpoints and pair
-    lists must serialize; ``np.int64`` would not).
+    ranges.  ``raw`` says what the stack machine's frame iterates
+    here — every entry pair (``nested-loop``, and a mixed-height depth
+    under either enumeration) or the qualifying ones only (a
+    ``vectorized`` block) — and ``cost[v]`` what a finished visit has
+    charged in comparisons: ``a*b`` per raw item consumed, or ``a*b``
+    on a block's first yield and nothing for a block without one.  All
+    lists hold plain Python ints (checkpoints and pair lists must
+    serialize; ``np.int64`` would not).
     """
 
-    __slots__ = ("kind", "l1", "l2", "fetch2_first", "n_items",
-                 "qual_pos", "qual_start", "child1", "child2",
+    __slots__ = ("kind", "child_l1", "child_l2", "fetch2_first", "raw",
+                 "cost", "qual_pos", "qual_start", "child1", "child2",
                  "child1_arr", "child2_arr", "frontier", "items_total",
-                 "qual_total", "kernel_calls", "comparisons_all",
-                 "comparisons_hit")
+                 "qual_total", "kernel_calls")
 
 
 class _Gathered:
@@ -234,7 +238,6 @@ class LevelBatchState:
                 f"level-batch traversal supports pair_enumeration in "
                 f"{BATCH_PAIR_ENUMERATIONS}, not {pair_enumeration!r}")
         self.np = arena1.np
-        self.pair_enumeration = pair_enumeration
         self.vectorized = pair_enumeration == "vectorized"
         self.reader1 = reader1
         self.reader2 = reader2
@@ -283,7 +286,7 @@ class LevelBatchState:
 
     def push(self, n1, n2) -> _ReplayFrame:
         """Open the SJ of a pair of resident nodes (planned on drain)."""
-        frame = _ReplayFrame(0, 0, _PageRef(n1.page_id, n1.level),
+        frame = _ReplayFrame(_PageRef(n1.page_id, n1.level),
                              _PageRef(n2.page_id, n2.level))
         self.stack.append(frame)
         self._pending.append(frame)
@@ -333,8 +336,7 @@ class LevelBatchState:
                     break
             pages1 = plan.child1_arr
             pages2 = plan.child2_arr
-            l1 = l1 - 1 if l1 > 1 else 1
-            l2 = l2 - 1 if l2 > 1 else 1
+            l1, l2 = plan.child_l1, plan.child_l2
             depth += 1
         return plans
 
@@ -455,181 +457,172 @@ class LevelBatchState:
                                      np.cumsum(qual_counts)))
         plan = _LevelPlan()
         plan.kind = kind
-        plan.l1, plan.l2 = l1, l2
+        # A side at its leaves stays there while the other descends.
+        plan.child_l1 = max(l1 - 1, 1)
+        plan.child_l2 = max(l2 - 1, 1)
         plan.fetch2_first = kind == "r1leaf"
         plan.frontier = frontier
         plan.items_total = int(csum[-1])
         plan.qual_total = len(child1)
         plan.kernel_calls = kernel_calls
-        plan.n_items = ab.tolist()
+        # Mixed frames iterate raw entries whatever the enumeration.
+        plan.raw = mixed or not self.vectorized
+        plan.cost = (ab if plan.raw else ab * (qual_counts > 0)).tolist()
         plan.qual_pos = qual_pos.tolist()
         plan.qual_start = qual_start.tolist()
         plan.child1 = child1.tolist()
         plan.child2 = child2.tolist()
         plan.child1_arr = child1
         plan.child2_arr = child2
-        # Comparison accounting (sync.py semantics): nested-loop charges
-        # every enumerated item; vectorized charges a*b per block on the
-        # first qualifying yield (zero for blocks with no match).  Mixed
-        # frames iterate raw entries whatever the enumeration, so both
-        # accountings charge one comparison per item.
-        plan.comparisons_all = plan.items_total
-        plan.comparisons_hit = (plan.items_total if mixed
-                                else int(ab[qual_counts > 0].sum()))
         return plan
 
     # -- phase 2: depth-first charging replay -------------------------------
 
     def _replay(self, root: _ReplayFrame, plans: list[_LevelPlan]) -> None:
-        trace_pairs = (self.tracer is not None
-                       and self.tracer.sample_pairs > 0)
-        if self.governor is None and not trace_pairs:
-            self._replay_fast(root, plans)
-        else:
-            self._replay_exact(root, plans)
+        """Charge the planned visit tree in ``ReadPage`` order.
 
-    def _replay_fast(self, root: _ReplayFrame,
-                     plans: list[_LevelPlan]) -> None:
-        """Bulk replay: O(NA) fetches + O(pairs) emission, no checks.
+        Each turn of the loop opens one visit — a leaf visit is emitted
+        in bulk, any other joins ``work`` — then makes the next
+        descent: the next qualifying item of the innermost open visit,
+        its two fetches in the stack machine's order.  That is
+        O(NA + pairs) work under every enumeration, governed or not.
 
-        Only reachable ungoverned, so no trip can expose intermediate
-        state — comparisons are added per level in bulk and the shared
-        ``self.stack`` frame for this root is popped once at the end.
+        The governor is polled where a budget can newly trip, which is
+        where the stack machine's poll before every item first sees it:
+        NA and DA move only in a descent and the result count only in a
+        leaf visit, so the poll comes after each descent (before the
+        child is looked at — one past the slicer horizon is never
+        read) and, under a result budget, after the pair that spends
+        it.  A deadline or a cancellation lands on the same boundaries,
+        at most one node pair late.  The frames, cursors and exact
+        comparison count a checkpoint reads are derived by
+        :meth:`_trip`, and only then.
         """
-        vectorized = self.vectorized
-        for plan in plans:
-            self.comparisons += (plan.comparisons_hit if vectorized
-                                 else plan.comparisons_all)
-        collect = self.collect_pairs
-        pairs = self.pairs
-        plan0 = plans[0]
-        if plan0.kind == "leaf":
-            qe = plan0.qual_start[1]
-            self.pair_count += qe
-            if collect and qe:
-                pairs.extend(zip(plan0.child1[:qe], plan0.child2[:qe]))
-            self.stack.pop()
-            return
-        fetch1, fetch2 = self._fetch1, self._fetch2
-        # Work frames: [depth, next qualifying index, end index].  A
-        # qualifying item's global index doubles as its child visit id.
-        work = [[0, plan0.qual_start[0], plan0.qual_start[1]]]
-        while work:
-            frame = work[-1]
-            idx = frame[1]
-            if idx >= frame[2]:
-                work.pop()
-                continue
-            frame[1] = idx + 1
-            depth = frame[0]
-            plan = plans[depth]
-            cplan = plans[depth + 1]
-            p1 = plan.child1[idx]
-            p2 = plan.child2[idx]
-            if plan.fetch2_first:
-                fetch2(p2, cplan.l2)
-                fetch1(p1, cplan.l1)
-            else:
-                fetch1(p1, cplan.l1)
-                fetch2(p2, cplan.l2)
-            cs = cplan.qual_start[idx]
-            ce = cplan.qual_start[idx + 1]
-            if cplan.kind == "leaf":
-                self.pair_count += ce - cs
-                if collect and ce > cs:
-                    pairs.extend(zip(cplan.child1[cs:ce],
-                                     cplan.child2[cs:ce]))
-            elif ce > cs:
-                work.append([depth + 1, cs, ce])
-        self.stack.pop()
-
-    def _init_frame(self, frame: _ReplayFrame,
-                    plans: list[_LevelPlan]) -> None:
-        plan = plans[frame.depth]
-        v = frame.visit
-        frame.qual_base = plan.qual_start[v]
-        frame.qual_end = plan.qual_start[v + 1]
-        frame.ab = plan.n_items[v]
-        if self.vectorized and plan.kind in ("int", "leaf"):
-            frame.total = frame.qual_end - frame.qual_base
-        else:
-            frame.total = frame.ab
-
-    def _replay_exact(self, root: _ReplayFrame,
-                      plans: list[_LevelPlan]) -> None:
-        """Per-item replay mirroring ``_TraversalState.drain`` exactly.
-
-        One governor check per iteration — including the iterations
-        that merely pop an exhausted frame — so a budget trip lands on
-        the same stack shape, cursors and counters as the stack
-        machine's, and the resulting checkpoint serializes to the same
-        bytes.
-        """
-        stack = self.stack
         governor = self.governor
-        tracer = self.tracer
-        trace_pairs = tracer is not None and tracer.sample_pairs > 0
-        vectorized = self.vectorized
-        self._init_frame(root, plans)
-        base = len(stack) - 1
-        while len(stack) > base:
-            if governor is not None:
-                governor.check(self.stats, self.pair_count)
-            frame = stack[-1]
-            if frame.total is None:
-                # Past the slicer horizon: the NA budget math guarantees
-                # the check above trips before this is ever reached.
-                raise RuntimeError(
-                    "level-batch sub-budget slicer reached an unplanned "
-                    "depth without a budget trip")
-            if frame.cursor >= frame.total:
-                stack.pop()
-                continue
-            plan = plans[frame.depth]
-            if trace_pairs:
-                self.visits += 1
-                if tracer.want_pair(self.visits):
-                    tracer.node_pair(self.join_id, self.visits,
-                                     frame.n1.page_id, frame.n1.level,
-                                     frame.n2.page_id, frame.n2.level)
-            if vectorized and plan.kind in ("int", "leaf"):
-                if frame.cursor == 0:
-                    self.comparisons += frame.ab
-                self._consume(plans, plan, frame.qual_base + frame.cursor)
-            else:
-                self.comparisons += 1
-                nxt = frame.qual_base + frame.qual_ptr
-                if nxt < frame.qual_end \
-                        and plan.qual_pos[nxt] == frame.cursor:
-                    frame.qual_ptr += 1
-                    self._consume(plans, plan, nxt)
-            frame.cursor += 1
+        limit = governor.budget.max_results if governor is not None else None
+        sampling = self.tracer is not None and self.tracer.sample_pairs > 0
+        collect, pairs = self.collect_pairs, self.pairs
+        fetch1, fetch2 = self._fetch1, self._fetch2
+        # Open non-leaf visits, root first, as [depth, visit, next
+        # qualifying index, end]: an item's index is its child's visit
+        # index, so pages and cursors follow from these and the plans.
+        work: list[list[int]] = []
+        depth = v = 0           # the visit being opened ...
+        cursor = 0              # ... and how far into it a trip finds us
+        try:
+            while True:
+                if governor is not None:
+                    governor.check(self.stats, self.pair_count)
+                    if depth == len(plans):
+                        raise RuntimeError(
+                            "level-batch sub-budget slicer reached an "
+                            "unplanned depth without a budget trip")
+                plan = plans[depth]
+                start = plan.qual_start[v]
+                end = plan.qual_start[v + 1]
+                # Charged whole on opening; _trip takes back what an
+                # open visit has not got to.
+                self.comparisons += plan.cost[v]
+                if plan.kind != "leaf":
+                    work.append([depth, v, start, end])
+                else:
+                    full = limit is not None \
+                        and end - start >= limit - self.pair_count
+                    if full:
+                        # The pair that spends the result budget ends
+                        # the visit here; the poll after it trips, with
+                        # the leaf frame still open.
+                        end = start + limit - self.pair_count
+                        cursor = self._cursor(plan, v, end)
+                    self.pair_count += end - start
+                    if collect and end > start:
+                        pairs.extend(zip(plan.child1[start:end],
+                                         plan.child2[start:end]))
+                    if sampling:
+                        self._sample(root, plans, depth, v, cursor if full
+                                     else self._cursor(plan, v, end + 1))
+                    if full:
+                        governor.check(self.stats, self.pair_count)
+                while True:
+                    if not work:
+                        self.stack.pop()
+                        return
+                    frame = work[-1]
+                    depth, v, idx, end = frame
+                    plan = plans[depth]
+                    if sampling:
+                        # idx == end consumes the visit's trailing items.
+                        self._sample(root, plans, depth, v,
+                                     self._cursor(plan, v, idx + 1)
+                                     - self._cursor(plan, v, idx))
+                    if idx < end:
+                        break
+                    work.pop()
+                frame[2] = idx + 1
+                p1 = plan.child1[idx]
+                p2 = plan.child2[idx]
+                if plan.fetch2_first:
+                    fetch2(p2, plan.child_l2)
+                    fetch1(p1, plan.child_l1)
+                else:
+                    fetch1(p1, plan.child_l1)
+                    fetch2(p2, plan.child_l2)
+                depth, v = depth + 1, idx
+        except (BudgetExceeded, Cancelled):
+            self._trip(root, plans, work, depth, v, cursor)
+            raise
 
-    def _consume(self, plans: list[_LevelPlan], plan: _LevelPlan,
-                 idx: int) -> None:
-        """Process one qualifying item (emit a pair or descend)."""
-        if plan.kind == "leaf":
-            self.pair_count += 1
-            if self.collect_pairs:
-                self.pairs.append((plan.child1[idx], plan.child2[idx]))
-            return
-        p1 = plan.child1[idx]
-        p2 = plan.child2[idx]
-        l1c = plan.l1 - 1 if plan.l1 > 1 else 1
-        l2c = plan.l2 - 1 if plan.l2 > 1 else 1
-        if plan.fetch2_first:
-            self._fetch2(p2, l2c)
-            self._fetch1(p1, l1c)
-        else:
-            self._fetch1(p1, l1c)
-            self._fetch2(p2, l2c)
-        depth = None
-        for d, candidate in enumerate(plans):
-            if candidate is plan:
-                depth = d
-                break
-        child = _ReplayFrame(depth + 1, idx, _PageRef(p1, l1c),
-                             _PageRef(p2, l2c))
-        if depth + 1 < len(plans):
-            self._init_frame(child, plans)
-        self.stack.append(child)
+    @staticmethod
+    def _cursor(plan: _LevelPlan, v: int, idx: int) -> int:
+        """The stack machine's cursor in visit ``v`` once the visit's
+        qualifying items before global index ``idx`` are consumed; an
+        ``idx`` past the visit's last one means its trailing items are
+        too (the frame is exhausted)."""
+        start, end = plan.qual_start[v], plan.qual_start[v + 1]
+        if not plan.raw:
+            return min(idx, end) - start
+        if idx > end:
+            return plan.cost[v]
+        return plan.qual_pos[idx - 1] + 1 if idx > start else 0
+
+    @staticmethod
+    def _frame(root: _ReplayFrame, plans: list[_LevelPlan], depth: int,
+               v: int, cursor: int) -> _ReplayFrame:
+        """Visit ``v`` of ``depth`` as a frame: the node pair that item
+        ``v`` of the depth above fetched."""
+        if depth == 0:
+            return _ReplayFrame(root.n1, root.n2, cursor)
+        up = plans[depth - 1]
+        return _ReplayFrame(_PageRef(up.child1[v], up.child_l1),
+                            _PageRef(up.child2[v], up.child_l2), cursor)
+
+    def _sample(self, root: _ReplayFrame, plans: list[_LevelPlan],
+                depth: int, v: int, consumed: int) -> None:
+        """Count ``consumed`` more items of a visit (the skipped
+        non-qualifying ones included) and emit the sampled ones."""
+        every = self.tracer.sample_pairs
+        seen = self.visits
+        self.visits = seen + consumed
+        sampled = range(seen - seen % every + every, self.visits + 1, every)
+        if sampled:
+            at = self._frame(root, plans, depth, v, 0)
+            for visit in sampled:
+                self.tracer.node_pair(self.join_id, visit,
+                                      at.n1.page_id, at.n1.level,
+                                      at.n2.page_id, at.n2.level)
+
+    def _trip(self, root: _ReplayFrame, plans: list[_LevelPlan],
+              work: list[list[int]], depth: int, v: int,
+              cursor: int) -> None:
+        """Leave the state a stack machine stopped at this poll leaves:
+        one frame per open visit, root first, and comparisons exact to
+        the last consumed item."""
+        visits = [(d, u, self._cursor(plans[d], u, idx))
+                  for d, u, idx, _end in work]
+        frames = []
+        for d, u, at in visits + [(depth, v, cursor)]:
+            # A visit at cursor 0 was polled before it was charged.
+            if at and plans[d].raw:
+                self.comparisons -= plans[d].cost[u] - at
+            frames.append(self._frame(root, plans, d, u, at))
+        self.stack[-1:] = frames

@@ -96,10 +96,12 @@ class ServeConfig:
         ``None`` disables the timeout.
     execution:
         Default :class:`~repro.exec.ExecutionConfig` for join
-        execution.  A request's explicit ``mode``/``workers``/
-        ``pair_enumeration`` fields override the corresponding knobs
-        per request; everything else (assignment strategy, watchdog
-        timeout, the shared-memory switch) comes from here.
+        execution.  A request's explicit ``pair_enumeration``/
+        ``traversal``/``mode``/``strategy``/``workers`` fields override
+        the corresponding knobs per request (a request naming no
+        ``workers`` runs with 1, and a crashed worker always degrades
+        to serial); the assignment strategy and the watchdog timeout
+        come from here.
     """
 
     host: str = "127.0.0.1"

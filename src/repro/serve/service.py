@@ -203,7 +203,8 @@ class JoinRequest:
         buffer_from_spec(self.buffer_spec)
         workers = doc.get("workers")
         if workers is not None and (
-                not isinstance(workers, int) or workers < 1):
+                not isinstance(workers, int) or isinstance(workers, bool)
+                or workers < 1):
             raise ValueError("workers must be a positive integer")
         # A request without ``workers`` runs the single synchronized
         # traversal whatever the service-wide default says; a crashed
@@ -214,7 +215,9 @@ class JoinRequest:
             on_worker_crash="serial",
             **{name: doc[name] for name in _EXECUTION_FIELDS
                if name in doc})
-        self.collect_pairs = bool(doc.get("collect_pairs", False))
+        self.collect_pairs = doc.get("collect_pairs", False)
+        if not isinstance(self.collect_pairs, bool):
+            raise ValueError("collect_pairs must be a boolean")
         self.resume_token = doc.get("resume_token")
         self.admission = doc.get("admission", "reject")
         if self.admission not in ("off", "reject"):
@@ -676,14 +679,24 @@ class JoinService:
             else:
                 return (self._run_durable(req, reg1, reg2, checkpoint,
                                           token, rid), degraded)
-        governor = ExecutionGovernor(req.budget, token, partial=True)
-        join = SpatialJoin(reg1.tree, reg2.tree, req.make_buffer(),
-                           governor=governor, tracer=self.tracer,
-                           metrics=self.metrics, config=config)
         if checkpoint is not None:
             self.metrics.counter("serve.resumed").inc()
-            return join.resume(checkpoint), degraded
-        return join.run(collect_pairs=req.collect_pairs), degraded
+        return (self._serial(req, reg1, reg2, config, req.budget, token,
+                             checkpoint), degraded)
+
+    def _serial(self, req, reg1, reg2, config, budget, token,
+                checkpoint=None):
+        """One governed serial join of ``req`` under ``budget``, from
+        ``checkpoint`` when there is one.  A trip comes back as a
+        :class:`~repro.join.PartialJoinResult` (``partial=True``): the
+        daemon answers with a resume token, it does not raise."""
+        join = SpatialJoin(
+            reg1.tree, reg2.tree, req.make_buffer(),
+            governor=ExecutionGovernor(budget, token, partial=True),
+            tracer=self.tracer, metrics=self.metrics, config=config)
+        if checkpoint is not None:
+            return join.resume(checkpoint)
+        return join.run(collect_pairs=req.collect_pairs)
 
     def _run_durable(self, req, reg1, reg2, checkpoint, token, rid):
         """Serial execution with the checkpoint spilled every NA interval.
@@ -703,11 +716,7 @@ class JoinService:
         if config.strategy == "pbsm":
             # Recovery path for a journaled PBSM request: no frontier
             # to slice or spill, so replay the join in one piece.
-            governor = ExecutionGovernor(req.budget, token, partial=True)
-            join = SpatialJoin(reg1.tree, reg2.tree, req.make_buffer(),
-                               governor=governor, tracer=self.tracer,
-                               metrics=self.metrics, config=config)
-            return join.run(collect_pairs=req.collect_pairs)
+            return self._serial(req, reg1, reg2, config, req.budget, token)
         interval = self.config.spill_na_interval
         budget = req.budget
         overall_start = self._clock()
@@ -734,14 +743,8 @@ class JoinService:
             slice_budget = Budget(deadline=deadline, max_na=eff_na,
                                   max_da=budget.max_da,
                                   max_results=budget.max_results)
-            governor = ExecutionGovernor(slice_budget, token, partial=True)
-            join = SpatialJoin(reg1.tree, reg2.tree, req.make_buffer(),
-                               governor=governor, tracer=self.tracer,
-                               metrics=self.metrics, config=config)
-            if checkpoint is not None:
-                result = join.resume(checkpoint)
-            else:
-                result = join.run(collect_pairs=req.collect_pairs)
+            result = self._serial(req, reg1, reg2, config, slice_budget,
+                                  token, checkpoint)
             if not isinstance(result, PartialJoinResult):
                 return result
             reason = result.reason

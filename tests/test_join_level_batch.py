@@ -222,6 +222,21 @@ class TestObservability:
         assert len({r["frontier"] for run in mixed for r in run}) > 2
         assert len({r["kernel_calls"] for run in mixed for r in run}) == 1
 
+    @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
+    def test_governor_is_polled_per_descent_not_per_item(self, trees, enum):
+        """A budget does not change the replay's complexity: one poll
+        on entry, one per descent (<= NA) and one per level boundary of
+        the plan — not one per enumerated entry pair."""
+        t1, t2 = trees
+        gov = ExecutionGovernor(Budget(deadline=3600.0, max_na=10 ** 9,
+                                       max_da=10 ** 9))
+        result = spatial_join(
+            t1, t2, governor=gov,
+            config=BATCH.with_options(pair_enumeration=enum))
+        assert result.engine == "level-batch" and result.na_total > 100
+        assert gov.checks <= (result.na_total
+                              + max(t1.height, t2.height) + 1)
+
     def test_parallel_modes_merge_batch_counters(self, trees):
         t1, t2 = trees
         for mode in ("serial", "threads"):

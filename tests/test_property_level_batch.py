@@ -4,8 +4,9 @@ The ISSUE-level guarantee for :mod:`repro.join.batch`: for *any* tree
 pair — degenerate rectangles, duplicate geometry, empty trees, unequal
 heights — a join run with ``traversal="level-batch"`` is bit-identical
 to the stack machine in every observable: the pair list *in emission
-order*, NA, DA, comparison counts, governed checkpoint bytes, and the
-result of resuming a batch-interrupted run.  On the pure-Python
+order*, NA, DA, comparison counts, governed checkpoint bytes on every
+budget axis, the sampled ``node_pair`` events, and the result of
+resuming a batch-interrupted run.  On the pure-Python
 backend the batch engine must fall back to the stack machine and still
 match, which these properties cover by drawing the backend too.
 
@@ -22,6 +23,7 @@ from repro.geometry import Rect
 from repro.join import (PartialJoinResult, SpatialJoin, WithinDistance,
                         spatial_join)
 from repro.join.predicates import Overlap
+from repro.obs import MemorySink, Tracer
 from repro.rtree import RStarTree
 from repro.storage.buffers import LRUBuffer, NoBuffer, PathBuffer
 
@@ -64,14 +66,26 @@ def build(items, max_entries=6):
     return tree
 
 
-def _signature(result):
-    return {
+def _signature(result, sink=None):
+    """Everything both engines must agree on; with the ``sink`` of a
+    sampling tracer, the ``node_pair`` events too."""
+    sig = {
         "pairs": result.pairs,           # emission ORDER matters too
         "pair_count": result.pair_count,
         "comparisons": result.comparisons,
         "na": dict(result.stats.node_accesses),
         "da": dict(result.stats.disk_accesses),
     }
+    if sink is not None:
+        sig["node_pairs"] = [
+            (r["visit"], r["page1"], r["level1"], r["page2"], r["level2"])
+            for r in sink.records if r["event"] == "node_pair"]
+    return sig
+
+
+BUFFERS = {"path": PathBuffer, "none": NoBuffer,
+           "lru": lambda: LRUBuffer(8)}
+buffer_strategy = st.sampled_from(sorted(BUFFERS))
 
 
 def _configs(enum):
@@ -119,13 +133,11 @@ def test_batch_join_unequal_heights(items1, items2, enum, predicate,
 
 
 @SLOW
-@given(items_strategy(), items_strategy(),
-       st.sampled_from(["path", "none", "lru"]), enum_strategy)
+@given(items_strategy(), items_strategy(), buffer_strategy, enum_strategy)
 def test_batch_join_any_buffer_manager(items1, items2, kind, enum):
     """DA depends on the buffer; the batch replay preserves the exact
     ReadPage sequence, so DA matches under every buffer policy."""
-    factory = {"path": PathBuffer, "none": NoBuffer,
-               "lru": lambda: LRUBuffer(8)}[kind]
+    factory = BUFFERS[kind]
     t1, t2 = build(items1), build(items2)
     stack_cfg, batch_cfg = _configs(enum)
     stack = spatial_join(t1, t2, buffer=factory(), config=stack_cfg)
@@ -136,31 +148,41 @@ def test_batch_join_any_buffer_manager(items1, items2, kind, enum):
 @SLOW
 @given(items_strategy(), items_strategy(), enum_strategy,
        st.floats(min_value=0.0, max_value=1.0), predicate_strategy,
-       st.sampled_from([(6, 6), (8, 3), (3, 8)]))
+       st.sampled_from([(6, 6), (8, 3), (3, 8)]),
+       st.sampled_from(["max_na", "max_da", "max_results"]),
+       buffer_strategy, st.sampled_from([1, 3, 7]))
 def test_governed_checkpoint_bytes_identical(items1, items2, enum,
                                              frac, predicate,
-                                             capacities):
+                                             capacities, axis, kind,
+                                             sample_pairs):
     """Unequal capacities skew the heights, so a cut can land inside a
-    mixed (r1leaf/r2leaf) frame as well as a cross one."""
+    mixed (r1leaf/r2leaf) frame as well as a cross one; a cut on
+    ``max_results`` lands inside a leaf frame, which the batch replay
+    emits in bulk.  The cut runs ``1 .. total + 1``, so the last value
+    lets the join finish; the sampled events are compared either way."""
     t1 = build(items1, max_entries=capacities[0])
     t2 = build(items2, max_entries=capacities[1])
     stack_cfg, batch_cfg = _configs(enum)
-    total_na = spatial_join(t1, t2, predicate=predicate,
-                            config=stack_cfg).na_total
-    if total_na < 2:
-        return                           # nothing to interrupt
-    cut = 1 + int(frac * (total_na - 2))
+    whole = SpatialJoin(t1, t2, BUFFERS[kind](), predicate,
+                        config=stack_cfg).run()
+    total = {"max_na": whole.na_total, "max_da": whole.da_total,
+             "max_results": whole.pair_count}[axis]
+    cut = 1 + int(frac * total)
 
     def governed(config):
-        gov = ExecutionGovernor(Budget(max_na=cut), partial=True)
-        return SpatialJoin(t1, t2, predicate=predicate, governor=gov,
-                           config=config).run()
+        gov = ExecutionGovernor(Budget(**{axis: cut}), partial=True)
+        sink = MemorySink(1 << 16)
+        result = SpatialJoin(
+            t1, t2, BUFFERS[kind](), predicate, governor=gov,
+            tracer=Tracer(sink, sample_pairs=sample_pairs),
+            config=config).run()
+        return result, sink
 
-    stack = governed(stack_cfg)
-    batch = governed(batch_cfg)
+    stack, stack_sink = governed(stack_cfg)
+    batch, batch_sink = governed(batch_cfg)
     assert batch.complete == stack.complete
+    assert _signature(batch, batch_sink) == _signature(stack, stack_sink)
     if stack.complete:
-        assert _signature(batch) == _signature(stack)
         return
     assert isinstance(stack, PartialJoinResult)
     assert isinstance(batch, PartialJoinResult)

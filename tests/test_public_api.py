@@ -159,6 +159,15 @@ def test_one_predicate_kernel_pair():
     assert "buffer_from_spec" in repro.storage.__all__
 
 
+def test_one_charging_replay():
+    # A governed, a traced and a bare level-batch join walk one loop.
+    from repro.join import LevelBatchState
+    assert callable(LevelBatchState._replay)
+    for name in ("_replay_fast", "_replay_exact", "_init_frame",
+                 "_consume"):
+        assert not hasattr(LevelBatchState, name), name
+
+
 def test_shared_driver_and_engine_selection_are_exported():
     # What replaced the duplicate worker drivers and the two copies of
     # the engine choice.

@@ -22,6 +22,7 @@ from repro.serve import (JoinService, Overloaded, ServeClient,
 from repro.storage import PathBuffer
 
 from .conftest import build_rstar, make_items
+from .test_serve_service import COERCED_FIELDS
 
 
 class DaemonHarness:
@@ -140,6 +141,13 @@ class TestTypedErrorsOverHttp:
         with pytest.raises(ValueError, match="400") as err:
             client.join("a", "b", **{field: "wat"})
         assert str(want.value) in str(err.value)
+
+    @pytest.mark.parametrize("field, value", COERCED_FIELDS)
+    def test_coerced_field_400_names_the_field(self, harness, client,
+                                               field, value):
+        with pytest.raises(ValueError, match=f"400.*{field}"):
+            client.join("a", "b", **{field: value})
+        assert harness.service._running == {}
 
     def test_request_budget_rejection_413(self, client):
         with pytest.raises(AdmissionRejected) as err:

@@ -187,8 +187,29 @@ class TestAdmission:
                          "resume_token": "garbage"})
 
 
+#: ``(field, value)`` pairs a request must refuse, not coerce:
+#: ``bool("false")`` is true and ``True`` is an ``int``.  Shared with
+#: ``test_serve_http`` (the same cases through ``POST /join``).
+COERCED_FIELDS = [
+    ("collect_pairs", "false"), ("collect_pairs", [0]),
+    ("collect_pairs", 0), ("workers", True), ("workers", "2"),
+]
+
+
 class TestRequestExecutionConfig:
     """One ``ExecutionConfig`` per request, validated by the config."""
+
+    @pytest.mark.parametrize("field, value", COERCED_FIELDS)
+    def test_fields_are_type_checked_not_coerced(self, trees, field,
+                                                 value, tmp_path):
+        doc = {"tree1": "a", "tree2": "b", field: value}
+        with pytest.raises(ValueError, match=field):
+            JoinRequest(doc, ServeConfig())
+        svc = make_service(trees, state_dir=str(tmp_path))
+        with pytest.raises(ValueError, match=field):
+            svc.execute(doc)
+        assert svc._running == {}            # no slot held ...
+        assert svc.durable.journal.appends == 0     # ... nothing journaled
 
     @pytest.mark.parametrize("field", ["mode", "strategy", "traversal",
                                        "pair_enumeration"])
