@@ -13,25 +13,21 @@ admitted.  This bench measures exactly that:
   Every flood request is shed at admission; the bench asserts the small
   joins' p99 stays within ``P99_BOUND`` (3x) of the uncontended p99.
 
-A second bench times the rejection path itself and records the median
-microseconds per shed request.  Both write into ``BENCH_serve.json`` at
-the repository root (read-modify-write, so either can run alone).
+A second bench times the rejection path itself and reports the median
+microseconds per shed request.  Both print what they measured and keep
+nothing: the recorded numbers are ``serve.admission.reject_us`` and the
+``serve-mixed`` workload of ``python3 -m bench``.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.exec import AdmissionRejected
 from repro.serve import CostAdmission, JoinService, ServeConfig
-
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 SMALL_N = 220            #: items per small tree (cheap, always admitted)
 BIG_N = 900              #: items per big tree (predictably over budget)
@@ -42,18 +38,6 @@ FLOOD_PER_WORKER = 50
 P99_BOUND = 3.0          #: acceptance: overload p99 <= 3x uncontended
 
 
-def _update_bench(key: str, payload: dict) -> None:
-    """Merge one bench's numbers into the shared JSON document."""
-    doc = {}
-    if OUTPUT.exists():
-        try:
-            doc = json.loads(OUTPUT.read_text(encoding="utf-8"))
-        except ValueError:
-            doc = {}
-    doc[key] = payload
-    OUTPUT.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
 def _percentile(samples: list[float], q: float) -> float:
     ordered = sorted(samples)
     index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
@@ -61,7 +45,7 @@ def _percentile(samples: list[float], q: float) -> float:
 
 
 @pytest.fixture(scope="module")
-def service_setup():
+def make_service():
     from tests.conftest import build_rstar, make_items
 
     small1 = build_rstar(make_items(SMALL_N, seed=111), max_entries=8)
@@ -78,7 +62,7 @@ def service_setup():
     assert small_na < ceiling < big_na, (
         "bench configuration must separate small and big predictions")
 
-    def make_service() -> JoinService:
+    def fresh_service() -> JoinService:
         svc = JoinService(ServeConfig(
             max_concurrency=SMALL_WORKERS + FLOOD_WORKERS,
             queue_limit=16, max_predicted_na=ceiling))
@@ -88,8 +72,7 @@ def service_setup():
         svc.register_tree("big2", big2)
         return svc
 
-    return make_service, {"small_na": small_na, "big_na": big_na,
-                          "ceiling": ceiling}
+    return fresh_service
 
 
 def _timed_small_join(svc: JoinService, latencies: list[float],
@@ -102,9 +85,7 @@ def _timed_small_join(svc: JoinService, latencies: list[float],
         latencies.append(elapsed)
 
 
-def test_small_join_p99_bounded_under_overload(service_setup, emit):
-    make_service, costs = service_setup
-
+def test_small_join_p99_bounded_under_overload(make_service, emit):
     # Phase 1: uncontended baseline, one client, back-to-back joins.
     svc = make_service()
     base: list[float] = []
@@ -148,26 +129,10 @@ def test_small_join_p99_bounded_under_overload(service_setup, emit):
     p99_base = _percentile(base, 0.99)
     p99_over = _percentile(contended, 0.99)
     ratio = p99_over / p99_base
-    payload = {
-        "small_joins": len(contended),
-        "flood_rejected": sum(rejected),
-        "predicted_na": costs,
-        "uncontended_ms": {
-            "p50": round(_percentile(base, 0.50) * 1e3, 3),
-            "p99": round(p99_base * 1e3, 3),
-            "mean": round(statistics.mean(base) * 1e3, 3)},
-        "overload_ms": {
-            "p50": round(_percentile(contended, 0.50) * 1e3, 3),
-            "p99": round(p99_over * 1e3, 3),
-            "mean": round(statistics.mean(contended) * 1e3, 3)},
-        "p99_ratio": round(ratio, 3),
-        "p99_bound": P99_BOUND,
-    }
-    _update_bench("serve_overload", payload)
-    emit(f"serve overload: p99 {payload['uncontended_ms']['p99']}ms -> "
-         f"{payload['overload_ms']['p99']}ms "
-         f"(ratio {payload['p99_ratio']}, bound {P99_BOUND}x), "
-         f"{payload['flood_rejected']} over-budget joins shed")
+    emit(f"serve overload: p99 {round(p99_base * 1e3, 3)}ms -> "
+         f"{round(p99_over * 1e3, 3)}ms "
+         f"(ratio {round(ratio, 3)}, bound {P99_BOUND}x), "
+         f"{sum(rejected)} over-budget joins shed")
 
     assert sum(rejected) > 0, "flood never exercised admission"
     assert ratio <= P99_BOUND, (
@@ -175,8 +140,7 @@ def test_small_join_p99_bounded_under_overload(service_setup, emit):
         f"{P99_BOUND}x uncontended {p99_base * 1e3:.1f}ms")
 
 
-def test_admission_rejection_is_cheap(service_setup, emit):
-    make_service, _costs = service_setup
+def test_admission_rejection_is_cheap(make_service, emit):
     svc = make_service()
     reps = 500
     samples = []
@@ -189,11 +153,6 @@ def test_admission_rejection_is_cheap(service_setup, emit):
         samples.append(time.perf_counter() - start)
     median_us = _percentile(samples, 0.50) * 1e6
     p99_us = _percentile(samples, 0.99) * 1e6
-    _update_bench("serve_admission", {
-        "rejections": reps,
-        "median_us": round(median_us, 1),
-        "p99_us": round(p99_us, 1),
-    })
     emit(f"serve admission: O(1) rejection median {median_us:.0f}us, "
          f"p99 {p99_us:.0f}us over {reps} shed requests")
     # Closed-form arithmetic, no page reads: rejections are sub-ms-ish.

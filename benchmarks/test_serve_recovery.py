@@ -10,24 +10,21 @@ a manifest-replay pass to startup.  Its cost claims, measured here:
   don't fail on scheduler noise.
 * **restart-to-ready** — recovering a state dir holding registered
   trees and completed-request records (the common clean-ish restart)
-  is a bounded startup tax; the bench records it.
+  is a bounded startup tax; the bench bounds it.
 
-Numbers land in ``BENCH_recovery.json`` at the repository root via the
-same read-modify-write pattern as ``BENCH_serve.json``.
+Nothing is written: the recorded numbers are
+``serve.durable.overhead_frac`` and ``serve.daemon.ready_ms`` of
+``python3 -m bench``.
 """
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.serve import JoinService, ServeConfig
-
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_recovery.json"
 
 N_ITEMS = 220            #: items per tree (small, fast joins)
 TIMED_JOINS = 25         #: timed joins per variant
@@ -36,17 +33,6 @@ OVERHEAD_BOUND = 1.10    #: durable p50 <= 1.10x plain p50 (+ epsilon)
 EPSILON = 0.0005         #: 0.5ms floor: absolute noise guard
 COMPLETED_KEYS = 40      #: journaled completions replayed at restart
 RESTART_BOUND = 5.0      #: restart-to-ready hard ceiling, seconds
-
-
-def _update_bench(key: str, payload: dict) -> None:
-    doc = {}
-    if OUTPUT.exists():
-        try:
-            doc = json.loads(OUTPUT.read_text(encoding="utf-8"))
-        except ValueError:
-            doc = {}
-    doc[key] = payload
-    OUTPUT.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +74,6 @@ def test_journal_overhead(trees, tmp_path_factory):
 
     p50_plain = statistics.median(plain_samples)
     p50_durable = statistics.median(durable_samples)
-    overhead = p50_durable / p50_plain if p50_plain else 1.0
-    _update_bench("journal_overhead", {
-        "joins": TIMED_JOINS,
-        "p50_plain_ms": round(p50_plain * 1e3, 4),
-        "p50_durable_ms": round(p50_durable * 1e3, 4),
-        "overhead_ratio": round(overhead, 4),
-        "bound": OVERHEAD_BOUND,
-        "epsilon_ms": EPSILON * 1e3,
-    })
     assert p50_durable <= p50_plain * OVERHEAD_BOUND + EPSILON, (
         f"journalled p50 {p50_durable * 1e3:.3f}ms exceeds "
         f"{OVERHEAD_BOUND:.0%} of plain p50 {p50_plain * 1e3:.3f}ms")
@@ -127,11 +104,5 @@ def test_restart_to_ready(trees, tmp_path_factory):
     assert resp["status"] == "complete"
     second.durable.close()
 
-    _update_bench("restart_to_ready", {
-        "trees": report["trees"],
-        "completed_cached": report["completed_cached"],
-        "restart_s": round(ready, 4),
-        "bound_s": RESTART_BOUND,
-    })
     assert ready < RESTART_BOUND, (
         f"restart-to-ready took {ready:.2f}s (bound {RESTART_BOUND}s)")

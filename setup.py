@@ -11,5 +11,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
 )

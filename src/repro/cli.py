@@ -15,8 +15,9 @@ the library is usable without writing code:
   both role assignments (what a query optimizer would do);
 * ``figures``  — print the paper's analytical figures (6a/6b/7a/7b) at
   exact paper scale;
-* ``experiment`` — run any registered paper experiment by id
-  (``fig5a`` .. ``fig7b``) at a chosen scale profile;
+* ``experiment`` — regenerate any table of DESIGN.md §3 by its registry
+  id (``fig5a`` .. ``fig7b``, ``sec41``, ``sec42``, ``ts96``,
+  ``levels``, ``a1`` .. ``e4``) at a chosen scale profile;
 * ``verify``   — check a saved tree file's checksums and report what (if
   anything) is corrupt;
 * ``report``   — summarize a JSONL trace written by ``join --trace``
@@ -300,10 +301,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser(
         "experiment",
-        help="run one paper experiment by id (DESIGN.md §3)")
-    exp.add_argument("id", help="e.g. fig5a, fig6b, fig7a")
+        help="regenerate one table of DESIGN.md §3 by its experiment id")
+    exp.add_argument("id", help="e.g. fig5a, fig6b, sec41, a2 (the Command "
+                                "column of DESIGN.md §3 has all 17; an "
+                                "unknown id lists them)")
     exp.add_argument("--scale", default="bench",
-                     choices=("smoke", "bench", "paper"))
+                     choices=("smoke", "bench", "paper"),
+                     help="sizes of the measured experiments: bench "
+                          "(2K-10K objects, the default), paper (the "
+                          "paper's 20K-80K; minutes per id) or smoke; "
+                          "the analytic fig6*/fig7* are always at paper "
+                          "scale")
     exp.add_argument("--deadline", type=float, default=None,
                      metavar="SECONDS",
                      help="wall-clock budget for the whole experiment")

@@ -4,14 +4,15 @@ from .configs import BENCH_SCALE, PAPER_SCALE, SMOKE_SCALE, ExperimentScale
 from .levels import LevelComparison, level_comparison
 from .harness import (JoinObservation, TreeCache, build_tree, observe_grid,
                       observe_join, relative_error)
-from .registry import experiment_ids, run_experiment
-from .reporting import (error_summary, figure5_rows, format_error,
-                        format_table, observation_records,
-                        observations_json, print_figure)
+from .registry import experiment_ids, experiment_table, run_experiment
+from .reporting import (ExperimentTable, error_summary, figure5_rows,
+                        format_error, format_table, observation_records,
+                        observations_json)
 
 __all__ = [
     "BENCH_SCALE",
     "ExperimentScale",
+    "ExperimentTable",
     "JoinObservation",
     "LevelComparison",
     "PAPER_SCALE",
@@ -20,6 +21,7 @@ __all__ = [
     "build_tree",
     "error_summary",
     "experiment_ids",
+    "experiment_table",
     "figure5_rows",
     "format_error",
     "format_table",
@@ -28,7 +30,6 @@ __all__ = [
     "observations_json",
     "observe_grid",
     "observe_join",
-    "print_figure",
     "relative_error",
     "run_experiment",
 ]

@@ -1,6 +1,10 @@
 """Experiment parameter grids.
 
-Two profiles:
+A profile is the one scale selector of the experiment registry:
+``python -m repro experiment <id> [--scale paper]`` regenerates a table
+at it, and ``pytest benchmarks/`` checks every experiment's claims at
+:data:`BENCH_SCALE`.  Every size an experiment uses — cardinalities,
+densities, the node capacity ``M`` — comes from here.
 
 * :data:`PAPER_SCALE` — the paper's exact setup: 1 Kbyte pages giving
   ``M = 84`` (n=1) / ``M = 50`` (n=2), cardinalities 20K-80K, average
@@ -22,7 +26,7 @@ Two profiles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..storage import node_capacity
 

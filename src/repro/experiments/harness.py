@@ -1,12 +1,13 @@
-"""Build-run-measure-compare pipeline behind every benchmark.
+"""Build-run-measure-compare pipeline behind every measured experiment.
 
 The harness owns the expensive part — building R*-trees — behind a cache
 keyed by the data set, so the 16-combination grids of Figure 5 build each
-tree once.  ``observe_join`` produces a :class:`JoinObservation` holding
-the four numbers every paper plot reports (experimental/analytical NA/DA)
-plus per-tree splits and relative errors; ``observe_grid`` measures a
-whole grid while pricing every point's analytical side in one vectorized
-:func:`~repro.estimator.estimate_batch` call.
+tree once.  ``observe_grid`` produces one :class:`JoinObservation` per
+join — the four numbers every paper plot reports (experimental/analytical
+NA/DA) plus per-tree splits and relative errors — pricing every point's
+analytical side in one vectorized :func:`~repro.estimator.estimate_batch`
+call; ``observe_join`` is the grid of one pair, optionally re-priced by
+the §4.2 local-density model.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..costmodel import NonUniformJoinModel
+from ..costmodel import NonUniformJoinModel, join_selectivity_pairs_grid
 from ..datasets import SpatialDataset
-from ..estimator import EstimateRequest, Estimator, estimate_batch
+from ..estimator import EstimateRequest, estimate_batch
 from ..exec import ExecutionGovernor
 from ..join import R1, R2, spatial_join
 from ..rtree import GuttmanRTree, RStarTree, RTreeBase, hilbert_pack, str_pack
@@ -100,7 +101,8 @@ class JoinObservation:
     da1_model: float
     da2_measured: int
     da2_model: float
-    pairs: int
+    pairs: int                   # output cardinality ...
+    pairs_model: float           # ... and its §5 selectivity estimate
 
     @property
     def na_error(self) -> float | None:
@@ -118,74 +120,9 @@ class JoinObservation:
     def da2_error(self) -> float | None:
         return relative_error(self.da2_model, self.da2_measured)
 
-
-def observe_join(dataset1: SpatialDataset, dataset2: SpatialDataset,
-                 max_entries: int, fill: float = 0.67,
-                 cache: TreeCache | None = None,
-                 variant: str = "rstar",
-                 nonuniform_resolution: int | None = None,
-                 label: str | None = None,
-                 governor: ExecutionGovernor | None = None,
-                 ) -> JoinObservation:
-    """Run one measured join and its analytical estimate side by side.
-
-    ``nonuniform_resolution`` switches the analytical side to the
-    local-density grid model of §4.2 (for skewed/real-like data).
-
-    ``governor`` bounds the measured run (deadline / NA / DA budgets,
-    cancellation); an exhausted budget raises the typed error — a
-    truncated measurement must never masquerade as a grid point, so a
-    partial-mode governor is refused.
-    """
-    if governor is not None and governor.partial:
-        raise ValueError(
-            "observe_join needs complete measurements; partial-mode "
-            "governors are not supported here")
-    cache = cache if cache is not None else TreeCache()
-    tree1 = cache.get(dataset1, max_entries, variant)
-    tree2 = cache.get(dataset2, max_entries, variant)
-
-    result = spatial_join(tree1, tree2, collect_pairs=False,
-                          governor=governor)
-
-    est = Estimator.from_datasets(dataset1, dataset2, max_entries,
-                                  fill=fill)
-    p1, p2 = est.left, est.right
-    if nonuniform_resolution is None:
-        na_model = est.na()
-        da_model = est.da()
-        da1_model, da2_model = est.da_by_tree()
-    else:
-        model = NonUniformJoinModel(dataset1, dataset2, max_entries,
-                                    resolution=nonuniform_resolution,
-                                    fill=fill)
-        na_model = model.na_total()
-        da_model = model.da_total()
-        # The grid model prices cells jointly; split per tree by the
-        # uniform model's proportions for reporting purposes.
-        u1, u2 = est.da_by_tree()
-        total = u1 + u2
-        da1_model = da_model * (u1 / total) if total else 0.0
-        da2_model = da_model * (u2 / total) if total else 0.0
-
-    return JoinObservation(
-        label=label or f"{dataset1.name} JOIN {dataset2.name}",
-        n1=dataset1.cardinality,
-        n2=dataset2.cardinality,
-        height1=tree1.height,
-        height2=tree2.height,
-        model_height1=p1.height,
-        model_height2=p2.height,
-        na_measured=result.na_total,
-        na_model=na_model,
-        da_measured=result.da_total,
-        da_model=da_model,
-        da1_measured=result.da(R1),
-        da1_model=da1_model,
-        da2_measured=result.da(R2),
-        da2_model=da2_model,
-        pairs=result.pair_count,
-    )
+    @property
+    def pairs_error(self) -> float | None:
+        return relative_error(self.pairs_model, self.pairs)
 
 
 def observe_grid(dataset_pairs: Iterable[tuple[SpatialDataset,
@@ -197,11 +134,15 @@ def observe_grid(dataset_pairs: Iterable[tuple[SpatialDataset,
                  ) -> list[JoinObservation]:
     """Measure a whole grid of joins, batching the analytical side.
 
-    The measured joins still run one at a time (trees must be built and
+    The measured joins run one at a time (trees must be built and
     traversed), but every grid point's Eq. 7/10 predictions are
-    evaluated by a single :func:`~repro.estimator.estimate_batch` call —
-    the numbers are bit-identical to per-point :func:`observe_join`
-    with the uniform model.
+    evaluated by a single :func:`~repro.estimator.estimate_batch` call.
+    This is the one place a :class:`JoinObservation` is filled in.
+
+    ``governor`` bounds the measured runs (deadline / NA / DA budgets,
+    cancellation); an exhausted budget raises the typed error — a
+    truncated measurement must never masquerade as a grid point, so a
+    partial-mode governor is refused.
     """
     if governor is not None and governor.partial:
         raise ValueError(
@@ -239,5 +180,42 @@ def observe_grid(dataset_pairs: Iterable[tuple[SpatialDataset,
             da2_measured=result.da(R2),
             da2_model=batch.da_right[i],
             pairs=result.pair_count,
+            pairs_model=batch.selectivity[i],
         ))
     return out
+
+
+def observe_join(dataset1: SpatialDataset, dataset2: SpatialDataset,
+                 max_entries: int, fill: float = 0.67,
+                 cache: TreeCache | None = None,
+                 variant: str = "rstar",
+                 nonuniform_resolution: int | None = None,
+                 label: str | None = None,
+                 governor: ExecutionGovernor | None = None,
+                 ) -> JoinObservation:
+    """Run one measured join and its analytical estimate side by side:
+    :func:`observe_grid` of one pair.
+
+    ``nonuniform_resolution`` switches the analytical side to the
+    local-density grid models of §4.2 and §5 (for skewed/real-like
+    data).
+    """
+    [ob] = observe_grid([(dataset1, dataset2)], max_entries, fill=fill,
+                        cache=cache, variant=variant, governor=governor)
+    if label:
+        ob.label = label
+    if nonuniform_resolution is not None:
+        model = NonUniformJoinModel(dataset1, dataset2, max_entries,
+                                    resolution=nonuniform_resolution,
+                                    fill=fill)
+        ob.na_model = model.na_total()
+        ob.da_model = model.da_total()
+        # The grid model prices cells jointly; split per tree by the
+        # uniform model's proportions for reporting purposes.
+        u1, u2 = ob.da1_model, ob.da2_model
+        total = u1 + u2
+        ob.da1_model = ob.da_model * (u1 / total) if total else 0.0
+        ob.da2_model = ob.da_model * (u2 / total) if total else 0.0
+        ob.pairs_model = join_selectivity_pairs_grid(
+            dataset1, dataset2, resolution=nonuniform_resolution)
+    return ob

@@ -4,8 +4,8 @@ Every formula of the paper is a per-level sum, and the measured side
 records accesses per (tree, level) too — so the comparison can be made
 level by level, attributing end-to-end error to specific levels (leaf
 pair estimation vs upper-level structure).  ``level_comparison`` builds
-that table for one join; the diagnostics test-suite and EXPERIMENTS.md
-use it, and it is handy when tuning the model on new data.
+that table for one join; the registry's ``levels`` experiment and
+EXPERIMENTS.md use it, and it is handy when tuning the model on new data.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from ..costmodel import (AnalyticalTreeParams, join_da_breakdown,
                          join_na_breakdown)
 from ..datasets import SpatialDataset
 from ..join import R1, R2, JoinResult
+from .harness import relative_error
 
 __all__ = ["LevelComparison", "level_comparison"]
 
@@ -36,9 +37,7 @@ class LevelComparison:
         """Signed relative error; ``None`` when a zero measurement
         meets a non-zero model value (same convention as
         :func:`repro.experiments.relative_error` — JSON-safe)."""
-        if self.na_measured == 0:
-            return 0.0 if self.na_model == 0 else None
-        return (self.na_model - self.na_measured) / self.na_measured
+        return relative_error(self.na_model, self.na_measured)
 
 
 def level_comparison(result: JoinResult, dataset1: SpatialDataset,

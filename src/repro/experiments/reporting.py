@@ -1,8 +1,10 @@
-"""Plain-text tables and series for the benchmark harness.
+"""Plain-text tables and series for the experiment registry.
 
 The paper reports its results as figure series (experimental vs analytical
-NA and DA per N1/N2 combination); these helpers print the same rows so a
-bench run's stdout *is* the reproduced table.  ``observation_records`` /
+NA and DA per N1/N2 combination); these helpers print the same rows so an
+experiment's stdout *is* the reproduced table, and
+:class:`ExperimentTable` keeps the typed records behind the rows so a
+claim is asserted over numbers, not over text.  ``observation_records`` /
 ``observations_json`` emit the same data machine-readably: strict JSON,
 with undefined relative errors as ``null`` (never ``Infinity``, which is
 not JSON).
@@ -11,13 +13,38 @@ not JSON).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .harness import JoinObservation
 
-__all__ = ["format_table", "format_error", "figure5_rows",
-           "print_figure", "error_summary", "observation_records",
+__all__ = ["ExperimentTable", "format_table", "format_error",
+           "figure5_rows", "error_summary", "observation_records",
            "observations_json"]
+
+
+@dataclass(frozen=True)
+class ExperimentTable:
+    """What one registry experiment returns: the printed table and the
+    typed records it was formatted from.
+
+    ``rows`` are the table's cells; ``records`` the per-row measurements
+    behind them (:class:`JoinObservation`,
+    :class:`~repro.experiments.LevelComparison` or one of the registry's
+    named tuples); ``notes`` the lines printed under the table.
+    ``str(table)`` is the text ``run_experiment`` returns.
+    """
+
+    title: str
+    headers: Sequence[str]
+    rows: Sequence[Sequence[object]]
+    records: Sequence[object]
+    notes: Sequence[str] = ()
+
+    def __str__(self) -> str:
+        return "\n".join([self.title,
+                          format_table(self.headers, self.rows),
+                          *self.notes])
 
 
 def format_error(error: float | None) -> str:
@@ -65,17 +92,6 @@ def figure5_rows(observations: Iterable[JoinObservation],
     return rows
 
 
-def print_figure(title: str,
-                 observations: Iterable[JoinObservation]) -> str:
-    """Format one Figure-5-style block, returning (and printing) it."""
-    headers = ["N1/N2", "exper(NA)", "anal(NA)", "exper(DA)",
-               "anal(DA)", "errNA", "errDA"]
-    text = f"\n== {title} ==\n" + format_table(
-        headers, figure5_rows(observations))
-    print(text)
-    return text
-
-
 def error_summary(observations: Sequence[JoinObservation],
                   ) -> dict[str, float]:
     """Aggregate |relative error| statistics over a grid of runs.
@@ -110,22 +126,12 @@ def error_summary(observations: Sequence[JoinObservation],
 
 def observation_records(observations: Iterable[JoinObservation],
                         ) -> list[dict[str, object]]:
-    """JSON-safe dict per observation (errors ``None`` when undefined)."""
-    records = []
-    for ob in observations:
-        records.append({
-            "label": ob.label,
-            "n1": ob.n1, "n2": ob.n2,
-            "height1": ob.height1, "height2": ob.height2,
-            "na_measured": ob.na_measured, "na_model": ob.na_model,
-            "da_measured": ob.da_measured, "da_model": ob.da_model,
-            "da1_measured": ob.da1_measured, "da1_model": ob.da1_model,
-            "da2_measured": ob.da2_measured, "da2_model": ob.da2_model,
-            "pairs": ob.pairs,
-            "na_error": ob.na_error, "da_error": ob.da_error,
-            "da1_error": ob.da1_error, "da2_error": ob.da2_error,
-        })
-    return records
+    """JSON-safe dict per observation: its fields plus the derived
+    relative errors (``None`` when undefined)."""
+    return [{**asdict(ob),
+             **{f"{axis}_error": getattr(ob, f"{axis}_error")
+                for axis in ("na", "da", "da1", "da2", "pairs")}}
+            for ob in observations]
 
 
 def observations_json(observations: Iterable[JoinObservation],

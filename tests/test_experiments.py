@@ -4,9 +4,9 @@ import pytest
 
 from repro.datasets import uniform_rectangles
 from repro.experiments import (BENCH_SCALE, PAPER_SCALE, SMOKE_SCALE,
-                               TreeCache, error_summary, figure5_rows,
-                               format_table, observe_join, print_figure,
-                               relative_error)
+                               ExperimentTable, TreeCache, error_summary,
+                               figure5_rows, format_table, observe_grid,
+                               observe_join, relative_error)
 from repro.rtree import RStarTree
 
 
@@ -52,7 +52,8 @@ class TestRelativeError:
             na_measured=4, na_model=5.0,
             da_measured=0, da_model=2.0,
             da1_measured=0, da1_model=1.0,
-            da2_measured=0, da2_model=1.0, pairs=3)
+            da2_measured=0, da2_model=1.0, pairs=3,
+            pairs_model=3.0)
         text = observations_json([ob])
         assert "Infinity" not in text
         [record] = json.loads(text)
@@ -108,6 +109,15 @@ class TestObserveJoin:
         assert ob.na_model > 0 and ob.da_model > 0
         assert ob.pairs > 0
 
+    def test_is_observe_grid_of_one_pair(self):
+        # One constructor: a uniform-model observation is the grid of
+        # one pair, field for field.
+        d1 = uniform_rectangles(600, 0.5, 2, seed=5)
+        d2 = uniform_rectangles(900, 0.5, 2, seed=6)
+        cache = TreeCache()
+        assert (observe_grid([(d1, d2)], 16, cache=cache)
+                == [observe_join(d1, d2, 16, cache=cache)])
+
     def test_errors_derived(self):
         d1 = uniform_rectangles(500, 0.5, 2, seed=7)
         ob = observe_join(d1, d1, 16)
@@ -148,11 +158,14 @@ class TestReporting:
         assert rows[0][0] == "0K/0K"
         assert all(len(r) == 7 for r in rows)
 
-    def test_print_figure_returns_text(self, capsys):
-        text = print_figure("test", self._obs())
-        captured = capsys.readouterr()
-        assert "exper(NA)" in text
-        assert text in captured.out + text  # was printed
+    def test_experiment_table_text(self):
+        obs = self._obs()
+        table = ExperimentTable("test", ["N1/N2", "exper(NA)"],
+                                [row[:2] for row in figure5_rows(obs)],
+                                obs, ["a note"])
+        title, header, _rule, *rows, note = str(table).splitlines()
+        assert (title, note) == ("test", "a note")
+        assert "exper(NA)" in header and len(rows) == len(obs)
 
     def test_error_summary(self):
         summary = error_summary(self._obs())
@@ -183,7 +196,7 @@ class TestReporting:
             da_measured=0, da_model=2.0,     # da_error is None
             da1_measured=0, da1_model=1.0,   # da1_error is None
             da2_measured=0, da2_model=1.0,   # da2_error is None
-            pairs=1) for i in range(3)]
+            pairs=1, pairs_model=1.0) for i in range(3)]
         summary = error_summary(obs)
         assert summary["count"] == 3
         assert summary["na_defined"] == 3
@@ -204,7 +217,8 @@ class TestReporting:
                 na_measured=4, na_model=4.0,
                 da_measured=da_measured, da_model=da_model,
                 da1_measured=1, da1_model=1.0,
-                da2_measured=1, da2_model=1.0, pairs=1)
+                da2_measured=1, da2_model=1.0, pairs=1,
+                pairs_model=1.0)
 
         obs = [ob("defined", 2, 3.0),        # error +0.5
                ob("undef-1", 0, 2.0),        # None
