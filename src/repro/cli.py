@@ -56,10 +56,8 @@ from .datasets import (LocalDensityGrid, clustered_rectangles,
                        diagonal_rectangles, tiger_like_segments,
                        uniform_rectangles, zipf_rectangles)
 from .estimator import Estimator, estimate_batch
-from .exec import (ADMISSION_MODES, AdmissionRejected, Budget,
-                   BudgetExceeded, Cancelled, ExecutionConfig,
-                   ExecutionGovernor, JoinCheckpoint, evaluate_admission,
-                   predict_join_cost)
+from .exec import (ADMISSION_MODES, Budget, BudgetExceeded, Cancelled,
+                   ExecutionConfig, ExecutionGovernor, JoinCheckpoint)
 from .io import load_dataset, load_tree, save_dataset, save_tree, \
     verify_tree_file
 from .join import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
@@ -483,6 +481,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
+    # The one config door: a combination it refuses (--strategy pbsm
+    # with a worker pool) is a usage error before any file is read.
+    exec_cfg = ExecutionConfig(pair_enumeration=args.pair_enum,
+                               traversal=args.traversal,
+                               strategy=args.strategy)
+    if args.workers is not None:
+        exec_cfg = exec_cfg.with_options(
+            mode=args.mode, workers=args.workers,
+            assignment=args.assignment,
+            worker_timeout=args.worker_timeout,
+            on_worker_crash=args.on_worker_crash)
     strict = not args.lenient
     t1 = load_tree(args.tree1, strict=strict)
     t2 = load_tree(args.tree2, strict=strict)
@@ -495,32 +504,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
     budget = Budget(deadline=args.deadline, max_na=args.max_na,
                     max_da=args.max_da, max_results=args.max_results)
 
-    # Admission control: compare the predicted cost (Eq. 7/10, computed
-    # from catalog-style statistics only) against the budget before a
-    # single metered page read.  A rejection leaves all access counters
-    # at zero.
-    if args.admission != "off" and (budget.max_na is not None
-                                    or budget.max_da is not None):
-        predicted = predict_join_cost(t1, t2)
-        if predicted is not None:
-            decision = evaluate_admission(budget, *predicted)
-            if not decision.allowed:
-                over = (decision.predicted_na
-                        if decision.resource == "na"
-                        else decision.predicted_da)
-                if args.admission == "reject":
-                    raise AdmissionRejected(decision.resource,
-                                            decision.limit, over)
-                print(f"warning: admission: predicted "
-                      f"{decision.resource.upper()} {over:.0f} exceeds "
-                      f"the budget of {decision.limit:.0f}; proceeding "
-                      f"(--admission reject would refuse)",
-                      file=sys.stderr)
-
     # Primitive properties (N, D) for the analytical comparison, read
-    # before any fault injection wraps the pagers.
-    stats = [(len(tree), sum(e.rect.area() for e in tree.leaf_entries()))
-             for tree in (t1, t2)]
+    # before any fault injection wraps the pagers — and remembered with
+    # the trees, so admission prices the join from the same numbers.
+    est = Estimator.from_trees(t1, t2)
     retry_policy = None
     if args.inject_transient or args.inject_latency:
         injector = FaultInjector(seed=args.fault_seed,
@@ -530,9 +517,14 @@ def _cmd_join(args: argparse.Namespace) -> int:
         t2.pager = FaultyPager(t2.pager, injector)
         retry_policy = RetryPolicy(max_attempts=args.max_attempts)
 
+    # Admission control is the governor's: it compares the predicted
+    # cost (Eq. 7/10, computed from catalog-style statistics only)
+    # against the budget before a single metered page read.  A
+    # rejection leaves all access counters at zero.
     governor = None
     if not budget.unlimited or args.partial:
-        governor = ExecutionGovernor(budget, partial=args.partial)
+        governor = ExecutionGovernor(budget, partial=args.partial,
+                                     admission=args.admission)
 
     if args.workers is not None and (args.partial or args.checkpoint
                                      or args.resume):
@@ -559,8 +551,17 @@ def _cmd_join(args: argparse.Namespace) -> int:
         ledger = AccuracyLedger(tracer=tracer)
     try:
         return _run_join(args, t1, t2, buffer, retry_policy, governor,
-                         tracer, metrics, ledger, stats)
+                         tracer, metrics, ledger, exec_cfg, est)
     finally:
+        decision = governor.last_admission if governor is not None else None
+        if decision is not None and not decision.allowed \
+                and args.admission == "warn":
+            refused = decision.rejection()
+            print(f"warning: admission: predicted "
+                  f"{refused.resource.upper()} {refused.observed:.0f} "
+                  f"exceeds the budget of {refused.limit:.0f}; proceeding "
+                  f"(--admission reject would refuse)",
+                  file=sys.stderr)
         if tracer is not None:
             if metrics is not None:
                 tracer.metrics(metrics.as_dict())
@@ -568,20 +569,12 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 
 def _run_join(args, t1, t2, buffer, retry_policy, governor,
-              tracer, metrics, ledger, stats) -> int:
+              tracer, metrics, ledger, exec_cfg, est) -> int:
     """The measured part of ``repro join``, after setup/validation."""
-    exec_cfg = ExecutionConfig(pair_enumeration=args.pair_enum,
-                               traversal=args.traversal,
-                               strategy=args.strategy)
     if args.workers is not None:
         result = parallel_spatial_join(
             t1, t2, collect_pairs=False, governor=governor,
-            tracer=tracer, metrics=metrics,
-            config=exec_cfg.with_options(
-                mode=args.mode, workers=args.workers,
-                assignment=args.assignment,
-                worker_timeout=args.worker_timeout,
-                on_worker_crash=args.on_worker_crash))
+            tracer=tracer, metrics=metrics, config=exec_cfg)
         print(f"R1: {args.tree1} (N={len(t1)}, h={t1.height})")
         print(f"R2: {args.tree2} (N={len(t2)}, h={t2.height})")
         print(f"result pairs: {result.pair_count}")
@@ -641,10 +634,6 @@ def _run_join(args, t1, t2, buffer, retry_policy, governor,
         return EXIT_BUDGET
 
     # Analytical comparison from the trees' own primitive properties.
-    from .estimator import cached_params
-    est = Estimator(
-        cached_params(stats[0][0], stats[0][1], t1.max_entries, t1.ndim),
-        cached_params(stats[1][0], stats[1][1], t2.max_entries, t2.ndim))
     print(f"analytical: NA = {est.na():.0f}, "
           f"DA = {est.da():.0f}, "
           f"pairs = {est.selectivity():.0f}")
@@ -673,21 +662,7 @@ def _print_obs(args: argparse.Namespace, metrics, ledger) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .obs import load_trace, render_bench_report, render_report
-    # A BENCH_*.json snapshot is one JSON object over many lines (not
-    # JSONL) — render it as a benchmark table instead of a trace.
-    try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        doc = None
-    # Any JSON object without an "event" key is a snapshot, not a trace
-    # record — older snapshots carry flat (non-dict) entries and must
-    # not fall through to the JSONL parser, which would refuse them as
-    # malformed trace lines.
-    if isinstance(doc, dict) and "event" not in doc:
-        print(render_bench_report(doc))
-        return 0
+    from .obs import load_trace, render_report
     print(render_report(load_trace(args.trace)))
     return 0
 

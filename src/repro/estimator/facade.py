@@ -129,22 +129,18 @@ class Estimator:
 
     @classmethod
     def from_trees(cls, left: Any, right: Any,
-                   fill: float = DEFAULT_FILL,
-                   cache: ParamCache | None = None) -> "Estimator":
+                   fill: float = DEFAULT_FILL) -> "Estimator":
         """From built trees, via catalog-style statistics only.
 
         Reads each tree's cardinality and summed leaf-rectangle area
         (the density ``D``) without a metered page access — exactly what
-        admission control may consult before any page read.  The trees'
-        actual ``M`` may differ, so parameters are derived per side.
+        admission control may consult before any page read — through
+        :func:`repro.exec.tree_params`, which remembers them with the
+        tree.  The trees' actual ``M`` may differ, so parameters are
+        derived per side.
         """
-        get = cache.get if cache is not None else cached_params
-        p = []
-        for tree in (left, right):
-            density = sum(e.rect.area() for e in tree.leaf_entries())
-            p.append(get(len(tree), density, tree.max_entries,
-                         tree.ndim, fill))
-        return cls(p[0], p[1])
+        from ..exec.governor import tree_params   # exec imports estimator
+        return cls(tree_params(left, fill), tree_params(right, fill))
 
     # -- estimates -----------------------------------------------------------
 

@@ -80,7 +80,10 @@ class ExecutionConfig:
         ``parallel_spatial_join`` acts on it; the synchronized
         single-traversal join is serial by construction.
     workers:
-        Worker count for the parallel modes (``>= 1``).
+        Worker count for the parallel modes (``>= 1``).  Refused above
+        1 together with ``strategy="pbsm"``: the partition engine runs
+        in the calling thread (its tile pool lost to the serial probe
+        on every measured workload, see ``docs/performance.md``).
     pair_enumeration:
         Node-pair matching kernel, one of :data:`PAIR_ENUMERATIONS`.
         Consumed by every entry point.
@@ -105,8 +108,9 @@ class ExecutionConfig:
         ``"pbsm"`` switches to the grid-partitioned plane-sweep engine
         of :mod:`repro.join.partition` (same pair set, different I/O
         profile; partials are non-resumable — see that module).  With
-        ``"pbsm"``, ``pair_enumeration`` and ``traversal`` are ignored
-        (the engine always sweeps its tiles).
+        ``"pbsm"``, ``pair_enumeration``, ``traversal`` and ``mode`` are
+        ignored (the engine always sweeps its tiles, one after another)
+        and ``workers`` must be 1.
     """
 
     mode: str = "serial"
@@ -140,6 +144,10 @@ class ExecutionConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}")
+        if self.strategy == "pbsm" and self.workers > 1:
+            raise ValueError(
+                "strategy='pbsm' runs in the calling thread: workers "
+                "must be 1 (the partition engine has no worker pool)")
 
     def with_options(self, **changes) -> "ExecutionConfig":
         """A copy with some fields replaced (validated on construction)."""

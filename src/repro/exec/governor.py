@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 from ..costmodel.params import AnalyticalTreeParams, DEFAULT_FILL
 from ..estimator import Estimator, cached_params
-from ..reliability import (CorruptPageError, ModelDomainError,
+from ..reliability import (CorruptPageError, FaultyPager, ModelDomainError,
                            TransientPageError)
 from ..storage import AccessStats
 from .budget import (UNLIMITED, AdmissionRejected, Budget, BudgetExceeded,
@@ -47,29 +47,44 @@ def tree_params(tree: Any, fill: float = DEFAULT_FILL,
     """Eq. 2-5 parameters from a built tree's primitive properties.
 
     Uses only the cardinality and summed data-rectangle area (the
-    density ``D``) — the statistics a real SDBMS keeps in its catalog.
-    No metered page read is performed: nothing touches a
-    :class:`~repro.storage.MeteredReader` or a buffer.  Derivations go
-    through the shared estimator :data:`~repro.estimator.cache.
-    DEFAULT_PARAM_CACHE`, so admitting the same pair of trees twice
-    reuses the Eq. 2-5 work.
+    density ``D``) — the statistics a real SDBMS keeps in its catalog —
+    and is the one place that derives them.  No metered page read is
+    performed: nothing touches a :class:`~repro.storage.MeteredReader`
+    or a buffer.  The sum, a walk over every leaf entry, is remembered
+    with the tree (:meth:`~repro.rtree.RTreeBase.derived`) until the
+    tree changes, so pricing the same trees again costs a staleness
+    check; a tree-like without that catalog is walked per call, and so
+    is a tree whose pager injects faults (the check would read every
+    node through the injector).  The Eq. 2-5 derivations go through the
+    shared :data:`~repro.estimator.cache.DEFAULT_PARAM_CACHE`.
     """
-    density = sum(e.rect.area() for e in tree.leaf_entries())
-    return cached_params(len(tree), density, tree.max_entries,
-                         tree.ndim, fill)
+    derived = getattr(tree, "derived", None)
+    catalog = ({} if derived is None or isinstance(tree.pager, FaultyPager)
+               else derived())
+    if "leaf_area" not in catalog:
+        catalog["leaf_area"] = sum(e.rect.area()
+                                   for e in tree.leaf_entries())
+    return cached_params(len(tree), catalog["leaf_area"],
+                         tree.max_entries, tree.ndim, fill)
 
 
-def predict_join_cost(tree1: Any, tree2: Any,
+def predict_join_cost(left: Any, right: Any,
                       ) -> tuple[float, float] | None:
-    """Predicted (NA, DA) of joining two built trees, Eqs. 7 and 10.
+    """Predicted (NA, DA) of one join, Eqs. 7 and 10 — the one price
+    admission, the ledger and remaining-cost estimates read.
 
-    Returns ``None`` when the cost model cannot price the pair — an
-    empty tree, or catalog statistics unreadable because the storage is
-    faulting.  The estimate is best-effort: a failed prediction never
-    aborts the query it was meant to price.
+    Each side is a built tree, reduced to its :func:`tree_params`, or
+    parameters already derived (anything with ``nodes_at``, as the
+    daemon keeps per registered tree: closed-form admission).  ``None``
+    when the cost model cannot price the pair — an empty tree, or
+    catalog statistics unreadable because the storage is faulting.  The
+    estimate is best-effort: a failed prediction never aborts the query
+    it was meant to price.
     """
     try:
-        est = Estimator(tree_params(tree1), tree_params(tree2))
+        est = Estimator(*(side if hasattr(side, "nodes_at")
+                          else tree_params(side)
+                          for side in (left, right)))
         return est.na(), est.da()
     except (ModelDomainError, ValueError,
             TransientPageError, CorruptPageError):
@@ -90,6 +105,14 @@ class AdmissionDecision:
         return {"allowed": self.allowed, "resource": self.resource,
                 "limit": self.limit, "predicted_na": self.predicted_na,
                 "predicted_da": self.predicted_da}
+
+    def rejection(self) -> AdmissionRejected:
+        """The typed refusal of a decision that is not ``allowed``:
+        the violated axis, its limit and the prediction that broke it."""
+        return AdmissionRejected(
+            self.resource, self.limit,
+            self.predicted_na if self.resource == "na"
+            else self.predicted_da)
 
 
 def evaluate_admission(budget: Budget,
@@ -241,11 +264,7 @@ class ExecutionGovernor:
                 decision = evaluate_admission(self.budget, *predicted)
         self.last_admission = decision
         if not decision.allowed and self.admission == "reject":
-            predicted_cost = (decision.predicted_na
-                              if decision.resource == "na"
-                              else decision.predicted_da)
-            raise AdmissionRejected(decision.resource, decision.limit,
-                                    predicted_cost)
+            raise decision.rejection()
         return decision
 
     def __repr__(self) -> str:

@@ -141,7 +141,7 @@ class _ReplayFrame:
     """One stack frame of an interrupted (or not yet started) replay.
 
     Shaped like ``sync._Frame`` as far as
-    :meth:`repro.join.SpatialJoin._partial` serializes one: ``n1``/
+    :meth:`repro.join.SpatialJoin._checkpoint` serializes one: ``n1``/
     ``n2`` carry ``page_id``/``level`` and ``cursor`` counts consumed
     items with the stack machine's per-enumeration semantics.  A
     running replay keeps no frames; :meth:`LevelBatchState._trip`

@@ -1,10 +1,9 @@
 """The governed fan-out driver: independent join tasks on a worker pool.
 
-Both parallel engines decompose a join into tasks that share nothing —
-subtree-pair buckets in :mod:`repro.join.parallel`, grid tiles in
-:mod:`repro.join.partition` — and hand them to a pool.  What differs
-between them is only the worker body; everything about *driving* the
-pool lives here, once:
+The parallel join decomposes a join into tasks that share nothing —
+the subtree-pair buckets of :mod:`repro.join.parallel` — and hands
+them to a pool.  The worker body is the join's; everything about
+*driving* the pool lives here:
 
 * ``mode="threads"`` — a thread pool whose workers observe one internal
   abort token (linked into each worker's governor): the first failure
@@ -28,8 +27,8 @@ pool lives here, once:
   (``on_worker_crash="serial"``) re-runs exactly those tasks in the
   coordinator.
 * Completed tasks are salvaged into the caller's ``collected`` mapping
-  on every exit path (a PBSM partial result is the union of its
-  completed tiles).  Shared-memory segments the submissions name are
+  on every exit path (a stopped join reports the work its completed
+  buckets did).  Shared-memory segments the submissions name are
   the caller's: it exports them before the call and closes its leases
   after it — the pool is gone by then on every path.
 """
@@ -58,8 +57,8 @@ class WorkerCrashed(ReproError):
     Raised in ``mode="processes"`` with ``on_worker_crash="raise"`` when
     the OS kills a worker (SIGKILL, OOM), the pool breaks, or no task
     completes within the watchdog timeout.  ``buckets`` lists the task
-    indices (subtree-pair buckets, or PBSM tiles) whose results were
-    lost; ``cause`` is a short machine-readable reason string.
+    indices (subtree-pair buckets) whose results were lost; ``cause``
+    is a short machine-readable reason string.
     """
 
     def __init__(self, buckets: list[int], cause: str,
@@ -79,9 +78,9 @@ class WorkerCrashed(ReproError):
         return (WorkerCrashed, (self.buckets, self.cause, str(self)))
 
 
-def fan_out(tasks: list, run_local, call, *, config: ExecutionConfig,
-            governor: ExecutionGovernor | None, stats: AccessStats,
-            collected: dict, decode=None,
+def fan_out(tasks: list, run_local, call, decode, *,
+            config: ExecutionConfig,
+            governor: ExecutionGovernor | None, collected: dict,
             tracer=None, join_id=None, metrics=None) -> None:
     """Run ``tasks`` on the pool ``config.mode`` names.
 
@@ -95,18 +94,13 @@ def fan_out(tasks: list, run_local, call, *, config: ExecutionConfig,
     ``(function, *arguments)`` of one ``"processes"`` submission.
     ``decode`` turns a process worker's plain-data result into the
     shape ``run_local`` returns.
-
-    ``stats`` is what the coordinator's own governor checks (pre-flight
-    and polling) are measured against: the counters already charged in
-    this process, or empty ones when all charging happens in workers.
     """
     max_workers = max(1, min(config.workers, len(tasks)))
     if config.mode == "threads":
         _run_threads(tasks, run_local, max_workers, governor, collected)
     else:
-        _run_processes(tasks, run_local, call, max_workers, config,
-                       governor, stats, collected, decode, tracer,
-                       join_id, metrics)
+        _run_processes(tasks, run_local, call, decode, max_workers, config,
+                       governor, collected, tracer, join_id, metrics)
 
 
 def _first_cause(failure: BaseException | None,
@@ -183,9 +177,12 @@ def worker_governor(budget: Budget | None) -> ExecutionGovernor | None:
     return governor
 
 
-def _run_processes(tasks, run_local, call, max_workers, config,
-                   governor, stats, collected, decode, tracer, join_id,
-                   metrics) -> None:
+def _run_processes(tasks, run_local, call, decode, max_workers, config,
+                   governor, collected, tracer, join_id, metrics) -> None:
+    # All charging happens in the workers: the coordinator's own checks
+    # run against empty counters, so only the deadline and the token
+    # can trip here.
+    stats = AccessStats()
     if governor is not None:
         # Trip a pre-cancelled token or spent deadline before paying
         # for a single process spawn.
@@ -242,9 +239,7 @@ def _run_processes(tasks, run_local, call, max_workers, config,
         for index, fut in enumerate(futures):
             if fut.done() and not fut.cancelled() \
                     and fut.exception() is None:
-                result = fut.result()
-                collected[index] = (result if decode is None
-                                    else decode(result))
+                collected[index] = decode(fut.result())
             else:
                 lost.append(index)
         if crash_cause is None:

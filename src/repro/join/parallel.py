@@ -30,14 +30,15 @@ results back; the coordinator merges the per-worker
 mode's.  How the two pools are driven — the abort token that drains
 sibling threads, the rebased worker budget and coordinator polling of
 the process pool, the watchdog and the crash policy — is the business
-of :mod:`repro.join.fanout`, the one driver this join shares with the
-PBSM engine's tiles.
+of :mod:`repro.join.fanout`; admission, the trip handling and the
+telemetry around the whole join are :class:`~repro.join.run.JoinRun`'s,
+as for every engine.
 """
 
 from __future__ import annotations
 
 from ..exec import ExecutionGovernor
-from ..exec.budget import Budget, BudgetExceeded, Cancelled
+from ..exec.budget import Budget
 from ..exec.config import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
                            ON_WORKER_CRASH, ExecutionConfig)
 from ..rtree import RTreeBase
@@ -46,7 +47,8 @@ from ..storage import AccessStats, MeteredReader, PathBuffer
 from .batch import arena_pair
 from .fanout import WorkerCrashed, fan_out, worker_governor
 from .predicates import OVERLAP, JoinPredicate
-from .result import R1, R2
+from .result import R1, R2, JoinResult
+from .run import JoinRun
 from .sync import select_traversal, traversal_state
 
 __all__ = ["parallel_spatial_join", "ParallelJoinResult",
@@ -58,18 +60,29 @@ __all__ = ["parallel_spatial_join", "ParallelJoinResult",
 # repro.join.fanout; both are re-exported here for compatibility.
 
 
-class ParallelJoinResult:
-    """Outcome of a simulated parallel SJ execution (``engine`` and
-    ``fallback`` as on :class:`~repro.join.JoinResult`)."""
+class ParallelJoinResult(JoinResult):
+    """Outcome of a simulated parallel SJ execution.
+
+    A :class:`~repro.join.JoinResult` whose ``stats`` are the workers'
+    counters merged (so ``na_total``/``da_total``/``na(tree)`` read as
+    on a serial join's result) with the partition kept beside them in
+    ``worker_stats``.  ``comparisons`` sums the workers' and the
+    root-pair decomposition's predicate evaluations: under the
+    ``nested-loop`` and ``vectorized`` enumerations it equals the
+    serial join's; under the plane-sweep enumerations it differs by the
+    root level, which is always decomposed by nested loops.
+    """
 
     def __init__(self, pairs: list[tuple[int, int]],
-                 worker_stats: list[AccessStats], pair_count: int, *,
+                 worker_stats: list[AccessStats], pair_count: int,
+                 comparisons: int = 0, *,
                  engine: str | None = None, fallback: str | None = None):
-        self.pairs = pairs
+        merged = AccessStats()
+        for stats in worker_stats:
+            merged.merge(stats)
+        super().__init__(pairs, merged, comparisons, pair_count,
+                         engine=engine, fallback=fallback)
         self.worker_stats = worker_stats
-        self.pair_count = pair_count
-        self.engine = engine
-        self.fallback = fallback
 
     @property
     def workers(self) -> int:
@@ -78,12 +91,12 @@ class ParallelJoinResult:
     @property
     def total_na(self) -> int:
         """Summed node accesses over all workers (the resource cost)."""
-        return sum(s.na() for s in self.worker_stats)
+        return self.na_total
 
     @property
     def total_da(self) -> int:
         """Summed disk accesses over all workers."""
-        return sum(s.da() for s in self.worker_stats)
+        return self.da_total
 
     @property
     def makespan_na(self) -> int:
@@ -119,7 +132,7 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
                 collect_pairs: bool,
                 governor: ExecutionGovernor | None,
                 config: ExecutionConfig, metrics=None,
-                ) -> tuple[AccessStats, list[tuple[int, int]], int,
+                ) -> tuple[AccessStats, list[tuple[int, int]], int, int,
                            object]:
     """Execute one worker's task bucket against a private buffer.
 
@@ -129,7 +142,7 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
 
     ``metrics`` is a worker-*private*
     :class:`~repro.obs.MetricsRegistry` (or ``None``): the worker
-    records its own delta, and ships the registry back as the fourth
+    records its own delta, and ships the registry back as the last
     element of the result tuple for the coordinator to merge — no
     shared mutable state between workers.
 
@@ -164,7 +177,8 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
         metrics.record_access_stats(stats, prefix="worker")
         if governor is not None:
             metrics.counter("governor.checks").inc(governor.checks)
-    return stats, state.pairs, state.pair_count, metrics
+    return (stats, state.pairs, state.pair_count, state.comparisons,
+            metrics)
 
 
 def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
@@ -172,7 +186,7 @@ def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
                     collect_pairs: bool, config: ExecutionConfig,
                     budget: Budget | None,
                     collect_metrics: bool = False,
-                    ) -> tuple[dict, list[tuple[int, int]], int,
+                    ) -> tuple[dict, list[tuple[int, int]], int, int,
                                dict | None]:
     """Worker-*process* body: plain picklable data in, plain data out.
 
@@ -197,18 +211,18 @@ def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
         tree1 = tree1.attach()
     if isinstance(tree2, ArenaTreeHandle):
         tree2 = tree2.attach()
-    stats, pairs, count, metrics = _run_bucket(
+    stats, *counted, metrics = _run_bucket(
         bucket, tree1, tree2, tree1.root(), tree2.root(), predicate,
         collect_pairs, worker_governor(budget), config,
         _fresh_metrics(collect_metrics))
-    return (stats.as_dict(), pairs, count,
+    return (stats.as_dict(), *counted,
             metrics.as_dict() if metrics is not None else None)
 
 
 def _decode_bucket(result: tuple) -> tuple:
     """A process worker's result in the shape ``_run_bucket`` returns."""
-    stats_doc, pairs, count, metrics_doc = result
-    return AccessStats.from_dict(stats_doc), pairs, count, metrics_doc
+    stats_doc, *rest = result
+    return (AccessStats.from_dict(stats_doc), *rest)
 
 
 def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
@@ -238,8 +252,10 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
     :meth:`~repro.exec.ExecutionGovernor.spawn`-ed view of it: the
     budget applies per worker (each worker's own NA/DA — the makespan
     currency), the deadline and cancellation token are shared, and a
-    stop raises the typed error at this call's boundary.  Partial mode
-    is not supported here (checkpoints describe a single synchronized
+    stop raises the typed error at this call's boundary.  Admission
+    control prices the whole join once, before any worker starts, as
+    for :func:`~repro.join.spatial_join`.  Partial mode is not
+    supported here (checkpoints describe a single synchronized
     traversal): a partial governor is refused.
 
     ``mode="threads"`` and ``mode="processes"`` hand the buckets to
@@ -285,22 +301,13 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
             "parallel_spatial_join cannot produce partial results; "
             "use a non-partial governor (checkpoints belong to the "
             "synchronized single-traversal join)")
-    if tree1.ndim != tree2.ndim:
-        raise ValueError(
-            f"dimensionality mismatch: {tree1.ndim} vs {tree2.ndim}")
     if config.strategy == "pbsm":
-        # The partition engine parallelizes over its own tiles, not
-        # over subtree-pair buckets: delegate wholesale and wrap the
-        # result.  All build I/O happens on the coordinator's "disk",
-        # so the single AccessStats is both the total and the makespan.
-        from .partition import partition_spatial_join
-        result = partition_spatial_join(
-            tree1, tree2, predicate=predicate,
-            collect_pairs=collect_pairs, governor=governor,
-            tracer=tracer, metrics=metrics, config=config)
-        return ParallelJoinResult(result.pairs, [result.stats],
-                                  result.pair_count, engine=result.engine,
-                                  fallback=result.fallback)
+        raise ValueError(
+            "parallel_spatial_join decomposes the synchronized "
+            "traversal; strategy='pbsm' runs in the calling thread "
+            "(spatial_join or partition_spatial_join)")
+    run = JoinRun(tree1, tree2, config, governor=governor, tracer=tracer,
+                  metrics=metrics)
 
     root1 = tree1.root()
     root2 = tree2.root()
@@ -309,30 +316,22 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
     #   * one is a leaf  -> one task per qualifying entry of the
     #     internal root (the pinned leaf root joins each subtree);
     #   * both leaves    -> a single trivial task.
-    tasks: list[tuple[float, object, object]] = []
-    if not root1.is_leaf and not root2.is_leaf:
-        for e2 in root2.entries:         # the paper's loop order
-            for e1 in root1.entries:
-                if predicate.node_test(e1.rect, e2.rect):
-                    cost_proxy = e1.rect.intersection_area(e2.rect)
-                    tasks.append((cost_proxy, e1, e2))
-    elif root1.is_leaf and not root2.is_leaf:
-        if root1.entries:
-            mbr1 = root1.mbr()
-            for e2 in root2.entries:
-                if predicate.node_test(mbr1, e2.rect):
-                    tasks.append(
-                        (mbr1.intersection_area(e2.rect), None, e2))
-    elif not root1.is_leaf and root2.is_leaf:
-        if root2.entries:
-            mbr2 = root2.mbr()
-            for e1 in root1.entries:
-                if predicate.node_test(e1.rect, mbr2):
-                    tasks.append(
-                        (e1.rect.intersection_area(mbr2), e1, None))
+    # A task is ``(cost proxy, e1, e2)``, ``None`` standing for a leaf
+    # root joined whole; ``root_tests`` counts the predicate
+    # evaluations spent here, the comparisons the serial join charges
+    # to its root pair.
+    sides = [[(e.rect, e) for e in root.entries] if not root.is_leaf
+             else [(root.mbr(), None)] if root.entries else []
+             for root in (root1, root2)]
+    if root1.is_leaf and root2.is_leaf:
+        root_tests = 0
+        tasks = [(1.0, None, None)] if sides[0] and sides[1] else []
     else:
-        if root1.entries and root2.entries:
-            tasks.append((1.0, None, None))
+        root_tests = len(sides[0]) * len(sides[1])
+        tasks = [(r1.intersection_area(r2), e1, e2)
+                 for r2, e2 in sides[1]  # the paper's loop order
+                 for r1, e1 in sides[0]
+                 if predicate.node_test(r1, r2)]
 
     buckets: list[list[tuple]] = [[] for _ in range(workers)]
     if config.assignment == "round-robin":
@@ -353,9 +352,6 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
     engine, _arenas, fallback = select_traversal(config, predicate,
                                                  tree1, tree2)
 
-    if governor is not None:
-        governor.start()                 # deadline shared by all workers
-
     with_metrics = metrics is not None
 
     def run_local(bucket, spawned):
@@ -366,78 +362,63 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
     leases: list = []
     shipped = (tree1, tree2)
     transport = transport_fallback = None
-    join_id = None
     collected: dict[int, tuple] = {}
-    try:
-        if mode == "processes":
-            shipped, transport_fallback = _export_trees(tree1, tree2, leases)
-            transport = "pickle" if transport_fallback else "shared-memory"
-        if tracer is not None:
-            join_id = tracer.new_join_id()
-            tracer.join_start(
-                join_id, n1=len(tree1), n2=len(tree2), mode=mode,
-                workers=workers, assignment=config.assignment,
-                tasks=len(tasks),
-                pair_enumeration=config.pair_enumeration,
-                engine=engine, fallback=fallback, transport=transport,
-                transport_fallback=transport_fallback,
-                governed=governor is not None)
+
+    def work() -> None:
         if mode == "serial":
             for index, bucket in enumerate(buckets):
                 collected[index] = run_local(
                     bucket,
                     governor.spawn() if governor is not None else None)
         else:
-            # Empty stats for the coordinator's own checks: all
-            # charging happens in the workers, so only the deadline and
-            # the token can trip here.
             fan_out(buckets, run_local,
                     lambda bucket, budget: (
                         _process_bucket, bucket, *shipped, predicate,
                         collect_pairs, config, budget, with_metrics),
-                    config=config, governor=governor, stats=AccessStats(),
-                    collected=collected, decode=_decode_bucket,
-                    tracer=tracer, join_id=join_id, metrics=metrics)
-    except (BudgetExceeded, Cancelled) as exc:
-        if tracer is not None:
-            tracer.budget_trip(join_id, exc.as_dict())
+                    _decode_bucket, config=config, governor=governor,
+                    collected=collected, tracer=tracer,
+                    join_id=run.join_id, metrics=metrics)
+
+    def conclude() -> ParallelJoinResult:
+        # Bucket order; a bucket a stop interrupted contributes nothing.
+        all_pairs: list[tuple[int, int]] = []
+        pair_count = 0
+        comparisons = root_tests
+        worker_stats: list[AccessStats] = []
+        for index in sorted(collected):
+            stats, pairs, count, compared, delta = collected[index]
+            worker_stats.append(stats)
+            all_pairs.extend(pairs)
+            pair_count += count
+            comparisons += compared
+            if metrics is not None and delta is not None:
+                metrics.merge(delta)  # a registry, or a dict from a process
+            if tracer is not None:
+                tracer.worker_finish(run.join_id, index, na=stats.na(),
+                                     da=stats.da(), pairs=count,
+                                     tasks=len(buckets[index]))
         if metrics is not None:
-            metrics.counter("governor.trips").inc()
-        raise
+            metrics.counter("parallel.joins").inc()
+            hist = metrics.histogram("parallel.worker_da")
+            for stats in worker_stats:
+                hist.observe(stats.da())
+        return ParallelJoinResult(all_pairs, worker_stats, pair_count,
+                                  comparisons, engine=engine,
+                                  fallback=fallback)
+
+    try:
+        if mode == "processes":
+            shipped, transport_fallback = _export_trees(tree1, tree2, leases)
+            transport = "pickle" if transport_fallback else "shared-memory"
+        # Every worker owns a path buffer ("its own disk").
+        run.start(engine, fallback, "path", mode=mode, workers=workers,
+                  assignment=config.assignment, tasks=len(tasks),
+                  transport=transport,
+                  transport_fallback=transport_fallback)
+        return run.execute(work, conclude)
     finally:
         for lease in leases:             # the pool is gone: unlink now
             lease.close()
-
-    all_pairs: list[tuple[int, int]] = []
-    pair_count = 0
-    worker_stats: list[AccessStats] = []
-    for index, bucket in enumerate(buckets):
-        stats, pairs, count, delta = collected[index]
-        worker_stats.append(stats)
-        all_pairs.extend(pairs)
-        pair_count += count
-        if metrics is not None and delta is not None:
-            metrics.merge(delta)     # a registry, or a dict from a process
-        if tracer is not None:
-            tracer.worker_finish(join_id, index, na=stats.na(),
-                                 da=stats.da(), pairs=count,
-                                 tasks=len(bucket))
-    result = ParallelJoinResult(all_pairs, worker_stats, pair_count,
-                                engine=engine, fallback=fallback)
-    if metrics is not None:
-        metrics.counter("parallel.joins").inc()
-        if fallback is not None:
-            metrics.counter(f"join.fallback.{fallback}").inc()
-        hist = metrics.histogram("parallel.worker_da")
-        for stats in worker_stats:
-            hist.observe(stats.da())
-    if tracer is not None:
-        tracer.join_finish(join_id, na=result.total_na,
-                           da=result.total_da, pairs=result.pair_count,
-                           complete=True, mode=mode,
-                           makespan_na=result.makespan_na,
-                           makespan_da=result.makespan_da)
-    return result
 
 
 def _export_trees(tree1: RTreeBase, tree2: RTreeBase, leases: list):

@@ -5,11 +5,15 @@ engine; this module is its first real competitor, after Patel &
 DeWitt's Partition Based Spatial-Merge join: read the *leaf entries* of
 both trees once, scatter them over a uniform grid of tiles, and solve
 each tile independently with the plane sweep of
-:mod:`repro.join.plane_sweep`.  Tiles share nothing, so they
-parallelize embarrassingly (``mode="threads"``/``"processes"`` of the
-:class:`~repro.exec.ExecutionConfig`), and the optimizer can weigh the
-engine's one-scan I/O profile against the traversal's revisit-heavy
-one (:func:`repro.optimizer.make_pbsm_join`).
+:mod:`repro.join.plane_sweep`.  Tiles share nothing, but they are
+solved one after another in the calling thread: a probe of 100 ms is
+shorter than a pool start-up, and on both paper-scale workloads a
+thread or process pool over the tiles was slower than this loop
+(``docs/performance.md`` has the measurement), so
+:class:`~repro.exec.ExecutionConfig` refuses ``strategy="pbsm"`` with
+``workers > 1``.  The optimizer weighs the engine's one-scan I/O
+profile against the traversal's revisit-heavy one
+(:func:`repro.optimizer.make_pbsm_join`).
 
 **Two engines, one contract.**  With NumPy, a predicate that has a
 :meth:`~repro.join.JoinPredicate.pair_mask` kernel and a buildable
@@ -61,36 +65,26 @@ scan), result budgets and cancellation stop the engine cleanly.  With
 :class:`~repro.join.PartialJoinResult` whose pairs are the union of the
 *completed* tiles — PBSM partials carry ``checkpoint=None`` and are
 **not resumable** (tile progress is not serialized; re-run the join).
-In the parallel modes the budget is enforced per tile worker, exactly
-as :func:`~repro.join.parallel_spatial_join` enforces it per bucket
-worker; process workers re-enforce a deadline rebased to dispatch time
-and their own result counts (NA/DA were already charged in the
-coordinator's build phase).  The pools are the parallel join's — one
-driver, :mod:`repro.join.fanout` — so ``worker_timeout`` and
-``on_worker_crash`` mean here what they mean there: a killed or hung
-tile worker trips the watchdog and either raises
-:class:`~repro.join.WorkerCrashed` or has its tiles re-run serially.
+Admission, the trip handling and the telemetry around the engine are
+:class:`~repro.join.run.JoinRun`'s, as for every engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from itertools import chain
 
 from ..exec import ExecutionGovernor
-from ..exec.budget import Budget, BudgetExceeded, Cancelled
 from ..exec.config import ExecutionConfig
-from ..geometry.arena import (_get_numpy, arena_from_shared_memory,
-                              arena_to_shared_memory)
+from ..geometry.arena import _get_numpy
 from ..reliability import RetryPolicy
 from ..rtree import Entry, RTreeBase
 from ..storage import AccessStats, BufferManager, PathBuffer
 from .batch import arena_pair, run_slots
-from .fanout import fan_out, worker_governor
 from .plane_sweep import sweep_pairs_batch
 from .predicates import OVERLAP, JoinPredicate
-from .result import R1, R2, JoinResult, PartialJoinResult
-from .sync import _admit, _reader
+from .result import R1, R2, JoinResult
+from .run import JoinRun, charged_reader
 
 __all__ = ["partition_spatial_join", "DEFAULT_TILE_TARGET",
            "MAX_TILES_PER_AXIS"]
@@ -458,12 +452,12 @@ def _join_tile(side1, side2, predicate: JoinPredicate, grid: _Grid,
                ) -> tuple[list[tuple[int, int]], int, int]:
     """Solve one tile: sweep, reference-point filter, exact predicate.
 
-    This is the worker body for every execution mode.  With ``arenas``
-    the sides are slot arrays and :func:`_probe_tile` runs; without,
-    they are ``Entry`` lists and the scalar loop below runs, with the
-    governor checked per candidate (the probe-phase analogue of the
-    traversal's per-node-pair check).  ``base_results`` lets the serial
-    driver enforce the result budget against the global running count.
+    With ``arenas`` the sides are slot arrays and :func:`_probe_tile`
+    runs; without, they are ``Entry`` lists and the scalar loop below
+    runs, with the governor checked per candidate (the probe-phase
+    analogue of the traversal's per-node-pair check).  ``base_results``
+    is the pair count of the tiles already solved, so the result budget
+    is enforced against the join's running count.
     """
     if arenas is not None:
         return _probe_tile(arenas, side1, side2, predicate, grid, tile,
@@ -485,85 +479,6 @@ def _join_tile(side1, side2, predicate: JoinPredicate, grid: _Grid,
     return pairs, count, comparisons
 
 
-# -- execution modes -------------------------------------------------------
-
-
-def _process_tile(side1, side2, predicate, grid, tile, collect_pairs,
-                  budget: Budget | None, handles):
-    """Worker-process body: plain picklable data in, plain data out.
-
-    For the arena engine the sides are the tile's two slot slices and
-    ``handles`` names the coordinator's two shared-memory arena
-    segments, attached here zero-copy; for the scalar engine the sides
-    are pickled ``Entry`` lists and ``handles`` is ``None``.
-
-    The governor cannot cross the process boundary; the worker rebuilds
-    one from the shipped budget (deadline already rebased to dispatch
-    time) and starts its clock immediately.  Its NA/DA are zero — the
-    build phase charged them in the coordinator — so only the deadline,
-    the per-worker result budget and cancellation can trip here.
-    """
-    arenas = None
-    if handles is not None:
-        arenas = tuple(arena_from_shared_memory(h) for h in handles)
-    return _join_tile(side1, side2, predicate, grid, tile,
-                      collect_pairs, worker_governor(budget),
-                      AccessStats(), arenas=arenas)
-
-
-def _run_tiles_serial(tasks, arenas, predicate, grid, collect_pairs,
-                      governor, stats, collected: dict) -> None:
-    done_count = 0
-    for index, (tile, side1, side2) in enumerate(tasks):
-        if governor is not None:
-            governor.check(stats, done_count)
-        result = _join_tile(side1, side2, predicate, grid, tile,
-                            collect_pairs, governor, stats,
-                            base_results=done_count, arenas=arenas)
-        collected[index] = result
-        done_count += result[1]
-
-
-def _fan_out_tiles(tasks, arenas, predicate, grid, collect_pairs,
-                   governor, stats, config: ExecutionConfig,
-                   collected: dict, tracer, join_id, metrics) -> None:
-    """Tiles on the shared thread/process driver of
-    :mod:`repro.join.fanout`.
-
-    Thread workers (and the serial re-run of tiles lost to a crashed
-    process) run :func:`_join_tile` against the coordinator's arenas
-    and its already-charged ``stats``.  For process workers the arena
-    engine exports each arena once into a shared-memory segment
-    (:func:`~repro.geometry.arena.arena_to_shared_memory`); a
-    submission then pickles the two segment handles — without their
-    page index, which the probe never reads — and the tile's two slot
-    slices.  The scalar engine pickles the tile's ``Entry`` lists.
-    """
-    def run_local(task, spawned):
-        tile, side1, side2 = task
-        return _join_tile(side1, side2, predicate, grid, tile,
-                          collect_pairs, spawned, stats, arenas=arenas)
-
-    def call(task, budget):
-        return (_process_tile, task[1], task[2], predicate, grid, task[0],
-                collect_pairs, budget, handles)
-
-    handles = None
-    leases: list = []
-    try:
-        if arenas is not None and config.mode == "processes":
-            for arena in arenas:
-                leases.append(arena_to_shared_memory(arena))
-            handles = tuple(replace(lease.handle, index=())
-                            for lease in leases)
-        fan_out(tasks, run_local, call, config=config, governor=governor,
-                stats=stats, collected=collected, tracer=tracer,
-                join_id=join_id, metrics=metrics)
-    finally:
-        for lease in leases:             # the pool is gone: unlink now
-            lease.close()
-
-
 def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                            buffer: BufferManager | None = None,
                            predicate: JoinPredicate = OVERLAP,
@@ -581,52 +496,40 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
     the I/O profile differs (module docstring).  ``tree1`` is R1 (data
     role), ``tree2`` R2, matching :func:`~repro.join.spatial_join`.
 
-    Parameters mirror the synchronized join where they apply.
-    ``config.mode``/``config.workers`` drive the per-tile execution
-    (``pair_enumeration`` and ``traversal`` are ignored: tiles always
-    sweep); ``tiles`` overrides the per-axis grid resolution (default:
-    the :data:`DEFAULT_TILE_TARGET` heuristic).  Partial results carry
-    ``checkpoint=None`` and cannot be resumed.  The accuracy ledger is
-    deliberately *not* fed: Eq. 7/10 price the traversal, and a PBSM
-    measurement would poison the estimator's calibration.
+    Parameters mirror the synchronized join where they apply.  Of
+    ``config`` only the refusal of a worker pool matters
+    (``pair_enumeration``, ``traversal`` and ``mode`` are ignored: tiles
+    always sweep, one after another); ``tiles`` overrides the per-axis
+    grid resolution (default: the :data:`DEFAULT_TILE_TARGET`
+    heuristic).  Partial results carry ``checkpoint=None`` and cannot
+    be resumed.  The accuracy ledger is deliberately *not* fed: Eq.
+    7/10 price the traversal, and a PBSM measurement would poison the
+    estimator's calibration.
     """
-    if tree1.ndim != tree2.ndim:
-        raise ValueError(
-            f"dimensionality mismatch: {tree1.ndim} vs {tree2.ndim}")
-    if config is None:
-        config = ExecutionConfig(strategy="pbsm")
+    # Whatever the caller's config says, what runs here is PBSM, and
+    # the config itself refuses a pool for it.
+    config = (config if config is not None
+              else ExecutionConfig()).with_options(strategy="pbsm")
+    run = JoinRun(tree1, tree2, config, governor=governor, tracer=tracer,
+                  metrics=metrics)
     buffer = buffer if buffer is not None else PathBuffer()
     slack = predicate.sweep_slack()
-
-    join_id = None
-    if tracer is not None:
-        join_id = tracer.new_join_id()
-        tracer.join_start(
-            join_id, n1=len(tree1), n2=len(tree2),
-            height1=tree1.height, height2=tree2.height,
-            strategy="pbsm", mode=config.mode, workers=config.workers,
-            buffer=buffer.kind, governed=governor is not None)
-    # Admission prices the synchronized traversal (Eq. 7/10) — a
-    # conservative ceiling for PBSM, whose build scan never exceeds the
-    # traversal's page reads.
-    _admit(governor, tree1, tree2, tracer, join_id)
-
     arenas, fallback = _select_engine(predicate, tree1, tree2)
     engine = "scalar" if arenas is None else "arena"
+    run.start("pbsm-" + engine, fallback, buffer.kind)
+
     buffer.reset()
     stats = AccessStats()
-    if governor is not None:
-        governor.start()
-    reader1 = _reader(tree1.pager, R1, stats, buffer, retry_policy,
-                      tracer)
-    reader2 = _reader(tree2.pager, R2, stats, buffer, retry_policy,
-                      tracer)
-
-    collected: dict[int, tuple[list[tuple[int, int]], int, int]] = {}
+    #: Per tile, in tile order: ``(pairs, count, comparisons)``.
+    solved: list[tuple[list[tuple[int, int]], int, int]] = []
     tasks: list[tuple] = []
-    try:
-        leaves1 = _scan_leaves(tree1, reader1, governor, stats)
-        leaves2 = _scan_leaves(tree2, reader2, governor, stats)
+
+    def work() -> None:
+        leaves1, leaves2 = (
+            _scan_leaves(tree, charged_reader(tree.pager, label, stats,
+                                              buffer, retry_policy, tracer),
+                         governor, stats)
+            for tree, label in ((tree1, R1), (tree2, R2)))
         axes = min(tree1.ndim, 2)
         if arenas is not None:
             partition = _partition_arena(arenas, leaves1, leaves2, axes,
@@ -634,80 +537,36 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         else:
             partition = _partition_scalar(leaves1, leaves2, axes, tiles,
                                           slack)
-        if partition is not None:
-            grid, tasks, (entries1, entries2,
-                          replicas1, replicas2) = partition
-            if tracer is not None:
-                tracer.emit(
-                    "partition", join=join_id, tiles=len(tasks),
-                    grid=list(grid.tiles),
-                    engine=engine, fallback=fallback,
-                    entries1=entries1, entries2=entries2,
-                    replicas1=replicas1, replicas2=replicas2)
-            if config.mode == "serial" or config.workers == 1:
-                _run_tiles_serial(tasks, arenas, predicate, grid,
-                                  collect_pairs, governor, stats,
-                                  collected)
-            else:
-                _fan_out_tiles(tasks, arenas, predicate, grid,
-                               collect_pairs, governor, stats, config,
-                               collected, tracer, join_id, metrics)
-    except (BudgetExceeded, Cancelled) as exc:
-        pairs, count, comparisons = _merge(collected, len(tasks))
-        _observe(tracer, metrics, governor, join_id, stats, count,
-                 comparisons, len(tasks), fallback, complete=False,
-                 trip=exc)
-        if governor is not None and governor.partial:
-            return PartialJoinResult(pairs, stats, comparisons, count,
-                                     None, exc, None, None,
-                                     engine="pbsm-" + engine,
-                                     fallback=fallback)
-        raise
+        if partition is None:
+            return
+        grid, tile_tasks, (entries1, entries2,
+                           replicas1, replicas2) = partition
+        tasks.extend(tile_tasks)
+        if tracer is not None:
+            tracer.emit(
+                "partition", join=run.join_id, tiles=len(tasks),
+                grid=list(grid.tiles), engine=engine, fallback=fallback,
+                entries1=entries1, entries2=entries2,
+                replicas1=replicas1, replicas2=replicas2)
+        done_count = 0
+        for tile, side1, side2 in tasks:
+            if governor is not None:
+                governor.check(stats, done_count)
+            solved.append(_join_tile(
+                side1, side2, predicate, grid, tile, collect_pairs,
+                governor, stats, base_results=done_count, arenas=arenas))
+            done_count += solved[-1][1]
 
-    pairs, count, comparisons = _merge(collected, len(tasks))
-    _observe(tracer, metrics, governor, join_id, stats, count,
-             comparisons, len(tasks), fallback, complete=True)
-    return JoinResult(pairs, stats, comparisons, pair_count=count,
-                      engine="pbsm-" + engine, fallback=fallback)
+    def conclude() -> JoinResult:
+        # Ownership makes the tile outputs disjoint, so concatenation
+        # in tile order is the exact pair set; a tile a budget trip
+        # interrupted contributes nothing.
+        pairs = list(chain.from_iterable(p for p, _, _ in solved))
+        if metrics is not None:
+            metrics.counter("pbsm.joins").inc()
+            metrics.counter("pbsm.tiles").inc(len(tasks))
+        return JoinResult(pairs, stats, sum(c for _, _, c in solved),
+                          pair_count=sum(n for _, n, _ in solved),
+                          engine="pbsm-" + engine, fallback=fallback)
 
-
-def _merge(collected: dict, n_tasks: int,
-           ) -> tuple[list[tuple[int, int]], int, int]:
-    """Concatenate per-tile outputs in tile order (ownership makes the
-    tile outputs disjoint, so concatenation is the exact pair set)."""
-    pairs: list[tuple[int, int]] = []
-    count = 0
-    comparisons = 0
-    for index in range(n_tasks):
-        result = collected.get(index)
-        if result is None:
-            continue                     # tile lost to a budget trip
-        tile_pairs, tile_count, tile_comparisons = result
-        pairs.extend(tile_pairs)
-        count += tile_count
-        comparisons += tile_comparisons
-    return pairs, count, comparisons
-
-
-def _observe(tracer, metrics, governor, join_id, stats: AccessStats,
-             count: int, comparisons: int, n_tiles: int,
-             fallback: str | None, complete: bool, trip=None) -> None:
-    if tracer is not None:
-        if trip is not None:
-            tracer.budget_trip(join_id, trip.as_dict())
-        tracer.join_finish(
-            join_id, na=stats.na(), da=stats.da(), pairs=count,
-            comparisons=comparisons, complete=complete)
-    if metrics is not None:
-        if trip is not None:
-            metrics.counter("governor.trips").inc()
-        metrics.counter("join.count").inc()
-        metrics.counter("join.pairs").inc(count)
-        metrics.counter("join.comparisons").inc(comparisons)
-        metrics.counter("pbsm.joins").inc()
-        metrics.counter("pbsm.tiles").inc(n_tiles)
-        if fallback is not None:
-            metrics.counter(f"pbsm.fallback.{fallback}").inc()
-        metrics.record_access_stats(stats, prefix="join")
-        if governor is not None:
-            metrics.counter("governor.checks").inc(governor.checks)
+    return run.execute(work, conclude)

@@ -38,16 +38,17 @@ properties recursion cannot offer:
 from __future__ import annotations
 
 from ..exec import (CheckpointMismatch, ExecutionGovernor, JoinCheckpoint,
-                    predict_join_cost, tree_fingerprint)
+                    tree_fingerprint)
 from ..exec.budget import BudgetExceeded, Cancelled
 from ..exec.config import ExecutionConfig
-from ..reliability import ResilientReader, RetryPolicy
+from ..reliability import RetryPolicy
 from ..rtree import Node, RTreeBase
 from ..storage import AccessStats, BufferManager, MeteredReader, PathBuffer
 from .batch import LevelBatchState, arena_pair, supports_level_batch
 from .plane_sweep import nested_loop_pairs, sweep_pairs, sweep_pairs_batch
 from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
-from .result import R1, R2, JoinResult, PartialJoinResult
+from .result import R1, R2, JoinResult
+from .run import JoinRun, charged_reader
 from .vectorized import vectorized_pairs
 
 __all__ = ["spatial_join", "SpatialJoin", "PAIR_ENUMERATIONS",
@@ -76,30 +77,6 @@ def _predicate_spec(predicate: JoinPredicate) -> dict:
     if isinstance(predicate, Overlap):
         return {"kind": "overlap"}
     return {"kind": "custom", "repr": repr(predicate)}
-
-
-def _reader(pager, label: object, stats: AccessStats,
-            buffer: BufferManager, retry_policy: RetryPolicy | None,
-            tracer) -> MeteredReader:
-    """The charged access path of one tree: retrying under a policy."""
-    if retry_policy is not None:
-        return ResilientReader(pager, label, stats, buffer, retry_policy,
-                               tracer=tracer)
-    return MeteredReader(pager, label, stats, buffer, tracer=tracer)
-
-
-def _admit(governor: ExecutionGovernor | None, tree1, tree2, tracer,
-           join_id) -> None:
-    """Admission control (Eq. 7/10 against the budget), traced."""
-    if governor is None or governor.admission == "off":
-        return
-    try:
-        governor.admit(tree1, tree2)
-    finally:
-        # admit() sets last_admission before raising, so a rejection
-        # is traced too.
-        if tracer is not None and governor.last_admission is not None:
-            tracer.admission(join_id, governor.last_admission.as_dict())
 
 
 #: Pair enumerations whose stack-machine kernels read arena slices.
@@ -222,8 +199,11 @@ def spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         NA/DA/pairs/checkpoints, and gives way to the Fig. 2 stack
         machine where it does not apply; ``"stack"`` asks for that
         machine outright; the parallel knobs belong to
-        :func:`~repro.join.parallel_spatial_join`).  The result's
-        ``engine``/``fallback`` say what ran.
+        :func:`~repro.join.parallel_spatial_join`).  Its
+        ``strategy="pbsm"`` hands the join to
+        :func:`~repro.join.partition_spatial_join`, which runs in the
+        calling thread.  The result's ``engine``/``fallback`` say what
+        ran.
 
     Everything after ``predicate`` is keyword-only.
     """
@@ -243,9 +223,6 @@ class SpatialJoin:
                  governor: ExecutionGovernor | None = None,
                  tracer=None, metrics=None, ledger=None,
                  config: ExecutionConfig | None = None):
-        if tree1.ndim != tree2.ndim:
-            raise ValueError(
-                f"dimensionality mismatch: {tree1.ndim} vs {tree2.ndim}")
         if config is None:
             config = ExecutionConfig()
         self.tree1 = tree1
@@ -262,27 +239,30 @@ class SpatialJoin:
         self.tracer = tracer            #: optional repro.obs.Tracer
         self.metrics = metrics          #: optional MetricsRegistry
         self.ledger = ledger            #: optional AccuracyLedger
-        self._join_id = None
 
     def _state(self, stats: AccessStats, collect_pairs: bool,
-               resume: bool = False):
+               resume: bool = False, join_id: str | None = None):
         return traversal_state(
             self.config, self.predicate, self.tree1, self.tree2,
-            _reader(self.tree1.pager, R1, stats, self.buffer,
-                    self.retry_policy, self.tracer),
-            _reader(self.tree2.pager, R2, stats, self.buffer,
-                    self.retry_policy, self.tracer),
+            charged_reader(self.tree1.pager, R1, stats, self.buffer,
+                           self.retry_policy, self.tracer),
+            charged_reader(self.tree2.pager, R2, stats, self.buffer,
+                           self.retry_policy, self.tracer),
             collect_pairs, stats, self.governor, tracer=self.tracer,
-            join_id=self._join_id, metrics=self.metrics, resume=resume)
+            join_id=join_id, metrics=self.metrics, resume=resume)
+
+    def _governed(self) -> JoinRun:
+        """The protocol one execution of this join runs inside."""
+        return JoinRun(self.tree1, self.tree2, self.config,
+                       governor=self.governor, tracer=self.tracer,
+                       metrics=self.metrics, ledger=self.ledger)
 
     def run(self, collect_pairs: bool = True) -> JoinResult:
         """Execute the join, returning pairs and fresh access counters.
 
-        With a governor in ``"warn"``/``"reject"`` admission mode, the
-        Eq. 7/10 predictions are evaluated against the budget *before*
-        the first page read; ``"reject"`` raises
-        :class:`~repro.exec.AdmissionRejected` for a query that cannot
-        fit, with all access counters still at zero.
+        Admission, budgets, partial results and telemetry are the
+        :class:`~repro.join.run.JoinRun` protocol's; this is the
+        traversal it runs.
         """
         if self.config.strategy == "pbsm":
             # The partition engine is a sibling implementation, not a
@@ -296,20 +276,10 @@ class SpatialJoin:
                 retry_policy=self.retry_policy, governor=self.governor,
                 tracer=self.tracer, metrics=self.metrics,
                 config=self.config)
-        governor = self.governor
-        tracer = self.tracer
-        if tracer is not None:
-            self._join_id = tracer.new_join_id()
-        state = self._state(AccessStats(), collect_pairs)
-        if tracer is not None:
-            tracer.join_start(
-                self._join_id, n1=len(self.tree1), n2=len(self.tree2),
-                height1=self.tree1.height, height2=self.tree2.height,
-                pair_enumeration=self.pair_enumeration,
-                engine=state.engine, fallback=state.fallback,
-                buffer=self.buffer.kind,
-                governed=governor is not None)
-        _admit(governor, self.tree1, self.tree2, tracer, self._join_id)
+        run = self._governed()
+        state = self._state(AccessStats(), collect_pairs,
+                            join_id=run.join_id)
+        run.start(state.engine, state.fallback, self.buffer.kind)
         self.buffer.reset()
         # Pinned-root reads go through the readers (uncharged) so the
         # retry loop also protects them under fault injection.
@@ -319,7 +289,7 @@ class SpatialJoin:
                                           self.tree2.height)
         if root1.entries and root2.entries:
             state.push(root1, root2)
-        return self._execute(state)
+        return self._execute(run, state)
 
     def resume(self, checkpoint: JoinCheckpoint) -> JoinResult:
         """Continue an interrupted join from its checkpoint.
@@ -363,16 +333,16 @@ class SpatialJoin:
                 f"has {self.buffer.kind!r}")
         self.buffer.reset()
         self.buffer.restore(cp.buffer_state)
-        if self.tracer is not None:
-            self._join_id = self.tracer.new_join_id()
+        run = self._governed()
         # Resume always drains on the stack machine: checkpoint cursors
         # restore its deterministic iterators directly, and the result
         # is bit-identical whichever engine took the cut.
         state = self._state(AccessStats.from_dict(cp.stats),
-                            cp.collect_pairs, resume=True)
+                            cp.collect_pairs, resume=True,
+                            join_id=run.join_id)
         if self.tracer is not None:
             self.tracer.resume(
-                self._join_id, frames=len(cp.stack),
+                run.join_id, frames=len(cp.stack),
                 pair_count=cp.pair_count,
                 pair_enumeration=cp.pair_enumeration,
                 engine=state.engine, fallback=state.fallback)
@@ -397,65 +367,21 @@ class SpatialJoin:
                     f"of node pair ({page1}, {page2}) — stale "
                     f"checkpoint?") from None
             frame.cursor = cursor
-        return self._execute(state)
+        return self._execute(run, state)
 
-    def _execute(self, state: "_TraversalState") -> JoinResult:
-        governor = self.governor
-        tracer = self.tracer
-        if governor is not None:
-            governor.start()
-        try:
-            state.drain()
-        except (BudgetExceeded, Cancelled) as exc:
-            if tracer is not None:
-                tracer.budget_trip(self._join_id, exc.as_dict())
-            if self.metrics is not None:
-                self.metrics.counter("governor.trips").inc()
-            self._observe(state, complete=False)
-            if governor is not None and governor.partial:
-                return self._partial(state, exc)
-            raise
-        result = JoinResult(state.pairs, state.stats, state.comparisons,
-                            pair_count=state.pair_count,
-                            engine=state.engine, fallback=state.fallback)
-        self._observe(state, complete=True)
-        return result
+    def _execute(self, run: JoinRun,
+                 state: "_TraversalState") -> JoinResult:
+        return run.execute(
+            state.drain,
+            lambda: JoinResult(state.pairs, state.stats, state.comparisons,
+                               pair_count=state.pair_count,
+                               engine=state.engine,
+                               fallback=state.fallback),
+            lambda exc: self._checkpoint(run, state, exc))
 
-    def _observe(self, state: "_TraversalState", complete: bool) -> None:
-        """Ship the finished (or stopped) run to the telemetry hooks."""
-        tracer, metrics, ledger = self.tracer, self.metrics, self.ledger
-        if tracer is None and metrics is None \
-                and (ledger is None or not complete):
-            return
-        stats = state.stats
-        if tracer is not None:
-            tracer.join_finish(
-                self._join_id, na=stats.na(), da=stats.da(),
-                pairs=state.pair_count, comparisons=state.comparisons,
-                complete=complete)
-        if metrics is not None:
-            metrics.counter("join.count").inc()
-            metrics.counter("join.pairs").inc(state.pair_count)
-            metrics.counter("join.comparisons").inc(state.comparisons)
-            if state.fallback is not None:
-                metrics.counter(f"join.fallback.{state.fallback}").inc()
-            metrics.record_access_stats(stats, prefix="join")
-            if self.governor is not None:
-                metrics.counter("governor.checks").inc(
-                    self.governor.checks)
-        if ledger is not None and complete:
-            # The accuracy ledger only accepts complete measurements —
-            # a truncated run must never pass as a calibration point.
-            predicted = predict_join_cost(self.tree1, self.tree2)
-            est_na, est_da = predicted if predicted is not None \
-                else (None, None)
-            ledger.record_join(stats, est_na, est_da,
-                               pairs=state.pair_count,
-                               label=self._join_id or "join")
-
-    def _partial(self, state: "_TraversalState",
-                 exc: BudgetExceeded | Cancelled) -> PartialJoinResult:
-        """Package an interrupted traversal as a resumable partial result."""
+    def _checkpoint(self, run: JoinRun, state: "_TraversalState",
+                    exc: BudgetExceeded | Cancelled) -> JoinCheckpoint:
+        """The resumable frontier of an interrupted traversal."""
         checkpoint = JoinCheckpoint(
             pair_enumeration=self.pair_enumeration,
             predicate=_predicate_spec(self.predicate),
@@ -473,22 +399,12 @@ class SpatialJoin:
                    if state.collect_pairs else None),
             reason=exc.as_dict())
         if self.tracer is not None:
-            self.tracer.checkpoint(self._join_id,
+            self.tracer.checkpoint(run.join_id,
                                    frames=len(checkpoint.stack),
                                    pair_count=checkpoint.pair_count,
                                    na=state.stats.na(),
                                    da=state.stats.da())
-        predicted = predict_join_cost(self.tree1, self.tree2)
-        remaining_na = remaining_da = None
-        if predicted is not None:
-            remaining_na = max(0.0, predicted[0] - state.stats.na())
-            remaining_da = max(0.0, predicted[1] - state.stats.da())
-        return PartialJoinResult(state.pairs, state.stats,
-                                 state.comparisons, state.pair_count,
-                                 checkpoint, exc,
-                                 remaining_na, remaining_da,
-                                 engine=state.engine,
-                                 fallback=state.fallback)
+        return checkpoint
 
 
 class _Frame:

@@ -30,7 +30,7 @@ bytes of a traced/metered run are bit-identical to an untraced run
 
 from .ledger import AccuracyLedger, AccuracyRecord
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .report import load_trace, render_bench_report, render_report
+from .report import load_trace, render_report
 from .trace import (JsonlSink, MemorySink, NullSink,
                     TRACE_SCHEMA_VERSION, TraceSink, Tracer)
 
@@ -48,6 +48,5 @@ __all__ = [
     "TraceSink",
     "Tracer",
     "load_trace",
-    "render_bench_report",
     "render_report",
 ]

@@ -17,7 +17,7 @@ from collections import Counter as _Counter
 from .ledger import AccuracyLedger
 from .trace import TRACE_SCHEMA_VERSION
 
-__all__ = ["load_trace", "render_report", "render_bench_report"]
+__all__ = ["load_trace", "render_report"]
 
 
 def load_trace(path: str) -> list[dict]:
@@ -114,36 +114,6 @@ def render_report(records: list[dict]) -> str:
         lines.append("recovery:")
         lines.extend(recovery_lines)
 
-    return "\n".join(lines)
-
-
-def render_bench_report(doc: dict) -> str:
-    """Summary of a ``BENCH_*.json`` snapshot (``repro report`` on it).
-
-    One section per benchmark entry.  An entry carrying
-    ``assert_skipped: true`` is labelled so in the header — the numbers
-    were recorded on a machine that could not meaningfully enforce the
-    speedup assertion (single-CPU runner, missing NumPy) and trend
-    tooling must not read them as regressions.
-    """
-    lines = [f"benchmarks: {len(doc)} entries"]
-    for name in sorted(doc):
-        entry = doc[name]
-        lines.append("")
-        if not isinstance(entry, dict):
-            lines.append(f"{name}: {entry!r}")
-            continue
-        head = f"{name}:"
-        speedup = entry.get("speedup")
-        if isinstance(speedup, (int, float)):
-            head += f" speedup {speedup:.2f}x"
-        if entry.get("assert_skipped"):
-            head += "  [assert skipped — not a regression signal]"
-        lines.append(head)
-        for key in sorted(entry):
-            if key == "speedup":
-                continue
-            lines.append(f"  {key:<22} {entry[key]}")
     return "\n".join(lines)
 
 

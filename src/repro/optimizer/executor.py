@@ -137,8 +137,11 @@ def _execute(plan: Plan, indexes: dict[str, RTreeBase],
         return _execute_join(plan, indexes, stats, governor,
                              config, tracer, metrics)
     if isinstance(plan, PBSMJoinPlan):
+        # The partition engine runs in the calling thread; a worker
+        # count meant for the plan's other operators stays with them.
         return _execute_join(plan, indexes, stats, governor,
-                             config.with_options(strategy="pbsm"),
+                             config.with_options(strategy="pbsm",
+                                                 workers=1),
                              tracer, metrics)
     if isinstance(plan, IndexNestedLoopPlan):
         return _execute_inl(plan, indexes, stats, governor,

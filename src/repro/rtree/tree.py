@@ -87,6 +87,7 @@ class RTreeBase:
         self.size = 0
         self._mutations = 0
         self._arena: TreeArena | None = None
+        self._derived: dict = {}
         self._arena_snapshot: dict | None = None
         self._arena_mutations = -1
 
@@ -339,18 +340,36 @@ class RTreeBase:
         :class:`RuntimeError` without NumPy; join code asks
         :func:`repro.join.tree_arena`, which answers ``None`` instead.
         """
-        if self._arena is not None and self._arena_current():
-            return self._arena
-        arena = TreeArena.build(self.nodes(), self.ndim)
-        self._arena = arena
+        self._refresh()
+        if self._arena is None:
+            self._arena = TreeArena.build(self.nodes(), self.ndim)
+        return self._arena
+
+    def derived(self) -> dict:
+        """Statistics derived from the tree's present content — its
+        catalog entry: whoever derives one keeps it here under its name
+        (:func:`repro.exec.tree_params` the summed data-rectangle area),
+        and the dictionary is emptied under the rule that rebuilds
+        :meth:`arena`, so no value outlives the entries it came from.
+        """
+        self._refresh()
+        return self._derived
+
+    def _refresh(self) -> None:
+        """Drop what was derived from an older state of the tree and
+        snapshot the present one; a no-op while the snapshot holds."""
+        if self._arena_current():
+            return
+        self._arena = None
+        self._derived = {}
         self._arena_snapshot = {
             node.page_id: (node.entries, node.entries.version)
             for node in self.nodes()}
         self._arena_mutations = self._mutations
-        return arena
 
     def _arena_current(self) -> bool:
-        """Is the cached arena still a faithful snapshot of the tree?
+        """Is what was derived (the arena, :meth:`derived`) still a
+        faithful snapshot of the tree?
 
         Cheap check first (the tree-level mutation counter), then the
         authoritative one: every node still holds the *same* entry-list
@@ -383,6 +402,7 @@ class RTreeBase:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_arena"] = None
+        state["_derived"] = {}
         state["_arena_snapshot"] = None
         state.pop("_arena_mutations", None)
         return state
@@ -391,6 +411,7 @@ class RTreeBase:
         self.__dict__.update(state)
         self.__dict__.setdefault("_mutations", 0)
         self.__dict__.setdefault("_arena", None)
+        self.__dict__.setdefault("_derived", {})
         self.__dict__.setdefault("_arena_snapshot", None)
 
     # -- introspection --------------------------------------------------------------

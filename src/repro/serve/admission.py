@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import threading
 
-from ..estimator import Estimator
-from ..exec import AdmissionRejected, Budget, evaluate_admission
-from ..reliability import (CorruptPageError, ModelDomainError,
-                           TransientPageError)
+from ..exec import Budget, evaluate_admission, predict_join_cost
 
 __all__ = ["CostAdmission", "ThroughputClock"]
 
@@ -86,19 +83,11 @@ class CostAdmission:
                     if max_predicted_da is not None else None))
         self.clock = clock if clock is not None else ThroughputClock()
 
-    @staticmethod
-    def predict(params1, params2) -> tuple[float, float] | None:
-        """Eq. 7/10 cost of joining two *pre-computed* parameter sets.
-
-        O(height) closed-form arithmetic — no tree traversal, no page
-        read.  ``None`` when the model cannot price the pair.
-        """
-        try:
-            est = Estimator(params1, params2)
-            return est.na(), est.da()
-        except (ModelDomainError, ValueError,
-                TransientPageError, CorruptPageError):
-            return None
+    #: Eq. 7/10 cost of joining two *pre-computed* parameter sets:
+    #: O(height) closed-form arithmetic — no tree traversal, no page
+    #: read; ``None`` when the model cannot price the pair.  The
+    #: governor's own pricing function, handed parameters, not trees.
+    predict = staticmethod(predict_join_cost)
 
     def admit(self, params1, params2,
               request_budget: Budget | None = None,
@@ -121,11 +110,7 @@ class CostAdmission:
                 continue
             decision = evaluate_admission(budget, *predicted)
             if not decision.allowed:
-                over = (decision.predicted_na
-                        if decision.resource == "na"
-                        else decision.predicted_da)
-                raise AdmissionRejected(decision.resource,
-                                        decision.limit, over)
+                raise decision.rejection()
         return predicted
 
     def retry_after(self, running: list[tuple[float, float]]) -> float:

@@ -49,8 +49,8 @@ from typing import Any
 from ..exec import (Budget, CancellationToken, ExecutionGovernor,
                     JoinCheckpoint, tree_params)
 from ..io import load_tree
-from ..join import (PartialJoinResult, SpatialJoin, parallel_spatial_join,
-                    tree_arena)
+from ..join import (ParallelJoinResult, PartialJoinResult, SpatialJoin,
+                    parallel_spatial_join, tree_arena)
 from ..obs import MetricsRegistry
 from ..reliability import ReproError
 from ..storage import AccessStats, buffer_from_spec
@@ -154,8 +154,7 @@ class _RegisteredTree:
 class _Running:
     """Bookkeeping for one executing join."""
 
-    __slots__ = ("join_id", "tenant", "predicted_na", "started", "token",
-                 "rid")
+    __slots__ = ("join_id", "tenant", "predicted_na", "started", "token")
 
     def __init__(self, join_id, tenant, predicted_na, started, token):
         self.join_id = join_id
@@ -163,7 +162,6 @@ class _Running:
         self.predicted_na = predicted_na
         self.started = started
         self.token = token
-        self.rid = None          #: journal id, when the request is durable
 
 
 class JoinRequest:
@@ -385,6 +383,8 @@ class JoinService:
         return self.metrics.as_dict()
 
     def _retry_after(self) -> float:
+        """The shed hint; callable with ``_cond`` held or not (the
+        condition's default lock is reentrant)."""
         now = self._clock()
         with self._cond:
             running = [(r.predicted_na, now - r.started)
@@ -523,10 +523,6 @@ class JoinService:
                 # Journal AFTER admission: a shed or rejected request
                 # must never be replayed on recovery.
                 rid = self.durable.begin(key, _journal_request(request))
-                with self._cond:
-                    entry = self._running.get(join_id)
-                if entry is not None:
-                    entry.rid = rid
             try:
                 self.pool.acquire(req.tenant, pages)
                 pages_held = True
@@ -537,7 +533,7 @@ class JoinService:
             self.metrics.counter("serve.admitted").inc()
             started = self._clock()
             result, degraded = self._run(req, reg1, reg2, checkpoint,
-                                         token, join_id)
+                                         token, rid)
         except Exception as exc:
             if rid is not None:
                 self.durable.abort(rid, exc)
@@ -548,19 +544,11 @@ class JoinService:
             elapsed = self._clock() - started
             self._release_slot(join_id)
 
-        observed_na = getattr(result, "na_total",
-                              getattr(result, "total_na", 0))
-        if observed_na:
-            self.admission.clock.observe(observed_na, elapsed)
+        if result.na_total:
+            self.admission.clock.observe(result.na_total, elapsed)
         self.metrics.histogram("serve.latency_ms").observe(elapsed * 1e3)
-        response = self._respond(req, join_id, result, predicted_na,
-                                 predicted_da, elapsed, degraded)
-        if rid is not None:
-            if key is not None:
-                self._idem_store(key, {"op": "complete", "rid": rid,
-                                       "key": key, "response": response})
-            self.durable.complete(rid, key, response)
-        return response
+        return self._respond(req, join_id, result, predicted_na,
+                             predicted_da, elapsed, degraded, rid)
 
     # -- idempotency cache --------------------------------------------------
 
@@ -601,7 +589,7 @@ class JoinService:
                         if self._queued >= config.queue_limit:
                             self.metrics.counter("serve.shed.queue").inc()
                             raise Overloaded(
-                                "queue-full", self._retry_after_locked(),
+                                "queue-full", self._retry_after(),
                                 predicted_na, predicted_da,
                                 {"queue_depth": self._queued})
                         queued = True
@@ -613,7 +601,7 @@ class JoinService:
                         self.metrics.counter(
                             "serve.shed.queue_timeout").inc()
                         raise Overloaded("queue-timeout",
-                                         self._retry_after_locked(),
+                                         self._retry_after(),
                                          predicted_na, predicted_da)
                     self._cond.wait(timeout=remaining)
             finally:
@@ -629,12 +617,6 @@ class JoinService:
                 join_id, req.tenant, predicted_na, self._clock(), token)
             return join_id, token
 
-    def _retry_after_locked(self) -> float:
-        now = self._clock()
-        running = [(r.predicted_na, now - r.started)
-                   for r in self._running.values()]
-        return self.admission.retry_after(running)
-
     def _release_slot(self, join_id: str) -> None:
         with self._cond:
             self._running.pop(join_id, None)
@@ -642,8 +624,9 @@ class JoinService:
 
     # -- execution ----------------------------------------------------------
 
-    def _run(self, req, reg1, reg2, checkpoint, token, join_id):
-        """Run the admitted join; returns ``(result, degraded_reason)``."""
+    def _run(self, req, reg1, reg2, checkpoint, token, rid):
+        """Run the admitted join — journaled as ``rid`` when durable
+        state is configured; returns ``(result, degraded_reason)``."""
         degraded = None
         config = req.execution
         if config.workers > 1 and config.mode == "processes" \
@@ -662,23 +645,17 @@ class JoinService:
                 tracer=self.tracer, metrics=self.metrics,
                 config=config)
             return result, degraded
-        rid = None
-        if self.durable is not None:
-            with self._cond:
-                entry = self._running.get(join_id)
-            rid = entry.rid if entry is not None else None
-        if rid is not None:
-            if config.strategy == "pbsm":
-                # The partition engine has no resumable frontier to
-                # spill, so durable slicing is skipped: the request is
-                # still journaled (recovery replays it from scratch)
-                # but loses incremental crash-resumability — surfaced
-                # as a degradation, not hidden.
-                degraded = "pbsm-no-spill"
-                self.metrics.counter("serve.degraded.pbsm_no_spill").inc()
-            else:
-                return (self._run_durable(req, reg1, reg2, checkpoint,
-                                          token, rid), degraded)
+        if rid is not None and config.strategy == "pbsm":
+            # The partition engine has no resumable frontier to spill,
+            # so durable slicing is skipped: the request stays
+            # journaled (recovery replays it from scratch, in one
+            # piece) but loses incremental crash-resumability —
+            # surfaced as a degradation, not hidden.
+            degraded = "pbsm-no-spill"
+            self.metrics.counter("serve.degraded.pbsm_no_spill").inc()
+        elif rid is not None:
+            return (self._run_durable(req, reg1, reg2, checkpoint,
+                                      token, rid), degraded)
         if checkpoint is not None:
             self.metrics.counter("serve.resumed").inc()
         return (self._serial(req, reg1, reg2, config, req.budget, token,
@@ -713,10 +690,6 @@ class JoinService:
         partial frontier survives a crash.
         """
         config = req.execution
-        if config.strategy == "pbsm":
-            # Recovery path for a journaled PBSM request: no frontier
-            # to slice or spill, so replay the join in one piece.
-            return self._serial(req, reg1, reg2, config, req.budget, token)
         interval = self.config.spill_na_interval
         budget = req.budget
         overall_start = self._clock()
@@ -858,17 +831,15 @@ class JoinService:
             join_id = f"j{self._next_id}"
         started = self._clock()
         try:
-            result = self._run_durable(req, reg1, reg2, checkpoint,
-                                       CancellationToken(), rid)
+            # A recovered response reports no degradation: the request
+            # carries no pool any more, and "pbsm-no-spill" described
+            # the execution that died.
+            result, _degraded = self._run(req, reg1, reg2, checkpoint,
+                                          CancellationToken(), rid)
         except Exception as exc:
             return self._recovery_failed(rid, key, exc)
-        elapsed = self._clock() - started
         response = self._respond(req, join_id, result, None, None,
-                                 elapsed, None)
-        if key is not None:
-            self._idem_store(key, {"op": "complete", "rid": rid,
-                                   "key": key, "response": response})
-        self.durable.complete(rid, key, response)
+                                 self._clock() - started, None, rid)
         outcome = "resumed" if checkpoint is not None else "replayed"
         self.metrics.counter(f"serve.recovery.{outcome}").inc()
         if self.tracer is not None:
@@ -889,30 +860,31 @@ class JoinService:
     # -- responses ----------------------------------------------------------
 
     def _respond(self, req, join_id, result, predicted_na, predicted_da,
-                 elapsed, degraded):
+                 elapsed, degraded, rid):
+        """The response document of one finished join — recorded under
+        the request's idempotency key and in the journal (``rid``)
+        before anyone sees it."""
         doc: dict[str, object] = {
             "join_id": join_id,
             "tenant": req.tenant,
             "pair_count": result.pair_count,
-            "comparisons": getattr(result, "comparisons", None),
+            "comparisons": result.comparisons,
             "elapsed": round(elapsed, 6),
             "predicted_na": predicted_na,
             "predicted_da": predicted_da,
+            "na": result.na_total,
+            "da": result.da_total,
         }
-        if hasattr(result, "worker_stats"):      # ParallelJoinResult
+        if isinstance(result, ParallelJoinResult):
             doc["status"] = "complete"
-            doc["na"] = result.total_na
-            doc["da"] = result.total_da
             doc["workers"] = result.workers
         else:
-            doc["na"] = result.na_total
-            doc["da"] = result.da_total
             doc["na_by_tree"] = {"R1": result.na("R1"),
                                  "R2": result.na("R2")}
             doc["da_by_tree"] = {"R1": result.da("R1"),
                                  "R2": result.da("R2")}
             doc["status"] = ("complete" if result.complete else "partial")
-        if req.collect_pairs and getattr(result, "complete", True):
+        if req.collect_pairs and result.complete:
             doc["pairs"] = [list(p) for p in result.pairs]
         # Degradation is part of the contract, not a hidden fallback:
         # the field is always present (None = ran as requested) and the
@@ -939,4 +911,10 @@ class JoinService:
                     result.remaining_na_estimate), 3)
         else:
             self.metrics.counter("serve.completed").inc()
+        if rid is not None:
+            key = req.idempotency_key
+            if key is not None:
+                self._idem_store(key, {"op": "complete", "rid": rid,
+                                       "key": key, "response": doc})
+            self.durable.complete(rid, key, doc)
         return doc

@@ -138,56 +138,21 @@ class TestBuildJoinEstimate:
         assert code == 2
         assert "pbsm" in err and "resumable" in err
 
+    def test_join_pbsm_refuses_a_worker_pool(self, two_trees, capsys):
+        # The config door says it, so the CLI says what the library
+        # and the daemon say: PBSM runs in the calling thread.
+        code, out, err = run(capsys, "join", "--strategy", "pbsm",
+                             "--workers", "2", str(two_trees[0]),
+                             str(two_trees[1]))
+        assert code == 2
+        assert "workers must be 1" in err
+        assert "result pairs" not in out
+
     def test_join_bad_buffer(self, two_trees, capsys):
         code, _out, err = run(capsys, "join", str(two_trees[0]),
                               str(two_trees[1]), "--buffer", "magic")
         assert code == 2
         assert "buffer" in err
-
-    def test_report_renders_bench_snapshot(self, tmp_path, capsys):
-        import json
-        bench = tmp_path / "BENCH_join.json"
-        bench.write_text(json.dumps({
-            "batch_traversal": {"speedup": 3.5,
-                                "assert_skipped": False},
-            "process_join": {"speedup": 0.9, "assert_skipped": True},
-        }))
-        code, out, _err = run(capsys, "report", str(bench))
-        assert code == 0
-        assert "benchmarks: 2 entries" in out
-        assert "batch_traversal: speedup 3.50x" in out
-        assert "assert skipped" in out   # process_join's flag rendered
-
-    def test_report_renders_pre_assert_skipped_snapshot(self, tmp_path,
-                                                        capsys):
-        # Snapshots written before the assert_skipped field existed
-        # crashed `repro report` by falling through to the JSONL trace
-        # parser; they must render with a sensible default (no skip
-        # label).
-        import json
-        bench = tmp_path / "BENCH_join.json"
-        bench.write_text(json.dumps({
-            "parallel_join": {"speedup": 2.1, "workers": 4},
-            "schema": 1,                  # flat, non-dict entry
-        }))
-        code, out, err = run(capsys, "report", str(bench))
-        assert code == 0, err
-        assert "benchmarks: 2 entries" in out
-        assert "parallel_join: speedup 2.10x" in out
-        assert "assert skipped" not in out
-
-    def test_report_renders_flat_snapshot(self, tmp_path, capsys):
-        # Entirely flat snapshots (e.g. old BENCH_estimator.json) are
-        # snapshots too — any JSON object without an "event" key must
-        # route to the bench renderer, never the trace parser.
-        import json
-        bench = tmp_path / "BENCH_estimator.json"
-        bench.write_text(json.dumps({"throughput": 12345.6,
-                                     "batch": 4096}))
-        code, out, err = run(capsys, "report", str(bench))
-        assert code == 0, err
-        assert "benchmarks: 2 entries" in out
-        assert "12345.6" in out
 
     def test_join_trace_metrics_report(self, two_trees, tmp_path,
                                        capsys):
@@ -565,6 +530,17 @@ class TestGovernorCli:
         assert reason["error"] == "admission-rejected"
         assert reason["predicted"] is True
 
+    def test_admission_reject_with_workers(self, two_trees, capsys):
+        # The parallel join goes through the same admission door.
+        code, out, _err = run(capsys, "join", "--max-na", "5",
+                              "--admission", "reject", "--workers", "2",
+                              str(two_trees[0]), str(two_trees[1]))
+        assert code == 5
+        assert "result pairs:" not in out
+        reason = self.reason_of(out)
+        assert reason["error"] == "admission-rejected"
+        assert reason["predicted"] is True
+
     def test_admission_warn_proceeds(self, two_trees, capsys):
         # Same impossible budget, warn mode: the warning names the
         # predicted overrun but execution starts (and is then stopped
@@ -640,3 +616,56 @@ class TestGovernorCli:
                               "--scale", "smoke", "--max-na", "1")
         assert code == 5
         assert self.reason_of(out)["error"] == "budget-exceeded"
+
+
+class TestEngineDifferential:
+    """The same governed CLI join on level-batch and on the Fig. 2
+    machine.  (Without NumPy both runs are the stack machine and it
+    still must hold.)"""
+
+    @pytest.fixture
+    def two_trees(self, tmp_path, capsys):
+        paths = []
+        for seed in (31, 32):
+            data = tmp_path / f"r{seed}.txt"
+            tree = tmp_path / f"r{seed}.json"
+            run(capsys, "generate", "uniform", "-n", "400", "-d", "0.5",
+                "--seed", str(seed), "-o", str(data))
+            run(capsys, "build", str(data), "-M", "16", "-o", str(tree))
+            paths.append(str(tree))
+        return paths
+
+    def test_sampled_node_pairs_and_counters(self, two_trees, tmp_path,
+                                             capsys):
+        import json
+
+        def traced(*flags):
+            trace = tmp_path / f"trace{len(flags)}.jsonl"
+            code, _out, _err = run(
+                capsys, "join", *two_trees, "--max-na", "100000",
+                "--trace", str(trace), "--sample-pairs", "25", *flags)
+            assert code == 0
+            events = [json.loads(line)
+                      for line in trace.read_text().splitlines()]
+            finish, = [e for e in events if e["event"] == "join_finish"]
+            return ([(e["visit"], e["page1"], e["level1"], e["page2"],
+                      e["level2"]) for e in events
+                     if e["event"] == "node_pair"],
+                    [finish[k] for k in ("na", "da", "pairs",
+                                         "comparisons")])
+
+        batch, stack = traced(), traced("--traversal", "stack")
+        assert batch[0] and batch == stack
+
+    def test_budget_trip_checkpoints_to_the_same_bytes(self, two_trees,
+                                                       tmp_path, capsys):
+        files = []
+        for name, flags in (("cp-batch.json", ()),
+                            ("cp-stack.json", ("--traversal", "stack"))):
+            files.append(tmp_path / name)
+            code, _out, _err = run(
+                capsys, "join", *two_trees, "--max-na", "120",
+                "--partial", "--admission", "off",
+                "--checkpoint", str(files[-1]), *flags)
+            assert code == 5
+        assert files[0].read_bytes() == files[1].read_bytes()

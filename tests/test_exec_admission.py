@@ -4,11 +4,16 @@ import pytest
 
 from repro.exec import (AdmissionRejected, Budget, BudgetExceeded,
                         ExecutionGovernor, evaluate_admission,
-                        predict_join_cost)
-from repro.join import SpatialJoin
+                        predict_join_cost, tree_params)
+from repro.geometry import Rect
+from repro.join import PartialJoinResult, SpatialJoin, spatial_join
+from repro.obs import AccuracyLedger
+from repro.reliability import FaultInjector, FaultyPager
+from repro.rtree import Entry
 from repro.storage import PathBuffer
 
 from .conftest import build_rstar, make_items
+from .test_rtree_golden import CASES
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +89,92 @@ class TestPredictJoinCost:
         measured = SpatialJoin(t1, t2, PathBuffer()).run(
             collect_pairs=False)
         assert 0.5 < na_pred / measured.na_total < 2.0
+
+
+#: ``predict_join_cost(tree, tree)`` on the golden trees of
+#: ``test_rtree_golden.py`` as the per-call leaf walk priced them before
+#: the (N, D) of a tree was remembered: ``(NA, DA)`` as ``float.hex()``.
+GOLDEN_PRICES = {
+    "uniform-2d-M24": ("0x1.c94fe4b9e7634p+8", "0x1.4404c950d9683p+8"),
+    "uniform-1d-M84": ("0x1.a6a69318b5d72p+7", "0x1.3def65ee9b546p+7"),
+    "uniform-2d-M50": ("0x1.4a04baa2fdae9p+9", "0x1.c437515f1e8d1p+8"),
+    "uniform-3d-M6": ("0x1.ed6c0d76150a6p+12", "0x1.7b6b44199ebfcp+12"),
+    "zipf-2d-M16": ("0x1.579c604d31f80p+10", "0x1.f87cb84bbcfcfp+9"),
+    "tiger-M12": ("0x1.bf23d52a5c6a5p+9", "0x1.6d44e993fa96ep+9"),
+    "lattice-M8": ("0x1.41d85499a3e38p+11", "0x1.c650b36f344bep+10"),
+    "delete-then-lattice-M10": ("0x1.9cb3006ef7588p+10",
+                                "0x1.2a030ee92e95cp+10"),
+}
+
+
+class TestOnePrice:
+    """A tree's (N, D) is derived in one place and remembered with it."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """Two fresh trees and the leaf-entry walks each has served."""
+        pair = (build_rstar(make_items(300, seed=43)),
+                build_rstar(make_items(300, seed=44)))
+        walks = [0, 0]
+
+        def spy(i, tree):
+            walk = tree.leaf_entries
+
+            def leaf_entries():
+                walks[i] += 1
+                return walk()
+            monkeypatch.setattr(tree, "leaf_entries", leaf_entries)
+        for i, tree in enumerate(pair):
+            spy(i, tree)
+        return pair, walks
+
+    def test_unchanged_trees_are_walked_once(self, walked):
+        (t1, t2), walks = walked
+        first = predict_join_cost(t1, t2)
+        assert walks == [1, 1]
+        assert predict_join_cost(t1, t2) == first
+        # A partial result's remaining-cost estimate ...
+        gov = ExecutionGovernor(Budget(max_na=20), partial=True,
+                                admission="warn")
+        partial = spatial_join(t1, t2, governor=gov)
+        assert isinstance(partial, PartialJoinResult)
+        assert partial.remaining_na_estimate == first[0] - partial.na_total
+        # ... and a ledger record read the remembered numbers too.
+        ledger = AccuracyLedger()
+        spatial_join(t1, t2, ledger=ledger)
+        assert ledger.records[-1].na_estimated == first[0]
+        assert walks == [1, 1]
+
+    def test_a_changed_tree_is_walked_again(self, walked):
+        (t1, t2), walks = walked
+        first = predict_join_cost(t1, t2)
+        big = Rect((0.1, 0.1), (0.6, 0.6))
+        t1.insert(big, 9_000)
+        grown = predict_join_cost(t1, t2)
+        assert walks == [2, 1] and grown[0] > first[0]
+        assert t1.delete(big, 9_000)
+        assert predict_join_cost(t1, t2) == first
+        assert walks == [3, 1]
+        # In-place node surgery, which no tree-level counter sees.
+        leaf = next(node for node in t2.nodes() if node.is_leaf)
+        leaf.entries.append(Entry(big, 9_001))
+        assert tree_params(t2).density > tree_params(t1).density
+        assert walks == [3, 2]
+
+    def test_faulting_storage_is_never_remembered_through(self, walked):
+        (t1, t2), walks = walked
+        first = predict_join_cost(t1, t2)
+        t1.pager = FaultyPager(t1.pager, FaultInjector(seed=1))
+        assert predict_join_cost(t1, t2) == first
+        assert predict_join_cost(t1, t2) == first
+        assert walks == [3, 1]           # walked per call, as ever
+
+    @pytest.mark.parametrize("case", GOLDEN_PRICES)
+    def test_golden_prices(self, case):
+        tree = CASES[case][0]()
+        for _ in range(2):               # derived, then remembered
+            na, da = predict_join_cost(tree, tree)
+            assert (na.hex(), da.hex()) == GOLDEN_PRICES[case]
 
 
 class TestAdmissionBeforeExecution:

@@ -88,6 +88,17 @@ class TestExecutionConfig:
         assert doc["strategy"] == "pbsm"
         assert ExecutionConfig.from_dict(doc).strategy == "pbsm"
 
+    def test_pbsm_refuses_a_worker_pool(self):
+        # Every door refuses the combination: the constructor, a copy
+        # and a JSON document.
+        with pytest.raises(ValueError, match="workers must be 1"):
+            ExecutionConfig(strategy="pbsm", workers=2)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            ExecutionConfig(workers=2).with_options(strategy="pbsm")
+        with pytest.raises(ValueError, match="workers must be 1"):
+            ExecutionConfig.from_dict({"strategy": "pbsm", "workers": 3})
+        assert ExecutionConfig(strategy="pbsm", mode="threads").workers == 1
+
     def test_from_dict_rejects_unknown_keys(self):
         # A typo used to be silently dropped, running the join with
         # defaults; now it fails loudly in the historical message

@@ -303,31 +303,24 @@ _FORK_ONLY = pytest.mark.skipif(
 class TestWorkerCrash:
     """A SIGKILLed or hung worker must never hang the coordinator.
 
-    Subtree-pair buckets (``sync``) and PBSM tiles (``pbsm``) run on the
-    same fan-out driver, so both engines honour ``worker_timeout`` and
-    ``on_worker_crash`` and neither leaves a shared-memory segment.
+    Subtree-pair buckets are the only tasks left on the fan-out driver
+    (PBSM runs in the calling thread), so the ``strategy``
+    parametrisation has one value; it keeps the test ids.
     """
 
-    STRATEGIES = pytest.mark.parametrize("strategy", ["sync", "pbsm"])
+    STRATEGIES = pytest.mark.parametrize("strategy", ["sync"])
 
     @pytest.fixture(autouse=True)
-    def _several_tiles_and_no_leak(self, monkeypatch):
-        import repro.join.partition as partition_mod
-
-        # 500 entries fit one default-sized tile; crash a pool of many.
-        monkeypatch.setattr(partition_mod, "DEFAULT_TILE_TARGET", 32)
+    def _no_leak(self):
         before = set(arena_segments())
         yield
         assert set(arena_segments()) == before
 
     def _crashing(self, monkeypatch, strategy, body, **knobs):
-        """Swap the engine's process-worker body for ``body``; the
-        config that then runs into it."""
+        """Swap the process-worker body for ``body``; the config that
+        then runs into it."""
         import repro.join.parallel as parallel_mod
-        import repro.join.partition as partition_mod
-        module, name = {"sync": (parallel_mod, "_process_bucket"),
-                        "pbsm": (partition_mod, "_process_tile")}[strategy]
-        monkeypatch.setattr(module, name, body)
+        monkeypatch.setattr(parallel_mod, "_process_bucket", body)
         return ExecutionConfig(strategy=strategy, workers=2,
                                mode="processes", **knobs)
 

@@ -162,9 +162,10 @@ class TestParallelJoin:
 class TestPartitionJoin:
     @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
     def test_traced_pbsm_bit_identical(self, trees, mode):
+        # PBSM runs in the calling thread whatever ``mode`` says (the
+        # config refuses it a second worker).
         t1, t2 = trees
-        config = ExecutionConfig(strategy="pbsm", mode=mode,
-                                 workers=1 if mode == "serial" else 2)
+        config = ExecutionConfig(strategy="pbsm", mode=mode)
         plain = partition_spatial_join(t1, t2, buffer=PathBuffer(),
                                        config=config, tiles=3)
         tracer, metrics, _ = observed_hooks()

@@ -27,8 +27,7 @@ from repro.join import (OVERLAP, PartialJoinResult, SpatialJoin,
 from repro.join.predicates import Overlap
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 
-from .conftest import (BOTH_BACKENDS, arena_segments, backend, build_rstar,
-                       make_items)
+from .conftest import BOTH_BACKENDS, backend, build_rstar, make_items
 
 needs_numpy = pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None, reason="NumPy unavailable")
@@ -95,17 +94,6 @@ class TestPairSetEquality:
         with backend(pure_python=True):
             assert_matches_reference(items1, items2, predicate,
                                      tiles=tiles)
-
-    @SLOW
-    @given(items_strategy, items_strategy, predicates,
-           st.sampled_from(["threads", "processes"]))
-    def test_parallel_modes_match_serial(self, items1, items2,
-                                         predicate, mode):
-        workers = 2 if mode == "processes" else 3
-        assert_matches_reference(
-            items1, items2, predicate,
-            config=ExecutionConfig(strategy="pbsm", mode=mode,
-                                   workers=workers))
 
     def test_tile_boundary_rectangles(self):
         # With bounds [0, 1] and tiles=2 the boundary is exactly 0.5;
@@ -262,21 +250,6 @@ class TestArenaEqualsScalar:
         assert result.pairs == scalar.pairs
         assert result.stats.as_dict() == scalar.stats.as_dict()
 
-    def test_threads_and_processes_run_the_arena_probe(self):
-        t1 = build_rstar(make_items(400, seed=29))
-        t2 = build_rstar(make_items(400, seed=30))
-        serial, _, _ = traced_join(t1, t2, False, tiles=4)
-        for mode in ("threads", "processes"):
-            result, event, _ = traced_join(
-                t1, t2, False, tiles=4,
-                config=ExecutionConfig(strategy="pbsm", mode=mode,
-                                       workers=2))
-            assert event["engine"] == "arena"
-            assert result.pairs == serial.pairs
-            assert result.comparisons == serial.comparisons
-            assert result.stats.as_dict() == serial.stats.as_dict()
-        assert arena_segments() == []
-
 
 class _KernelLessOverlap(Overlap):
     def pair_mask(self, np, lo1, hi1, lo2, hi2):
@@ -393,16 +366,26 @@ class TestAccessSemantics:
         assert counters["pbsm.tiles"] >= 1
 
     def test_strategy_wiring(self):
-        # ExecutionConfig(strategy="pbsm") routes spatial_join and
-        # parallel_spatial_join through the partition engine.
+        # ExecutionConfig(strategy="pbsm") routes spatial_join through
+        # the partition engine, which runs in the calling thread: the
+        # config refuses a pool for it, the bucket-parallel join the
+        # strategy, and partition_spatial_join turns any config it is
+        # handed into a PBSM one through that same door.
         t1 = build_rstar(make_items(150, seed=9))
         t2 = build_rstar(make_items(150, seed=10))
         reference = spatial_join(t1, t2)
         cfg = ExecutionConfig(strategy="pbsm")
         via_sync = spatial_join(t1, t2, config=cfg)
-        via_parallel = parallel_spatial_join(t1, t2, config=cfg)
+        assert via_sync.engine.startswith("pbsm-")
         assert sorted(via_sync.pairs) == sorted(reference.pairs)
-        assert sorted(via_parallel.pairs) == sorted(reference.pairs)
+        with pytest.raises(ValueError, match="pbsm"):
+            parallel_spatial_join(t1, t2, config=cfg)
+        for mode in ("threads", "processes"):
+            with pytest.raises(ValueError, match="workers must be 1"):
+                ExecutionConfig(strategy="pbsm", mode=mode, workers=2)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            partition_spatial_join(t1, t2,
+                                   config=ExecutionConfig(workers=2))
 
     def test_resume_refused(self):
         t1 = build_rstar(make_items(20, seed=11))
@@ -413,7 +396,7 @@ class TestAccessSemantics:
 
 
 class TestGovernedPartition:
-    """Budget trips inside per-partition workers (satellite 5)."""
+    """Budget trips inside the scan and the tile probe."""
 
     def _trees(self):
         return (build_rstar(make_items(400, seed=12)),
@@ -430,59 +413,12 @@ class TestGovernedPartition:
         assert result.reason.resource == "results"
         assert set(result.pairs) <= set(full.pairs)
 
-    def test_budget_trip_drains_thread_siblings(self):
-        # One tile trips the shared budget; the siblings drain as
-        # Cancelled and the completed tiles' pairs survive into a
-        # correct (non-resumable) PartialJoinResult.
-        t1, t2 = self._trees()
-        full = partition_spatial_join(t1, t2)
-        governor = ExecutionGovernor(Budget(max_results=5),
-                                     partial=True)
-        result = partition_spatial_join(
-            t1, t2, governor=governor,
-            config=ExecutionConfig(strategy="pbsm", mode="threads",
-                                   workers=4))
-        assert isinstance(result, PartialJoinResult)
-        assert result.checkpoint is None
-        assert result.reason.resource == "results"
-        pairs = list(result.pairs)
-        assert len(pairs) == len(set(pairs))
-        assert set(pairs) <= set(full.pairs)
-        assert result.pair_count < full.pair_count
-
     def test_budget_trip_raises_without_partial(self):
         t1, t2 = self._trees()
         governor = ExecutionGovernor(Budget(max_results=5),
                                      partial=False)
         with pytest.raises(BudgetExceeded):
-            partition_spatial_join(
-                t1, t2, governor=governor,
-                config=ExecutionConfig(strategy="pbsm", mode="threads",
-                                       workers=4))
-
-    @pytest.mark.parametrize("partial", [True, False])
-    def test_process_budget_trip_unlinks_the_arena_segments(self,
-                                                            partial):
-        # Process workers attach the coordinator's shared-memory
-        # arenas; a worker tripping its result budget must not strand
-        # the segments, whether the join raises or returns a partial.
-        t1, t2 = self._trees()
-        full = partition_spatial_join(t1, t2)
-        governor = ExecutionGovernor(Budget(max_results=5),
-                                     partial=partial)
-        config = ExecutionConfig(strategy="pbsm", mode="processes",
-                                 workers=2)
-        if partial:
-            result = partition_spatial_join(t1, t2, governor=governor,
-                                            config=config, tiles=3)
-            assert isinstance(result, PartialJoinResult)
-            assert result.reason.resource == "results"
-            assert set(result.pairs) <= set(full.pairs)
-        else:
-            with pytest.raises(BudgetExceeded):
-                partition_spatial_join(t1, t2, governor=governor,
-                                       config=config, tiles=3)
-        assert arena_segments() == []
+            partition_spatial_join(t1, t2, governor=governor)
 
     def test_cancellation_token(self):
         t1, t2 = self._trees()

@@ -142,6 +142,11 @@ class TestTypedErrorsOverHttp:
             client.join("a", "b", **{field: "wat"})
         assert str(want.value) in str(err.value)
 
+    def test_pbsm_with_workers_400(self, client):
+        # The config refuses the combination; the daemon says so.
+        with pytest.raises(ValueError, match="400.*workers must be 1"):
+            client.join("a", "b", strategy="pbsm", workers=2)
+
     @pytest.mark.parametrize("field, value", COERCED_FIELDS)
     def test_coerced_field_400_names_the_field(self, harness, client,
                                                field, value):

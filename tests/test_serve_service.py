@@ -483,6 +483,8 @@ class TestDegradation:
         assert resp["status"] == "complete"
         assert resp["workers"] == 2
         assert resp["pair_count"] == direct.pair_count
+        # One result shape: a parallel join counts comparisons too.
+        assert resp["comparisons"] == direct.comparisons
         assert resp["degraded"] is None     # ran exactly as requested
 
 
