@@ -76,7 +76,7 @@ class TreeArena:
     """
 
     __slots__ = ("ndim", "total", "index", "np", "_coords", "_refs",
-                 "_shm")
+                 "_shm", "_page_table", "_node_mbrs")
 
     def __init__(self, ndim: int, total: int,
                  index: dict[int, tuple[int, int, int]],
@@ -88,6 +88,8 @@ class TreeArena:
         self._coords = coords
         self._refs = refs
         self._shm = shm
+        self._page_table = None         # built on first use, see below
+        self._node_mbrs = None
 
     # -- construction ------------------------------------------------------
 
@@ -155,6 +157,56 @@ class TreeArena:
         lo, hi = self._coords[:, :, offset:offset + count].tolist()
         refs = self._refs[offset:offset + count].tolist()
         return level, list(zip(zip(*lo), zip(*hi), refs))
+
+    # -- tables derived from the snapshot ------------------------------------
+    #
+    # Built on first use and kept: the snapshot never changes, so every
+    # join over it (each bucket of a parallel worker included) shares one
+    # copy.  Both derive from ``index`` and ``_coords`` alone, so an
+    # arena attached from shared memory builds its own and nothing is
+    # added to the segment or the handle.
+
+    @property
+    def page_table(self):
+        """Dense ``(offset, count)`` int64 arrays indexed by page id,
+        zero where the tree has no such page: what a vectorized gather
+        of many nodes' runs looks up."""
+        if self._page_table is None:
+            np = self.np
+            pages = np.fromiter(self.index, np.int64, len(self.index))
+            rows = np.array(list(self.index.values()),
+                            dtype=np.int64).reshape(-1, 3)
+            table = np.zeros((2, int(pages.max(initial=0)) + 1),
+                             dtype=np.int64)
+            table[:, pages] = rows[:, :2].T
+            self._page_table = table[0], table[1]
+        return self._page_table
+
+    @property
+    def node_mbrs(self):
+        """Every node's MBR as one ``(2, ndim, pages)`` float64 block
+        indexed by page id (corner-major like the arena itself).
+
+        ``min``/``max`` are exact, so column ``p`` holds the bits of
+        ``Node.mbr()`` of page ``p``.  An empty node (only a root can
+        be one) and an unused page id read NaN, which fails every
+        comparison of the predicate kernels.
+        """
+        if self._node_mbrs is None:
+            np = self.np
+            offset, count = self.page_table
+            pages = np.nonzero(count)[0]
+            # A node's run ends where the next one starts: the runs of
+            # the non-empty nodes tile the arena.
+            pages = pages[np.argsort(offset[pages])]
+            starts = offset[pages]
+            mbrs = np.full((2, self.ndim, len(offset)), np.nan)
+            mbrs[0][:, pages] = np.minimum.reduceat(
+                self._coords[0], starts, axis=1)
+            mbrs[1][:, pages] = np.maximum.reduceat(
+                self._coords[1], starts, axis=1)
+            self._node_mbrs = mbrs
+        return self._node_mbrs
 
     def __repr__(self) -> str:
         return (f"TreeArena(nodes={len(self.index)}, "

@@ -25,8 +25,14 @@ level order.  The engine therefore runs in two phases:
    compute, per visited node pair, the qualifying entry items (and the
    child page ids they fetch).  Every depth, mixed-height ones
    included, is one planner over the predicate's one kernel pair
-   (:meth:`~repro.join.JoinPredicate.pair_mask` and ``confirm``); no
-   coordinate is compared here.  No page is read and nothing is charged;
+   (:meth:`~repro.join.JoinPredicate.pair_mask` and ``confirm``), used
+   twice: first each entry against the MBR of the node it would be
+   paired with — the search-space restriction of the SJ the paper
+   models, one ``O(sum a + sum b)`` pass per level — then the
+   survivors' ``a' x b'`` blocks entry against entry.  The planner
+   holds no coordinate arithmetic of its own, and what it charges and
+   records stays in units of the full ``a x b`` blocks the stack
+   machine enumerates.  No page is read and nothing is charged;
    the governor is consulted once per level boundary, plus a per-level
    NA sub-budget slicer stops planning levels the replay can provably
    never reach before its budget trips.
@@ -73,9 +79,11 @@ __all__ = ["BATCH_PAIR_ENUMERATIONS", "LevelBatchState", "MAX_CHUNK_ITEMS",
 #: machine.
 BATCH_PAIR_ENUMERATIONS = ("nested-loop", "vectorized")
 
-#: Upper bound on ``sum(|n1| * |n2|)`` items evaluated per kernel call.
-#: Levels wider than this are processed in visit chunks, bounding the
-#: planning phase's memory high-water mark (docs/performance.md).
+#: Upper bound on the entry pairs laid out per kernel call: ``sum(a' *
+#: b')`` over a chunk of visits, ``a'``/``b'`` counting the entries the
+#: restriction left.  Levels wider than this are processed in visit
+#: chunks, bounding the planning phase's memory high-water mark
+#: (docs/performance.md).
 MAX_CHUNK_ITEMS = 1 << 20
 
 
@@ -167,7 +175,10 @@ class _LevelPlan:
     under either enumeration) or the qualifying ones only (a
     ``vectorized`` block) — and ``cost[v]`` what a finished visit has
     charged in comparisons: ``a*b`` per raw item consumed, or ``a*b``
-    on a block's first yield and nothing for a block without one.  All
+    on a block's first yield and nothing for a block without one.
+    ``items_total`` is the depth's ``sum(a*b)`` — what those charges
+    add up from — and ``crossed_total`` the entry pairs the planner
+    laid out once the restriction had cut both sides down.  All
     lists hold plain Python ints (checkpoints and pair lists must
     serialize; ``np.int64`` would not).
     """
@@ -175,7 +186,7 @@ class _LevelPlan:
     __slots__ = ("kind", "child_l1", "child_l2", "fetch2_first", "raw",
                  "cost", "qual_pos", "qual_start", "child1", "child2",
                  "child1_arr", "child2_arr", "frontier", "items_total",
-                 "qual_total", "kernel_calls")
+                 "crossed_total", "qual_total", "kernel_calls")
 
 
 class _Gathered:
@@ -258,19 +269,6 @@ class LevelBatchState:
         self.pair_count = 0
         self.comparisons = 0
         self._pending: list[tuple] = []
-        self._off1, self._cnt1 = self._page_table(arena1)
-        self._off2, self._cnt2 = self._page_table(arena2)
-
-    def _page_table(self, arena):
-        """Dense page-id -> (offset, count) lookup for vectorized gathers."""
-        np = self.np
-        top = max(arena.index, default=0)
-        off = np.zeros(top + 1, dtype=np.int64)
-        cnt = np.zeros(top + 1, dtype=np.int64)
-        for pid, (o, c, _level) in arena.index.items():
-            off[pid] = o
-            cnt[pid] = c
-        return off, cnt
 
     def _fetch1(self, page_id: int, level: int):
         if page_id == self.pinned1:
@@ -347,43 +345,80 @@ class LevelBatchState:
                 plan.frontier)
             self.metrics.counter("join.batch.kernel_calls").inc(
                 plan.kernel_calls)
+            self.metrics.counter("join.batch.crossed_items").inc(
+                plan.crossed_total)
         if self.tracer is not None:
             self.tracer.emit(
                 "level_batch", join=self.join_id, depth=depth,
                 kind=plan.kind, frontier=plan.frontier,
-                items=plan.items_total, qualifying=plan.qual_total,
+                items=plan.items_total, crossed=plan.crossed_total,
+                qualifying=plan.qual_total,
                 kernel_calls=plan.kernel_calls)
 
-    def _side(self, arena, off, cnt, pages, at_leaves: bool):
-        """``(lo, hi, refs, off, cnt)`` of one tree at one depth.
+    def _side(self, arena, pages, at_leaves: bool):
+        """``(mbrs, rects, refs, cnt)`` of one tree at one depth.
 
-        ``lo``/``hi`` are ``(ndim, n)`` corner blocks, ``refs`` what an
-        entry fetches (or, at leaf depth, reports), and visit ``v`` owns
-        entries ``off[v] : off[v] + cnt[v]`` — for a descending side,
-        its node's run of the arena.  A side already ``at_leaves`` while
-        the other still descends contributes one pseudo-entry per visit
-        instead: the leaf node's MBR, whose "child" is the leaf page
-        itself, re-fetched beside each qualifying child of the other
-        side (``sync._step_r1_leaf``/``_step_r2_leaf``).  ``min``/
-        ``max`` are exact, so the MBR has the bits of ``Node.mbr()``.
-        Planned nodes are never empty: only a root can be, and the
-        driver opens no join on one.
+        ``mbrs`` is the ``(2, ndim, frontier)`` block of the visited
+        nodes' MBRs.  Visit ``v`` owns the next ``cnt[v]`` columns of
+        ``rects`` (``(2, ndim, n)``, visit order) and entries of
+        ``refs`` — what an entry fetches or, at leaf depth, reports: for
+        a descending side, its node's run of the arena.  A side already
+        ``at_leaves`` while the other still descends contributes one
+        pseudo-entry per visit instead: the leaf node's MBR, whose
+        "child" is the leaf page itself, re-fetched beside each
+        qualifying child of the other side (``sync._step_r1_leaf``/
+        ``_step_r2_leaf``).  Planned nodes are never empty: only a root
+        can be, and the driver opens no join on one.
         """
         np = self.np
-        lo, hi = arena._coords
-        if not at_leaves:
-            return lo, hi, arena._refs, off[pages], cnt[pages]
-        leaves, visit = np.unique(pages, return_inverse=True)
-        count = cnt[leaves]
-        first = np.cumsum(count) - count
-        slots = run_slots(np, off[leaves], count)
-        return (np.minimum.reduceat(lo.take(slots, axis=1), first, axis=1),
-                np.maximum.reduceat(hi.take(slots, axis=1), first, axis=1),
-                leaves, visit, np.ones(len(pages), dtype=np.int64))
+        mbrs = arena.node_mbrs.take(pages, axis=2)
+        if at_leaves:
+            return mbrs, mbrs, pages, np.ones(len(pages), dtype=np.int64)
+        offset, count = arena.page_table
+        cnt = count.take(pages)
+        slots = run_slots(np, offset.take(pages), cnt)
+        return (mbrs, arena._coords.take(slots, axis=2),
+                arena._refs.take(slots), cnt)
+
+    def _restrict(self, rects, refs, cnt, mbrs, first: bool):
+        """One side's entries that reach the other node's MBR.
+
+        The search-space restriction of Brinkhoff, Kriegel & Seeger: an
+        entry is tested with the predicate's own mask against the MBR
+        (``mbrs``, one column per visit) of the node it would be paired
+        with, ``first`` saying which operand the entry is.  That MBR is
+        the exact ``min``/``max`` of the node's entries and IEEE ``<=``
+        and ``-`` are monotone, so an entry the mask rejects here fails
+        it against every entry of that node: only items the cross would
+        have rejected are removed.  Survivors keep their order.
+
+        Returns ``(rects, refs, visit, local, kept)``: the surviving
+        columns, the visit each belongs to, its index within its node's
+        run, and the survivors per visit.
+        """
+        np = self.np
+        frontier = len(cnt)
+        visit = np.repeat(np.arange(frontier, dtype=np.int64), cnt)
+        other = mbrs.take(visit, axis=2)
+        sides = ((rects[0], rects[1], other[0], other[1]) if first
+                 else (other[0], other[1], rects[0], rects[1]))
+        keep = np.nonzero(self.predicate.pair_mask(np, *sides)[0])[0]
+        visit = visit.take(keep)
+        local = keep - (np.cumsum(cnt) - cnt).take(visit)
+        return (rects.take(keep, axis=2), refs.take(keep), visit, local,
+                np.bincount(visit, minlength=frontier))
 
     def _cross_level(self, kind: str, l1: int, l2: int,
                      pages1, pages2) -> _LevelPlan:
-        """Plan one depth of any kind: full a*b blocks, j-major.
+        """Plan one depth of any kind: restricted a' x b' blocks, j-major.
+
+        Each side is first cut down to the entries that reach the other
+        node's MBR (:meth:`_restrict`); only those are crossed and sent
+        through the predicate's kernels.  Survivors keep ascending
+        entry order, so the qualifying items come out in the order of
+        the full ``a*b`` block, and everything the replay charges or a
+        checkpoint records — ``cost``, ``qual_pos`` — stays in units of
+        that full block.
 
         A mixed-height depth is an ``a x 1`` or ``1 x b`` cross level
         (:meth:`_side`), whose j-major order is the internal node's
@@ -392,67 +427,77 @@ class LevelBatchState:
         np = self.np
         predicate = self.predicate
         frontier = len(pages1)
-        lo1, hi1, refs1, off1, cnt1 = self._side(
-            self.arena1, self._off1, self._cnt1, pages1, kind == "r1leaf")
-        lo2, hi2, refs2, off2, cnt2 = self._side(
-            self.arena2, self._off2, self._cnt2, pages2, kind == "r2leaf")
+        mbrs1, rects1, refs1, cnt1 = self._side(
+            self.arena1, pages1, kind == "r1leaf")
+        mbrs2, rects2, refs2, cnt2 = self._side(
+            self.arena2, pages2, kind == "r2leaf")
         ab = cnt1 * cnt2
+        rects1, refs1, visit1, i_loc, kept1 = self._restrict(
+            rects1, refs1, cnt1, mbrs2, True)
+        rects2, refs2, visit2, j_loc, kept2 = self._restrict(
+            rects2, refs2, cnt2, mbrs1, False)
+        # Item (i, j) of a visit sits at j * a + i of its full block:
+        # j-major, the paper's outer-R2/inner-R1 enumeration order.
+        pos2 = j_loc * cnt1.take(visit2)
+        first1 = np.cumsum(kept1) - kept1
+        first2 = np.cumsum(kept2) - kept2
+        crossed = kept1 * kept2
         csum = np.concatenate((np.zeros(1, dtype=np.int64),
-                               np.cumsum(ab)))
-        # The planner's own array calls, plus one per pair_mask/confirm
-        # invocation (it cannot see inside them); a leaf-pinned side's
-        # MBRs cost ten more than a descending side's two lookups.
+                               np.cumsum(crossed)))
+        # Every NumPy function, method and array operator the planner
+        # issues for the level, a pair_mask/confirm invocation counting
+        # as one (it cannot see inside them) and the list conversions
+        # that hand the plan to the replay not at all.  Per level: 12
+        # to gather a descending side (2 for one pinned at its leaves,
+        # which looks up its MBRs and nothing else), 13 to restrict a
+        # side, 12 to lay the restricted blocks out and 8 to close the
+        # level.  Per chunk: 16 to cross and test, 8 to confirm an
+        # inexact mask's survivors, 8 to collect the qualifying items.
         mixed = kind in ("r1leaf", "r2leaf")
-        kernel_calls = 16 if mixed else 6
+        kernel_calls = 60 if mixed else 70
         qual_counts = np.zeros(frontier, dtype=np.int64)
         pos_parts, c1_parts, c2_parts = [], [], []
         start = 0
         while start < frontier:
-            end = start + 1
-            while end < frontier \
-                    and csum[end + 1] - csum[start] <= MAX_CHUNK_ITEMS:
-                end += 1
-            abc = ab[start:end]
+            # As many whole visits as fit the chunk, and never none.
+            end = max(start + 1, int(np.searchsorted(
+                csum, csum[start] + MAX_CHUNK_ITEMS, side="right")) - 1)
             tot = int(csum[end] - csum[start])
             if tot == 0:
                 start = end
                 continue
-            # Item t of visit v is entry pair (i, j) = (t % a, t // a):
-            # j-major, the paper's outer-R2/inner-R1 enumeration order.
-            a_rep = np.repeat(cnt1[start:end], abc)
+            abc = crossed[start:end]
+            a_rep = np.repeat(kept1[start:end], abc)
             within = (np.arange(tot, dtype=np.int64)
                       - np.repeat(csum[start:end] - csum[start], abc))
-            i_loc = within % a_rep
-            j_loc = within // a_rep
-            gi = np.repeat(off1[start:end], abc) + i_loc
-            gj = np.repeat(off2[start:end], abc) + j_loc
+            gi = np.repeat(first1[start:end], abc) + within % a_rep
+            gj = np.repeat(first2[start:end], abc) + within // a_rep
             mask, exact = predicate.pair_mask(
-                np, _Gathered(lo1, gi), _Gathered(hi1, gi),
-                _Gathered(lo2, gj), _Gathered(hi2, gj))
+                np, _Gathered(rects1[0], gi), _Gathered(rects1[1], gi),
+                _Gathered(rects2[0], gj), _Gathered(rects2[1], gj))
             q = np.nonzero(mask)[0]
             gi, gj = gi[q], gj[q]
-            kernel_calls += 12
+            kernel_calls += 16
             if not exact and len(q):
                 keep = np.array(predicate.confirm(
-                    np, lo1.take(gi, axis=1), hi1.take(gi, axis=1),
-                    lo2.take(gj, axis=1), hi2.take(gj, axis=1)),
-                    dtype=bool)
-                q, gi, gj = q[keep], gi[keep], gj[keep]
-                kernel_calls += 9
-            if len(q):
-                seg = np.repeat(np.arange(end - start, dtype=np.int64),
-                                abc)
-                qual_counts[start:end] += np.bincount(
-                    seg[q], minlength=end - start)
-                pos_parts.append(within[q])
+                    np, rects1[0].take(gi, axis=1),
+                    rects1[1].take(gi, axis=1),
+                    rects2[0].take(gj, axis=1),
+                    rects2[1].take(gj, axis=1)), dtype=bool)
+                gi, gj = gi[keep], gj[keep]
+                kernel_calls += 8
+            if len(gi):
+                qual_counts[start:end] = np.bincount(
+                    visit1.take(gi) - start, minlength=end - start)
+                pos_parts.append(pos2.take(gj) + i_loc.take(gi))
                 c1_parts.append(refs1.take(gi))
                 c2_parts.append(refs2.take(gj))
-                kernel_calls += 5
+                kernel_calls += 8
             start = end
-        empty = np.zeros(0, dtype=np.int64)
-        child1 = np.concatenate(c1_parts) if c1_parts else empty
-        child2 = np.concatenate(c2_parts) if c2_parts else empty
-        qual_pos = np.concatenate(pos_parts) if pos_parts else empty
+        empty = [np.zeros(0, dtype=np.int64)]
+        child1 = np.concatenate(c1_parts or empty)
+        child2 = np.concatenate(c2_parts or empty)
+        qual_pos = np.concatenate(pos_parts or empty)
         qual_start = np.concatenate((np.zeros(1, dtype=np.int64),
                                      np.cumsum(qual_counts)))
         plan = _LevelPlan()
@@ -462,7 +507,8 @@ class LevelBatchState:
         plan.child_l2 = max(l2 - 1, 1)
         plan.fetch2_first = kind == "r1leaf"
         plan.frontier = frontier
-        plan.items_total = int(csum[-1])
+        plan.items_total = int(ab.sum())
+        plan.crossed_total = int(csum[-1])
         plan.qual_total = len(child1)
         plan.kernel_calls = kernel_calls
         # Mixed frames iterate raw entries whatever the enumeration.

@@ -10,7 +10,9 @@ R*-tree forced-reinsertion path, and direct node surgery (in-place
 entry-list mutation and wholesale ``entries`` rebinds).  The converse
 is pinned too: an unmutated tree keeps returning the *same* cached
 arena object, since a spurious rebuild per join would erase the point
-of caching.
+of caching.  The tables an arena derives from its snapshot
+(``page_table``, ``node_mbrs``) are built once per arena and go with it
+when it is replaced.
 """
 
 import pickle
@@ -88,6 +90,66 @@ def test_unmutated_tree_reuses_cached_arena():
     assert tree.arena() is first
     tree.range_query(Rect((0.1, 0.1), (0.4, 0.4)))    # reads don't count
     assert tree.arena() is first
+
+
+# -- tables derived from the snapshot -----------------------------------------
+
+
+def _node_mbrs_match_tree(tree) -> None:
+    """``node_mbrs`` column ``p`` is ``Node.mbr()`` of page ``p``, to
+    the bit, and ``page_table`` is the index in array form."""
+    arena = tree.arena()
+    offset, count = arena.page_table
+    lo, hi = arena.node_mbrs.tolist()
+    nodes = list(tree.nodes())
+    assert len(nodes) > 10 and len(lo) == tree.ndim
+    for node in nodes:
+        page = node.page_id
+        assert (offset[page], count[page]) == arena.index[page][:2]
+        mbr = node.mbr()
+        assert [column[page].hex() for column in lo] \
+            == [x.hex() for x in mbr.lo]
+        assert [column[page].hex() for column in hi] \
+            == [x.hex() for x in mbr.hi]
+
+
+def test_node_mbrs_are_node_mbr_bit_for_bit():
+    _node_mbrs_match_tree(_tree(400, seed=2))
+    _node_mbrs_match_tree(str_pack(_items(400, seed=2), ndim=2,
+                                   max_entries=8))
+
+
+def test_derived_tables_are_built_once_per_arena():
+    tree = _tree(120, seed=15)
+    arena = tree.arena()
+    assert arena.node_mbrs is arena.node_mbrs
+    assert arena.page_table is arena.page_table
+    spatial_join(tree, tree, config=BATCH)
+    assert tree.arena().node_mbrs is arena.node_mbrs
+
+
+def test_rebuilt_arena_does_not_serve_the_old_tables():
+    tree = _tree(120, seed=16)
+    old = tree.arena()
+    old_mbrs, old_table = old.node_mbrs, old.page_table
+    old_root = tree.root_id
+    # Far outside everything inserted so far: the root's MBR must grow.
+    tree.insert(Rect((0.97, 0.97), (0.99, 0.99)), 10_000)
+    new = tree.arena()
+    assert new is not old
+    assert new.node_mbrs is not old_mbrs
+    assert new.page_table is not old_table
+    _node_mbrs_match_tree(tree)
+    assert new.node_mbrs[1, :, tree.root_id].tolist() == [0.99, 0.99]
+    assert old_mbrs[1, :, old_root].tolist() != [0.99, 0.99]
+
+
+def test_empty_root_has_no_mbr():
+    arena = RStarTree(2, 6).arena()
+    assert arena.total == 0
+    assert arena.node_mbrs.shape == (2, 2, len(arena.page_table[0]))
+    assert not arena.page_table[1].any()
+    assert arena.np.isnan(arena.node_mbrs).all()
 
 
 # -- insert / delete ----------------------------------------------------------

@@ -14,6 +14,8 @@ from repro.datasets import uniform_rectangles
 from repro.estimator import have_numpy
 from repro.exec import (TRAVERSALS, Budget, ExecutionConfig,
                         ExecutionGovernor)
+from repro.exec.checkpoint import _canonical
+from repro.geometry import Rect
 from repro.join import (LevelBatchState, PartialJoinResult, SpatialJoin,
                         WithinDistance, parallel_spatial_join,
                         spatial_join, supports_level_batch, tree_arena)
@@ -22,7 +24,7 @@ from repro.join.sync import _TraversalState
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.optimizer import (Catalog, IndexScanPlan, execute_plan,
                              make_spatial_join)
-from repro.rtree import share_tree
+from repro.rtree import share_tree, str_pack
 from repro.storage import AccessStats
 
 from .conftest import build_rstar, make_items, needs_numpy
@@ -245,6 +247,95 @@ class TestObservability:
             parallel_spatial_join(t1, t2, config=cfg, metrics=metrics)
             counters = metrics.as_dict()["counters"]
             assert counters["join.batch.levels"] > 0, mode
+
+
+def _lattice(step, side, shift=0.0, points=False):
+    """Cells of an 8 x 8 lattice whose coordinates are exact binary
+    fractions: neighbours meet (``side == step``) or keep a gap of
+    exactly ``step - side``.  With ``points``, the lattice's own nodes
+    and edges too — zero-extent rectangles lying on cell boundaries."""
+    at = [shift + k * step for k in range(8)]
+    rects = [Rect((x, y), (x + side, y + side)) for y in at for x in at]
+    if points:
+        rects += [Rect((x, y), (x, y)) for y in at for x in at]
+        rects += [Rect((x, y), (x + side, y)) for y in at for x in at]
+    return [(rect, oid) for oid, rect in enumerate(rects)]
+
+
+@needs_numpy
+class TestRestrictionEdge:
+    """The planner crosses only the entries that reach the other node's
+    MBR.  The property suite draws touching rectangles by chance; here
+    every node boundary is one: STR packing cuts a lattice along its
+    own lines, so entries meet the neighbouring node's MBR exactly on
+    its edge (``lo == hi``) and a dropped ``=`` would lose pairs."""
+
+    CASES = {
+        # Cells sharing edges and corners, against the same cells plus
+        # points and segments lying on those edges.
+        "overlap-touching": (_lattice(0.125, 0.125),
+                             _lattice(0.125, 0.125, points=True),
+                             Overlap()),
+        # Half-cells a gap of exactly d apart: side neighbours are at
+        # distance d (in), diagonal ones at d * sqrt(2) (past the mask,
+        # out at the confirm).
+        "distance-gap-is-d": (_lattice(0.125, 0.0625),
+                              _lattice(0.125, 0.0625, shift=0.125),
+                              WithinDistance(0.0625)),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def case(self, request):
+        items1, items2, predicate = self.CASES[request.param]
+        return (str_pack(items1, 2, 4), str_pack(items2, 2, 4), predicate)
+
+    @staticmethod
+    def _observed(result):
+        return (result.pairs, result.stats.as_dict(), result.comparisons)
+
+    @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
+    def test_boundary_pairs_survive(self, case, enum):
+        t1, t2, predicate = case
+        batch_cfg = BATCH.with_options(pair_enumeration=enum)
+        stack_cfg = STACK.with_options(pair_enumeration=enum)
+        stack = spatial_join(t1, t2, predicate=predicate, config=stack_cfg)
+        batch = spatial_join(t1, t2, predicate=predicate, config=batch_cfg)
+        assert batch.engine == "level-batch"
+        assert self._observed(batch) == self._observed(stack)
+        # Every pair here is a boundary pair for some axis.
+        assert stack.pair_count > len(t1) and stack.na_total > 40
+
+        def checkpoint(config, cut):
+            gov = ExecutionGovernor(Budget(max_na=cut), partial=True)
+            result = SpatialJoin(t1, t2, predicate=predicate, governor=gov,
+                                 config=config).run()
+            assert isinstance(result, PartialJoinResult)
+            return (_canonical(result.checkpoint.to_dict()),
+                    self._observed(result))
+
+        for k in range(20):
+            cut = 1 + k * (stack.na_total - 1) // 20
+            assert checkpoint(batch_cfg, cut) == checkpoint(stack_cfg, cut)
+
+    def test_restriction_is_reported_not_charged(self, trees):
+        """``items`` stays what ``comparisons`` charges — every entry
+        pair of every visited node pair — and ``crossed`` says how many
+        of them the planner laid out."""
+        t1, t2 = trees
+        sink, metrics = MemorySink(), MetricsRegistry()
+        batch = spatial_join(t1, t2, config=BATCH, tracer=Tracer(sink),
+                             metrics=metrics)
+        stack = spatial_join(t1, t2, config=STACK)
+        levels = [r for r in sink.records if r["event"] == "level_batch"]
+        assert len(levels) > 2
+        assert batch.comparisons == stack.comparisons \
+            == sum(r["items"] for r in levels)
+        crossed = sum(r["crossed"] for r in levels)
+        assert batch.pair_count <= crossed < batch.comparisons
+        assert all(r["qualifying"] <= r["crossed"] <= r["items"]
+                   for r in levels)
+        assert metrics.as_dict()["counters"]["join.batch.crossed_items"] \
+            == crossed
 
 
 class TestOptimizerPassThrough:
