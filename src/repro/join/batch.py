@@ -29,7 +29,15 @@ level order.  The engine therefore runs in two phases:
    twice: first each entry against the MBR of the node it would be
    paired with — the search-space restriction of the SJ the paper
    models, one ``O(sum a + sum b)`` pass per level — then the
-   survivors' ``a' x b'`` blocks entry against entry.  The planner
+   survivors' ``a' x b'`` blocks entry against entry.  Those are laid
+   out as padded tiles: each visit's survivors, left-packed in entry
+   order, fill a row of ``A`` (R1) or ``B`` (R2) slots, widths rounded
+   up to a multiple of 8 and the rest NaN, which fails every
+   comparison.  Visits of one ``(A, B)`` shape form a group; a chunk
+   of a group is one ``pair_mask`` call on ``(V, 1, A)`` against
+   ``(V, B, 1)`` operands, whose ``nonzero`` lists the survivors
+   j-major, as the stack machine enumerates them, and a stable sort on
+   the visit merges the groups.  The planner
    holds no coordinate arithmetic of its own, and what it charges and
    records stays in units of the full ``a x b`` blocks the stack
    machine enumerates.  No page is read and nothing is charged;
@@ -41,8 +49,12 @@ level order.  The engine therefore runs in two phases:
    (including the mixed-height re-fetch of the shorter tree's leaf and
    the pinned-root exemption) and emitting pairs/comparisons with the
    stack machine's per-enumeration accounting.  There is one replay,
-   governed, traced or bare, and it steps once per *qualifying* item:
-   O(NA + pairs) under either enumeration.  A governor is polled where
+   governed, traced or bare, and it steps once per visit and descent:
+   O(NA) under either enumeration.  Depth-first order opens the leaf
+   visits in index order, so the pairs a replay emits are always the
+   first ``pair_count - base`` items of the leaf level; they are
+   collected as one slice when the replay returns or a budget trips.
+   A governor is polled where
    a count budget can newly trip — after each descent, and at the pair
    that spends a result budget — which is where the stack machine's
    poll before every item first sees it, so a trip lands on the same
@@ -79,10 +91,10 @@ __all__ = ["BATCH_PAIR_ENUMERATIONS", "LevelBatchState", "MAX_CHUNK_ITEMS",
 #: machine.
 BATCH_PAIR_ENUMERATIONS = ("nested-loop", "vectorized")
 
-#: Upper bound on the entry pairs laid out per kernel call: ``sum(a' *
-#: b')`` over a chunk of visits, ``a'``/``b'`` counting the entries the
-#: restriction left.  Levels wider than this are processed in visit
-#: chunks, bounding the planning phase's memory high-water mark
+#: Upper bound on the padded tile cells tested per kernel call: ``V * A
+#: * B`` over a chunk of ``V`` visits of one tile shape (one visit even
+#: if it alone is larger).  Groups larger than this are processed in
+#: visit chunks, bounding the planning phase's memory high-water mark
 #: (docs/performance.md).
 MAX_CHUNK_ITEMS = 1 << 20
 
@@ -178,34 +190,17 @@ class _LevelPlan:
     on a block's first yield and nothing for a block without one.
     ``items_total`` is the depth's ``sum(a*b)`` — what those charges
     add up from — and ``crossed_total`` the entry pairs the planner
-    laid out once the restriction had cut both sides down.  All
-    lists hold plain Python ints (checkpoints and pair lists must
-    serialize; ``np.int64`` would not).
+    tested once the restriction had cut both sides down (tile padding
+    not counted).  All lists hold plain Python ints (checkpoints must
+    serialize; ``np.int64`` would not).  A leaf depth keeps its items
+    as the arrays ``child1_arr``/``child2_arr`` only: the replay emits
+    them as one slice (:meth:`LevelBatchState._emit`).
     """
 
     __slots__ = ("kind", "child_l1", "child_l2", "fetch2_first", "raw",
                  "cost", "qual_pos", "qual_start", "child1", "child2",
                  "child1_arr", "child2_arr", "frontier", "items_total",
                  "crossed_total", "qual_total", "kernel_calls")
-
-
-class _Gathered:
-    """The rows of an ``(ndim, n)`` block taken at ``index``, one axis
-    at a time: ``self[k]`` gathers on access.  A predicate kernel reads
-    its operands axis by axis, so at most four gathered columns of a
-    chunk are alive at once instead of ``4 * ndim``."""
-
-    __slots__ = ("block", "index")
-
-    def __init__(self, block, index):
-        self.block = block
-        self.index = index
-
-    def __len__(self) -> int:
-        return len(self.block)
-
-    def __getitem__(self, k: int):
-        return self.block[k].take(self.index)
 
 
 def run_slots(np, offset, count):
@@ -222,6 +217,13 @@ def _kind(l1: int, l2: int) -> str:
     if l1 == 1 and l2 == 1:
         return "leaf"
     return "r1leaf" if l1 == 1 else "r2leaf"
+
+
+def _width(kept, pinned: bool):
+    """Tile width of each visit on one side: its survivors rounded up to
+    a multiple of 8, so few distinct tile shapes cover a level.  A side
+    pinned at its leaves keeps width 0 or 1."""
+    return kept if pinned else (kept + 7) & -8
 
 
 class LevelBatchState:
@@ -408,9 +410,26 @@ class LevelBatchState:
         return (rects.take(keep, axis=2), refs.take(keep), visit, local,
                 np.bincount(visit, minlength=frontier))
 
+    def _tile(self, rects, visit, first, order, at, size: int):
+        """One side's restricted columns laid out as padded tiles.
+
+        Row ``r`` of the level's shape order is visit ``order[r]``,
+        which owns the slots of the returned ``(2, ndim, size)`` block
+        from ``at[r]`` up to its tile width: its survivors left-packed
+        in entry order, then NaN.  Every comparison with a NaN is
+        false, so a padded slot fails every built-in mask.
+        """
+        np = self.np
+        shift = np.empty_like(first)
+        shift[order] = at
+        shift -= first
+        tiles = np.full(rects.shape[:2] + (size,), np.nan)
+        tiles[:, :, shift.take(visit) + np.arange(len(visit))] = rects
+        return tiles
+
     def _cross_level(self, kind: str, l1: int, l2: int,
                      pages1, pages2) -> _LevelPlan:
-        """Plan one depth of any kind: restricted a' x b' blocks, j-major.
+        """Plan one depth of any kind: restricted a' x b' tiles, j-major.
 
         Each side is first cut down to the entries that reach the other
         node's MBR (:meth:`_restrict`); only those are crossed and sent
@@ -420,6 +439,14 @@ class LevelBatchState:
         checkpoint records — ``cost``, ``qual_pos`` — stays in units of
         that full block.
 
+        The survivors are laid out as padded tiles (:meth:`_tile`) and
+        the visits grouped by tile shape ``(A, B)`` (:func:`_width`).
+        One ``pair_mask`` call tests a chunk of a group, ``(V, 1, A)``
+        entries of R1 against ``(V, B, 1)`` of R2, and ``nonzero`` of
+        the ``(V, B, A)`` mask lists the survivors by visit, then ``j``,
+        then ``i``: j-major.  A stable sort on the visit merges the
+        groups.
+
         A mixed-height depth is an ``a x 1`` or ``1 x b`` cross level
         (:meth:`_side`), whose j-major order is the internal node's
         entry order — what the stack machine's mixed frames iterate.
@@ -427,10 +454,9 @@ class LevelBatchState:
         np = self.np
         predicate = self.predicate
         frontier = len(pages1)
-        mbrs1, rects1, refs1, cnt1 = self._side(
-            self.arena1, pages1, kind == "r1leaf")
-        mbrs2, rects2, refs2, cnt2 = self._side(
-            self.arena2, pages2, kind == "r2leaf")
+        pinned1, pinned2 = kind == "r1leaf", kind == "r2leaf"
+        mbrs1, rects1, refs1, cnt1 = self._side(self.arena1, pages1, pinned1)
+        mbrs2, rects2, refs2, cnt2 = self._side(self.arena2, pages2, pinned2)
         ab = cnt1 * cnt2
         rects1, refs1, visit1, i_loc, kept1 = self._restrict(
             rects1, refs1, cnt1, mbrs2, True)
@@ -441,63 +467,75 @@ class LevelBatchState:
         pos2 = j_loc * cnt1.take(visit2)
         first1 = np.cumsum(kept1) - kept1
         first2 = np.cumsum(kept2) - kept2
-        crossed = kept1 * kept2
-        csum = np.concatenate((np.zeros(1, dtype=np.int64),
-                               np.cumsum(crossed)))
+        # Rows in tile-shape order; the sort is stable, so a group is a
+        # run of rows in visit order.
+        w1, w2 = _width(kept1, pinned1), _width(kept2, pinned2)
+        shape = w1 * (int(w2.max()) + 1) + w2
+        order = np.argsort(shape, kind="stable")
+        w1, w2 = w1.take(order), w2.take(order)
+        at1, at2 = np.cumsum(w1) - w1, np.cumsum(w2) - w2
+        tiles1 = self._tile(rects1, visit1, first1, order, at1,
+                            int(w1.sum()))
+        tiles2 = self._tile(rects2, visit2, first2, order, at2,
+                            int(w2.sum()))
+        heads = np.flatnonzero(np.diff(shape.take(order), prepend=-1))
+        groups = np.stack((heads, w1.take(heads), w2.take(heads),
+                           at1.take(heads), at2.take(heads))).T.tolist()
         # Every NumPy function, method and array operator the planner
-        # issues for the level, a pair_mask/confirm invocation counting
-        # as one (it cannot see inside them) and the list conversions
-        # that hand the plan to the replay not at all.  Per level: 12
-        # to gather a descending side (2 for one pinned at its leaves,
-        # which looks up its MBRs and nothing else), 13 to restrict a
-        # side, 12 to lay the restricted blocks out and 8 to close the
-        # level.  Per chunk: 16 to cross and test, 8 to confirm an
-        # inexact mask's survivors, 8 to collect the qualifying items.
-        mixed = kind in ("r1leaf", "r2leaf")
-        kernel_calls = 60 if mixed else 70
-        qual_counts = np.zeros(frontier, dtype=np.int64)
-        pos_parts, c1_parts, c2_parts = [], [], []
-        start = 0
-        while start < frontier:
+        # issues, a pair_mask/confirm invocation counting as one (it
+        # cannot see inside them), views by basic slicing and the list
+        # conversions that hand the plan to the replay not at all.  Per
+        # level: 12 to gather a descending side (2 for one pinned at its
+        # leaves, which looks up its MBRs and nothing else), 13 to
+        # restrict a side, 7 to index the survivors, 16 to order the
+        # rows by tile shape (14 with a pinned side, which keeps its
+        # width), 8 to tile a side, 8 to find the groups and 19 to close
+        # the level (21 when a vectorized block charges only the visits
+        # with survivors).  A group costs only its chunks: 9 to test
+        # one, 9 more to confirm an inexact mask's survivors.
+        mixed = pinned1 or pinned2
+        raw = mixed or not self.vectorized
+        kernel_calls = (104 if mixed else 116) + (0 if raw else 2)
+        empty = np.zeros(0, dtype=np.int64)
+        visits, gis, gjs = [empty], [empty], [empty]
+        ends = [group[0] for group in groups[1:]] + [frontier]
+        for (head, a, b, o1, o2), end in zip(groups, ends):
+            if a * b == 0:
+                continue            # no survivor on one side
             # As many whole visits as fit the chunk, and never none.
-            end = max(start + 1, int(np.searchsorted(
-                csum, csum[start] + MAX_CHUNK_ITEMS, side="right")) - 1)
-            tot = int(csum[end] - csum[start])
-            if tot == 0:
-                start = end
-                continue
-            abc = crossed[start:end]
-            a_rep = np.repeat(kept1[start:end], abc)
-            within = (np.arange(tot, dtype=np.int64)
-                      - np.repeat(csum[start:end] - csum[start], abc))
-            gi = np.repeat(first1[start:end], abc) + within % a_rep
-            gj = np.repeat(first2[start:end], abc) + within // a_rep
-            mask, exact = predicate.pair_mask(
-                np, _Gathered(rects1[0], gi), _Gathered(rects1[1], gi),
-                _Gathered(rects2[0], gj), _Gathered(rects2[1], gj))
-            q = np.nonzero(mask)[0]
-            gi, gj = gi[q], gj[q]
-            kernel_calls += 16
-            if not exact and len(q):
-                keep = np.array(predicate.confirm(
-                    np, rects1[0].take(gi, axis=1),
-                    rects1[1].take(gi, axis=1),
-                    rects2[0].take(gj, axis=1),
-                    rects2[1].take(gj, axis=1)), dtype=bool)
-                gi, gj = gi[keep], gj[keep]
-                kernel_calls += 8
-            if len(gi):
-                qual_counts[start:end] = np.bincount(
-                    visit1.take(gi) - start, minlength=end - start)
-                pos_parts.append(pos2.take(gj) + i_loc.take(gi))
-                c1_parts.append(refs1.take(gi))
-                c2_parts.append(refs2.take(gj))
-                kernel_calls += 8
-            start = end
-        empty = [np.zeros(0, dtype=np.int64)]
-        child1 = np.concatenate(c1_parts or empty)
-        child2 = np.concatenate(c2_parts or empty)
-        qual_pos = np.concatenate(pos_parts or empty)
+            step = max(1, MAX_CHUNK_ITEMS // (a * b))
+            o1, o2 = o1 - head * a, o2 - head * b   # where row 0 would sit
+            for row in range(head, end, step):
+                n = min(step, end - row)
+                t1 = tiles1[:, :, o1 + row * a:o1 + (row + n) * a].reshape(
+                    2, -1, n, 1, a)
+                t2 = tiles2[:, :, o2 + row * b:o2 + (row + n) * b].reshape(
+                    2, -1, n, b, 1)
+                mask, exact = predicate.pair_mask(np, t1[0], t1[1],
+                                                  t2[0], t2[1])
+                vv, j, i = np.nonzero(mask)
+                visit = order[row:row + n].take(vv)
+                gi = first1.take(visit) + i
+                gj = first2.take(visit) + j
+                kernel_calls += 9
+                if not exact and len(gi):
+                    keep = np.array(predicate.confirm(
+                        np, rects1[0].take(gi, axis=1),
+                        rects1[1].take(gi, axis=1),
+                        rects2[0].take(gj, axis=1),
+                        rects2[1].take(gj, axis=1)), dtype=bool)
+                    visit, gi, gj = visit[keep], gi[keep], gj[keep]
+                    kernel_calls += 9
+                visits.append(visit)
+                gis.append(gi)
+                gjs.append(gj)
+        visit = np.concatenate(visits)
+        by = np.argsort(visit, kind="stable")
+        gi = np.concatenate(gis).take(by)
+        gj = np.concatenate(gjs).take(by)
+        qual_counts = np.bincount(visit, minlength=frontier)
+        child1 = refs1.take(gi)
+        child2 = refs2.take(gj)
         qual_start = np.concatenate((np.zeros(1, dtype=np.int64),
                                      np.cumsum(qual_counts)))
         plan = _LevelPlan()
@@ -508,16 +546,17 @@ class LevelBatchState:
         plan.fetch2_first = kind == "r1leaf"
         plan.frontier = frontier
         plan.items_total = int(ab.sum())
-        plan.crossed_total = int(csum[-1])
+        plan.crossed_total = int((kept1 * kept2).sum())
         plan.qual_total = len(child1)
         plan.kernel_calls = kernel_calls
         # Mixed frames iterate raw entries whatever the enumeration.
-        plan.raw = mixed or not self.vectorized
-        plan.cost = (ab if plan.raw else ab * (qual_counts > 0)).tolist()
-        plan.qual_pos = qual_pos.tolist()
+        plan.raw = raw
+        plan.cost = (ab if raw else ab * (qual_counts > 0)).tolist()
+        plan.qual_pos = (pos2.take(gj) + i_loc.take(gi)).tolist()
         plan.qual_start = qual_start.tolist()
-        plan.child1 = child1.tolist()
-        plan.child2 = child2.tolist()
+        if kind != "leaf":
+            plan.child1 = child1.tolist()
+            plan.child2 = child2.tolist()
         plan.child1_arr = child1
         plan.child2_arr = child2
         return plan
@@ -527,11 +566,13 @@ class LevelBatchState:
     def _replay(self, root: _ReplayFrame, plans: list[_LevelPlan]) -> None:
         """Charge the planned visit tree in ``ReadPage`` order.
 
-        Each turn of the loop opens one visit — a leaf visit is emitted
-        in bulk, any other joins ``work`` — then makes the next
-        descent: the next qualifying item of the innermost open visit,
-        its two fetches in the stack machine's order.  That is
-        O(NA + pairs) work under every enumeration, governed or not.
+        Each turn of the loop opens one visit — a leaf visit is counted
+        whole, any other joins ``work`` — then makes the next descent:
+        the next qualifying item of the innermost open visit, its two
+        fetches in the stack machine's order.  That is O(NA) steps
+        under every enumeration, governed or not; the pairs are
+        collected once, by :meth:`_emit`, when the replay returns or
+        trips.
 
         The governor is polled where a budget can newly trip, which is
         where the stack machine's poll before every item first sees it:
@@ -547,8 +588,8 @@ class LevelBatchState:
         governor = self.governor
         limit = governor.budget.max_results if governor is not None else None
         sampling = self.tracer is not None and self.tracer.sample_pairs > 0
-        collect, pairs = self.collect_pairs, self.pairs
         fetch1, fetch2 = self._fetch1, self._fetch2
+        base = self.pair_count
         # Open non-leaf visits, root first, as [depth, visit, next
         # qualifying index, end]: an item's index is its child's visit
         # index, so pages and cursors follow from these and the plans.
@@ -581,9 +622,6 @@ class LevelBatchState:
                         end = start + limit - self.pair_count
                         cursor = self._cursor(plan, v, end)
                     self.pair_count += end - start
-                    if collect and end > start:
-                        pairs.extend(zip(plan.child1[start:end],
-                                         plan.child2[start:end]))
                     if sampling:
                         self._sample(root, plans, depth, v, cursor if full
                                      else self._cursor(plan, v, end + 1))
@@ -592,6 +630,7 @@ class LevelBatchState:
                 while True:
                     if not work:
                         self.stack.pop()
+                        self._emit(plans, base)
                         return
                     frame = work[-1]
                     depth, v, idx, end = frame
@@ -615,8 +654,19 @@ class LevelBatchState:
                     fetch2(p2, plan.child_l2)
                 depth, v = depth + 1, idx
         except (BudgetExceeded, Cancelled):
+            self._emit(plans, base)
             self._trip(root, plans, work, depth, v, cursor)
             raise
+
+    def _emit(self, plans: list[_LevelPlan], base: int) -> None:
+        """Collect the pairs the replay counted past ``base``, in one
+        slice: depth-first order opens the leaf visits in index order,
+        so they are the first ``pair_count - base`` leaf items."""
+        n = self.pair_count - base
+        if self.collect_pairs and n:
+            leaf = plans[-1]
+            self.pairs.extend(zip(leaf.child1_arr[:n].tolist(),
+                                  leaf.child2_arr[:n].tolist()))
 
     @staticmethod
     def _cursor(plan: _LevelPlan, v: int, idx: int) -> int:

@@ -31,6 +31,10 @@ from ..geometry import Rect
 
 __all__ = ["JoinPredicate", "Overlap", "WithinDistance", "OVERLAP"]
 
+#: Where ``WithinDistance.confirm`` may decide by a sum of squares: gaps
+#: and distance in ``[_TINY, _HUGE]``, squares outside ``d^2 (1 +- _BAND)``.
+_TINY, _HUGE, _BAND = 2.0 ** -500, 2.0 ** 500, 1e-12
+
 
 class JoinPredicate:
     """Interface for join conditions usable by the SJ traversal."""
@@ -63,12 +67,14 @@ class JoinPredicate:
         coordinates of axis ``k``, ``len(lo1)`` axes in all.  The kernel
         is **elementwise over broadcastable operands**: ``lo1[k]`` may
         be a 1-D column aligned with ``lo2[k]`` (element ``t`` of every
-        operand describes candidate pair ``t`` — the level-batch planner
-        and the PBSM tile probe) or a ``(1, a)`` row against a
+        operand describes candidate pair ``t`` — the PBSM tile probe and
+        the level-batch restriction), a ``(1, a)`` row against a
         ``(b, 1)`` column (one node's entries against another's — the
-        Fig. 2 machine's ``vectorized`` block); the mask has the
-        broadcast shape.  Read each axis once: a caller may gather it on
-        access.
+        Fig. 2 machine's ``vectorized`` block) or ``(V, 1, A)`` tiles
+        against ``(V, B, 1)`` (``V`` such blocks at once, NaN-padded —
+        the level-batch planner); the mask has the broadcast shape.  A
+        NaN operand fails the built-in masks, as every comparison with
+        a NaN does.
 
         Returns ``(mask, exact)``, or ``None`` (the default) for a
         predicate with no kernel, whose callers test scalar-side.  The
@@ -168,9 +174,25 @@ class WithinDistance(JoinPredicate):
         # Rect.min_distance bit for bit: ``-`` and ``max`` are exact,
         # and the sign of a zero gap is invisible to hypot.
         gaps = np.maximum(np.maximum(lo1 - hi2, lo2 - hi1), 0.0)
-        distance = self.distance
+        d = self.distance
+        # hypot is at least the largest gap, and 0 when every gap is.
+        verdict = gaps.max(axis=0) <= d
+        todo = np.flatnonzero(verdict & gaps.any(axis=0))
+        if len(todo) and _TINY <= d <= _HUGE and len(gaps) <= 1000:
+            # Gaps in [2^-500, d] square to normal floats, and the sum
+            # of at most 1000 squares is within 1e-13 of hypot(*g)^2
+            # (relative): outside a 1e-12 band around d^2 it decides.
+            g = gaps.take(todo, axis=1)
+            scaled = ((g >= _TINY) | (g == 0.0)).all(axis=0)
+            squares = (g * g).sum(axis=0)
+            inside = scaled & (squares < d * d * (1.0 - _BAND))
+            outside = scaled & (squares > d * d * (1.0 + _BAND))
+            verdict[todo[outside]] = False
+            todo = todo[~(inside | outside)]
         hypot = math.hypot
-        return [hypot(*g) <= distance for g in zip(*gaps.tolist())]
+        for t, g in zip(todo.tolist(), gaps.take(todo, axis=1).T.tolist()):
+            verdict[t] = hypot(*g) <= d
+        return verdict.tolist()
 
     def __repr__(self) -> str:
         return f"WithinDistance({self.distance})"

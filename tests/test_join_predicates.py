@@ -1,7 +1,7 @@
 """Join predicates."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.estimator.backend import get_numpy
@@ -89,11 +89,35 @@ def _rect(ndim):
                           tuple(max(a) for a in axes)))
 
 
+def _point(*xs):
+    return Rect(xs, xs)
+
+
 @needs_numpy
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.integers(1, 3).flatmap(lambda ndim: st.lists(
            st.tuples(_rect(ndim), _rect(ndim)), min_size=1, max_size=12)),
        st.one_of(st.just(0.0), st.just(5e-324), st.just(0.25),
                  st.floats(min_value=0.0, max_value=1.0)))
+# A subnormal gap beside a large one: the sum of squares loses the
+# first, the largest gap alone decides.
+@example([(_point(0, 0), _point(5e-324, 0.25))], 0.0)
+@example([(_point(0, 0), _point(5e-324, 0.0))], 0.0)
+@example([(_point(0, 0), _point(5e-324, 0.0)),
+          (_point(0, 0), _point(5e-324, 5e-324))], 5e-324)
+# Gaps at the edge of the scaled range, and exactly on the distance
+# (3-4-5 and 1-2-2-3), where only hypot decides.
+@example([(_point(0, 0), _point(2.0 ** -500, 2.0 ** -500)),
+          (_point(0, 0), _point(2.0 ** -501, 0.0))], 1.5 * 2.0 ** -500)
+@example([(_point(0, 0), _point(3, 4)), (_point(0, 0), _point(3, 4.5))],
+         5.0)
+@example([(_point(0, 0, 0), _point(1, 2, 2)),
+          (Rect((0, 0, 0), (1, 1, 1)), _point(2, 3, 3))], 3.0)
+@example([(_point(0, 0), _point(3, 4))], 4.999999999999999)
+# Gaps and a distance near 1e200: squaring would overflow.
+@example([(_point(0, 0), _point(7e199, 7e199)),
+          (_point(0, 0), _point(1e200, 0.0)),
+          (_point(0, 0), _point(8e199, 8e199))], 1e200)
 def test_confirm_is_the_scalar_leaf_test(pairs, distance):
     """``confirm`` over aligned ``(ndim, n)`` blocks gives, pair for
     pair, the verdict ``leaf_test`` gives over the rectangles — for
@@ -111,3 +135,34 @@ def test_confirm_is_the_scalar_leaf_test(pairs, distance):
     for predicate in (WithinDistance(distance), Halved(distance)):
         assert predicate.confirm(np, *blocks) == [
             predicate.leaf_test(r1, r2) for r1, r2 in pairs]
+
+
+@needs_numpy
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("predicate", [Overlap(), WithinDistance(0.0),
+                                       WithinDistance(1e300)], ids=repr)
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_nan_operand_fails_the_mask(predicate, ndim):
+    """A NaN coordinate on either side fails both built-in masks, so
+    the NaN padding of the level-batch planner's tiles never qualifies.
+    Operands broadcast as the planner's do: ``(V, 1, A)`` against
+    ``(V, B, 1)``, here with every real pair touching or overlapping."""
+    np = get_numpy()
+    shapes = ((ndim, 2, 1, 3), (ndim, 2, 3, 1))
+    corners = [np.zeros(shapes[0]), np.ones(shapes[0]),
+               np.ones(shapes[1]), np.full(shapes[1], 2.0)]
+    mask, _exact = predicate.pair_mask(np, *corners)
+    assert mask.shape == (2, 3, 3) and mask.all()
+    for operand in range(4):
+        for k in range(ndim):
+            blocks = [c.copy() for c in corners]
+            # One slot of one visit on this side, one axis.
+            blocks[operand][(k, 1, 0, 2) if operand < 2 else (k, 1, 2, 0)] \
+                = np.nan
+            mask, _exact = predicate.pair_mask(np, *blocks)
+            want = np.ones((2, 3, 3), dtype=bool)
+            if operand < 2:
+                want[1, :, 2] = False
+            else:
+                want[1, 2, :] = False
+            assert (mask == want).all()

@@ -14,10 +14,11 @@ Deliberately *not* asserted: ``governor.checks`` — how often the two
 engines poll the governor is telemetry, not an observable of the join.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exec import Budget, ExecutionConfig, ExecutionGovernor
+from repro.exec.budget import BudgetExceeded
 from repro.exec.checkpoint import _canonical
 from repro.geometry import Rect
 from repro.join import (PartialJoinResult, SpatialJoin, WithinDistance,
@@ -25,6 +26,7 @@ from repro.join import (PartialJoinResult, SpatialJoin, WithinDistance,
 from repro.join.predicates import Overlap
 from repro.obs import MemorySink, Tracer
 from repro.rtree import RStarTree
+from repro.storage import AccessStats
 from repro.storage.buffers import LRUBuffer, NoBuffer, PathBuffer
 
 from .test_property_vectorized import force_backend
@@ -145,21 +147,64 @@ def test_batch_join_any_buffer_manager(items1, items2, kind, enum):
     assert _signature(batch) == _signature(stack)
 
 
+def _lattice(shift):
+    """36 squares of side 0.1 on a 0.15 grid, moved by ``shift``/20:
+    enough overlapping pairs for several root entry pairs to emit."""
+    cells = [(x + shift, y + shift) for y in range(0, 18, 3)
+             for x in range(0, 18, 3)]
+    return [(Rect((x / 20, y / 20), ((x + 2) / 20, (y + 2) / 20)), oid)
+            for oid, (x, y) in enumerate(cells)]
+
+
+def _run_bucket(join):
+    """Run ``join`` the way a parallel bucket worker does: one traversal
+    state, polled and reused for a ``join`` call per qualifying pair of
+    root entries (a leaf root joins whole).  Returns the state and,
+    when the governor stopped it, the checkpoint it would write."""
+    state = join._state(AccessStats(), collect_pairs=True)
+    roots = [reader.read_pinned(tree.root_id, tree.height)
+             for reader, tree in ((state.reader1, join.tree1),
+                                  (state.reader2, join.tree2))]
+    sides = [[None] if root.is_leaf else root.entries for root in roots]
+    tasks = [(e1, e2) for e2 in sides[1] for e1 in sides[0]
+             if roots[0].entries and roots[1].entries
+             and (e1 is None or e2 is None
+                  or join.predicate.node_test(e1.rect, e2.rect))]
+    try:
+        for entries in tasks:
+            join.governor.check(state.stats, state.pair_count)
+            state.join(*[root if e is None else fetch(e.ref, root.level - 1)
+                         for root, e, fetch in zip(
+                             roots, entries, (state._fetch1, state._fetch2))])
+    except BudgetExceeded as exc:
+        return state, join._checkpoint(join._governed(), state, exc)
+    return state, None
+
+
 @SLOW
 @given(items_strategy(), items_strategy(), enum_strategy,
        st.floats(min_value=0.0, max_value=1.0), predicate_strategy,
        st.sampled_from([(6, 6), (8, 3), (3, 8)]),
        st.sampled_from(["max_na", "max_da", "max_results"]),
-       buffer_strategy, st.sampled_from([1, 3, 7]))
+       buffer_strategy, st.sampled_from([1, 3, 7]), st.booleans())
+# A result budget spent inside a leaf visit of a later root entry pair.
+@example(_lattice(0), _lattice(1), "nested-loop", 0.7, Overlap(), (6, 6),
+         "max_results", "path", 3, True)
+@example(_lattice(0), _lattice(1), "vectorized", 0.5, Overlap(), (8, 3),
+         "max_results", "lru", 7, True)
 def test_governed_checkpoint_bytes_identical(items1, items2, enum,
                                              frac, predicate,
                                              capacities, axis, kind,
-                                             sample_pairs):
+                                             sample_pairs, bucket):
     """Unequal capacities skew the heights, so a cut can land inside a
     mixed (r1leaf/r2leaf) frame as well as a cross one; a cut on
     ``max_results`` lands inside a leaf frame, which the batch replay
-    emits in bulk.  The cut runs ``1 .. total + 1``, so the last value
-    lets the join finish; the sampled events are compared either way."""
+    emits in one slice of the leaf level.  The cut runs ``1 .. total +
+    1``, so the last value lets the join finish; the sampled events are
+    compared either way.  With ``bucket`` both engines reuse one state
+    for a join per root entry pair (:func:`_run_bucket`), so the cut
+    can land in a later root pair, past the pairs earlier ones
+    emitted."""
     t1 = build(items1, max_entries=capacities[0])
     t2 = build(items2, max_entries=capacities[1])
     stack_cfg, batch_cfg = _configs(enum)
@@ -172,12 +217,23 @@ def test_governed_checkpoint_bytes_identical(items1, items2, enum,
     def governed(config):
         gov = ExecutionGovernor(Budget(**{axis: cut}), partial=True)
         sink = MemorySink(1 << 16)
-        result = SpatialJoin(
+        join = SpatialJoin(
             t1, t2, BUFFERS[kind](), predicate, governor=gov,
             tracer=Tracer(sink, sample_pairs=sample_pairs),
-            config=config).run()
-        return result, sink
+            config=config)
+        return (_run_bucket(join) if bucket else join.run()), sink
 
+    if bucket:
+        (stack, stack_cp), stack_sink = governed(stack_cfg)
+        (batch, batch_cp), batch_sink = governed(batch_cfg)
+        assert batch.engine == "level-batch"
+        assert _signature(batch, batch_sink) \
+            == _signature(stack, stack_sink)
+        assert (batch_cp is None) == (stack_cp is None)
+        if stack_cp is not None:
+            assert _canonical(batch_cp.to_dict()) \
+                == _canonical(stack_cp.to_dict())
+        return
     stack, stack_sink = governed(stack_cfg)
     batch, batch_sink = governed(batch_cfg)
     assert batch.complete == stack.complete
