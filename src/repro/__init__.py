@@ -24,8 +24,7 @@ Typical use::
     predicted_da = est.da()
 
 For whole parameter grids, :func:`estimate_batch` evaluates the same
-formulas vectorized (NumPy when available, bit-identical scalar
-fallback otherwise)::
+formulas vectorized with NumPy::
 
     from repro import EstimateRequest, estimate_batch
 

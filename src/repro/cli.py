@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="traversal engine: 'level-batch' advances "
                            "whole frontiers per NumPy kernel call over "
                            "the tree arenas (the stack machine runs "
-                           "where it cannot, e.g. without NumPy), "
+                           "where it cannot, e.g. under --inject-*), "
                            "'stack' is the paper's per-node-pair "
                            "machine; identical NA/DA/pairs/checkpoints "
                            "(default: %(default)s)")
@@ -738,15 +738,13 @@ def _cmd_estimate_batch(args: argparse.Namespace) -> int:
         raise ValueError(
             "--batch expects a JSON list of request records")
     result = estimate_batch(records)
-    payload = {"backend": result.backend,
-               "mixed_height_mode": result.mixed_height_mode,
+    payload = {"mixed_height_mode": result.mixed_height_mode,
                "results": result.as_records()}
     text = json.dumps(payload, indent=2)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"wrote {len(result)} estimates to {args.output} "
-              f"({result.backend} backend)")
+        print(f"wrote {len(result)} estimates to {args.output}")
     else:
         print(text)
     return 0

@@ -9,19 +9,14 @@ scalar call at a time.  This package is the consolidated front door:
   ``.breakdown()`` / ``.range_na()``).  The old free functions in
   :mod:`repro.costmodel` delegate here and stay importable.
 * :func:`estimate_batch` — thousands of ``(N1, D1, N2, D2, M, ndim,
-  window)`` grid points in one call, NumPy-vectorized when NumPy is
-  importable, scalar fallback otherwise (``REPRO_PURE_PYTHON=1`` forces
-  the fallback).  Plan enumeration, the experiments harness and the CLI
-  (``repro estimate --batch``) all go through it.
+  window)`` grid points in one call, NumPy-vectorized.  Plan
+  enumeration, the experiments harness and the CLI (``repro estimate
+  --batch``) all go through it.
 * :class:`ParamCache` / :func:`cached_params` — memoized Eq. 2-5
   derivations keyed on ``(N, D, M, ndim, fill)``, shared by the facade
   and the execution governor's admission control.
-
-NumPy is optional: nothing here imports it unconditionally, and all
-three entry points produce identical numbers without it.
 """
 
-from .backend import PURE_PYTHON_ENV, get_numpy, have_numpy
 from .batch import (BatchResult, EstimateRequest, estimate_batch,
                     range_na_batch)
 from .cache import DEFAULT_PARAM_CACHE, ParamCache, cached_params
@@ -34,11 +29,8 @@ __all__ = [
     "EstimateBreakdown",
     "EstimateRequest",
     "Estimator",
-    "PURE_PYTHON_ENV",
     "ParamCache",
     "cached_params",
     "estimate_batch",
-    "get_numpy",
-    "have_numpy",
     "range_na_batch",
 ]

@@ -4,12 +4,9 @@
 rows — each one a complete ``(N1, D1, N2, D2, M, ndim, fill, window)``
 description of a candidate join — and returns a :class:`BatchResult`
 with NA / DA (both role assignments) / selectivity predictions for every
-row.  With NumPy present the whole grid is evaluated by the vectorized
-kernels of :mod:`~repro.estimator.kernels`; without it the scalar
-formulas run in a loop through the memoized
-:class:`~repro.estimator.cache.ParamCache`, producing identical numbers
-(the property tests assert both paths agree with the scalar reference to
-1e-12).
+row.  The whole grid is evaluated by the vectorized kernels of
+:mod:`~repro.estimator.kernels` (the property tests assert they agree
+with the scalar reference formulas to 1e-12).
 
 Requests are validated up front with the same domain rules as
 :func:`~repro.costmodel.check_model_params`; a bad row raises
@@ -23,10 +20,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..costmodel.params import DEFAULT_FILL
 from ..reliability import ModelDomainError
-from .backend import get_numpy
 from .cache import ParamCache
+from .kernels import join_kernel, range_na_kernel, selectivity_kernel
 
 __all__ = ["EstimateRequest", "BatchResult", "estimate_batch",
            "range_na_batch"]
@@ -131,7 +130,6 @@ class BatchResult:
     """
 
     requests: list[EstimateRequest]
-    backend: str
     mixed_height_mode: str
     height1: list[int] = field(default_factory=list)
     height2: list[int] = field(default_factory=list)
@@ -212,11 +210,7 @@ def _validate(requests: Sequence[EstimateRequest]) -> None:
 def estimate_batch(requests: Iterable[EstimateRequest],
                    mixed_height_mode: str = "traversal",
                    ) -> BatchResult:
-    """Evaluate Eqs. 1-10 for every request in one shot.
-
-    Uses the NumPy kernels when available, the scalar fallback
-    otherwise; the results are identical either way.
-    """
+    """Evaluate Eqs. 1-10 for every request in one shot."""
     from ..costmodel.join_da import MIXED_HEIGHT_MODES
     if mixed_height_mode not in MIXED_HEIGHT_MODES:
         raise ValueError(
@@ -225,13 +219,13 @@ def estimate_batch(requests: Iterable[EstimateRequest],
             else EstimateRequest.from_dict(dict(r), i)
             for i, r in enumerate(requests)]
     _validate(reqs)
-    np = get_numpy()
-    if np is None or not reqs:
-        return _estimate_batch_python(reqs, mixed_height_mode)
-    return _estimate_batch_numpy(np, reqs, mixed_height_mode)
+    if not reqs:
+        return BatchResult(requests=reqs,
+                           mixed_height_mode=mixed_height_mode)
+    return _estimate_batch_kernels(reqs, mixed_height_mode)
 
 
-def _tree_tables(np, descs: list[tuple], cache: ParamCache):
+def _tree_tables(descs: list[tuple], cache: ParamCache):
     """Per-row level tables from deduplicated scalar derivations.
 
     ``descs`` holds one ``(N, D, M, ndim, fill)`` tuple per row.  The
@@ -272,27 +266,22 @@ def _tree_tables(np, descs: list[tuple], cache: ParamCache):
     return unodes[inv], uext[inv], uh[inv], usbar[inv]
 
 
-def _estimate_batch_numpy(np, reqs: list[EstimateRequest],
-                          mode: str) -> BatchResult:
-    from .kernels import (join_kernel, range_na_kernel,
-                          selectivity_kernel)
-
+def _estimate_batch_kernels(reqs: list[EstimateRequest],
+                            mode: str) -> BatchResult:
     cache = ParamCache(maxsize=None)
     left = [(r.n1, r.d1, r.m_left, r.ndim, r.fill_left) for r in reqs]
     right = [(r.n2, r.d2, r.m_right, r.ndim, r.fill_right_)
              for r in reqs]
-    nodes1, ext1, h1, sbar1 = _tree_tables(np, left, cache)
-    nodes2, ext2, h2, sbar2 = _tree_tables(np, right, cache)
+    nodes1, ext1, h1, sbar1 = _tree_tables(left, cache)
+    nodes2, ext2, h2, sbar2 = _tree_tables(right, cache)
     ndim = np.array([r.ndim for r in reqs], dtype=np.int64)
     dist = np.array([r.distance for r in reqs], dtype=np.float64)
     n1f = np.array([float(r.n1) for r in reqs])
     n2f = np.array([float(r.n2) for r in reqs])
 
-    out = join_kernel(np, nodes1, ext1, h1, nodes2, ext2, h2, ndim,
-                      mode)
-    swapped = join_kernel(np, nodes2, ext2, h2, nodes1, ext1, h1, ndim,
-                          mode)
-    sel = selectivity_kernel(np, n1f, sbar1, n2f, sbar2, ndim, dist)
+    out = join_kernel(nodes1, ext1, h1, nodes2, ext2, h2, ndim, mode)
+    swapped = join_kernel(nodes2, ext2, h2, nodes1, ext1, h1, ndim, mode)
+    sel = selectivity_kernel(n1f, sbar1, n2f, sbar2, ndim, dist)
 
     windows = [r.window_tuple() for r in reqs]
     range_na: list[float | None] = [None] * len(reqs)
@@ -304,13 +293,13 @@ def _estimate_batch_numpy(np, reqs: list[EstimateRequest],
         for row, i in enumerate(with_window):
             w = windows[i]
             warr[row, :len(w)] = w
-        totals = range_na_kernel(np, nodes1[idx], ext1[idx], h1[idx],
+        totals = range_na_kernel(nodes1[idx], ext1[idx], h1[idx],
                                  ndim[idx], warr)
         for row, i in enumerate(with_window):
             range_na[i] = float(totals[row])
 
     return BatchResult(
-        requests=reqs, backend="numpy", mixed_height_mode=mode,
+        requests=reqs, mixed_height_mode=mode,
         height1=h1.tolist(), height2=h2.tolist(),
         na=out["na"].tolist(), da=out["da"].tolist(),
         da_left=out["da_left"].tolist(),
@@ -319,50 +308,6 @@ def _estimate_batch_numpy(np, reqs: list[EstimateRequest],
         selectivity=sel.tolist(),
         range_na=range_na,
     )
-
-
-def _estimate_batch_python(reqs: list[EstimateRequest],
-                           mode: str) -> BatchResult:
-    """Scalar fallback: the reference formulas in a loop.
-
-    Goes through a local :class:`ParamCache` so each distinct tree's
-    Eq. 2-5 derivation runs once per batch, like the kernel dedup.
-    """
-    from ..costmodel.join_da import join_da_breakdown
-    from ..costmodel.join_na import join_na_breakdown
-    from ..costmodel.range_query import range_query_na
-    from ..costmodel.selectivity import join_selectivity_pairs
-
-    cache = ParamCache(maxsize=None)
-    result = BatchResult(requests=reqs, backend="python",
-                         mixed_height_mode=mode)
-    for r in reqs:
-        p1 = cache.get(r.n1, r.d1, r.m_left, r.ndim, r.fill_left)
-        p2 = cache.get(r.n2, r.d2, r.m_right, r.ndim, r.fill_right_)
-        na = 0.0
-        for c in join_na_breakdown(p1, p2):
-            na += c.cost1 + c.cost2
-        da = da_l = da_r = 0.0
-        for c in join_da_breakdown(p1, p2, mode):
-            da += c.cost1 + c.cost2
-            da_l += c.cost1
-            da_r += c.cost2
-        da_sw = 0.0
-        for c in join_da_breakdown(p2, p1, mode):
-            da_sw += c.cost1 + c.cost2
-        result.height1.append(p1.height)
-        result.height2.append(p2.height)
-        result.na.append(na)
-        result.da.append(da)
-        result.da_left.append(da_l)
-        result.da_right.append(da_r)
-        result.da_swapped.append(da_sw)
-        result.selectivity.append(
-            join_selectivity_pairs(p1, p2, distance=r.distance))
-        w = r.window_tuple()
-        result.range_na.append(
-            None if w is None else range_query_na(p1, w))
-    return result
 
 
 def range_na_batch(trees: Sequence, windows: Sequence[Sequence[float]],

@@ -38,16 +38,18 @@ exactly like :meth:`AnalyticalTreeParams.nodes_at` /
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["join_kernel", "selectivity_kernel", "range_na_kernel"]
 
 
-def _take_level(np, table, level):
+def _take_level(table, level):
     """``table[row, level[row] - 1]`` for every row."""
     idx = (level - 1)[:, None]
     return np.take_along_axis(table, idx, axis=1)[:, 0]
 
 
-def _seq_prod(np, base, factor, ndim, max_ndim):
+def _seq_prod(base, factor, ndim, max_ndim):
     """``base * factor * ... * factor`` (``ndim[row]`` times), mirroring
     the scalar ``intsect`` loop's sequential multiplication."""
     out = base
@@ -56,7 +58,7 @@ def _seq_prod(np, base, factor, ndim, max_ndim):
     return out
 
 
-def join_kernel(np, nodes1, s1, h1, nodes2, s2, h2, ndim,
+def join_kernel(nodes1, s1, h1, nodes2, s2, h2, ndim,
                 mixed_height_mode="traversal"):
     """Vectorized Eqs. 6-10 over request rows.
 
@@ -84,14 +86,14 @@ def join_kernel(np, nodes1, s1, h1, nodes2, s2, h2, ndim,
         descends1 = j1 < prev1
         descends2 = j2 < prev2
 
-        nj1 = _take_level(np, nodes1, j1)
-        sj1 = _take_level(np, s1, j1)
-        nj2 = _take_level(np, nodes2, j2)
-        sj2 = _take_level(np, s2, j2)
+        nj1 = _take_level(nodes1, j1)
+        sj1 = _take_level(s1, j1)
+        nj2 = _take_level(nodes2, j2)
+        sj2 = _take_level(s2, j2)
 
         # Eq. 6: pairs = N2_j2 * intsect(N1_j1, s1, s2).
         factor = np.minimum(1.0, sj1 + sj2)
-        pairs = nj2 * _seq_prod(np, nj1, factor, ndim, max_ndim)
+        pairs = nj2 * _seq_prod(nj1, factor, ndim, max_ndim)
 
         # NA (Eq. 7/11): each non-root side is charged the pair count.
         na_cost1 = np.where(j1 < h1, pairs, 0.0)
@@ -105,10 +107,10 @@ def join_kernel(np, nodes1, s1, h1, nodes2, s2, h2, ndim,
                                 np.minimum(j2 + 1, h1))
         else:
             r1_level = prev1
-        np1 = _take_level(np, nodes1, r1_level)
-        sp1 = _take_level(np, s1, r1_level)
+        np1 = _take_level(nodes1, r1_level)
+        sp1 = _take_level(s1, r1_level)
         pfactor = np.minimum(1.0, sp1 + sj2)
-        da2_val = nj2 * _seq_prod(np, np1, pfactor, ndim, max_ndim)
+        da2_val = nj2 * _seq_prod(np1, pfactor, ndim, max_ndim)
         da_cost2 = np.where(descends2 & (j2 < h2), da2_val, 0.0)
 
         # DA for R1 (Eq. 9 / the literal Eq. 12 branch).
@@ -127,7 +129,7 @@ def join_kernel(np, nodes1, s1, h1, nodes2, s2, h2, ndim,
             "da_right": da_right}
 
 
-def selectivity_kernel(np, n1, sbar1, n2, sbar2, ndim, distance,
+def selectivity_kernel(n1, sbar1, n2, sbar2, ndim, distance,
                        max_ndim=None):
     """Vectorized §5 selectivity: every R1 object probed with an
     R2-object window inflated by ``2 * distance`` per dimension.
@@ -140,10 +142,10 @@ def selectivity_kernel(np, n1, sbar1, n2, sbar2, ndim, distance,
         max_ndim = int(ndim.max()) if ndim.shape[0] else 1
     window = sbar2 + 2.0 * distance
     factor = np.minimum(1.0, sbar1 + window)
-    return n2 * _seq_prod(np, n1, factor, ndim, max_ndim)
+    return n2 * _seq_prod(n1, factor, ndim, max_ndim)
 
 
-def range_na_kernel(np, nodes, extents, heights, ndim, windows):
+def range_na_kernel(nodes, extents, heights, ndim, windows):
     """Vectorized Eq. 1 over rows: range-query NA per tree/window pair.
 
     ``nodes``/``extents`` are level tables as described in the module
@@ -158,8 +160,8 @@ def range_na_kernel(np, nodes, extents, heights, ndim, windows):
     max_ndim = windows.shape[1]
     for j in range(1, int(heights.max())):
         level = np.full(rows, j, dtype=np.int64)
-        nj = _take_level(np, nodes, level)
-        sj = _take_level(np, extents, level)
+        nj = _take_level(nodes, level)
+        sj = _take_level(extents, level)
         # intsect with a per-dimension window: sequential product.
         out = nj
         for k in range(max_ndim):

@@ -8,10 +8,9 @@ densities, the node capacity ``M`` — comes from here.
 
 * :data:`PAPER_SCALE` — the paper's exact setup: 1 Kbyte pages giving
   ``M = 84`` (n=1) / ``M = 50`` (n=2), cardinalities 20K-80K, average
-  capacity 67%.  With NumPy an 80K-object R*-tree builds in about half
-  a minute (0.4 ms per insert) and a whole 16-combination Figure 5 grid
-  (400K inserts) in 2-3 minutes; the scalar insert path is 10-20x
-  slower here (4-7 ms per insert), half an hour or more per grid.
+  capacity 67%.  An 80K-object R*-tree builds in about half a minute
+  (0.4 ms per insert) and a whole 16-combination Figure 5 grid (400K
+  inserts) in 2-3 minutes.
 * :data:`BENCH_SCALE` — the default: 512-byte pages giving ``M = 41`` /
   ``M = 24`` and cardinalities 2K-10K, chosen so the *structure* of the
   paper's figures is preserved (DESIGN.md §3):
@@ -49,7 +48,7 @@ class ExperimentScale:
         return node_capacity(self.page_size, ndim)
 
 
-#: Default profile: the CI-sized view, seconds per tree on either backend.
+#: Default profile: the CI-sized view, seconds per tree.
 BENCH_SCALE = ExperimentScale(
     name="bench",
     page_size=512,                      # M = 41 (n=1), M = 24 (n=2)

@@ -6,9 +6,9 @@ plus an index table (node id → offset, count, level) — the
 struct-of-arrays layout the SIMD-ified R-tree work keeps its kernels
 hot with (PAPERS.md, arXiv 2309.16913).  A node's view
 (:meth:`TreeArena.slice`) is a zero-copy pair of transposed slices
-``block[corner, :, off:end]``.  Without NumPy (not installed, or
-disabled by ``REPRO_PURE_PYTHON``) there is no arena: joins run the
-scalar predicates over the ``Rect`` objects, the source of truth.
+``block[corner, :, off:end]``.  The ``Rect`` objects stay the source
+of truth: a join over a tree whose pages may fault reads no arena and
+runs the scalar predicates over them.
 
 Because coordinates are stored as raw float64 (the exact bits of the
 ``Rect`` tuples they came from), every kernel result over an arena
@@ -32,6 +32,8 @@ import uuid
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .columnar import ColumnarMBRs
 
 __all__ = ["ArenaHandle", "SHM_PREFIX", "SharedArena", "TreeArena",
@@ -43,23 +45,6 @@ SHM_PREFIX = "repro_arena_"
 
 _COORD_BYTES = 8        # float64
 _REF_BYTES = 8          # int64
-
-
-def _get_numpy():
-    # Deferred import: repro.geometry must stay importable before (and
-    # without) repro.estimator, and the env switch is read per call.
-    from ..estimator.backend import get_numpy
-    return get_numpy()
-
-
-def _require_numpy():
-    np = _get_numpy()
-    if np is None:
-        raise RuntimeError(
-            "a TreeArena needs NumPy (not installed, or disabled by "
-            "REPRO_PURE_PYTHON); repro.join.tree_arena() answers None "
-            "instead of raising")
-    return np
 
 
 class TreeArena:
@@ -75,16 +60,15 @@ class TreeArena:
     ``_EntryList`` versions it snapshotted at build).
     """
 
-    __slots__ = ("ndim", "total", "index", "np", "_coords", "_refs",
-                 "_shm", "_page_table", "_node_mbrs")
+    __slots__ = ("ndim", "total", "index", "_coords", "_refs", "_shm",
+                 "_page_table", "_node_mbrs")
 
     def __init__(self, ndim: int, total: int,
                  index: dict[int, tuple[int, int, int]],
-                 coords, refs, np_module, shm=None):
+                 coords, refs, shm=None):
         self.ndim = ndim
         self.total = total
         self.index = index              # page_id -> (offset, count, level)
-        self.np = np_module
         self._coords = coords
         self._refs = refs
         self._shm = shm
@@ -100,7 +84,6 @@ class TreeArena:
         Empty nodes (an empty leaf root) get an index entry with
         ``count == 0`` and no coordinate slots.
         """
-        np = _require_numpy()
         index: dict[int, tuple[int, int, int]] = {}
         rects = []
         refs: list[int] = []
@@ -119,7 +102,7 @@ class TreeArena:
             coords[0, k, :] = [r.lo[k] for r in rects]
             coords[1, k, :] = [r.hi[k] for r in rects]
         return cls(ndim, total, index, coords,
-                   np.array(refs, dtype=np.int64), np)
+                   np.array(refs, dtype=np.int64))
 
     # -- views -------------------------------------------------------------
 
@@ -172,7 +155,6 @@ class TreeArena:
         zero where the tree has no such page: what a vectorized gather
         of many nodes' runs looks up."""
         if self._page_table is None:
-            np = self.np
             pages = np.fromiter(self.index, np.int64, len(self.index))
             rows = np.array(list(self.index.values()),
                             dtype=np.int64).reshape(-1, 3)
@@ -193,7 +175,6 @@ class TreeArena:
         comparison of the predicate kernels.
         """
         if self._node_mbrs is None:
-            np = self.np
             offset, count = self.page_table
             pages = np.nonzero(count)[0]
             # A node's run ends where the next one starts: the runs of
@@ -329,8 +310,6 @@ def arena_from_shared_memory(handle: ArenaHandle) -> TreeArena:
     """
     from multiprocessing import resource_tracker, shared_memory
 
-    np = _require_numpy()
-
     class _AttachedSegment(shared_memory.SharedMemory):
         # The zero-copy views below keep exported pointers into the
         # buffer for the arena's whole lifetime; the stock close() (run
@@ -358,4 +337,4 @@ def arena_from_shared_memory(handle: ArenaHandle) -> TreeArena:
     coords = coords.reshape(2, ndim, total)
     refs = np.frombuffer(shm.buf, dtype=np.int64,
                          offset=coords_bytes, count=total)
-    return TreeArena(ndim, total, index, coords, refs, np, shm=shm)
+    return TreeArena(ndim, total, index, coords, refs, shm=shm)

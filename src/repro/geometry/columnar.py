@@ -13,8 +13,6 @@ the kernel that tests it is the join predicate's
 There is one columnar copy of a tree — its
 :class:`~repro.geometry.TreeArena` — and a :class:`ColumnarMBRs` is a
 zero-copy view of one node's run in it (:meth:`TreeArena.slice`).
-Columnar therefore means NumPy: a host without it has no arena and runs
-the scalar predicates over the ``Rect`` objects.
 
 :func:`least_overlap_enlargement` is **exact**: it answers what the
 scalar :class:`Rect` code answers, bit for bit, because only operations
@@ -36,6 +34,8 @@ order-dependent step keeps the scalar's order.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["ColumnarMBRs", "first_least", "least_overlap_enlargement"]
 
@@ -79,7 +79,7 @@ def first_least(keys: list) -> int:
     return min(range(len(keys)), key=keys.__getitem__)
 
 
-def least_overlap_enlargement(np, lo, hi, rect_lo, rect_hi) -> int:
+def least_overlap_enlargement(lo, hi, rect_lo, rect_hi) -> int:
     """R*-tree ChooseSubtree above the leaves, one node in one pass.
 
     ``lo``/``hi`` are one node's ``(n, ndim)`` entry corners and

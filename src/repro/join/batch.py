@@ -64,8 +64,8 @@ level order.  The engine therefore runs in two phases:
    ``node_pair`` events come from the visit-counter range each step
    covers, skipped non-qualifying items included.
 
-Configurations the batch engine cannot express — no NumPy (so no
-arena), plane-sweep enumerations (different read order by design), custom
+Configurations the batch engine cannot express — trees without an
+arena, plane-sweep enumerations (different read order by design), custom
 predicates, checkpoint resume (cursors restore stack-machine
 iterators) — fall back to the stack machine, and the join says so
 (``fallback`` on its result and its ``join_start`` event, a
@@ -75,9 +75,10 @@ iterators) — fall back to the stack machine, and the join says so
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..exec import ExecutionGovernor
 from ..exec.budget import BudgetExceeded, Cancelled
-from ..geometry.arena import _get_numpy
 from ..reliability import FaultyPager
 from ..storage import AccessStats, MeteredReader
 from .predicates import JoinPredicate, Overlap, WithinDistance
@@ -103,17 +104,14 @@ def supports_level_batch(predicate: JoinPredicate,
                          pair_enumeration: str) -> str | None:
     """Why the batch engine cannot reproduce this configuration.
 
-    ``None`` — it can — requires the NumPy backend (else
-    ``"pure-python"``), a nested-loop or vectorized enumeration (else
-    ``"enumeration"``) and one of the built-in predicates (else
-    ``"predicate"``: a subclass could override the tests the kernels
-    mirror, so exact types only).  The reason is what the join records
-    as its ``fallback``; :func:`repro.join.select_traversal` adds the
-    two that depend on the trees and the run (``"no-arena"``,
-    ``"resume"``).
+    ``None`` — it can — requires a nested-loop or vectorized
+    enumeration (else ``"enumeration"``) and one of the built-in
+    predicates (else ``"predicate"``: a subclass could override the
+    tests the kernels mirror, so exact types only).  The reason is what
+    the join records as its ``fallback``;
+    :func:`repro.join.select_traversal` adds the two that depend on the
+    trees and the run (``"no-arena"``, ``"resume"``).
     """
-    if _get_numpy() is None:
-        return "pure-python"
     if pair_enumeration not in BATCH_PAIR_ENUMERATIONS:
         return "enumeration"
     if type(predicate) not in (Overlap, WithinDistance):
@@ -125,13 +123,13 @@ def tree_arena(tree):
     """The tree's :class:`~repro.geometry.TreeArena`, or ``None``.
 
     ``None`` — "run over the ``Rect`` objects" — is answered before any
-    page is read: without NumPy there is no arena, and a tree whose
-    pager injects faults is never probed (building or revalidating the
-    arena reads every node through that pager, consuming injector draws
-    the stack machine would not have issued).  So is a tree-like object
+    page is read: a tree whose pager injects faults is never probed
+    (building or revalidating the arena reads every node through that
+    pager, consuming injector draws the stack machine would not have
+    issued).  So is a tree-like object
     with no ``arena()`` accessor.
     """
-    if _get_numpy() is None or isinstance(tree.pager, FaultyPager):
+    if isinstance(tree.pager, FaultyPager):
         return None
     build = getattr(tree, "arena", None)
     return build() if build is not None else None
@@ -139,12 +137,11 @@ def tree_arena(tree):
 
 def arena_pair(tree1, tree2):
     """``((arena1, arena2), None)`` when both trees have an arena, else
-    ``(None, reason)``: ``"pure-python"`` without NumPy, ``"no-arena"``
-    when :func:`tree_arena` answered ``None`` for another reason."""
+    ``(None, "no-arena")``."""
     arena1, arena2 = tree_arena(tree1), tree_arena(tree2)
     if arena1 is not None and arena2 is not None:
         return (arena1, arena2), None
-    return None, "pure-python" if _get_numpy() is None else "no-arena"
+    return None, "no-arena"
 
 
 class _PageRef:
@@ -203,7 +200,7 @@ class _LevelPlan:
                  "crossed_total", "qual_total", "kernel_calls")
 
 
-def run_slots(np, offset, count):
+def run_slots(offset, count):
     """Arena slots of the runs ``offset[r] : offset[r] + count[r]``,
     concatenated in run order."""
     first = np.cumsum(count) - count
@@ -250,7 +247,6 @@ class LevelBatchState:
             raise ValueError(
                 f"level-batch traversal supports pair_enumeration in "
                 f"{BATCH_PAIR_ENUMERATIONS}, not {pair_enumeration!r}")
-        self.np = arena1.np
         self.vectorized = pair_enumeration == "vectorized"
         self.reader1 = reader1
         self.reader2 = reader2
@@ -307,7 +303,6 @@ class LevelBatchState:
     # -- phase 1: breadth-first frontier planning ---------------------------
 
     def _plan(self, root: _ReplayFrame) -> list[_LevelPlan]:
-        np = self.np
         governor = self.governor
         max_na = (governor.budget.max_na if governor is not None else None)
         na0 = self.stats.na()
@@ -372,13 +367,12 @@ class LevelBatchState:
         ``_step_r2_leaf``).  Planned nodes are never empty: only a root
         can be, and the driver opens no join on one.
         """
-        np = self.np
         mbrs = arena.node_mbrs.take(pages, axis=2)
         if at_leaves:
             return mbrs, mbrs, pages, np.ones(len(pages), dtype=np.int64)
         offset, count = arena.page_table
         cnt = count.take(pages)
-        slots = run_slots(np, offset.take(pages), cnt)
+        slots = run_slots(offset.take(pages), cnt)
         return (mbrs, arena._coords.take(slots, axis=2),
                 arena._refs.take(slots), cnt)
 
@@ -398,13 +392,12 @@ class LevelBatchState:
         columns, the visit each belongs to, its index within its node's
         run, and the survivors per visit.
         """
-        np = self.np
         frontier = len(cnt)
         visit = np.repeat(np.arange(frontier, dtype=np.int64), cnt)
         other = mbrs.take(visit, axis=2)
         sides = ((rects[0], rects[1], other[0], other[1]) if first
                  else (other[0], other[1], rects[0], rects[1]))
-        keep = np.nonzero(self.predicate.pair_mask(np, *sides)[0])[0]
+        keep = np.nonzero(self.predicate.pair_mask(*sides)[0])[0]
         visit = visit.take(keep)
         local = keep - (np.cumsum(cnt) - cnt).take(visit)
         return (rects.take(keep, axis=2), refs.take(keep), visit, local,
@@ -419,7 +412,6 @@ class LevelBatchState:
         in entry order, then NaN.  Every comparison with a NaN is
         false, so a padded slot fails every built-in mask.
         """
-        np = self.np
         shift = np.empty_like(first)
         shift[order] = at
         shift -= first
@@ -451,7 +443,6 @@ class LevelBatchState:
         (:meth:`_side`), whose j-major order is the internal node's
         entry order — what the stack machine's mixed frames iterate.
         """
-        np = self.np
         predicate = self.predicate
         frontier = len(pages1)
         pinned1, pinned2 = kind == "r1leaf", kind == "r2leaf"
@@ -511,7 +502,7 @@ class LevelBatchState:
                     2, -1, n, 1, a)
                 t2 = tiles2[:, :, o2 + row * b:o2 + (row + n) * b].reshape(
                     2, -1, n, b, 1)
-                mask, exact = predicate.pair_mask(np, t1[0], t1[1],
+                mask, exact = predicate.pair_mask(t1[0], t1[1],
                                                   t2[0], t2[1])
                 vv, j, i = np.nonzero(mask)
                 visit = order[row:row + n].take(vv)
@@ -520,7 +511,7 @@ class LevelBatchState:
                 kernel_calls += 9
                 if not exact and len(gi):
                     keep = np.array(predicate.confirm(
-                        np, rects1[0].take(gi, axis=1),
+                        rects1[0].take(gi, axis=1),
                         rects1[1].take(gi, axis=1),
                         rects2[0].take(gj, axis=1),
                         rects2[1].take(gj, axis=1)), dtype=bool)

@@ -15,7 +15,7 @@ thread or process pool over the tiles was slower than this loop
 profile against the traversal's revisit-heavy one
 (:func:`repro.optimizer.make_pbsm_join`).
 
-**Two engines, one contract.**  With NumPy, a predicate that has a
+**Two engines, one contract.**  With a predicate that has a
 :meth:`~repro.join.JoinPredicate.pair_mask` kernel and a buildable
 :class:`~repro.geometry.TreeArena` per tree, the whole pipeline after
 the charged page scan runs on the arenas' coordinate blocks: the scan
@@ -23,8 +23,8 @@ collects leaf *page ids*, the arena index turns them into one slot
 array per tree, the scatter replicates and sorts slots into CSR tile
 segments, and each segment pair is probed in place without a Python
 loop per opener (``docs/performance.md`` has the layout).  Everything
-else — pure Python, a kernel-less predicate, an arena that cannot be
-built — takes the scalar path over ``Entry`` lists, and says so: the
+else — a kernel-less predicate, an arena that cannot be built — takes
+the scalar path over ``Entry`` lists, and says so: the
 ``partition`` trace event carries ``engine`` and ``fallback``, and a
 ``pbsm.fallback.<reason>`` counter is bumped.  Both engines produce
 the same pair list *in the same order*, the same ``comparisons`` and
@@ -74,9 +74,10 @@ from __future__ import annotations
 import math
 from itertools import chain
 
+import numpy as np
+
 from ..exec import ExecutionGovernor
 from ..exec.config import ExecutionConfig
-from ..geometry.arena import _get_numpy
 from ..reliability import RetryPolicy
 from ..rtree import Entry, RTreeBase
 from ..storage import AccessStats, BufferManager, PathBuffer
@@ -132,7 +133,7 @@ class _Grid:
             return self.tiles[k] - 1
         return t
 
-    def tile_column(self, np, k: int, x):
+    def tile_column(self, k: int, x):
         t = ((x - self.origin[k]) / self.width[k]) \
             .astype(np.int64)                # trunc, as int() does
         return np.clip(t, 0, self.tiles[k] - 1, out=t)
@@ -205,11 +206,8 @@ def _select_engine(predicate: JoinPredicate, tree1, tree2):
     else ``(None, reason)`` — the reason the scalar path is taken:
     ``"no-pair-mask"`` for a predicate without a kernel (probed before
     any arena is built), else :func:`~repro.join.batch.arena_pair`'s."""
-    np = _get_numpy()
-    if np is None:
-        return None, "pure-python"
     empty = np.empty((tree1.ndim, 0), dtype=np.float64)
-    if predicate.pair_mask(np, empty, empty, empty, empty) is None:
+    if predicate.pair_mask(empty, empty, empty, empty) is None:
         return None, "no-pair-mask"
     return arena_pair(tree1, tree2)
 
@@ -217,15 +215,14 @@ def _select_engine(predicate: JoinPredicate, tree1, tree2):
 # -- arena engine: slot arrays, CSR tiles, loop-free tile sweep ------------
 
 
-def _leaf_slots(np, arena, leaves):
+def _leaf_slots(arena, leaves):
     """Arena slots of every entry of the scanned leaves, in scan order."""
     spans = [arena.index[node.page_id] for node in leaves]
-    return run_slots(np,
-                     np.array([s[0] for s in spans], dtype=np.int64),
+    return run_slots(np.array([s[0] for s in spans], dtype=np.int64),
                      np.array([s[1] for s in spans], dtype=np.int64))
 
 
-def _scatter_arena(np, grid: _Grid, slots, lo, hi, refs,
+def _scatter_arena(grid: _Grid, slots, lo, hi, refs,
                    inflate: float):
     """Replicate each slot into every tile its rectangle touches and
     sort the replicas into CSR tile segments.
@@ -236,9 +233,9 @@ def _scatter_arena(np, grid: _Grid, slots, lo, hi, refs,
     the occupied tiles ascending, and the ``len(tile_ids) + 1`` segment
     boundaries into ``replicas``.
     """
-    first = [grid.tile_column(np, k, lo[k] - inflate)
+    first = [grid.tile_column(k, lo[k] - inflate)
              for k in range(grid.axes)]
-    span = [grid.tile_column(np, k, hi[k] + inflate) - first[k] + 1
+    span = [grid.tile_column(k, hi[k] + inflate) - first[k] + 1
             for k in range(grid.axes)]
     count = span[0] if grid.axes == 1 else span[0] * span[1]
     total = int(count.sum())
@@ -266,13 +263,12 @@ def _partition_arena(arenas, leaves1, leaves2, axes: int,
     A task is ``(tile, slots1, slots2)`` — two sweep-ordered slices of
     the replica arrays.  ``None`` when either input is empty.
     """
-    np = arenas[0].np
     sides = []
     lo_bound = [math.inf] * axes
     hi_bound = [-math.inf] * axes
     for arena, leaves, inflate in ((arenas[0], leaves1, 0.0),
                                    (arenas[1], leaves2, slack)):
-        slots = _leaf_slots(np, arena, leaves)
+        slots = _leaf_slots(arena, leaves)
         if not len(slots):
             return None
         lo, hi = arena._coords[:, :axes].take(slots, axis=2)
@@ -284,7 +280,7 @@ def _partition_arena(arenas, leaves1, leaves2, axes: int,
                                tiles)
     grid = _make_grid(lo_bound, hi_bound, per_axis, slack)
     (rep1, ids1, off1), (rep2, ids2, off2) = (
-        _scatter_arena(np, grid, *side) for side in sides)
+        _scatter_arena(grid, *side) for side in sides)
     # Ascending tile id is row-major tile order, which keeps the pair
     # list deterministic; one-sided tiles cannot produce pairs.
     common, at1, at2 = np.intersect1d(ids1, ids2, assume_unique=True,
@@ -317,7 +313,6 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
     per-candidate tests, so their order changes neither the surviving
     pairs nor their order; ``comparisons`` counts every candidate.
     """
-    np = arenas[0].np
     coords1, coords2 = arenas[0]._coords, arenas[1]._coords
     lo1, hi1 = coords1.take(slots1, axis=2)      # tile-local blocks
     lo2, hi2 = coords2.take(slots2, axis=2)
@@ -357,19 +352,19 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
         idx1 = np.where(flipped, other, opener)
         idx2 = np.where(flipped, opener, other)
         mask, exact = predicate.pair_mask(
-            np, lo1.take(idx1, axis=1), hi1.take(idx1, axis=1),
+            lo1.take(idx1, axis=1), hi1.take(idx1, axis=1),
             lo2.take(idx2, axis=1), hi2.take(idx2, axis=1))
         idx1, idx2 = idx1[mask], idx2[mask]
         keep = None
         for k in range(grid.axes):
             ref = np.maximum(lo1[k].take(idx1),
                              lo2[k].take(idx2) - slack)
-            m = grid.tile_column(np, k, ref) == tile[k]
+            m = grid.tile_column(k, ref) == tile[k]
             keep = m if keep is None else keep & m
         idx1, idx2 = idx1[keep], idx2[keep]
         if not exact and len(idx1):
             keep = np.array(predicate.confirm(
-                np, lo1.take(idx1, axis=1), hi1.take(idx1, axis=1),
+                lo1.take(idx1, axis=1), hi1.take(idx1, axis=1),
                 lo2.take(idx2, axis=1), hi2.take(idx2, axis=1)),
                 dtype=bool)
             idx1, idx2 = idx1[keep], idx2[keep]

@@ -45,6 +45,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from ..rtree import Entry
 
 __all__ = ["sweep_pairs", "sweep_pairs_batch", "nested_loop_pairs"]
@@ -115,9 +117,7 @@ def sweep_pairs_batch(entries1: list[Entry], entries2: list[Entry],
     Identical yields, order included, to :func:`sweep_pairs` — the sort
     happens via one ``lexsort`` per side and each opener's partner range
     is located with a single binary search (``searchsorted``) instead of
-    a Python comparison per partner.  Falls back to the scalar sweep
-    when NumPy is unavailable (the fallback exists for correctness, not
-    speed).
+    a Python comparison per partner.
 
     ``cols1``/``cols2`` optionally hand over the entries' columnar MBR
     views (tree-arena slices): the sweep-axis coordinates are then read
@@ -126,10 +126,7 @@ def sweep_pairs_batch(entries1: list[Entry], entries2: list[Entry],
     from the ``Rect`` objects.  A view is ignored unless it matches the
     entry count.
     """
-    from ..geometry.arena import _get_numpy
-    np = _get_numpy()
-    if np is None or not entries1 or not entries2:
-        yield from sweep_pairs(entries1, entries2, axis, slack)
+    if not entries1 or not entries2:
         return
 
     def prepare(entries, cols):

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..geometry import Rect
 
 __all__ = ["JoinPredicate", "Overlap", "WithinDistance", "OVERLAP"]
@@ -60,7 +62,7 @@ class JoinPredicate:
         """
         return 0.0
 
-    def pair_mask(self, np, lo1, hi1, lo2, hi2):
+    def pair_mask(self, lo1, hi1, lo2, hi2):
         """The batched test: a boolean mask over rectangle pairs.
 
         ``lo1[k]``/``hi1[k]`` (and the ``2`` side) are the float64
@@ -93,7 +95,7 @@ class JoinPredicate:
         """
         return None
 
-    def confirm(self, np, lo1, hi1, lo2, hi2) -> list[bool]:
+    def confirm(self, lo1, hi1, lo2, hi2) -> list[bool]:
         """Exact verdicts for the survivors of an inexact mask.
 
         The operands are aligned ``(ndim, n)`` blocks, one column per
@@ -114,7 +116,7 @@ class Overlap(JoinPredicate):
     def leaf_test(self, r1: Rect, r2: Rect) -> bool:
         return r1.intersects(r2)
 
-    def pair_mask(self, np, lo1, hi1, lo2, hi2):
+    def pair_mask(self, lo1, hi1, lo2, hi2):
         # Closed-box intersection vectorizes exactly (comparisons only).
         mask = lo1[0] <= hi2[0]
         mask &= lo2[0] <= hi1[0]
@@ -155,7 +157,7 @@ class WithinDistance(JoinPredicate):
         # slack d keeps every qualifying pair inside the sweep window.
         return self.distance
 
-    def pair_mask(self, np, lo1, hi1, lo2, hi2):
+    def pair_mask(self, lo1, hi1, lo2, hi2):
         # exact=False: see the base docstring.  Two accumulated
         # comparisons per axis are the mask ``maximum(a, b) <= d`` is (a
         # NaN fails both) with half the temporaries alive.
@@ -167,10 +169,10 @@ class WithinDistance(JoinPredicate):
             mask &= (lo2[k] - hi1[k]) <= d
         return mask, False
 
-    def confirm(self, np, lo1, hi1, lo2, hi2) -> list[bool]:
+    def confirm(self, lo1, hi1, lo2, hi2) -> list[bool]:
         # Exact type only: a subclass may have redefined leaf_test.
         if type(self) is not WithinDistance:
-            return super().confirm(np, lo1, hi1, lo2, hi2)
+            return super().confirm(lo1, hi1, lo2, hi2)
         # Rect.min_distance bit for bit: ``-`` and ``max`` are exact,
         # and the sign of a zero gap is invisible to hypot.
         gaps = np.maximum(np.maximum(lo1 - hi2, lo2 - hi1), 0.0)

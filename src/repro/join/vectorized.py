@@ -6,9 +6,9 @@ The SJ traversal of Figure 2 spends its CPU time testing the
 join predicate in one batched kernel over the nodes' columnar MBR
 views (their :meth:`repro.geometry.TreeArena.slice`) and yields **only
 the qualifying pairs, already tested** — the traversal skips its
-per-pair predicate call entirely.  Without the views (no NumPy, or a
-tree with no arena) the same block is tested scalar-side: same yields,
-same order, same accounting.  The kernel is the predicate's
+per-pair predicate call entirely.  Without the views (a tree with no
+arena) the same block is tested scalar-side: same yields, same order,
+same accounting.  The kernel is the predicate's
 :meth:`~repro.join.JoinPredicate.pair_mask` — the one the level-batch
 planner and the PBSM tile probe call.
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from ..geometry.arena import _get_numpy
 from ..rtree import Entry
 from .predicates import JoinPredicate
 
@@ -69,7 +68,7 @@ def vectorized_pairs(node1: "Node", node2: "Node",
         # (ndim, 1, |n1|) against (ndim, |n2|, 1): the mask is
         # (|n2|, |n1|), so its row-major nonzero() is already j-major.
         block = predicate.pair_mask(
-            _get_numpy(), cols1.lo.T[:, None, :], cols1.hi.T[:, None, :],
+            cols1.lo.T[:, None, :], cols1.hi.T[:, None, :],
             cols2.lo.T[:, :, None], cols2.hi.T[:, :, None])
     if block is None:
         n1 = len(entries1)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
+import numpy as np
+
 from ..geometry import Rect
-from ..geometry.arena import _get_numpy
 from ..geometry.columnar import first_least, least_overlap_enlargement
 from .entry import Entry
 from .node import Node
@@ -50,37 +51,11 @@ class RStarTree(RTreeBase):
     def _choose_subtree(self, node: Node, rect: Rect) -> int:
         if node.level != 2:
             return self._least_area_enlargement(node, rect)
-        np = _get_numpy()
-        if np is None:
-            return self._least_overlap_enlargement(node, rect)
         # One node as a column block, rebuilt per call: O(M) against
         # the kernel's O(M^2), and nothing to keep in step with the node.
         block = np.array([e.rect.lo + e.rect.hi for e in node.entries])
         return least_overlap_enlargement(
-            np, block[:, :self.ndim], block[:, self.ndim:],
-            rect.lo, rect.hi)
-
-    @staticmethod
-    def _least_overlap_enlargement(node: Node, rect: Rect) -> int:
-        """Minimal increase of overlap with siblings (BKSS90 §4.1).
-
-        The scalar definition: what a host without NumPy runs, and what
-        :func:`~repro.geometry.columnar.least_overlap_enlargement` must
-        answer bit for bit.
-        """
-        rects = [e.rect for e in node.entries]
-        keys = []
-        for i, old in enumerate(rects):
-            new = old.union(rect)
-            delta = 0.0
-            for j, other in enumerate(rects):
-                if j == i:
-                    continue
-                delta += (new.intersection_area(other)
-                          - old.intersection_area(other))
-            area = old.area()
-            keys.append((delta, new.area() - area, area))
-        return first_least(keys)
+            block[:, :self.ndim], block[:, self.ndim:], rect.lo, rect.hi)
 
     # -- overflow: forced reinsertion, then split ---------------------------------
 

@@ -336,9 +336,9 @@ class RTreeBase:
         place.  The cache is invalidated by the tree's own mutation
         counter *and* by the mutation-counting entry lists: any
         ``insert``/``delete``, and any direct entry mutation a test may
-        perform, forces a rebuild on next call.  Raises
-        :class:`RuntimeError` without NumPy; join code asks
-        :func:`repro.join.tree_arena`, which answers ``None`` instead.
+        perform, forces a rebuild on next call.  Join code asks
+        :func:`repro.join.tree_arena`, which answers ``None`` for a tree
+        whose pages may fault.
         """
         self._refresh()
         if self._arena is None:

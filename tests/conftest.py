@@ -8,9 +8,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.estimator import have_numpy
 from repro.exec import ExecutionConfig
 from repro.geometry import Rect
+from repro.geometry.columnar import first_least
 from repro.rtree import GuttmanRTree, RStarTree
 
 #: One config per pair enumeration, for the tests that compare the stack
@@ -23,37 +23,49 @@ VECTORIZED_SWEEP = NESTED_LOOP.with_options(
     pair_enumeration="vectorized-sweep")
 
 
-#: For tests of the arena and the kernels that read it: there is none
-#: without NumPy (not installed, or ``REPRO_PURE_PYTHON`` set).
-needs_numpy = pytest.mark.skipif(not have_numpy(),
-                                 reason="no arena without NumPy")
+def least_overlap_enlargement(node, rect) -> int:
+    """Minimal increase of overlap with siblings (BKSS90 §4.1).
+
+    The scalar definition of R*-tree ChooseSubtree above the leaves:
+    what :func:`repro.geometry.columnar.least_overlap_enlargement` must
+    answer bit for bit.
+    """
+    rects = [e.rect for e in node.entries]
+    keys = []
+    for i, old in enumerate(rects):
+        new = old.union(rect)
+        delta = 0.0
+        for j, other in enumerate(rects):
+            if j == i:
+                continue
+            delta += (new.intersection_area(other)
+                      - old.intersection_area(other))
+        area = old.area()
+        keys.append((delta, new.area() - area, area))
+    return first_least(keys)
 
 
 @contextmanager
-def backend(pure_python: bool):
-    """Force the scalar engine (or allow the NumPy one) for a block.
+def reference_choose_subtree(enabled: bool = True):
+    """Build R*-trees with :func:`least_overlap_enlargement` in place of
+    the kernel for a block (a no-op when not ``enabled``)."""
+    kernel = RStarTree._choose_subtree
 
-    The switch is read per call, so plain env manipulation is enough
-    and plays well with ``@given``; the previous value is restored, so
-    the ``REPRO_PURE_PYTHON=1`` leg stays on its leg afterwards.
-    """
-    previous = os.environ.get("REPRO_PURE_PYTHON")
-    if pure_python:
-        os.environ["REPRO_PURE_PYTHON"] = "1"
-    else:
-        os.environ.pop("REPRO_PURE_PYTHON", None)
-    try:
+    def choose(tree, node, rect):
+        if node.level != 2:
+            return kernel(tree, node, rect)
+        return least_overlap_enlargement(node, rect)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if enabled:
+            patch.setattr(RStarTree, "_choose_subtree", choose)
         yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_PURE_PYTHON", None)
-        else:
-            os.environ["REPRO_PURE_PYTHON"] = previous
 
 
-#: ``backend(pure_python=...)`` arguments for a test that runs under both.
-BOTH_BACKENDS = [pytest.param(True, id="scalar"),
-                 pytest.param(False, id="numpy", marks=needs_numpy)]
+#: ``reference_choose_subtree(...)`` arguments for a test that builds
+#: its trees both ways.
+CHOOSE_SUBTREE = [pytest.param(True, id="scalar"),
+                  pytest.param(False, id="numpy")]
 
 
 def arena_segments() -> list[str]:

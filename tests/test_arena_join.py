@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.estimator import have_numpy
 from repro.exec import Budget, ExecutionConfig, ExecutionGovernor
 from repro.exec.checkpoint import _canonical
 from repro.geometry import Rect
@@ -23,7 +22,6 @@ from repro.rtree import RStarTree, share_tree
 from repro.rtree.arena_view import ArenaTreeView
 
 from .conftest import arena_segments as _segments
-from .conftest import needs_numpy
 
 
 def _tree(n: int, seed: int, side: float = 0.04) -> RStarTree:
@@ -48,14 +46,13 @@ def test_arena_backed_kernels_match_nested_loop(trees):
     for enum in ("vectorized", "vectorized-sweep"):
         got = spatial_join(
             t1, t2, config=fig2.with_options(pair_enumeration=enum))
-        assert got.fallback == (None if have_numpy() else "pure-python")
+        assert got.fallback is None
         assert sorted(got.pairs) == sorted(baseline.pairs)
         assert got.na_total == baseline.na_total
         if enum == "vectorized":         # sweeps shift buffer hits
             assert got.da_total == baseline.da_total
 
 
-@needs_numpy
 def test_arena_view_join_equals_tree_join(trees):
     t1, t2 = trees
     want = spatial_join(t1, t2)
@@ -106,9 +103,7 @@ def test_process_join_matches_serial(trees, export_works, monkeypatch):
         [s.as_dict() for s in serial.worker_stats]
     assert _segments() == []
     start, = [r for r in sink.records if r["event"] == "join_start"]
-    if not have_numpy():
-        want = ("pickle", "pure-python")
-    elif export_works:
+    if export_works:
         want = ("shared-memory", None)
     else:
         want = ("pickle", "export-failed")
@@ -126,7 +121,6 @@ def test_process_join_cleans_segments_on_failure(trees):
     assert _segments() == []
 
 
-@needs_numpy
 def test_closed_lease_is_idempotent_and_unlinks(trees):
     t1, _ = trees
     handle, lease = share_tree(t1)
@@ -155,7 +149,6 @@ def test_checkpoint_bytes_identical_on_arena_backed_trees(trees):
     assert first_checkpoint(fig2) == plain
 
 
-@needs_numpy
 def test_pickled_tree_sheds_arena_state(trees):
     import pickle
     t1, _ = trees

@@ -18,6 +18,7 @@ when it is replaced.
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.exec import ExecutionConfig
@@ -25,10 +26,6 @@ from repro.geometry import Rect
 from repro.join import spatial_join
 from repro.rtree import RStarTree, hilbert_pack, str_pack
 from repro.rtree.node import Entry
-
-from .conftest import needs_numpy
-
-pytestmark = needs_numpy
 
 BATCH = ExecutionConfig(traversal="level-batch")
 STACK = ExecutionConfig(traversal="stack")
@@ -149,7 +146,7 @@ def test_empty_root_has_no_mbr():
     assert arena.total == 0
     assert arena.node_mbrs.shape == (2, 2, len(arena.page_table[0]))
     assert not arena.page_table[1].any()
-    assert arena.np.isnan(arena.node_mbrs).all()
+    assert np.isnan(arena.node_mbrs).all()
 
 
 # -- insert / delete ----------------------------------------------------------

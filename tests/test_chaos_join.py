@@ -9,7 +9,6 @@ retry overhead bounded and separately accounted.  Deselect with
 
 import pytest
 
-from repro.estimator import have_numpy
 from repro.exec import ExecutionConfig
 from repro.join import spatial_join
 from repro.reliability import (FaultInjector, FaultyPager,
@@ -55,7 +54,7 @@ class TestChaosJoin:
             injected = injector.counts.transients - before
 
             assert (chaotic.engine, chaotic.fallback) == (
-                "stack", "no-arena" if have_numpy() else "pure-python")
+                "stack", "no-arena")
             # Bit-identical result set.
             assert sorted(chaotic.pairs) == sorted(baseline.pairs)
             # NA/DA counts excluding retries match exactly, per

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import main
-from repro.estimator import have_numpy
 
 
 def run(capsys, *argv):
@@ -83,9 +82,8 @@ class TestBuildJoinEstimate:
         assert "result pairs:" in out
         assert "node accesses NA:" in out
         assert "analytical:" in out
-        # No engine flags: the fast engine runs, or the join says why not.
-        assert ("engine=level-batch" if have_numpy()
-                else "engine=stack (fallback=pure-python)") in out
+        # No engine flags: the fast engine runs.
+        assert "engine=level-batch" in out
 
     def test_join_buffer_specs(self, two_trees, capsys):
         for spec in ("none", "path", "lru:16"):
@@ -243,7 +241,7 @@ class TestBuildJoinEstimate:
         assert code == 0
         assert "wrote 2 estimates" in out
         payload = json.loads(out_file.read_text())
-        assert payload["backend"] in ("numpy", "python")
+        assert set(payload) == {"mixed_height_mode", "results"}
         assert len(payload["results"]) == 2
         first, second = payload["results"]
         assert first["na"] > 0 and "range_na" in first
@@ -620,8 +618,7 @@ class TestGovernorCli:
 
 class TestEngineDifferential:
     """The same governed CLI join on level-batch and on the Fig. 2
-    machine.  (Without NumPy both runs are the stack machine and it
-    still must hold.)"""
+    machine."""
 
     @pytest.fixture
     def two_trees(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Batch estimation: grids through `estimate_batch`, both backends."""
+"""Batch estimation: grids through `estimate_batch`."""
 
 import json
 
@@ -10,20 +10,8 @@ from repro.costmodel.join_na import join_na_breakdown
 from repro.costmodel.range_query import range_query_na
 from repro.costmodel.selectivity import join_selectivity_pairs
 from repro.estimator import (EstimateRequest, ParamCache, estimate_batch,
-                             have_numpy, range_na_batch)
+                             range_na_batch)
 from repro.reliability import ModelDomainError
-
-BACKENDS = ["python"] + (["numpy"] if have_numpy() else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Run a test under each available backend."""
-    if request.param == "python":
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-    else:
-        monkeypatch.delenv("REPRO_PURE_PYTHON", raising=False)
-    return request.param
 
 
 def _grid() -> list[EstimateRequest]:
@@ -40,10 +28,9 @@ def _grid() -> list[EstimateRequest]:
     return reqs
 
 
-def test_batch_matches_scalar_reference(backend):
+def test_batch_matches_scalar_reference():
     reqs = _grid()
     res = estimate_batch(reqs, mixed_height_mode="paper")
-    assert res.backend == backend
     assert res.mixed_height_mode == "paper"
     assert len(res) == len(reqs)
     for i, r in enumerate(reqs):
@@ -70,19 +57,7 @@ def test_batch_matches_scalar_reference(backend):
             assert res.range_na[i] == range_query_na(p1, w)
 
 
-@pytest.mark.skipif(not have_numpy(), reason="NumPy unavailable")
-def test_backends_bit_identical(monkeypatch):
-    reqs = _grid()
-    fast = estimate_batch(reqs)
-    monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-    slow = estimate_batch(reqs)
-    assert fast.backend == "numpy" and slow.backend == "python"
-    for field in ("na", "da", "da_left", "da_right", "da_swapped",
-                  "selectivity", "range_na", "height1", "height2"):
-        assert getattr(fast, field) == getattr(slow, field)
-
-
-def test_accepts_dict_requests(backend):
+def test_accepts_dict_requests():
     res = estimate_batch([
         {"n1": 1000, "d1": 0.5, "n2": 2000, "d2": 0.4},
         {"n1": 500, "d1": 0.2, "n2": 500, "d2": 0.2,
@@ -93,7 +68,7 @@ def test_accepts_dict_requests(backend):
     assert res.range_na[0] is None and res.range_na[1] is not None
 
 
-def test_records_are_json_safe(backend):
+def test_records_are_json_safe():
     res = estimate_batch(_grid())
     records = res.as_records()
     text = json.dumps(records)
@@ -103,10 +78,13 @@ def test_records_are_json_safe(backend):
     assert "range_na" in parsed[0] and "range_na" not in parsed[1]
 
 
-def test_empty_batch(backend):
-    res = estimate_batch([])
+def test_empty_batch():
+    res = estimate_batch([], mixed_height_mode="paper")
     assert len(res) == 0
+    assert res.mixed_height_mode == "paper"
     assert res.as_records() == []
+    assert (res.na, res.da, res.selectivity, res.range_na) == ([],) * 4
+    assert range_na_batch([], []) == []
 
 
 @pytest.mark.parametrize("record, match", [
@@ -123,14 +101,14 @@ def test_empty_batch(backend):
     ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5, "window": [0.1]},
      "window"),
 ])
-def test_validation_names_the_row(backend, record, match):
+def test_validation_names_the_row(record, match):
     good = {"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5}
     with pytest.raises(ModelDomainError, match=match) as exc:
         estimate_batch([good, record])
     assert "request 1" in str(exc.value)
 
 
-def test_bad_mode_and_bad_fields(backend):
+def test_bad_mode_and_bad_fields():
     good = {"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5}
     with pytest.raises(ValueError, match="mixed_height_mode"):
         estimate_batch([good], mixed_height_mode="bogus")
@@ -140,7 +118,7 @@ def test_bad_mode_and_bad_fields(backend):
         estimate_batch([{"n1": 10, "d1": 0.5}])
 
 
-def test_range_na_batch(backend):
+def test_range_na_batch():
     trees = [AnalyticalTreeParams(10_000, 0.5, 50, 2),
              AnalyticalTreeParams(60_000, 0.2, 24, 2),
              (3000, 0.7, 16, 2, 0.67)]

@@ -1,8 +1,8 @@
 """Property tests: the batch engine agrees with the scalar reference
-formulas to 1e-12 absolute, on every backend, over the full domain."""
+formulas to 1e-12 absolute, over the full domain."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel import AnalyticalTreeParams
@@ -79,18 +79,6 @@ def test_batch_matches_scalar_reference(reqs, mode):
     _assert_rows_match(estimate_batch(reqs, mode), reqs, mode)
 
 
-# The env var is constant across examples, so the fixture resetting
-# once per test (not per example) is exactly what we want.
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(reqs=st.lists(requests(), min_size=1, max_size=6), mode=modes)
-def test_pure_python_matches_scalar_reference(reqs, mode, monkeypatch):
-    monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-    result = estimate_batch(reqs, mode)
-    assert result.backend == "python"
-    _assert_rows_match(result, reqs, mode)
-
-
 BOUNDARY_GRID = [
     # check_model_params boundaries: N=1 (degenerate single-object
     # tree), fill=1.0 (c*M == M), cM barely above 1, zero density,
@@ -115,12 +103,5 @@ BOUNDARY_GRID = [
 
 @pytest.mark.parametrize("mode", ["traversal", "paper"])
 def test_boundary_grid(mode):
-    _assert_rows_match(estimate_batch(BOUNDARY_GRID, mode),
-                       BOUNDARY_GRID, mode)
-
-
-@pytest.mark.parametrize("mode", ["traversal", "paper"])
-def test_boundary_grid_pure_python(mode, monkeypatch):
-    monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
     _assert_rows_match(estimate_batch(BOUNDARY_GRID, mode),
                        BOUNDARY_GRID, mode)

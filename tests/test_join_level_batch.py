@@ -11,7 +11,6 @@ and that a priced plan executes on the engine the config names.
 import pytest
 
 from repro.datasets import uniform_rectangles
-from repro.estimator import have_numpy
 from repro.exec import (TRAVERSALS, Budget, ExecutionConfig,
                         ExecutionGovernor)
 from repro.exec.checkpoint import _canonical
@@ -27,8 +26,7 @@ from repro.optimizer import (Catalog, IndexScanPlan, execute_plan,
 from repro.rtree import share_tree, str_pack
 from repro.storage import AccessStats
 
-from .conftest import build_rstar, make_items, needs_numpy
-from .test_property_vectorized import force_backend
+from .conftest import build_rstar, make_items
 
 BATCH = ExecutionConfig(traversal="level-batch")
 STACK = ExecutionConfig(traversal="stack")
@@ -61,30 +59,22 @@ class TestSelection:
         with pytest.raises(ValueError, match="traversal"):
             ExecutionConfig(traversal="magic")
 
-    @needs_numpy
     def test_level_batch_config_selects_batch_engine(self, trees):
         assert isinstance(_state(*trees), LevelBatchState)
 
     def test_default_config_selects_batch_engine(self, trees):
-        """``ExecutionConfig()`` runs level-batch with NumPy, and says
-        why it could not without."""
+        """``ExecutionConfig()`` runs level-batch."""
         state = _state(*trees, config=ExecutionConfig())
         result = spatial_join(*trees, config=ExecutionConfig())
-        if have_numpy():
-            assert isinstance(state, LevelBatchState)
-            want = ("level-batch", None)
-        else:
-            assert isinstance(state, _TraversalState)
-            want = ("stack", "pure-python")
-        assert (state.engine, state.fallback) == want
-        assert (result.engine, result.fallback) == want
+        assert isinstance(state, LevelBatchState)
+        assert (state.engine, state.fallback) == ("level-batch", None)
+        assert (result.engine, result.fallback) == ("level-batch", None)
 
     def test_stack_config_selects_stack(self, trees):
         state = _state(*trees, config=STACK)
         assert isinstance(state, _TraversalState)
         assert (state.engine, state.fallback) == ("stack", None)
 
-    @needs_numpy
     def test_arena_view_selects_batch_engine(self, trees):
         t1, _t2 = trees
         h, lease = share_tree(t1)
@@ -109,13 +99,6 @@ class TestFallback:
         assert (start["engine"], start["fallback"]) == ("stack", reason)
         assert counters[f"join.fallback.{reason}"] == 1
 
-    def test_pure_python_falls_back(self, trees):
-        with force_backend("python"):
-            assert supports_level_batch(Overlap(), "nested-loop") \
-                == "pure-python"
-            self._assert_fell_back(trees, "pure-python")
-
-    @needs_numpy
     @pytest.mark.parametrize("enum", ["plane-sweep", "vectorized-sweep"])
     def test_plane_sweeps_fall_back(self, trees, enum):
         assert supports_level_batch(Overlap(), enum) == "enumeration"
@@ -123,7 +106,6 @@ class TestFallback:
             trees, "enumeration",
             config=BATCH.with_options(pair_enumeration=enum))
 
-    @needs_numpy
     def test_predicate_subclass_falls_back(self, trees):
         class Narrower(Overlap):          # could override leaf_test
             pass
@@ -133,12 +115,10 @@ class TestFallback:
         assert supports_level_batch(WithinDistance(0.1),
                                     "vectorized") is None
 
-    @needs_numpy
     def test_tree_without_arena_falls_back(self, trees, monkeypatch):
         monkeypatch.setattr(trees[0], "arena", None)   # shadows the builder
         self._assert_fell_back(trees, "no-arena")
 
-    @needs_numpy
     def test_resume_always_uses_stack_machine(self, trees):
         t1, t2 = trees
         gov = ExecutionGovernor(Budget(max_na=10), partial=True)
@@ -156,7 +136,6 @@ class TestFallback:
             == ("stack", "resume")
         assert metrics.as_dict()["counters"]["join.fallback.resume"] == 1
 
-    @needs_numpy
     def test_the_engine_asked_for_is_not_a_fallback(self, trees):
         for config, engine in ((BATCH, "level-batch"), (STACK, "stack")):
             start, counters = _recorded(*trees, config=config)
@@ -164,7 +143,6 @@ class TestFallback:
             assert not [c for c in counters
                         if c.startswith("join.fallback.")]
 
-    @needs_numpy
     @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
     def test_parallel_join_records_it_too(self, trees, mode):
         sink, metrics = MemorySink(), MetricsRegistry()
@@ -179,7 +157,6 @@ class TestFallback:
         assert counters["join.fallback.enumeration"] == 1
 
 
-@needs_numpy
 class TestObservability:
     def test_metrics_and_trace_events(self, trees):
         t1, t2 = trees
@@ -262,7 +239,6 @@ def _lattice(step, side, shift=0.0, points=False):
     return [(rect, oid) for oid, rect in enumerate(rects)]
 
 
-@needs_numpy
 class TestRestrictionEdge:
     """The planner crosses only the entries that reach the other node's
     MBR.  The property suite draws touching rectangles by chance; here
@@ -364,8 +340,7 @@ class TestOptimizerPassThrough:
                 plan, trees, config=config, tracer=Tracer(sink))
             start, = [r for r in sink.records
                       if r["event"] == "join_start"]
-            assert start["engine"] == (
-                config.traversal if have_numpy() else "stack")
+            assert start["engine"] == config.traversal
         stack, batch = runs["stack"], runs["level-batch"]
         assert batch.key_set() == stack.key_set()
         assert batch.na_total == stack.na_total

@@ -125,14 +125,6 @@ class TestSweepDeterminism:
         assert list(sweep_pairs_batch([], e)) == []
         assert list(sweep_pairs_batch(e, [])) == []
 
-    def test_batch_pure_python_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        e1, e2 = tied_entries(), tied_entries()
-        scalar = [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)]
-        batch = [(a.ref, b.ref)
-                 for a, b, _c in sweep_pairs_batch(e1, e2)]
-        assert batch == scalar
-
 
 class TestNestedLoopPairs:
     def test_full_cross_product_in_paper_order(self):

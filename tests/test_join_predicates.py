@@ -1,14 +1,12 @@
 """Join predicates."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.estimator.backend import get_numpy
 from repro.geometry import Rect
 from repro.join import OVERLAP, Overlap, WithinDistance
-
-from .conftest import needs_numpy
 
 
 class TestOverlap:
@@ -93,7 +91,6 @@ def _point(*xs):
     return Rect(xs, xs)
 
 
-@needs_numpy
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.integers(1, 3).flatmap(lambda ndim: st.lists(
            st.tuples(_rect(ndim), _rect(ndim)), min_size=1, max_size=12)),
@@ -123,7 +120,6 @@ def test_confirm_is_the_scalar_leaf_test(pairs, distance):
     pair, the verdict ``leaf_test`` gives over the rectangles — for
     ``WithinDistance`` through its array form of ``min_distance``, for
     a subclass (which may redefine the test) through the default."""
-    np = get_numpy()
 
     class Halved(WithinDistance):
         def leaf_test(self, r1, r2):
@@ -133,11 +129,10 @@ def test_confirm_is_the_scalar_leaf_test(pairs, distance):
               for side in zip(*pairs)
               for corner in (lambda r: r.lo, lambda r: r.hi)]
     for predicate in (WithinDistance(distance), Halved(distance)):
-        assert predicate.confirm(np, *blocks) == [
+        assert predicate.confirm(*blocks) == [
             predicate.leaf_test(r1, r2) for r1, r2 in pairs]
 
 
-@needs_numpy
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("predicate", [Overlap(), WithinDistance(0.0),
                                        WithinDistance(1e300)], ids=repr)
@@ -147,11 +142,10 @@ def test_nan_operand_fails_the_mask(predicate, ndim):
     the NaN padding of the level-batch planner's tiles never qualifies.
     Operands broadcast as the planner's do: ``(V, 1, A)`` against
     ``(V, B, 1)``, here with every real pair touching or overlapping."""
-    np = get_numpy()
     shapes = ((ndim, 2, 1, 3), (ndim, 2, 3, 1))
     corners = [np.zeros(shapes[0]), np.ones(shapes[0]),
                np.ones(shapes[1]), np.full(shapes[1], 2.0)]
-    mask, _exact = predicate.pair_mask(np, *corners)
+    mask, _exact = predicate.pair_mask(*corners)
     assert mask.shape == (2, 3, 3) and mask.all()
     for operand in range(4):
         for k in range(ndim):
@@ -159,7 +153,7 @@ def test_nan_operand_fails_the_mask(predicate, ndim):
             # One slot of one visit on this side, one axis.
             blocks[operand][(k, 1, 0, 2) if operand < 2 else (k, 1, 2, 0)] \
                 = np.nan
-            mask, _exact = predicate.pair_mask(np, *blocks)
+            mask, _exact = predicate.pair_mask(*blocks)
             want = np.ones((2, 3, 3), dtype=bool)
             if operand < 2:
                 want[1, :, 2] = False

@@ -4,13 +4,13 @@ The contract under test is the one ``docs/performance.md`` documents:
 ``pair_enumeration="vectorized"`` must produce the *identical* pair
 list, NA, and DA as the paper's nested loops — the batching is a pure
 CPU optimisation, invisible to the I/O model — whether the kernels read
-arena slices or, with no arena (no NumPy), the same block is tested
-scalar-side.
+arena slices or, with no arena (a pager that may fault), the same block
+is tested scalar-side.
 """
 
+import numpy as np
 import pytest
 
-from repro.estimator.backend import get_numpy, have_numpy
 from repro.exec import Budget, ExecutionGovernor
 from repro.geometry import Rect, TreeArena
 from repro.join import (OVERLAP, SpatialJoin, WithinDistance, naive_join,
@@ -19,8 +19,7 @@ from repro.join.predicates import JoinPredicate
 from repro.rtree import Entry, Node
 from repro.storage import PathBuffer
 
-from .conftest import (NESTED_LOOP, VECTORIZED, build_rstar, make_items,
-                       needs_numpy)
+from .conftest import NESTED_LOOP, VECTORIZED, build_rstar, make_items
 
 
 def node_of(rects, page_id=0, level=1):
@@ -35,12 +34,11 @@ def kernel_pairs(predicate, r1, r2):
     mask's row-major ``nonzero()`` is the j-major order), and aligned
     columns gathered j-major over the full cross product (the
     level-batch planner, the PBSM probe).  The shapes must agree."""
-    np = get_numpy()
     nodes = [node_of(r1, page_id=0), node_of(r2, page_id=1)]
     arena = TreeArena.build(nodes, 2)
     cols1, cols2 = (arena.slice(node.page_id) for node in nodes)
     mask, exact = predicate.pair_mask(
-        np, cols1.lo.T[:, None, :], cols1.hi.T[:, None, :],
+        cols1.lo.T[:, None, :], cols1.hi.T[:, None, :],
         cols2.lo.T[:, :, None], cols2.hi.T[:, :, None])
     assert mask.shape == (len(r2), len(r1))
     jj, ii = mask.nonzero()
@@ -49,7 +47,7 @@ def kernel_pairs(predicate, r1, r2):
     t = np.arange(len(r1) * len(r2))
     gi, gj = t % len(r1), t // len(r1)
     aligned, aligned_exact = predicate.pair_mask(
-        np, cols1.lo.T[:, gi], cols1.hi.T[:, gi],
+        cols1.lo.T[:, gi], cols1.hi.T[:, gi],
         cols2.lo.T[:, gj], cols2.hi.T[:, gj])
     q = aligned.nonzero()[0]
     assert list(zip(gi[q].tolist(), gj[q].tolist())) == broadcast
@@ -57,7 +55,6 @@ def kernel_pairs(predicate, r1, r2):
     return broadcast, exact
 
 
-@needs_numpy
 class TestOverlapPairs:
     """``Overlap.pair_mask`` is ``Rect.intersects``, exactly."""
 
@@ -86,7 +83,6 @@ class TestOverlapPairs:
         assert kernel_pairs(OVERLAP, [point], [box, away])[0] == [(0, 0)]
 
 
-@needs_numpy
 class TestDistanceCandidatePairs:
     """``WithinDistance.pair_mask`` is a superset of ``min_distance <=
     d`` (it tests the L-inf box) and says so: ``exact`` is False."""
@@ -119,8 +115,8 @@ class _NoKernel(JoinPredicate):
 
 
 class TestVectorizedPairs:
-    """Every case runs on both inputs: the kernel over arena slices
-    (with NumPy) and the no-arena scalar-side block.  Yields, order and
+    """Every case runs on both inputs: the kernel over arena slices and
+    the no-arena scalar-side block.  Yields, order and
     costs must be the same."""
 
     def reference(self, n1, n2, predicate, leaf):
@@ -132,12 +128,11 @@ class TestVectorizedPairs:
         """``[(ref1, ref2, cost), ...]``, equal with and without slices."""
         no_arena = [(a.ref, b.ref, c) for a, b, c
                     in vectorized_pairs(n1, n2, predicate, leaf)]
-        if have_numpy():
-            arena = TreeArena.build([n1, n2], 2)
-            kernel = [(a.ref, b.ref, c) for a, b, c in vectorized_pairs(
-                n1, n2, predicate, leaf,
-                arena.slice(n1.page_id), arena.slice(n2.page_id))]
-            assert kernel == no_arena
+        arena = TreeArena.build([n1, n2], 2)
+        kernel = [(a.ref, b.ref, c) for a, b, c in vectorized_pairs(
+            n1, n2, predicate, leaf,
+            arena.slice(n1.page_id), arena.slice(n2.page_id))]
+        assert kernel == no_arena
         return no_arena
 
     @pytest.mark.parametrize("predicate", [
@@ -218,17 +213,15 @@ class TestVectorizedJoinIdentity:
         other = build_rstar(make_items(40, seed=24))
         assert spatial_join(empty, other, config=VECTORIZED).pairs == []
 
-    def test_pure_python_backend_identical(self, monkeypatch):
+    def test_tree_without_arena_identical(self, monkeypatch):
         t1 = build_rstar(make_items(200, seed=25))
         t2 = build_rstar(make_items(200, seed=26))
         with_np = spatial_join(t1, t2, config=VECTORIZED)
-        assert with_np.fallback == (None if have_numpy()
-                                    else "pure-python")
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        # The same trees: their cached arenas are not consulted, the
-        # block is tested scalar-side and the join says so.
+        assert with_np.fallback is None
+        monkeypatch.setattr(t2, "arena", None)   # shadows the builder
+        # The block is tested scalar-side and the join says so.
         without = spatial_join(t1, t2, config=VECTORIZED)
-        assert without.fallback == "pure-python"
+        assert without.fallback == "no-arena"
         assert without.pairs == with_np.pairs
         assert without.comparisons == with_np.comparisons
         assert without.stats.as_dict() == with_np.stats.as_dict()

@@ -114,12 +114,11 @@ class TestSerialJoin:
         starts = [r for r in tracer.sink.records
                   if r["event"] == "join_start"]
         assert len(starts) == 2
-        expected = ({"vectorized": ("level-batch", None),
-                     "plane-sweep": ("stack", "enumeration")}[enum],
-                    ("stack", "pure-python"))
+        expected = {"vectorized": ("level-batch", None),
+                    "plane-sweep": ("stack", "enumeration")}[enum]
         counters = metrics.as_dict()["counters"]
         for start in starts:
-            assert (start["engine"], start["fallback"]) in expected
+            assert (start["engine"], start["fallback"]) == expected
             assert (start["fallback"] is None) == (not any(
                 name.startswith("join.fallback.") for name in counters))
         # The results carry the same two facts as the events — the
@@ -180,10 +179,9 @@ class TestPartitionJoin:
         [event] = [r for r in tracer.sink.records
                    if r["event"] == "partition"]
         counters = metrics.as_dict()["counters"]
-        assert (event["engine"], event["fallback"]) in (
-            ("arena", None), ("scalar", "pure-python"))
-        assert (event["fallback"] is None) == (not any(
-            name.startswith("pbsm.fallback.") for name in counters))
+        assert (event["engine"], event["fallback"]) == ("arena", None)
+        assert not any(name.startswith("pbsm.fallback.")
+                       for name in counters)
         assert event["tiles"] == counters["pbsm.tiles"]
         assert event["replicas1"] >= event["entries1"] == len(t1)
         assert event["replicas2"] >= event["entries2"] == len(t2)

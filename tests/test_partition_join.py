@@ -3,15 +3,16 @@
 The partition-based engine is the first join whose result set must be
 *proven* equal to the tree-based reference — the property tests here
 drive both predicates, both engines (the arena pipeline and the scalar
-fallback), degenerate (zero-extent) rectangles and rectangles
-sitting exactly on tile boundaries, asserting pair-for-pair equality
-with ``spatial_join`` and that no pair is duplicated or dropped by the
-reference-point rule.  ``TestArenaEqualsScalar`` then holds the arena
-engine to the scalar one on everything observable: pairs in order,
-comparisons, NA/DA per tree per level, tiles.
+engine a tree without an arena gets), degenerate (zero-extent)
+rectangles and rectangles sitting exactly on tile boundaries, asserting
+pair-for-pair equality with ``spatial_join`` and that no pair is
+duplicated or dropped by the reference-point rule.
+``TestArenaEqualsScalar`` then holds the arena engine to the scalar one
+on everything observable: pairs in order, comparisons, NA/DA per tree
+per level, tiles.
 """
 
-import importlib.util
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,11 +28,7 @@ from repro.join import (OVERLAP, PartialJoinResult, SpatialJoin,
 from repro.join.predicates import Overlap
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 
-from .conftest import BOTH_BACKENDS, backend, build_rstar, make_items
-
-needs_numpy = pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None, reason="NumPy unavailable")
-
+from .conftest import build_rstar, make_items
 
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -62,11 +59,28 @@ predicates = st.sampled_from(
      WithinDistance(0.3)])
 
 
-def assert_matches_reference(items1, items2, predicate, **kwargs):
+@contextmanager
+def no_arena(tree, enabled: bool = True):
+    """Take the tree's arena away for a block, as a pager that may fault
+    does: PBSM then runs its scalar engine (a no-op when not
+    ``enabled``)."""
+    if not enabled:
+        yield
+        return
+    tree.arena = None                    # shadows the builder
+    try:
+        yield
+    finally:
+        del tree.arena
+
+
+def assert_matches_reference(items1, items2, predicate, scalar=False,
+                             **kwargs):
     t1, t2 = build_rstar(items1), build_rstar(items2)
     reference = spatial_join(t1, t2, predicate=predicate)
-    result = partition_spatial_join(t1, t2, predicate=predicate,
-                                    **kwargs)
+    with no_arena(t1, scalar):
+        result = partition_spatial_join(t1, t2, predicate=predicate,
+                                        **kwargs)
     pairs = list(result.pairs)
     # No pair is emitted twice (the reference-point rule picks exactly
     # one owner tile) and none is dropped.
@@ -87,13 +101,10 @@ class TestPairSetEquality:
     @SLOW
     @given(items_strategy, items_strategy, predicates,
            st.integers(1, 4))
-    def test_equals_tree_reference_pure_python(self, items1, items2,
-                                               predicate, tiles):
-        # The scalar engine, with sweep_pairs_batch down its scalar
-        # fallback too.
-        with backend(pure_python=True):
-            assert_matches_reference(items1, items2, predicate,
-                                     tiles=tiles)
+    def test_equals_tree_reference_scalar(self, items1, items2,
+                                          predicate, tiles):
+        assert_matches_reference(items1, items2, predicate, scalar=True,
+                                 tiles=tiles)
 
     def test_tile_boundary_rectangles(self):
         # With bounds [0, 1] and tiles=2 the boundary is exactly 0.5;
@@ -122,8 +133,8 @@ class TestPairSetEquality:
                                           tiles=3)
         assert result.pair_count == 4 * 5
 
-    @pytest.mark.parametrize("pure_python", [False, True])
-    def test_subnormal_extent_collapses_the_axis(self, pure_python):
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_subnormal_extent_collapses_the_axis(self, scalar):
         # The x-extent (5e-324) is positive but extent / tiles
         # underflows to 0.0: the axis must collapse to one tile column
         # instead of dividing by a zero width.
@@ -132,9 +143,8 @@ class TestPairSetEquality:
                   for y in range(4)]
         items2 = [(Rect((0.0, y / 4), (0.0, y / 4 + 0.3)), y)
                   for y in range(4)]
-        with backend(pure_python):
-            result = assert_matches_reference(items1, items2, OVERLAP,
-                                              tiles=2)
+        result = assert_matches_reference(items1, items2, OVERLAP,
+                                          scalar=scalar, tiles=2)
         assert result.pair_count == 10       # |y1 - y2| <= 1
 
     def test_empty_inputs(self):
@@ -145,12 +155,12 @@ class TestPairSetEquality:
         assert partition_spatial_join(empty, empty).pair_count == 0
 
 
-def traced_join(t1, t2, pure_python, **kwargs):
+def traced_join(t1, t2, scalar, **kwargs):
     """One observed PBSM join on the chosen engine:
     ``(result, partition event or None, counters)``."""
     tracer = Tracer(MemorySink())
     metrics = MetricsRegistry()
-    with backend(pure_python):
+    with no_arena(t1, scalar):
         result = partition_spatial_join(t1, t2, tracer=tracer,
                                         metrics=metrics, **kwargs)
     events = [e for e in tracer.sink.records if e["event"] == "partition"]
@@ -168,21 +178,20 @@ def assert_engines_agree(t1, t2, predicate, tiles):
     assert arena.comparisons == scalar.comparisons
     assert arena.stats.as_dict() == scalar.stats.as_dict()
     assert a_counters["pbsm.tiles"] == s_counters["pbsm.tiles"]
-    assert s_counters["pbsm.fallback.pure-python"] == 1
+    assert s_counters["pbsm.fallback.no-arena"] == 1
     assert not any(k.startswith("pbsm.fallback.") for k in a_counters)
     if a_event is None:                  # an empty side: nothing to tile
         assert s_event is None
         return arena
     assert (a_event["engine"], a_event["fallback"]) == ("arena", None)
     assert (s_event["engine"], s_event["fallback"]) == \
-        ("scalar", "pure-python")
+        ("scalar", "no-arena")
     for key in ("tiles", "grid", "entries1", "entries2", "replicas1",
                 "replicas2"):
         assert a_event[key] == s_event[key], key
     return arena
 
 
-@needs_numpy
 class TestArenaEqualsScalar:
     """The arena engine against the scalar one, observable by observable."""
 
@@ -236,13 +245,11 @@ class TestArenaEqualsScalar:
         # reads slots of the *current* arena, never a cached stale one.
         t1 = build_rstar(make_items(120, seed=27))
         t2 = build_rstar(make_items(120, seed=28))
-        with backend(False):
-            stale = t1.arena()
+        stale = t1.arena()
         before = partition_spatial_join(t1, t2)
         t1.insert(Rect((0.0, 0.0), (1.0, 1.0)), 10_000)
         result, event, _ = traced_join(t1, t2, False)
-        with backend(False):
-            assert t1.arena() is not stale
+        assert t1.arena() is not stale
         assert event["engine"] == "arena"
         assert event["entries1"] == 121
         assert result.pair_count == before.pair_count + 120
@@ -252,7 +259,7 @@ class TestArenaEqualsScalar:
 
 
 class _KernelLessOverlap(Overlap):
-    def pair_mask(self, np, lo1, hi1, lo2, hi2):
+    def pair_mask(self, lo1, hi1, lo2, hi2):
         return None
 
 
@@ -260,11 +267,10 @@ class _SupersetKernelOverlap(Overlap):
     """An inexact kernel (sweep-axis test only): every survivor must be
     confirmed with ``leaf_test``."""
 
-    def pair_mask(self, np, lo1, hi1, lo2, hi2):
+    def pair_mask(self, lo1, hi1, lo2, hi2):
         return (lo1[0] <= hi2[0]) & (lo2[0] <= hi1[0]), False
 
 
-@needs_numpy
 class TestFallbackIsRecorded:
     """No silent fallback: the trace and a counter name the reason."""
 
@@ -306,9 +312,10 @@ class TestFallbackIsRecorded:
         assert got.stats.as_dict() == want.stats.as_dict()
 
 
-@pytest.mark.parametrize("pure_python", BOTH_BACKENDS)
+@pytest.mark.parametrize("scalar", [pytest.param(True, id="scalar"),
+                                    pytest.param(False, id="numpy")])
 @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
-def test_non_finite_distance_reaches_neither_engine(pure_python, distance,
+def test_non_finite_distance_reaches_neither_engine(scalar, distance,
                                                     monkeypatch):
     """Refused where the predicate is made.  An infinite sweep slack
     used to reach the grid: ``int(nan)`` raised from the scalar
@@ -319,7 +326,7 @@ def test_non_finite_distance_reaches_neither_engine(pure_python, distance,
                         lambda *args: reached.append(args))
     t1 = build_rstar(make_items(40, seed=33))
     t2 = build_rstar(make_items(40, seed=34))
-    with backend(pure_python), pytest.raises(ValueError, match="finite"):
+    with no_arena(t1, scalar), pytest.raises(ValueError, match="finite"):
         partition_spatial_join(t1, t2, predicate=WithinDistance(distance))
     assert not reached
 

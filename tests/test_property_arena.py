@@ -16,10 +16,7 @@ from hypothesis import strategies as st
 from repro.geometry import TreeArena
 from repro.rtree import RStarTree
 
-from .conftest import needs_numpy
 from .test_property_vectorized import rect_strategy
-
-pytestmark = needs_numpy
 
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],

@@ -6,9 +6,7 @@ heights — a join run with ``traversal="level-batch"`` is bit-identical
 to the stack machine in every observable: the pair list *in emission
 order*, NA, DA, comparison counts, governed checkpoint bytes on every
 budget axis, the sampled ``node_pair`` events, and the result of
-resuming a batch-interrupted run.  On the pure-Python
-backend the batch engine must fall back to the stack machine and still
-match, which these properties cover by drawing the backend too.
+resuming a batch-interrupted run.
 
 Deliberately *not* asserted: ``governor.checks`` — how often the two
 engines poll the governor is telemetry, not an observable of the join.
@@ -28,8 +26,6 @@ from repro.obs import MemorySink, Tracer
 from repro.rtree import RStarTree
 from repro.storage import AccessStats
 from repro.storage.buffers import LRUBuffer, NoBuffer, PathBuffer
-
-from .test_property_vectorized import force_backend
 
 SLOW = settings(max_examples=15,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -54,7 +50,6 @@ def items_strategy(max_size=50):
         lambda rs: [(r, i) for i, r in enumerate(rs)])
 
 
-backend_strategy = st.sampled_from(["numpy", "python"])
 enum_strategy = st.sampled_from(["nested-loop", "vectorized"])
 predicate_strategy = st.one_of(
     st.just(Overlap()),
@@ -100,38 +95,34 @@ def _configs(enum):
 
 @SLOW
 @given(items_strategy(), items_strategy(), enum_strategy,
-       predicate_strategy, backend_strategy)
-def test_batch_join_bit_identical(items1, items2, enum, predicate,
-                                  backend):
-    with force_backend(backend):
-        t1, t2 = build(items1), build(items2)
-        stack_cfg, batch_cfg = _configs(enum)
-        stack = spatial_join(t1, t2, predicate=predicate,
-                             config=stack_cfg)
-        batch = spatial_join(t1, t2, predicate=predicate,
-                             config=batch_cfg)
-        assert _signature(batch) == _signature(stack)
+       predicate_strategy)
+def test_batch_join_bit_identical(items1, items2, enum, predicate):
+    t1, t2 = build(items1), build(items2)
+    stack_cfg, batch_cfg = _configs(enum)
+    stack = spatial_join(t1, t2, predicate=predicate,
+                         config=stack_cfg)
+    batch = spatial_join(t1, t2, predicate=predicate,
+                         config=batch_cfg)
+    assert _signature(batch) == _signature(stack)
 
 
 @SLOW
 @given(items_strategy(max_size=10), items_strategy(max_size=60),
-       enum_strategy, predicate_strategy, backend_strategy)
-def test_batch_join_unequal_heights(items1, items2, enum, predicate,
-                                    backend):
+       enum_strategy, predicate_strategy)
+def test_batch_join_unequal_heights(items1, items2, enum, predicate):
     """Small-vs-large capacity skews the heights, so the r1leaf /
     r2leaf mixed frontiers (one tree already at its leaves) run —
     under both predicates: a within-distance mixed level also needs
     the exact confirm of the leaf MBR's candidates."""
-    with force_backend(backend):
-        t1 = build(items1, max_entries=8)
-        t2 = build(items2, max_entries=3)
-        stack_cfg, batch_cfg = _configs(enum)
-        for a, b in ((t1, t2), (t2, t1)):
-            stack = spatial_join(a, b, predicate=predicate,
-                                 config=stack_cfg)
-            batch = spatial_join(a, b, predicate=predicate,
-                                 config=batch_cfg)
-            assert _signature(batch) == _signature(stack)
+    t1 = build(items1, max_entries=8)
+    t2 = build(items2, max_entries=3)
+    stack_cfg, batch_cfg = _configs(enum)
+    for a, b in ((t1, t2), (t2, t1)):
+        stack = spatial_join(a, b, predicate=predicate,
+                             config=stack_cfg)
+        batch = spatial_join(a, b, predicate=predicate,
+                             config=batch_cfg)
+        assert _signature(batch) == _signature(stack)
 
 
 @SLOW
@@ -248,25 +239,24 @@ def test_governed_checkpoint_bytes_identical(items1, items2, enum,
 
 @SLOW
 @given(items_strategy(), items_strategy(), enum_strategy,
-       st.floats(min_value=0.0, max_value=1.0), backend_strategy)
-def test_resume_after_batch_cut(items1, items2, enum, frac, backend):
+       st.floats(min_value=0.0, max_value=1.0))
+def test_resume_after_batch_cut(items1, items2, enum, frac):
     """A batch run cut mid-flight resumes (on the stack machine, by
     design) to the exact uninterrupted result."""
-    with force_backend(backend):
-        t1, t2 = build(items1), build(items2)
-        stack_cfg, batch_cfg = _configs(enum)
-        baseline = _signature(spatial_join(t1, t2, config=stack_cfg))
-        total_na = sum(baseline["na"].values())
-        if total_na < 2:
-            return
-        cut = 1 + int(frac * (total_na - 2))
-        gov = ExecutionGovernor(Budget(max_na=cut), partial=True)
-        first = SpatialJoin(t1, t2, governor=gov, config=batch_cfg).run()
-        if first.complete:
-            assert _signature(first) == baseline
-            return
-        assert isinstance(first, PartialJoinResult)
-        final = SpatialJoin(t1, t2, config=batch_cfg).resume(
-            first.checkpoint)
-        assert final.complete
-        assert _signature(final) == baseline
+    t1, t2 = build(items1), build(items2)
+    stack_cfg, batch_cfg = _configs(enum)
+    baseline = _signature(spatial_join(t1, t2, config=stack_cfg))
+    total_na = sum(baseline["na"].values())
+    if total_na < 2:
+        return
+    cut = 1 + int(frac * (total_na - 2))
+    gov = ExecutionGovernor(Budget(max_na=cut), partial=True)
+    first = SpatialJoin(t1, t2, governor=gov, config=batch_cfg).run()
+    if first.complete:
+        assert _signature(first) == baseline
+        return
+    assert isinstance(first, PartialJoinResult)
+    final = SpatialJoin(t1, t2, config=batch_cfg).resume(
+        first.checkpoint)
+    assert final.complete
+    assert _signature(final) == baseline

@@ -8,7 +8,7 @@ from repro.join import naive_join, spatial_join
 from repro.rtree import Entry, GuttmanRTree, Node, RStarTree, \
     hilbert_pack, str_pack, validate
 
-from .conftest import backend, needs_numpy
+from .conftest import reference_choose_subtree
 
 SLOW = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -171,13 +171,11 @@ def _replay(ndim, max_entries, ops):
     return pages, tree.root_id, tree.height
 
 
-@needs_numpy
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_insert_delete_script())
 def test_kernel_insert_builds_the_scalar_tree(script):
-    with backend(pure_python=False):
-        with_kernel = _replay(*script)
-    with backend(pure_python=True):
+    with_kernel = _replay(*script)
+    with reference_choose_subtree():
         scalar = _replay(*script)
     assert with_kernel == scalar

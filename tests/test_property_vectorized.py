@@ -3,19 +3,16 @@
 The ISSUE-level guarantee: for *any* input — degenerate (zero-extent)
 rectangles, exactly touching edges, duplicate geometry — the vectorized
 enumerators produce the identical pair list and identical NA/DA as
-their scalar references, on the NumPy backend and on the pure-Python
-fallback.  Coordinates are drawn from a small float grid so that tied
-and touching boundaries are common, not measure-zero.
+their scalar references, over the kernels and — for a tree without an
+arena — scalar-side.  Coordinates are drawn from a small float grid so
+that tied and touching boundaries are common, not measure-zero.
 """
-
-import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.estimator.backend import PURE_PYTHON_ENV
 from repro.geometry import Rect
-from repro.join import WithinDistance, spatial_join
+from repro.join import OVERLAP, WithinDistance, spatial_join
 from repro.join.plane_sweep import sweep_pairs, sweep_pairs_batch
 from repro.rtree import Entry, RStarTree
 
@@ -42,33 +39,6 @@ def rect_strategy():
 items_strategy = st.lists(rect_strategy(), min_size=0, max_size=60).map(
     lambda rs: [(r, i) for i, r in enumerate(rs)])
 
-backend_strategy = st.sampled_from(["numpy", "python"])
-
-
-class force_backend:
-    """Pin the kernel backend for the duration of a ``with`` block.
-
-    Not a monkeypatch fixture: hypothesis re-runs the test body many
-    times per fixture setup, so the environment is restored explicitly.
-    """
-
-    def __init__(self, backend: str):
-        self.backend = backend
-
-    def __enter__(self):
-        self.saved = os.environ.get(PURE_PYTHON_ENV)
-        if self.backend == "python":
-            os.environ[PURE_PYTHON_ENV] = "1"
-        else:
-            os.environ.pop(PURE_PYTHON_ENV, None)
-
-    def __exit__(self, *exc):
-        if self.saved is None:
-            os.environ.pop(PURE_PYTHON_ENV, None)
-        else:
-            os.environ[PURE_PYTHON_ENV] = self.saved
-
-
 def build(items):
     tree = RStarTree(2, 6)
     for rect, oid in items:
@@ -76,58 +46,58 @@ def build(items):
     return tree
 
 
-@SLOW
-@given(items_strategy, items_strategy, backend_strategy)
-def test_vectorized_join_bit_identical(items1, items2, backend):
-    with force_backend(backend):
-        t1, t2 = build(items1), build(items2)
-        nl = spatial_join(t1, t2, config=NESTED_LOOP)
-        vec = spatial_join(t1, t2, config=VECTORIZED)
+def assert_vectorized_matches(items1, items2, predicate=OVERLAP):
+    """The ``vectorized`` block against nested loops, over the arena
+    kernels and then scalar-side: ``t1`` loses its arena, as a tree
+    whose pager may fault does."""
+    t1, t2 = build(items1), build(items2)
+    nl = spatial_join(t1, t2, predicate=predicate, config=NESTED_LOOP)
+    want = nl.stats.as_dict()
+    for arena in (True, False):
+        if not arena:
+            t1.arena = None              # shadows the builder
+        vec = spatial_join(t1, t2, predicate=predicate, config=VECTORIZED)
+        assert vec.fallback == (None if arena else "no-arena")
         assert vec.pairs == nl.pairs
-        got, want = vec.stats.as_dict(), nl.stats.as_dict()
+        got = vec.stats.as_dict()
         assert got["node_accesses"] == want["node_accesses"]
         assert got["disk_accesses"] == want["disk_accesses"]
+
+
+@SLOW
+@given(items_strategy, items_strategy)
+def test_vectorized_join_bit_identical(items1, items2):
+    assert_vectorized_matches(items1, items2)
 
 
 @SLOW
 @given(items_strategy, items_strategy,
-       st.floats(min_value=0.0, max_value=0.4), backend_strategy)
+       st.floats(min_value=0.0, max_value=0.4))
 def test_vectorized_distance_join_bit_identical(items1, items2,
-                                                distance, backend):
-    with force_backend(backend):
-        pred = WithinDistance(distance)
-        t1, t2 = build(items1), build(items2)
-        nl = spatial_join(t1, t2, predicate=pred, config=NESTED_LOOP)
-        vec = spatial_join(t1, t2, predicate=pred, config=VECTORIZED)
-        assert vec.pairs == nl.pairs
-        got, want = vec.stats.as_dict(), nl.stats.as_dict()
-        assert got["node_accesses"] == want["node_accesses"]
-        assert got["disk_accesses"] == want["disk_accesses"]
+                                                distance):
+    assert_vectorized_matches(items1, items2, WithinDistance(distance))
 
 
 @SLOW
-@given(items_strategy, items_strategy, backend_strategy)
-def test_batched_sweep_identical_yields(items1, items2, backend):
-    with force_backend(backend):
-        e1 = [Entry(r, i) for i, (r, _o) in enumerate(items1)]
-        e2 = [Entry(r, i) for i, (r, _o) in enumerate(items2)]
-        scalar = [(a.ref, b.ref, c) for a, b, c in sweep_pairs(e1, e2)]
-        batch = [(a.ref, b.ref, c)
-                 for a, b, c in sweep_pairs_batch(e1, e2)]
-        assert batch == scalar
+@given(items_strategy, items_strategy)
+def test_batched_sweep_identical_yields(items1, items2):
+    e1 = [Entry(r, i) for i, (r, _o) in enumerate(items1)]
+    e2 = [Entry(r, i) for i, (r, _o) in enumerate(items2)]
+    scalar = [(a.ref, b.ref, c) for a, b, c in sweep_pairs(e1, e2)]
+    batch = [(a.ref, b.ref, c)
+             for a, b, c in sweep_pairs_batch(e1, e2)]
+    assert batch == scalar
 
 
 @SLOW
-@given(items_strategy, items_strategy, st.randoms(), backend_strategy)
-def test_sweep_order_is_permutation_invariant(items1, items2, rng,
-                                              backend):
-    with force_backend(backend):
-        e1 = [Entry(r, i) for i, (r, _o) in enumerate(items1)]
-        e2 = [Entry(r, i) for i, (r, _o) in enumerate(items2)]
-        reference = [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)]
-        rng.shuffle(e1)
-        rng.shuffle(e2)
-        assert [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)] \
-            == reference
-        assert [(a.ref, b.ref)
-                for a, b, _c in sweep_pairs_batch(e1, e2)] == reference
+@given(items_strategy, items_strategy, st.randoms())
+def test_sweep_order_is_permutation_invariant(items1, items2, rng):
+    e1 = [Entry(r, i) for i, (r, _o) in enumerate(items1)]
+    e2 = [Entry(r, i) for i, (r, _o) in enumerate(items2)]
+    reference = [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)]
+    rng.shuffle(e1)
+    rng.shuffle(e2)
+    assert [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)] \
+        == reference
+    assert [(a.ref, b.ref)
+            for a, b, _c in sweep_pairs_batch(e1, e2)] == reference

@@ -193,3 +193,25 @@ def test_docs_list_every_top_level_export():
     stale = documented - actual - {"import", "__all__"}
     assert not missing, f"docs/api.md export table is missing {missing}"
     assert not stale, f"docs/api.md export table lists stale {stale}"
+
+
+def test_numpy_is_a_dependency():
+    # No backend switch, no scalar batch loop, no numpy-module argument:
+    # NumPy is imported where it is used.
+    import inspect
+
+    import repro.estimator
+    from repro.estimator import BatchResult
+    from repro.geometry import TreeArena
+    from repro.join import JoinPredicate
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.estimator.backend")
+    assert repro.estimator.__all__ == [
+        "BatchResult", "DEFAULT_PARAM_CACHE", "Estimate",
+        "EstimateBreakdown", "EstimateRequest", "Estimator", "ParamCache",
+        "cached_params", "estimate_batch", "range_na_batch"]
+    assert "backend" not in BatchResult.__dataclass_fields__
+    assert "np" not in TreeArena.__slots__
+    for kernel in (JoinPredicate.pair_mask, JoinPredicate.confirm):
+        assert list(inspect.signature(kernel).parameters) \
+            == ["self", "lo1", "hi1", "lo2", "hi2"]

@@ -5,9 +5,10 @@ entry's corner bits and ref, in storage order — as the scalar insert
 built it before ChooseSubtree became a NumPy kernel and the split scans
 went O(M).  Together the cases cover the kernel (level-2 nodes at M up
 to 84), the split, forced reinsertion, ``delete`` -> ``_condense`` ->
-orphan reinsertion, and exact ties (lattice coordinates).  Both
-backends must reproduce every digest: NA, DA, pairs and every saved
-tree file depend on nothing else.
+orphan reinsertion, and exact ties (lattice coordinates).  The NumPy
+kernel and the scalar reference ChooseSubtree of ``conftest`` must
+both reproduce every digest: NA, DA, pairs and every saved tree file
+depend on nothing else.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from repro.datasets import (tiger_like_segments, uniform_rectangles,
 from repro.geometry import Rect
 from repro.rtree import RStarTree, validate
 
-from .conftest import BOTH_BACKENDS, backend, build_rstar
+from .conftest import CHOOSE_SUBTREE, build_rstar, reference_choose_subtree
 
 
 def tree_digest(tree) -> str:
@@ -86,11 +87,11 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("pure_python", BOTH_BACKENDS)
+@pytest.mark.parametrize("scalar", CHOOSE_SUBTREE)
 @pytest.mark.parametrize("case", CASES)
-def test_golden_tree(case, pure_python):
+def test_golden_tree(case, scalar):
     build, digest = CASES[case]
-    with backend(pure_python):
+    with reference_choose_subtree(scalar):
         tree = build()
     assert tree_digest(tree) == digest
     assert validate(tree) == []

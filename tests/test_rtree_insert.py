@@ -6,8 +6,9 @@ from repro.geometry import Rect
 from repro.rtree import (Entry, GuttmanRTree, Node, RStarTree, check,
                          validate)
 
-from .conftest import (BOTH_BACKENDS, backend, build_guttman, build_rstar,
-                       make_items, needs_numpy)
+from .conftest import (CHOOSE_SUBTREE, build_guttman, build_rstar,
+                       least_overlap_enlargement, make_items,
+                       reference_choose_subtree)
 
 
 class TestConstructorValidation:
@@ -160,20 +161,14 @@ def _node(level, rects):
     return Node(0, level, [Entry(r, i) for i, r in enumerate(rects)])
 
 
-@needs_numpy
 class TestKernelAnswersTheScalarLoop:
-    """ChooseSubtree above the leaves: the NumPy kernel against
-    ``_least_overlap_enlargement``, on nodes built to part them."""
+    """ChooseSubtree above the leaves: the NumPy kernel against the
+    scalar reference, on nodes built to part them."""
 
     @staticmethod
     def both_paths(node, rect):
-        tree = RStarTree(rect.ndim, 4)
-        with backend(pure_python=False):
-            kernel = tree._choose_subtree(node, rect)
-        with backend(pure_python=True):
-            scalar = tree._choose_subtree(node, rect)
-        assert scalar == RStarTree._least_overlap_enlargement(node, rect)
-        return kernel, scalar
+        kernel = RStarTree(rect.ndim, 4)._choose_subtree(node, rect)
+        return kernel, least_overlap_enlargement(node, rect)
 
     def test_sum_over_siblings_is_a_left_fold(self):
         # Entries 2 and 3 tie but for the rounding of their overlap
@@ -207,22 +202,21 @@ class TestOverflowingAreas:
 
     HUGE = Rect((0.0, 0.0), (1e200, 1e200))
 
-    @pytest.mark.parametrize("pure_python", BOTH_BACKENDS)
-    def test_five_huge_copies_split(self, pure_python):
+    @pytest.mark.parametrize("scalar", CHOOSE_SUBTREE)
+    def test_five_huge_copies_split(self, scalar):
         tree = RStarTree(2, 4)
-        with backend(pure_python):
+        with reference_choose_subtree(scalar):
             for oid in range(5):
                 tree.insert(self.HUGE, oid)
         assert validate(tree) == []
         assert sorted(tree.range_query(self.HUGE)) == list(range(5))
 
-    @pytest.mark.parametrize("pure_python", BOTH_BACKENDS)
+    @pytest.mark.parametrize("scalar", CHOOSE_SUBTREE)
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("tree", [
         RStarTree(2, 4), GuttmanRTree(2, 4, split="linear")],
         ids=["rstar", "guttman"])
-    def test_choose_subtree_answers_an_entry(self, tree, level,
-                                             pure_python):
+    def test_choose_subtree_answers_an_entry(self, tree, level, scalar):
         node = _node(level, [self.HUGE] * 3)
-        with backend(pure_python):
+        with reference_choose_subtree(scalar):
             assert tree._choose_subtree(node, self.HUGE) == 0

@@ -10,7 +10,6 @@ import time
 import pytest
 
 import repro.serve.service as service_mod
-from repro.estimator import have_numpy
 from repro.exec import AdmissionRejected, Cancelled, ExecutionConfig
 from repro.join import SpatialJoin, parallel_spatial_join
 from repro.reliability import MalformedFileError
@@ -270,12 +269,8 @@ class TestRequestExecutionConfig:
         # The response says which engine ran (chosen, not requested):
         # a durable join finishes its last slice resumed, on the stack
         # machine.
-        if path == "durable":
-            want = ("stack", "resume")
-        elif have_numpy():
-            want = ("level-batch", None)
-        else:
-            want = ("stack", "pure-python")
+        want = (("stack", "resume") if path == "durable"
+                else ("level-batch", None))
         assert (resp["engine"], resp["fallback"]) == want
         [config] = built
         assert config.traversal == "level-batch"
