@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="traversal engine: 'level-batch' advances "
                            "whole frontiers per NumPy kernel call over "
                            "the tree arenas (the stack machine runs "
-                           "where it cannot, e.g. under --inject-*), "
+                           "where it cannot, e.g. after --resume), "
                            "'stack' is the paper's per-node-pair "
                            "machine; identical NA/DA/pairs/checkpoints "
                            "(default: %(default)s)")

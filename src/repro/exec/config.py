@@ -97,8 +97,8 @@ class ExecutionConfig:
         is declared hung (``None`` disables the watchdog).
     traversal:
         Traversal engine, one of :data:`TRAVERSALS`.  Where the default
-        ``"level-batch"`` does not apply (a tree without an arena,
-        plane-sweep enumerations, custom predicates, resume) the
+        ``"level-batch"`` does not apply (plane-sweep enumerations,
+        custom predicates, resume) the
         stack machine runs instead and the join records why
         (:func:`repro.join.select_traversal`); ``"stack"`` asks for
         that machine outright.

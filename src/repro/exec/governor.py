@@ -27,8 +27,7 @@ from typing import Any, Callable
 
 from ..costmodel.params import AnalyticalTreeParams, DEFAULT_FILL
 from ..estimator import Estimator, cached_params
-from ..reliability import (CorruptPageError, FaultyPager, ModelDomainError,
-                           TransientPageError)
+from ..reliability import ModelDomainError
 from ..storage import AccessStats
 from .budget import (UNLIMITED, AdmissionRejected, Budget, BudgetExceeded,
                      Cancelled)
@@ -53,14 +52,13 @@ def tree_params(tree: Any, fill: float = DEFAULT_FILL,
     or a buffer.  The sum, a walk over every leaf entry, is remembered
     with the tree (:meth:`~repro.rtree.RTreeBase.derived`) until the
     tree changes, so pricing the same trees again costs a staleness
-    check; a tree-like without that catalog is walked per call, and so
-    is a tree whose pager injects faults (the check would read every
-    node through the injector).  The Eq. 2-5 derivations go through the
-    shared :data:`~repro.estimator.cache.DEFAULT_PARAM_CACHE`.
+    check; a tree-like without that catalog is walked per call.  Both
+    read the nodes uncounted, so a pager that injects faults into the
+    join's ``ReadPage`` s never fails them.  The Eq. 2-5 derivations go
+    through the shared :data:`~repro.estimator.cache.DEFAULT_PARAM_CACHE`.
     """
     derived = getattr(tree, "derived", None)
-    catalog = ({} if derived is None or isinstance(tree.pager, FaultyPager)
-               else derived())
+    catalog = {} if derived is None else derived()
     if "leaf_area" not in catalog:
         catalog["leaf_area"] = sum(e.rect.area()
                                    for e in tree.leaf_entries())
@@ -76,8 +74,7 @@ def predict_join_cost(left: Any, right: Any,
     Each side is a built tree, reduced to its :func:`tree_params`, or
     parameters already derived (anything with ``nodes_at``, as the
     daemon keeps per registered tree: closed-form admission).  ``None``
-    when the cost model cannot price the pair — an empty tree, or
-    catalog statistics unreadable because the storage is faulting.  The
+    when the cost model cannot price the pair — an empty tree, say.  The
     estimate is best-effort: a failed prediction never aborts the query
     it was meant to price.
     """
@@ -86,8 +83,7 @@ def predict_join_cost(left: Any, right: Any,
                           else tree_params(side)
                           for side in (left, right)))
         return est.na(), est.da()
-    except (ModelDomainError, ValueError,
-            TransientPageError, CorruptPageError):
+    except (ModelDomainError, ValueError):
         return None
 
 

@@ -7,8 +7,8 @@ struct-of-arrays layout the SIMD-ified R-tree work keeps its kernels
 hot with (PAPERS.md, arXiv 2309.16913).  A node's view
 (:meth:`TreeArena.slice`) is a zero-copy pair of transposed slices
 ``block[corner, :, off:end]``.  The ``Rect`` objects stay the source
-of truth: a join over a tree whose pages may fault reads no arena and
-runs the scalar predicates over them.
+of truth, and every tree has an arena: it is built from uncounted node
+reads, which fault injection never fails.
 
 Because coordinates are stored as raw float64 (the exact bits of the
 ``Rect`` tuples they came from), every kernel result over an arena

@@ -1,7 +1,7 @@
 """Spatial join algorithms: SJ synchronized traversal and baselines."""
 
 from ..exec.config import STRATEGIES, TRAVERSALS
-from .batch import LevelBatchState, supports_level_batch, tree_arena
+from .batch import LevelBatchState, supports_level_batch
 from .naive import naive_join
 from .parallel import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
                        ON_WORKER_CRASH, ParallelJoinResult, WorkerCrashed,
@@ -45,6 +45,5 @@ __all__ = [
     "sweep_pairs",
     "sweep_pairs_batch",
     "traversal_state",
-    "tree_arena",
     "vectorized_pairs",
 ]

@@ -64,10 +64,10 @@ level order.  The engine therefore runs in two phases:
    ``node_pair`` events come from the visit-counter range each step
    covers, skipped non-qualifying items included.
 
-Configurations the batch engine cannot express — trees without an
-arena, plane-sweep enumerations (different read order by design), custom
-predicates, checkpoint resume (cursors restore stack-machine
-iterators) — fall back to the stack machine, and the join says so
+Configurations the batch engine cannot express — plane-sweep
+enumerations (different read order by design), custom predicates,
+checkpoint resume (cursors restore stack-machine iterators) — fall
+back to the stack machine, and the join says so
 (``fallback`` on its result and its ``join_start`` event, a
 ``join.fallback.<reason>`` counter); see
 :func:`repro.join.select_traversal`.
@@ -79,12 +79,11 @@ import numpy as np
 
 from ..exec import ExecutionGovernor
 from ..exec.budget import BudgetExceeded, Cancelled
-from ..reliability import FaultyPager
 from ..storage import AccessStats, MeteredReader
 from .predicates import JoinPredicate, Overlap, WithinDistance
 
 __all__ = ["BATCH_PAIR_ENUMERATIONS", "LevelBatchState", "MAX_CHUNK_ITEMS",
-           "arena_pair", "run_slots", "supports_level_batch", "tree_arena"]
+           "run_slots", "supports_level_batch"]
 
 #: Pair enumerations the batch engine reproduces bit-identically.  The
 #: plane sweeps visit children in a deliberately different order (their
@@ -109,39 +108,14 @@ def supports_level_batch(predicate: JoinPredicate,
     predicates (else ``"predicate"``: a subclass could override the
     tests the kernels mirror, so exact types only).  The reason is what
     the join records as its ``fallback``;
-    :func:`repro.join.select_traversal` adds the two that depend on the
-    trees and the run (``"no-arena"``, ``"resume"``).
+    :func:`repro.join.select_traversal` adds the one that depends on the
+    run (``"resume"``).
     """
     if pair_enumeration not in BATCH_PAIR_ENUMERATIONS:
         return "enumeration"
     if type(predicate) not in (Overlap, WithinDistance):
         return "predicate"
     return None
-
-
-def tree_arena(tree):
-    """The tree's :class:`~repro.geometry.TreeArena`, or ``None``.
-
-    ``None`` — "run over the ``Rect`` objects" — is answered before any
-    page is read: a tree whose pager injects faults is never probed
-    (building or revalidating the arena reads every node through that
-    pager, consuming injector draws the stack machine would not have
-    issued).  So is a tree-like object
-    with no ``arena()`` accessor.
-    """
-    if isinstance(tree.pager, FaultyPager):
-        return None
-    build = getattr(tree, "arena", None)
-    return build() if build is not None else None
-
-
-def arena_pair(tree1, tree2):
-    """``((arena1, arena2), None)`` when both trees have an arena, else
-    ``(None, "no-arena")``."""
-    arena1, arena2 = tree_arena(tree1), tree_arena(tree2)
-    if arena1 is not None and arena2 is not None:
-        return (arena1, arena2), None
-    return None, "no-arena"
 
 
 class _PageRef:

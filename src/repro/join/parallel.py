@@ -41,10 +41,10 @@ from ..exec import ExecutionGovernor
 from ..exec.budget import Budget
 from ..exec.config import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
                            ON_WORKER_CRASH, ExecutionConfig)
+from ..reliability import FaultyPager
 from ..rtree import RTreeBase
 from ..rtree.arena_view import ArenaTreeHandle, share_tree
 from ..storage import AccessStats, MeteredReader, PathBuffer
-from .batch import arena_pair
 from .fanout import WorkerCrashed, fan_out, worker_governor
 from .predicates import OVERLAP, JoinPredicate
 from .result import R1, R2, JoinResult
@@ -193,8 +193,8 @@ def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
     Each tree arrives either as an :class:`ArenaTreeHandle` — the
     shared-memory fast path: the worker attaches the coordinator's
     columnar arena zero-copy and materializes only the nodes its bucket
-    visits — or, when there was no arena to export, as a full pickled
-    tree copy (private pager included).  Either way the traversal below is
+    visits — or, when the export failed, as a full pickled tree copy
+    (private pager included).  Either way the traversal below is
     identical and its NA/DA/pairs are bit-identical to the serial
     join's.
 
@@ -268,19 +268,22 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
     buckets here (``"serial"``; completed buckets are kept, so the
     result equals an undisturbed run's).
 
-    In ``"processes"`` mode, when both trees have an arena, they are
-    exported once as columnar arenas in
-    ``multiprocessing.shared_memory`` segments and each submission
+    In ``"processes"`` mode both trees are exported once as columnar
+    arenas in ``multiprocessing.shared_memory`` segments and each
+    submission
     ships only the segment names plus the index tables — workers attach
     zero-copy and materialize just the nodes their bucket visits.  The
     segments are unlinked in the driver's ``finally`` (crash and
     governor-stop paths included) with an ``atexit`` backstop for
     abnormal teardown; the coordinator keeps the real trees, so the
-    serial re-run stays valid after the segments are gone.  When a
-    tree has no arena, or the export raises ``OSError`` (a ``/dev/shm``
-    that is too small), a private pickled tree copy goes into every
-    worker instead; ``join_start`` records which ``transport`` ran and
-    the ``transport_fallback`` reason.
+    serial re-run stays valid after the segments are gone.  When the
+    export raises ``OSError`` (a ``/dev/shm`` that is too small), a
+    private pickled tree copy goes into every worker instead;
+    ``join_start`` records which ``transport`` ran and the
+    ``transport_fallback`` reason (``"export-failed"``).  A tree whose
+    pager injects faults is refused with ``ValueError``: a worker
+    process reads the exported arena, or unpickles its own copy of the
+    injector, so it could never reproduce the serial fault sequence.
 
     ``tracer``/``metrics`` are the :mod:`repro.obs` hooks.  Workers
     never touch the tracer (sinks don't cross process boundaries; the
@@ -306,6 +309,11 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
             "parallel_spatial_join decomposes the synchronized "
             "traversal; strategy='pbsm' runs in the calling thread "
             "(spatial_join or partition_spatial_join)")
+    if mode == "processes" and any(isinstance(tree.pager, FaultyPager)
+                                   for tree in (tree1, tree2)):
+        raise ValueError(
+            "mode='processes' cannot inject faults: a worker process "
+            "would not draw from this process's injector")
     run = JoinRun(tree1, tree2, config, governor=governor, tracer=tracer,
                   metrics=metrics)
 
@@ -422,20 +430,15 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
 
 
 def _export_trees(tree1: RTreeBase, tree2: RTreeBase, leases: list):
-    """What crosses the process boundary, from what this process can
-    observe: ``((ship1, ship2), why)``.
+    """What crosses the process boundary: ``((ship1, ship2), why)``.
 
     With ``why`` ``None`` both are :class:`ArenaTreeHandle` s of
     shared-memory exports whose leases were appended to ``leases``.
     Otherwise both are the trees themselves, to be pickled into every
-    worker, because a tree has no arena (an :func:`arena_pair` reason)
-    or creating a segment raised ``OSError`` (``"export-failed"``: a
-    ``/dev/shm`` that is too small; what was exported before it is
-    unlinked here).
+    worker, because creating a segment raised ``OSError``
+    (``"export-failed"``: a ``/dev/shm`` that is too small; what was
+    exported before it is unlinked here).
     """
-    arenas, why = arena_pair(tree1, tree2)
-    if arenas is None:
-        return (tree1, tree2), why
     handles = []
     try:
         for tree in (tree1, tree2):

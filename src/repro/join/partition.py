@@ -15,20 +15,16 @@ thread or process pool over the tiles was slower than this loop
 profile against the traversal's revisit-heavy one
 (:func:`repro.optimizer.make_pbsm_join`).
 
-**Two engines, one contract.**  With a predicate that has a
-:meth:`~repro.join.JoinPredicate.pair_mask` kernel and a buildable
-:class:`~repro.geometry.TreeArena` per tree, the whole pipeline after
-the charged page scan runs on the arenas' coordinate blocks: the scan
-collects leaf *page ids*, the arena index turns them into one slot
-array per tree, the scatter replicates and sorts slots into CSR tile
-segments, and each segment pair is probed in place without a Python
-loop per opener (``docs/performance.md`` has the layout).  Everything
-else — a kernel-less predicate, an arena that cannot be built — takes
-the scalar path over ``Entry`` lists, and says so: the
-``partition`` trace event carries ``engine`` and ``fallback``, and a
-``pbsm.fallback.<reason>`` counter is bumped.  Both engines produce
-the same pair list *in the same order*, the same ``comparisons`` and
-the same per-level :class:`~repro.storage.AccessStats`.
+**Columnar throughout.**  Every tree has a
+:class:`~repro.geometry.TreeArena` and every predicate a
+:meth:`~repro.join.JoinPredicate.pair_mask` kernel (a predicate without
+one of its own passes every candidate to its exact test), so the whole
+pipeline after the charged page scan runs on the arenas' coordinate
+blocks: the scan collects leaf *page ids*, the arena index turns them
+into one slot array per tree, the scatter replicates and sorts slots
+into CSR tile segments, and each segment pair is probed in place
+without a Python loop per opener (``docs/performance.md`` has the
+layout).
 
 **NA/DA semantics for a non-tree engine.**  The cost currencies stay
 :class:`~repro.storage.AccessStats` charges through a
@@ -57,10 +53,10 @@ pair is emitted twice, and because the owner tile lies inside both
 rectangles' replication ranges, none is dropped.
 
 **Governance.**  The shared :class:`~repro.exec.ExecutionGovernor` is
-checked at every build-phase page read and throughout the probe — per
-candidate in the scalar engine, per :data:`_PROBE_CHUNK` candidates in
-the arena engine — so deadlines, NA/DA budgets (tripping during the build
-scan), result budgets and cancellation stop the engine cleanly.  With
+checked at every build-phase page read and throughout the probe, per
+:data:`_PROBE_CHUNK` candidates — so deadlines, NA/DA budgets (tripping
+during the build scan), result budgets and cancellation stop the engine
+cleanly.  With
 ``governor.partial`` a stop yields a
 :class:`~repro.join.PartialJoinResult` whose pairs are the union of the
 *completed* tiles — PBSM partials carry ``checkpoint=None`` and are
@@ -79,10 +75,9 @@ import numpy as np
 from ..exec import ExecutionGovernor
 from ..exec.config import ExecutionConfig
 from ..reliability import RetryPolicy
-from ..rtree import Entry, RTreeBase
+from ..rtree import RTreeBase
 from ..storage import AccessStats, BufferManager, PathBuffer
-from .batch import arena_pair, run_slots
-from .plane_sweep import sweep_pairs_batch
+from .batch import run_slots
 from .predicates import OVERLAP, JoinPredicate
 from .result import R1, R2, JoinResult
 from .run import JoinRun, charged_reader
@@ -107,11 +102,10 @@ _PROBE_CHUNK = 8192
 class _Grid:
     """The uniform tile grid over the first ``axes`` dimensions.
 
-    ``tile_of`` is the monotone floor-and-clamp map that gives every
-    coordinate exactly one tile — the explicit tiebreak for degenerate
-    rectangles and tile-boundary coordinates the reference-point rule
-    relies on (module docstring).  ``tile_column`` is the same
-    arithmetic over a float64 column.
+    ``tile_column`` is the monotone floor-and-clamp map, over a float64
+    column, that gives every coordinate exactly one tile — the explicit
+    tiebreak for degenerate rectangles and tile-boundary coordinates the
+    reference-point rule relies on (module docstring).
     """
 
     __slots__ = ("origin", "width", "tiles", "axes", "slack")
@@ -125,31 +119,10 @@ class _Grid:
         self.axes = len(tiles)
         self.slack = slack
 
-    def tile_of(self, k: int, x: float) -> int:
-        t = int((x - self.origin[k]) / self.width[k])
-        if t < 0:
-            return 0
-        if t >= self.tiles[k]:
-            return self.tiles[k] - 1
-        return t
-
     def tile_column(self, k: int, x):
         t = ((x - self.origin[k]) / self.width[k]) \
-            .astype(np.int64)                # trunc, as int() does
+            .astype(np.int64)                # truncates toward zero
         return np.clip(t, 0, self.tiles[k] - 1, out=t)
-
-    def owner(self, rect1, rect2) -> tuple[int, ...]:
-        """The unique tile owning this candidate pair's reference point."""
-        slack = self.slack
-        return tuple(
-            self.tile_of(k, max(rect1.lo[k], rect2.lo[k] - slack))
-            for k in range(self.axes))
-
-    def ranges(self, rect, inflate: float) -> list[tuple[int, int]]:
-        """Closed per-axis tile range the (inflated) rectangle touches."""
-        return [(self.tile_of(k, rect.lo[k] - inflate),
-                 self.tile_of(k, rect.hi[k] + inflate))
-                for k in range(self.axes)]
 
 
 def _tiles_per_axis(n_entries: int, axes: int,
@@ -171,7 +144,7 @@ def _make_grid(lo: list[float], hi: list[float], per_axis: int,
         step = (b - a) / per_axis
         # A degenerate axis (all coordinates equal), or an extent so
         # small that the step underflows to zero, collapses to one tile
-        # column; any positive width keeps tile_of well-defined.
+        # column; any positive width keeps tile_column well-defined.
         width.append(step if step > 0.0 else 1.0)
     return _Grid(tuple(lo), tuple(width), (per_axis,) * len(lo), slack)
 
@@ -199,20 +172,6 @@ def _scan_leaves(tree: RTreeBase, reader,
             stack.extend((e.ref, node.level - 1)
                          for e in reversed(node.entries))
     return leaves
-
-
-def _select_engine(predicate: JoinPredicate, tree1, tree2):
-    """``((arena1, arena2), None)`` when the arena pipeline can run,
-    else ``(None, reason)`` — the reason the scalar path is taken:
-    ``"no-pair-mask"`` for a predicate without a kernel (probed before
-    any arena is built), else :func:`~repro.join.batch.arena_pair`'s."""
-    empty = np.empty((tree1.ndim, 0), dtype=np.float64)
-    if predicate.pair_mask(empty, empty, empty, empty) is None:
-        return None, "no-pair-mask"
-    return arena_pair(tree1, tree2)
-
-
-# -- arena engine: slot arrays, CSR tiles, loop-free tile sweep ------------
 
 
 def _leaf_slots(arena, leaves):
@@ -248,7 +207,7 @@ def _scatter_arena(grid: _Grid, slots, lo, hi, refs,
         tile = ((first[0][rep] + within // cols) * grid.tiles[1]
                 + first[1][rep] + within % cols)
     # lexsort: last key is primary.  The sort is stable, so replicas
-    # with equal keys keep scan order, as the scalar path's sorted().
+    # with equal keys keep scan order.
     order = np.lexsort((refs[rep], hi[0][rep], lo[0][rep], tile))
     tile = tile[order]
     starts = np.flatnonzero(
@@ -258,7 +217,7 @@ def _scatter_arena(grid: _Grid, slots, lo, hi, refs,
 
 def _partition_arena(arenas, leaves1, leaves2, axes: int,
                      tiles: int | None, slack: float):
-    """Grid, tile tasks and entry/replica counts of the arena engine.
+    """Grid, tile tasks and entry/replica counts of the partition.
 
     A task is ``(tile, slots1, slots2)`` — two sweep-ordered slices of
     the replica arrays.  ``None`` when either input is empty.
@@ -298,7 +257,7 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
                 governor: ExecutionGovernor | None, stats: AccessStats,
                 base_results: int,
                 ) -> tuple[list[tuple[int, int]], int, int]:
-    """The arena tile probe: the plane sweep without a loop per opener.
+    """One tile's probe: the plane sweep without a loop per opener.
 
     ``slots1``/``slots2`` are one tile's CSR segments, already in sweep
     order.  The merged opener order of the two-pointer sweep (R1 opens
@@ -312,6 +271,8 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
     exact confirm an inexact kernel needs.  The filters are pure
     per-candidate tests, so their order changes neither the surviving
     pairs nor their order; ``comparisons`` counts every candidate.
+    ``base_results`` is the pair count of the tiles already solved, so
+    the result budget is enforced against the join's running count.
     """
     coords1, coords2 = arenas[0]._coords, arenas[1]._coords
     lo1, hi1 = coords1.take(slots1, axis=2)      # tile-local blocks
@@ -378,102 +339,6 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
     return pairs, count, total
 
 
-# -- scalar engine: Entry lists, dict of tiles, per-candidate loop ---------
-
-
-def _partition_scalar(leaves1, leaves2, axes: int, tiles: int | None,
-                      slack: float):
-    """Grid, tile tasks and entry/replica counts of the scalar engine.
-
-    A task is ``(tile, entries1, entries2)``.  ``None`` when either
-    input is empty.
-    """
-    entries1 = [e for node in leaves1 for e in node.entries]
-    entries2 = [e for node in leaves2 for e in node.entries]
-    if not entries1 or not entries2:
-        return None
-    per_axis = _tiles_per_axis(max(len(entries1), len(entries2)), axes,
-                               tiles)
-    lo = [math.inf] * axes
-    hi = [-math.inf] * axes
-    for entries, inflate in ((entries1, 0.0), (entries2, slack)):
-        for e in entries:
-            rect = e.rect
-            for k in range(axes):
-                if rect.lo[k] - inflate < lo[k]:
-                    lo[k] = rect.lo[k] - inflate
-                if rect.hi[k] + inflate > hi[k]:
-                    hi[k] = rect.hi[k] + inflate
-    grid = _make_grid(lo, hi, per_axis, slack)
-    tiles1 = _scatter(entries1, grid, 0.0)
-    tiles2 = _scatter(entries2, grid, slack)
-    # Row-major tile order keeps the pair list deterministic;
-    # one-sided tiles cannot produce pairs and are skipped.
-    tasks = [(tile, tiles1[tile], tiles2[tile])
-             for tile in sorted(tiles1) if tile in tiles2]
-    return grid, tasks, (len(entries1), len(entries2),
-                         sum(len(v) for v in tiles1.values()),
-                         sum(len(v) for v in tiles2.values()))
-
-
-def _scatter(entries: list[Entry], grid: _Grid, inflate: float,
-             ) -> dict[tuple[int, ...], list[Entry]]:
-    """Replicate each entry into every tile its rectangle touches."""
-    tiles: dict[tuple[int, ...], list[Entry]] = {}
-    for e in entries:
-        ranges = grid.ranges(e.rect, inflate)
-        for tile in _tile_product(ranges):
-            tiles.setdefault(tile, []).append(e)
-    return tiles
-
-
-def _tile_product(ranges: list[tuple[int, int]]):
-    """All tiles of a closed per-axis range box, row-major."""
-    if len(ranges) == 1:
-        (a, b), = ranges
-        for i in range(a, b + 1):
-            yield (i,)
-        return
-    (a, b), (c, d) = ranges
-    for i in range(a, b + 1):
-        for j in range(c, d + 1):
-            yield (i, j)
-
-
-def _join_tile(side1, side2, predicate: JoinPredicate, grid: _Grid,
-               tile: tuple[int, ...], collect_pairs: bool,
-               governor: ExecutionGovernor | None,
-               stats: AccessStats, base_results: int = 0, arenas=None,
-               ) -> tuple[list[tuple[int, int]], int, int]:
-    """Solve one tile: sweep, reference-point filter, exact predicate.
-
-    With ``arenas`` the sides are slot arrays and :func:`_probe_tile`
-    runs; without, they are ``Entry`` lists and the scalar loop below
-    runs, with the governor checked per candidate (the probe-phase
-    analogue of the traversal's per-node-pair check).  ``base_results``
-    is the pair count of the tiles already solved, so the result budget
-    is enforced against the join's running count.
-    """
-    if arenas is not None:
-        return _probe_tile(arenas, side1, side2, predicate, grid, tile,
-                           collect_pairs, governor, stats, base_results)
-    pairs: list[tuple[int, int]] = []
-    count = 0
-    comparisons = 0
-    slack = grid.slack
-    for e1, e2, cost in sweep_pairs_batch(side1, side2, slack=slack):
-        comparisons += cost
-        if governor is not None:
-            governor.check(stats, base_results + count)
-        if grid.owner(e1.rect, e2.rect) != tile:
-            continue                     # another tile owns this pair
-        if predicate.leaf_test(e1.rect, e2.rect):
-            count += 1
-            if collect_pairs:
-                pairs.append((e1.ref, e2.ref))
-    return pairs, count, comparisons
-
-
 def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                            buffer: BufferManager | None = None,
                            predicate: JoinPredicate = OVERLAP,
@@ -509,9 +374,8 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                   metrics=metrics)
     buffer = buffer if buffer is not None else PathBuffer()
     slack = predicate.sweep_slack()
-    arenas, fallback = _select_engine(predicate, tree1, tree2)
-    engine = "scalar" if arenas is None else "arena"
-    run.start("pbsm-" + engine, fallback, buffer.kind)
+    arenas = tree1.arena(), tree2.arena()
+    run.start("pbsm", None, buffer.kind)
 
     buffer.reset()
     stats = AccessStats()
@@ -525,13 +389,8 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                                               buffer, retry_policy, tracer),
                          governor, stats)
             for tree, label in ((tree1, R1), (tree2, R2)))
-        axes = min(tree1.ndim, 2)
-        if arenas is not None:
-            partition = _partition_arena(arenas, leaves1, leaves2, axes,
-                                         tiles, slack)
-        else:
-            partition = _partition_scalar(leaves1, leaves2, axes, tiles,
-                                          slack)
+        partition = _partition_arena(arenas, leaves1, leaves2,
+                                     min(tree1.ndim, 2), tiles, slack)
         if partition is None:
             return
         grid, tile_tasks, (entries1, entries2,
@@ -540,16 +399,15 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         if tracer is not None:
             tracer.emit(
                 "partition", join=run.join_id, tiles=len(tasks),
-                grid=list(grid.tiles), engine=engine, fallback=fallback,
-                entries1=entries1, entries2=entries2,
+                grid=list(grid.tiles), entries1=entries1, entries2=entries2,
                 replicas1=replicas1, replicas2=replicas2)
         done_count = 0
         for tile, side1, side2 in tasks:
             if governor is not None:
                 governor.check(stats, done_count)
-            solved.append(_join_tile(
-                side1, side2, predicate, grid, tile, collect_pairs,
-                governor, stats, base_results=done_count, arenas=arenas))
+            solved.append(_probe_tile(
+                arenas, side1, side2, predicate, grid, tile, collect_pairs,
+                governor, stats, done_count))
             done_count += solved[-1][1]
 
     def conclude() -> JoinResult:
@@ -562,6 +420,6 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
             metrics.counter("pbsm.tiles").inc(len(tasks))
         return JoinResult(pairs, stats, sum(c for _, _, c in solved),
                           pair_count=sum(n for _, n, _ in solved),
-                          engine="pbsm-" + engine, fallback=fallback)
+                          engine="pbsm")
 
     return run.execute(work, conclude)

@@ -109,8 +109,7 @@ def sweep_pairs(entries1: list[Entry], entries2: list[Entry],
 
 
 def sweep_pairs_batch(entries1: list[Entry], entries2: list[Entry],
-                      axis: int = 0, cols1=None, cols2=None,
-                      slack: float = 0.0,
+                      cols1, cols2, axis: int = 0, slack: float = 0.0,
                       ) -> Iterator[tuple[Entry, Entry, int]]:
     """The plane sweep with batched sorting and partner scans.
 
@@ -119,25 +118,17 @@ def sweep_pairs_batch(entries1: list[Entry], entries2: list[Entry],
     is located with a single binary search (``searchsorted``) instead of
     a Python comparison per partner.
 
-    ``cols1``/``cols2`` optionally hand over the entries' columnar MBR
-    views (tree-arena slices): the sweep-axis coordinates are then read
-    straight from the existing float64 columns — the same bits the
-    per-``Rect`` extraction would produce — instead of being rebuilt
-    from the ``Rect`` objects.  A view is ignored unless it matches the
-    entry count.
+    ``cols1``/``cols2`` are the entries' columnar MBR views (tree-arena
+    slices, :meth:`repro.geometry.TreeArena.slice`; unread when a side
+    is empty): the sweep-axis coordinates are read straight from their
+    float64 columns — the same bits the ``Rect`` objects hold.
     """
     if not entries1 or not entries2:
         return
 
     def prepare(entries, cols):
-        if cols is not None and len(cols) == len(entries):
-            lo = np.ascontiguousarray(cols.lo[:, axis])
-            hi = np.ascontiguousarray(cols.hi[:, axis])
-        else:
-            lo = np.array([e.rect.lo[axis] for e in entries],
-                          dtype=np.float64)
-            hi = np.array([e.rect.hi[axis] for e in entries],
-                          dtype=np.float64)
+        lo = np.ascontiguousarray(cols.lo[:, axis])
+        hi = np.ascontiguousarray(cols.hi[:, axis])
         refs = np.array([e.ref for e in entries])
         # lexsort: last key is primary — (lo, hi, ref), the scalar key.
         order = np.lexsort((refs, hi, lo))

@@ -78,14 +78,14 @@ class JoinPredicate:
         NaN operand fails the built-in masks, as every comparison with
         a NaN does.
 
-        Returns ``(mask, exact)``, or ``None`` (the default) for a
-        predicate with no kernel, whose callers test scalar-side.  The
-        mask stands for **both** tests: it never rejects a pair
-        :meth:`node_test` or :meth:`leaf_test` accepts.  ``exact=True``
-        means it *is* both — true of the two built-ins, whose two tests
-        are one; with ``exact=False`` it is a superset and the caller
-        settles each survivor with :meth:`confirm` or the scalar test
-        of its level.
+        Returns ``(mask, exact)``.  The mask stands for **both** tests:
+        it never rejects a pair :meth:`node_test` or :meth:`leaf_test`
+        accepts.  ``exact=True`` means it *is* both — true of the two
+        built-ins, whose two tests are one; with ``exact=False`` it is
+        a superset and the caller settles each survivor with
+        :meth:`confirm` or the scalar test of its level.  The default,
+        for a predicate with no kernel of its own, is that superset at
+        its widest: every pair passes, inexactly.
 
         The built-in kernels use ``<=`` and ``-`` on float64 only,
         which IEEE 754 defines elementwise, so they answer what the
@@ -93,7 +93,8 @@ class JoinPredicate:
         The within-distance kernel therefore only *prefilters*: per-axis
         gaps are exact, the Euclidean norm is not.
         """
-        return None
+        shape = np.broadcast_shapes(np.shape(lo1[0]), np.shape(lo2[0]))
+        return np.ones(shape, dtype=bool), False
 
     def confirm(self, lo1, hi1, lo2, hi2) -> list[bool]:
         """Exact verdicts for the survivors of an inexact mask.
@@ -123,7 +124,8 @@ class Overlap(JoinPredicate):
         for k in range(1, len(lo1)):
             mask &= lo1[k] <= hi2[k]
             mask &= lo2[k] <= hi1[k]
-        return mask, True
+        # Exact type only: a subclass may have a stricter leaf_test.
+        return mask, type(self) is Overlap
 
     def __repr__(self) -> str:
         return "Overlap()"

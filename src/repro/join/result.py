@@ -24,9 +24,9 @@ class JoinResult:
     evaluations — a CPU-cost indicator the paper excludes from its model
     but that the ablation benches report.  ``engine`` names the engine
     that ran (``"level-batch"`` or ``"stack"``, see
-    :func:`~repro.join.select_traversal`; ``"pbsm-arena"`` or
-    ``"pbsm-scalar"`` for the partition join) and ``fallback`` why it
-    is not the run the config names (``None`` when it is).
+    :func:`~repro.join.select_traversal`; ``"pbsm"`` for the partition
+    join) and ``fallback`` why it is not the run the config names
+    (``None`` when it is).
     """
 
     def __init__(self, pairs: list[tuple[int, int]], stats: AccessStats,

@@ -162,10 +162,7 @@ class JoinRun:
             metrics.counter("join.pairs").inc(result.pair_count)
             metrics.counter("join.comparisons").inc(result.comparisons)
             if result.fallback is not None:
-                family = ("pbsm" if self.config.strategy == "pbsm"
-                          else "join")
-                metrics.counter(
-                    f"{family}.fallback.{result.fallback}").inc()
+                metrics.counter(f"join.fallback.{result.fallback}").inc()
             metrics.record_access_stats(stats, prefix="join")
             if self.governor is not None:
                 metrics.counter("governor.checks").inc(

@@ -44,7 +44,7 @@ from ..exec.config import ExecutionConfig
 from ..reliability import RetryPolicy
 from ..rtree import Node, RTreeBase
 from ..storage import AccessStats, BufferManager, MeteredReader, PathBuffer
-from .batch import LevelBatchState, arena_pair, supports_level_batch
+from .batch import LevelBatchState, supports_level_batch
 from .plane_sweep import nested_loop_pairs, sweep_pairs, sweep_pairs_batch
 from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
 from .result import R1, R2, JoinResult
@@ -96,9 +96,7 @@ def select_traversal(config: ExecutionConfig, predicate: JoinPredicate,
     run is not the one ``config`` names, or ``None``.  Level-batch
     gives way to the stack machine for a
     :func:`~repro.join.supports_level_batch` reason or ``"resume"``
-    (checkpoint cursors restore the stack machine's iterators); a
-    batched kernel, level-batch or a ``vectorized`` enumeration's,
-    gives way to the scalar predicates for an :func:`arena_pair` one.
+    (checkpoint cursors restore the stack machine's iterators).
     """
     fallback = None
     if config.traversal == "level-batch":
@@ -107,10 +105,8 @@ def select_traversal(config: ExecutionConfig, predicate: JoinPredicate,
     batch = config.traversal == "level-batch" and fallback is None
     arenas = None
     if batch or config.pair_enumeration in _COLUMNAR_PAIR_ENUMERATIONS:
-        arenas, why = arena_pair(tree1, tree2)
-        fallback = fallback or why
-    engine = "level-batch" if batch and arenas is not None else "stack"
-    return engine, arenas, fallback
+        arenas = tree1.arena(), tree2.arena()
+    return "level-batch" if batch else "stack", arenas, fallback
 
 
 def traversal_state(config: ExecutionConfig, predicate: JoinPredicate,
@@ -446,8 +442,8 @@ class _TraversalState:
                  tracer=None, join_id: str | None = None, arenas=None):
         self.pair_enumeration = pair_enumeration
         #: The two trees' arenas, whose per-node slices feed the
-        #: ``vectorized`` enumerations' kernels; ``None`` runs them over
-        #: the ``Rect`` objects.
+        #: ``vectorized`` enumerations' kernels (``None`` for the others,
+        #: which read the ``Rect`` objects).
         self.arenas = arenas
         # Vectorized enumerators apply the predicate inside the kernel,
         # so the step handlers must not re-test the yielded pairs.
@@ -488,24 +484,23 @@ class _TraversalState:
     def _entry_pairs(self, n1: Node, n2: Node, leaf: bool):
         """The configured pair enumeration over one node pair."""
         enum = self.pair_enumeration
-        cols1 = cols2 = None
-        if self.arenas is not None and n1.entries and n2.entries:
-            cols1 = self.arenas[0].slice(n1.page_id)
-            cols2 = self.arenas[1].slice(n2.page_id)
-        if enum == "vectorized":
-            return vectorized_pairs(n1, n2, self.predicate, leaf,
-                                    cols1, cols2)
+        if enum == "nested-loop":
+            return nested_loop_pairs(n1.entries, n2.entries)
         # The sweep enumerations widen each partner window by the
         # predicate's slack (0 for overlap; d for WithinDistance(d)) so
         # pairs matching at a positive distance are never skipped.
         if enum == "plane-sweep":
             return sweep_pairs(n1.entries, n2.entries,
                                slack=self.predicate.sweep_slack())
-        if enum == "vectorized-sweep":
-            return sweep_pairs_batch(
-                n1.entries, n2.entries, cols1=cols1, cols2=cols2,
-                slack=self.predicate.sweep_slack())
-        return nested_loop_pairs(n1.entries, n2.entries)
+        cols1 = cols2 = None            # an empty node has no slice
+        if n1.entries and n2.entries:
+            cols1 = self.arenas[0].slice(n1.page_id)
+            cols2 = self.arenas[1].slice(n2.page_id)
+        if enum == "vectorized":
+            return vectorized_pairs(n1, n2, self.predicate, leaf,
+                                    cols1, cols2)
+        return sweep_pairs_batch(n1.entries, n2.entries, cols1, cols2,
+                                 slack=self.predicate.sweep_slack())
 
     def push(self, n1: Node, n2: Node) -> _Frame:
         """Open the SJ of a pair of resident nodes (one Fig. 2 call)."""

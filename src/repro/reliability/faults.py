@@ -4,8 +4,9 @@
 per-read rates, so a chaos run is exactly reproducible: the same seed,
 rates, and read sequence produce the same faults.  :class:`FaultyPager`
 wraps a :class:`~repro.storage.pager.Pager` and consults the injector on
-every read; writes and allocation pass through untouched (the paper's
-workloads are read-only once the trees are built).
+every ``ReadPage`` (its ``read``); the tree's uncounted reads (``peek``),
+writes and allocation pass through untouched (the paper's workloads are
+read-only once the trees are built).
 
 Three fault types, mirroring what a real disk/page-cache path exhibits:
 
@@ -224,7 +225,11 @@ class FaultyPager:
     Structurally a drop-in replacement: everything except :meth:`read`
     delegates to the wrapped pager, and the wrapped pager's pages are
     shared (a tree whose ``pager`` attribute is swapped for a
-    ``FaultyPager`` keeps serving the same nodes).
+    ``FaultyPager`` keeps serving the same nodes).  Only the query's
+    ``ReadPage`` s — the reads of a
+    :class:`~repro.storage.MeteredReader` — draw faults; the tree's own
+    uncounted reads (``peek``: its catalog, its arena, its upkeep) do
+    not.
     """
 
     def __init__(self, pager: Pager, injector: FaultInjector):
@@ -247,6 +252,10 @@ class FaultyPager:
     def read(self, page_id: int) -> Any:
         self.injector.on_read(page_id)
         return self.inner.read(page_id)
+
+    def peek(self, page_id: int) -> Any:
+        # A catalog or maintenance read is not a ReadPage: no draw.
+        return self.inner.peek(page_id)
 
     def free(self, page_id: int) -> None:
         self.inner.free(page_id)

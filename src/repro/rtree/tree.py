@@ -94,8 +94,12 @@ class RTreeBase:
     # -- node access ---------------------------------------------------------
 
     def node(self, page_id: int) -> Node:
-        """Uncounted node read (tree maintenance; use readers to count)."""
-        return self.pager.read(page_id)
+        """Uncounted node read (tree maintenance; use readers to count).
+
+        Not a ``ReadPage``: it goes through the pager's ``peek``, which
+        a fault-injecting pager never fails.
+        """
+        return self.pager.peek(page_id)
 
     def root(self) -> Node:
         """The root node (pinned in memory, never counted)."""
@@ -336,9 +340,9 @@ class RTreeBase:
         place.  The cache is invalidated by the tree's own mutation
         counter *and* by the mutation-counting entry lists: any
         ``insert``/``delete``, and any direct entry mutation a test may
-        perform, forces a rebuild on next call.  Join code asks
-        :func:`repro.join.tree_arena`, which answers ``None`` for a tree
-        whose pages may fault.
+        perform, forces a rebuild on next call.  Every tree has one: the
+        build reads the nodes uncounted (:meth:`node`), so a pager that
+        injects faults into the join's ``ReadPage`` s never fails it.
         """
         self._refresh()
         if self._arena is None:

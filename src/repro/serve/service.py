@@ -50,7 +50,7 @@ from ..exec import (Budget, CancellationToken, ExecutionGovernor,
                     JoinCheckpoint, tree_params)
 from ..io import load_tree
 from ..join import (ParallelJoinResult, PartialJoinResult, SpatialJoin,
-                    parallel_spatial_join, tree_arena)
+                    parallel_spatial_join)
 from ..obs import MetricsRegistry
 from ..reliability import ReproError
 from ..storage import AccessStats, buffer_from_spec
@@ -309,7 +309,7 @@ class JoinService:
         # every later join reads it (and a parallel one exports it
         # straight to shared memory) instead of paying the build on the
         # request path.
-        tree_arena(tree)
+        tree.arena()
         path = None
         if self.durable is not None:
             if source_path is not None:

@@ -95,6 +95,11 @@ class Pager:
         except KeyError:
             raise KeyError(f"page {page_id} does not exist") from None
 
+    #: A catalog or maintenance read (tree upkeep, statistics, the
+    #: columnar arena): not a ``ReadPage`` of any query, so a pager that
+    #: injects faults into :meth:`read` forwards it untouched.
+    peek = read
+
     def free(self, page_id: int) -> None:
         """Release a page (e.g. after an R*-tree node merge)."""
         self._pages.pop(page_id, None)

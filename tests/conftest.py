@@ -9,9 +9,11 @@ from contextlib import contextmanager
 import pytest
 
 from repro.exec import ExecutionConfig
-from repro.geometry import Rect
+from repro.geometry import Rect, TreeArena
 from repro.geometry.columnar import first_least
-from repro.rtree import GuttmanRTree, RStarTree
+from repro.join import JoinPredicate, Overlap
+from repro.join.plane_sweep import sweep_pairs_batch
+from repro.rtree import GuttmanRTree, Node, RStarTree
 
 #: One config per pair enumeration, for the tests that compare the stack
 #: machine's kernels (``NESTED_LOOP`` is the paper's Fig. 2, the oracle).
@@ -21,6 +23,38 @@ PLANE_SWEEP = NESTED_LOOP.with_options(pair_enumeration="plane-sweep")
 VECTORIZED = NESTED_LOOP.with_options(pair_enumeration="vectorized")
 VECTORIZED_SWEEP = NESTED_LOOP.with_options(
     pair_enumeration="vectorized-sweep")
+
+
+def batch_sweep(entries1, entries2, **options):
+    """:func:`~repro.join.plane_sweep.sweep_pairs_batch` over two lists
+    of 2-d entries, read through the arena slices of two leaves holding
+    them."""
+    nodes = [Node(0, 1, entries1), Node(1, 1, entries2)]
+    arena = TreeArena.build(nodes, 2)
+    return sweep_pairs_batch(entries1, entries2, *(
+        arena.slice(node.page_id) if node.entries else None
+        for node in nodes), **options)
+
+
+class KernelLessOverlap(JoinPredicate):
+    """Overlap written as a custom predicate: the two scalar tests and
+    no kernel of its own (the default, all-pass inexact ``pair_mask``)."""
+
+    def node_test(self, r1, r2):
+        return r1.intersects(r2)
+
+    leaf_test = node_test
+
+
+class StrictOverlap(Overlap):
+    """Overlap with a stricter leaf test, which the inherited mask must
+    not pass as exact: R1's lower x-bound lies strictly left of R2's."""
+
+    def leaf_test(self, r1, r2):
+        return r1.intersects(r2) and r1.lo[0] < r2.lo[0]
+
+    def __repr__(self) -> str:
+        return "StrictOverlap()"
 
 
 def least_overlap_enlargement(node, rect) -> int:

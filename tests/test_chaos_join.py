@@ -11,7 +11,7 @@ import pytest
 
 from repro.exec import ExecutionConfig
 from repro.join import spatial_join
-from repro.reliability import (FaultInjector, FaultyPager,
+from repro.reliability import (CorruptPageError, FaultInjector, FaultyPager,
                                RetryExhaustedError, RetryPolicy)
 from repro.storage import NoBuffer, PathBuffer
 
@@ -43,9 +43,10 @@ class TestChaosJoin:
                                  latency_rate=0.05)
         inject(t1, injector)
         inject(t2, injector)
-        # The default config and an explicit level-batch: neither may
-        # probe for an arena through the faulty pagers — a probe eats
-        # injector draws that no retry accounts for.
+        # The default config and an explicit level-batch: the arena is
+        # built from uncounted reads, which draw no fault, so the
+        # batch engine runs and every injected fault is a retry of one
+        # of the join's ReadPages.
         for config in (None, ExecutionConfig(traversal="level-batch")):
             before = injector.counts.transients
             chaotic = spatial_join(t1, t2, buffer=PathBuffer(),
@@ -54,7 +55,7 @@ class TestChaosJoin:
             injected = injector.counts.transients - before
 
             assert (chaotic.engine, chaotic.fallback) == (
-                "stack", "no-arena")
+                "level-batch", None)
             # Bit-identical result set.
             assert sorted(chaotic.pairs) == sorted(baseline.pairs)
             # NA/DA counts excluding retries match exactly, per
@@ -106,6 +107,24 @@ class TestChaosJoin:
                               retry_policy=RETRY_POLICY)
         assert sorted(first.pairs) == sorted(second.pairs)
         assert second.stats.retry_count() == retries_first
+
+    def test_corruption_stops_both_engines_at_the_same_read(self,
+                                                             tree_pair):
+        # Level-batch issues the stack machine's ReadPage sequence, so a
+        # corrupt page stops both after the same number of draws.
+        t1, t2 = tree_pair
+        injector = FaultInjector(seed=3, corrupt_rate=0.02)
+        inject(t1, injector)
+        inject(t2, injector)
+        reads = []
+        for config in (None, ExecutionConfig(traversal="stack")):
+            injector.reset()
+            with pytest.raises(CorruptPageError):
+                spatial_join(t1, t2, buffer=PathBuffer(),
+                             retry_policy=RETRY_POLICY, config=config)
+            assert injector.counts.corruptions == 1
+            reads.append(injector.counts.reads)
+        assert reads[0] == reads[1] > 2
 
     def test_exhaustion_surfaces_as_transient_error(self, tree_pair):
         t1, t2 = tree_pair

@@ -413,6 +413,15 @@ class TestReliabilityCli:
         assert code == 0
         assert "retried reads:" in out
 
+    def test_chaos_join_refuses_worker_processes(self, two_trees, capsys):
+        # A worker process would not draw from this process's injector.
+        code, out, err = run(capsys, "join", "--inject-transient", "0.05",
+                             "--workers", "2", "--mode", "processes",
+                             str(two_trees[0]), str(two_trees[1]))
+        assert code == 2
+        assert "mode='processes'" in err
+        assert "result pairs:" not in out
+
     def test_retry_exhaustion_is_exit_4(self, two_trees, capsys):
         code, _out, err = run(capsys, "join",
                               "--inject-transient", "1.0",

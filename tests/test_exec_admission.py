@@ -161,13 +161,17 @@ class TestOnePrice:
         assert tree_params(t2).density > tree_params(t1).density
         assert walks == [3, 2]
 
-    def test_faulting_storage_is_never_remembered_through(self, walked):
+    def test_faulting_storage_is_remembered_through(self, walked):
+        # A catalog read is not a ReadPage: pricing a tree whose pager
+        # injects faults draws nothing, and its (N, D) is remembered.
         (t1, t2), walks = walked
         first = predict_join_cost(t1, t2)
-        t1.pager = FaultyPager(t1.pager, FaultInjector(seed=1))
+        injector = FaultInjector(seed=1, transient_rate=1.0)
+        t1.pager = FaultyPager(t1.pager, injector)
         assert predict_join_cost(t1, t2) == first
         assert predict_join_cost(t1, t2) == first
-        assert walks == [3, 1]           # walked per call, as ever
+        assert walks == [1, 1]
+        assert injector.counts.reads == 0
 
     @pytest.mark.parametrize("case", GOLDEN_PRICES)
     def test_golden_prices(self, case):

@@ -40,12 +40,14 @@ def _join(t1, t2, *, buffer_factory=PathBuffer, governor=None, **kw):
 
 def _run_with_cut(t1, t2, cut, *, collect_pairs=True,
                   buffer_factory=PathBuffer, **kw):
-    """Run to an NA budget of ``cut``, then resume to completion."""
+    """Run to an NA budget of ``cut``, then resume to completion:
+    ``(final, first)``, ``first`` the interrupted leg (``None`` when
+    the cut landed past the total work)."""
     gov = ExecutionGovernor(Budget(max_na=cut), partial=True)
     first = _join(t1, t2, buffer_factory=buffer_factory,
                   governor=gov, **kw).run(collect_pairs=collect_pairs)
     if first.complete:
-        return first, False              # cut landed past the total work
+        return first, None
     assert isinstance(first, PartialJoinResult)
     # One drain step fetches at most one node *pair*, so the cut can
     # overshoot the NA budget by at most one read.
@@ -53,7 +55,7 @@ def _run_with_cut(t1, t2, cut, *, collect_pairs=True,
     final = _join(t1, t2, buffer_factory=buffer_factory,
                   **kw).resume(first.checkpoint)
     assert final.complete
-    return final, True
+    return final, first
 
 
 @pytest.fixture(scope="module")
@@ -75,15 +77,17 @@ class TestResumeInvariant:
         assert len(cuts) >= 20
         interrupted = 0
         for cut in sorted(cuts):
-            final, was_cut = _run_with_cut(t1, t2, cut)
-            interrupted += was_cut
+            final, first = _run_with_cut(t1, t2, cut)
+            interrupted += first is not None
             assert _signature(final) == baseline, f"cut at NA={cut}"
         assert interrupted >= 20
 
     def test_under_injected_faults(self, trees):
         # >= 5% transient fault rate on every page read, on both legs
         # (before and after the cut).  Retries are absorbed by the
-        # retry policy and must not disturb the NA/DA accounting.
+        # retry policy and must not disturb the NA/DA accounting, and
+        # the faults do not change the engine: level-batch takes the
+        # cut, the stack machine resumes it.
         t1, t2 = trees
         baseline = _signature(_join(t1, t2).run())
         total_na = sum(baseline["na"].values())
@@ -94,9 +98,13 @@ class TestResumeInvariant:
             rng = random.Random(42)
             for cut in sorted(rng.randrange(1, total_na)
                               for _ in range(8)):
-                final, _ = _run_with_cut(t1, t2, cut,
-                                         retry_policy=RETRY_POLICY)
+                final, first = _run_with_cut(t1, t2, cut,
+                                             retry_policy=RETRY_POLICY)
                 assert _signature(final) == baseline, f"cut at NA={cut}"
+                assert (first.engine, first.fallback) == ("level-batch",
+                                                          None)
+                assert (final.engine, final.fallback) == ("stack",
+                                                          "resume")
             assert injector.counts.transients > 0
         finally:
             t1.pager = t1.pager.inner
@@ -141,8 +149,8 @@ class TestResumeVariants:
     def _invariant_at_cuts(self, t1, t2, cuts, **kw):
         baseline = _signature(_join(t1, t2, **kw).run())
         for cut in cuts:
-            final, was_cut = _run_with_cut(t1, t2, cut, **kw)
-            assert was_cut
+            final, first = _run_with_cut(t1, t2, cut, **kw)
+            assert first is not None
             assert _signature(final) == baseline, f"cut at NA={cut}"
 
     def test_plane_sweep_enumeration(self, trees):
@@ -166,9 +174,9 @@ class TestResumeVariants:
         assert baseline["pairs"] == []   # nothing collected
         assert baseline["pair_count"] > 0
         for cut in (5, 17, 41):
-            final, was_cut = _run_with_cut(t1, t2, cut,
-                                           collect_pairs=False)
-            assert was_cut
+            final, first = _run_with_cut(t1, t2, cut,
+                                         collect_pairs=False)
+            assert first is not None
             assert _signature(final) == baseline
 
     def test_mixed_height_trees(self):

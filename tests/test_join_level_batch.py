@@ -17,7 +17,7 @@ from repro.exec.checkpoint import _canonical
 from repro.geometry import Rect
 from repro.join import (LevelBatchState, PartialJoinResult, SpatialJoin,
                         WithinDistance, parallel_spatial_join,
-                        spatial_join, supports_level_batch, tree_arena)
+                        spatial_join, supports_level_batch)
 from repro.join.predicates import Overlap
 from repro.join.sync import _TraversalState
 from repro.obs import MemorySink, MetricsRegistry, Tracer
@@ -27,6 +27,10 @@ from repro.rtree import share_tree, str_pack
 from repro.storage import AccessStats
 
 from .conftest import build_rstar, make_items
+
+# The planner pads its tiles with NaN: NaN or overflow arithmetic in its
+# kernels must fail here, not pass as a warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BATCH = ExecutionConfig(traversal="level-batch")
 STACK = ExecutionConfig(traversal="stack")
@@ -80,7 +84,7 @@ class TestSelection:
         h, lease = share_tree(t1)
         try:
             view = h.attach()
-            assert tree_arena(view) is not None
+            assert view.arena() is not None
             assert isinstance(_state(view, view), LevelBatchState)
         finally:
             lease.close()
@@ -114,10 +118,6 @@ class TestFallback:
         self._assert_fell_back(trees, "predicate", predicate=Narrower())
         assert supports_level_batch(WithinDistance(0.1),
                                     "vectorized") is None
-
-    def test_tree_without_arena_falls_back(self, trees, monkeypatch):
-        monkeypatch.setattr(trees[0], "arena", None)   # shadows the builder
-        self._assert_fell_back(trees, "no-arena")
 
     def test_resume_always_uses_stack_machine(self, trees):
         t1, t2 = trees

@@ -222,6 +222,20 @@ class TestThreadsMode:
 
 
 class TestProcessesMode:
+    def test_fault_injection_is_refused(self, joined):
+        # Each worker process would read the exported arena (or unpickle
+        # its own copy of the injector): never the serial fault sequence.
+        _a, _b, t1, t2 = joined
+        injector = FaultInjector(seed=5, transient_rate=0.1)
+        t2.pager = FaultyPager(t2.pager, injector)
+        try:
+            with pytest.raises(ValueError, match="mode='processes'"):
+                parallel_spatial_join(
+                    t1, t2, config=with_workers(2, mode="processes"))
+            assert injector.counts.reads == 0
+        finally:
+            t2.pager = t2.pager.inner
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_same_output_as_serial_mode(self, joined, workers):
         a, b, t1, t2 = joined

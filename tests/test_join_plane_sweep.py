@@ -10,12 +10,11 @@ from repro.exec import ExecutionConfig
 from repro.geometry import Rect
 from repro.join import (PAIR_ENUMERATIONS, WithinDistance, naive_join,
                         spatial_join)
-from repro.join.plane_sweep import (nested_loop_pairs, sweep_pairs,
-                                    sweep_pairs_batch)
+from repro.join.plane_sweep import nested_loop_pairs, sweep_pairs
 from repro.rtree import Entry
 
 from .conftest import (NESTED_LOOP, PLANE_SWEEP, VECTORIZED_SWEEP,
-                       build_rstar, make_items)
+                       batch_sweep, build_rstar, make_items)
 
 SLOW = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -110,20 +109,20 @@ class TestSweepDeterminism:
         e2 = [Entry(r, i) for i, (r, _o) in enumerate(items2)]
         scalar = [(a.ref, b.ref, c) for a, b, c in sweep_pairs(e1, e2)]
         batch = [(a.ref, b.ref, c)
-                 for a, b, c in sweep_pairs_batch(e1, e2)]
+                 for a, b, c in batch_sweep(e1, e2)]
         assert batch == scalar
 
     def test_batch_identical_on_ties(self):
         e1, e2 = tied_entries(), tied_entries()
         scalar = [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)]
         batch = [(a.ref, b.ref)
-                 for a, b, _c in sweep_pairs_batch(e1, e2)]
+                 for a, b, _c in batch_sweep(e1, e2)]
         assert batch == scalar
 
     def test_batch_empty_sides(self):
         e = [Entry(Rect((0, 0), (1, 1)), 0)]
-        assert list(sweep_pairs_batch([], e)) == []
-        assert list(sweep_pairs_batch(e, [])) == []
+        assert list(batch_sweep([], e)) == []
+        assert list(batch_sweep(e, [])) == []
 
 
 class TestNestedLoopPairs:
@@ -220,7 +219,7 @@ class TestSweepSlackRegressions:
         scalar = [(a.ref, b.ref, c)
                   for a, b, c in sweep_pairs(e1, e2, slack=slack)]
         batch = [(a.ref, b.ref, c)
-                 for a, b, c in sweep_pairs_batch(e1, e2, slack=slack)]
+                 for a, b, c in batch_sweep(e1, e2, slack=slack)]
         assert batch == scalar           # order and set, not just set
 
     @SLOW
@@ -269,7 +268,6 @@ class TestSweepSlackRegressions:
             scalar = [(a.ref, b.ref)
                       for a, b, _c in sweep_pairs(e1, e2, slack=slack)]
             batch = [(a.ref, b.ref)
-                     for a, b, _c in sweep_pairs_batch(e1, e2,
-                                                       slack=slack)]
+                     for a, b, _c in batch_sweep(e1, e2, slack=slack)]
             assert batch == scalar
             assert len(scalar) == 9

@@ -6,7 +6,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry import Rect
-from repro.join import OVERLAP, Overlap, WithinDistance
+from repro.join import OVERLAP, JoinPredicate, Overlap, WithinDistance
+
+# The level-batch planner pads its tiles with NaN, and
+# WithinDistance.confirm squares gaps: NaN or overflow arithmetic in
+# these kernels must fail here, not pass as a warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestOverlap:
@@ -91,7 +96,6 @@ def _point(*xs):
     return Rect(xs, xs)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.integers(1, 3).flatmap(lambda ndim: st.lists(
            st.tuples(_rect(ndim), _rect(ndim)), min_size=1, max_size=12)),
        st.one_of(st.just(0.0), st.just(5e-324), st.just(0.25),
@@ -133,7 +137,6 @@ def test_confirm_is_the_scalar_leaf_test(pairs, distance):
             predicate.leaf_test(r1, r2) for r1, r2 in pairs]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("predicate", [Overlap(), WithinDistance(0.0),
                                        WithinDistance(1e300)], ids=repr)
 @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -160,3 +163,36 @@ def test_nan_operand_fails_the_mask(predicate, ndim):
             else:
                 want[1, 2, :] = False
             assert (mask == want).all()
+
+
+class _TestsOnly(JoinPredicate):
+    def node_test(self, r1, r2):
+        return r1.intersects(r2)
+
+    leaf_test = node_test
+
+
+class _StrictOverlap(Overlap):
+    def leaf_test(self, r1, r2):
+        return super().leaf_test(r1, r2) and r1.lo[0] < r2.lo[0]
+
+
+def test_a_predicate_without_a_kernel_passes_every_pair_inexactly():
+    """The default kernel: every pair, in the broadcast shape of the
+    operands, left to ``confirm`` or the scalar test of its level."""
+    row, column = np.zeros((2, 1, 3)), np.zeros((2, 4, 1))
+    mask, exact = _TestsOnly().pair_mask(row, row, column, column)
+    assert mask.shape == (4, 3) and mask.all() and not exact
+    aligned = np.zeros((2, 5))
+    mask, exact = _TestsOnly().pair_mask(aligned, aligned, aligned, aligned)
+    assert mask.shape == (5,) and mask.all() and not exact
+
+
+def test_only_overlap_itself_has_an_exact_mask():
+    """A subclass may make ``leaf_test`` stricter: its mask is the
+    overlap superset, so its survivors must still meet ``confirm``."""
+    lo, hi = np.zeros((2, 1)), np.ones((2, 1))
+    assert Overlap().pair_mask(lo, hi, lo, hi)[1] is True
+    mask, exact = _StrictOverlap().pair_mask(lo, hi, lo, hi)
+    assert mask.all() and not exact
+    assert _StrictOverlap().confirm(lo, hi, lo, hi) == [False]

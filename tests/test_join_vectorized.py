@@ -3,9 +3,8 @@
 The contract under test is the one ``docs/performance.md`` documents:
 ``pair_enumeration="vectorized"`` must produce the *identical* pair
 list, NA, and DA as the paper's nested loops — the batching is a pure
-CPU optimisation, invisible to the I/O model — whether the kernels read
-arena slices or, with no arena (a pager that may fault), the same block
-is tested scalar-side.
+CPU optimisation, invisible to the I/O model — whatever the predicate's
+kernel: exact, inexact or the default of a predicate without one.
 """
 
 import numpy as np
@@ -106,7 +105,8 @@ class TestDistanceCandidatePairs:
 
 
 class _NoKernel(JoinPredicate):
-    """Overlap without a batched kernel: exercises the fallback path."""
+    """Overlap without a batched kernel of its own: the default mask
+    passes every pair, the scalar test decides."""
 
     def node_test(self, r1, r2):
         return r1.intersects(r2)
@@ -115,9 +115,7 @@ class _NoKernel(JoinPredicate):
 
 
 class TestVectorizedPairs:
-    """Every case runs on both inputs: the kernel over arena slices and
-    the no-arena scalar-side block.  Yields, order and
-    costs must be the same."""
+    """The kernel over arena slices: yields, order and costs."""
 
     def reference(self, n1, n2, predicate, leaf):
         test = predicate.leaf_test if leaf else predicate.node_test
@@ -125,15 +123,11 @@ class TestVectorizedPairs:
                 if test(a.rect, b.rect)]
 
     def yields(self, n1, n2, predicate, leaf):
-        """``[(ref1, ref2, cost), ...]``, equal with and without slices."""
-        no_arena = [(a.ref, b.ref, c) for a, b, c
-                    in vectorized_pairs(n1, n2, predicate, leaf)]
+        """``[(ref1, ref2, cost), ...]``."""
         arena = TreeArena.build([n1, n2], 2)
-        kernel = [(a.ref, b.ref, c) for a, b, c in vectorized_pairs(
+        return [(a.ref, b.ref, c) for a, b, c in vectorized_pairs(
             n1, n2, predicate, leaf,
             arena.slice(n1.page_id), arena.slice(n2.page_id))]
-        assert kernel == no_arena
-        return no_arena
 
     @pytest.mark.parametrize("predicate", [
         OVERLAP, WithinDistance(0.05), WithinDistance(0.0), _NoKernel()])
@@ -162,8 +156,11 @@ class TestVectorizedPairs:
     def test_empty_side_yields_nothing(self):
         full = node_of([Rect((0.0, 0.0), (1.0, 1.0))])
         empty = Node(1, 1, [])
-        assert list(vectorized_pairs(full, empty, OVERLAP, True)) == []
-        assert list(vectorized_pairs(empty, full, OVERLAP, True)) == []
+        cols = TreeArena.build([full], 2).slice(full.page_id)
+        assert list(vectorized_pairs(full, empty, OVERLAP, True,
+                                     cols, None)) == []
+        assert list(vectorized_pairs(empty, full, OVERLAP, True,
+                                     None, cols)) == []
 
 
 class TestVectorizedJoinIdentity:
@@ -212,19 +209,6 @@ class TestVectorizedJoinIdentity:
         empty = RStarTree(2, 8)
         other = build_rstar(make_items(40, seed=24))
         assert spatial_join(empty, other, config=VECTORIZED).pairs == []
-
-    def test_tree_without_arena_identical(self, monkeypatch):
-        t1 = build_rstar(make_items(200, seed=25))
-        t2 = build_rstar(make_items(200, seed=26))
-        with_np = spatial_join(t1, t2, config=VECTORIZED)
-        assert with_np.fallback is None
-        monkeypatch.setattr(t2, "arena", None)   # shadows the builder
-        # The block is tested scalar-side and the join says so.
-        without = spatial_join(t1, t2, config=VECTORIZED)
-        assert without.fallback == "no-arena"
-        assert without.pairs == with_np.pairs
-        assert without.comparisons == with_np.comparisons
-        assert without.stats.as_dict() == with_np.stats.as_dict()
 
 
 class TestVectorizedCheckpointResume:

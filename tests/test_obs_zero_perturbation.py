@@ -175,13 +175,16 @@ class TestPartitionJoin:
         assert traced.pair_count == plain.pair_count
         assert traced.comparisons == plain.comparisons
         assert traced.stats.as_dict() == plain.stats.as_dict()
-        # ... and the trace says which engine ran, and why.
+        # ... and the trace says what the partition did; the engine
+        # and its (absent) fallback are join_start's.
         [event] = [r for r in tracer.sink.records
                    if r["event"] == "partition"]
+        [start] = [r for r in tracer.sink.records
+                   if r["event"] == "join_start"]
         counters = metrics.as_dict()["counters"]
-        assert (event["engine"], event["fallback"]) == ("arena", None)
-        assert not any(name.startswith("pbsm.fallback.")
-                       for name in counters)
+        assert (start["engine"], start["fallback"]) == ("pbsm", None)
+        assert "engine" not in event and "fallback" not in event
+        assert not any(".fallback." in name for name in counters)
         assert event["tiles"] == counters["pbsm.tiles"]
         assert event["replicas1"] >= event["entries1"] == len(t1)
         assert event["replicas2"] >= event["entries2"] == len(t2)

@@ -2,17 +2,18 @@
 
 The partition-based engine is the first join whose result set must be
 *proven* equal to the tree-based reference — the property tests here
-drive both predicates, both engines (the arena pipeline and the scalar
-engine a tree without an arena gets), degenerate (zero-extent)
-rectangles and rectangles sitting exactly on tile boundaries, asserting
-pair-for-pair equality with ``spatial_join`` and that no pair is
-duplicated or dropped by the reference-point rule.
-``TestArenaEqualsScalar`` then holds the arena engine to the scalar one
-on everything observable: pairs in order, comparisons, NA/DA per tree
-per level, tiles.
+drive both built-in predicates and two custom ones (see ``conftest``),
+degenerate (zero-extent) rectangles and rectangles sitting exactly on
+tile boundaries, asserting pair-for-pair equality with ``spatial_join``
+and that no pair is duplicated or dropped by the reference-point rule.
+``TestArenaEqualsScalar`` then holds the columnar engine to a scalar
+one — :func:`scalar_pbsm`, the same grid over ``Entry`` lists swept
+with the scalar ``sweep_pairs`` — on everything observable: pairs in
+order, comparisons, NA/DA per tree per level, tiles.
 """
 
-from contextlib import contextmanager
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,10 +26,14 @@ from repro.geometry import Rect
 from repro.join import (OVERLAP, PartialJoinResult, SpatialJoin,
                         WithinDistance, parallel_spatial_join, partition,
                         partition_spatial_join, spatial_join)
+from repro.join.plane_sweep import sweep_pairs
 from repro.join.predicates import Overlap
+from repro.join.result import R1, R2
 from repro.obs import MemorySink, MetricsRegistry, Tracer
+from repro.storage import AccessStats, MeteredReader, PathBuffer
 
-from .conftest import build_rstar, make_items
+from .conftest import (KernelLessOverlap, StrictOverlap, build_rstar,
+                       make_items)
 
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -56,31 +61,80 @@ items_strategy = st.lists(rect_strategy(), min_size=0, max_size=60).map(
 
 predicates = st.sampled_from(
     [OVERLAP, WithinDistance(0.0), WithinDistance(0.125),
-     WithinDistance(0.3)])
+     WithinDistance(0.3), StrictOverlap(), KernelLessOverlap()])
 
 
-@contextmanager
-def no_arena(tree, enabled: bool = True):
-    """Take the tree's arena away for a block, as a pager that may fault
-    does: PBSM then runs its scalar engine (a no-op when not
-    ``enabled``)."""
-    if not enabled:
-        yield
-        return
-    tree.arena = None                    # shadows the builder
-    try:
-        yield
-    finally:
-        del tree.arena
+def scalar_pbsm(tree1, tree2, predicate=OVERLAP, tiles=None):
+    """PBSM's scalar engine, the reference of the columnar one.
+
+    The same charged leaf scan and the same grid; then, over ``Entry``
+    lists, every entry is replicated into each tile its (R2: inflated)
+    rectangle touches, each two-sided tile in row-major order is swept
+    with the scalar :func:`sweep_pairs`, and a candidate is kept when
+    its tile owns the pair's reference point and ``leaf_test`` holds.
+    Returns what the engine reports: ``pairs``, ``pair_count``,
+    ``comparisons``, ``stats`` and the ``partition`` event's fields
+    (``event``, ``None`` when a side is empty).
+    """
+    stats, buffer = AccessStats(), PathBuffer()
+    leaves = [partition._scan_leaves(
+        tree, MeteredReader(tree.pager, label, stats, buffer), None, stats)
+        for tree, label in ((tree1, R1), (tree2, R2))]
+    entries = [[e for node in side for e in node.entries] for side in leaves]
+    done = SimpleNamespace(pairs=[], pair_count=0, comparisons=0,
+                           stats=stats, event=None)
+    if not all(entries):
+        return done
+    axes, slack = min(tree1.ndim, 2), predicate.sweep_slack()
+    inflate = (0.0, slack)
+    lo = [min(e.rect.lo[k] - pad for side, pad in zip(entries, inflate)
+              for e in side) for k in range(axes)]
+    hi = [max(e.rect.hi[k] + pad for side, pad in zip(entries, inflate)
+              for e in side) for k in range(axes)]
+    per_axis = partition._tiles_per_axis(max(map(len, entries)), axes,
+                                         tiles)
+    grid = partition._make_grid(lo, hi, per_axis, slack)
+
+    def tile_of(k, x):
+        t = int((x - grid.origin[k]) / grid.width[k])
+        return min(max(t, 0), grid.tiles[k] - 1)
+
+    scattered = []
+    for side, pad in zip(entries, inflate):
+        cells = {}
+        for e in side:
+            for tile in product(*(range(tile_of(k, e.rect.lo[k] - pad),
+                                        tile_of(k, e.rect.hi[k] + pad) + 1)
+                                  for k in range(axes))):
+                cells.setdefault(tile, []).append(e)
+        scattered.append(cells)
+    cells1, cells2 = scattered
+    common = [tile for tile in sorted(cells1) if tile in cells2]
+    for tile in common:
+        for e1, e2, cost in sweep_pairs(cells1[tile], cells2[tile],
+                                        slack=slack):
+            done.comparisons += cost
+            owner = tuple(tile_of(k, max(e1.rect.lo[k],
+                                         e2.rect.lo[k] - slack))
+                          for k in range(axes))
+            if owner == tile and predicate.leaf_test(e1.rect, e2.rect):
+                done.pairs.append((e1.ref, e2.ref))
+    done.pair_count = len(done.pairs)
+    done.event = {"tiles": len(common), "grid": list(grid.tiles),
+                  "entries1": len(entries[0]), "entries2": len(entries[1]),
+                  "replicas1": sum(map(len, cells1.values())),
+                  "replicas2": sum(map(len, cells2.values()))}
+    return done
 
 
 def assert_matches_reference(items1, items2, predicate, scalar=False,
                              **kwargs):
+    """The engine (or, with ``scalar``, its reference) against the
+    synchronized traversal."""
     t1, t2 = build_rstar(items1), build_rstar(items2)
     reference = spatial_join(t1, t2, predicate=predicate)
-    with no_arena(t1, scalar):
-        result = partition_spatial_join(t1, t2, predicate=predicate,
-                                        **kwargs)
+    join = scalar_pbsm if scalar else partition_spatial_join
+    result = join(t1, t2, predicate=predicate, **kwargs)
     pairs = list(result.pairs)
     # No pair is emitted twice (the reference-point rule picks exactly
     # one owner tile) and none is dropped.
@@ -155,45 +209,39 @@ class TestPairSetEquality:
         assert partition_spatial_join(empty, empty).pair_count == 0
 
 
-def traced_join(t1, t2, scalar, **kwargs):
-    """One observed PBSM join on the chosen engine:
-    ``(result, partition event or None, counters)``."""
+def traced_join(t1, t2, **kwargs):
+    """One observed PBSM join: ``(result, partition event or None,
+    counters)``."""
     tracer = Tracer(MemorySink())
     metrics = MetricsRegistry()
-    with no_arena(t1, scalar):
-        result = partition_spatial_join(t1, t2, tracer=tracer,
-                                        metrics=metrics, **kwargs)
+    result = partition_spatial_join(t1, t2, tracer=tracer, metrics=metrics,
+                                    **kwargs)
     events = [e for e in tracer.sink.records if e["event"] == "partition"]
     return (result, events[0] if events else None,
             metrics.as_dict()["counters"])
 
 
 def assert_engines_agree(t1, t2, predicate, tiles):
-    arena, a_event, a_counters = traced_join(
-        t1, t2, False, predicate=predicate, tiles=tiles)
-    scalar, s_event, s_counters = traced_join(
-        t1, t2, True, predicate=predicate, tiles=tiles)
+    arena, event, counters = traced_join(t1, t2, predicate=predicate,
+                                         tiles=tiles)
+    scalar = scalar_pbsm(t1, t2, predicate, tiles)
     assert arena.pairs == scalar.pairs              # order included
     assert arena.pair_count == scalar.pair_count
     assert arena.comparisons == scalar.comparisons
     assert arena.stats.as_dict() == scalar.stats.as_dict()
-    assert a_counters["pbsm.tiles"] == s_counters["pbsm.tiles"]
-    assert s_counters["pbsm.fallback.no-arena"] == 1
-    assert not any(k.startswith("pbsm.fallback.") for k in a_counters)
-    if a_event is None:                  # an empty side: nothing to tile
-        assert s_event is None
+    assert (arena.engine, arena.fallback) == ("pbsm", None)
+    assert not any(".fallback." in k for k in counters)
+    if event is None:                    # an empty side: nothing to tile
+        assert scalar.event is None
         return arena
-    assert (a_event["engine"], a_event["fallback"]) == ("arena", None)
-    assert (s_event["engine"], s_event["fallback"]) == \
-        ("scalar", "no-arena")
-    for key in ("tiles", "grid", "entries1", "entries2", "replicas1",
-                "replicas2"):
-        assert a_event[key] == s_event[key], key
+    assert counters["pbsm.tiles"] == scalar.event["tiles"]
+    assert {k: event[k] for k in scalar.event} == scalar.event
     return arena
 
 
 class TestArenaEqualsScalar:
-    """The arena engine against the scalar one, observable by observable."""
+    """The columnar engine against the scalar reference, observable by
+    observable."""
 
     @SLOW
     @given(items_strategy, items_strategy, predicates,
@@ -230,13 +278,7 @@ class TestArenaEqualsScalar:
         t2 = build_rstar(make_items(200, ndim=3, seed=26, side=0.15),
                          ndim=3)
         for predicate in (OVERLAP, WithinDistance(0.05)):
-            arena, event, _ = traced_join(t1, t2, False,
-                                          predicate=predicate, tiles=3)
-            scalar, _, _ = traced_join(t1, t2, True,
-                                       predicate=predicate, tiles=3)
-            assert event["engine"] == "arena"
-            assert arena.pairs == scalar.pairs
-            assert arena.comparisons == scalar.comparisons
+            arena = assert_engines_agree(t1, t2, predicate, 3)
             assert sorted(arena.pairs) == sorted(
                 spatial_join(t1, t2, predicate=predicate).pairs)
 
@@ -248,19 +290,9 @@ class TestArenaEqualsScalar:
         stale = t1.arena()
         before = partition_spatial_join(t1, t2)
         t1.insert(Rect((0.0, 0.0), (1.0, 1.0)), 10_000)
-        result, event, _ = traced_join(t1, t2, False)
+        result = assert_engines_agree(t1, t2, OVERLAP, None)
         assert t1.arena() is not stale
-        assert event["engine"] == "arena"
-        assert event["entries1"] == 121
         assert result.pair_count == before.pair_count + 120
-        scalar, _, _ = traced_join(t1, t2, True)
-        assert result.pairs == scalar.pairs
-        assert result.stats.as_dict() == scalar.stats.as_dict()
-
-
-class _KernelLessOverlap(Overlap):
-    def pair_mask(self, lo1, hi1, lo2, hi2):
-        return None
 
 
 class _SupersetKernelOverlap(Overlap):
@@ -272,7 +304,9 @@ class _SupersetKernelOverlap(Overlap):
 
 
 class TestFallbackIsRecorded:
-    """No silent fallback: the trace and a counter name the reason."""
+    """The fallback a PBSM join records: none, whatever the predicate —
+    one without a kernel of its own or with an inexact one runs on the
+    columnar engine too, its candidates settled by ``confirm``."""
 
     def _trees(self):
         return (build_rstar(make_items(150, seed=31)),
@@ -280,36 +314,23 @@ class TestFallbackIsRecorded:
 
     def test_no_pair_mask(self):
         t1, t2 = self._trees()
-        want, _, _ = traced_join(t1, t2, False)
-        got, event, counters = traced_join(
-            t1, t2, False, predicate=_KernelLessOverlap())
-        assert (event["engine"], event["fallback"]) == \
-            ("scalar", "no-pair-mask")
-        assert counters["pbsm.fallback.no-pair-mask"] == 1
+        want, _, _ = traced_join(t1, t2)
+        got, event, counters = traced_join(t1, t2,
+                                           predicate=KernelLessOverlap())
+        assert (got.engine, got.fallback) == ("pbsm", None)
+        assert "engine" not in event and "fallback" not in event
+        assert not any(".fallback." in k for k in counters)
         assert got.pairs == want.pairs
         assert got.comparisons == want.comparisons
 
     def test_inexact_custom_kernel_stays_on_the_arena_engine(self):
         t1, t2 = self._trees()
-        want, _, _ = traced_join(t1, t2, False, tiles=3)
-        got, event, _ = traced_join(
-            t1, t2, False, tiles=3, predicate=_SupersetKernelOverlap())
-        assert (event["engine"], event["fallback"]) == ("arena", None)
+        want, _, _ = traced_join(t1, t2, tiles=3)
+        got, _, _ = traced_join(t1, t2, tiles=3,
+                                predicate=_SupersetKernelOverlap())
+        assert (got.engine, got.fallback) == ("pbsm", None)
         assert got.pairs == want.pairs
         assert got.comparisons == want.comparisons
-
-    def test_arena_unavailable(self, monkeypatch):
-        t1, t2 = self._trees()
-        want, _, _ = traced_join(t1, t2, False)
-        monkeypatch.setattr(t2, "arena", None)
-        got, event, counters = traced_join(t1, t2, False)
-        # One name per reason: what the traversal calls it.
-        assert (event["engine"], event["fallback"]) == \
-            ("scalar", "no-arena")
-        assert counters["pbsm.fallback.no-arena"] == 1
-        assert got.fallback == "no-arena"
-        assert got.pairs == want.pairs
-        assert got.stats.as_dict() == want.stats.as_dict()
 
 
 @pytest.mark.parametrize("scalar", [pytest.param(True, id="scalar"),
@@ -319,15 +340,16 @@ def test_non_finite_distance_reaches_neither_engine(scalar, distance,
                                                     monkeypatch):
     """Refused where the predicate is made.  An infinite sweep slack
     used to reach the grid: ``int(nan)`` raised from the scalar
-    engine's ``tile_of`` while the arena engine cast the same NaN to
+    engine's tile map while the columnar engine cast the same NaN to
     int64 and answered, so the two engines disagreed."""
     reached = []
     monkeypatch.setattr(partition, "_make_grid",
                         lambda *args: reached.append(args))
     t1 = build_rstar(make_items(40, seed=33))
     t2 = build_rstar(make_items(40, seed=34))
-    with no_arena(t1, scalar), pytest.raises(ValueError, match="finite"):
-        partition_spatial_join(t1, t2, predicate=WithinDistance(distance))
+    join = scalar_pbsm if scalar else partition_spatial_join
+    with pytest.raises(ValueError, match="finite"):
+        join(t1, t2, predicate=WithinDistance(distance))
     assert not reached
 
 
@@ -383,7 +405,7 @@ class TestAccessSemantics:
         reference = spatial_join(t1, t2)
         cfg = ExecutionConfig(strategy="pbsm")
         via_sync = spatial_join(t1, t2, config=cfg)
-        assert via_sync.engine.startswith("pbsm-")
+        assert via_sync.engine == "pbsm"
         assert sorted(via_sync.pairs) == sorted(reference.pairs)
         with pytest.raises(ValueError, match="pbsm"):
             parallel_spatial_join(t1, t2, config=cfg)

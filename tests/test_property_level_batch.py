@@ -12,6 +12,7 @@ Deliberately *not* asserted: ``governor.checks`` — how often the two
 engines poll the governor is telemetry, not an observable of the join.
 """
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,10 @@ from repro.obs import MemorySink, Tracer
 from repro.rtree import RStarTree
 from repro.storage import AccessStats
 from repro.storage.buffers import LRUBuffer, NoBuffer, PathBuffer
+
+# The planner pads its tiles with NaN: NaN or overflow arithmetic in its
+# kernels must fail here, not pass as a warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SLOW = settings(max_examples=15,
                 suppress_health_check=[HealthCheck.too_slow],

@@ -68,7 +68,7 @@ ARENA_API = {
                    "ON_WORKER_CRASH", "PAIR_ENUMERATIONS",
                    "TRAVERSALS"],
     "repro.join": ["LevelBatchState", "TRAVERSALS",
-                   "supports_level_batch", "tree_arena"],
+                   "supports_level_batch"],
     "repro.geometry": ["ArenaHandle", "SharedArena", "TreeArena",
                        "arena_from_shared_memory",
                        "arena_to_shared_memory"],
@@ -157,6 +157,25 @@ def test_one_predicate_kernel_pair():
         assert not hasattr(LevelBatchState, name), name
     assert not hasattr(repro.join.partition, "_confirm")
     assert "buffer_from_spec" in repro.storage.__all__
+
+
+def test_one_engine_per_strategy_and_no_arena_fallback():
+    # Every tree has an arena (its reads are not ReadPages, so fault
+    # injection cannot fail them) and every predicate a kernel (the
+    # default passes every pair inexactly): PBSM's scalar engine and the
+    # arena probes are gone.
+    import repro.join.batch
+    import repro.join.partition
+    from repro.storage import Pager
+    for name in ("tree_arena", "arena_pair"):
+        assert not hasattr(repro.join.batch, name), name
+        assert not hasattr(repro.join, name), name
+    for name in ("_partition_scalar", "_scatter", "_tile_product",
+                 "_join_tile", "_select_engine"):
+        assert not hasattr(repro.join.partition, name), name
+    for name in ("tile_of", "owner", "ranges"):
+        assert not hasattr(repro.join.partition._Grid, name), name
+    assert Pager.peek is Pager.read
 
 
 def test_one_charging_replay():

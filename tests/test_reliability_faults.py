@@ -119,6 +119,13 @@ class TestFaultyPager:
         pager.free(99)
         assert 99 not in inner
 
+    def test_peek_is_not_a_read_page(self):
+        # Catalog and maintenance reads pass through without a draw.
+        inj = FaultInjector(seed=2, transient_rate=1.0, corrupt_rate=1.0)
+        pager = FaultyPager(filled_pager(), inj)
+        assert pager.peek(1) == "node-1"
+        assert inj.counts.reads == 0
+
     def test_counts_reads(self):
         inj = FaultInjector(seed=2)
         pager = FaultyPager(filled_pager(), inj)
