@@ -14,6 +14,7 @@ compatibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 __all__ = [
@@ -80,7 +81,8 @@ class ExecutionConfig:
         ``parallel_spatial_join`` acts on it; the synchronized
         single-traversal join is serial by construction.
     workers:
-        Worker count for the parallel modes (``>= 1``).  Refused above
+        Worker count for the parallel modes: an ``int >= 1`` (a bool
+        or a float is refused, not rounded).  Refused above
         1 together with ``strategy="pbsm"``: the partition engine runs
         in the calling thread (its tile pool lost to the serial probe
         on every measured workload, see ``docs/performance.md``).
@@ -94,7 +96,9 @@ class ExecutionConfig:
         :data:`ON_WORKER_CRASH`.
     worker_timeout:
         Watchdog seconds without any bucket completing before the pool
-        is declared hung (``None`` disables the watchdog).
+        is declared hung: positive and finite, or ``None`` to disable
+        the watchdog (``nan`` and ``inf`` are refused, not read as
+        "never").
     traversal:
         Traversal engine, one of :data:`TRAVERSALS`.  Where the default
         ``"level-batch"`` does not apply (plane-sweep enumerations,
@@ -125,8 +129,10 @@ class ExecutionConfig:
     def __post_init__(self) -> None:
         if self.mode not in EXECUTION_MODES:
             raise ValueError(f"mode must be one of {EXECUTION_MODES}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if (not isinstance(self.workers, int)
+                or isinstance(self.workers, bool) or self.workers < 1):
+            raise ValueError(
+                f"workers must be >= 1 and an int, not {self.workers!r}")
         if self.pair_enumeration not in PAIR_ENUMERATIONS:
             raise ValueError(
                 f"pair_enumeration must be one of {PAIR_ENUMERATIONS}")
@@ -136,8 +142,13 @@ class ExecutionConfig:
         if self.on_worker_crash not in ON_WORKER_CRASH:
             raise ValueError(
                 f"on_worker_crash must be one of {ON_WORKER_CRASH}")
-        if self.worker_timeout is not None and self.worker_timeout <= 0.0:
-            raise ValueError("worker_timeout must be positive (or None)")
+        if self.worker_timeout is not None and not (
+                isinstance(self.worker_timeout, (int, float))
+                and not isinstance(self.worker_timeout, bool)
+                and 0.0 < self.worker_timeout < math.inf):
+            raise ValueError(
+                f"worker_timeout must be positive (or None) and finite, "
+                f"not {self.worker_timeout!r}")
         if self.traversal not in TRAVERSALS:
             raise ValueError(
                 f"traversal must be one of {TRAVERSALS}")

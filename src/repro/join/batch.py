@@ -42,19 +42,28 @@ level order.  The engine therefore runs in two phases:
    records stays in units of the full ``a x b`` blocks the stack
    machine enumerates.  No page is read and nothing is charged;
    the governor is consulted once per level boundary, plus a per-level
-   NA sub-budget slicer stops planning levels the replay can provably
-   never reach before its budget trips.
-2. **replay** — the precomputed visit tree is walked depth-first,
-   issuing ``reader.fetch`` calls in exactly the stack machine's order
-   (including the mixed-height re-fetch of the shorter tree's leaf and
-   the pinned-root exemption) and emitting pairs/comparisons with the
-   stack machine's per-enumeration accounting.  There is one replay,
-   governed, traced or bare, and it steps once per visit and descent:
-   O(NA) under either enumeration.  Depth-first order opens the leaf
-   visits in index order, so the pairs a replay emits are always the
-   first ``pair_count - base`` items of the leaf level; they are
-   collected as one slice when the replay returns or a budget trips.
-   A governor is polled where
+   NA sub-budget slicer stops planning levels the replay loop can
+   provably never reach before its budget trips.
+2. **charge** — the precomputed visit tree is charged in exactly the
+   stack machine's ``ReadPage`` order, depth-first (including the
+   mixed-height re-fetch of the shorter tree's leaf and the pinned-root
+   exemption), with the stack machine's per-enumeration comparison
+   accounting.  Depth-first order opens the leaf visits in index
+   order, so the pairs a drain emits are always the first
+   ``pair_count - base`` items of the leaf level, collected as one
+   slice.  A drain nothing can stop or watch mid-way is charged in
+   bulk from the plan's arrays (:meth:`LevelBatchState._charge`): the
+   visit tree's preorder puts every fetch in one array, one
+   :meth:`~repro.storage.BufferManager.access_many` call gives its
+   hits, and ``bincount`` s give NA/DA per tree and level.  The
+   **replay loop** (:meth:`LevelBatchState._replay`) steps once per
+   visit and descent instead, O(NA) under either enumeration, and runs
+   exactly when :meth:`LevelBatchState._stepwise` says so: under a
+   governor, a tracer sampling node pairs, a reader other than a plain
+   :class:`~repro.storage.MeteredReader` over a pager that does not
+   inject faults, a reader's tracer sampling buffer accesses, or two
+   readers with different buffers.  It is the only code that polls,
+   trips, samples or writes a checkpoint.  A governor is polled where
    a count budget can newly trip — after each descent, and at the pair
    that spends a result budget — which is where the stack machine's
    poll before every item first sees it, so a trip lands on the same
@@ -79,6 +88,7 @@ import numpy as np
 
 from ..exec import ExecutionGovernor
 from ..exec.budget import BudgetExceeded, Cancelled
+from ..reliability import FaultyPager
 from ..storage import AccessStats, MeteredReader
 from .predicates import JoinPredicate, Overlap, WithinDistance
 
@@ -162,16 +172,30 @@ class _LevelPlan:
     ``items_total`` is the depth's ``sum(a*b)`` — what those charges
     add up from — and ``crossed_total`` the entry pairs the planner
     tested once the restriction had cut both sides down (tile padding
-    not counted).  All lists hold plain Python ints (checkpoints must
-    serialize; ``np.int64`` would not).  A leaf depth keeps its items
-    as the arrays ``child1_arr``/``child2_arr`` only: the replay emits
-    them as one slice (:meth:`LevelBatchState._emit`).
+    not counted).  ``cost``, ``qual_pos``, ``qual_start``, ``child1``
+    and ``child2`` are integer arrays; the replay loop reads them as
+    Python lists (:meth:`listed`).
     """
 
     __slots__ = ("kind", "child_l1", "child_l2", "fetch2_first", "raw",
                  "cost", "qual_pos", "qual_start", "child1", "child2",
-                 "child1_arr", "child2_arr", "frontier", "items_total",
-                 "crossed_total", "qual_total", "kernel_calls")
+                 "frontier", "items_total", "crossed_total", "qual_total",
+                 "kernel_calls")
+
+    def listed(self) -> "_LevelPlan":
+        """A copy for the replay loop, which indexes one item at a time
+        and writes page ids into checkpoints (``np.int64`` would not
+        serialize): the per-visit and per-item arrays as lists, but a
+        leaf depth's items, which :meth:`LevelBatchState._emit` slices,
+        as they are."""
+        out = _LevelPlan()
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if name in ("cost", "qual_pos", "qual_start") or (
+                    name in ("child1", "child2") and self.kind != "leaf"):
+                value = value.tolist()
+            setattr(out, name, value)
+        return out
 
 
 def run_slots(offset, count):
@@ -263,11 +287,37 @@ class LevelBatchState:
         return frame
 
     def drain(self) -> None:
-        """Plan and replay every pending root pair (LIFO, like the stack)."""
+        """Plan and charge every pending root pair (LIFO, like the stack)."""
+        stepwise = self._stepwise()
         while self._pending:
             frame = self._pending.pop()
             plans = self._plan(frame)
-            self._replay(frame, plans)
+            if stepwise:
+                self._replay(frame, plans)
+            else:
+                self._charge(plans)
+
+    def _stepwise(self) -> bool:
+        """Whether a drain must step through its plan one descent at a
+        time (:meth:`_replay`) rather than be charged in bulk
+        (:meth:`_charge`).
+
+        It must when something can stop the run mid-way — a governor —
+        or must see each step: a tracer sampling node pairs, a reader
+        that does more than price a page (a ``ResilientReader`` retries
+        and a ``FaultyPager`` draws a fault per read, a tracer sampling
+        buffer accesses watches each one), or two readers that do not
+        share the one buffer :meth:`_charge` charges both trees through.
+        """
+        readers = (self.reader1, self.reader2)
+        return (self.governor is not None
+                or (self.tracer is not None and self.tracer.sample_pairs > 0)
+                or self.reader1.buffer is not self.reader2.buffer
+                or any(type(reader) is not MeteredReader
+                       or isinstance(reader.pager, FaultyPager)
+                       or (reader.tracer is not None
+                           and reader.tracer.sample_buffer > 0)
+                       for reader in readers))
 
     def join(self, n1, n2) -> None:
         """SJ over a pair of resident nodes, drained to completion."""
@@ -303,8 +353,8 @@ class LevelBatchState:
                     # its path, so the replay's NA check is guaranteed
                     # to trip before deeper plans are ever read.
                     break
-            pages1 = plan.child1_arr
-            pages2 = plan.child2_arr
+            pages1 = plan.child1
+            pages2 = plan.child2
             l1, l2 = plan.child_l1, plan.child_l2
             depth += 1
         return plans
@@ -448,8 +498,7 @@ class LevelBatchState:
                            at1.take(heads), at2.take(heads))).T.tolist()
         # Every NumPy function, method and array operator the planner
         # issues, a pair_mask/confirm invocation counting as one (it
-        # cannot see inside them), views by basic slicing and the list
-        # conversions that hand the plan to the replay not at all.  Per
+        # cannot see inside them), views by basic slicing not at all.  Per
         # level: 12 to gather a descending side (2 for one pinned at its
         # leaves, which looks up its MBRs and nothing else), 13 to
         # restrict a side, 7 to index the survivors, 16 to order the
@@ -516,28 +565,87 @@ class LevelBatchState:
         plan.kernel_calls = kernel_calls
         # Mixed frames iterate raw entries whatever the enumeration.
         plan.raw = raw
-        plan.cost = (ab if raw else ab * (qual_counts > 0)).tolist()
-        plan.qual_pos = (pos2.take(gj) + i_loc.take(gi)).tolist()
-        plan.qual_start = qual_start.tolist()
-        if kind != "leaf":
-            plan.child1 = child1.tolist()
-            plan.child2 = child2.tolist()
-        plan.child1_arr = child1
-        plan.child2_arr = child2
+        plan.cost = ab if raw else ab * (qual_counts > 0)
+        plan.qual_pos = pos2.take(gj) + i_loc.take(gi)
+        plan.qual_start = qual_start
+        plan.child1 = child1
+        plan.child2 = child2
         return plan
 
-    # -- phase 2: depth-first charging replay -------------------------------
+    # -- phase 2: charging, in bulk or by a depth-first replay -------------
+
+    def _charge(self, plans: list[_LevelPlan]) -> None:
+        """Charge a complete plan as :meth:`_replay` would, in bulk.
+
+        The ``ReadPage`` order is the visit tree's preorder: an item's
+        two fetches, then its child visit's items, then its next
+        sibling.  Subtree sizes (in items that fetch) are summed bottom
+        up over each depth's ``qual_start``, and each item's preorder
+        position handed top down from its parent's, so the fetches land
+        in one ordered array (R1/R2 per ``fetch2_first``) without a
+        walk; the pinned roots :meth:`_fetch1`/:meth:`_fetch2` read
+        uncharged are dropped from it.  One
+        :meth:`~repro.storage.BufferManager.access_many` call over that
+        array gives the hits, NA/DA per tree and level are counted from
+        them, and the comparisons, pair count and pairs follow from the
+        plan's totals.
+        """
+        base = self.pair_count
+        fetching = plans[:-1] if plans[-1].kind == "leaf" else plans
+        # first[d][k]: the items, their descendants included, before
+        # item k of depth d — prefix sums of the subtree sizes.
+        first = [None] * len(fetching)
+        for d in reversed(range(len(fetching))):
+            size = np.ones(fetching[d].qual_total, dtype=np.int64)
+            if d + 1 < len(fetching):
+                qs, below = plans[d + 1].qual_start, first[d + 1]
+                size += below.take(qs[1:]) - below.take(qs[:-1])
+            first[d] = np.concatenate(([0], np.cumsum(size)))
+        n = int(first[0][-1]) if fetching else 0
+        sides = np.empty(2 * n, dtype=np.int64)
+        levels = np.empty(2 * n, dtype=np.int64)
+        pages = np.empty(2 * n, dtype=np.int64)
+        pos = np.full(1, -1, dtype=np.int64)   # the root visit fetches nothing
+        for plan, before in zip(fetching, first):
+            # An item comes right after its parent and the subtrees of
+            # its elder siblings.
+            qs = plan.qual_start
+            pos = (before[:-1] + np.repeat(pos + 1 - before.take(qs[:-1]),
+                                           np.diff(qs)))
+            at1 = 2 * pos + plan.fetch2_first
+            at2 = 2 * pos + (not plan.fetch2_first)
+            sides[at1], levels[at1], pages[at1] = 0, plan.child_l1, plan.child1
+            sides[at2], levels[at2], pages[at2] = 1, plan.child_l2, plan.child2
+        charged = pages != np.where(sides == 0, self.pinned1, self.pinned2)
+        sides, levels, pages = (sides[charged], levels[charged],
+                                pages[charged])
+        readers = (self.reader1, self.reader2)
+        hits = self.reader1.buffer.access_many(
+            tuple(reader.label for reader in readers), sides, levels, pages)
+        for side, reader in enumerate(readers):
+            mine = sides == side
+            na = np.bincount(levels[mine])
+            da = np.bincount(levels[mine & ~hits], minlength=len(na))
+            for level in np.flatnonzero(na).tolist():
+                reader.stats.record_counts(reader.label, level,
+                                           int(na[level]), int(da[level]))
+        self.comparisons += sum(int(plan.cost.sum()) for plan in plans)
+        if plans[-1].kind == "leaf":
+            self.pair_count += plans[-1].qual_total
+        self.stack.pop()
+        self._emit(plans, base)
 
     def _replay(self, root: _ReplayFrame, plans: list[_LevelPlan]) -> None:
-        """Charge the planned visit tree in ``ReadPage`` order.
+        """Charge the planned visit tree in ``ReadPage`` order, one
+        descent at a time: the run :meth:`_stepwise` says can stop or
+        must be watched mid-way.
 
         Each turn of the loop opens one visit — a leaf visit is counted
         whole, any other joins ``work`` — then makes the next descent:
         the next qualifying item of the innermost open visit, its two
         fetches in the stack machine's order.  That is O(NA) steps
-        under every enumeration, governed or not; the pairs are
-        collected once, by :meth:`_emit`, when the replay returns or
-        trips.
+        under every enumeration; the pairs are collected once, by
+        :meth:`_emit`, when the replay returns or trips.
 
         The governor is polled where a budget can newly trip, which is
         where the stack machine's poll before every item first sees it:
@@ -550,6 +658,7 @@ class LevelBatchState:
         comparison count a checkpoint reads are derived by
         :meth:`_trip`, and only then.
         """
+        plans = [plan.listed() for plan in plans]
         governor = self.governor
         limit = governor.budget.max_results if governor is not None else None
         sampling = self.tracer is not None and self.tracer.sample_pairs > 0
@@ -630,8 +739,8 @@ class LevelBatchState:
         n = self.pair_count - base
         if self.collect_pairs and n:
             leaf = plans[-1]
-            self.pairs.extend(zip(leaf.child1_arr[:n].tolist(),
-                                  leaf.child2_arr[:n].tolist()))
+            self.pairs.extend(zip(leaf.child1[:n].tolist(),
+                                  leaf.child2[:n].tolist()))
 
     @staticmethod
     def _cursor(plan: _LevelPlan, v: int, idx: int) -> int:

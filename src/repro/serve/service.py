@@ -200,10 +200,6 @@ class JoinRequest:
         # never be reachable from unauthenticated input.
         buffer_from_spec(self.buffer_spec)
         workers = doc.get("workers")
-        if workers is not None and (
-                not isinstance(workers, int) or isinstance(workers, bool)
-                or workers < 1):
-            raise ValueError("workers must be a positive integer")
         # A request without ``workers`` runs the single synchronized
         # traversal whatever the service-wide default says; a crashed
         # worker always degrades to serial (the daemon must answer,

@@ -27,13 +27,18 @@ from ..reliability import CorruptPageError, MalformedFileError
 __all__ = ["decode_resume_token", "encode_resume_token"]
 
 
+def _payload(doc: dict) -> bytes:
+    """The compressed canonical JSON of a CRC-stamped document."""
+    raw = json.dumps(doc, sort_keys=True,
+                     separators=(",", ":")).encode("utf-8")
+    return zlib.compress(raw)
+
+
 def encode_resume_token(checkpoint: JoinCheckpoint) -> str:
     """Serialize a checkpoint into an opaque URL-safe string."""
     doc = checkpoint.to_dict()
     doc["crc"] = _doc_crc(doc)
-    raw = json.dumps(doc, sort_keys=True,
-                     separators=(",", ":")).encode("utf-8")
-    return base64.urlsafe_b64encode(zlib.compress(raw)).decode("ascii")
+    return base64.urlsafe_b64encode(_payload(doc)).decode("ascii")
 
 
 def decode_resume_token(token: str) -> JoinCheckpoint:
@@ -45,11 +50,12 @@ def decode_resume_token(token: str) -> JoinCheckpoint:
         Not base64/zlib/JSON, or the checkpoint document is structurally
         invalid.
     CorruptPageError
-        The embedded document CRC does not verify.
+        The embedded document CRC does not verify, or the payload is not
+        the one :func:`encode_resume_token` writes for that document.
     """
     try:
-        raw = zlib.decompress(
-            base64.urlsafe_b64decode(token.encode("ascii")))
+        payload = base64.urlsafe_b64decode(token.encode("ascii"))
+        raw = zlib.decompress(payload)
         doc = json.loads(raw.decode("utf-8"))
     except (binascii.Error, zlib.error, UnicodeDecodeError, UnicodeError,
             json.JSONDecodeError, ValueError) as exc:
@@ -62,6 +68,12 @@ def decode_resume_token(token: str) -> JoinCheckpoint:
     if doc.get("crc") != _doc_crc(doc):
         raise CorruptPageError(
             f"resume token checksum mismatch (stored {doc.get('crc')!r})")
+    # The document CRC cannot see bits that zlib ignores: the header's
+    # compression-level field and the final byte's padding.  A flip
+    # there still decompresses to the same document, so only a token
+    # byte-identical to the canonical encoding is accepted.
+    if payload != _payload(doc):
+        raise CorruptPageError("resume token is not in canonical form")
     try:
         return JoinCheckpoint.from_dict(doc)
     except (KeyError, TypeError) as exc:

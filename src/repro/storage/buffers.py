@@ -10,16 +10,19 @@ The paper analyses two regimes and defers a third to future work:
   both trees; the paper's §5 lists this as future work, and the A1 ablation
   bench measures it.
 
-All managers implement a single method, :meth:`BufferManager.access`, which
-registers a ``ReadPage`` of ``(tree, level, node_id)`` and reports whether
-it was a buffer hit.  Managers are deliberately ignorant of node contents:
-only identity matters for counting.
+All managers implement :meth:`BufferManager.access`, which registers a
+``ReadPage`` of ``(tree, level, node_id)`` and reports whether it was a
+buffer hit, and :meth:`BufferManager.access_many`, the same for a whole
+sequence of reads at once.  Managers are deliberately ignorant of node
+contents: only identity matters for counting.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
+
+import numpy as np
 
 __all__ = ["BufferManager", "NoBuffer", "PathBuffer", "LRUBuffer",
            "buffer_from_spec"]
@@ -43,6 +46,10 @@ def _stable_key(label: object) -> str:
 class BufferManager:
     """Interface for page-buffer policies.
 
+    ``access_many`` registers a whole ``ReadPage`` sequence in one call:
+    the hits and the final content are those of calling ``access`` on
+    each read in order (the default does exactly that; a policy may
+    override it with an equivalent array computation).
     ``snapshot``/``restore`` serialize the buffer's content so an
     interrupted traversal can be checkpointed and resumed with the exact
     same hit/miss behaviour (see :mod:`repro.exec.checkpoint`); the
@@ -56,6 +63,18 @@ class BufferManager:
     def access(self, tree: object, level: int, node_id: int) -> bool:
         """Register a page read; return ``True`` on a buffer hit."""
         raise NotImplementedError
+
+    def access_many(self, labels, sides, levels, pages) -> np.ndarray:
+        """Register reads ``(labels[sides[i]], levels[i], pages[i])`` in
+        order; return their hits as a boolean array.
+
+        ``labels`` names the trees, ``sides``, ``levels`` and ``pages``
+        are integer arrays of one length.
+        """
+        return np.array(
+            [self.access(labels[side], level, page) for side, level, page
+             in zip(sides.tolist(), levels.tolist(), pages.tolist())],
+            dtype=bool)
 
     def reset(self) -> None:
         """Forget all cached pages."""
@@ -77,6 +96,9 @@ class NoBuffer(BufferManager):
 
     def access(self, tree: object, level: int, node_id: int) -> bool:
         return False
+
+    def access_many(self, labels, sides, levels, pages) -> np.ndarray:
+        return np.zeros(len(sides), dtype=bool)
 
     def reset(self) -> None:
         pass
@@ -116,6 +138,51 @@ class PathBuffer(BufferManager):
         for lv in [lv for lv in path if lv < level]:
             del path[lv]
         return False
+
+    def access_many(self, labels, sides, levels, pages) -> np.ndarray:
+        hits = np.zeros(len(sides), dtype=bool)
+        for tree in dict.fromkeys(labels):
+            mine = np.flatnonzero(np.isin(
+                sides, [s for s, label in enumerate(labels) if label == tree]))
+            if len(mine):
+                hits[mine] = self._walk(self._paths.setdefault(tree, {}),
+                                        levels.take(mine), pages.take(mine))
+        return hits
+
+    @staticmethod
+    def _walk(path: dict[int, int], levels, pages) -> np.ndarray:
+        """One tree's reads, a level at a time from the top down.
+
+        Slot ``L`` holds the page of the last read at level ``L`` unless
+        a *miss* at a higher level came after it (a hit invalidates
+        nothing).  So a read at ``L`` hits when the previous read at
+        ``L`` was of the same page and no higher miss fell between the
+        two — or, for the first read at ``L``, when the slot it starts
+        from holds the page and no higher miss came before it.  The
+        misses found at ``L`` then join those the levels below test
+        against, and ``path`` is left as the reads leave it.
+        """
+        hits = np.zeros(len(levels), dtype=bool)
+        above = np.zeros(0, dtype=np.int64)   # positions of higher misses
+        for level in sorted(set(path) | set(np.unique(levels).tolist()),
+                            reverse=True):
+            at = np.flatnonzero(levels == level)
+            if not len(at):
+                if len(above):
+                    del path[level]
+                continue
+            page = pages.take(at)
+            seen = np.searchsorted(above, at)   # higher misses before each
+            hit = np.empty(len(at), dtype=bool)
+            hit[0] = seen[0] == 0 and path.get(level) == int(page[0])
+            hit[1:] = (page[1:] == page[:-1]) & (seen[1:] == seen[:-1])
+            hits[at] = hit
+            if seen[-1] == len(above):
+                path[level] = int(page[-1])
+            else:
+                path.pop(level, None)
+            above = np.union1d(above, at[~hit])
+        return hits
 
     def reset(self) -> None:
         self._paths.clear()

@@ -60,6 +60,18 @@ class AccessStats:
             self.disk_accesses[key] += 1
             self._da_total += 1
 
+    def record_counts(self, tree: object, level: int, na: int,
+                      da: int) -> None:
+        """Record ``na`` ``ReadPage`` s at once, ``da`` of them buffer
+        misses: the counters ``na`` calls of :meth:`record` leave."""
+        key = (tree, level)
+        if na:
+            self.node_accesses[key] += na
+            self._na_total += na
+        if da:
+            self.disk_accesses[key] += da
+            self._da_total += da
+
     def record_retry(self, tree: object, level: int,
                      backoff: float = 0.0) -> None:
         """Record one failed read attempt and its accounted backoff."""

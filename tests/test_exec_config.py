@@ -9,8 +9,11 @@ written against the removed per-knob parameters fails loudly instead
 of binding its values to whatever now sits in that position.
 """
 
+import math
+
 import pytest
 
+from repro.cli import main
 from repro.datasets import uniform_rectangles
 from repro.exec import (ASSIGNMENT_STRATEGIES, DEFAULT_WORKER_TIMEOUT,
                         EXECUTION_MODES, ON_WORKER_CRASH,
@@ -61,6 +64,36 @@ class TestExecutionConfig:
         with pytest.raises(ValueError) as err:
             ExecutionConfig(**kw)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("kw", [
+        # Each used to pass the constructor: 2.5 failed later with a
+        # bare TypeError, True ran one worker, nan disabled the
+        # watchdog without saying so.
+        {"workers": 2.5}, {"workers": True}, {"workers": "2"},
+        {"worker_timeout": float("nan")}, {"worker_timeout": math.inf},
+        {"worker_timeout": True}, {"worker_timeout": "60"},
+    ])
+    def test_refuses_what_it_cannot_run(self, kw):
+        (field, value), = kw.items()
+        with pytest.raises(ValueError, match=f"{field} must be") as err:
+            ExecutionConfig(**kw)
+        assert repr(value) in str(err.value)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExecutionConfig.from_dict(kw)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExecutionConfig().with_options(**kw)
+
+    def test_what_it_can_run_still_passes(self):
+        assert ExecutionConfig(workers=3, worker_timeout=1).workers == 3
+        assert ExecutionConfig(worker_timeout=None).worker_timeout is None
+        assert ExecutionConfig(worker_timeout=0.5).worker_timeout == 0.5
+
+    def test_cli_refuses_a_nan_watchdog(self, capsys):
+        # The config is built before any tree file is read.
+        code = main(["join", "missing1.json", "missing2.json",
+                     "--workers", "2", "--worker-timeout", "nan"])
+        assert code == 2
+        assert "worker_timeout must be" in capsys.readouterr().err
 
     def test_constant_tuples(self):
         assert "nested-loop" in PAIR_ENUMERATIONS

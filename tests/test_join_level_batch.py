@@ -4,8 +4,10 @@ The equivalence guarantees live in ``test_property_level_batch.py``;
 this file pins the *plumbing*: which configurations actually dispatch
 to :class:`~repro.join.LevelBatchState`, which fall back to the stack
 machine (the flag must never make a join illegal) and under which
-recorded reason, how the observability hooks surface the batch engine,
-and that a priced plan executes on the engine the config names.
+recorded reason, that the bulk charger of an ungoverned drain charges
+what the replay loop does, how the observability hooks surface the
+batch engine, and that a priced plan executes on the engine the config
+names.
 """
 
 import pytest
@@ -19,12 +21,14 @@ from repro.join import (LevelBatchState, PartialJoinResult, SpatialJoin,
                         WithinDistance, parallel_spatial_join,
                         spatial_join, supports_level_batch)
 from repro.join.predicates import Overlap
-from repro.join.sync import _TraversalState
+from repro.join.sync import _TraversalState, traversal_state
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.optimizer import (Catalog, IndexScanPlan, execute_plan,
                              make_spatial_join)
+from repro.reliability import FaultInjector, FaultyPager
 from repro.rtree import share_tree, str_pack
-from repro.storage import AccessStats
+from repro.storage import (AccessStats, LRUBuffer, MeteredReader,
+                           NoBuffer, PathBuffer)
 
 from .conftest import build_rstar, make_items
 
@@ -224,6 +228,165 @@ class TestObservability:
             parallel_spatial_join(t1, t2, config=cfg, metrics=metrics)
             counters = metrics.as_dict()["counters"]
             assert counters["join.batch.levels"] > 0, mode
+
+
+def _shifted(items, by):
+    """``items`` moved ``by`` along both axes."""
+    return [(Rect([c + by for c in rect.lo], [c + by for c in rect.hi]), oid)
+            for rect, oid in items]
+
+
+class TestArrayCharger:
+    """An ungoverned drain is charged in bulk from its plan's arrays
+    (``LevelBatchState._charge``); a governor, even one that never
+    trips, forces the one-descent-at-a-time replay loop.  Both must
+    leave the same pairs, counters, comparison count and buffer."""
+
+    @pytest.fixture(scope="class")
+    def shapes(self, trees):
+        tall = build_rstar(make_items(700, seed=75), max_entries=8)
+        short = build_rstar(make_items(40, seed=76), max_entries=8)
+        leaf = build_rstar(make_items(6, seed=77, side=0.3), max_entries=8)
+        far = build_rstar(_shifted(make_items(200, seed=78), 2.0),
+                          max_entries=8)
+        assert tall.height > short.height > leaf.height == 1
+        return {"equal": trees, "tall-first": (tall, short),
+                "short-first": (short, tall), "leaf-r1": (leaf, tall),
+                "empty": (trees[0], far)}
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        charge = LevelBatchState._charge
+
+        def spy(self, plans):
+            calls.append(len(plans))
+            return charge(self, plans)
+        monkeypatch.setattr(LevelBatchState, "_charge", spy)
+        return calls
+
+    @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
+    @pytest.mark.parametrize("make_buffer", [
+        PathBuffer, NoBuffer, lambda: LRUBuffer(5)],
+        ids=["path", "none", "lru"])
+    @pytest.mark.parametrize("shape", [
+        "equal", "tall-first", "short-first", "leaf-r1", "empty"])
+    def test_bulk_equals_loop(self, shapes, shape, make_buffer, enum,
+                              monkeypatch):
+        t1, t2 = shapes[shape]
+        config = BATCH.with_options(pair_enumeration=enum)
+        calls = self._spy(monkeypatch)
+        runs = []
+        for governor in (None, ExecutionGovernor(Budget(max_na=10 ** 9))):
+            buffer = make_buffer()
+            result = spatial_join(t1, t2, buffer=buffer, governor=governor,
+                                  config=config)
+            assert result.engine == "level-batch"
+            runs.append((result.pairs, result.stats.as_dict(),
+                         result.comparisons, buffer.snapshot()))
+            # Charged in bulk once ungoverned; by the loop governed.
+            assert len(calls) == (governor is None)
+            calls.clear()
+        assert runs[0] == runs[1]
+        if shape == "empty":
+            assert runs[0][0] == [] and runs[0][1]["node_accesses"] == {}
+        else:
+            assert len(runs[0][0]) > 0 and runs[0][2] > 0
+
+    def test_parallel_workers_start_from_buffer_state(self, trees,
+                                                      monkeypatch):
+        """A bucket worker fetches a task's root pages itself, through
+        its private path buffer, between drains: each bulk charge starts
+        from that state."""
+        calls = self._spy(monkeypatch)
+        config = BATCH.with_options(mode="serial", workers=3)
+        runs = []
+        for governor in (None, ExecutionGovernor(Budget(max_na=10 ** 9))):
+            result = parallel_spatial_join(*trees, governor=governor,
+                                           config=config)
+            runs.append((result.pairs,
+                         [s.as_dict() for s in result.worker_stats],
+                         result.comparisons))
+            assert bool(calls) == (governor is None)
+            calls.clear()
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 3
+
+
+    @pytest.mark.parametrize("sampling", [{"sample_pairs": 7},
+                                          {"sample_buffer": 5}])
+    def test_a_sampling_tracer_sees_every_step(self, trees, sampling):
+        """A tracer that samples node pairs or buffer accesses watches
+        each step, so even an ungoverned drain takes the loop and traces
+        what the stack machine traces."""
+        traced = []
+        for config in (BATCH, STACK):
+            sink = MemorySink()
+            spatial_join(*trees, config=config,
+                         tracer=Tracer(sink, **sampling))
+            traced.append([
+                {k: v for k, v in r.items()
+                 if k not in ("seq", "ts", "elapsed", "join")}
+                for r in sink.records
+                if r["event"] in ("node_pair", "buffer_access")])
+        assert traced[0] == traced[1] and len(traced[0]) > 20
+
+    def test_readers_with_buffers_of_their_own(self, trees):
+        """The bulk charger sends both trees through one buffer; readers
+        that keep one each take the loop, as the stack machine would."""
+        runs = []
+        for config in (BATCH, STACK):
+            stats, buffers = AccessStats(), (PathBuffer(), PathBuffer())
+            readers = [MeteredReader(tree.pager, label, stats, buffer)
+                       for tree, label, buffer
+                       in zip(trees, ("R1", "R2"), buffers)]
+            state = traversal_state(config, Overlap(), *trees, *readers,
+                                    True, stats, None)
+            state.join(trees[0].root(), trees[1].root())
+            runs.append((state.engine, state.pairs, stats.as_dict(),
+                         [buffer.snapshot() for buffer in buffers]))
+        assert runs[0][0] == "level-batch" and runs[1][0] == "stack"
+        assert runs[0][1:] == runs[1][1:]
+        assert all(runs[0][3])
+
+    def test_a_reader_subclass_sees_every_fetch(self, trees):
+        """A reader that is not exactly a ``MeteredReader`` may do
+        anything in ``fetch``: the drain takes the loop and calls it in
+        the stack machine's order."""
+        class Logged(MeteredReader):
+            def fetch(self, page_id, level):
+                log.append((self.label, page_id, level))
+                return super().fetch(page_id, level)
+
+        logs = []
+        for config in (BATCH, STACK):
+            log, stats, buffer = [], AccessStats(), PathBuffer()
+            readers = [Logged(tree.pager, label, stats, buffer)
+                       for tree, label in zip(trees, ("R1", "R2"))]
+            state = traversal_state(config, Overlap(), *trees, *readers,
+                                    True, stats, None)
+            state.join(trees[0].root(), trees[1].root())
+            logs.append(log)
+        assert logs[0] == logs[1] and len(logs[0]) == stats.na()
+
+    def test_a_faulting_pager_is_read_on_every_fetch(self, trees):
+        """The parallel join's workers read through plain readers, with
+        no retry policy; over a ``FaultyPager`` each fetch must still
+        read its page — and draw its fault — as the stack machine's
+        does, so such a drain takes the loop."""
+        draws = []
+        for config in (BATCH, STACK):
+            injector = FaultInjector(seed=3)
+            for tree in trees:
+                tree.pager = FaultyPager(tree.pager, injector)
+            try:
+                parallel_spatial_join(*trees, config=config.with_options(
+                    mode="serial", workers=2))
+            finally:
+                for tree in trees:
+                    tree.pager = tree.pager.inner
+            draws.append(injector.counts.reads)
+        assert draws[0] == draws[1] > 100
 
 
 def _lattice(step, side, shift=0.0, points=False):

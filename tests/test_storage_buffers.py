@@ -1,10 +1,15 @@
 """Unit tests for the buffer managers."""
 
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.cli import main
 from repro.io import save_tree
 from repro.serve import ServeConfig
 from repro.serve.service import JoinRequest
-from repro.storage import LRUBuffer, NoBuffer, PathBuffer, buffer_from_spec
+from repro.storage import (BufferManager, LRUBuffer, NoBuffer, PathBuffer,
+                           buffer_from_spec)
 
 import pytest
 
@@ -185,6 +190,69 @@ class TestLRUBuffer:
         buf.reset()
         assert len(buf) == 0
         assert buf.access("T", 1, 1) is False
+
+
+class _LastPage(BufferManager):
+    """A policy of the test's own that overrides nothing but the
+    protocol's four required methods: one slot, shared by all trees,
+    holding the last page read at any level."""
+
+    kind = "last-page"
+
+    def __init__(self):
+        self._last = None
+
+    def access(self, tree, level, node_id):
+        hit = self._last == [tree, node_id]
+        self._last = [tree, node_id]
+        return hit
+
+    def reset(self):
+        self._last = None
+
+    def snapshot(self):
+        return self._last
+
+    def restore(self, state):
+        self._last = state
+
+
+BUFFERS = {"none": NoBuffer, "path": PathBuffer, "lru1": lambda: LRUBuffer(1),
+           "lru3": lambda: LRUBuffer(3), "last-page": _LastPage}
+READS = st.lists(st.tuples(st.integers(0, 1), st.integers(1, 4),
+                           st.integers(0, 5)), max_size=40)
+
+
+class TestAccessMany:
+    """``access_many`` is ``access`` over a sequence: the same hits,
+    the same content afterwards, from whatever content it starts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(BUFFERS)),
+           labels=st.sampled_from([("R1", "R2"), ("T", "T")]),
+           before=READS, reads=READS)
+    # A hit at level 2 invalidates nothing: the level-1 page read
+    # before it is still on the path when it is read again.
+    @example(kind="path", labels=("R1", "R2"),
+             before=[(0, 2, 5), (0, 1, 7)], reads=[(0, 2, 5), (0, 1, 7)])
+    # A miss at level 2 does invalidate it, and only in its own tree.
+    @example(kind="path", labels=("R1", "R2"),
+             before=[(0, 2, 5), (0, 1, 7), (1, 1, 7)],
+             reads=[(0, 2, 6), (1, 1, 7), (0, 1, 7)])
+    def test_equals_a_loop_of_access(self, kind, labels, before, reads):
+        start = BUFFERS[kind]()
+        for side, level, page in before:
+            start.access(labels[side], level, page)
+        looped, bulk = BUFFERS[kind](), BUFFERS[kind]()
+        looped.restore(start.snapshot())
+        bulk.restore(start.snapshot())
+        want = [looped.access(labels[side], level, page)
+                for side, level, page in reads]
+        sides, levels, pages = (np.array([read[k] for read in reads],
+                                         dtype=np.int64) for k in range(3))
+        got = bulk.access_many(labels, sides, levels, pages)
+        assert got.dtype == bool and got.tolist() == want
+        assert bulk.snapshot() == looped.snapshot()
 
 
 class TestBufferFromSpec:
