@@ -38,10 +38,11 @@ PAIR_ENUMERATIONS = ("nested-loop", "plane-sweep", "vectorized",
 #: Fig. 2 and the reference; ``"level-batch"`` (the default) is the
 #: breadth-first frontier engine of :mod:`repro.join.batch` that
 #: advances a whole tree level per NumPy kernel call over the
-#: :class:`~repro.geometry.TreeArena` and then replays page charging in
-#: stack-machine order (NA/DA, pairs and checkpoints stay
-#: bit-identical; configurations the batch engine cannot express fall
-#: back to the stack machine, with the reason recorded).
+#: :class:`~repro.geometry.TreeArena` and then charges pages in the
+#: stack machine's one ``ReadPage`` order, in bulk or stepped item by
+#: item (NA/DA, pairs and checkpoints stay bit-identical;
+#: configurations the batch engine cannot express fall back to the
+#: stack machine, with the reason recorded).
 TRAVERSALS = ("stack", "level-batch")
 
 #: Join execution strategies: ``"sync"`` is the paper's synchronized

@@ -42,36 +42,31 @@ level order.  The engine therefore runs in two phases:
    records stays in units of the full ``a x b`` blocks the stack
    machine enumerates.  No page is read and nothing is charged;
    the governor is consulted once per level boundary, plus a per-level
-   NA sub-budget slicer stops planning levels the replay loop can
+   NA sub-budget slicer stops planning levels the stepping loop can
    provably never reach before its budget trips.
 2. **charge** — the precomputed visit tree is charged in exactly the
    stack machine's ``ReadPage`` order, depth-first (including the
    mixed-height re-fetch of the shorter tree's leaf and the pinned-root
    exemption), with the stack machine's per-enumeration comparison
-   accounting.  Depth-first order opens the leaf visits in index
-   order, so the pairs a drain emits are always the first
-   ``pair_count - base`` items of the leaf level, collected as one
-   slice.  A drain nothing can stop or watch mid-way is charged in
-   bulk from the plan's arrays (:meth:`LevelBatchState._charge`): the
-   visit tree's preorder puts every fetch in one array, one
-   :meth:`~repro.storage.BufferManager.access_many` call gives its
-   hits, and ``bincount`` s give NA/DA per tree and level.  The
-   **replay loop** (:meth:`LevelBatchState._replay`) steps once per
-   visit and descent instead, O(NA) under either enumeration, and runs
-   exactly when :meth:`LevelBatchState._stepwise` says so: under a
-   governor, a tracer sampling node pairs, a reader other than a plain
-   :class:`~repro.storage.MeteredReader` over a pager that does not
-   inject faults, a reader's tracer sampling buffer accesses, or two
-   readers with different buffers.  It is the only code that polls,
-   trips, samples or writes a checkpoint.  A governor is polled where
-   a count budget can newly trip — after each descent, and at the pair
-   that spends a result budget — which is where the stack machine's
-   poll before every item first sees it, so a trip lands on the same
-   item; the frame stack, cursors and comparison count a checkpoint
-   needs are derived from the plan at that moment instead of being
-   kept per item, and serialize to the stack machine's bytes.  Sampled
-   ``node_pair`` events come from the visit-counter range each step
-   covers, skipped non-qualifying items included.
+   accounting.  That order, the visit tree's preorder, is laid out once
+   as arrays (:meth:`LevelBatchState._preorder`); it opens the leaf
+   visits in index order, so a drain's pairs are the first
+   ``pair_count - base`` leaf items, collected as one slice.  A drain
+   nothing can stop or watch mid-way is charged in bulk
+   (:meth:`LevelBatchState._charge`: one
+   :meth:`~repro.storage.BufferManager.access_many` call, then
+   ``bincount`` s for NA/DA per tree and level); any other
+   (:meth:`LevelBatchState._stepwise`) is **stepped**
+   (:meth:`LevelBatchState._step`) by one flat loop over the same
+   arrays, the only code that polls, trips, samples or writes a
+   checkpoint.  A governor is polled where a count budget can newly
+   trip — after each item's fetches, and at the pair that spends a
+   result budget — which is where the stack machine's poll before
+   every item first sees it, so a trip lands on the same item; the
+   frames, cursors and comparison count a checkpoint needs are derived
+   from the trip's position in the order.  Sampled ``node_pair``
+   events come from the visit-counter range each step covers, skipped
+   non-qualifying items included.
 
 Configurations the batch engine cannot express — plane-sweep
 enumerations (different read order by design), custom predicates,
@@ -83,6 +78,9 @@ back to the stack machine, and the join says so
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,37 +126,31 @@ def supports_level_batch(predicate: JoinPredicate,
     return None
 
 
-class _PageRef:
-    """Page identity of one side of a replay frame (checkpoint shape)."""
+class _PageRef(NamedTuple):
+    """Page identity of one side of a frame (checkpoint shape)."""
 
-    __slots__ = ("page_id", "level")
-
-    def __init__(self, page_id: int, level: int):
-        self.page_id = page_id
-        self.level = level
+    page_id: int
+    level: int
 
 
-class _ReplayFrame:
-    """One stack frame of an interrupted (or not yet started) replay.
+class _Frame(NamedTuple):
+    """One stack frame of an interrupted (or not yet started) drain.
 
     Shaped like ``sync._Frame`` as far as
     :meth:`repro.join.SpatialJoin._checkpoint` serializes one: ``n1``/
     ``n2`` carry ``page_id``/``level`` and ``cursor`` counts consumed
     items with the stack machine's per-enumeration semantics.  A
-    running replay keeps no frames; :meth:`LevelBatchState._trip`
+    running drain keeps no frames; :meth:`LevelBatchState._trip`
     derives them when a governor stops it.
     """
 
-    __slots__ = ("n1", "n2", "cursor")
-
-    def __init__(self, n1: _PageRef, n2: _PageRef, cursor: int = 0):
-        self.n1 = n1
-        self.n2 = n2
-        self.cursor = cursor
+    n1: _PageRef
+    n2: _PageRef
+    cursor: int = 0
 
 
 class _LevelPlan:
-    """Everything the replay needs about one planned frontier depth.
+    """Everything the charge needs about one planned frontier depth.
 
     Visits at depth ``d+1`` are exactly the qualifying items of depth
     ``d`` in order, so a qualifying item's global index *is* its child
@@ -173,29 +165,13 @@ class _LevelPlan:
     add up from — and ``crossed_total`` the entry pairs the planner
     tested once the restriction had cut both sides down (tile padding
     not counted).  ``cost``, ``qual_pos``, ``qual_start``, ``child1``
-    and ``child2`` are integer arrays; the replay loop reads them as
-    Python lists (:meth:`listed`).
+    and ``child2`` are integer arrays.
     """
 
     __slots__ = ("kind", "child_l1", "child_l2", "fetch2_first", "raw",
                  "cost", "qual_pos", "qual_start", "child1", "child2",
                  "frontier", "items_total", "crossed_total", "qual_total",
                  "kernel_calls")
-
-    def listed(self) -> "_LevelPlan":
-        """A copy for the replay loop, which indexes one item at a time
-        and writes page ids into checkpoints (``np.int64`` would not
-        serialize): the per-visit and per-item arrays as lists, but a
-        leaf depth's items, which :meth:`LevelBatchState._emit` slices,
-        as they are."""
-        out = _LevelPlan()
-        for name in self.__slots__:
-            value = getattr(self, name)
-            if name in ("cost", "qual_pos", "qual_start") or (
-                    name in ("child1", "child2") and self.kind != "leaf"):
-                value = value.tolist()
-            setattr(out, name, value)
-        return out
 
 
 def run_slots(offset, count):
@@ -260,7 +236,7 @@ class LevelBatchState:
         self.join_id = join_id
         self.metrics = metrics
         self.visits = 0
-        self.stack: list[_ReplayFrame] = []
+        self.stack: list[_Frame] = []
         self.pairs: list[tuple[int, int]] = []
         self.pair_count = 0
         self.comparisons = 0
@@ -278,10 +254,10 @@ class LevelBatchState:
 
     # -- driver surface (mirrors _TraversalState) ---------------------------
 
-    def push(self, n1, n2) -> _ReplayFrame:
+    def push(self, n1, n2) -> _Frame:
         """Open the SJ of a pair of resident nodes (planned on drain)."""
-        frame = _ReplayFrame(_PageRef(n1.page_id, n1.level),
-                             _PageRef(n2.page_id, n2.level))
+        frame = _Frame(_PageRef(n1.page_id, n1.level),
+                       _PageRef(n2.page_id, n2.level))
         self.stack.append(frame)
         self._pending.append(frame)
         return frame
@@ -292,15 +268,25 @@ class LevelBatchState:
         while self._pending:
             frame = self._pending.pop()
             plans = self._plan(frame)
-            if stepwise:
-                self._replay(frame, plans)
-            else:
-                self._charge(plans)
+            base = self.pair_count
+            try:
+                if stepwise:
+                    self._step(frame, plans)
+                else:
+                    self._charge(plans)
+            finally:
+                # The pairs counted, complete or tripped: the first ones
+                # of the leaf level (see the module doc).
+                n = self.pair_count - base
+                if self.collect_pairs and n:
+                    leaf = plans[-1]
+                    self.pairs.extend(zip(leaf.child1[:n].tolist(),
+                                          leaf.child2[:n].tolist()))
+            self.stack.pop()
 
     def _stepwise(self) -> bool:
-        """Whether a drain must step through its plan one descent at a
-        time (:meth:`_replay`) rather than be charged in bulk
-        (:meth:`_charge`).
+        """Whether a drain must be stepped (:meth:`_step`) rather than
+        charged in bulk (:meth:`_charge`).
 
         It must when something can stop the run mid-way — a governor —
         or must see each step: a tracer sampling node pairs, a reader
@@ -326,7 +312,7 @@ class LevelBatchState:
 
     # -- phase 1: breadth-first frontier planning ---------------------------
 
-    def _plan(self, root: _ReplayFrame) -> list[_LevelPlan]:
+    def _plan(self, root: _Frame) -> list[_LevelPlan]:
         governor = self.governor
         max_na = (governor.budget.max_na if governor is not None else None)
         na0 = self.stats.na()
@@ -350,8 +336,8 @@ class LevelBatchState:
                 if max_na is not None and na0 + depth + 1 >= max_na:
                     # Sub-budget slicer: consuming any item at depth
                     # depth+1 first charges >= 1 fetch per level along
-                    # its path, so the replay's NA check is guaranteed
-                    # to trip before deeper plans are ever read.
+                    # its path, so the stepping loop's NA check is
+                    # guaranteed to trip before deeper plans are read.
                     break
             pages1 = plan.child1
             pages2 = plan.child2
@@ -451,7 +437,7 @@ class LevelBatchState:
         node's MBR (:meth:`_restrict`); only those are crossed and sent
         through the predicate's kernels.  Survivors keep ascending
         entry order, so the qualifying items come out in the order of
-        the full ``a*b`` block, and everything the replay charges or a
+        the full ``a*b`` block, and everything the charge counts or a
         checkpoint records — ``cost``, ``qual_pos`` — stays in units of
         that full block.
 
@@ -572,28 +558,18 @@ class LevelBatchState:
         plan.child2 = child2
         return plan
 
-    # -- phase 2: charging, in bulk or by a depth-first replay -------------
+    # -- phase 2: one ReadPage order, charged in bulk or stepped ------------
 
-    def _charge(self, plans: list[_LevelPlan]) -> None:
-        """Charge a complete plan as :meth:`_replay` would, in bulk.
-
-        The ``ReadPage`` order is the visit tree's preorder: an item's
-        two fetches, then its child visit's items, then its next
-        sibling.  Subtree sizes (in items that fetch) are summed bottom
-        up over each depth's ``qual_start``, and each item's preorder
-        position handed top down from its parent's, so the fetches land
-        in one ordered array (R1/R2 per ``fetch2_first``) without a
-        walk; the pinned roots :meth:`_fetch1`/:meth:`_fetch2` read
-        uncharged are dropped from it.  One
-        :meth:`~repro.storage.BufferManager.access_many` call over that
-        array gives the hits, NA/DA per tree and level are counted from
-        them, and the comparisons, pair count and pairs follow from the
-        plan's totals.
-        """
-        base = self.pair_count
+    @staticmethod
+    def _preorder(plans: list[_LevelPlan]):
+        """The stack machine's ``ReadPage`` order, laid out without a
+        walk: rows tree (0 or 1; R2 first in a ``fetch2_first`` item),
+        level and page per fetch, pinned roots included, and per
+        fetching depth its items' positions in the order, ascending."""
         fetching = plans[:-1] if plans[-1].kind == "leaf" else plans
         # first[d][k]: the items, their descendants included, before
-        # item k of depth d — prefix sums of the subtree sizes.
+        # item k of depth d — prefix sums of the subtree sizes, summed
+        # bottom up.
         first = [None] * len(fetching)
         for d in reversed(range(len(fetching))):
             size = np.ones(fetching[d].qual_total, dtype=np.int64)
@@ -602,9 +578,8 @@ class LevelBatchState:
                 size += below.take(qs[1:]) - below.take(qs[:-1])
             first[d] = np.concatenate(([0], np.cumsum(size)))
         n = int(first[0][-1]) if fetching else 0
-        sides = np.empty(2 * n, dtype=np.int64)
-        levels = np.empty(2 * n, dtype=np.int64)
-        pages = np.empty(2 * n, dtype=np.int64)
+        reads = np.empty((3, 2 * n), dtype=np.int64)
+        (sides, levels, pages), at = reads, []
         pos = np.full(1, -1, dtype=np.int64)   # the root visit fetches nothing
         for plan, before in zip(fetching, first):
             # An item comes right after its parent and the subtrees of
@@ -612,13 +587,21 @@ class LevelBatchState:
             qs = plan.qual_start
             pos = (before[:-1] + np.repeat(pos + 1 - before.take(qs[:-1]),
                                            np.diff(qs)))
+            at.append(pos)
             at1 = 2 * pos + plan.fetch2_first
             at2 = 2 * pos + (not plan.fetch2_first)
             sides[at1], levels[at1], pages[at1] = 0, plan.child_l1, plan.child1
             sides[at2], levels[at2], pages[at2] = 1, plan.child_l2, plan.child2
-        charged = pages != np.where(sides == 0, self.pinned1, self.pinned2)
-        sides, levels, pages = (sides[charged], levels[charged],
-                                pages[charged])
+        return reads, at
+
+    def _charge(self, plans: list[_LevelPlan]) -> None:
+        """Charge a complete plan in bulk: one
+        :meth:`~repro.storage.BufferManager.access_many` call over its
+        :meth:`_preorder`, less the pinned roots, gives the hits NA/DA
+        are counted from; the rest follows from the plan's totals."""
+        reads, _at = self._preorder(plans)
+        sides, levels, pages = reads[:, reads[2] != np.where(
+            reads[0] == 0, self.pinned1, self.pinned2)]
         readers = (self.reader1, self.reader2)
         hits = self.reader1.buffer.access_many(
             tuple(reader.label for reader in readers), sides, levels, pages)
@@ -632,146 +615,117 @@ class LevelBatchState:
         self.comparisons += sum(int(plan.cost.sum()) for plan in plans)
         if plans[-1].kind == "leaf":
             self.pair_count += plans[-1].qual_total
-        self.stack.pop()
-        self._emit(plans, base)
 
-    def _replay(self, root: _ReplayFrame, plans: list[_LevelPlan]) -> None:
-        """Charge the planned visit tree in ``ReadPage`` order, one
-        descent at a time: the run :meth:`_stepwise` says can stop or
-        must be watched mid-way.
-
-        Each turn of the loop opens one visit — a leaf visit is counted
-        whole, any other joins ``work`` — then makes the next descent:
-        the next qualifying item of the innermost open visit, its two
-        fetches in the stack machine's order.  That is O(NA) steps
-        under every enumeration; the pairs are collected once, by
-        :meth:`_emit`, when the replay returns or trips.
-
-        The governor is polled where a budget can newly trip, which is
-        where the stack machine's poll before every item first sees it:
-        NA and DA move only in a descent and the result count only in a
-        leaf visit, so the poll comes after each descent (before the
-        child is looked at — one past the slicer horizon is never
-        read) and, under a result budget, after the pair that spends
-        it.  A deadline or a cancellation lands on the same boundaries,
-        at most one node pair late.  The frames, cursors and exact
-        comparison count a checkpoint reads are derived by
-        :meth:`_trip`, and only then.
-        """
-        plans = [plan.listed() for plan in plans]
+    def _step(self, root: _Frame, plans: list[_LevelPlan]) -> None:
+        """Charge the same order one item at a time: per item its two
+        fetches, a poll (before the child is looked at — one past the
+        slicer horizon is never read), then the opening of its child
+        visit: its comparisons charged whole and, at leaf depth, its
+        pairs counted up to the one that spends a result budget, polled
+        after.  The root visit is the child of a virtual item that
+        fetches nothing.  A deadline or a cancellation lands on the same
+        boundaries as a budget, at most one node pair late."""
+        reads, at = self._preorder(plans)
         governor = self.governor
         limit = governor.budget.max_results if governor is not None else None
         sampling = self.tracer is not None and self.tracer.sample_pairs > 0
-        fetch1, fetch2 = self._fetch1, self._fetch2
-        base = self.pair_count
-        # Open non-leaf visits, root first, as [depth, visit, next
-        # qualifying index, end]: an item's index is its child's visit
-        # index, so pages and cursors follow from these and the plans.
-        work: list[list[int]] = []
-        depth = v = 0           # the visit being opened ...
-        cursor = 0              # ... and how far into it a trip finds us
+        leaf = len(plans) - 1 if plans[-1].kind == "leaf" else -1
+        # Per item in the order, the virtual root first: its depth, its
+        # index there — the visit it opens one depth down — and that
+        # visit's comparisons and qualifying items.
+        n = reads.shape[1] // 2
+        depth, item, cost, qual = np.zeros((4, n + 1), dtype=np.int64)
+        for d, pos in enumerate([np.full(1, -1)] + at, start=-1):
+            depth[pos + 1], item[pos + 1] = d, np.arange(len(pos))
+            if d + 1 < len(plans):
+                cost[pos + 1] = plans[d + 1].cost
+                qual[pos + 1] = np.diff(plans[d + 1].qual_start)
+        fetches = zip(*reads.tolist())      # (side, level, page) each
+        fetch = (self._fetch1, self._fetch2)
+        opened, top = [0] * len(plans), -1   # the open visits, for sampling
+        cursor = 0
         try:
-            while True:
+            for position, pair, d, v, c, k in zip(
+                    range(-1, n), itertools.chain([()], zip(fetches, fetches)),
+                    depth.tolist(), item.tolist(), cost.tolist(),
+                    qual.tolist()):
+                if sampling and position >= 0:
+                    self._sample_to(root, plans, opened, top, d, v)
+                    top = d
+                for side, level, page in pair:
+                    fetch[side](page, level)
                 if governor is not None:
                     governor.check(self.stats, self.pair_count)
-                    if depth == len(plans):
-                        raise RuntimeError(
-                            "level-batch sub-budget slicer reached an "
-                            "unplanned depth without a budget trip")
-                plan = plans[depth]
-                start = plan.qual_start[v]
-                end = plan.qual_start[v + 1]
-                # Charged whole on opening; _trip takes back what an
-                # open visit has not got to.
-                self.comparisons += plan.cost[v]
-                if plan.kind != "leaf":
-                    work.append([depth, v, start, end])
-                else:
-                    full = limit is not None \
-                        and end - start >= limit - self.pair_count
-                    if full:
-                        # The pair that spends the result budget ends
-                        # the visit here; the poll after it trips, with
-                        # the leaf frame still open.
-                        end = start + limit - self.pair_count
-                        cursor = self._cursor(plan, v, end)
-                    self.pair_count += end - start
+                d += 1
+                if d == len(plans):
+                    raise RuntimeError(
+                        "level-batch sub-budget slicer reached an "
+                        "unplanned depth without a budget trip")
+                self.comparisons += c
+                if d != leaf:
+                    opened[d], top = v, d
+                    continue
+                full = limit is not None and k >= limit - self.pair_count
+                if full:
+                    k = limit - self.pair_count
+                self.pair_count += k
+                if sampling or full:
+                    # Whole, or up to the pair that spent the budget: the
+                    # poll after it trips, the leaf frame still open.
+                    end = int(plans[d].qual_start[v]) + k
+                    consumed = self._cursor(plans[d], v,
+                                            end if full else end + 1)
                     if sampling:
-                        self._sample(root, plans, depth, v, cursor if full
-                                     else self._cursor(plan, v, end + 1))
+                        self._sample(root, plans, d, v, consumed)
                     if full:
+                        cursor = consumed
                         governor.check(self.stats, self.pair_count)
-                while True:
-                    if not work:
-                        self.stack.pop()
-                        self._emit(plans, base)
-                        return
-                    frame = work[-1]
-                    depth, v, idx, end = frame
-                    plan = plans[depth]
-                    if sampling:
-                        # idx == end consumes the visit's trailing items.
-                        self._sample(root, plans, depth, v,
-                                     self._cursor(plan, v, idx + 1)
-                                     - self._cursor(plan, v, idx))
-                    if idx < end:
-                        break
-                    work.pop()
-                frame[2] = idx + 1
-                p1 = plan.child1[idx]
-                p2 = plan.child2[idx]
-                if plan.fetch2_first:
-                    fetch2(p2, plan.child_l2)
-                    fetch1(p1, plan.child_l1)
-                else:
-                    fetch1(p1, plan.child_l1)
-                    fetch2(p2, plan.child_l2)
-                depth, v = depth + 1, idx
+            if sampling:
+                self._sample_to(root, plans, opened, top, 0,
+                                int(plans[0].qual_start[1]))
         except (BudgetExceeded, Cancelled):
-            self._emit(plans, base)
-            self._trip(root, plans, work, depth, v, cursor)
+            self._trip(root, plans, at, position, cursor)
             raise
-
-    def _emit(self, plans: list[_LevelPlan], base: int) -> None:
-        """Collect the pairs the replay counted past ``base``, in one
-        slice: depth-first order opens the leaf visits in index order,
-        so they are the first ``pair_count - base`` leaf items."""
-        n = self.pair_count - base
-        if self.collect_pairs and n:
-            leaf = plans[-1]
-            self.pairs.extend(zip(leaf.child1[:n].tolist(),
-                                  leaf.child2[:n].tolist()))
 
     @staticmethod
     def _cursor(plan: _LevelPlan, v: int, idx: int) -> int:
-        """The stack machine's cursor in visit ``v`` once the visit's
-        qualifying items before global index ``idx`` are consumed; an
-        ``idx`` past the visit's last one means its trailing items are
-        too (the frame is exhausted)."""
+        """The stack machine's cursor in visit ``v`` once its qualifying
+        items before global index ``idx`` are consumed (past its last
+        one: its trailing items too, the frame exhausted)."""
         start, end = plan.qual_start[v], plan.qual_start[v + 1]
         if not plan.raw:
-            return min(idx, end) - start
+            return int(min(idx, end) - start)
         if idx > end:
-            return plan.cost[v]
-        return plan.qual_pos[idx - 1] + 1 if idx > start else 0
+            return int(plan.cost[v])
+        return int(plan.qual_pos[idx - 1]) + 1 if idx > start else 0
 
     @staticmethod
-    def _frame(root: _ReplayFrame, plans: list[_LevelPlan], depth: int,
-               v: int, cursor: int) -> _ReplayFrame:
+    def _frame(root: _Frame, plans: list[_LevelPlan], depth: int, v: int,
+               cursor: int) -> _Frame:
         """Visit ``v`` of ``depth`` as a frame: the node pair that item
         ``v`` of the depth above fetched."""
         if depth == 0:
-            return _ReplayFrame(root.n1, root.n2, cursor)
+            return _Frame(root.n1, root.n2, cursor)
         up = plans[depth - 1]
-        return _ReplayFrame(_PageRef(up.child1[v], up.child_l1),
-                            _PageRef(up.child2[v], up.child_l2), cursor)
+        return _Frame(_PageRef(int(up.child1[v]), up.child_l1),
+                      _PageRef(int(up.child2[v]), up.child_l2), cursor)
 
-    def _sample(self, root: _ReplayFrame, plans: list[_LevelPlan],
-                depth: int, v: int, consumed: int) -> None:
+    def _sample_to(self, root: _Frame, plans: list[_LevelPlan], opened,
+                   top: int, depth: int, idx: int) -> None:
+        """Count the items consumed up to item ``idx`` of ``depth``: the
+        trailing ones of the visits ``opened`` below it, innermost
+        first, then its own visit's up to ``idx`` (or trailing)."""
+        for d in range(top, depth - 1, -1):
+            plan, u = plans[d], opened[d]
+            i = idx if d == depth else int(plan.qual_start[u + 1])
+            self._sample(root, plans, d, u, self._cursor(plan, u, i + 1)
+                         - self._cursor(plan, u, i))
+
+    def _sample(self, root: _Frame, plans: list[_LevelPlan], depth: int,
+                v: int, consumed: int) -> None:
         """Count ``consumed`` more items of a visit (the skipped
         non-qualifying ones included) and emit the sampled ones."""
-        every = self.tracer.sample_pairs
-        seen = self.visits
+        every, seen = self.tracer.sample_pairs, self.visits
         self.visits = seen + consumed
         sampled = range(seen - seen % every + every, self.visits + 1, every)
         if sampled:
@@ -781,18 +735,24 @@ class LevelBatchState:
                                       at.n1.page_id, at.n1.level,
                                       at.n2.page_id, at.n2.level)
 
-    def _trip(self, root: _ReplayFrame, plans: list[_LevelPlan],
-              work: list[list[int]], depth: int, v: int,
-              cursor: int) -> None:
-        """Leave the state a stack machine stopped at this poll leaves:
-        one frame per open visit, root first, and comparisons exact to
-        the last consumed item."""
-        visits = [(d, u, self._cursor(plans[d], u, idx))
-                  for d, u, idx, _end in work]
+    def _trip(self, root: _Frame, plans: list[_LevelPlan], at,
+              position: int, cursor: int) -> None:
+        """Leave the state a stack machine stopped at the poll after item
+        ``position`` (-1: the entry poll) leaves: a frame for the root
+        visit and for each one opened by the last item of a depth at or
+        before ``position`` (one ``searchsorted``), down to the item's
+        own, consumed up to ``cursor``; comparisons exact to the last."""
+        visits, v = [], 0
+        for d, pos in enumerate(at if position >= 0 else ()):
+            k = int(np.searchsorted(pos, position, "right")) - 1
+            visits.append((d, v, self._cursor(plans[d], v, k + 1)))
+            v = k
+            if pos[k] == position:
+                break
         frames = []
-        for d, u, at in visits + [(depth, v, cursor)]:
+        for d, u, consumed in visits + [(len(visits), v, cursor)]:
             # A visit at cursor 0 was polled before it was charged.
-            if at and plans[d].raw:
-                self.comparisons -= plans[d].cost[u] - at
-            frames.append(self._frame(root, plans, d, u, at))
+            if consumed and plans[d].raw:
+                self.comparisons -= int(plans[d].cost[u]) - consumed
+            frames.append(self._frame(root, plans, d, u, consumed))
         self.stack[-1:] = frames

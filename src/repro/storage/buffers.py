@@ -270,12 +270,14 @@ def buffer_from_spec(spec) -> BufferManager:
     if not isinstance(spec, str) or not spec.startswith("lru:"):
         raise ValueError(
             f"unknown buffer spec {spec!r} (use 'none', 'path', 'lru:<k>')")
-    try:
-        pages = int(spec[4:])
-    except ValueError:
+    digits = spec[4:]
+    # ASCII digits only: ``int`` would also take a sign, blanks,
+    # underscores and non-ASCII digits.
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(
             f"bad lru buffer spec {spec!r}: "
-            f"'lru:' needs an integer page count") from None
+            f"'lru:' needs an integer page count")
+    pages = int(digits)
     if pages < 1:
         raise ValueError("lru buffer needs at least one page")
     return LRUBuffer(pages)

@@ -5,7 +5,7 @@ this file pins the *plumbing*: which configurations actually dispatch
 to :class:`~repro.join.LevelBatchState`, which fall back to the stack
 machine (the flag must never make a join illegal) and under which
 recorded reason, that the bulk charger of an ungoverned drain charges
-what the replay loop does, how the observability hooks surface the
+what the stepping loop does, how the observability hooks surface the
 batch engine, and that a priced plan executes on the engine the config
 names.
 """
@@ -27,8 +27,8 @@ from repro.optimizer import (Catalog, IndexScanPlan, execute_plan,
                              make_spatial_join)
 from repro.reliability import FaultInjector, FaultyPager
 from repro.rtree import share_tree, str_pack
-from repro.storage import (AccessStats, LRUBuffer, MeteredReader,
-                           NoBuffer, PathBuffer)
+from repro.storage import (AccessStats, BufferManager, LRUBuffer,
+                           MeteredReader, NoBuffer, PathBuffer)
 
 from .conftest import build_rstar, make_items
 
@@ -207,9 +207,9 @@ class TestObservability:
 
     @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
     def test_governor_is_polled_per_descent_not_per_item(self, trees, enum):
-        """A budget does not change the replay's complexity: one poll
-        on entry, one per descent (<= NA) and one per level boundary of
-        the plan — not one per enumerated entry pair."""
+        """A budget does not change the stepping loop's complexity: one
+        poll on entry, one per descent (<= NA) and one per level
+        boundary of the plan — not one per enumerated entry pair."""
         t1, t2 = trees
         gov = ExecutionGovernor(Budget(deadline=3600.0, max_na=10 ** 9,
                                        max_da=10 ** 9))
@@ -239,8 +239,9 @@ def _shifted(items, by):
 class TestArrayCharger:
     """An ungoverned drain is charged in bulk from its plan's arrays
     (``LevelBatchState._charge``); a governor, even one that never
-    trips, forces the one-descent-at-a-time replay loop.  Both must
-    leave the same pairs, counters, comparison count and buffer."""
+    trips, forces the one-item-at-a-time stepping loop
+    (``LevelBatchState._step``).  Both walk one ``ReadPage`` order and
+    must leave the same pairs, counters, comparison count and buffer."""
 
     @pytest.fixture(scope="class")
     def shapes(self, trees):
@@ -256,13 +257,16 @@ class TestArrayCharger:
 
     @staticmethod
     def _spy(monkeypatch):
+        """Record each ``access_many`` call: the bulk path makes one per
+        drain, the stepping path none (it reads page by page)."""
         calls = []
-        charge = LevelBatchState._charge
-
-        def spy(self, plans):
-            calls.append(len(plans))
-            return charge(self, plans)
-        monkeypatch.setattr(LevelBatchState, "_charge", spy)
+        for cls in (BufferManager, NoBuffer, PathBuffer, LRUBuffer):
+            if "access_many" in vars(cls):
+                def spy(self, labels, sides, levels, pages,
+                        _many=vars(cls)["access_many"]):
+                    calls.append(len(sides))
+                    return _many(self, labels, sides, levels, pages)
+                monkeypatch.setattr(cls, "access_many", spy)
         return calls
 
     @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
@@ -292,6 +296,35 @@ class TestArrayCharger:
             assert runs[0][0] == [] and runs[0][1]["node_accesses"] == {}
         else:
             assert len(runs[0][0]) > 0 and runs[0][2] > 0
+
+    @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
+    @pytest.mark.parametrize("shape", [
+        "equal", "tall-first", "short-first", "leaf-r1"])
+    def test_both_read_in_the_stack_machines_order(self, shapes, shape,
+                                                   enum, monkeypatch):
+        """The bulk charge's one ``access_many`` call and the stepping
+        loop's fetches hand the buffer the stack machine's ``ReadPage``
+        sequence, read by read — the mixed-height re-fetch of a leaf
+        after the other tree's child included, which a path buffer (one
+        path per tree) cannot see."""
+        class Recording(LRUBuffer):
+            def access(self, tree, level, node_id):
+                reads.append((tree, level, node_id))
+                return super().access(tree, level, node_id)
+
+        t1, t2 = shapes[shape]
+        calls = self._spy(monkeypatch)
+        logs = []
+        for config, governor in ((STACK, None), (BATCH, None), (BATCH, (
+                ExecutionGovernor(Budget(max_na=10 ** 9))))):
+            reads = []
+            spatial_join(t1, t2, buffer=Recording(5), governor=governor,
+                         config=config.with_options(pair_enumeration=enum))
+            logs.append(reads)
+        stack, bulk, stepped = logs
+        assert calls == [len(bulk)] and len(stack) > 10
+        assert bulk == stack
+        assert stepped == stack
 
     def test_parallel_workers_start_from_buffer_state(self, trees,
                                                       monkeypatch):

@@ -50,8 +50,9 @@ def rect_strategy():
                      grid_coord, grid_coord).map(build)
 
 
-def items_strategy(max_size=50):
-    return st.lists(rect_strategy(), min_size=0, max_size=max_size).map(
+def items_strategy(max_size=50, min_size=0):
+    return st.lists(rect_strategy(), min_size=min_size,
+                    max_size=max_size).map(
         lambda rs: [(r, i) for i, r in enumerate(rs)])
 
 
@@ -133,7 +134,7 @@ def test_batch_join_unequal_heights(items1, items2, enum, predicate):
 @SLOW
 @given(items_strategy(), items_strategy(), buffer_strategy, enum_strategy)
 def test_batch_join_any_buffer_manager(items1, items2, kind, enum):
-    """DA depends on the buffer; the batch replay preserves the exact
+    """DA depends on the buffer; the batch charge preserves the exact
     ReadPage sequence, so DA matches under every buffer policy."""
     factory = BUFFERS[kind]
     t1, t2 = build(items1), build(items2)
@@ -194,7 +195,7 @@ def test_governed_checkpoint_bytes_identical(items1, items2, enum,
                                              sample_pairs, bucket):
     """Unequal capacities skew the heights, so a cut can land inside a
     mixed (r1leaf/r2leaf) frame as well as a cross one; a cut on
-    ``max_results`` lands inside a leaf frame, which the batch replay
+    ``max_results`` lands inside a leaf frame, which the batch engine
     emits in one slice of the leaf level.  The cut runs ``1 .. total +
     1``, so the last value lets the join finish; the sampled events are
     compared either way.  With ``bucket`` both engines reuse one state
@@ -265,3 +266,59 @@ def test_resume_after_batch_cut(items1, items2, enum, frac):
         first.checkpoint)
     assert final.complete
     assert _signature(final) == baseline
+
+
+class _CancelAt(ExecutionGovernor):
+    """A partial governor whose token is cancelled at its ``k``-th
+    check, so the run stops at that poll whatever moved before it."""
+
+    def __init__(self, k: int):
+        super().__init__(partial=True)
+        self.k = k
+
+    def check(self, stats, results=0):
+        if self.checks + 1 == self.k:
+            self.token.cancel()
+        super().check(stats, results)
+
+
+@SLOW
+@given(items_strategy(max_size=30, min_size=8),
+       items_strategy(max_size=30, min_size=8), enum_strategy,
+       st.sampled_from([(6, 6), (8, 3), (3, 8)]))
+@example(_lattice(0), _lattice(1), "nested-loop", (6, 6))
+@example(_lattice(0), _lattice(1), "vectorized", (8, 3))
+def test_cancellation_at_any_poll(items1, items2, enum, capacities):
+    """Every poll of a level-batch run is a place it can stop — the
+    entry poll and the polls after descents that move no budget
+    included, which no NA, DA or result budget ever cuts at.  A
+    cancellation at any of them leaves a checkpoint the stack machine
+    writes at one of its own polls, and resuming it finishes the join
+    exactly as the uncut run does."""
+    t1 = build(items1, max_entries=capacities[0])
+    t2 = build(items2, max_entries=capacities[1])
+    stack_cfg, batch_cfg = _configs(enum)
+    baseline = _signature(spatial_join(t1, t2, config=stack_cfg))
+
+    def cut(config, k):
+        governor = _CancelAt(k)
+        return SpatialJoin(t1, t2, governor=governor,
+                           config=config).run(), governor.checks
+
+    written, k = set(), 1
+    while True:
+        result, _ = cut(stack_cfg, k)
+        if result.complete:
+            break
+        written.add(_canonical(result.checkpoint.to_dict()))
+        k += 1
+    uncut, polls = cut(batch_cfg, 0)
+    assert uncut.engine == "level-batch" and _signature(uncut) == baseline
+    for k in range(1, polls + 1):
+        partial, _ = cut(batch_cfg, k)
+        assert isinstance(partial, PartialJoinResult)
+        assert partial.engine == "level-batch"
+        assert _canonical(partial.checkpoint.to_dict()) in written
+        final = SpatialJoin(t1, t2, config=batch_cfg).resume(
+            partial.checkpoint)
+        assert final.complete and _signature(final) == baseline

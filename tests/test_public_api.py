@@ -179,12 +179,18 @@ def test_one_engine_per_strategy_and_no_arena_fallback():
 
 
 def test_one_charging_replay():
-    # A governed, a traced and a bare level-batch join walk one loop.
+    # One ReadPage order, built by one preorder builder: a bare
+    # level-batch join charges it in bulk, a governed or traced one
+    # steps through it; no second walk of the visit tree is left.
     from repro.join import LevelBatchState
-    assert callable(LevelBatchState._replay)
-    for name in ("_replay_fast", "_replay_exact", "_init_frame",
+    from repro.join.batch import _LevelPlan
+    assert callable(LevelBatchState._preorder)
+    assert callable(LevelBatchState._charge)
+    assert callable(LevelBatchState._step)
+    for name in ("_replay", "_replay_fast", "_replay_exact", "_init_frame",
                  "_consume"):
         assert not hasattr(LevelBatchState, name), name
+    assert not hasattr(_LevelPlan, "listed")
 
 
 def test_shared_driver_and_engine_selection_are_exported():

@@ -275,6 +275,10 @@ class TestBufferFromSpec:
         ("lru:0", "lru buffer needs at least one page"),
         ("lru:abc", "'lru:' needs an integer page count"),
         ("lru:", "'lru:' needs an integer page count"),
+        # What Python's int() would read as a page count.
+        *[(spec, "'lru:' needs an integer page count")
+          for spec in ("lru:+5", "lru: 5", "lru:5 ", "lru:5_0",
+                       "lru:\u0665")],
         ("LRU:4", "unknown buffer spec 'LRU:4'"),
         (7, "unknown buffer spec 7"),
     ])
