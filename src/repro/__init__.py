@@ -52,9 +52,9 @@ from .geometry import (ArenaHandle, ColumnarMBRs, Rect, TreeArena,
                        Workspace, arena_from_shared_memory,
                        arena_to_shared_memory)
 from .io import load_dataset, load_tree, save_dataset, save_tree
-from .join import (OVERLAP, JoinResult, Overlap, ParallelJoinResult,
-                   PartialJoinResult, SpatialJoin, WithinDistance,
-                   index_nested_loop_join, naive_join,
+from .join import (OVERLAP, JoinResult, Overlap, PairList,
+                   ParallelJoinResult, PartialJoinResult, SpatialJoin,
+                   WithinDistance, index_nested_loop_join, naive_join,
                    parallel_spatial_join, partition_spatial_join,
                    spatial_join, sweep_pairs_batch, vectorized_pairs)
 from .obs import (AccuracyLedger, AccuracyRecord, JsonlSink, MemorySink,
@@ -112,6 +112,7 @@ __all__ = [
     "NullSink",
     "OVERLAP",
     "Overlap",
+    "PairList",
     "ParallelJoinResult",
     "ParamCache",
     "PartialJoinResult",

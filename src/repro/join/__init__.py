@@ -10,7 +10,7 @@ from .partition import partition_spatial_join
 from .plane_sweep import nested_loop_pairs, sweep_pairs, sweep_pairs_batch
 from .nested_loop import index_nested_loop_join
 from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
-from .result import R1, R2, JoinResult, PartialJoinResult
+from .result import R1, R2, JoinResult, PairList, PartialJoinResult
 from .sync import (PAIR_ENUMERATIONS, SpatialJoin, select_traversal,
                    spatial_join, traversal_state)
 from .vectorized import vectorized_pairs
@@ -25,6 +25,7 @@ __all__ = [
     "OVERLAP",
     "Overlap",
     "PAIR_ENUMERATIONS",
+    "PairList",
     "ParallelJoinResult",
     "PartialJoinResult",
     "R1",

@@ -51,7 +51,9 @@ level order.  The engine therefore runs in two phases:
    accounting.  That order, the visit tree's preorder, is laid out once
    as arrays (:meth:`LevelBatchState._preorder`); it opens the leaf
    visits in index order, so a drain's pairs are the first
-   ``pair_count - base`` leaf items, collected as one slice.  A drain
+   ``pair_count - base`` leaf items, kept as one slice of the leaf
+   plan's two ``int64`` columns (no tuple per pair) and joined into
+   one :class:`~repro.join.PairList` when the result is built.  A drain
    nothing can stop or watch mid-way is charged in bulk
    (:meth:`LevelBatchState._charge`: one
    :meth:`~repro.storage.BufferManager.access_many` call, then
@@ -89,6 +91,7 @@ from ..exec.budget import BudgetExceeded, Cancelled
 from ..reliability import FaultyPager
 from ..storage import AccessStats, MeteredReader
 from .predicates import JoinPredicate, Overlap, WithinDistance
+from .result import PairList
 
 __all__ = ["BATCH_PAIR_ENUMERATIONS", "LevelBatchState", "MAX_CHUNK_ITEMS",
            "run_slots", "supports_level_batch"]
@@ -237,10 +240,18 @@ class LevelBatchState:
         self.metrics = metrics
         self.visits = 0
         self.stack: list[_Frame] = []
-        self.pairs: list[tuple[int, int]] = []
+        self._pairs: list[PairList] = []
         self.pair_count = 0
         self.comparisons = 0
         self._pending: list[tuple] = []
+
+    @property
+    def pairs(self) -> PairList:
+        """The pairs collected so far: every drain's leaf slice, joined
+        once."""
+        if len(self._pairs) != 1:
+            self._pairs = [PairList.concat(self._pairs)]
+        return self._pairs[0]
 
     def _fetch1(self, page_id: int, level: int):
         if page_id == self.pinned1:
@@ -280,8 +291,8 @@ class LevelBatchState:
                 n = self.pair_count - base
                 if self.collect_pairs and n:
                     leaf = plans[-1]
-                    self.pairs.extend(zip(leaf.child1[:n].tolist(),
-                                          leaf.child2[:n].tolist()))
+                    self._pairs.append(PairList(leaf.child1[:n],
+                                                leaf.child2[:n]))
             self.stack.pop()
 
     def _stepwise(self) -> bool:
@@ -640,7 +651,7 @@ class LevelBatchState:
             if d + 1 < len(plans):
                 cost[pos + 1] = plans[d + 1].cost
                 qual[pos + 1] = np.diff(plans[d + 1].qual_start)
-        fetches = zip(*reads.tolist())      # (side, level, page) each
+        fetches = iter(reads.T.tolist())    # [side, level, page] each
         fetch = (self._fetch1, self._fetch2)
         opened, top = [0] * len(plans), -1   # the open visits, for sampling
         cursor = 0

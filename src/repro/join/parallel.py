@@ -37,6 +37,8 @@ as for every engine.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from ..exec import ExecutionGovernor
 from ..exec.budget import Budget
 from ..exec.config import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
@@ -47,7 +49,7 @@ from ..rtree.arena_view import ArenaTreeHandle, share_tree
 from ..storage import AccessStats, MeteredReader, PathBuffer
 from .fanout import WorkerCrashed, fan_out, worker_governor
 from .predicates import OVERLAP, JoinPredicate
-from .result import R1, R2, JoinResult
+from .result import R1, R2, JoinResult, PairList
 from .run import JoinRun
 from .sync import select_traversal, traversal_state
 
@@ -73,7 +75,7 @@ class ParallelJoinResult(JoinResult):
     root level, which is always decomposed by nested loops.
     """
 
-    def __init__(self, pairs: list[tuple[int, int]],
+    def __init__(self, pairs: Iterable,
                  worker_stats: list[AccessStats], pair_count: int,
                  comparisons: int = 0, *,
                  engine: str | None = None, fallback: str | None = None):
@@ -132,8 +134,7 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
                 collect_pairs: bool,
                 governor: ExecutionGovernor | None,
                 config: ExecutionConfig, metrics=None,
-                ) -> tuple[AccessStats, list[tuple[int, int]], int, int,
-                           object]:
+                ) -> tuple[AccessStats, PairList, int, int, object]:
     """Execute one worker's task bucket against a private buffer.
 
     This is the worker body for every execution mode; any exception it
@@ -177,8 +178,8 @@ def _run_bucket(bucket: list[tuple], tree1: RTreeBase, tree2: RTreeBase,
         metrics.record_access_stats(stats, prefix="worker")
         if governor is not None:
             metrics.counter("governor.checks").inc(governor.checks)
-    return (stats, state.pairs, state.pair_count, state.comparisons,
-            metrics)
+    return (stats, PairList.of(state.pairs), state.pair_count,
+            state.comparisons, metrics)
 
 
 def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
@@ -186,8 +187,7 @@ def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
                     collect_pairs: bool, config: ExecutionConfig,
                     budget: Budget | None,
                     collect_metrics: bool = False,
-                    ) -> tuple[dict, list[tuple[int, int]], int, int,
-                               dict | None]:
+                    ) -> tuple[dict, PairList, int, int, dict | None]:
     """Worker-*process* body: plain picklable data in, plain data out.
 
     Each tree arrives either as an :class:`ArenaTreeHandle` — the
@@ -203,7 +203,8 @@ def _process_bucket(bucket: list[tuple], tree1: RTreeBase,
     shipped budget — whose deadline the coordinator already rebased to
     the time remaining at dispatch — and starts its clock immediately.
     Stats travel back as their ``as_dict`` form because
-    :class:`AccessStats` itself is not picklable; with
+    :class:`AccessStats` itself is not picklable, the pairs as the two
+    arrays of their :class:`~repro.join.PairList`; with
     ``collect_metrics`` the worker's metric delta ships the same way
     (``MetricsRegistry.as_dict``) for the coordinator to merge.
     """
@@ -389,14 +390,14 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
 
     def conclude() -> ParallelJoinResult:
         # Bucket order; a bucket a stop interrupted contributes nothing.
-        all_pairs: list[tuple[int, int]] = []
+        parts: list[PairList] = []
         pair_count = 0
         comparisons = root_tests
         worker_stats: list[AccessStats] = []
         for index in sorted(collected):
             stats, pairs, count, compared, delta = collected[index]
             worker_stats.append(stats)
-            all_pairs.extend(pairs)
+            parts.append(pairs)
             pair_count += count
             comparisons += compared
             if metrics is not None and delta is not None:
@@ -410,8 +411,8 @@ def parallel_spatial_join(tree1: RTreeBase, tree2: RTreeBase, *,
             hist = metrics.histogram("parallel.worker_da")
             for stats in worker_stats:
                 hist.observe(stats.da())
-        return ParallelJoinResult(all_pairs, worker_stats, pair_count,
-                                  comparisons, engine=engine,
+        return ParallelJoinResult(PairList.concat(parts), worker_stats,
+                                  pair_count, comparisons, engine=engine,
                                   fallback=fallback)
 
     try:

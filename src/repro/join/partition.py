@@ -79,7 +79,7 @@ from ..rtree import RTreeBase
 from ..storage import AccessStats, BufferManager, PathBuffer
 from .batch import run_slots
 from .predicates import OVERLAP, JoinPredicate
-from .result import R1, R2, JoinResult
+from .result import R1, R2, JoinResult, PairList
 from .run import JoinRun, charged_reader
 
 __all__ = ["partition_spatial_join", "DEFAULT_TILE_TARGET",
@@ -246,8 +246,7 @@ def _partition_arena(arenas, leaves1, leaves2, axes: int,
                                       return_indices=True)
     tasks = [((t,) if axes == 1 else divmod(t, per_axis),
               rep1[off1[i]:off1[i + 1]], rep2[off2[j]:off2[j + 1]])
-             for t, i, j in zip(common.tolist(), at1.tolist(),
-                                at2.tolist())]
+             for t, i, j in np.stack((common, at1, at2), axis=1).tolist()]
     return grid, tasks, (len(sides[0][0]), len(sides[1][0]),
                          len(rep1), len(rep2))
 
@@ -256,7 +255,7 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
                 grid: _Grid, tile: tuple[int, ...], collect_pairs: bool,
                 governor: ExecutionGovernor | None, stats: AccessStats,
                 base_results: int,
-                ) -> tuple[list[tuple[int, int]], int, int]:
+                ) -> tuple[list[PairList], int, int]:
     """One tile's probe: the plane sweep without a loop per opener.
 
     ``slots1``/``slots2`` are one tile's CSR segments, already in sweep
@@ -273,6 +272,8 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
     pairs nor their order; ``comparisons`` counts every candidate.
     ``base_results`` is the pair count of the tiles already solved, so
     the result budget is enforced against the join's running count.
+    The surviving pairs are kept per chunk as their two ``int64`` ref
+    columns, in sweep order.
     """
     coords1, coords2 = arenas[0]._coords, arenas[1]._coords
     lo1, hi1 = coords1.take(slots1, axis=2)      # tile-local blocks
@@ -297,7 +298,7 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
     upto = np.cumsum(width)
     total = int(upto[-1])
 
-    pairs: list[tuple[int, int]] = []
+    pairs: list[PairList] = []
     count = 0
     a = done = 0
     while done < total:
@@ -331,8 +332,7 @@ def _probe_tile(arenas, slots1, slots2, predicate: JoinPredicate,
             idx1, idx2 = idx1[keep], idx2[keep]
         count += len(idx1)
         if collect_pairs and len(idx1):
-            pairs.extend(zip(refs1[idx1].tolist(),
-                             refs2[idx2].tolist()))
+            pairs.append(PairList(refs1[idx1], refs2[idx2]))
         if governor is not None:
             governor.check(stats, base_results + count)
         a, done = b, done + size
@@ -379,8 +379,8 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
 
     buffer.reset()
     stats = AccessStats()
-    #: Per tile, in tile order: ``(pairs, count, comparisons)``.
-    solved: list[tuple[list[tuple[int, int]], int, int]] = []
+    #: Per tile, in tile order: ``(pair chunks, count, comparisons)``.
+    solved: list[tuple[list[PairList], int, int]] = []
     tasks: list[tuple] = []
 
     def work() -> None:
@@ -414,7 +414,8 @@ def partition_spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         # Ownership makes the tile outputs disjoint, so concatenation
         # in tile order is the exact pair set; a tile a budget trip
         # interrupted contributes nothing.
-        pairs = list(chain.from_iterable(p for p, _, _ in solved))
+        pairs = PairList.concat(chain.from_iterable(
+            p for p, _, _ in solved))
         if metrics is not None:
             metrics.counter("pbsm.joins").inc()
             metrics.counter("pbsm.tiles").inc(len(tasks))

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
+
+import numpy as np
+
 from ..exec.budget import BudgetExceeded, Cancelled
 from ..exec.checkpoint import JoinCheckpoint
 from ..storage import AccessStats
 
-__all__ = ["JoinResult", "PartialJoinResult", "R1", "R2"]
+__all__ = ["JoinResult", "PairList", "PartialJoinResult", "R1", "R2"]
 
 #: Tree labels used throughout the join layer and the cost-model
 #: comparisons.  R2 plays the "query tree" role (outer loop of SJ),
@@ -15,12 +20,108 @@ R1 = "R1"
 R2 = "R2"
 
 
+def _frozen(refs) -> np.ndarray:
+    """A read-only one-dimensional ``int64`` view of ``refs``."""
+    view = np.asarray(refs, dtype=np.int64).view()
+    if view.ndim != 1:
+        raise ValueError(f"pair columns must be one-dimensional, "
+                         f"got shape {view.shape}")
+    view.flags.writeable = False
+    return view
+
+
+class PairList(Sequence[tuple[int, int]]):
+    """A join's result pairs as two read-only ``int64`` columns.
+
+    ``refs1[k]`` and ``refs2[k]`` are the object ids of the ``k``-th
+    pair (R1 first).  As a sequence it reads like the list of
+    ``(oid1, oid2)`` tuples it replaces: indexing and iteration yield
+    tuples of Python ``int``, a slice is a ``PairList``, and ``==``
+    holds against another ``PairList`` with equal columns or against a
+    list or tuple of the same pairs in the same order.  It is
+    unhashable, like a list, and pickles as its two arrays.
+    :meth:`tolist` is the JSON form, ``[[oid1, oid2], ...]``.
+    """
+
+    __slots__ = ("refs1", "refs2")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, refs1=(), refs2=()):
+        self.refs1 = _frozen(refs1)
+        self.refs2 = _frozen(refs2)
+        if len(self.refs1) != len(self.refs2):
+            raise ValueError(f"pair columns differ in length: "
+                             f"{len(self.refs1)} != {len(self.refs2)}")
+
+    @classmethod
+    def of(cls, pairs: Iterable) -> "PairList":
+        """``pairs`` as a ``PairList``: itself if it is one, else its
+        ``(oid1, oid2)`` items copied into two columns."""
+        if isinstance(pairs, PairList):
+            return pairs
+        block = np.array(list(pairs), dtype=np.int64)
+        if block.size == 0:
+            return cls()
+        if block.ndim != 2 or block.shape[1] != 2:
+            raise ValueError(f"pairs must be (oid1, oid2) items, "
+                             f"got shape {block.shape}")
+        return cls(block[:, 0].copy(), block[:, 1].copy())
+
+    @classmethod
+    def concat(cls, parts: Iterable["PairList"]) -> "PairList":
+        """The ``PairList`` s of ``parts`` one after another."""
+        parts = list(parts)
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls()
+        return cls(np.concatenate([p.refs1 for p in parts]),
+                   np.concatenate([p.refs2 for p in parts]))
+
+    def __len__(self) -> int:
+        return len(self.refs1)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PairList(self.refs1[index], self.refs2[index])
+        index = operator.index(index)
+        return int(self.refs1[index]), int(self.refs2[index])
+
+    def __iter__(self):
+        return zip(self.refs1.tolist(), self.refs2.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PairList):
+            return (np.array_equal(self.refs1, other.refs1)
+                    and np.array_equal(self.refs2, other.refs2))
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other) -> "PairList":
+        return PairList.concat((self, PairList.of(other)))
+
+    def __reduce__(self):
+        return PairList, (self.refs1, self.refs2)
+
+    def __repr__(self) -> str:
+        return f"PairList(n={len(self)}, head={list(self[:3])})"
+
+    def tolist(self) -> list[list[int]]:
+        """``[[oid1, oid2], ...]`` — what JSON documents carry."""
+        return np.stack((self.refs1, self.refs2), axis=1).tolist()
+
+
 class JoinResult:
     """Output of one spatial-join execution.
 
-    ``pairs`` holds ``(oid1, oid2)`` tuples (object from R1 first);
-    ``stats`` the per-tree, per-level NA/DA counters gathered during the
-    traversal.  ``comparisons`` counts rectangle-pair predicate
+    ``pairs`` is a :class:`PairList`: the ``(oid1, oid2)`` pairs
+    (object from R1 first) in the order the join produced them, held
+    as two ``int64`` columns; whatever sequence of pairs the result is
+    built from is converted once, here.  With ``collect_pairs=False``
+    it is empty and ``pair_count`` alone says how many there were.
+    ``stats`` holds the per-tree, per-level NA/DA counters gathered
+    during the traversal.  ``comparisons`` counts rectangle-pair predicate
     evaluations — a CPU-cost indicator the paper excludes from its model
     but that the ablation benches report.  ``engine`` names the engine
     that ran (``"level-batch"`` or ``"stack"``, see
@@ -29,13 +130,14 @@ class JoinResult:
     (``None`` when it is).
     """
 
-    def __init__(self, pairs: list[tuple[int, int]], stats: AccessStats,
+    def __init__(self, pairs: Iterable, stats: AccessStats,
                  comparisons: int = 0, pair_count: int | None = None, *,
                  engine: str | None = None, fallback: str | None = None):
-        self.pairs = pairs
+        self.pairs = PairList.of(pairs)
         self.stats = stats
         self.comparisons = comparisons
-        self.pair_count = pair_count if pair_count is not None else len(pairs)
+        self.pair_count = (pair_count if pair_count is not None
+                           else len(self.pairs))
         self.engine = engine
         self.fallback = fallback
 
@@ -71,7 +173,7 @@ class JoinResult:
     complete = True
 
     def __repr__(self) -> str:
-        return (f"JoinResult(pairs={len(self.pairs)}, "
+        return (f"JoinResult(pairs={self.pair_count}, "
                 f"NA={self.na_total}, DA={self.da_total})")
 
 
@@ -91,7 +193,7 @@ class PartialJoinResult(JoinResult):
 
     complete = False
 
-    def __init__(self, pairs: list[tuple[int, int]], stats: AccessStats,
+    def __init__(self, pairs: Iterable, stats: AccessStats,
                  comparisons: int, pair_count: int,
                  checkpoint: JoinCheckpoint,
                  reason: BudgetExceeded | Cancelled,

@@ -47,7 +47,7 @@ from ..storage import AccessStats, BufferManager, MeteredReader, PathBuffer
 from .batch import LevelBatchState, supports_level_batch
 from .plane_sweep import nested_loop_pairs, sweep_pairs, sweep_pairs_batch
 from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
-from .result import R1, R2, JoinResult
+from .result import R1, R2, JoinResult, PairList
 from .run import JoinRun, charged_reader
 from .vectorized import vectorized_pairs
 
@@ -209,6 +209,26 @@ def spatial_join(tree1: RTreeBase, tree2: RTreeBase,
                        config=config).run(collect_pairs)
 
 
+def _check_pairs(cp: JoinCheckpoint) -> None:
+    """Refuse collected pairs that are not what a cut writes: with
+    ``collect_pairs``, a list of exactly ``pair_count`` ``[oid1, oid2]``
+    lists of (non-bool) ``int``; without, ``None``.  The CRC catches
+    accidents, not a crafted document, so the shape is checked here."""
+    pairs = cp.pairs
+    if not cp.collect_pairs:
+        if pairs is not None:
+            raise CheckpointMismatch(
+                "checkpoint collected no pairs but carries a pair list")
+        return
+    if not (type(pairs) is list and len(pairs) == cp.pair_count
+            and all(type(p) is list and len(p) == 2
+                    and type(p[0]) is int and type(p[1]) is int
+                    for p in pairs)):
+        raise CheckpointMismatch(
+            f"checkpoint pairs must be {cp.pair_count!r} [oid1, oid2] "
+            f"pairs of integers")
+
+
 class SpatialJoin:
     """One configured SJ execution (reusable via repeated :meth:`run`)."""
 
@@ -298,7 +318,9 @@ class SpatialJoin:
 
         Raises :class:`~repro.exec.CheckpointMismatch` when the
         checkpoint was taken with different trees, predicate, pair
-        enumeration or buffer kind.
+        enumeration or buffer kind, or when its collected pairs are not
+        ``pair_count`` ``[oid1, oid2]`` integer pairs (``None`` when it
+        collected none).
         """
         if self.config.strategy == "pbsm":
             raise ValueError(
@@ -327,6 +349,7 @@ class SpatialJoin:
             raise CheckpointMismatch(
                 f"checkpoint used a {cp.buffer_kind!r} buffer, this join "
                 f"has {self.buffer.kind!r}")
+        _check_pairs(cp)
         self.buffer.reset()
         self.buffer.restore(cp.buffer_state)
         run = self._governed()
@@ -344,7 +367,7 @@ class SpatialJoin:
                 engine=state.engine, fallback=state.fallback)
         state.pair_count = cp.pair_count
         state.comparisons = cp.comparisons
-        if cp.collect_pairs and cp.pairs:
+        if cp.collect_pairs:
             state.pairs = [(p[0], p[1]) for p in cp.pairs]
         for row in cp.stack:
             page1, level1, page2, level2, cursor = row
@@ -391,7 +414,7 @@ class SpatialJoin:
             stats=state.stats.as_dict(),
             pair_count=state.pair_count,
             comparisons=state.comparisons,
-            pairs=([list(p) for p in state.pairs]
+            pairs=(PairList.of(state.pairs).tolist()
                    if state.collect_pairs else None),
             reason=exc.as_dict())
         if self.tracer is not None:

@@ -881,7 +881,7 @@ class JoinService:
                                  "R2": result.da("R2")}
             doc["status"] = ("complete" if result.complete else "partial")
         if req.collect_pairs and result.complete:
-            doc["pairs"] = [list(p) for p in result.pairs]
+            doc["pairs"] = result.pairs.tolist()
         # Degradation is part of the contract, not a hidden fallback:
         # the field is always present (None = ran as requested) and the
         # generic counter aggregates the per-reason ones.  So is the

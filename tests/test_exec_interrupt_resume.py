@@ -9,13 +9,16 @@ transient faults, across enumeration/predicate/buffer variants, and
 through chains of repeated interruptions.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.exec import Budget, ExecutionGovernor
+from repro.exec import Budget, CheckpointMismatch, ExecutionGovernor
 from repro.join import OVERLAP, PartialJoinResult, SpatialJoin, WithinDistance
 from repro.reliability import FaultInjector, FaultyPager, RetryPolicy
+from repro.serve import JoinService, encode_resume_token
+from repro.serve.http import _error_status
 from repro.storage import LRUBuffer, PathBuffer
 
 from .conftest import PLANE_SWEEP, build_rstar, make_items
@@ -198,3 +201,58 @@ class TestResumeVariants:
         a = _join(t1, t2).run()
         b = _join(t1, t2, predicate=OVERLAP).run()
         assert sorted(a.pairs) == sorted(b.pairs)
+
+
+def _first_id_as(kind):
+    return lambda pairs: [[kind(pairs[0][0]), pairs[0][1]], *pairs[1:]]
+
+
+class TestResumeRefusesEditedPairs:
+    """A partial's ``pairs`` are the cut's own or the resume is refused:
+    ``pair_count`` ``[oid1, oid2]`` lists of non-bool ``int``, or
+    ``None`` when no pairs were collected.  Each edit leaves an
+    otherwise valid checkpoint, as a crafted resume token would (its
+    CRC is recomputed over the edited document, not keyed)."""
+
+    EDITS = {
+        "one-pair-dropped": lambda pairs: pairs[:-1],
+        "triples": lambda pairs: [[a, b, 7] for a, b in pairs],
+        "string-id": _first_id_as(str),
+        "bool-id": lambda pairs: [[True, pairs[0][1]], *pairs[1:]],
+        "tuples": lambda pairs: [tuple(p) for p in pairs],
+        "missing": lambda pairs: None,
+    }
+
+    @pytest.fixture(scope="class")
+    def partial(self, trees):
+        gov = ExecutionGovernor(Budget(max_na=60), partial=True)
+        first = _join(*trees, governor=gov).run()
+        assert not first.complete and first.checkpoint.pairs
+        return first.checkpoint
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_edited_pairs_are_refused(self, trees, partial, edit):
+        edited = dataclasses.replace(
+            partial, pairs=self.EDITS[edit](partial.pairs))
+        with pytest.raises(CheckpointMismatch, match="pairs"):
+            _join(*trees).resume(edited)
+
+    def test_pairs_without_collect_pairs_are_refused(self, trees, partial):
+        edited = dataclasses.replace(partial, collect_pairs=False)
+        with pytest.raises(CheckpointMismatch, match="pairs"):
+            _join(*trees).resume(edited)
+
+    def test_the_checkpoint_as_cut_still_resumes(self, trees, partial):
+        final = _join(*trees).resume(partial)
+        assert _signature(final) == _signature(_join(*trees).run())
+
+    def test_the_daemon_answers_400(self, trees, partial):
+        service = JoinService()
+        service.register_tree("a", trees[0])
+        service.register_tree("b", trees[1])
+        token = encode_resume_token(dataclasses.replace(
+            partial, pairs=partial.pairs[:-1]))
+        with pytest.raises(CheckpointMismatch) as refused:
+            service.execute({"tree1": "a", "tree2": "b",
+                             "collect_pairs": True, "resume_token": token})
+        assert _error_status(refused.value)[0] == 400

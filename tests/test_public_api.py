@@ -193,6 +193,24 @@ def test_one_charging_replay():
     assert not hasattr(_LevelPlan, "listed")
 
 
+def test_pairs_are_columns():
+    # Every join's pairs are one PairList over two int64 arrays, exported
+    # beside JoinResult; the level-batch and PBSM engines build no
+    # Python tuple per result pair.
+    import inspect
+
+    import repro.join
+    import repro.join.batch
+    import repro.join.partition
+    from repro.join import PairList
+    assert "PairList" in repro.__all__ and "PairList" in repro.join.__all__
+    assert repro.PairList is PairList
+    assert {"refs1", "refs2", "tolist"} <= set(dir(PairList))
+    for module in (repro.join.batch, repro.join.partition):
+        assert not re.search(r"zip\(.*tolist\(\)",
+                             inspect.getsource(module)), module.__name__
+
+
 def test_shared_driver_and_engine_selection_are_exported():
     # What replaced the duplicate worker drivers and the two copies of
     # the engine choice.
