@@ -31,9 +31,16 @@ order-dependent step keeps the scalar's order.
   in the last bit, flips a tie-break and so builds another tree.
 * A choice among candidates is :func:`first_least`, for the kernel and
   for every scalar loop it stands in for.
+* The kernel answers without the O(n^2) pass only where the scalar
+  keys are known without it: the containing entries, when they are
+  exactly the entries whose area enlargement is ``0.0``, every area is
+  finite and no enlargement is NaN (see
+  :func:`least_overlap_enlargement`).
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -89,9 +96,21 @@ def least_overlap_enlargement(lo, hi, rect_lo, rect_hi) -> int:
     scalar loop over ``Rect.union``/``intersection_area``/``area``
     returns, by the module's exactness contract — in O(n^2) array
     elements instead of O(n^2) Python calls.
+
+    Containment first: growing a box never shrinks its overlap with a
+    sibling or its area (IEEE rounding is monotone), so with every area
+    finite and no enlargement NaN each key is at least ``(0.0, 0.0,
+    ·)``, and an entry that contains the rectangle grows to itself bit
+    for bit (``min``/``max`` keep the first argument on ties): its key
+    is ``(0.0, 0.0, area)`` exactly.  When some entry contains the
+    rectangle and no other entry's area enlargement is ``0.0``, every
+    other key is larger, and the answer is the first containing entry
+    of least area, read in O(n).  A NaN enlargement (a grown side of
+    ``inf`` times one of ``0.0``) is a key no comparison displaces, so
+    it goes to the full pass.
     """
     lo_t, hi_t = lo.T, hi.T
-    ndim, n = lo_t.shape
+    n = len(lo)
     # Axis k of entry i as it stands at [k, 0, i] and grown to hold the
     # rectangle at [k, 1, i]: min/max against +-inf is the identity.
     both_lo = np.minimum(
@@ -100,23 +119,28 @@ def least_overlap_enlargement(lo, hi, rect_lo, rect_hi) -> int:
     both_hi = np.maximum(
         hi_t[:, None, :],
         np.array([(-_INF, x) for x in rect_hi])[:, :, None])
-    # side[k, g, i, j]: extent on axis k of (entry i, grown or not) with
-    # sibling j as it stands.
-    side = np.minimum(both_hi[:, :, :, None], hi_t[:, None, None, :])
-    side -= np.maximum(both_lo[:, :, :, None], lo_t[:, None, None, :])
-    disjoint = (side <= 0.0).any(axis=0)
-    extent = both_hi - both_lo
-    overlap, area = side[0], extent[0]
     # Overflowing products are inf, as the scalar's are; a masked-out
     # inf * 0 is not an event worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, ndim):
-            overlap *= side[k]
-            area *= extent[k]
-        np.putmask(overlap, disjoint, 0.0)
+        area = reduce(np.multiply, both_hi - both_lo)
+        enlargement = area[1] - area[0]
+        # A container's enlargement is 0.0 when its area is finite, so
+        # with every area finite (a NaN fails ``<`` too) the containers
+        # are the zeros exactly when every zero is a container.  A NaN
+        # enlargement is a key no comparison displaces: full pass.
+        zeros = (enlargement == 0.0).nonzero()[0]
+        if zeros.size and np.maximum.reduce(area[0]) < _INF \
+                and not np.isnan(enlargement).any() \
+                and ((lo[zeros] <= rect_lo) & (hi[zeros] >= rect_hi)).all():
+            return int(zeros[first_least(area[0][zeros].tolist())])
+        # side[k, g, i, j]: extent on axis k of (entry i, grown or not)
+        # with sibling j as it stands.
+        side = np.minimum(both_hi[:, :, :, None], hi_t[:, None, None, :])
+        side -= np.maximum(both_lo[:, :, :, None], lo_t[:, None, None, :])
+        overlap = reduce(np.multiply, side)
+        np.putmask(overlap, np.logical_or.reduce(side <= 0.0), 0.0)
         growth = np.subtract(overlap[1], overlap[0], out=overlap[1])
         growth.flat[::n + 1] = 0.0
         delta = growth.cumsum(axis=1)[:, -1]
-        enlargement = area[1] - area[0]
     return first_least(list(zip(delta.tolist(), enlargement.tolist(),
                                 area[0].tolist())))

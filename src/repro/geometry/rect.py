@@ -131,8 +131,16 @@ class Rect:
         return out
 
     def margin(self) -> float:
-        """Sum of extents (the R*-tree split criterion calls this margin)."""
-        return sum(b - a for a, b in zip(self.lo, self.hi))
+        """Sum of extents (the R*-tree split criterion calls this margin).
+
+        A left fold over the axes, as :meth:`area` is: ``sum()``
+        compensates float additions since Python 3.12, and the last bit
+        decides ties between split axes.
+        """
+        out = 0.0
+        for a, b in zip(self.lo, self.hi):
+            out += b - a
+        return out
 
     # -- predicates ------------------------------------------------------------
 

@@ -157,7 +157,9 @@ def load_tree(path: str | Path, strict: bool = True) -> RStarTree:
     The result is an :class:`RStarTree` regardless of the original
     variant (the stored structure is what matters; R* policies govern
     only *future* inserts).  Page ids, node contents and therefore all
-    access counts are preserved exactly.
+    access counts are preserved exactly, and so is ``min_entries``
+    (when the file carries it; format-v1 files may not), so future
+    inserts split and condense as they would have in the saved tree.
 
     Parameters
     ----------
@@ -172,7 +174,8 @@ def load_tree(path: str | Path, strict: bool = True) -> RStarTree:
     Raises
     ------
     MalformedFileError
-        Invalid JSON, unsupported format, or missing/ill-typed fields.
+        Invalid JSON, unsupported format, missing/ill-typed fields, or
+        a ``min_entries`` outside ``1 .. max_entries // 2``.
     CorruptPageError
         Checksum mismatch (strict mode, or an unrecoverable root).
     """
@@ -245,6 +248,8 @@ def load_tree(path: str | Path, strict: bool = True) -> RStarTree:
 
     tree = RStarTree(doc["ndim"], doc["max_entries"])
     tree.pager.free(tree.root_id)      # drop the constructor's empty root
+    if "min_entries" in doc:           # format-v1 files may lack it
+        tree.min_entries = _saved_min_entries(doc, path)
 
     if report.corrupt_pages:
         reachable, lost_entries = _install_degraded(tree, good, root_id,
@@ -274,6 +279,19 @@ def verify_tree_file(path: str | Path) -> CorruptionReport:
     return load_tree(path, strict=False).corruption_report
 
 
+def _saved_min_entries(doc: dict, path: Path) -> int:
+    """The document's ``min_entries``: an integer in
+    ``1 .. max_entries // 2``, as every tree's constructor makes it."""
+    value = doc["min_entries"]
+    if type(value) is not int \
+            or not 1 <= value <= doc["max_entries"] // 2:
+        raise MalformedFileError(
+            f"{path}: min_entries must be an integer in 1.."
+            f"{doc['max_entries'] // 2}, got {value!r}",
+            path=path, field="min_entries")
+    return value
+
+
 def _parse_node(page_id: int, payload: Any, checksummed: bool,
                 ) -> tuple[Node | None, str | None]:
     """Verify and build one node; ``(None, reason)`` on failure."""
@@ -299,11 +317,15 @@ def _install_degraded(tree: RStarTree, good: dict[int, Node],
     Walks from the root, dropping internal entries whose child page was
     quarantined (or is simply absent).  Pages that verified fine but hang
     below a quarantined ancestor become *orphans* and are not installed.
-    Ancestor MBRs are left as stored — they may now over-cover, which is
-    harmless for querying (supersets never lose answers).
+    The ancestors of a node that lost entries are re-bounded, bottom-up,
+    so every entry is again its child's ``Node.mbr()``, as an insert
+    expects (:meth:`~repro.rtree.RTreeBase._grow_path`); an entry whose
+    child lost all of its entries keeps its stored rectangle.
     """
     corrupt = set(report.corrupt_pages)
     reachable: set[int] = set()
+    parent_of: dict[int, int] = {}
+    shrunk = []
     dropped = 0
     stack = [root_id]
     while stack:
@@ -320,10 +342,18 @@ def _install_degraded(tree: RStarTree, good: dict[int, Node],
             if child in good and child not in corrupt:
                 kept.append(entry)
                 stack.append(child)
+                parent_of.setdefault(child, page_id)
             else:
                 dropped += 1
         if len(kept) != len(node.entries):
             node.entries[:] = kept
+            shrunk.append(page_id)
+    for page_id in shrunk:
+        while page_id != root_id and good[page_id].entries:
+            parent = good[parent_of[page_id]]
+            i = parent.entry_for_child(page_id)
+            parent.entries[i] = Entry(good[page_id].mbr(), page_id)
+            page_id = parent.page_id
     for page_id in reachable:
         tree.pager.put(page_id, good[page_id])
     report.orphaned_pages = sorted(set(good) - reachable)

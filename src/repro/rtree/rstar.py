@@ -17,7 +17,7 @@ Differences from Guttman's R-tree, all implemented here:
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from functools import reduce
 
 import numpy as np
 
@@ -91,52 +91,52 @@ class RStarTree(RTreeBase):
 
     def _split_entries(self, entries: list[Entry],
                        level: int) -> tuple[list[Entry], list[Entry]]:
-        return self._choose_split_index(self._choose_split_axis(entries))
+        """The axis with the least margin sum over all its legal cuts,
+        then its cut with the least overlap (ties: least area sum).
 
-    def _axis_cuts(self, entries: list[Entry], axis: int) -> list[tuple]:
-        """Every legal cut along one axis, as ``(ordered, k, mbr1, mbr2)``.
-
-        ``ordered`` is the entries sorted by lower bound, then by upper
-        bound; ``k`` ascends within each.  ``mbr1`` bounds
-        ``ordered[:k]`` and ``mbr2`` bounds ``ordered[k:]``, both read
-        off the running MBRs of the order taken from its head and from
-        its tail, so a sort costs O(M) unions however many cuts it has.
+        Every axis is sorted by lower bound, then by upper bound, and by
+        upper, then lower (stable sorts); cut ``k`` of an order, for
+        ``m <= k <= n - m``, puts ``order[:k]`` in one group.  All cuts
+        of all orders are read off one column block: a group's MBR is
+        the running min/max of the order from its head or its tail.
+        The keys are the scalar ``Rect`` loop's bit for bit, but for a
+        zero's sign, which no comparison sees (``geometry/columnar.py``):
+        margins and areas fold the axes in dimension order, an overlap
+        with a side ``<= 0`` is ``0.0``, and each axis's margins are
+        summed as a left fold in cut order.
         """
-        cuts = []
-        for key in (lambda e: (e.rect.lo[axis], e.rect.hi[axis]),
-                    lambda e: (e.rect.hi[axis], e.rect.lo[axis])):
-            ordered = sorted(entries, key=key)
-            rects = [e.rect for e in ordered]
-            heads = list(accumulate(rects, Rect.union))
-            tails = list(accumulate(reversed(rects),
-                                    lambda mbr, rect: rect.union(mbr)))
-            tails.reverse()
-            cuts.extend(
-                (ordered, k, heads[k - 1], tails[k])
-                for k in range(self.min_entries,
-                               len(ordered) - self.min_entries + 1))
-        return cuts
-
-    def _choose_split_axis(self, entries: list[Entry]) -> list[tuple]:
-        """Cuts of the axis with the least margin sum over all of them."""
-        per_axis = [self._axis_cuts(entries, axis)
-                    for axis in range(self.ndim)]
-        margins = []
-        for cuts in per_axis:
-            # A plain left fold: ``sum()`` compensates since Python
-            # 3.12, and the last bit decides ties between axes.
-            margin = 0.0
-            for _ordered, _k, mbr1, mbr2 in cuts:
-                margin += mbr1.margin() + mbr2.margin()
-            margins.append(margin)
-        return per_axis[first_least(margins)]
-
-    @staticmethod
-    def _choose_split_index(cuts: list[tuple],
-                            ) -> tuple[list[Entry], list[Entry]]:
-        """Cut with minimal overlap (ties: minimal area sum)."""
-        # len(entries) = M + 1 >= 2 * min_entries: there is a cut.
-        ordered, k, _mbr1, _mbr2 = cuts[first_least([
-            (mbr1.intersection_area(mbr2), mbr1.area() + mbr2.area())
-            for _ordered, _k, mbr1, mbr2 in cuts])]
-        return ordered[:k], ordered[k:]
+        ndim, n, m = self.ndim, len(entries), self.min_entries
+        orders = []
+        for axis in range(ndim):
+            los = [e.rect.lo[axis] for e in entries]
+            his = [e.rect.hi[axis] for e in entries]
+            for keys in (list(zip(los, his)), list(zip(his, los))):
+                orders.append(sorted(range(n), key=keys.__getitem__))
+        block = np.array([e.rect.lo + e.rect.hi for e in entries])
+        runs = block.T[:, np.array(orders)]  # corner, order, position
+        lo, hi = runs[:ndim], runs[ndim:]
+        head_lo = np.minimum.accumulate(lo, axis=2)[:, :, m - 1:n - m]
+        head_hi = np.maximum.accumulate(hi, axis=2)[:, :, m - 1:n - m]
+        tail_lo = np.minimum.accumulate(
+            lo[:, :, ::-1], axis=2)[:, :, ::-1][:, :, m:n - m + 1]
+        tail_hi = np.maximum.accumulate(
+            hi[:, :, ::-1], axis=2)[:, :, ::-1][:, :, m:n - m + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            head, tail = head_hi - head_lo, tail_hi - tail_lo
+            side = (np.minimum(head_hi, tail_hi)
+                    - np.maximum(head_lo, tail_lo))
+            margin = reduce(np.add, head) + reduce(np.add, tail)
+            overlap = np.where((side <= 0.0).any(axis=0), 0.0,
+                               reduce(np.multiply, side))
+            area = (reduce(np.multiply, head)
+                    + reduce(np.multiply, tail))
+            per_axis = margin.reshape(ndim, -1).cumsum(axis=1)[:, -1]
+        axis = first_least(per_axis.tolist())
+        cuts = slice(2 * axis, 2 * axis + 2)
+        best = first_least(list(zip(overlap[cuts].ravel().tolist(),
+                                    area[cuts].ravel().tolist())))
+        per_order = n - 2 * m + 1
+        order = orders[2 * axis + best // per_order]
+        k = m + best % per_order
+        return ([entries[i] for i in order[:k]],
+                [entries[i] for i in order[k:]])

@@ -166,7 +166,7 @@ class RTreeBase:
         path, indices = self._choose_path(entry.rect, target_level)
         node = path[-1]
         node.entries.append(entry)
-        self._adjust_path(path, indices)
+        self._grow_path(path, indices, entry.rect)
         if len(node.entries) > self.max_entries:
             self._handle_overflow(path, indices)
 
@@ -191,8 +191,36 @@ class RTreeBase:
             path.append(node)
         return path, indices
 
+    def _grow_path(self, path: list[Node], indices: list[int],
+                   rect: Rect) -> None:
+        """Widen the path's entries, bottom-up, to hold ``rect`` just
+        appended to ``path[-1]``; stop at the first that already holds it.
+
+        Each entry becomes ``old.union(rect)``, bit for bit the
+        ``Node.mbr()`` :meth:`_adjust_path` would compute, given that
+        every entry is its child's ``Node.mbr()`` (insertion, deletion,
+        the packers and ``load_tree`` keep it so): an entry's
+        corners are the first-seen ``min``/``max`` over its subtree, and
+        ``union`` keeps its first argument on ties.  The one tie between
+        different bits is ``0.0`` against ``-0.0``, and which of them is
+        seen first depends on where ``rect`` sits in the subtree, so a
+        rectangle with a zero coordinate is re-bounded instead.
+        """
+        if 0.0 in rect.lo or 0.0 in rect.hi:
+            self._adjust_path(path, indices)
+            return
+        for depth in range(len(indices) - 1, -1, -1):
+            parent = path[depth]
+            i = indices[depth]
+            old = parent.entries[i]
+            if old.rect.contains(rect):
+                return
+            parent.entries[i] = Entry(old.rect.union(rect), old.ref)
+
     def _adjust_path(self, path: list[Node], indices: list[int]) -> None:
-        """Recompute parent entry MBRs bottom-up along an insertion path."""
+        """Recompute parent entry MBRs bottom-up along a path, each from
+        all of its node's entries (after entries left a node, and for a
+        rectangle :meth:`_grow_path` cannot add exactly)."""
         for depth in range(len(indices) - 1, -1, -1):
             parent = path[depth]
             child = path[depth + 1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 from contextlib import contextmanager
+from itertools import accumulate
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.geometry import Rect, TreeArena
 from repro.geometry.columnar import first_least
 from repro.join import JoinPredicate, Overlap
 from repro.join.plane_sweep import sweep_pairs_batch
-from repro.rtree import GuttmanRTree, Node, RStarTree
+from repro.rtree import GuttmanRTree, Node, RStarTree, RTreeBase
 
 #: One config per pair enumeration, for the tests that compare the stack
 #: machine's kernels (``NESTED_LOOP`` is the paper's Fig. 2, the oracle).
@@ -79,10 +80,70 @@ def least_overlap_enlargement(node, rect) -> int:
     return first_least(keys)
 
 
+def _axis_cuts(tree, entries, axis: int) -> list[tuple]:
+    """Every legal cut along one axis, as ``(ordered, k, mbr1, mbr2)``.
+
+    ``ordered`` is the entries sorted by lower bound, then by upper
+    bound; ``k`` ascends within each.  ``mbr1`` bounds ``ordered[:k]``
+    and ``mbr2`` bounds ``ordered[k:]``, both read off the running MBRs
+    of the order taken from its head and from its tail.
+    """
+    cuts = []
+    for key in (lambda e: (e.rect.lo[axis], e.rect.hi[axis]),
+                lambda e: (e.rect.hi[axis], e.rect.lo[axis])):
+        ordered = sorted(entries, key=key)
+        rects = [e.rect for e in ordered]
+        heads = list(accumulate(rects, Rect.union))
+        tails = list(accumulate(reversed(rects),
+                                lambda mbr, rect: rect.union(mbr)))
+        tails.reverse()
+        cuts.extend(
+            (ordered, k, heads[k - 1], tails[k])
+            for k in range(tree.min_entries,
+                           len(ordered) - tree.min_entries + 1))
+    return cuts
+
+
+def _choose_split_axis(tree, entries) -> list[tuple]:
+    """Cuts of the axis with the least margin sum over all of them."""
+    per_axis = [_axis_cuts(tree, entries, axis)
+                for axis in range(tree.ndim)]
+    margins = []
+    for cuts in per_axis:
+        margin = 0.0
+        for _ordered, _k, mbr1, mbr2 in cuts:
+            margin += mbr1.margin() + mbr2.margin()
+        margins.append(margin)
+    return per_axis[first_least(margins)]
+
+
+def _choose_split_index(cuts: list[tuple]) -> tuple[list, list]:
+    """Cut with minimal overlap (ties: minimal area sum)."""
+    ordered, k, _mbr1, _mbr2 = cuts[first_least([
+        (mbr1.intersection_area(mbr2), mbr1.area() + mbr2.area())
+        for _ordered, _k, mbr1, mbr2 in cuts])]
+    return ordered[:k], ordered[k:]
+
+
+def rstar_split(tree, entries, level) -> tuple[list, list]:
+    """The R*-tree split (BKSS90 §4.2) over ``Rect`` objects: the
+    scalar definition ``RStarTree._split_entries`` must answer."""
+    return _choose_split_index(_choose_split_axis(tree, entries))
+
+
+def rebound_path(tree, path, indices, rect) -> None:
+    """Re-bound every path MBR from all of its node's entries
+    (``Node.mbr()``): the definition the union growth of
+    ``RTreeBase._grow_path`` must reproduce bit for bit."""
+    tree._adjust_path(path, indices)
+
+
 @contextmanager
-def reference_choose_subtree(enabled: bool = True):
-    """Build R*-trees with :func:`least_overlap_enlargement` in place of
-    the kernel for a block (a no-op when not ``enabled``)."""
+def reference_insert(enabled: bool = True):
+    """Build trees on the scalar reference insert path for a block (a
+    no-op when not ``enabled``): :func:`least_overlap_enlargement` for
+    R* ChooseSubtree above the leaves, :func:`rstar_split` for the R*
+    split and :func:`rebound_path` for every variant's path MBRs."""
     kernel = RStarTree._choose_subtree
 
     def choose(tree, node, rect):
@@ -93,13 +154,15 @@ def reference_choose_subtree(enabled: bool = True):
     with pytest.MonkeyPatch.context() as patch:
         if enabled:
             patch.setattr(RStarTree, "_choose_subtree", choose)
+            patch.setattr(RStarTree, "_split_entries", rstar_split)
+            patch.setattr(RTreeBase, "_grow_path", rebound_path)
         yield
 
 
-#: ``reference_choose_subtree(...)`` arguments for a test that builds
-#: its trees both ways.
-CHOOSE_SUBTREE = [pytest.param(True, id="scalar"),
-                  pytest.param(False, id="numpy")]
+#: ``reference_insert(...)`` arguments for a test that builds its trees
+#: both ways.
+INSERT_PATHS = [pytest.param(True, id="scalar"),
+                pytest.param(False, id="numpy")]
 
 
 def arena_segments() -> list[str]:

@@ -117,6 +117,15 @@ class TestProperties:
     def test_margin(self):
         assert Rect((0, 0), (0.5, 0.4)).margin() == pytest.approx(0.9)
 
+    def test_margin_is_a_left_fold(self):
+        # Added left to right, 1.0 + 2**-53 rounds back to 1.0 (ties to
+        # even) twice; a compensated sum (``sum()`` from Python 3.12,
+        # ``math.fsum``) keeps the two halves and rounds up once.
+        tiny = 2.0 ** -53
+        rect = Rect((0, 0, 0), (1.0, tiny, tiny))
+        assert math.fsum(rect.extents) == 1.0000000000000002
+        assert rect.margin().hex() == (1.0).hex()
+
 
 class TestPredicates:
     def test_intersects_overlapping(self):

@@ -1,14 +1,18 @@
 """Persistence of datasets and trees."""
 
+import json
+
 import pytest
 
 from repro.datasets import SpatialDataset, uniform_rectangles
 from repro.geometry import Rect
 from repro.io import load_dataset, load_tree, save_dataset, save_tree
 from repro.join import spatial_join
-from repro.rtree import GuttmanRTree, check, str_pack
+from repro.reliability import MalformedFileError
+from repro.rtree import GuttmanRTree, RStarTree, check, str_pack
 
 from .conftest import build_rstar, make_items
+from .test_rtree_golden import tree_digest
 
 
 class TestDatasetRoundTrip:
@@ -114,8 +118,40 @@ class TestTreeRoundTrip:
             assert sorted(loaded.range_query(Rect((0, 0), (1, 1)))) == \
                 sorted(o for _r, o in items)
 
+    @pytest.mark.parametrize("build", [
+        lambda items: _inserted(RStarTree(2, 10, min_fill=0.5), items),
+        lambda items: str_pack(items, 2, 10, min_fill=0.5),
+    ], ids=["inserted", "str-packed"])
+    def test_min_entries_survives_and_later_inserts_match(self, tmp_path,
+                                                          build):
+        # min_fill=0.5 makes min_entries 5 where the default makes 4;
+        # the splits and condenses of later updates depend on it.
+        tree = build(make_items(300, seed=11))
+        save_tree(tree, tmp_path / "t.json")
+        loaded = load_tree(tmp_path / "t.json")
+        assert loaded.min_entries == tree.min_entries == 5
+        more = [(rect, oid + 1_000) for rect, oid in make_items(100, seed=12)]
+        for copy in (tree, loaded):
+            _inserted(copy, more)
+            for rect, oid in more[::3]:
+                assert copy.delete(rect, oid)
+        assert tree_digest(loaded) == tree_digest(tree)
+
+    @pytest.mark.parametrize("value", [0, 5, "2", 2.0, True, None])
+    def test_min_entries_out_of_range_is_named(self, tmp_path, value):
+        save_tree(build_rstar(make_items(50, seed=13)), tmp_path / "t.json")
+        path = _as_v1(tmp_path / "t.json", min_entries=value)   # M = 8
+        with pytest.raises(MalformedFileError) as excinfo:
+            load_tree(path)
+        assert excinfo.value.field == "min_entries"
+
+    def test_v1_file_without_min_entries_keeps_the_default(self, tmp_path):
+        tree = _inserted(RStarTree(2, 10, min_fill=0.5), make_items(60))
+        save_tree(tree, tmp_path / "t.json")
+        path = _as_v1(tmp_path / "t.json", min_entries=...)
+        assert load_tree(path).min_entries == RStarTree(2, 10).min_entries
+
     def test_empty_tree(self, tmp_path):
-        from repro.rtree import RStarTree
         tree = RStarTree(2, 8)
         save_tree(tree, tmp_path / "empty.json")
         loaded = load_tree(tmp_path / "empty.json")
@@ -127,6 +163,28 @@ class TestTreeRoundTrip:
         path.write_text('{"format": 999}')
         with pytest.raises(ValueError, match="unsupported tree format"):
             load_tree(path)
+
+
+def _inserted(tree, items):
+    for rect, oid in items:
+        tree.insert(rect, oid)
+    return tree
+
+
+def _as_v1(path, min_entries):
+    """Rewrite a saved tree as an un-checksummed format-v1 file with
+    ``min_entries`` set to a value (``...``: the field removed)."""
+    doc = json.loads(path.read_text())
+    doc["format"] = 1
+    del doc["checksum"]
+    for payload in doc["nodes"].values():
+        del payload["crc"]
+    if min_entries is ...:
+        del doc["min_entries"]
+    else:
+        doc["min_entries"] = min_entries
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestDatasetErrorContext:

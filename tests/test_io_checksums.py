@@ -12,8 +12,10 @@ from repro.io import (TREE_FORMAT_VERSION, load_dataset, load_tree,
 from repro.join import spatial_join
 from repro.reliability import (CorruptPageError, MalformedFileError,
                                ReproError)
+from repro.rtree import validate
 
-from .conftest import build_rstar, make_items
+from .conftest import build_rstar, make_items, reference_insert
+from .test_rtree_golden import tree_digest
 
 
 def saved(tmp_path, n=250, seed=5, name="t.json"):
@@ -111,6 +113,25 @@ class TestBitFlipDetection:
         baseline = spatial_join(tree, other)
         result = spatial_join(degraded, other)
         assert set(result.pairs) <= set(baseline.pairs)
+
+    def test_inserts_into_a_degraded_tree_follow_the_reference(
+            self, tmp_path):
+        # The lenient load re-bounds the ancestors of the node that lost
+        # an entry, so an insert's union growth meets tight MBRs and
+        # builds what full re-bounding of the path builds.
+        _tree, path = saved(tmp_path)
+        flip_byte_in_node(path, non_root_leaf_id(json.loads(
+            path.read_text())))
+        more = [(rect, oid + 1_000) for rect, oid in make_items(100, seed=6)]
+        digests = []
+        for scalar in (True, False):
+            degraded = load_tree(path, strict=False)
+            assert [p for p in validate(degraded) if "stale" in p] == []
+            with reference_insert(scalar):
+                for rect, oid in more:
+                    degraded.insert(rect, oid)
+                    digests.append(tree_digest(degraded))
+        assert digests[:len(more)] == digests[len(more):]
 
     def test_header_tamper_fails_document_checksum(self, tmp_path):
         _tree, path = saved(tmp_path)

@@ -1,6 +1,6 @@
 """Property-based tests: R-tree invariants under random workloads."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect
@@ -8,7 +8,7 @@ from repro.join import naive_join, spatial_join
 from repro.rtree import Entry, GuttmanRTree, Node, RStarTree, \
     hilbert_pack, str_pack, validate
 
-from .conftest import reference_choose_subtree
+from .conftest import reference_insert
 
 SLOW = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -114,9 +114,11 @@ def test_least_area_enlargement_reads_rect_enlargement(rects, rect):
 # -- the NumPy insert path builds the scalar path's tree -------------------
 
 #: Lattice coordinates (k/16) make exact ties in every criterion;
-#: subnormal and zero extents make areas and overlaps that underflow.
+#: subnormal and zero extents make areas and overlaps that underflow;
+#: ``-0.0`` ties ``0.0`` in every comparison but not in its bits.
 _SUBNORMAL = 5e-324
 _COORD = st.one_of(st.integers(0, 15).map(lambda k: k / 16),
+                   st.just(-0.0),
                    st.floats(min_value=0.0, max_value=0.95))
 _EXTENT = st.one_of(st.integers(0, 2).map(lambda k: k / 16),
                     st.sampled_from([0.0, _SUBNORMAL, 3 * _SUBNORMAL]),
@@ -133,9 +135,10 @@ def _rects(ndim: int):
 
 @st.composite
 def _insert_delete_script(draw):
-    """``(ndim, M, ops)``: ops are ``("insert", rect)`` — a fresh
-    rectangle or an exact duplicate of an earlier one — and
+    """``(variant, ndim, M, ops)``: ops are ``("insert", rect)`` — a
+    fresh rectangle or an exact duplicate of an earlier one — and
     ``("delete", k)``, removing the k-th live object (mod the count)."""
+    variant = draw(st.sampled_from(list(_VARIANTS)))
     ndim = draw(st.sampled_from([1, 2, 3]))
     max_entries = draw(st.sampled_from([2, 3, 4, 8, 16]))
     rect = _rects(ndim)
@@ -151,12 +154,20 @@ def _insert_delete_script(draw):
             ops.append(("insert", inserted[-1]))
         else:
             ops.append(("delete", draw(st.integers(0, 10_000))))
-    return ndim, max_entries, ops
+    return variant, ndim, max_entries, ops
 
 
-def _replay(ndim, max_entries, ops):
-    """Run the script; the tree as plain data, node for node."""
-    tree = RStarTree(ndim, max_entries)
+_VARIANTS = {
+    "rstar": RStarTree,
+    "guttman-linear": lambda *args: GuttmanRTree(*args, split="linear"),
+    "guttman-quadratic": lambda *args: GuttmanRTree(*args),
+}
+
+
+def _replay(variant, ndim, max_entries, ops):
+    """Run the script; the tree as plain data, node for node, every
+    corner as its bits (``float.hex`` tells ``-0.0`` from ``0.0``)."""
+    tree = _VARIANTS[variant](ndim, max_entries)
     live = []
     for oid, (op, arg) in enumerate(ops):
         if op == "insert":
@@ -165,17 +176,28 @@ def _replay(ndim, max_entries, ops):
         elif live:
             assert tree.delete(*live.pop(arg % len(live)))
     assert validate(tree) == []
-    pages = {node.page_id: (node.level, [(e.rect.lo, e.rect.hi, e.ref)
-                                         for e in node.entries])
-             for node in tree.nodes()}
+    pages = {node.page_id: (node.level, [
+        ([x.hex() for x in e.rect.lo + e.rect.hi], e.ref)
+        for e in node.entries]) for node in tree.nodes()}
     return pages, tree.root_id, tree.height
 
 
-@settings(max_examples=60, deadline=None,
+#: Eight inserts (2-d, M = 3) whose path MBRs tie ``0.0`` against
+#: ``-0.0`` above the parent of the node appended to, where the
+#: re-bounded ancestor keeps whichever its subtree lists first.
+_SIGNED_ZEROS = ("rstar", 2, 3, [("insert", Rect(lo, hi)) for lo, hi in [
+    ((-0.0, 0.25), (0.0, 0.25)), ((0.25, 0.25), (0.25, 0.5)),
+    ((0.5, -0.0), (0.75, 0.25)), ((0.0, 0.0), (0.0, 0.0)),
+    ((0.0, 0.5), (0.0, 0.5)), ((0.5, -0.0), (0.5, 0.0)),
+    ((0.0, 0.0), (0.25, 0.25)), ((0.0, -0.0), (0.0, 0.0))]])
+
+
+@settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_insert_delete_script())
+@example(_SIGNED_ZEROS)
 def test_kernel_insert_builds_the_scalar_tree(script):
     with_kernel = _replay(*script)
-    with reference_choose_subtree():
+    with reference_insert():
         scalar = _replay(*script)
     assert with_kernel == scalar

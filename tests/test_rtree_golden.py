@@ -1,14 +1,17 @@
-"""Golden R*-trees: the insert path may get faster, never different.
+"""Golden trees: the insert path may get faster, never different.
 
 Each case pins the SHA-256 of a whole tree — page id, level and every
-entry's corner bits and ref, in storage order — as the scalar insert
-built it before ChooseSubtree became a NumPy kernel and the split scans
-went O(M).  Together the cases cover the kernel (level-2 nodes at M up
-to 84), the split, forced reinsertion, ``delete`` -> ``_condense`` ->
-orphan reinsertion, and exact ties (lattice coordinates).  The NumPy
-kernel and the scalar reference ChooseSubtree of ``conftest`` must
-both reproduce every digest: NA, DA, pairs and every saved tree file
-depend on nothing else.
+entry's corner bits and ref, in storage order.  The eight R*-tree
+digests are the scalar insert's from before ChooseSubtree became a
+NumPy kernel and the split scans went O(M); together they cover the
+kernel (level-2 nodes at M up to 84), the split, forced reinsertion,
+``delete`` -> ``_condense`` -> orphan reinsertion, and exact ties
+(lattice coordinates).  The Guttman, STR and Hilbert digests were
+computed before path MBRs grew by ``union`` and the R* split went
+columnar: both Guttman splits with deletes, and packed trees (one at
+``min_fill=0.5``) that then take R* inserts.  The production path and
+the scalar reference path of ``conftest`` must both reproduce every
+digest: NA, DA, pairs and every saved tree file depend on nothing else.
 """
 
 import hashlib
@@ -19,9 +22,10 @@ import pytest
 from repro.datasets import (tiger_like_segments, uniform_rectangles,
                             zipf_rectangles)
 from repro.geometry import Rect
-from repro.rtree import RStarTree, validate
+from repro.rtree import RStarTree, hilbert_pack, str_pack, validate
 
-from .conftest import CHOOSE_SUBTREE, build_rstar, reference_choose_subtree
+from .conftest import (INSERT_PATHS, build_guttman, build_rstar,
+                       reference_insert)
 
 
 def tree_digest(tree) -> str:
@@ -59,6 +63,21 @@ def _churned() -> RStarTree:
     return tree
 
 
+def _guttman_churned(split: str, seed: int):
+    items = list(zipf_rectangles(1200, 0.5, 2, seed=seed))
+    tree = build_guttman(items, 2, 10, split=split)
+    for rect, oid in random.Random(seed + 1).sample(items, 400):
+        assert tree.delete(rect, oid)
+    tree.extend((rect, 10_000 + i) for rect, i in lattice(200, seed + 2))
+    return tree
+
+
+def _packed_then_inserted(pack, items, max_entries, more, **options):
+    tree = pack(list(items), 2, max_entries, **options)
+    tree.extend((rect, 10_000 + i) for rect, i in more)
+    return tree
+
+
 CASES = {
     "uniform-2d-M24": (
         lambda: build_rstar(uniform_rectangles(1000, 0.5, 2, seed=7), 2, 24),
@@ -84,14 +103,35 @@ CASES = {
     "delete-then-lattice-M10": (
         _churned,
         "9b7a27dd0cd72376277164fe69f3e63b42a6ff9f0393c9919d00cc7d98c83301"),
+    "guttman-linear-2d-M12": (
+        lambda: build_guttman(uniform_rectangles(1500, 0.5, 2, seed=21),
+                              2, 12, split="linear"),
+        "0fc765fef3dc732e97cf8b01c9fff93d74aeda65dbae7826d7247801e028c26e"),
+    "guttman-linear-churn-M10": (
+        lambda: _guttman_churned("linear", 22),
+        "7358810544192378995bd5673afed2ab70e6ab68674d73203845807b9f786d4b"),
+    "guttman-quadratic-churn-M10": (
+        lambda: _guttman_churned("quadratic", 25),
+        "4f7560344c7ea9ab053294a4021ed2ab39ced403bee0cfa37b0473de594e144b"),
+    "str-2d-M24-then-insert": (
+        lambda: _packed_then_inserted(
+            str_pack, uniform_rectangles(2000, 0.5, 2, seed=28), 24,
+            lattice(400, 29)),
+        "1e684e29518e5785e096ca441815c5b71b0e584cedd62f53f66e01e064e5380c"),
+    "hilbert-2d-M16-then-insert": (
+        lambda: _packed_then_inserted(
+            hilbert_pack, zipf_rectangles(1500, 0.5, 2, seed=30), 16,
+            uniform_rectangles(400, 0.5, 2, seed=31),
+            min_fill=0.5),
+        "8dc84d8cad3a228882d00347997b9ee3413e5127eec3110dad3cd760d88c4f33"),
 }
 
 
-@pytest.mark.parametrize("scalar", CHOOSE_SUBTREE)
+@pytest.mark.parametrize("scalar", INSERT_PATHS)
 @pytest.mark.parametrize("case", CASES)
 def test_golden_tree(case, scalar):
     build, digest = CASES[case]
-    with reference_choose_subtree(scalar):
+    with reference_insert(scalar):
         tree = build()
     assert tree_digest(tree) == digest
     assert validate(tree) == []

@@ -6,9 +6,9 @@ from repro.geometry import Rect
 from repro.rtree import (Entry, GuttmanRTree, Node, RStarTree, check,
                          validate)
 
-from .conftest import (CHOOSE_SUBTREE, build_guttman, build_rstar,
+from .conftest import (INSERT_PATHS, build_guttman, build_rstar,
                        least_overlap_enlargement, make_items,
-                       reference_choose_subtree)
+                       reference_insert, rstar_split)
 
 
 class TestConstructorValidation:
@@ -194,6 +194,55 @@ class TestKernelAnswersTheScalarLoop:
         assert kernel == scalar
         assert kernel in range(3)
 
+    def test_a_container_of_infinite_area(self):
+        # Both entries contain the rectangle; the first one's area
+        # enlargement is inf - inf = NaN, a key no comparison displaces.
+        node = _node(2, [Rect((0.0, 0.0), (1e200, 1e200)),
+                         Rect((0.0, 0.0), (1.0, 1.0))])
+        rect = Rect((0.25, 0.25), (0.5, 0.5))
+        assert self.both_paths(node, rect) == (0, 0)
+
+    def test_a_nan_enlargement_before_the_container(self):
+        # Entry 1 contains the point.  Entry 0, a segment at y = 0.5,
+        # grows to a box of width inf and height 0: area inf * 0 = NaN,
+        # an enlargement that holds the lead it is seeded with.
+        node = _node(2, [Rect((0.0, 0.5), (1e308, 0.5)),
+                         Rect((-1e308, 0.0), (0.0, 1.0))])
+        assert self.both_paths(node, Rect.point((-1e308, 0.5))) == (0, 0)
+
+    def test_an_absorbed_enlargement_outside_the_container(self):
+        # Entry 2 does not contain the point, yet 0.4 * 1.5 absorbs its
+        # growth to 0.4 * (1.5 + 2**-52): enlargement 0.0, as for the
+        # container, entry 0.  Entry 2's overlap with entry 1 grows by a
+        # sliver, so entry 0 wins although entry 2's area is smaller.
+        eps = 2.0 ** -52
+        assert 0.4 * (1.5 + eps) == 0.4 * 1.5
+        node = _node(2, [Rect((-1.0, -1.0), (2.0, 3.0)),
+                         Rect((0.0, 1.5), (0.1, 2.0)),
+                         Rect((0.0, 0.0), (0.4, 1.5))])
+        assert self.both_paths(node, Rect.point((0.2, 1.5 + eps))) == (0, 0)
+
+
+class TestSplitAnswersTheScalarLoop:
+    """The R* split off one column block against the scalar loop over
+    ``Rect`` unions of ``conftest.rstar_split``."""
+
+    def test_margin_sums_are_a_left_fold(self):
+        # Summed in cut order, the margins of axis 0 come to
+        # 21.200000000000003 and those of axis 1 to 21.2, so the split
+        # runs along axis 1; summed pairwise, both read 21.2 and the tie
+        # goes to axis 0.
+        tenths = [((1, 2), (2, 2)), ((3, 3), (2, 2)), ((0, 6), (3, 2)),
+                  ((6, 8), (2, 1)), ((6, 8), (3, 2)), ((0, 9), (1, 3)),
+                  ((2, 7), (2, 1)), ((5, 3), (2, 2)), ((5, 5), (3, 1))]
+        entries = [Entry(Rect([a / 10 for a in lo],
+                              [a / 10 + e / 10 for a, e in zip(lo, ext)]), i)
+                   for i, (lo, ext) in enumerate(tenths)]
+        tree = RStarTree(2, 8)
+        groups = tree._split_entries(entries, 1)
+        assert groups == rstar_split(tree, entries, 1)
+        assert [e.ref for e in groups[0]] == [0, 1, 7]
+
 
 class TestOverflowingAreas:
     """Finite rectangles whose area is ``inf``: enlargements come out
@@ -202,21 +251,21 @@ class TestOverflowingAreas:
 
     HUGE = Rect((0.0, 0.0), (1e200, 1e200))
 
-    @pytest.mark.parametrize("scalar", CHOOSE_SUBTREE)
+    @pytest.mark.parametrize("scalar", INSERT_PATHS)
     def test_five_huge_copies_split(self, scalar):
         tree = RStarTree(2, 4)
-        with reference_choose_subtree(scalar):
+        with reference_insert(scalar):
             for oid in range(5):
                 tree.insert(self.HUGE, oid)
         assert validate(tree) == []
         assert sorted(tree.range_query(self.HUGE)) == list(range(5))
 
-    @pytest.mark.parametrize("scalar", CHOOSE_SUBTREE)
+    @pytest.mark.parametrize("scalar", INSERT_PATHS)
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("tree", [
         RStarTree(2, 4), GuttmanRTree(2, 4, split="linear")],
         ids=["rstar", "guttman"])
     def test_choose_subtree_answers_an_entry(self, tree, level, scalar):
         node = _node(level, [self.HUGE] * 3)
-        with reference_choose_subtree(scalar):
+        with reference_insert(scalar):
             assert tree._choose_subtree(node, self.HUGE) == 0
