@@ -56,7 +56,7 @@ from .join import (OVERLAP, JoinResult, Overlap, PairList,
                    ParallelJoinResult, PartialJoinResult, SpatialJoin,
                    WithinDistance, index_nested_loop_join, naive_join,
                    parallel_spatial_join, partition_spatial_join,
-                   spatial_join, sweep_pairs_batch, vectorized_pairs)
+                   spatial_join, vectorized_pairs)
 from .obs import (AccuracyLedger, AccuracyRecord, JsonlSink, MemorySink,
                   MetricsRegistry, NullSink, TraceSink, Tracer)
 from .optimizer import Catalog, best_plan, role_advice
@@ -163,7 +163,6 @@ __all__ = [
     "share_tree",
     "spatial_join",
     "str_pack",
-    "sweep_pairs_batch",
     "tiger_like_segments",
     "uniform_rectangles",
     "vectorized_pairs",

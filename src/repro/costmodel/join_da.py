@@ -11,6 +11,10 @@ inner one.  With a per-tree path buffer this means:
 
       DA(R2, j2) = intsect(N1_parent, s1_parent, s2_j2) * N2_j2    (Eq. 8)
 
+  clamped at the stage's NA(R2, j2): a buffer can only save reads, and
+  with zero density Eq. 5 can grow the parent extents faster than the
+  parent count shrinks, which lifts the raw Eq. 8 above it;
+
 * an R1 node is re-fetched for essentially every intersecting pair — the
   only exception (a pair adjacency across consecutive outer entries) is
   rare and unmodellable without intra-node ordering — so::
@@ -101,7 +105,8 @@ def join_da_breakdown(left: TreeParams, right: TreeParams,
     out = []
     for stage in traversal_stages(left, right):
         pairs = stage_pairs(left, right, stage)
-        cost2 = (_da_r2(left, right, stage, mixed_height_mode)
+        # Eq. 8 clamped at the stage's NA (see the module docstring).
+        cost2 = (min(_da_r2(left, right, stage, mixed_height_mode), pairs)
                  if stage.level2 < right.height else 0.0)
         if stage.level1 >= left.height:
             cost1 = 0.0

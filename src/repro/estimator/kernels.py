@@ -101,7 +101,8 @@ def join_kernel(nodes1, s1, h1, nodes2, s2, h2, ndim,
         na = na + np.where(active, na_cost1 + na_cost2, 0.0)
 
         # DA for R2 (Eq. 8): one read per intersecting R1 parent-stage
-        # node, and nothing once R2 stops descending.
+        # node, at most the stage's NA, and nothing once R2 stops
+        # descending.
         if paper_mode:
             r1_level = np.where(descends1, prev1,
                                 np.minimum(j2 + 1, h1))
@@ -110,7 +111,8 @@ def join_kernel(nodes1, s1, h1, nodes2, s2, h2, ndim,
         np1 = _take_level(nodes1, r1_level)
         sp1 = _take_level(s1, r1_level)
         pfactor = np.minimum(1.0, sp1 + sj2)
-        da2_val = nj2 * _seq_prod(np1, pfactor, ndim, max_ndim)
+        da2_val = np.minimum(nj2 * _seq_prod(np1, pfactor, ndim, max_ndim),
+                             pairs)
         da_cost2 = np.where(descends2 & (j2 < h2), da2_val, 0.0)
 
         # DA for R1 (Eq. 9 / the literal Eq. 12 branch).

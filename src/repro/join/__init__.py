@@ -7,7 +7,7 @@ from .parallel import (ASSIGNMENT_STRATEGIES, EXECUTION_MODES,
                        ON_WORKER_CRASH, ParallelJoinResult, WorkerCrashed,
                        parallel_spatial_join)
 from .partition import partition_spatial_join
-from .plane_sweep import nested_loop_pairs, sweep_pairs, sweep_pairs_batch
+from .plane_sweep import nested_loop_pairs, sweep_pairs
 from .nested_loop import index_nested_loop_join
 from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
 from .result import R1, R2, JoinResult, PairList, PartialJoinResult
@@ -44,7 +44,6 @@ __all__ = [
     "spatial_join",
     "supports_level_batch",
     "sweep_pairs",
-    "sweep_pairs_batch",
     "traversal_state",
     "vectorized_pairs",
 ]

@@ -15,10 +15,10 @@ packaged here as a drop-in pair enumerator for the SJ traversal: an
 I/O counters stay meaningful.  Note that the sweep emits pairs in sweep
 order, not in the outer-R2/inner-R1 order the DA model assumes — the
 measured DA under a path buffer therefore shifts slightly; the bench
-quantifies it.
+quantifies it.  This one sweep serves both sweep enumerations,
+``"plane-sweep"`` and ``"vectorized-sweep"``.
 
-**Guaranteed emission order** (both :func:`sweep_pairs` and the batched
-:func:`sweep_pairs_batch`): each entry list is sorted by the key
+**Guaranteed emission order**: each entry list is sorted by the key
 ``(rect.lo[axis], rect.hi[axis], ref)``; repeatedly, the unprocessed
 entry with the smallest key *opens* (``entries1`` winning exact key
 ties), and is paired — in ascending key order — with every unopened
@@ -27,8 +27,7 @@ entry of the other list whose ``lo[axis]`` does not exceed the opener's
 is a total order: the sequence of yielded pairs is a pure function of
 the entry *sets* (and ``slack``), independent of input order, tied
 lower boundaries included.  That determinism is what makes checkpoints
-cut mid-node resumable and the batched variant bit-compatible with the
-scalar one.
+cut mid-node resumable.
 
 **Slack.**  With ``slack = 0`` the sweep yields exactly the pairs whose
 intervals overlap on the sweep axis — a necessary condition for MBR
@@ -45,11 +44,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from ..rtree import Entry
 
-__all__ = ["sweep_pairs", "sweep_pairs_batch", "nested_loop_pairs"]
+__all__ = ["sweep_pairs", "nested_loop_pairs"]
 
 
 def nested_loop_pairs(entries1: list[Entry], entries2: list[Entry],
@@ -105,52 +102,4 @@ def sweep_pairs(entries1: list[Entry], entries2: list[Entry],
             while k < len(sorted1) and sorted1[k].rect.lo[axis] <= limit:
                 yield sorted1[k], e2, 1
                 k += 1
-            j += 1
-
-
-def sweep_pairs_batch(entries1: list[Entry], entries2: list[Entry],
-                      cols1, cols2, axis: int = 0, slack: float = 0.0,
-                      ) -> Iterator[tuple[Entry, Entry, int]]:
-    """The plane sweep with batched sorting and partner scans.
-
-    Identical yields, order included, to :func:`sweep_pairs` — the sort
-    happens via one ``lexsort`` per side and each opener's partner range
-    is located with a single binary search (``searchsorted``) instead of
-    a Python comparison per partner.
-
-    ``cols1``/``cols2`` are the entries' columnar MBR views (tree-arena
-    slices, :meth:`repro.geometry.TreeArena.slice`; unread when a side
-    is empty): the sweep-axis coordinates are read straight from their
-    float64 columns — the same bits the ``Rect`` objects hold.
-    """
-    if not entries1 or not entries2:
-        return
-
-    def prepare(entries, cols):
-        lo = np.ascontiguousarray(cols.lo[:, axis])
-        hi = np.ascontiguousarray(cols.hi[:, axis])
-        refs = np.array([e.ref for e in entries])
-        # lexsort: last key is primary — (lo, hi, ref), the scalar key.
-        order = np.lexsort((refs, hi, lo))
-        ordered = [entries[t] for t in order.tolist()]
-        return ordered, lo[order], hi[order]
-
-    sorted1, lo1, hi1 = prepare(entries1, cols1)
-    sorted2, lo2, hi2 = prepare(entries2, cols2)
-    n1, n2 = len(sorted1), len(sorted2)
-    i = j = 0
-    while i < n1 and j < n2:
-        if _sweep_key(sorted1[i], axis) <= _sweep_key(sorted2[j], axis):
-            e1 = sorted1[i]
-            # Partners: sorted2[j:end) with lo2 <= e1.hi + slack — one
-            # bisect replaces the scalar sweep's per-partner comparison.
-            end = int(np.searchsorted(lo2, hi1[i] + slack, side="right"))
-            for k in range(j, end):
-                yield e1, sorted2[k], 1
-            i += 1
-        else:
-            e2 = sorted2[j]
-            end = int(np.searchsorted(lo1, hi2[j] + slack, side="right"))
-            for k in range(i, end):
-                yield sorted1[k], e2, 1
             j += 1

@@ -45,7 +45,7 @@ from ..reliability import RetryPolicy
 from ..rtree import Node, RTreeBase
 from ..storage import AccessStats, BufferManager, MeteredReader, PathBuffer
 from .batch import LevelBatchState, supports_level_batch
-from .plane_sweep import nested_loop_pairs, sweep_pairs, sweep_pairs_batch
+from .plane_sweep import nested_loop_pairs, sweep_pairs
 from .predicates import OVERLAP, JoinPredicate, Overlap, WithinDistance
 from .result import R1, R2, JoinResult, PairList
 from .run import JoinRun, charged_reader
@@ -57,9 +57,9 @@ __all__ = ["spatial_join", "SpatialJoin", "PAIR_ENUMERATIONS",
 #: Pair-matching strategies inside one node pair — ``"nested-loop"``
 #: (the paper's Fig. 2 loops, the reference), ``"plane-sweep"`` (BKS93
 #: CPU optimisation, same pair set), ``"vectorized"`` (batched kernels,
-#: bit-identical to nested-loop) and ``"vectorized-sweep"`` (batched
-#: sweep).  Canonically defined on :class:`~repro.exec.ExecutionConfig`
-#: and re-exported here.
+#: bit-identical to nested-loop) and ``"vectorized-sweep"`` (the same
+#: sweep as ``"plane-sweep"``).  Canonically defined on
+#: :class:`~repro.exec.ExecutionConfig` and re-exported here.
 from ..exec.config import PAIR_ENUMERATIONS  # noqa: E402  (re-export)
 
 _EXHAUSTED = object()
@@ -80,7 +80,7 @@ def _predicate_spec(predicate: JoinPredicate) -> dict:
 
 
 #: Pair enumerations whose stack-machine kernels read arena slices.
-_COLUMNAR_PAIR_ENUMERATIONS = ("vectorized", "vectorized-sweep")
+_COLUMNAR_PAIR_ENUMERATIONS = ("vectorized",)
 
 
 def select_traversal(config: ExecutionConfig, predicate: JoinPredicate,
@@ -188,7 +188,7 @@ def spatial_join(tree1: RTreeBase, tree2: RTreeBase,
         batched kernels over columnar MBRs, bit-identical NA/DA),
         ``"plane-sweep"`` (the BKS93 CPU optimisation: same output,
         fewer comparisons, slightly different read order) and
-        ``"vectorized-sweep"`` (its batched equivalent), see
+        ``"vectorized-sweep"`` (the same sweep under another name), see
         ``docs/performance.md`` — and its ``traversal`` (the default
         ``"level-batch"`` advances whole frontiers through the NumPy
         engine of :mod:`repro.join.batch` with bit-identical
@@ -509,21 +509,18 @@ class _TraversalState:
         enum = self.pair_enumeration
         if enum == "nested-loop":
             return nested_loop_pairs(n1.entries, n2.entries)
-        # The sweep enumerations widen each partner window by the
-        # predicate's slack (0 for overlap; d for WithinDistance(d)) so
-        # pairs matching at a positive distance are never skipped.
-        if enum == "plane-sweep":
-            return sweep_pairs(n1.entries, n2.entries,
-                               slack=self.predicate.sweep_slack())
-        cols1 = cols2 = None            # an empty node has no slice
-        if n1.entries and n2.entries:
-            cols1 = self.arenas[0].slice(n1.page_id)
-            cols2 = self.arenas[1].slice(n2.page_id)
         if enum == "vectorized":
+            cols1 = cols2 = None        # an empty node has no slice
+            if n1.entries and n2.entries:
+                cols1 = self.arenas[0].slice(n1.page_id)
+                cols2 = self.arenas[1].slice(n2.page_id)
             return vectorized_pairs(n1, n2, self.predicate, leaf,
                                     cols1, cols2)
-        return sweep_pairs_batch(n1.entries, n2.entries, cols1, cols2,
-                                 slack=self.predicate.sweep_slack())
+        # Both sweep enumerations widen each partner window by the
+        # predicate's slack (0 for overlap; d for WithinDistance(d)) so
+        # pairs matching at a positive distance are never skipped.
+        return sweep_pairs(n1.entries, n2.entries,
+                           slack=self.predicate.sweep_slack())
 
     def push(self, n1: Node, n2: Node) -> _Frame:
         """Open the SJ of a pair of resident nodes (one Fig. 2 call)."""

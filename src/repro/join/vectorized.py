@@ -10,8 +10,8 @@ per-pair predicate call entirely.  The kernel is the predicate's
 :meth:`~repro.join.JoinPredicate.pair_mask` — the one the level-batch
 planner and the PBSM tile probe call.
 
-Equivalence guarantees (property-tested in
-``tests/test_property_vectorized.py``):
+Equivalence guarantees (property-tested against the Fig. 2 nested
+loops by ``tests/test_conformance.py``):
 
 * the qualifying-pair *set* equals the nested-loop reference exactly —
   the kernels vectorize only IEEE-exact comparisons, and the survivors

@@ -21,6 +21,7 @@ from repro.obs import MemorySink, Tracer
 from repro.rtree import RStarTree, share_tree
 from repro.rtree.arena_view import ArenaTreeView
 
+from .conftest import VECTORIZED, assert_conforms
 from .conftest import arena_segments as _segments
 
 
@@ -40,17 +41,7 @@ def trees():
 
 def test_arena_backed_kernels_match_nested_loop(trees):
     """The stack machine's kernels over arena slices against Fig. 2."""
-    t1, t2 = trees
-    fig2 = ExecutionConfig(traversal="stack", pair_enumeration="nested-loop")
-    baseline = spatial_join(t1, t2, config=fig2)
-    for enum in ("vectorized", "vectorized-sweep"):
-        got = spatial_join(
-            t1, t2, config=fig2.with_options(pair_enumeration=enum))
-        assert got.fallback is None
-        assert sorted(got.pairs) == sorted(baseline.pairs)
-        assert got.na_total == baseline.na_total
-        if enum == "vectorized":         # sweeps shift buffer hits
-            assert got.da_total == baseline.da_total
+    assert_conforms(trees, [VECTORIZED])
 
 
 def test_arena_view_join_equals_tree_join(trees):

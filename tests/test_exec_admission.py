@@ -12,8 +12,7 @@ from repro.reliability import FaultInjector, FaultyPager
 from repro.rtree import Entry
 from repro.storage import PathBuffer
 
-from .conftest import build_rstar, make_items
-from .test_rtree_golden import CASES
+from .conftest import GOLDEN_TREES, build_rstar, make_items
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +174,7 @@ class TestOnePrice:
 
     @pytest.mark.parametrize("case", GOLDEN_PRICES)
     def test_golden_prices(self, case):
-        tree = CASES[case][0]()
+        tree = GOLDEN_TREES[case][0]()
         for _ in range(2):               # derived, then remembered
             na, da = predict_join_cost(tree, tree)
             assert (na.hex(), da.hex()) == GOLDEN_PRICES[case]

@@ -21,20 +21,9 @@ from repro.serve import JoinService, encode_resume_token
 from repro.serve.http import _error_status
 from repro.storage import LRUBuffer, PathBuffer
 
-from .conftest import PLANE_SWEEP, build_rstar, make_items
+from .conftest import PLANE_SWEEP, build_rstar, make_items, signature
 
 RETRY_POLICY = RetryPolicy(max_attempts=12)
-
-
-def _signature(result):
-    """Everything that must be bit-identical after a resume."""
-    return {
-        "pairs": sorted(result.pairs) if result.pairs is not None else None,
-        "pair_count": result.pair_count,
-        "comparisons": result.comparisons,
-        "na": dict(result.stats.node_accesses),
-        "da": dict(result.stats.disk_accesses),
-    }
 
 
 def _join(t1, t2, *, buffer_factory=PathBuffer, governor=None, **kw):
@@ -71,8 +60,8 @@ def trees():
 class TestResumeInvariant:
     def test_twenty_plus_random_cut_points(self, trees):
         t1, t2 = trees
-        baseline = _signature(_join(t1, t2).run())
-        total_na = sum(baseline["na"].values())
+        baseline = signature(_join(t1, t2).run())
+        total_na = sum(baseline["stats"]["node_accesses"].values())
         assert total_na > 25
         rng = random.Random(20260806)
         cuts = {rng.randrange(1, total_na) for _ in range(40)}
@@ -82,7 +71,7 @@ class TestResumeInvariant:
         for cut in sorted(cuts):
             final, first = _run_with_cut(t1, t2, cut)
             interrupted += first is not None
-            assert _signature(final) == baseline, f"cut at NA={cut}"
+            assert signature(final) == baseline, f"cut at NA={cut}"
         assert interrupted >= 20
 
     def test_under_injected_faults(self, trees):
@@ -92,8 +81,8 @@ class TestResumeInvariant:
         # the faults do not change the engine: level-batch takes the
         # cut, the stack machine resumes it.
         t1, t2 = trees
-        baseline = _signature(_join(t1, t2).run())
-        total_na = sum(baseline["na"].values())
+        baseline = signature(_join(t1, t2).run())
+        total_na = sum(baseline["stats"]["node_accesses"].values())
         injector = FaultInjector(seed=77, transient_rate=0.08)
         t1.pager = FaultyPager(t1.pager, injector)
         t2.pager = FaultyPager(t2.pager, injector)
@@ -103,7 +92,11 @@ class TestResumeInvariant:
                               for _ in range(8)):
                 final, first = _run_with_cut(t1, t2, cut,
                                              retry_policy=RETRY_POLICY)
-                assert _signature(final) == baseline, f"cut at NA={cut}"
+                # Retries are recorded beside NA/DA, not in them.
+                got = signature(final)
+                got["stats"] = dict(got["stats"], retries={},
+                                    accounted_backoff=0.0)
+                assert got == baseline, f"cut at NA={cut}"
                 assert (first.engine, first.fallback) == ("level-batch",
                                                           None)
                 assert (final.engine, final.fallback) == ("stack",
@@ -117,7 +110,7 @@ class TestResumeInvariant:
         # Interrupt, resume, interrupt the resumed run, resume again...
         # until done.  Each leg gets a fresh small NA allowance.
         t1, t2 = trees
-        baseline = _signature(_join(t1, t2).run())
+        baseline = signature(_join(t1, t2).run())
         step = 7
         gov = ExecutionGovernor(Budget(max_na=step), partial=True)
         result = _join(t1, t2, governor=gov).run()
@@ -130,14 +123,14 @@ class TestResumeInvariant:
             legs += 1
             assert legs < 1000
         assert legs > 3                  # genuinely chained
-        assert _signature(result) == baseline
+        assert signature(result) == baseline
 
     def test_da_budget_cuts(self, trees):
         # The invariant holds when the cut lands on a disk-access
         # budget rather than a node-access budget.
         t1, t2 = trees
-        baseline = _signature(_join(t1, t2).run())
-        total_da = sum(baseline["da"].values())
+        baseline = signature(_join(t1, t2).run())
+        total_da = sum(baseline["stats"]["disk_accesses"].values())
         for cut in (1, total_da // 3, 2 * total_da // 3):
             if cut < 1:
                 continue
@@ -145,16 +138,16 @@ class TestResumeInvariant:
             first = _join(t1, t2, governor=gov).run()
             assert not first.complete
             final = _join(t1, t2).resume(first.checkpoint)
-            assert _signature(final) == baseline, f"cut at DA={cut}"
+            assert signature(final) == baseline, f"cut at DA={cut}"
 
 
 class TestResumeVariants:
     def _invariant_at_cuts(self, t1, t2, cuts, **kw):
-        baseline = _signature(_join(t1, t2, **kw).run())
+        baseline = signature(_join(t1, t2, **kw).run())
         for cut in cuts:
             final, first = _run_with_cut(t1, t2, cut, **kw)
             assert first is not None
-            assert _signature(final) == baseline, f"cut at NA={cut}"
+            assert signature(final) == baseline, f"cut at NA={cut}"
 
     def test_plane_sweep_enumeration(self, trees):
         t1, t2 = trees
@@ -173,14 +166,14 @@ class TestResumeVariants:
 
     def test_collect_pairs_false(self, trees):
         t1, t2 = trees
-        baseline = _signature(_join(t1, t2).run(collect_pairs=False))
+        baseline = signature(_join(t1, t2).run(collect_pairs=False))
         assert baseline["pairs"] == []   # nothing collected
         assert baseline["pair_count"] > 0
         for cut in (5, 17, 41):
             final, first = _run_with_cut(t1, t2, cut,
                                          collect_pairs=False)
             assert first is not None
-            assert _signature(final) == baseline
+            assert signature(final) == baseline
 
     def test_mixed_height_trees(self):
         # The shorter tree's leaf re-fetch regime must also survive the
@@ -189,12 +182,12 @@ class TestResumeVariants:
         big = build_rstar(make_items(900, seed=35), max_entries=8)
         small = build_rstar(make_items(40, seed=36), max_entries=8)
         assert big.height > small.height
-        baseline = _signature(_join(big, small).run())
-        total_na = sum(baseline["na"].values())
+        baseline = signature(_join(big, small).run())
+        total_na = sum(baseline["stats"]["node_accesses"].values())
         rng = random.Random(7)
         for cut in sorted(rng.randrange(1, total_na) for _ in range(6)):
             final, _ = _run_with_cut(big, small, cut)
-            assert _signature(final) == baseline, f"cut at NA={cut}"
+            assert signature(final) == baseline, f"cut at NA={cut}"
 
     def test_overlap_is_default_predicate(self, trees):
         t1, t2 = trees
@@ -244,7 +237,7 @@ class TestResumeRefusesEditedPairs:
 
     def test_the_checkpoint_as_cut_still_resumes(self, trees, partial):
         final = _join(*trees).resume(partial)
-        assert _signature(final) == _signature(_join(*trees).run())
+        assert signature(final) == signature(_join(*trees).run())
 
     def test_the_daemon_answers_400(self, trees, partial):
         service = JoinService()

@@ -26,21 +26,11 @@ from repro.join import PartialJoinResult, SpatialJoin
 from repro.reliability import CorruptPageError, MalformedFileError
 from repro.storage import PathBuffer
 
-from .conftest import build_rstar, make_items
+from .conftest import build_rstar, make_items, signature
 
 TORN = settings(max_examples=60,
                 suppress_health_check=[HealthCheck.too_slow],
                 deadline=None)
-
-
-def _signature(result):
-    return {
-        "pairs": sorted(result.pairs) if result.pairs is not None else None,
-        "pair_count": result.pair_count,
-        "comparisons": result.comparisons,
-        "na": dict(result.stats.node_accesses),
-        "da": dict(result.stats.disk_accesses),
-    }
 
 
 def _join(t1, t2, *, governor=None):
@@ -57,7 +47,7 @@ def trees():
 @pytest.fixture(scope="module")
 def baseline(trees):
     t1, t2 = trees
-    return _signature(_join(t1, t2).run())
+    return signature(_join(t1, t2).run())
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +114,7 @@ class TestTornBytesNeverLoad:
             JoinCheckpoint.load(torn)
         final = _join(t1, t2).resume(JoinCheckpoint.load(good))
         assert final.complete
-        assert _signature(final) == baseline
+        assert signature(final) == baseline
 
 
 class TestAtomicSave:
@@ -168,7 +158,7 @@ class TestAtomicSave:
         assert loaded.to_dict() == cp.to_dict()
         final = _join(t1, t2).resume(loaded)
         assert final.complete
-        assert _signature(final) == baseline
+        assert signature(final) == baseline
 
     def test_interrupted_first_save_leaves_no_file(
             self, tmp_path, good_checkpoint, monkeypatch):

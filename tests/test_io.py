@@ -11,8 +11,7 @@ from repro.join import spatial_join
 from repro.reliability import MalformedFileError
 from repro.rtree import GuttmanRTree, RStarTree, check, str_pack
 
-from .conftest import build_rstar, make_items
-from .test_rtree_golden import tree_digest
+from .conftest import build_rstar, make_items, tree_digest
 
 
 class TestDatasetRoundTrip:

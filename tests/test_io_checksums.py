@@ -14,8 +14,7 @@ from repro.reliability import (CorruptPageError, MalformedFileError,
                                ReproError)
 from repro.rtree import validate
 
-from .conftest import build_rstar, make_items, reference_insert
-from .test_rtree_golden import tree_digest
+from .conftest import build_rstar, make_items, reference_insert, tree_digest
 
 
 def saved(tmp_path, n=250, seed=5, name="t.json"):

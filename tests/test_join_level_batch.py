@@ -1,6 +1,6 @@
 """Level-batch engine selection, fallback, and plan pass-through.
 
-The equivalence guarantees live in ``test_property_level_batch.py``;
+The equivalence guarantees live in ``test_conformance.py``;
 this file pins the *plumbing*: which configurations actually dispatch
 to :class:`~repro.join.LevelBatchState`, which fall back to the stack
 machine (the flag must never make a join illegal) and under which

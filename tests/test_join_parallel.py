@@ -10,7 +10,8 @@ from repro.exec import (Budget, BudgetExceeded, Cancelled,
 from repro.join import naive_join, parallel_spatial_join, spatial_join
 from repro.reliability import CorruptPageError, FaultInjector, FaultyPager
 
-from .conftest import arena_segments, build_rstar, make_items
+from .conftest import (arena_segments, assert_parallel_conforms, build_rstar,
+                       make_items)
 
 
 def with_workers(n: int, **knobs) -> ExecutionConfig:
@@ -29,23 +30,16 @@ class TestCorrectness:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("assignment", ["round-robin", "greedy"])
     def test_same_output_as_sequential(self, joined, workers, assignment):
-        a, b, t1, t2 = joined
-        result = parallel_spatial_join(t1, t2, config=with_workers(
-            workers, assignment=assignment))
-        assert sorted(result.pairs) == sorted(naive_join(a, b))
-        assert result.pair_count == len(result.pairs)
+        _a, _b, t1, t2 = joined
+        assert_parallel_conforms((t1, t2), [
+            with_workers(workers, assignment=assignment)])
 
     def test_mixed_heights(self):
-        small = make_items(30, seed=3)
-        large = make_items(500, seed=4)
-        ts = build_rstar(small)
-        tl = build_rstar(large)
+        ts = build_rstar(make_items(30, seed=3))
+        tl = build_rstar(make_items(500, seed=4))
         assert ts.height != tl.height
-        for t1, t2, items1, items2 in ((ts, tl, small, large),
-                                       (tl, ts, large, small)):
-            result = parallel_spatial_join(t1, t2, config=with_workers(3))
-            assert sorted(result.pairs) == \
-                sorted(naive_join(items1, items2))
+        for trees in ((ts, tl), (tl, ts)):
+            assert_parallel_conforms(trees, [with_workers(3)])
 
     def test_empty_tree(self):
         from repro.rtree import RStarTree
@@ -59,9 +53,7 @@ class TestCorrectness:
         tiny1 = build_rstar(make_items(5, seed=6))
         tiny2 = build_rstar(make_items(5, seed=7))
         assert tiny1.height == tiny2.height == 1
-        result = parallel_spatial_join(tiny1, tiny2, config=with_workers(2))
-        assert sorted(result.pairs) == sorted(
-            naive_join(make_items(5, seed=6), make_items(5, seed=7)))
+        assert_parallel_conforms((tiny1, tiny2), [with_workers(2)])
 
     def test_invalid_args(self, joined):
         _a, _b, t1, t2 = joined

@@ -13,8 +13,8 @@ from repro.join import (PAIR_ENUMERATIONS, WithinDistance, naive_join,
 from repro.join.plane_sweep import nested_loop_pairs, sweep_pairs
 from repro.rtree import Entry
 
-from .conftest import (NESTED_LOOP, PLANE_SWEEP, VECTORIZED_SWEEP,
-                       batch_sweep, build_rstar, make_items)
+from .conftest import (NESTED_LOOP, PLANE_SWEEP, assert_conforms,
+                       build_rstar, items, make_items, rects)
 
 SLOW = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -101,29 +101,6 @@ class TestSweepDeterminism:
         assert [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)] \
             == [(7, 7)]
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_batch_identical_to_scalar(self, seed):
-        items1 = make_items(80, seed=seed)
-        items2 = make_items(70, seed=seed + 100)
-        e1 = [Entry(r, i) for i, (r, _o) in enumerate(items1)]
-        e2 = [Entry(r, i) for i, (r, _o) in enumerate(items2)]
-        scalar = [(a.ref, b.ref, c) for a, b, c in sweep_pairs(e1, e2)]
-        batch = [(a.ref, b.ref, c)
-                 for a, b, c in batch_sweep(e1, e2)]
-        assert batch == scalar
-
-    def test_batch_identical_on_ties(self):
-        e1, e2 = tied_entries(), tied_entries()
-        scalar = [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)]
-        batch = [(a.ref, b.ref)
-                 for a, b, _c in batch_sweep(e1, e2)]
-        assert batch == scalar
-
-    def test_batch_empty_sides(self):
-        e = [Entry(Rect((0, 0), (1, 1)), 0)]
-        assert list(batch_sweep([], e)) == []
-        assert list(batch_sweep(e, [])) == []
-
 
 class TestNestedLoopPairs:
     def test_full_cross_product_in_paper_order(self):
@@ -138,10 +115,9 @@ class TestSweepInSpatialJoin:
         a = make_items(200, seed=5)
         b = make_items(200, seed=6)
         t1, t2 = build_rstar(a), build_rstar(b)
-        nl = spatial_join(t1, t2, config=NESTED_LOOP)
-        ps = spatial_join(t1, t2, config=PLANE_SWEEP)
-        assert sorted(nl.pairs) == sorted(ps.pairs) == \
-            sorted(naive_join(a, b))
+        assert_conforms((t1, t2), [PLANE_SWEEP])
+        assert sorted(spatial_join(t1, t2, config=PLANE_SWEEP).pairs) \
+            == sorted(naive_join(a, b))
 
     def test_fewer_comparisons(self):
         a = make_items(400, seed=7)
@@ -155,12 +131,9 @@ class TestSweepInSpatialJoin:
     def test_na_unchanged(self):
         # The sweep changes the order pairs are found in, not which node
         # pairs qualify — total ReadPage count is identical.
-        a = make_items(300, seed=9)
-        b = make_items(300, seed=10)
-        t1, t2 = build_rstar(a), build_rstar(b)
-        nl = spatial_join(t1, t2, config=NESTED_LOOP)
-        ps = spatial_join(t1, t2, config=PLANE_SWEEP)
-        assert ps.na_total == nl.na_total
+        assert_conforms((build_rstar(make_items(300, seed=9)),
+                         build_rstar(make_items(300, seed=10))),
+                        [PLANE_SWEEP])
 
     def test_unknown_enumeration_rejected(self):
         t = build_rstar(make_items(10, seed=11))
@@ -173,7 +146,8 @@ class TestSweepInSpatialJoin:
         b = make_items(250, seed=13)
         t1, t2 = build_rstar(a), build_rstar(b)
         ps = spatial_join(t1, t2, config=PLANE_SWEEP)
-        vs = spatial_join(t1, t2, config=VECTORIZED_SWEEP)
+        vs = spatial_join(t1, t2, config=PLANE_SWEEP.with_options(
+            pair_enumeration="vectorized-sweep"))
         assert vs.pairs == ps.pairs
         assert vs.stats.as_dict() == ps.stats.as_dict()
 
@@ -181,22 +155,10 @@ class TestSweepInSpatialJoin:
 # Degenerate tie machinery for the slack regressions: coordinates from
 # a tiny discrete pool, so draws collide on exact lower bounds and
 # collapse to zero extent constantly.
-def _tied_rect():
-    coord = st.integers(0, 4).map(lambda k: k / 4.0)
-    size = st.integers(0, 1).map(lambda k: k / 4.0)
-
-    def build(args):
-        (x, y), (w, h) = args
-        return Rect((x, y), (min(x + w, 1.0), min(y + h, 1.0)))
-    return st.tuples(st.tuples(coord, coord),
-                     st.tuples(size, size)).map(build)
-
-
-_tied_entries = st.lists(_tied_rect(), min_size=0, max_size=40).map(
-    lambda rs: [Entry(r, i) for i, r in enumerate(rs)])
-
-_tied_items = st.lists(_tied_rect(), min_size=0, max_size=40).map(
-    lambda rs: [(r, i) for i, r in enumerate(rs)])
+_tied_items = items(max_size=40, rect=rects(
+    coord=st.integers(0, 4).map(lambda k: k / 4.0),
+    extent=st.sampled_from([0.0, 0.25])))
+_tied_entries = _tied_items.map(lambda its: [Entry(r, i) for r, i in its])
 
 _slacks = st.sampled_from([0.0, 0.125, 0.25, 0.5])
 
@@ -208,19 +170,8 @@ class TestSweepSlackRegressions:
     rectangles do not overlap on the sweep axis (zero-width rectangles
     a positive distance apart being the sharpest case); predicates now
     declare the axis slack the sweep must apply.  These regressions pin
-    the fix and the scalar/batch agreement over duplicate/degenerate
-    inputs.
+    the fix over duplicate/degenerate inputs.
     """
-
-    @SLOW
-    @given(_tied_entries, _tied_entries, _slacks)
-    def test_batch_matches_scalar_on_degenerate_ties(self, e1, e2,
-                                                     slack):
-        scalar = [(a.ref, b.ref, c)
-                  for a, b, c in sweep_pairs(e1, e2, slack=slack)]
-        batch = [(a.ref, b.ref, c)
-                 for a, b, c in batch_sweep(e1, e2, slack=slack)]
-        assert batch == scalar           # order and set, not just set
 
     @SLOW
     @given(_tied_entries, _tied_entries, _slacks)
@@ -235,13 +186,9 @@ class TestSweepSlackRegressions:
            st.sampled_from([0.0, 0.2, 0.35]))
     def test_distance_join_agrees_across_enumerations(self, items1,
                                                       items2, d):
-        pred = WithinDistance(d)
-        t1, t2 = build_rstar(items1), build_rstar(items2)
-        expected = sorted(naive_join(items1, items2, predicate=pred))
-        for enum in PAIR_ENUMERATIONS:
-            got = spatial_join(t1, t2, predicate=pred,
-                               config=ExecutionConfig(pair_enumeration=enum))
-            assert sorted(got.pairs) == expected, enum
+        assert_conforms((build_rstar(items1), build_rstar(items2)), [
+            ExecutionConfig(pair_enumeration=enum)
+            for enum in PAIR_ENUMERATIONS], WithinDistance(d))
 
     def test_degenerate_gap_pair_not_dropped(self):
         # The named failure: two zero-extent rectangles 0.25 apart on
@@ -259,15 +206,9 @@ class TestSweepSlackRegressions:
 
     def test_shared_lower_bound_zero_width_ties(self):
         # Several zero-width rectangles on one shared lower bound: the
-        # scalar and batch sweeps must agree on emission order, and the
-        # distance join must pair them all.
+        # sweep pairs them all, with or without slack.
         p = (0.5, 0.0)
         e1 = [Entry(Rect(p, p), i) for i in range(3)]
         e2 = [Entry(Rect(p, (0.5, 1.0)), i) for i in range(3)]
         for slack in (0.0, 0.1):
-            scalar = [(a.ref, b.ref)
-                      for a, b, _c in sweep_pairs(e1, e2, slack=slack)]
-            batch = [(a.ref, b.ref)
-                     for a, b, _c in batch_sweep(e1, e2, slack=slack)]
-            assert batch == scalar
-            assert len(scalar) == 9
+            assert len(list(sweep_pairs(e1, e2, slack=slack))) == 9

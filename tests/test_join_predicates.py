@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.geometry import Rect
 from repro.join import OVERLAP, JoinPredicate, Overlap, WithinDistance
 
+from .conftest import rects
+
 # The level-batch planner pads its tiles with NaN, and
 # WithinDistance.confirm squares gaps: NaN or overflow arithmetic in
 # these kernels must fail here, not pass as a warning.
@@ -86,18 +88,13 @@ _coord = st.one_of(
     st.floats(min_value=-1.0, max_value=2.0))
 
 
-def _rect(ndim):
-    return st.tuples(*[st.tuples(_coord, _coord)] * ndim).map(
-        lambda axes: Rect(tuple(min(a) for a in axes),
-                          tuple(max(a) for a in axes)))
-
-
 def _point(*xs):
     return Rect(xs, xs)
 
 
 @given(st.integers(1, 3).flatmap(lambda ndim: st.lists(
-           st.tuples(_rect(ndim), _rect(ndim)), min_size=1, max_size=12)),
+           st.tuples(rects(ndim, _coord), rects(ndim, _coord)),
+           min_size=1, max_size=12)),
        st.one_of(st.just(0.0), st.just(5e-324), st.just(0.25),
                  st.floats(min_value=0.0, max_value=1.0)))
 # A subnormal gap beside a large one: the sum of squares loses the

@@ -18,7 +18,8 @@ from repro.join.predicates import JoinPredicate
 from repro.rtree import Entry, Node
 from repro.storage import PathBuffer
 
-from .conftest import NESTED_LOOP, VECTORIZED, build_rstar, make_items
+from .conftest import (NESTED_LOOP, VECTORIZED, assert_conforms, build_rstar,
+                       make_items)
 
 
 def node_of(rects, page_id=0, level=1):
@@ -164,18 +165,16 @@ class TestVectorizedPairs:
 
 
 class TestVectorizedJoinIdentity:
-    """End-to-end: identical pairs, NA and DA, per-tree and per-level."""
+    """End-to-end: identical pairs, NA and DA, per-tree and per-level,
+    on both traversals (the contract of ``conftest.assert_conforms``)."""
+
+    BOTH = [VECTORIZED, VECTORIZED.with_options(traversal="level-batch")]
 
     @pytest.mark.parametrize("predicate", [OVERLAP, WithinDistance(0.04)])
     def test_bit_identical_to_nested_loop(self, predicate):
-        t1 = build_rstar(make_items(300, seed=16))
-        t2 = build_rstar(make_items(280, seed=17))
-        nl = spatial_join(t1, t2, predicate=predicate, config=NESTED_LOOP)
-        vec = spatial_join(t1, t2, predicate=predicate, config=VECTORIZED)
-        assert vec.pairs == nl.pairs            # list order included
-        got, want = vec.stats.as_dict(), nl.stats.as_dict()
-        assert got["node_accesses"] == want["node_accesses"]
-        assert got["disk_accesses"] == want["disk_accesses"]
+        assert_conforms((build_rstar(make_items(300, seed=16)),
+                         build_rstar(make_items(280, seed=17))),
+                        self.BOTH, predicate)
 
     def test_matches_naive_reference(self):
         a = make_items(200, seed=18)
@@ -185,24 +184,17 @@ class TestVectorizedJoinIdentity:
         assert sorted(vec.pairs) == sorted(naive_join(a, b))
 
     def test_mixed_heights(self):
-        small = make_items(25, seed=20)
-        large = make_items(400, seed=21)
-        for items1, items2 in ((small, large), (large, small)):
-            t1, t2 = build_rstar(items1), build_rstar(items2)
-            assert t1.height != t2.height
-            nl = spatial_join(t1, t2, config=NESTED_LOOP)
-            vec = spatial_join(t1, t2, config=VECTORIZED)
-            assert vec.pairs == nl.pairs
-            assert vec.stats.as_dict()["node_accesses"] == \
-                nl.stats.as_dict()["node_accesses"]
+        small = build_rstar(make_items(25, seed=20))
+        large = build_rstar(make_items(400, seed=21))
+        assert small.height != large.height
+        for trees in ((small, large), (large, small)):
+            assert_conforms(trees, self.BOTH)
 
     def test_height_one_trees(self):
         t1 = build_rstar(make_items(5, seed=22))
         t2 = build_rstar(make_items(5, seed=23))
         assert t1.height == t2.height == 1
-        nl = spatial_join(t1, t2, config=NESTED_LOOP)
-        vec = spatial_join(t1, t2, config=VECTORIZED)
-        assert vec.pairs == nl.pairs
+        assert_conforms((t1, t2), self.BOTH)
 
     def test_empty_tree(self):
         from repro.rtree import RStarTree

@@ -32,32 +32,22 @@ from repro.join.result import R1, R2
 from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.storage import AccessStats, MeteredReader, PathBuffer
 
-from .conftest import (KernelLessOverlap, StrictOverlap, build_rstar,
-                       make_items)
+from .conftest import (KernelLessOverlap, StrictOverlap, build_rstar, items,
+                       make_items, rects)
 
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],
                 deadline=None)
 
 
-def rect_strategy():
-    # Coordinates snapped to a coarse 1/8 lattice: many rectangles
-    # share exact lower bounds, sit exactly on tile boundaries of a
-    # small fixed grid, and degenerate to zero extent (size 0 is a
-    # legal draw) — the inputs the reference-point tiebreak must
-    # handle without duplicating or dropping a pair.
-    coord = st.integers(0, 7).map(lambda k: k / 8.0)
-    size = st.integers(0, 2).map(lambda k: k / 8.0)
-
-    def build(args):
-        (x, y), (w, h) = args
-        return Rect((x, y), (min(x + w, 1.0), min(y + h, 1.0)))
-    return st.tuples(st.tuples(coord, coord),
-                     st.tuples(size, size)).map(build)
-
-
-items_strategy = st.lists(rect_strategy(), min_size=0, max_size=60).map(
-    lambda rs: [(r, i) for i, r in enumerate(rs)])
+# Coordinates snapped to a coarse 1/8 lattice: many rectangles share
+# exact lower bounds, sit exactly on tile boundaries of a small fixed
+# grid, and degenerate to zero extent (size 0 is a legal draw) — the
+# inputs the reference-point tiebreak must handle without duplicating or
+# dropping a pair.
+items_strategy = items(max_size=60, rect=rects(
+    coord=st.integers(0, 7).map(lambda k: k / 8.0),
+    extent=st.integers(0, 2).map(lambda k: k / 8.0)))
 
 predicates = st.sampled_from(
     [OVERLAP, WithinDistance(0.0), WithinDistance(0.125),

@@ -16,25 +16,15 @@ from hypothesis import strategies as st
 from repro.geometry import TreeArena
 from repro.rtree import RStarTree
 
-from .test_property_vectorized import rect_strategy
+from .conftest import build_rstar, items, rects
 
 SLOW = settings(max_examples=20,
                 suppress_health_check=[HealthCheck.too_slow],
                 deadline=None)
 
-items_strategy = st.lists(rect_strategy(), min_size=0, max_size=50).map(
-    lambda rs: [(r, i) for i, r in enumerate(rs)])
-
 #: Which of the inserted objects to delete again, as index fractions —
 #: applied after all inserts so the delete set is always valid.
 delete_strategy = st.lists(st.floats(0.0, 1.0), min_size=0, max_size=20)
-
-
-def build(items):
-    tree = RStarTree(2, 6)
-    for rect, oid in items:
-        tree.insert(rect, oid)
-    return tree
 
 
 def column_bits(col) -> bytes:
@@ -66,9 +56,9 @@ def assert_views_identical(arena: TreeArena, tree) -> None:
 
 
 @SLOW
-@given(items=items_strategy, dels=delete_strategy)
+@given(items=items(), dels=delete_strategy)
 def test_arena_views_bit_identical_to_node_snapshots(items, dels):
-    tree = build(items)
+    tree = build_rstar(items, max_entries=6)
     alive = {oid: rect for rect, oid in items}
     for frac in dels:
         if not alive:
@@ -82,9 +72,9 @@ def test_arena_views_bit_identical_to_node_snapshots(items, dels):
 
 
 @SLOW
-@given(items=items_strategy, extra=rect_strategy())
+@given(items=items(), extra=rects())
 def test_arena_staleness_rebuilds_after_mutation(items, extra):
-    tree = build(items)
+    tree = build_rstar(items, max_entries=6)
     first = tree.arena()
     assert tree.arena() is first              # cached while unmutated
     tree.insert(extra, 10_000)
@@ -108,12 +98,12 @@ def test_empty_tree_arena():
 
 
 @SLOW
-@given(items=items_strategy)
+@given(items=items())
 def test_arena_shared_memory_round_trip(items):
     """Export/attach round-trips the exact bits."""
     from repro.geometry import (arena_from_shared_memory,
                                 arena_to_shared_memory)
-    tree = build(items)
+    tree = build_rstar(items, max_entries=6)
     arena = tree.arena()
     with arena_to_shared_memory(arena) as shared:
         attached = arena_from_shared_memory(shared.handle)

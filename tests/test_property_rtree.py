@@ -8,30 +8,15 @@ from repro.join import naive_join, spatial_join
 from repro.rtree import Entry, GuttmanRTree, Node, RStarTree, \
     hilbert_pack, str_pack, validate
 
-from .conftest import reference_insert
+from .conftest import items, rects, reference_insert
 
 SLOW = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow],
                 deadline=None)
 
 
-def rect_strategy():
-    coord = st.floats(min_value=0.0, max_value=0.95, allow_nan=False)
-    size = st.floats(min_value=0.0, max_value=0.05, allow_nan=False)
-
-    def build(args):
-        (x, y), (w, h) = args
-        return Rect((x, y), (min(x + w, 1.0), min(y + h, 1.0)))
-    return st.tuples(st.tuples(coord, coord),
-                     st.tuples(size, size)).map(build)
-
-
-items_strategy = st.lists(rect_strategy(), min_size=0, max_size=120).map(
-    lambda rs: [(r, i) for i, r in enumerate(rs)])
-
-
 @SLOW
-@given(items_strategy, st.sampled_from([4, 8, 16]))
+@given(items(max_size=120), st.sampled_from([4, 8, 16]))
 def test_rstar_insert_keeps_invariants(items, m):
     tree = RStarTree(2, m)
     for rect, oid in items:
@@ -40,7 +25,7 @@ def test_rstar_insert_keeps_invariants(items, m):
 
 
 @SLOW
-@given(items_strategy)
+@given(items(max_size=120))
 def test_guttman_insert_keeps_invariants(items):
     tree = GuttmanRTree(2, 6)
     for rect, oid in items:
@@ -49,7 +34,7 @@ def test_guttman_insert_keeps_invariants(items):
 
 
 @SLOW
-@given(items_strategy, rect_strategy())
+@given(items(max_size=120), rects())
 def test_range_query_equals_brute_force(items, window):
     tree = RStarTree(2, 8)
     for rect, oid in items:
@@ -60,7 +45,7 @@ def test_range_query_equals_brute_force(items, window):
 
 
 @SLOW
-@given(items_strategy, st.data())
+@given(items(max_size=120), st.data())
 def test_delete_subset_preserves_rest(items, data):
     tree = RStarTree(2, 6)
     for rect, oid in items:
@@ -78,7 +63,7 @@ def test_delete_subset_preserves_rest(items, data):
 
 
 @SLOW
-@given(items_strategy)
+@given(items(max_size=120))
 def test_packed_trees_valid_and_complete(items):
     for pack in (str_pack, hilbert_pack):
         tree = pack(items, 2, 8)
@@ -88,7 +73,7 @@ def test_packed_trees_valid_and_complete(items):
 
 
 @SLOW
-@given(items_strategy, items_strategy)
+@given(items(max_size=120), items(max_size=120))
 def test_spatial_join_equals_naive(items1, items2):
     t1 = RStarTree(2, 8)
     for rect, oid in items1:
@@ -102,7 +87,7 @@ def test_spatial_join_equals_naive(items1, items2):
 
 
 @SLOW
-@given(st.lists(rect_strategy(), min_size=1, max_size=20), rect_strategy())
+@given(st.lists(rects(), min_size=1, max_size=20), rects())
 def test_least_area_enlargement_reads_rect_enlargement(rects, rect):
     """Reading the corners picks what ``Rect.enlargement``/``area`` pick."""
     node = Node(0, 3, [Entry(r, i) for i, r in enumerate(rects)])
@@ -125,14 +110,6 @@ _EXTENT = st.one_of(st.integers(0, 2).map(lambda k: k / 16),
                     st.floats(min_value=0.0, max_value=0.05))
 
 
-def _rects(ndim: int):
-    def build(corner_and_extents):
-        lo = tuple(c for c, _e in corner_and_extents)
-        return Rect(lo, tuple(c + e for c, e in corner_and_extents))
-    return st.lists(st.tuples(_COORD, _EXTENT),
-                    min_size=ndim, max_size=ndim).map(build)
-
-
 @st.composite
 def _insert_delete_script(draw):
     """``(variant, ndim, M, ops)``: ops are ``("insert", rect)`` — a
@@ -141,7 +118,7 @@ def _insert_delete_script(draw):
     variant = draw(st.sampled_from(list(_VARIANTS)))
     ndim = draw(st.sampled_from([1, 2, 3]))
     max_entries = draw(st.sampled_from([2, 3, 4, 8, 16]))
-    rect = _rects(ndim)
+    rect = rects(ndim, coord=_COORD, extent=_EXTENT)
     inserted = []
     ops = []
     for _ in range(draw(st.integers(0, 90))):

@@ -1,12 +1,9 @@
-"""Property-based equivalence of the vectorized pair enumerators.
+"""The vectorized enumerator and the sweeps, on named inputs.
 
-The ISSUE-level guarantee: for *any* input — degenerate (zero-extent)
-rectangles, exactly touching edges, duplicate geometry — the vectorized
-enumerators produce the identical pair list and identical NA/DA as
-their scalar references, for the built-in predicates and for custom
-ones whose kernel is the default or not exact.  Coordinates are drawn
-from a small float grid so that tied and touching boundaries are
-common, not measure-zero.
+The properties over random inputs, every predicate and every buffer are
+``test_conformance.py``'s; these run its contract
+(``conftest.assert_conforms``) on fixed trees, and pin the sweep's
+emission order as a pure function of the entry sets.
 """
 
 import pytest
@@ -15,92 +12,44 @@ from hypothesis import strategies as st
 
 from repro.datasets import uniform_rectangles
 from repro.exec import ExecutionConfig
-from repro.geometry import Rect
 from repro.join import OVERLAP, WithinDistance, spatial_join
 from repro.join.plane_sweep import sweep_pairs
-from repro.rtree import Entry, RStarTree, str_pack
+from repro.rtree import Entry, str_pack
 
-from .conftest import (NESTED_LOOP, VECTORIZED, VECTORIZED_SWEEP,
-                       KernelLessOverlap, StrictOverlap, batch_sweep)
+from .conftest import (NESTED_LOOP, PLANE_SWEEP, VECTORIZED,
+                       KernelLessOverlap, StrictOverlap, assert_conforms,
+                       build_rstar, items, lattice_squares)
 
-SLOW = settings(max_examples=20,
-                suppress_health_check=[HealthCheck.too_slow],
-                deadline=None)
-
-#: A coarse grid: 21 distinct coordinates make ties, touching edges and
-#: zero-extent rectangles routine instead of vanishingly rare.
-grid_coord = st.integers(0, 20).map(lambda k: k / 20.0)
+#: ``vectorized`` on both traversals.
+BOTH = [VECTORIZED, VECTORIZED.with_options(traversal="level-batch")]
 
 
-def rect_strategy():
-    def build(args):
-        x1, y1, x2, y2 = args
-        return Rect((min(x1, x2), min(y1, y2)),
-                    (max(x1, x2), max(y1, y2)))
-    return st.tuples(grid_coord, grid_coord,
-                     grid_coord, grid_coord).map(build)
+def _trees():
+    return (build_rstar(lattice_squares(0), max_entries=6),
+            build_rstar(lattice_squares(1), max_entries=6))
 
 
-items_strategy = st.lists(rect_strategy(), min_size=0, max_size=60).map(
-    lambda rs: [(r, i) for i, r in enumerate(rs)])
-
-def build(items):
-    tree = RStarTree(2, 6)
-    for rect, oid in items:
-        tree.insert(rect, oid)
-    return tree
+def test_vectorized_join_bit_identical():
+    for predicate in (OVERLAP, StrictOverlap(), KernelLessOverlap()):
+        assert_conforms(_trees(), BOTH, predicate)
 
 
-def assert_vectorized_matches(items1, items2, predicate=OVERLAP):
-    """The ``vectorized`` block against nested loops, over the arena
-    kernels."""
-    t1, t2 = build(items1), build(items2)
-    nl = spatial_join(t1, t2, predicate=predicate, config=NESTED_LOOP)
-    vec = spatial_join(t1, t2, predicate=predicate, config=VECTORIZED)
-    assert vec.fallback is None
-    assert vec.pairs == nl.pairs
-    got, want = vec.stats.as_dict(), nl.stats.as_dict()
-    assert got["node_accesses"] == want["node_accesses"]
-    assert got["disk_accesses"] == want["disk_accesses"]
+def test_vectorized_distance_join_bit_identical():
+    for distance in (0.0, 0.05, 0.15):
+        assert_conforms(_trees(), BOTH, WithinDistance(distance))
 
 
-@SLOW
-@given(items_strategy, items_strategy,
-       st.sampled_from([OVERLAP, StrictOverlap(), KernelLessOverlap()]))
-def test_vectorized_join_bit_identical(items1, items2, predicate):
-    assert_vectorized_matches(items1, items2, predicate)
-
-
-@SLOW
-@given(items_strategy, items_strategy,
-       st.floats(min_value=0.0, max_value=0.4))
-def test_vectorized_distance_join_bit_identical(items1, items2,
-                                                distance):
-    assert_vectorized_matches(items1, items2, WithinDistance(distance))
-
-
-@SLOW
-@given(items_strategy, items_strategy)
-def test_batched_sweep_identical_yields(items1, items2):
-    e1 = [Entry(r, i) for i, (r, _o) in enumerate(items1)]
-    e2 = [Entry(r, i) for i, (r, _o) in enumerate(items2)]
-    scalar = [(a.ref, b.ref, c) for a, b, c in sweep_pairs(e1, e2)]
-    batch = [(a.ref, b.ref, c) for a, b, c in batch_sweep(e1, e2)]
-    assert batch == scalar
-
-
-@SLOW
-@given(items_strategy, items_strategy, st.randoms())
+@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow],
+          deadline=None)
+@given(items(max_size=60), items(max_size=60), st.randoms())
 def test_sweep_order_is_permutation_invariant(items1, items2, rng):
-    e1 = [Entry(r, i) for i, (r, _o) in enumerate(items1)]
-    e2 = [Entry(r, i) for i, (r, _o) in enumerate(items2)]
+    e1 = [Entry(r, i) for r, i in items1]
+    e2 = [Entry(r, i) for r, i in items2]
     reference = [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)]
     rng.shuffle(e1)
     rng.shuffle(e2)
     assert [(a.ref, b.ref) for a, b, _c in sweep_pairs(e1, e2)] \
         == reference
-    assert [(a.ref, b.ref)
-            for a, b, _c in batch_sweep(e1, e2)] == reference
 
 
 @pytest.fixture(scope="module")
@@ -116,13 +65,8 @@ def test_custom_predicates_give_the_fig2_pair_set(str_trees, predicate,
                                                   pairs):
     """Every engine that batches the tests, held to Fig. 2's nested loops
     on a predicate the built-in kernels do not describe exactly (of the
-    3 761 overlapping pairs, the strict one keeps 1 840); under
-    ``vectorized`` pairs in order, NA and DA are bit-identical."""
-    nl = spatial_join(*str_trees, predicate=predicate, config=NESTED_LOOP)
-    assert nl.pair_count == pairs
-    vec = spatial_join(*str_trees, predicate=predicate, config=VECTORIZED)
-    assert vec.pairs == nl.pairs
-    assert vec.stats.as_dict() == nl.stats.as_dict()
-    for config in (VECTORIZED_SWEEP, ExecutionConfig(strategy="pbsm")):
-        other = spatial_join(*str_trees, predicate=predicate, config=config)
-        assert sorted(other.pairs) == sorted(nl.pairs), config
+    3 761 overlapping pairs, the strict one keeps 1 840)."""
+    assert spatial_join(*str_trees, predicate=predicate,
+                        config=NESTED_LOOP).pair_count == pairs
+    assert_conforms(str_trees, BOTH + [
+        PLANE_SWEEP, ExecutionConfig(strategy="pbsm")], predicate)

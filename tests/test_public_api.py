@@ -178,6 +178,17 @@ def test_one_engine_per_strategy_and_no_arena_fallback():
     assert Pager.peek is Pager.read
 
 
+def test_one_plane_sweep():
+    # Both sweep enumerations run the one scalar sweep; its NumPy copy
+    # is gone from the package and its exports.
+    import repro.join.plane_sweep
+    from repro.join.sync import _COLUMNAR_PAIR_ENUMERATIONS
+    assert _COLUMNAR_PAIR_ENUMERATIONS == ("vectorized",)
+    for module in (repro, repro.join, repro.join.plane_sweep):
+        assert not hasattr(module, "sweep_pairs_batch"), module.__name__
+        assert "sweep_pairs_batch" not in getattr(module, "__all__", ())
+
+
 def test_one_charging_replay():
     # One ReadPage order, built by one preorder builder: a bare
     # level-batch join charges it in bulk, a governed or traced one

@@ -19,8 +19,7 @@ from repro.reliability import StreamFault, StreamFaultInjector
 from repro.serve import ChaosClient, ServeClient, ServeConfig
 from repro.storage import PathBuffer
 
-from .conftest import build_rstar, make_items
-from .test_serve_http import DaemonHarness
+from .conftest import DaemonHarness, build_rstar, make_items
 
 REQUEST = {"tree1": "a", "tree2": "b"}
 

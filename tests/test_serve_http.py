@@ -5,7 +5,6 @@ loop listening on an ephemeral TCP port *and* a unix socket; tests talk
 to it with :class:`ServeClient` exactly as a remote caller would.
 """
 
-import asyncio
 import json
 import socket
 import threading
@@ -16,38 +15,12 @@ from repro.cli import EXIT_BUDGET, EXIT_USAGE, main
 from repro.exec import AdmissionRejected, ExecutionConfig
 from repro.join import SpatialJoin
 from repro.reliability import MalformedFileError
-from repro.serve import (JoinService, Overloaded, ServeClient,
-                         ServeConfig, ServeDaemon, ServiceDraining,
-                         UnknownTree)
+from repro.serve import (Overloaded, ServeClient, ServeConfig,
+                         ServiceDraining, UnknownTree)
 from repro.storage import PathBuffer
 
-from .conftest import build_rstar, make_items
-from .test_serve_service import COERCED_FIELDS
-
-
-class DaemonHarness:
-    """A ServeDaemon on its own event-loop thread."""
-
-    def __init__(self, config: ServeConfig):
-        self.service = JoinService(config)
-        self.daemon = ServeDaemon(self.service)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self.loop.run_forever,
-                                       daemon=True)
-        self.thread.start()
-        self.addresses = asyncio.run_coroutine_threadsafe(
-            self.daemon.start(), self.loop).result(timeout=10)
-
-    @property
-    def http_url(self) -> str:
-        return next(a for a in self.addresses if a.startswith("http://"))
-
-    def close(self) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.daemon.stop(grace=5.0), self.loop).result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(10)
-        self.loop.close()
+from .conftest import (COERCED_FIELDS, DaemonHarness, build_rstar,
+                       make_items)
 
 
 @pytest.fixture(scope="module")

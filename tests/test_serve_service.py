@@ -19,7 +19,7 @@ from repro.serve import (JoinService, Overloaded, QuotaExceeded,
 from repro.serve.service import JoinRequest
 from repro.storage import LRUBuffer, PathBuffer
 
-from .conftest import build_rstar, make_items
+from .conftest import COERCED_FIELDS, build_rstar, make_items
 
 
 @pytest.fixture(scope="module")
@@ -184,15 +184,6 @@ class TestAdmission:
         with pytest.raises(MalformedFileError):
             svc.execute({"tree1": "a", "tree2": "b",
                          "resume_token": "garbage"})
-
-
-#: ``(field, value)`` pairs a request must refuse, not coerce:
-#: ``bool("false")`` is true and ``True`` is an ``int``.  Shared with
-#: ``test_serve_http`` (the same cases through ``POST /join``).
-COERCED_FIELDS = [
-    ("collect_pairs", "false"), ("collect_pairs", [0]),
-    ("collect_pairs", 0), ("workers", True), ("workers", "2"),
-]
 
 
 class TestRequestExecutionConfig:
