@@ -103,10 +103,10 @@ class ExecutionConfig:
     traversal:
         Traversal engine, one of :data:`TRAVERSALS`.  Where the default
         ``"level-batch"`` does not apply (plane-sweep enumerations,
-        custom predicates, resume) the
-        stack machine runs instead and the join records why
-        (:func:`repro.join.select_traversal`); ``"stack"`` asks for
-        that machine outright.
+        custom predicates) the stack machine runs instead and the join
+        records why (:func:`repro.join.select_traversal`); ``"stack"``
+        asks for that machine outright.  A resumed join runs on the
+        engine a fresh one would.
     strategy:
         Join engine, one of :data:`STRATEGIES`.  ``"sync"`` (the
         default) is the paper's synchronized tree traversal;

@@ -70,10 +70,14 @@ level order.  The engine therefore runs in two phases:
    events come from the visit-counter range each step covers, skipped
    non-qualifying items included.
 
+A checkpoint's frames are pushed with their cursors: each is planned
+like a root pair less the depth-0 items its cut consumed, its visit
+starting at that cursor, so a resumed run that trips again writes the
+stack machine's checkpoint.
+
 Configurations the batch engine cannot express — plane-sweep
-enumerations (different read order by design), custom predicates,
-checkpoint resume (cursors restore stack-machine iterators) — fall
-back to the stack machine, and the join says so
+enumerations (different read order by design), custom predicates —
+fall back to the stack machine, and the join says so
 (``fallback`` on its result and its ``join_start`` event, a
 ``join.fallback.<reason>`` counter); see
 :func:`repro.join.select_traversal`.
@@ -118,9 +122,8 @@ def supports_level_batch(predicate: JoinPredicate,
     enumeration (else ``"enumeration"``) and one of the built-in
     predicates (else ``"predicate"``: a subclass could override the
     tests the kernels mirror, so exact types only).  The reason is what
-    the join records as its ``fallback``;
-    :func:`repro.join.select_traversal` adds the one that depends on the
-    run (``"resume"``).
+    the join records as its ``fallback``
+    (:func:`repro.join.select_traversal`).
     """
     if pair_enumeration not in BATCH_PAIR_ENUMERATIONS:
         return "enumeration"
@@ -142,9 +145,10 @@ class _Frame(NamedTuple):
     Shaped like ``sync._Frame`` as far as
     :meth:`repro.join.SpatialJoin._checkpoint` serializes one: ``n1``/
     ``n2`` carry ``page_id``/``level`` and ``cursor`` counts consumed
-    items with the stack machine's per-enumeration semantics.  A
-    running drain keeps no frames; :meth:`LevelBatchState._trip`
-    derives them when a governor stops it.
+    items with the stack machine's per-enumeration semantics (nonzero
+    in a frame restored from a checkpoint).  A running drain keeps no
+    frames; :meth:`LevelBatchState._trip` derives them when a governor
+    stops it.
     """
 
     n1: _PageRef
@@ -168,13 +172,15 @@ class _LevelPlan:
     add up from — and ``crossed_total`` the entry pairs the planner
     tested once the restriction had cut both sides down (tile padding
     not counted).  ``cost``, ``qual_pos``, ``qual_start``, ``child1``
-    and ``child2`` are integer arrays.
+    and ``child2`` are integer arrays.  ``skip`` is the cursor each
+    visit starts at: a restored frame's at its depth 0 (whose one visit
+    has lost the items before it, and their cost), 0 elsewhere.
     """
 
     __slots__ = ("kind", "child_l1", "child_l2", "fetch2_first", "raw",
                  "cost", "qual_pos", "qual_start", "child1", "child2",
                  "frontier", "items_total", "crossed_total", "qual_total",
-                 "kernel_calls")
+                 "kernel_calls", "skip")
 
 
 def run_slots(offset, count):
@@ -253,6 +259,10 @@ class LevelBatchState:
             self._pairs = [PairList.concat(self._pairs)]
         return self._pairs[0]
 
+    @pairs.setter
+    def pairs(self, pairs) -> None:
+        self._pairs = [PairList.of(pairs)]
+
     def _fetch1(self, page_id: int, level: int):
         if page_id == self.pinned1:
             return self.reader1.read_pinned(page_id, level)
@@ -265,13 +275,13 @@ class LevelBatchState:
 
     # -- driver surface (mirrors _TraversalState) ---------------------------
 
-    def push(self, n1, n2) -> _Frame:
-        """Open the SJ of a pair of resident nodes (planned on drain)."""
+    def push(self, n1, n2, cursor: int = 0) -> None:
+        """Open the SJ of a pair of resident nodes (planned on drain),
+        its first ``cursor`` items consumed (a restored frame)."""
         frame = _Frame(_PageRef(n1.page_id, n1.level),
-                       _PageRef(n2.page_id, n2.level))
+                       _PageRef(n2.page_id, n2.level), cursor)
         self.stack.append(frame)
         self._pending.append(frame)
-        return frame
 
     def drain(self) -> None:
         """Plan and charge every pending root pair (LIFO, like the stack)."""
@@ -335,6 +345,8 @@ class LevelBatchState:
         while True:
             kind = _kind(l1, l2)
             plan = self._cross_level(kind, l1, l2, pages1, pages2)
+            if depth == 0 and root.cursor:
+                self._skip(plan, root.cursor)
             plans.append(plan)
             self._observe_level(depth, plan)
             if kind == "leaf" or plan.qual_total == 0:
@@ -355,6 +367,22 @@ class LevelBatchState:
             l1, l2 = plan.child_l1, plan.child_l2
             depth += 1
         return plans
+
+    @staticmethod
+    def _skip(plan: _LevelPlan, cursor: int) -> None:
+        """Drop what a restored frame's cut consumed of the one visit of
+        ``plan``: the qualifying items before item ``cursor`` (``raw``)
+        or the first ``cursor`` (a block, whose ``a*b`` is charged)."""
+        drop = (int(np.searchsorted(plan.qual_pos, cursor)) if plan.raw
+                else cursor)
+        plan.qual_pos = plan.qual_pos[drop:]
+        plan.child1 = plan.child1[drop:]
+        plan.child2 = plan.child2[drop:]
+        plan.qual_total -= drop
+        plan.qual_start = np.array([0, plan.qual_total], dtype=np.int64)
+        plan.cost = (plan.cost - cursor if plan.raw
+                     else np.zeros_like(plan.cost))
+        plan.skip = cursor
 
     def _observe_level(self, depth: int, plan: _LevelPlan) -> None:
         if self.metrics is not None:
@@ -567,6 +595,7 @@ class LevelBatchState:
         plan.qual_start = qual_start
         plan.child1 = child1
         plan.child2 = child2
+        plan.skip = 0
         return plan
 
     # -- phase 2: one ReadPage order, charged in bulk or stepped ------------
@@ -654,7 +683,7 @@ class LevelBatchState:
         fetches = iter(reads.T.tolist())    # [side, level, page] each
         fetch = (self._fetch1, self._fetch2)
         opened, top = [0] * len(plans), -1   # the open visits, for sampling
-        cursor = 0
+        cursor = None                       # the item's child not charged
         try:
             for position, pair, d, v, c, k in zip(
                     range(-1, n), itertools.chain([()], zip(fetches, fetches)),
@@ -687,7 +716,8 @@ class LevelBatchState:
                     consumed = self._cursor(plans[d], v,
                                             end if full else end + 1)
                     if sampling:
-                        self._sample(root, plans, d, v, consumed)
+                        self._sample(root, plans, d, v,
+                                     consumed - plans[d].skip)
                     if full:
                         cursor = consumed
                         governor.check(self.stats, self.pair_count)
@@ -702,13 +732,14 @@ class LevelBatchState:
     def _cursor(plan: _LevelPlan, v: int, idx: int) -> int:
         """The stack machine's cursor in visit ``v`` once its qualifying
         items before global index ``idx`` are consumed (past its last
-        one: its trailing items too, the frame exhausted)."""
+        one: its trailing items too, the frame exhausted), counted from
+        the cursor the visit starts at."""
         start, end = plan.qual_start[v], plan.qual_start[v + 1]
         if not plan.raw:
-            return int(min(idx, end) - start)
+            return int(min(idx, end) - start) + plan.skip
         if idx > end:
-            return int(plan.cost[v])
-        return int(plan.qual_pos[idx - 1]) + 1 if idx > start else 0
+            return int(plan.cost[v]) + plan.skip
+        return int(plan.qual_pos[idx - 1]) + 1 if idx > start else plan.skip
 
     @staticmethod
     def _frame(root: _Frame, plans: list[_LevelPlan], depth: int, v: int,
@@ -752,7 +783,8 @@ class LevelBatchState:
         ``position`` (-1: the entry poll) leaves: a frame for the root
         visit and for each one opened by the last item of a depth at or
         before ``position`` (one ``searchsorted``), down to the item's
-        own, consumed up to ``cursor``; comparisons exact to the last."""
+        own, consumed up to ``cursor`` (``None``: not yet charged);
+        comparisons exact to the last."""
         visits, v = [], 0
         for d, pos in enumerate(at if position >= 0 else ()):
             k = int(np.searchsorted(pos, position, "right")) - 1
@@ -762,8 +794,10 @@ class LevelBatchState:
                 break
         frames = []
         for d, u, consumed in visits + [(len(visits), v, cursor)]:
-            # A visit at cursor 0 was polled before it was charged.
-            if consumed and plans[d].raw:
-                self.comparisons -= int(plans[d].cost[u]) - consumed
+            if consumed is None:        # at the cursor it starts at
+                consumed = root.cursor if d == 0 else 0
+            elif plans[d].raw:
+                self.comparisons -= (int(plans[d].cost[u]) + plans[d].skip
+                                     - consumed)
             frames.append(self._frame(root, plans, d, u, consumed))
         self.stack[-1:] = frames

@@ -37,6 +37,8 @@ properties recursion cannot offer:
 
 from __future__ import annotations
 
+import itertools
+
 from ..exec import (CheckpointMismatch, ExecutionGovernor, JoinCheckpoint,
                     tree_fingerprint)
 from ..exec.budget import BudgetExceeded, Cancelled
@@ -84,7 +86,7 @@ _COLUMNAR_PAIR_ENUMERATIONS = ("vectorized",)
 
 
 def select_traversal(config: ExecutionConfig, predicate: JoinPredicate,
-                     tree1, tree2, resume: bool = False):
+                     tree1, tree2):
     """Choose the traversal engine and its columnar input — the only
     place that does.
 
@@ -95,13 +97,12 @@ def select_traversal(config: ExecutionConfig, predicate: JoinPredicate,
     when it runs over the ``Rect`` objects) and the first reason the
     run is not the one ``config`` names, or ``None``.  Level-batch
     gives way to the stack machine for a
-    :func:`~repro.join.supports_level_batch` reason or ``"resume"``
-    (checkpoint cursors restore the stack machine's iterators).
+    :func:`~repro.join.supports_level_batch` reason; a resumed join
+    runs on the engine a fresh one would.
     """
     fallback = None
     if config.traversal == "level-batch":
-        fallback = "resume" if resume else supports_level_batch(
-            predicate, config.pair_enumeration)
+        fallback = supports_level_batch(predicate, config.pair_enumeration)
     batch = config.traversal == "level-batch" and fallback is None
     arenas = None
     if batch or config.pair_enumeration in _COLUMNAR_PAIR_ENUMERATIONS:
@@ -115,7 +116,7 @@ def traversal_state(config: ExecutionConfig, predicate: JoinPredicate,
                     stats: AccessStats,
                     governor: ExecutionGovernor | None,
                     tracer=None, join_id: str | None = None,
-                    metrics=None, resume: bool = False):
+                    metrics=None):
     """Build the state of one traversal on the engine
     :func:`select_traversal` picks.
 
@@ -125,7 +126,7 @@ def traversal_state(config: ExecutionConfig, predicate: JoinPredicate,
     ``state.engine`` and ``state.fallback`` say which one it is and why.
     """
     engine, arenas, fallback = select_traversal(config, predicate, tree1,
-                                                tree2, resume)
+                                                tree2)
     common = dict(pinned1=tree1.root_id, pinned2=tree2.root_id,
                   pair_enumeration=config.pair_enumeration,
                   stats=stats, governor=governor,
@@ -257,7 +258,7 @@ class SpatialJoin:
         self.ledger = ledger            #: optional AccuracyLedger
 
     def _state(self, stats: AccessStats, collect_pairs: bool,
-               resume: bool = False, join_id: str | None = None):
+               join_id: str | None = None):
         return traversal_state(
             self.config, self.predicate, self.tree1, self.tree2,
             charged_reader(self.tree1.pager, R1, stats, self.buffer,
@@ -265,7 +266,7 @@ class SpatialJoin:
             charged_reader(self.tree2.pager, R2, stats, self.buffer,
                            self.retry_policy, self.tracer),
             collect_pairs, stats, self.governor, tracer=self.tracer,
-            join_id=join_id, metrics=self.metrics, resume=resume)
+            join_id=join_id, metrics=self.metrics)
 
     def _governed(self) -> JoinRun:
         """The protocol one execution of this join runs inside."""
@@ -316,11 +317,16 @@ class SpatialJoin:
         to an uninterrupted run of the same join; a resumed run may
         itself stop again if this execution's governor runs out.
 
+        The frames are restored through the engine's own ``push(n1,
+        n2, cursor)``, so the join resumes on the engine a fresh run of
+        this configuration takes, whichever engine took the cut.
+
         Raises :class:`~repro.exec.CheckpointMismatch` when the
         checkpoint was taken with different trees, predicate, pair
-        enumeration or buffer kind, or when its collected pairs are not
+        enumeration or buffer kind, when its collected pairs are not
         ``pair_count`` ``[oid1, oid2]`` integer pairs (``None`` when it
-        collected none).
+        collected none), or when its frame stack is not one a cut
+        writes (:meth:`_frames`).
         """
         if self.config.strategy == "pbsm":
             raise ValueError(
@@ -350,15 +356,12 @@ class SpatialJoin:
                 f"checkpoint used a {cp.buffer_kind!r} buffer, this join "
                 f"has {self.buffer.kind!r}")
         _check_pairs(cp)
+        run = self._governed()
+        state = self._state(AccessStats.from_dict(cp.stats),
+                            cp.collect_pairs, join_id=run.join_id)
+        frames = self._frames(state, cp.stack)
         self.buffer.reset()
         self.buffer.restore(cp.buffer_state)
-        run = self._governed()
-        # Resume always drains on the stack machine: checkpoint cursors
-        # restore its deterministic iterators directly, and the result
-        # is bit-identical whichever engine took the cut.
-        state = self._state(AccessStats.from_dict(cp.stats),
-                            cp.collect_pairs, resume=True,
-                            join_id=run.join_id)
         if self.tracer is not None:
             self.tracer.resume(
                 run.join_id, frames=len(cp.stack),
@@ -369,24 +372,67 @@ class SpatialJoin:
         state.comparisons = cp.comparisons
         if cp.collect_pairs:
             state.pairs = [(p[0], p[1]) for p in cp.pairs]
-        for row in cp.stack:
-            page1, level1, page2, level2, cursor = row
-            # Frontier nodes were charged before the cut (their cost is
-            # in the restored counters) — rebuild them uncharged and
-            # without disturbing the restored buffer content.
-            n1 = state.reader1.read_pinned(page1, level1)
-            n2 = state.reader2.read_pinned(page2, level2)
-            frame = state.push(n1, n2)
-            try:
-                for _ in range(cursor):
-                    next(frame.it)
-            except StopIteration:
-                raise CheckpointMismatch(
-                    f"checkpoint cursor {cursor} exceeds the entry pairs "
-                    f"of node pair ({page1}, {page2}) — stale "
-                    f"checkpoint?") from None
-            frame.cursor = cursor
+        for n1, n2, cursor in frames:
+            state.push(n1, n2, cursor)
         return self._execute(run, state)
+
+    def _frames(self, state, stack) -> list[tuple[Node, Node, int]]:
+        """A checkpoint's frame stack as ``(n1, n2, cursor)``, refused
+        unless a cut could have written it: ``[page1, level1, page2,
+        level2, cursor]`` rows of (non-bool) ``int``, the first the two
+        roots, each level its node's and no node empty, each cursor in
+        ``0..items`` of its frame, and each later row the child pair of
+        the item just before its parent's cursor, as the stack
+        machine's own enumerators say.  The CRC catches accidents, not a
+        crafted document.  Frontier nodes were charged before the cut
+        (their cost is in the restored counters), so they are read
+        pinned, which charges nothing and leaves the buffer as it is."""
+        if type(stack) is not list or not stack:
+            raise CheckpointMismatch(
+                f"checkpoint stack must be a non-empty list of frames, "
+                f"not {stack!r}")
+        columnar = self.pair_enumeration in _COLUMNAR_PAIR_ENUMERATIONS
+        probe = _Probe(state.reader1, state.reader2, self.predicate, False,
+                       self.tree1.root_id, self.tree2.root_id,
+                       self.pair_enumeration, AccessStats(),
+                       arenas=((self.tree1.arena(), self.tree2.arena())
+                               if columnar else None))
+        want = [self.tree1.root_id, self.tree1.height,
+                self.tree2.root_id, self.tree2.height]
+        frames = []
+        for k, row in enumerate(stack):
+            if not (type(row) is list and len(row) == 5
+                    and all(type(v) is int for v in row)):
+                raise CheckpointMismatch(
+                    f"checkpoint frame {k} must be [page1, level1, page2, "
+                    f"level2, cursor] integers, not {row!r}")
+            if row[:4] != want:
+                raise CheckpointMismatch(
+                    f"checkpoint frame {k} is {row[:4]!r}, a cut writes "
+                    f"{want or 'no frame'!r} there — stale checkpoint?")
+            n1 = state.reader1.read_pinned(row[0], row[1])
+            n2 = state.reader2.read_pinned(row[2], row[3])
+            if [n1.level, n2.level] != row[1:4:2]:
+                raise CheckpointMismatch(
+                    f"checkpoint frame {k} levels {row[1:4:2]!r} are not "
+                    f"its nodes' {[n1.level, n2.level]!r}")
+            if not (n1.entries and n2.entries):
+                raise CheckpointMismatch(
+                    f"checkpoint frame {k} holds an empty node, and no "
+                    f"join opens one")
+            frame, cursor = probe._open(n1, n2), row[4]
+            consumed = list(itertools.islice(frame.it, max(cursor, 0)))
+            if not 0 <= cursor <= len(consumed):
+                raise CheckpointMismatch(
+                    f"checkpoint cursor {cursor} is outside the entry "
+                    f"pairs of node pair ({row[0]}, {row[2]}) — stale "
+                    f"checkpoint?")
+            probe.child = None
+            if consumed:
+                frame.step(frame, consumed[-1])
+            want = probe.child
+            frames.append((n1, n2, cursor))
+        return frames
 
     def _execute(self, run: JoinRun,
                  state: "_TraversalState") -> JoinResult:
@@ -522,24 +568,31 @@ class _TraversalState:
         return sweep_pairs(n1.entries, n2.entries,
                            slack=self.predicate.sweep_slack())
 
-    def push(self, n1: Node, n2: Node) -> _Frame:
-        """Open the SJ of a pair of resident nodes (one Fig. 2 call)."""
+    def _open(self, n1: Node, n2: Node) -> _Frame:
+        """The frame of the SJ of a pair of resident nodes (one Fig. 2
+        call), at cursor 0."""
         if n1.is_leaf and n2.is_leaf:
-            frame = _Frame(n1, n2, self._entry_pairs(n1, n2, leaf=True),
-                           self._step_leaves)
-        elif not n1.is_leaf and not n2.is_leaf:
-            frame = _Frame(n1, n2, self._entry_pairs(n1, n2, leaf=False),
-                           self._step_internal)
-        elif n1.is_leaf:
+            return _Frame(n1, n2, self._entry_pairs(n1, n2, leaf=True),
+                          self._step_leaves)
+        if not n1.is_leaf and not n2.is_leaf:
+            return _Frame(n1, n2, self._entry_pairs(n1, n2, leaf=False),
+                          self._step_internal)
+        if n1.is_leaf:
             # R1 bottomed out, R2 still internal (h_R1 < h_R2 regime).
-            frame = _Frame(n1, n2, iter(n2.entries),
-                           self._step_r1_leaf, mbr=n1.mbr())
-        else:
-            # R2 bottomed out, R1 still internal (h_R1 > h_R2 regime).
-            frame = _Frame(n1, n2, iter(n1.entries),
-                           self._step_r2_leaf, mbr=n2.mbr())
+            return _Frame(n1, n2, iter(n2.entries),
+                          self._step_r1_leaf, mbr=n1.mbr())
+        # R2 bottomed out, R1 still internal (h_R1 > h_R2 regime).
+        return _Frame(n1, n2, iter(n1.entries),
+                      self._step_r2_leaf, mbr=n2.mbr())
+
+    def push(self, n1: Node, n2: Node, cursor: int = 0) -> None:
+        """Open the SJ of a pair of resident nodes, its first ``cursor``
+        items consumed (a restored frame skips them, uncharged)."""
+        frame = self._open(n1, n2)
+        for _ in range(cursor):
+            next(frame.it)
+        frame.cursor = cursor
         self.stack.append(frame)
-        return frame
 
     def drain(self) -> None:
         """Run the machine until the stack empties (or the governor stops).
@@ -616,3 +669,19 @@ class _TraversalState:
             c1 = self._fetch1(e1.ref, frame.n1.level - 1)
             c2 = self._fetch2(frame.n2.page_id, frame.n2.level)
             self.push(c1, c2)
+
+
+class _Probe(_TraversalState):
+    """The stack machine asked which child pair an item opens: its
+    fetches only name the page, and its push records the pair as
+    ``child``, ``[page1, level1, page2, level2]``."""
+
+    child = None
+
+    def _fetch1(self, page_id: int, level: int):
+        return page_id, level
+
+    _fetch2 = _fetch1
+
+    def push(self, n1, n2, cursor: int = 0) -> None:
+        self.child = [*n1, *n2]

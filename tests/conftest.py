@@ -185,12 +185,14 @@ def assert_governed_conforms(trees, enum, axis, frac, predicate=OVERLAP,
     join finish — of the exact enumeration ``enum``, under the buffer
     ``BUFFERS[kind]``: every traversal gives the stack machine's
     signature and sampled ``node_pair`` events and writes its checkpoint
-    bytes, and resuming the cut finishes with the uncut run's signature
-    (not after an LRU buffer, whose contents a checkpoint does not
-    hold).  With ``bucket`` each traversal reuses one state for a join
-    per root entry pair, as a parallel bucket worker does, so the cut
-    can land in a later root pair, past the pairs earlier ones
-    emitted."""
+    bytes.  So does each traversal's resumption of its own cut under a
+    second, later cut (sampling restarts at a resume, on every engine),
+    and resuming that finishes with the uncut run's signature (not
+    after an LRU buffer, whose contents a checkpoint does not hold).
+    With ``bucket`` each traversal reuses one state for a join per root
+    entry pair, as a parallel bucket worker does, so the cut can land
+    in a later root pair, past the pairs earlier ones emitted; such a
+    cut is not resumed."""
     stack_cfg = NESTED_LOOP.with_options(pair_enumeration=enum)
     whole = SpatialJoin(*trees, BUFFERS[kind](), predicate,
                         config=stack_cfg).run()
@@ -198,31 +200,44 @@ def assert_governed_conforms(trees, enum, axis, frac, predicate=OVERLAP,
              "max_results": whole.pair_count}[axis]
     cut = 1 + int(frac * total)
 
-    def governed(config):
+    def governed(config, limit, checkpoint=None):
         sink = MemorySink(1 << 16)
         join = SpatialJoin(
             *trees, BUFFERS[kind](), predicate,
-            governor=ExecutionGovernor(Budget(**{axis: cut}), partial=True),
+            governor=ExecutionGovernor(Budget(**{axis: limit}), partial=True),
             tracer=Tracer(sink, sample_pairs=sample_pairs), config=config)
         if bucket:
             return (*_run_bucket(join), sink)
-        result = join.run()
+        result = join.run() if checkpoint is None else join.resume(checkpoint)
         return result, getattr(result, "checkpoint", None), sink
 
+    def conforming(legs):
+        """Hold each traversal's leg to the stack machine's; their
+        checkpoints."""
+        stack, stack_cp, stack_sink = legs[stack_cfg]
+        for got, checkpoint, sink in legs.values():
+            assert signature(got, sink) == signature(stack, stack_sink)
+            assert (checkpoint is None) == (stack_cp is None)
+            if checkpoint is not None:
+                assert _canonical(checkpoint.to_dict()) \
+                    == _canonical(stack_cp.to_dict())
+        return {config: leg[1] for config, leg in legs.items()}
+
     configs = [stack_cfg.with_options(traversal=t) for t in TRAVERSALS]
-    runs = {config: governed(config) for config in configs}
-    stack, stack_cp, stack_sink = runs[stack_cfg]
-    for config, (got, checkpoint, sink) in runs.items():
-        assert signature(got, sink) == signature(stack, stack_sink)
-        assert (checkpoint is None) == (stack_cp is None)
-        if checkpoint is None:
-            continue
-        assert _canonical(checkpoint.to_dict()) \
-            == _canonical(stack_cp.to_dict())
-        if not bucket and kind != "lru":
-            final = SpatialJoin(*trees, BUFFERS[kind](), predicate,
-                                config=config).resume(checkpoint)
-            assert final.complete and signature(final) == signature(whole)
+    cuts = conforming({config: governed(config, cut) for config in configs})
+    if bucket or cuts[stack_cfg] is None:
+        return
+    later = (cut + total) // 2 + 1
+    legs = {config: governed(config, later, checkpoint)
+            for config, checkpoint in cuts.items()}
+    conforming(legs)
+    if kind == "lru":
+        return
+    for config, (got, checkpoint, _sink) in legs.items():
+        if checkpoint is not None:
+            got = SpatialJoin(*trees, BUFFERS[kind](), predicate,
+                              config=config).resume(checkpoint)
+        assert got.complete and signature(got) == signature(whole)
 
 
 class _CancelAt(ExecutionGovernor):
@@ -274,7 +289,8 @@ def assert_cancellations_conform(trees, enum):
             assert _canonical(partial.checkpoint.to_dict()) in written
             final = SpatialJoin(*trees, config=config).resume(
                 partial.checkpoint)
-            assert final.complete and signature(final) == baseline
+            assert final.complete and final.engine == traversal
+            assert signature(final) == baseline
 
 
 class KernelLessOverlap(JoinPredicate):

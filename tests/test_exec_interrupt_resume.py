@@ -14,9 +14,12 @@ import random
 
 import pytest
 
-from repro.exec import Budget, CheckpointMismatch, ExecutionGovernor
+from repro.datasets import uniform_rectangles
+from repro.exec import (TRAVERSALS, Budget, CheckpointMismatch,
+                        ExecutionConfig, ExecutionGovernor, tree_fingerprint)
 from repro.join import OVERLAP, PartialJoinResult, SpatialJoin, WithinDistance
 from repro.reliability import FaultInjector, FaultyPager, RetryPolicy
+from repro.rtree import str_pack
 from repro.serve import JoinService, encode_resume_token
 from repro.serve.http import _error_status
 from repro.storage import LRUBuffer, PathBuffer
@@ -79,7 +82,7 @@ class TestResumeInvariant:
         # (before and after the cut).  Retries are absorbed by the
         # retry policy and must not disturb the NA/DA accounting, and
         # the faults do not change the engine: level-batch takes the
-        # cut, the stack machine resumes it.
+        # cut and resumes it.
         t1, t2 = trees
         baseline = signature(_join(t1, t2).run())
         total_na = sum(baseline["stats"]["node_accesses"].values())
@@ -97,10 +100,9 @@ class TestResumeInvariant:
                 got["stats"] = dict(got["stats"], retries={},
                                     accounted_backoff=0.0)
                 assert got == baseline, f"cut at NA={cut}"
-                assert (first.engine, first.fallback) == ("level-batch",
+                for leg in (first, final):
+                    assert (leg.engine, leg.fallback) == ("level-batch",
                                                           None)
-                assert (final.engine, final.fallback) == ("stack",
-                                                          "resume")
             assert injector.counts.transients > 0
         finally:
             t1.pager = t1.pager.inner
@@ -249,3 +251,104 @@ class TestResumeRefusesEditedPairs:
             service.execute({"tree1": "a", "tree2": "b",
                              "collect_pairs": True, "resume_token": token})
         assert _error_status(refused.value)[0] == 400
+
+
+def _leaf_of(tree) -> int:
+    return next(n.page_id for n in tree.nodes() if n.level == 1)
+
+
+def _row(k, edit):
+    """Edit frame ``k`` (``-1``: the deepest) of a stack with ``edit``."""
+    def apply(stack, trees):
+        stack = [list(row) for row in stack]
+        stack[k] = edit(stack[k])
+        return stack
+    return apply
+
+
+class TestResumeRefusesForgedFrames:
+    """A frame stack is the cut's own or the resume is refused: the
+    first frame the root pair, each level its node's, each cursor in
+    ``0..items`` of its frame, each later frame the child pair of the
+    item just before its parent's cursor — on either traversal, and
+    with a 400 from the daemon.  Without the check each edit below
+    resumes to a wrong result or a bare ``KeyError``."""
+
+    EDITS = {
+        "cursors-negative": lambda stack, trees: [row[:4] + [-3]
+                                                  for row in stack],
+        "cursor-past-items": _row(0, lambda row: row[:4] + [10**6]),
+        "r1-leaf-under-r2-root": lambda stack, trees: [
+            [_leaf_of(trees[0]), 1, trees[1].root_id, trees[1].height, 0]],
+        "level-not-its-nodes": _row(-1, lambda row: [row[0], row[1] + 1,
+                                                     *row[2:]]),
+        "missing-page": _row(-1, lambda row: [10**6, *row[1:]]),
+        "not-the-parents-child": _row(-1, lambda row: [row[0] + 1,
+                                                       *row[1:]]),
+        "parent-cursor-moved": _row(-2, lambda row: row[:4] + [row[4] + 1]),
+        "deepest-dropped-parent": lambda stack, trees: [stack[0],
+                                                        stack[-1]],
+        "empty": lambda stack, trees: [],
+        "float-cursor": _row(0, lambda row: row[:4] + [float(row[4])]),
+        "short-row": _row(0, lambda row: row[:4]),
+    }
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return tuple(str_pack(uniform_rectangles(n, 0.5, 2, seed=s).items,
+                              2, 16) for n, s in ((3000, 1), (2800, 2)))
+
+    @pytest.fixture(scope="class")
+    def partial(self, trees):
+        gov = ExecutionGovernor(Budget(max_na=1000), partial=True)
+        first = _join(*trees, governor=gov).run()
+        assert not first.complete and len(first.checkpoint.stack) >= 3
+        return first.checkpoint
+
+    def _forged(self, partial, trees, edit):
+        return dataclasses.replace(
+            partial, stack=self.EDITS[edit](partial.stack, trees))
+
+    @pytest.mark.parametrize("traversal", TRAVERSALS)
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_forged_frames_are_refused(self, trees, partial, edit,
+                                       traversal):
+        forged = self._forged(partial, trees, edit)
+        with pytest.raises(CheckpointMismatch):
+            _join(*trees, config=ExecutionConfig(traversal=traversal)
+                  ).resume(forged)
+
+    @pytest.mark.parametrize("traversal", TRAVERSALS)
+    def test_the_cut_as_written_still_resumes(self, trees, partial,
+                                              traversal):
+        config = ExecutionConfig(traversal=traversal)
+        final = _join(*trees, config=config).resume(partial)
+        assert final.engine == traversal
+        assert signature(final) == signature(_join(*trees).run())
+        assert (final.na_total, final.pair_count) == (2700, 5914)
+
+    @pytest.mark.parametrize("traversal", TRAVERSALS)
+    def test_a_frame_over_an_empty_root_is_refused(self, trees, partial,
+                                                   traversal):
+        # No join opens an empty root, so no cut writes one.
+        empty = build_rstar([])
+        forged = dataclasses.replace(
+            partial, tree1=tree_fingerprint(empty), pairs=[], pair_count=0,
+            stack=[[empty.root_id, empty.height, trees[1].root_id,
+                    trees[1].height, 0]])
+        with pytest.raises(CheckpointMismatch, match="empty"):
+            SpatialJoin(empty, trees[1], PathBuffer(),
+                        config=ExecutionConfig(traversal=traversal)
+                        ).resume(forged)
+
+    def test_the_daemon_answers_400(self, trees, partial):
+        service = JoinService()
+        service.register_tree("a", trees[0])
+        service.register_tree("b", trees[1])
+        token = encode_resume_token(
+            self._forged(partial, trees, "cursors-negative"))
+        with pytest.raises(CheckpointMismatch) as refused:
+            service.execute({"tree1": "a", "tree2": "b",
+                             "collect_pairs": True, "resume_token": token})
+        assert _error_status(refused.value)[0] == 400
+

@@ -2,12 +2,12 @@
 
 The equivalence guarantees live in ``test_conformance.py``;
 this file pins the *plumbing*: which configurations actually dispatch
-to :class:`~repro.join.LevelBatchState`, which fall back to the stack
-machine (the flag must never make a join illegal) and under which
-recorded reason, that the bulk charger of an ungoverned drain charges
-what the stepping loop does, how the observability hooks surface the
-batch engine, and that a priced plan executes on the engine the config
-names.
+to :class:`~repro.join.LevelBatchState` (a resumed join included),
+which fall back to the stack machine (the flag must never make a join
+illegal) and under which recorded reason, that the bulk charger of an
+ungoverned drain charges what the stepping loop does, how the
+observability hooks surface the batch engine, and that a priced plan
+executes on the engine the config names.
 """
 
 import pytest
@@ -30,7 +30,7 @@ from repro.rtree import share_tree, str_pack
 from repro.storage import (AccessStats, BufferManager, LRUBuffer,
                            MeteredReader, NoBuffer, PathBuffer)
 
-from .conftest import build_rstar, make_items
+from .conftest import build_rstar, make_items, signature
 
 # The planner pads its tiles with NaN: NaN or overflow arithmetic in its
 # kernels must fail here, not pass as a warning.
@@ -123,22 +123,25 @@ class TestFallback:
         assert supports_level_batch(WithinDistance(0.1),
                                     "vectorized") is None
 
-    def test_resume_always_uses_stack_machine(self, trees):
-        t1, t2 = trees
+    def test_resume_continues_on_level_batch(self, trees):
+        # A level-batch cut, resumed on each traversal: no engine switch
+        # at a resume (the stack machine still resumes a stack join),
+        # and the uncut run's pairs, NA/DA and comparisons.
         gov = ExecutionGovernor(Budget(max_na=10), partial=True)
-        first = SpatialJoin(t1, t2, governor=gov, config=BATCH).run()
+        first = SpatialJoin(*trees, governor=gov, config=BATCH).run()
         assert isinstance(first, PartialJoinResult)
-        sink, metrics = MemorySink(), MetricsRegistry()
-        join = SpatialJoin(t1, t2, config=BATCH, tracer=Tracer(sink),
-                           metrics=metrics)
-        state = join._state(AccessStats(), True, resume=True)
-        assert isinstance(state, _TraversalState)
-        final = join.resume(first.checkpoint)
-        assert final.complete
-        resumed, = [r for r in sink.records if r["event"] == "resume"]
-        assert (resumed["engine"], resumed["fallback"]) \
-            == ("stack", "resume")
-        assert metrics.as_dict()["counters"]["join.fallback.resume"] == 1
+        for config, engine in ((BATCH, "level-batch"), (STACK, "stack")):
+            sink, metrics = MemorySink(), MetricsRegistry()
+            final = SpatialJoin(*trees, config=config, tracer=Tracer(sink),
+                                metrics=metrics).resume(first.checkpoint)
+            assert final.complete
+            assert (final.engine, final.fallback) == (engine, None)
+            assert signature(final) \
+                == signature(SpatialJoin(*trees, config=config).run())
+            resumed, = [r for r in sink.records if r["event"] == "resume"]
+            assert (resumed["engine"], resumed["fallback"]) == (engine, None)
+            assert not [c for c in metrics.as_dict()["counters"]
+                        if c.startswith("join.fallback.")]
 
     def test_the_engine_asked_for_is_not_a_fallback(self, trees):
         for config, engine in ((BATCH, "level-batch"), (STACK, "stack")):
