@@ -34,10 +34,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .columnar import ColumnarMBRs
+from .columnar import ColumnarMBRs, segment_bounds
 
 __all__ = ["ArenaHandle", "SHM_PREFIX", "SharedArena", "TreeArena",
-           "arena_from_shared_memory", "arena_to_shared_memory"]
+           "arena_from_shared_memory", "arena_to_shared_memory",
+           "run_slots"]
 
 #: Prefix of every shared-memory segment this module creates.  CI's
 #: leak guard greps ``/dev/shm`` for it after the test suites run.
@@ -169,10 +170,10 @@ class TreeArena:
         """Every node's MBR as one ``(2, ndim, pages)`` float64 block
         indexed by page id (corner-major like the arena itself).
 
-        ``min``/``max`` are exact, so column ``p`` holds the bits of
-        ``Node.mbr()`` of page ``p``.  An empty node (only a root can
-        be one) and an unused page id read NaN, which fails every
-        comparison of the predicate kernels.
+        Column ``p`` holds the bits of ``Node.mbr()`` of page ``p``,
+        the sign of a zero included (:func:`segment_bounds`).  An empty
+        node (only a root can be one) and an unused page id read NaN,
+        which fails every comparison of the predicate kernels.
         """
         if self._node_mbrs is None:
             offset, count = self.page_table
@@ -180,18 +181,23 @@ class TreeArena:
             # A node's run ends where the next one starts: the runs of
             # the non-empty nodes tile the arena.
             pages = pages[np.argsort(offset[pages])]
-            starts = offset[pages]
             mbrs = np.full((2, self.ndim, len(offset)), np.nan)
-            mbrs[0][:, pages] = np.minimum.reduceat(
-                self._coords[0], starts, axis=1)
-            mbrs[1][:, pages] = np.maximum.reduceat(
-                self._coords[1], starts, axis=1)
+            mbrs[:, :, pages] = segment_bounds(self._coords,
+                                               offset[pages])
             self._node_mbrs = mbrs
         return self._node_mbrs
 
     def __repr__(self) -> str:
         return (f"TreeArena(nodes={len(self.index)}, "
                 f"entries={self.total}, ndim={self.ndim})")
+
+
+def run_slots(offset, count):
+    """Arena slots of the runs ``offset[r] : offset[r] + count[r]``,
+    concatenated in run order."""
+    first = np.cumsum(count) - count
+    return (np.repeat(offset - first, count)
+            + np.arange(int(count.sum()), dtype=np.int64))
 
 
 @dataclass(frozen=True)

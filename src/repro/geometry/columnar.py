@@ -44,7 +44,8 @@ from functools import reduce
 
 import numpy as np
 
-__all__ = ["ColumnarMBRs", "first_least", "least_overlap_enlargement"]
+__all__ = ["ColumnarMBRs", "first_least", "least_overlap_enlargement",
+           "segment_bounds"]
 
 _INF = float("inf")
 
@@ -84,6 +85,38 @@ def first_least(keys: list) -> int:
     non-empty candidate list has an answer in range.
     """
     return min(range(len(keys)), key=keys.__getitem__)
+
+
+def segment_bounds(coords, starts):
+    """The MBR of each run of rectangles, ``Rect.bounding`` bit for bit.
+
+    ``coords`` is a ``(2, ndim, n)`` float64 corner block (lo block,
+    then hi block, like an arena's) and ``starts`` the ascending first
+    slots of its runs, the first ``0``, none empty.  Returns the runs'
+    MBRs as a ``(2, ndim, len(starts))`` block.
+
+    ``np.minimum.reduceat`` finds each minimum's value but not its
+    bits: ``min`` keeps the first of equal values, and among finite
+    floats only ``-0.0 == 0.0`` are equal with other bits.  So a run
+    whose minimum (maximum) is zero takes the bits of its first zero.
+    """
+    ndim, runs = coords.shape[1], len(starts)
+    out = np.empty((2, ndim, runs))
+    out[0] = np.minimum.reduceat(coords[0], starts, axis=1)
+    out[1] = np.maximum.reduceat(coords[1], starts, axis=1)
+    corner, dim, slot = np.nonzero(coords == 0.0)
+    if len(slot):
+        run = np.searchsorted(starts, slot, side="right") - 1
+        # ``nonzero`` walks C order, so the keys ascend and the first
+        # of each key is its run's first zero at that corner and axis.
+        key = (corner * ndim + dim) * runs + run
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        corner, dim, run, slot = (corner[first], dim[first], run[first],
+                                  slot[first])
+        tie = out[corner, dim, run] == 0.0
+        out[corner[tie], dim[tie], run[tie]] = \
+            coords[corner[tie], dim[tie], slot[tie]]
+    return out
 
 
 def least_overlap_enlargement(lo, hi, rect_lo, rect_hi) -> int:

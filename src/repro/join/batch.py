@@ -92,13 +92,14 @@ import numpy as np
 
 from ..exec import ExecutionGovernor
 from ..exec.budget import BudgetExceeded, Cancelled
+from ..geometry.arena import run_slots
 from ..reliability import FaultyPager
 from ..storage import AccessStats, MeteredReader
 from .predicates import JoinPredicate, Overlap, WithinDistance
 from .result import PairList
 
 __all__ = ["BATCH_PAIR_ENUMERATIONS", "LevelBatchState", "MAX_CHUNK_ITEMS",
-           "run_slots", "supports_level_batch"]
+           "supports_level_batch"]
 
 #: Pair enumerations the batch engine reproduces bit-identically.  The
 #: plane sweeps visit children in a deliberately different order (their
@@ -181,14 +182,6 @@ class _LevelPlan:
                  "cost", "qual_pos", "qual_start", "child1", "child2",
                  "frontier", "items_total", "crossed_total", "qual_total",
                  "kernel_calls", "skip")
-
-
-def run_slots(offset, count):
-    """Arena slots of the runs ``offset[r] : offset[r] + count[r]``,
-    concatenated in run order."""
-    first = np.cumsum(count) - count
-    return (np.repeat(offset - first, count)
-            + np.arange(int(count.sum()), dtype=np.int64))
 
 
 def _kind(l1: int, l2: int) -> str:

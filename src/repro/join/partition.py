@@ -74,10 +74,10 @@ import numpy as np
 
 from ..exec import ExecutionGovernor
 from ..exec.config import ExecutionConfig
+from ..geometry.arena import run_slots
 from ..reliability import RetryPolicy
 from ..rtree import RTreeBase
 from ..storage import AccessStats, BufferManager, PathBuffer
-from .batch import run_slots
 from .predicates import OVERLAP, JoinPredicate
 from .result import R1, R2, JoinResult, PairList
 from .run import JoinRun, charged_reader

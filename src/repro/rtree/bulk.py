@@ -13,6 +13,17 @@ packed tree still supports later inserts and deletes with R* policies.  The
 matches the average capacity ``c`` the paper's cost model assumes, making
 packed trees a drop-in substrate for model-validation experiments (the A2
 ablation compares them against insertion-built trees).
+
+Both pack one level at a time in arrays.  A level's rectangles are one
+``(2, ndim, n)`` float64 corner block and their centres ``(lo + hi) /
+2.0``, the operations of ``Rect.center``; the packing order is a stable
+``argsort`` (of the centres per STR slab, of the centres' Hilbert keys),
+which orders finite keys as Python's stable ``sorted`` does; the nodes'
+rectangles one level up are one exact segmented min/max
+(:func:`~repro.geometry.columnar.segment_bounds`), ``Node.mbr()`` bit for
+bit.  The tree's arena is laid out breadth-first from the same blocks and
+installed, so ``tree.arena()`` after packing builds nothing: it equals
+``TreeArena.build`` over the nodes byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +31,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..geometry import Rect
+import numpy as np
+
+from ..geometry import Rect, TreeArena
+from ..geometry.arena import run_slots
+from ..geometry.columnar import segment_bounds
 from ..storage import Pager
 from .entry import Entry
 from .hilbert import hilbert_index_float
@@ -34,65 +49,88 @@ def str_pack(items: Sequence[tuple[Rect, int]], ndim: int,
              max_entries: int, fill: float = 0.67,
              min_fill: float = 0.4, pager: Pager | None = None,
              ) -> RStarTree:
-    """Build an R-tree with Sort-Tile-Recursive packing."""
+    """Build an R-tree with Sort-Tile-Recursive packing.
+
+    Each level is cut into ``ceil(pages ** (1 / ndim))`` slabs by centre
+    along the first axis, each slab recursively along the next, and the
+    last axis into runs of ``round(fill * max_entries)`` entries.  Sorts
+    are stable, so tied centres keep the input order.  The tree comes
+    with its arena installed.
+    """
     return _pack(items, ndim, max_entries, fill, min_fill, pager,
-                 order="str")
+                 _str_order)
 
 
 def hilbert_pack(items: Sequence[tuple[Rect, int]], ndim: int,
                  max_entries: int, fill: float = 0.67,
                  min_fill: float = 0.4, pager: Pager | None = None,
                  ) -> RStarTree:
-    """Build an R-tree by Hilbert-ordering centers and packing in order."""
+    """Build an R-tree by Hilbert-ordering centers and packing in order.
+
+    Each level is ordered by the Hilbert key of its centres
+    (:func:`~repro.rtree.hilbert.hilbert_index_float`, ties in input
+    order) and cut into runs of ``round(fill * max_entries)`` entries.
+    The tree comes with its arena installed.
+    """
     return _pack(items, ndim, max_entries, fill, min_fill, pager,
-                 order="hilbert")
+                 _hilbert_order)
 
 
 def _pack(items: Sequence[tuple[Rect, int]], ndim: int, max_entries: int,
           fill: float, min_fill: float, pager: Pager | None,
-          order: str) -> RStarTree:
+          order) -> RStarTree:
     if not 0.0 < fill <= 1.0:
         raise ValueError("fill must be in (0, 1]")
     tree = RStarTree(ndim, max_entries, min_fill, pager)
     if not items:
+        tree._adopt_arena(_layout(ndim, [_root_level(
+            tree.root_id, np.empty((2, ndim, 0)), np.empty(0, np.int64))]))
         return tree
 
-    capacity = max(2, round(fill * max_entries))
-    capacity = max(capacity, tree.min_entries)
+    capacity = max(2, round(fill * max_entries), tree.min_entries)
 
+    rects = [rect for rect, _oid in items]
+    if any(len(rect.lo) != ndim for rect in rects):
+        raise ValueError("item dimensionality mismatch")
     entries = [Entry(rect, oid) for rect, oid in items]
-    for entry in entries:
-        if entry.rect.ndim != ndim:
-            raise ValueError("item dimensionality mismatch")
+    coords = np.empty((2, ndim, len(rects)))
+    coords[0] = np.array([rect.lo for rect in rects]).T
+    coords[1] = np.array([rect.hi for rect in rects]).T
+    refs = np.array([oid for _rect, oid in items], dtype=np.int64)
 
     # Free the placeholder empty root created by the RTreeBase constructor.
     tree.pager.free(tree.root_id)
 
+    levels = []
     level = LEAF_LEVEL
     while True:
-        if len(entries) <= max_entries and level > LEAF_LEVEL:
-            # The surviving entries fit into a single root node.
+        if (len(entries) <= max_entries and level > LEAF_LEVEL) \
+                or len(entries) <= capacity:
+            # The surviving entries fit into a single root node (at the
+            # leaves: a small data set).
             root = _make_node(tree, level, entries)
+            levels.append(_root_level(root.page_id, coords, refs))
             break
-        if len(entries) <= capacity:
-            # Small data set: a single (possibly leaf) root.
-            root = _make_node(tree, level, entries)
-            break
-        if order == "str":
-            chunks = _str_chunks(entries, capacity, ndim, dim=0)
-        else:
-            entries = sorted(
-                entries,
-                key=lambda e: hilbert_index_float(e.rect.center))
-            chunks = _sequential_chunks(entries, capacity)
-        chunks = _fix_tail(chunks, tree.min_entries)
-        nodes = [_make_node(tree, level, chunk) for chunk in chunks]
-        entries = [Entry(n.mbr(), n.page_id) for n in nodes]
+        perm, sizes = order((coords[0] + coords[1]) / 2.0, capacity)
+        sizes = np.array(_fix_tail(sizes, tree.min_entries), np.intp)
+        starts = np.cumsum(sizes) - sizes
+        ordered = [entries[i] for i in perm.tolist()]
+        pages = np.array(
+            [_make_node(tree, level, ordered[start:start + size]).page_id
+             for start, size in zip(starts.tolist(), sizes.tolist())],
+            dtype=np.int64)
+        levels.append((perm, starts, sizes, pages, coords, refs))
+        coords = segment_bounds(coords[:, :, perm], starts)
+        refs = pages
+        lo, hi = coords.transpose(0, 2, 1).tolist()
+        entries = [Entry(Rect._trusted(tuple(a), tuple(b)), page)
+                   for a, b, page in zip(lo, hi, pages.tolist())]
         level += 1
 
     tree.root_id = root.page_id
     tree.height = root.level
     tree.size = len(items)
+    tree._adopt_arena(_layout(ndim, levels))
     return tree
 
 
@@ -103,47 +141,108 @@ def _make_node(tree: RStarTree, level: int,
     return node
 
 
-def _sequential_chunks(entries: list[Entry],
-                       capacity: int) -> list[list[Entry]]:
-    return [entries[i:i + capacity]
-            for i in range(0, len(entries), capacity)]
+def _root_level(page_id: int, coords, refs) -> tuple:
+    """The level record of a root holding the level's entries in their
+    order (see :func:`_layout`)."""
+    count = len(refs)
+    return (np.arange(count), np.zeros(1, np.intp),
+            np.array([count], np.intp), np.array([page_id], np.int64),
+            coords, refs)
 
 
-def _str_chunks(entries: list[Entry], capacity: int, ndim: int,
-                dim: int) -> list[list[Entry]]:
-    """Sort-Tile-Recursive slab partition along dimension ``dim``."""
-    if dim == ndim - 1:
-        ordered = sorted(entries, key=lambda e: e.rect.center[dim])
-        return _sequential_chunks(ordered, capacity)
-    pages = math.ceil(len(entries) / capacity)
-    slabs = math.ceil(pages ** (1.0 / (ndim - dim)))
-    slab_size = math.ceil(len(entries) / slabs)
-    ordered = sorted(entries, key=lambda e: e.rect.center[dim])
-    chunks: list[list[Entry]] = []
-    for i in range(0, len(ordered), slab_size):
-        chunks.extend(
-            _str_chunks(ordered[i:i + slab_size], capacity, ndim, dim + 1))
-    return chunks
+def _runs(count: int, capacity: int) -> list[int]:
+    """Sizes of ``count`` entries cut into runs of ``capacity``."""
+    full, rest = divmod(count, capacity)
+    return [capacity] * full + ([rest] if rest else [])
 
 
-def _fix_tail(chunks: list[list[Entry]],
-              min_entries: int) -> list[list[Entry]]:
-    """Rebalance undersized tail chunks against their predecessor.
+def _str_order(centres, capacity: int):
+    """Sort-Tile-Recursive order of the columns of ``centres``
+    (``(ndim, n)``) and the sizes of its runs, slab by slab."""
+    ndim = len(centres)
+    pieces: list = []
+    sizes: list[int] = []
 
-    Packing can leave a final chunk below the tree's minimum fill; merging
-    it with the previous chunk and re-splitting evenly keeps every node
-    legal without disturbing the packing order.
+    def tile(idx, dim: int) -> None:
+        idx = idx[np.argsort(centres[dim, idx], kind="stable")]
+        if dim == ndim - 1:
+            pieces.append(idx)
+            sizes.extend(_runs(len(idx), capacity))
+            return
+        pages = math.ceil(len(idx) / capacity)
+        slabs = math.ceil(pages ** (1.0 / (ndim - dim)))
+        slab_size = math.ceil(len(idx) / slabs)
+        for i in range(0, len(idx), slab_size):
+            tile(idx[i:i + slab_size], dim + 1)
+
+    tile(np.arange(centres.shape[1]), 0)
+    return np.concatenate(pieces), sizes
+
+
+def _hilbert_order(centres, capacity: int):
+    """Hilbert order of the columns of ``centres`` and its run sizes."""
+    ndim, count = centres.shape
+    # A key has 16 bits per axis: int64 holds three axes, Python ints
+    # (an object array) any number.
+    keys = np.array([hilbert_index_float(c) for c in centres.T.tolist()],
+                    dtype=np.int64 if ndim <= 3 else object)
+    return np.argsort(keys, kind="stable"), _runs(count, capacity)
+
+
+def _fix_tail(sizes: list[int], min_entries: int) -> list[int]:
+    """Rebalance undersized runs against their predecessor.
+
+    Packing can leave a run below the tree's minimum fill (the last of
+    each STR slab, the last of a Hilbert level); merging it with the
+    previous run and re-splitting evenly keeps every node legal without
+    disturbing the packing order.
     """
-    out: list[list[Entry]] = []
-    for chunk in chunks:
-        if len(chunk) >= min_entries or not out:
-            out.append(chunk)
+    out: list[int] = []
+    for size in sizes:
+        if size >= min_entries or not out:
+            out.append(size)
             continue
-        merged = out.pop() + chunk
-        half = len(merged) // 2
+        merged = out.pop() + size
+        half = merged // 2
         if half >= min_entries:
-            out.append(merged[:half])
-            out.append(merged[half:])
+            out.extend((half, merged - half))
         else:
             out.append(merged)
     return out
+
+
+def _layout(ndim: int, levels: list[tuple]) -> TreeArena:
+    """The arena of a packed tree, breadth-first as ``TreeArena.build``
+    walks ``tree.nodes()``.
+
+    ``levels`` runs from the leaves up; each record is ``(perm, starts,
+    sizes, pages, coords, refs)``: node ``k`` of the level is page
+    ``pages[k]`` and holds the level's entries ``perm[starts[k]:
+    starts[k] + sizes[k]]``, whose corners and refs are ``coords`` and
+    ``refs``.  Entry ``i`` of a level above the leaves is node ``i`` of
+    the level below, so the slots of one level, in breadth-first order,
+    are the breadth-first order of the nodes below it.
+    """
+    # Filled in place: a gathered block keeps the gather's strides, and
+    # the kernels read the arena C-contiguous, as ``TreeArena.build``
+    # lays it out.  Every entry of every level has one slot.
+    total = sum(len(refs) for *_rest, refs in levels)
+    all_coords = np.empty((2, ndim, total))
+    all_refs = np.empty(total, np.int64)
+    index: dict[int, tuple[int, int, int]] = {}
+    offset = 0
+    nodes = np.zeros(1, np.intp)        # the root level's one node
+    for level, (perm, starts, sizes, pages, coords, refs) in zip(
+            range(len(levels), 0, -1), reversed(levels)):
+        counts = sizes[nodes]
+        slots = perm[run_slots(starts[nodes], counts)]
+        firsts = offset + np.cumsum(counts) - counts
+        for page, first, count in zip(pages[nodes].tolist(),
+                                      firsts.tolist(), counts.tolist()):
+            index[page] = (first, count, level)
+        end = offset + len(slots)
+        all_coords[:, :, offset:end] = coords[:, :, slots]
+        all_refs[offset:end] = refs[slots]
+        offset = end
+        nodes = slots
+    return TreeArena(ndim, total, index, all_coords, all_refs)

@@ -377,6 +377,16 @@ class RTreeBase:
             self._arena = TreeArena.build(self.nodes(), self.ndim)
         return self._arena
 
+    def _adopt_arena(self, arena: TreeArena) -> None:
+        """Install an arena laid out by whoever built the nodes (the
+        packers of :mod:`repro.rtree.bulk`) as the snapshot of the tree
+        as it stands, so :meth:`arena` builds nothing until the tree
+        changes.  It must equal ``TreeArena.build(self.nodes(), ndim)``.
+        """
+        self._arena_snapshot = None
+        self._refresh()
+        self._arena = arena
+
     def derived(self) -> dict:
         """Statistics derived from the tree's present content — its
         catalog entry: whoever derives one keeps it here under its name

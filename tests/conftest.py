@@ -493,6 +493,27 @@ def _lattice16(n: int, seed: int) -> list[tuple[Rect, int]]:
     return items
 
 
+def _signed_lattice16(n: int, seed: int) -> list[tuple[Rect, int]]:
+    """Rectangles on a 1/16 lattice around the origin, about half of
+    whose zero corners are ``-0.0``: tied centres for the packers'
+    sorts, and ``±0.0`` ties that only a bit-level MBR comparison
+    tells apart."""
+    rng = random.Random(seed)
+
+    def signed(x: float) -> float:
+        return -0.0 if x == 0 and rng.random() < 0.5 else x
+
+    items = []
+    for i in range(n):
+        x = rng.randrange(-8, 8) / 16
+        y = rng.randrange(-8, 8) / 16
+        w = rng.randrange(3) / 16
+        h = rng.randrange(3) / 16
+        items.append((Rect((signed(x), signed(y)),
+                           (signed(x + w), signed(y + h))), i))
+    return items
+
+
 def _churned() -> RStarTree:
     items = list(uniform_rectangles(1200, 0.5, 2, seed=11))
     tree = build_rstar(items, 2, 10)
@@ -565,7 +586,34 @@ GOLDEN_TREES = {
             uniform_rectangles(400, 0.5, 2, seed=31),
             min_fill=0.5),
         "8dc84d8cad3a228882d00347997b9ee3413e5127eec3110dad3cd760d88c4f33"),
+    "str-1d-M84": (
+        lambda: str_pack(uniform_rectangles(6000, 0.5, 1, seed=41).items,
+                         1, 84),
+        "5dd3d8b83b5847a46a88b33bc23f86ab3e0968f8091ae496eddb059903fce7b4"),
+    "str-3d-M12": (
+        lambda: str_pack(uniform_rectangles(4000, 0.5, 3, seed=42).items,
+                         3, 12),
+        "c44d6e5117e1725cc8bbcbbdb12bdd2b308193831044217cc9097ef4f4a33f72"),
+    "str-signed-lattice-M8-full": (
+        lambda: str_pack(_signed_lattice16(650, 43), 2, 8, fill=1.0,
+                         min_fill=0.5),
+        "e03b9433bc4e3d226cb0d86aea203ec7ed011714709b5951d4bc7521e05883bd"),
+    "hilbert-signed-lattice-M8-full": (
+        lambda: hilbert_pack(_signed_lattice16(650, 43), 2, 8, fill=1.0,
+                             min_fill=0.5),
+        "e79bad7e7269d166ccfaf3813420c24d2381d89bf2742b4e3adafb8721bc97cf"),
+    "str-uniform-60k-M50": (
+        lambda: str_pack(uniform_rectangles(60_000, 0.5, 2, seed=1).items,
+                         2, 50),
+        "98ab81da950333474e36f97238253381b749eb87fa7d092429c5725584bbf99d"),
 }
+
+#: The golden cases whose build is a packing alone: their trees come
+#: with the arena the packer installed (``test_rtree_bulk.py``).
+PACKED_GOLDEN_TREES = ["str-1d-M84", "str-3d-M12",
+                       "str-signed-lattice-M8-full",
+                       "hilbert-signed-lattice-M8-full",
+                       "str-uniform-60k-M50"]
 
 
 # -- the serve daemon --------------------------------------------------

@@ -20,12 +20,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec import ExecutionConfig
 from repro.geometry import Rect
+from repro.geometry.columnar import segment_bounds
 from repro.join import spatial_join
 from repro.rtree import RStarTree, hilbert_pack, str_pack
 from repro.rtree.node import Entry
+
+from .conftest import _signed_lattice16, build_rstar
 
 BATCH = ExecutionConfig(traversal="level-batch")
 STACK = ExecutionConfig(traversal="stack")
@@ -92,14 +97,14 @@ def test_unmutated_tree_reuses_cached_arena():
 # -- tables derived from the snapshot -----------------------------------------
 
 
-def _node_mbrs_match_tree(tree) -> None:
+def _node_mbrs_match_tree(tree, min_nodes: int = 11) -> None:
     """``node_mbrs`` column ``p`` is ``Node.mbr()`` of page ``p``, to
     the bit, and ``page_table`` is the index in array form."""
     arena = tree.arena()
     offset, count = arena.page_table
     lo, hi = arena.node_mbrs.tolist()
     nodes = list(tree.nodes())
-    assert len(nodes) > 10 and len(lo) == tree.ndim
+    assert len(nodes) >= min_nodes and len(lo) == tree.ndim
     for node in nodes:
         page = node.page_id
         assert (offset[page], count[page]) == arena.index[page][:2]
@@ -114,6 +119,54 @@ def test_node_mbrs_are_node_mbr_bit_for_bit():
     _node_mbrs_match_tree(_tree(400, seed=2))
     _node_mbrs_match_tree(str_pack(_items(400, seed=2), ndim=2,
                                    max_entries=8))
+
+
+#: Three rectangles, twice at a zero corner of either sign, three
+#: times over: at M = 4 two nodes see ``-0.0`` first and ``0.0`` after,
+#: or the reverse.  ``min`` keeps the first zero; ``np.minimum``
+#: reductions need not.
+SIGNED_ZEROS = [Rect((1.0, 1.0), (2.0, 2.0)),
+                Rect((-0.0, -0.0), (0.5, 0.5)),
+                Rect((0.0, 0.0), (0.5, 0.5))] * 3
+
+
+@pytest.mark.parametrize("build", ["insert", "str", "hilbert"])
+def test_node_mbrs_keep_the_sign_of_a_zero(build):
+    items = [(rect, oid) for oid, rect in enumerate(SIGNED_ZEROS)]
+    lattice = _signed_lattice16(650, 43)
+    if build == "insert":
+        _node_mbrs_match_tree(build_rstar(items, 2, 4), min_nodes=4)
+        _node_mbrs_match_tree(build_rstar(lattice, 2, 8))
+    else:
+        pack = str_pack if build == "str" else hilbert_pack
+        _node_mbrs_match_tree(pack(items, 2, 4), min_nodes=4)
+        _node_mbrs_match_tree(pack(lattice, 2, 8, fill=1.0, min_fill=0.5))
+
+
+def _bounding(coords, starts):
+    """``segment_bounds`` as ``Rect.bounding`` over each run."""
+    rects = [Rect._trusted(tuple(lo), tuple(hi))
+             for lo, hi in zip(coords[0].T.tolist(), coords[1].T.tolist())]
+    ends = list(starts[1:]) + [len(rects)]
+    return [Rect.bounding(rects[a:b]) for a, b in zip(starts, ends)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                         min_size=4, max_size=4), min_size=1, max_size=40),
+       st.data())
+def test_segment_bounds_is_rect_bounding(corners, data):
+    coords = np.array(corners).T.reshape(2, 2, -1)
+    n = coords.shape[2]
+    cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) \
+        if n > 1 else set()
+    starts = [0, *sorted(cuts)]
+    got = segment_bounds(coords, np.array(starts))
+    want = _bounding(coords, starts)
+    assert [[x.hex() for x in column] for column in got[0].T.tolist()] \
+        == [[x.hex() for x in r.lo] for r in want]
+    assert [[x.hex() for x in column] for column in got[1].T.tolist()] \
+        == [[x.hex() for x in r.hi] for r in want]
 
 
 def test_derived_tables_are_built_once_per_arena():
@@ -188,17 +241,28 @@ def test_failed_delete_keeps_arena():
 @pytest.mark.parametrize("pack", [str_pack, hilbert_pack])
 def test_bulk_loaded_tree_invalidates_on_mutation(pack):
     tree = pack(_items(200, seed=6), ndim=2, max_entries=8)
-    first = tree.arena()
-    assert tree.arena() is first         # packed tree caches like any other
+    installed = tree._arena
+    assert installed is not None         # packing lays the arena out
+    assert tree.arena() is installed     # and it caches like any other
+    assert _arena_matches_tree(tree)
     tree.insert(Rect((0.5, 0.5), (0.55, 0.55)), 10_000)
     assert not tree._arena_current()
-    assert tree.arena() is not first
+    assert tree.arena() is not installed
     assert _arena_matches_tree(tree)
 
     second = tree.arena()
     rect, oid = _items(200, seed=6)[3]
     assert tree.delete(rect, oid)
     assert tree.arena() is not second
+    assert _arena_matches_tree(tree)
+
+    # Direct entry surgery on a freshly packed tree, its arena unread.
+    tree = pack(_items(200, seed=6), ndim=2, max_entries=8)
+    installed = tree._arena
+    leaf = next(node for node in tree.nodes() if node.is_leaf)
+    leaf.entries.append(Entry(Rect((0.9, 0.9), (0.95, 0.95)), 77_000))
+    assert not tree._arena_current()
+    assert tree.arena() is not installed
     assert _arena_matches_tree(tree)
 
 

@@ -1,11 +1,29 @@
-"""Bulk loading (STR and Hilbert packing)."""
+"""Bulk loading (STR and Hilbert packing).
+
+The packers order, cut and bound each level in arrays and install the
+tree's arena.  They are held here, node for node, to a packer that
+``sorted``s ``Entry`` lists and bounds with ``Node.mbr()``
+(``_reference_pack``, the reference, as the scalar insert path is in
+``conftest``), and their installed arena to ``TreeArena.build`` over
+the nodes, byte for byte.
+"""
+
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.geometry import Rect
-from repro.rtree import check, hilbert_pack, str_pack, validate
+from repro.geometry import Rect, TreeArena
+from repro.rtree import (RStarTree, check, hilbert_pack, str_pack,
+                         validate)
+from repro.rtree.entry import Entry
+from repro.rtree.hilbert import hilbert_index_float
+from repro.rtree.node import LEAF_LEVEL, Node
+from repro.storage import Pager
 
-from .conftest import make_items
+from .conftest import (GOLDEN_TREES, PACKED_GOLDEN_TREES, items,
+                       make_items, rects, tree_digest)
 
 
 @pytest.mark.parametrize("pack", [str_pack, hilbert_pack],
@@ -97,3 +115,155 @@ class TestStrStructure:
         # nodes -> root: height 3.
         tree = str_pack(make_items(640, seed=12), 2, 16, fill=1.0)
         assert tree.height == 3
+
+
+# -- the reference packer -----------------------------------------------------
+
+
+def _reference_pack(items, ndim, max_entries, fill=0.67, min_fill=0.4,
+                    order="str"):
+    """Pack with ``sorted`` over ``Entry`` lists and ``Node.mbr()``."""
+    tree = RStarTree(ndim, max_entries, min_fill)
+    if not items:
+        return tree
+    capacity = max(2, round(fill * max_entries), tree.min_entries)
+    entries = [Entry(rect, oid) for rect, oid in items]
+    tree.pager.free(tree.root_id)
+
+    def make(level, chunk):
+        node = Node(tree.pager.allocate(), level, chunk)
+        tree.pager.write(node.page_id, node)
+        return node
+
+    def runs(entries):
+        return [entries[i:i + capacity]
+                for i in range(0, len(entries), capacity)]
+
+    def tiles(entries, dim):
+        entries = sorted(entries, key=lambda e: e.rect.center[dim])
+        if dim == ndim - 1:
+            return runs(entries)
+        pages = math.ceil(len(entries) / capacity)
+        slabs = math.ceil(pages ** (1.0 / (ndim - dim)))
+        size = math.ceil(len(entries) / slabs)
+        return [chunk for i in range(0, len(entries), size)
+                for chunk in tiles(entries[i:i + size], dim + 1)]
+
+    def fix_tail(chunks):
+        out = []
+        for chunk in chunks:
+            if len(chunk) >= tree.min_entries or not out:
+                out.append(chunk)
+                continue
+            merged = out.pop() + chunk
+            half = len(merged) // 2
+            if half >= tree.min_entries:
+                out.extend((merged[:half], merged[half:]))
+            else:
+                out.append(merged)
+        return out
+
+    level = LEAF_LEVEL
+    while not (len(entries) <= capacity
+               or (len(entries) <= max_entries and level > LEAF_LEVEL)):
+        if order == "str":
+            chunks = tiles(entries, 0)
+        else:
+            chunks = runs(sorted(
+                entries, key=lambda e: hilbert_index_float(e.rect.center)))
+        nodes = [make(level, chunk) for chunk in fix_tail(chunks)]
+        entries = [Entry(n.mbr(), n.page_id) for n in nodes]
+        level += 1
+    root = make(level, entries)
+    tree.root_id, tree.height, tree.size = root.page_id, level, len(items)
+    return tree
+
+
+PACKERS = {"str": str_pack, "hilbert": hilbert_pack}
+
+#: Lattice coordinates either side of the origin, and ``-0.0``: tied
+#: centres, and zero corners of either sign in one node.
+SIGNED = st.integers(-10, 10).map(lambda k: k / 20.0) | st.just(-0.0)
+
+
+def assert_installed_arena(tree) -> None:
+    """The arena installed by packing is ``TreeArena.build`` over the
+    nodes: the same index (in the same order), the same coordinate and
+    ref bytes, laid out C-contiguous as ``build`` lays them out."""
+    arena = tree._arena
+    assert arena is not None
+    built = TreeArena.build(tree.nodes(), tree.ndim)
+    assert list(arena.index.items()) == list(built.index.items())
+    assert (arena.ndim, arena.total) == (built.ndim, built.total)
+    for got, want in ((arena._coords, built._coords),
+                      (arena._refs, built._refs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 4).flatmap(
+           lambda ndim: items(max_size=300, rect=rects(ndim, SIGNED))),
+       st.sampled_from(sorted(PACKERS)), st.integers(3, 12),
+       st.sampled_from([0.3, 0.5, 0.67, 1.0]),
+       st.sampled_from([0.1, 0.25, 0.4, 0.5]))
+def test_packers_build_the_reference_tree(items, order, max_entries, fill,
+                                          min_fill):
+    ndim = items[0][0].ndim if items else 2
+    tree = PACKERS[order](items, ndim, max_entries, fill=fill,
+                          min_fill=min_fill)
+    want = _reference_pack(items, ndim, max_entries, fill, min_fill, order)
+    assert tree_digest(tree) == tree_digest(want)
+    # Not ``== []``: a level that merges into a single run gives a root
+    # with one entry (``str_pack`` of 35-39 items at M = 50 does), in
+    # both packers alike.
+    assert validate(tree) == validate(want)
+    assert_installed_arena(tree)
+
+
+# -- the installed arena ------------------------------------------------------
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Every ``TreeArena.build`` call made while the test runs."""
+    calls = []
+    build = TreeArena.build.__func__
+
+    def spy(cls, nodes, ndim):
+        calls.append(ndim)
+        return build(cls, nodes, ndim)
+
+    monkeypatch.setattr(TreeArena, "build", classmethod(spy))
+    return calls
+
+
+def _used_pager() -> Pager:
+    """A caller's pager that already holds pages: the tree's page ids
+    start past them."""
+    pager = Pager()
+    for _ in range(7):
+        pager.allocate("someone else's page")
+    return pager
+
+
+#: ``name: build`` of packed trees straight from the packer.
+PACKED = {case: GOLDEN_TREES[case][0] for case in PACKED_GOLDEN_TREES}
+for _name, _pack in PACKERS.items():
+    PACKED[f"{_name}-empty"] = lambda pack=_pack: pack([], 2, 16)
+    PACKED[f"{_name}-single"] = lambda pack=_pack: pack(
+        make_items(1, seed=4), 2, 16)
+    PACKED[f"{_name}-pager"] = lambda pack=_pack: pack(
+        make_items(300, seed=5), 2, 8, pager=_used_pager())
+
+
+@pytest.mark.parametrize("case", PACKED)
+def test_packing_installs_the_arena_build_would(case, build_calls):
+    tree = PACKED[case]()
+    arena = tree.arena()
+    assert arena is tree._arena
+    assert build_calls == []            # packed and served: no build
+    assert_installed_arena(tree)
+    assert tree.arena() is arena

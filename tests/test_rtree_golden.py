@@ -9,9 +9,15 @@ kernel (level-2 nodes at M up to 84), the split, forced reinsertion,
 (lattice coordinates).  The Guttman, STR and Hilbert digests were
 computed before path MBRs grew by ``union`` and the R* split went
 columnar: both Guttman splits with deletes, and packed trees (one at
-``min_fill=0.5``) that then take R* inserts.  The production path and
-the scalar reference path of ``conftest`` must both reproduce every
-digest: NA, DA, pairs and every saved tree file depend on nothing else.
+``min_fill=0.5``) that then take R* inserts.  Five more packed trees
+were computed with the ``sorted``-based packer, before packing moved
+to stable argsorts over corner arrays: STR in one dimension at M = 84
+and in three (three levels of slabs), STR and Hilbert over a lattice
+with tied centres and ``±0.0`` corners at ``fill=1.0`` and
+``min_fill=0.5`` (undersized runs merged), and the ``join-uniform-60k``
+first input.  The production path and the scalar reference path of
+``conftest`` must both reproduce every digest: NA, DA, pairs and every
+saved tree file depend on nothing else.
 """
 
 import pytest
