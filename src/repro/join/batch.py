@@ -42,8 +42,8 @@ level order.  The engine therefore runs in two phases:
    records stays in units of the full ``a x b`` blocks the stack
    machine enumerates.  No page is read and nothing is charged;
    the governor is consulted once per level boundary, plus a per-level
-   NA sub-budget slicer stops planning levels the stepping loop can
-   provably never reach before its budget trips.
+   NA sub-budget slicer stops planning levels the charge can provably
+   never reach before its budget trips.
 2. **charge** — the precomputed visit tree is charged in exactly the
    stack machine's ``ReadPage`` order, depth-first (including the
    mixed-height re-fetch of the shorter tree's leaf and the pinned-root
@@ -54,21 +54,25 @@ level order.  The engine therefore runs in two phases:
    ``pair_count - base`` leaf items, kept as one slice of the leaf
    plan's two ``int64`` columns (no tuple per pair) and joined into
    one :class:`~repro.join.PairList` when the result is built.  A drain
-   nothing can stop or watch mid-way is charged in bulk
+   on plain readers sharing one buffer is charged in bulk
    (:meth:`LevelBatchState._charge`: one
    :meth:`~repro.storage.BufferManager.access_many` call, then
-   ``bincount`` s for NA/DA per tree and level); any other
+   ``bincount`` s for NA/DA per tree and level), governed or not; one
+   that something must watch read by read or step by step
    (:meth:`LevelBatchState._stepwise`) is **stepped**
    (:meth:`LevelBatchState._step`) by one flat loop over the same
-   arrays, the only code that polls, trips, samples or writes a
-   checkpoint.  A governor is polled where a count budget can newly
-   trip — after each item's fetches, and at the pair that spends a
-   result budget — which is where the stack machine's poll before
-   every item first sees it, so a trip lands on the same item; the
-   frames, cursors and comparison count a checkpoint needs are derived
-   from the trip's position in the order.  Sampled ``node_pair``
-   events come from the visit-counter range each step covers, skipped
-   non-qualifying items included.
+   arrays, the only code that samples.  A count budget trips where the
+   stack machine's poll before every item first sees it — after the
+   item whose fetches spend an NA or DA budget, at the pair that spends
+   a result budget — so a trip lands on the same item: the stepping
+   loop polls after every item, the bulk charge finds the trip item
+   from cumulative counts along the order and charges only the prefix
+   up to it, polling deadlines and cancellation after every
+   ``CHARGE_CHUNK_ITEMS`` items (:meth:`LevelBatchState._charge_governed`).
+   Either way the frames, cursors and comparison count a checkpoint
+   needs are derived from the stop's position in the order.  Sampled
+   ``node_pair`` events come from the visit-counter range each step
+   covers, skipped non-qualifying items included.
 
 A checkpoint's frames are pushed with their cursors: each is planned
 like a root pair less the depth-0 items its cut consumed, its visit
@@ -98,8 +102,8 @@ from ..storage import AccessStats, MeteredReader
 from .predicates import JoinPredicate, Overlap, WithinDistance
 from .result import PairList
 
-__all__ = ["BATCH_PAIR_ENUMERATIONS", "LevelBatchState", "MAX_CHUNK_ITEMS",
-           "supports_level_batch"]
+__all__ = ["BATCH_PAIR_ENUMERATIONS", "CHARGE_CHUNK_ITEMS", "LevelBatchState",
+           "MAX_CHUNK_ITEMS", "supports_level_batch"]
 
 #: Pair enumerations the batch engine reproduces bit-identically.  The
 #: plane sweeps visit children in a deliberately different order (their
@@ -113,6 +117,11 @@ BATCH_PAIR_ENUMERATIONS = ("nested-loop", "vectorized")
 #: visit chunks, bounding the planning phase's memory high-water mark
 #: (docs/performance.md).
 MAX_CHUNK_ITEMS = 1 << 20
+
+#: Items a governed drain charges in bulk between two polls: a deadline
+#: or a cancellation is seen at most this many items late (count budgets
+#: still trip exactly; :meth:`LevelBatchState._charge_governed`).
+CHARGE_CHUNK_ITEMS = 1024
 
 
 def supports_level_batch(predicate: JoinPredicate,
@@ -287,7 +296,7 @@ class LevelBatchState:
                 if stepwise:
                     self._step(frame, plans)
                 else:
-                    self._charge(plans)
+                    self._charge(frame, plans)
             finally:
                 # The pairs counted, complete or tripped: the first ones
                 # of the leaf level (see the module doc).
@@ -302,18 +311,19 @@ class LevelBatchState:
         """Whether a drain must be stepped (:meth:`_step`) rather than
         charged in bulk (:meth:`_charge`).
 
-        It must when something can stop the run mid-way — a governor —
-        or must see each step: a tracer sampling node pairs, a reader
-        that does more than price a page (a ``ResilientReader`` retries
-        and a ``FaultyPager`` draws a fault per read, a tracer sampling
-        buffer accesses watches each one), or two readers that do not
-        share the one buffer :meth:`_charge` charges both trees through.
+        It must when something must see each step: a tracer sampling
+        node pairs, a reader that does more than price a page (a
+        ``ResilientReader`` retries and a ``FaultyPager`` draws a fault
+        per read, a tracer sampling buffer accesses watches each one),
+        two readers that do not share the one buffer :meth:`_charge`
+        charges both trees through, or a reader counting into other
+        stats than the ones the drain's polls read.
         """
         readers = (self.reader1, self.reader2)
-        return (self.governor is not None
-                or (self.tracer is not None and self.tracer.sample_pairs > 0)
+        return ((self.tracer is not None and self.tracer.sample_pairs > 0)
                 or self.reader1.buffer is not self.reader2.buffer
                 or any(type(reader) is not MeteredReader
+                       or reader.stats is not self.stats
                        or isinstance(reader.pager, FaultyPager)
                        or (reader.tracer is not None
                            and reader.tracer.sample_buffer > 0)
@@ -352,8 +362,8 @@ class LevelBatchState:
                 if max_na is not None and na0 + depth + 1 >= max_na:
                     # Sub-budget slicer: consuming any item at depth
                     # depth+1 first charges >= 1 fetch per level along
-                    # its path, so the stepping loop's NA check is
-                    # guaranteed to trip before deeper plans are read.
+                    # its path, so the NA budget is guaranteed to trip
+                    # (stepped or in bulk) before deeper plans are read.
                     break
             pages1 = plan.child1
             pages2 = plan.child2
@@ -627,52 +637,163 @@ class LevelBatchState:
             sides[at2], levels[at2], pages[at2] = 1, plan.child_l2, plan.child2
         return reads, at
 
-    def _charge(self, plans: list[_LevelPlan]) -> None:
-        """Charge a complete plan in bulk: one
-        :meth:`~repro.storage.BufferManager.access_many` call over its
-        :meth:`_preorder`, less the pinned roots, gives the hits NA/DA
-        are counted from; the rest follows from the plan's totals."""
-        reads, _at = self._preorder(plans)
-        sides, levels, pages = reads[:, reads[2] != np.where(
-            reads[0] == 0, self.pinned1, self.pinned2)]
-        readers = (self.reader1, self.reader2)
-        hits = self.reader1.buffer.access_many(
-            tuple(reader.label for reader in readers), sides, levels, pages)
-        for side, reader in enumerate(readers):
+    def _charge(self, root: _Frame, plans: list[_LevelPlan]) -> None:
+        """Charge the plan's :meth:`_preorder` in bulk, less the pinned
+        roots: :meth:`~repro.storage.BufferManager.access_many` gives
+        the hits NA/DA are counted from; comparisons and pairs follow
+        from the plan's totals.  Under a governor
+        (:meth:`_charge_governed`) only the prefix up to a count
+        budget's trip is charged, in chunks with a poll after each."""
+        reads, at = self._preorder(plans)
+        live = reads[2] != np.where(reads[0] == 0, self.pinned1,
+                                    self.pinned2)
+        if self.governor is not None:
+            self._charge_governed(root, plans, reads, live, at)
+            return
+        sides, levels, pages = reads[:, live]
+        self._record(sides, levels, self._access(sides, levels, pages))
+        self.comparisons += sum(int(plan.cost.sum()) for plan in plans)
+        if plans[-1].kind == "leaf":
+            self.pair_count += plans[-1].qual_total
+
+    def _access(self, sides, levels, pages):
+        """The buffer hits of ``ReadPage`` s in order (one call)."""
+        return self.reader1.buffer.access_many(
+            (self.reader1.label, self.reader2.label), sides, levels, pages)
+
+    def _record(self, sides, levels, hits) -> None:
+        """NA/DA per tree and level of charged reads, by ``bincount``."""
+        for side, reader in enumerate((self.reader1, self.reader2)):
             mine = sides == side
             na = np.bincount(levels[mine])
             da = np.bincount(levels[mine & ~hits], minlength=len(na))
             for level in np.flatnonzero(na).tolist():
                 reader.stats.record_counts(reader.label, level,
                                            int(na[level]), int(da[level]))
-        self.comparisons += sum(int(plan.cost.sum()) for plan in plans)
-        if plans[-1].kind == "leaf":
-            self.pair_count += plans[-1].qual_total
 
-    def _step(self, root: _Frame, plans: list[_LevelPlan]) -> None:
-        """Charge the same order one item at a time: per item its two
-        fetches, a poll (before the child is looked at — one past the
-        slicer horizon is never read), then the opening of its child
-        visit: its comparisons charged whole and, at leaf depth, its
-        pairs counted up to the one that spends a result budget, polled
-        after.  The root visit is the child of a virtual item that
-        fetches nothing.  A deadline or a cancellation lands on the same
-        boundaries as a budget, at most one node pair late."""
-        reads, at = self._preorder(plans)
-        governor = self.governor
-        limit = governor.budget.max_results if governor is not None else None
-        sampling = self.tracer is not None and self.tracer.sample_pairs > 0
-        leaf = len(plans) - 1 if plans[-1].kind == "leaf" else -1
-        # Per item in the order, the virtual root first: its depth, its
-        # index there — the visit it opens one depth down — and that
-        # visit's comparisons and qualifying items.
+    def _charge_governed(self, root: _Frame, plans: list[_LevelPlan],
+                         reads, live, at) -> None:
+        """Charge a governed drain in bulk, stopping where stepping does.
+
+        Positions ``j`` count the virtual root item (0) and the items in
+        order (``j = position + 1``); the stepping loop polls at every
+        ``j`` after its fetches, with the children of the items before
+        it opened, and once more after the pair that spends a result
+        budget.  The first poll a count budget trips at is found from
+        cumulative arrays: NA and results by one ``searchsorted`` before
+        anything is read; DA from each chunk's hits, the buffer then
+        restored from a :meth:`~repro.storage.BufferManager.snapshot`
+        and only the prefix re-charged.  Between the entry poll and that
+        trip the drain is charged ``CHARGE_CHUNK_ITEMS`` items at a time
+        with one poll after each chunk — at one of the stack machine's
+        poll positions, so a deadline or a cancellation stops the drain
+        there, at most that many items late."""
+        governor, budget = self.governor, self.governor.budget
+        stats, buffer = self.stats, self.reader1.buffer
         n = reads.shape[1] // 2
+        depth, item, cost, qual = self._items(plans, at)
+        fetched = np.concatenate(([0], np.cumsum(
+            live.reshape(n, 2).sum(axis=1))))
+        opened = np.concatenate(([0], np.cumsum(cost)))
+        counted = np.concatenate(([0], np.cumsum(qual)))
+        # The first poll a count budget trips at, ``(j, 0)`` after item
+        # j's fetches or ``(j, 1)`` after the pair of its child visit
+        # that spends the result budget — else ``(stop, 2)``, the end of
+        # what is planned (past it, the slicer promised a trip).
+        sliced = plans[-1].kind != "leaf" and plans[-1].qual_total > 0
+        stop = (int(at[-1][0]) + 1 if sliced else n, 2)
+        if budget.max_na is not None:
+            stop = min(stop, (int(np.searchsorted(
+                fetched, budget.max_na - stats.na())), 0))
+        if budget.max_results is not None:
+            stop = min(stop, (int(np.searchsorted(
+                counted[1:], budget.max_results - self.pair_count)), 1))
+        stop, kind = stop
+        position, cursor, j = -1, None, 0
+        try:
+            governor.check(stats, self.pair_count)      # the entry poll
+            while j < stop:
+                e = min(j + CHARGE_CHUNK_ITEMS, stop)
+                chunk = live[2 * j:2 * e]
+                sides, levels, pages = reads[:, 2 * j:2 * e][:, chunk]
+                room = (None if budget.max_da is None
+                        else budget.max_da - stats.da())
+                rewind = room is not None and room <= fetched[e] - fetched[j]
+                if rewind:                  # DA may trip inside the chunk
+                    saved = buffer.snapshot()
+                hits = self._access(sides, levels, pages)
+                if rewind:
+                    missed = np.zeros(len(chunk), dtype=np.int64)
+                    missed[chunk] = ~hits
+                    k = int(np.searchsorted(
+                        np.cumsum(missed.reshape(-1, 2).sum(axis=1)), room))
+                    if k < e - j - 1:
+                        # DA trips at the poll after item j + k + 1, not
+                        # at the chunk's: rewind and charge up to it.
+                        e = j + k + 1
+                        cut = int(chunk[:2 * (k + 1)].sum())
+                        sides, levels, pages = (sides[:cut], levels[:cut],
+                                                pages[:cut])
+                        buffer.restore(saved)
+                        hits = self._access(sides, levels, pages)
+                self._record(sides, levels, hits)
+                self.comparisons += int(opened[e] - opened[j])
+                self.pair_count += int(counted[e] - counted[j])
+                position, j = e - 1, e
+                governor.check(stats, self.pair_count)  # the chunk poll
+            if kind != 1 and j < n:
+                raise RuntimeError(
+                    "level-batch sub-budget slicer reached an unplanned "
+                    "depth without a budget trip")
+            # Open the last item's child visit, its pairs up to the one
+            # that spends a result budget; the poll after that trips.
+            self.comparisons += int(cost[j])
+            if kind != 1:
+                self.pair_count += int(qual[j])
+                return
+            spent = budget.max_results - self.pair_count
+            leaf, v = plans[int(depth[j]) + 1], int(item[j])
+            cursor = self._cursor(leaf, v, int(leaf.qual_start[v]) + spent)
+            self.pair_count += spent
+            governor.check(stats, self.pair_count)
+        except (BudgetExceeded, Cancelled):
+            self._trip(root, plans, at, position, cursor)
+            raise
+
+    @staticmethod
+    def _items(plans: list[_LevelPlan], at):
+        """Per item of the order, the virtual root first (``j``): its
+        depth, its index there — the visit it opens one depth down —
+        that visit's comparisons and, at leaf depth, its pairs."""
+        n = sum(len(pos) for pos in at)
+        leaf = len(plans) - 1 if plans[-1].kind == "leaf" else -1
         depth, item, cost, qual = np.zeros((4, n + 1), dtype=np.int64)
         for d, pos in enumerate([np.full(1, -1)] + at, start=-1):
             depth[pos + 1], item[pos + 1] = d, np.arange(len(pos))
             if d + 1 < len(plans):
                 cost[pos + 1] = plans[d + 1].cost
-                qual[pos + 1] = np.diff(plans[d + 1].qual_start)
+            if d + 1 == leaf:
+                qual[pos + 1] = np.diff(plans[leaf].qual_start)
+        return depth, item, cost, qual
+
+    def _step(self, root: _Frame, plans: list[_LevelPlan]) -> None:
+        """Charge the same order one item at a time, through the
+        readers — for the drains :meth:`_stepwise` picks, which must
+        see each read or each step: per item its two fetches, a poll
+        (governed; before the child is looked at — one past the slicer
+        horizon is never read), then the opening of its child visit:
+        its comparisons charged whole and, at leaf depth, its pairs
+        counted up to the one that spends a result budget, polled
+        after.  The root visit is the child of a virtual item that
+        fetches nothing.  A deadline or a cancellation lands on the
+        same boundaries as a budget, at most one node pair late."""
+        reads, at = self._preorder(plans)
+        governor = self.governor
+        limit = governor.budget.max_results if governor is not None else None
+        sampling = self.tracer is not None and self.tracer.sample_pairs > 0
+        leaf = len(plans) - 1 if plans[-1].kind == "leaf" else -1
+        n = reads.shape[1] // 2
+        depth, item, cost, qual = self._items(plans, at)
         fetches = iter(reads.T.tolist())    # [side, level, page] each
         fetch = (self._fetch1, self._fetch2)
         opened, top = [0] * len(plans), -1   # the open visits, for sampling

@@ -38,7 +38,7 @@ from ..geometry.arena import run_slots
 from ..geometry.columnar import segment_bounds
 from ..storage import Pager
 from .entry import Entry
-from .hilbert import hilbert_index_float
+from .hilbert import hilbert_keys
 from .node import LEAF_LEVEL, Node
 from .rstar import RStarTree
 
@@ -115,11 +115,15 @@ def _pack(items: Sequence[tuple[Rect, int]], ndim: int, max_entries: int,
         sizes = np.array(_fix_tail(sizes, tree.min_entries), np.intp)
         starts = np.cumsum(sizes) - sizes
         ordered = [entries[i] for i in perm.tolist()]
-        pages = np.array(
-            [_make_node(tree, level, ordered[start:start + size]).page_id
-             for start, size in zip(starts.tolist(), sizes.tolist())],
-            dtype=np.int64)
+        nodes = [_make_node(tree, level, ordered[start:start + size])
+                 for start, size in zip(starts.tolist(), sizes.tolist())]
+        pages = np.array([node.page_id for node in nodes], dtype=np.int64)
         levels.append((perm, starts, sizes, pages, coords, refs))
+        if len(nodes) == 1:
+            # _fix_tail merged the level into one run: that node is the
+            # root, not the one entry of a root above it.
+            root = nodes[0]
+            break
         coords = segment_bounds(coords[:, :, perm], starts)
         refs = pages
         lo, hi = coords.transpose(0, 2, 1).tolist()
@@ -181,12 +185,8 @@ def _str_order(centres, capacity: int):
 
 def _hilbert_order(centres, capacity: int):
     """Hilbert order of the columns of ``centres`` and its run sizes."""
-    ndim, count = centres.shape
-    # A key has 16 bits per axis: int64 holds three axes, Python ints
-    # (an object array) any number.
-    keys = np.array([hilbert_index_float(c) for c in centres.T.tolist()],
-                    dtype=np.int64 if ndim <= 3 else object)
-    return np.argsort(keys, kind="stable"), _runs(count, capacity)
+    return (np.argsort(hilbert_keys(centres), kind="stable"),
+            _runs(centres.shape[1], capacity))
 
 
 def _fix_tail(sizes: list[int], min_entries: int) -> list[int]:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["hilbert_index", "hilbert_index_float"]
+import numpy as np
+
+__all__ = ["hilbert_index", "hilbert_index_float", "hilbert_keys"]
 
 
 def hilbert_index(coords: Sequence[int], bits: int) -> int:
@@ -86,3 +88,50 @@ def hilbert_index_float(coords: Sequence[float], bits: int = 16) -> int:
         c = min(max(c, 0.0), 1.0)
         grid.append(min(int(c * (limit + 1)), limit))
     return hilbert_index(grid, bits)
+
+
+def hilbert_keys(points, bits: int = 16):
+    """:func:`hilbert_index_float` of each column of ``points``
+    (``(ndim, n)``), one Skilling transform over ``int64`` rows.
+
+    The keys are ``uint64`` when ``ndim * bits <= 64``, else Python
+    ints in an object array; either way they sort as the scalar keys do.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    ndim, count = points.shape
+    if ndim < 1:
+        raise ValueError("need at least one coordinate")
+    limit = (1 << bits) - 1
+    # The scalar clamp and quantisation, operation for operation.
+    clamped = np.minimum(np.maximum(points, 0.0), 1.0)
+    x = np.minimum((clamped * (limit + 1)).astype(np.int64), limit)
+    if ndim == 1:
+        # The 1-d Hilbert curve is the identity.
+        return x[0].astype(np.uint64)
+    m = 1 << (bits - 1)
+    q = m
+    while q > 1:
+        p = q - 1
+        for i in range(ndim):
+            hit = (x[i] & q) != 0
+            t = np.where(hit, 0, (x[0] ^ x[i]) & p)
+            x[0] ^= np.where(hit, p, t)
+            x[i] ^= t
+        q >>= 1
+    for i in range(1, ndim):
+        x[i] ^= x[i - 1]
+    t = np.zeros(count, dtype=np.int64)
+    q = m
+    while q > 1:
+        t ^= np.where(x[ndim - 1] & q, q - 1, 0)
+        q >>= 1
+    x ^= t
+    # Interleave the transposed bits, most significant first.
+    dtype, cast = ((object, int) if ndim * bits > 64
+                   else (np.uint64, np.uint64))
+    h = np.zeros(count, dtype=dtype)
+    x = x.astype(dtype)
+    for b in range(bits - 1, -1, -1):
+        for i in range(ndim):
+            h = (h << cast(1)) | ((x[i] >> cast(b)) & cast(1))
+    return h

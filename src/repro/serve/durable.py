@@ -63,6 +63,19 @@ def _record_crc(doc: dict) -> int:
         {k: v for k, v in doc.items() if k != "crc"}))
 
 
+def _record_line(doc: dict) -> bytes:
+    """``_canonical(doc | {"crc": _record_crc(doc)})`` and its newline,
+    each top-level value encoded once: the CRC input and the line are
+    both joined from the same ``"key":value`` parts, in key order."""
+    parts = {key: json.dumps(key) + ":" + json.dumps(
+                 value, sort_keys=True, separators=(",", ":"))
+             for key, value in doc.items() if key != "crc"}
+    body = ",".join(parts[key] for key in sorted(parts))
+    parts["crc"] = f'"crc":{zlib.crc32(("{" + body + "}").encode())}'
+    return ("{" + ",".join(parts[key] for key in sorted(parts))
+            + "}\n").encode()
+
+
 def _fsync_dir(path: Path) -> None:
     """fsync a directory so a rename/create in it survives power loss."""
     try:
@@ -224,9 +237,7 @@ class JsonlLog:
 
     def append(self, doc: dict) -> None:
         """Write one record (CRC added), flush, fsync per the policy."""
-        record = dict(doc)
-        record["crc"] = _record_crc(record)
-        line = _canonical(record) + b"\n"
+        line = _record_line(doc)
         with self._lock:
             fh = self._open()
             fh.write(line)
@@ -271,9 +282,7 @@ class JsonlLog:
             try:
                 with os.fdopen(fd, "wb") as fh:
                     for doc in records:
-                        record = dict(doc)
-                        record["crc"] = _record_crc(record)
-                        fh.write(_canonical(record) + b"\n")
+                        fh.write(_record_line(doc))
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)

@@ -10,6 +10,8 @@ observability hooks surface the batch engine, and that a priced plan
 executes on the engine the config names.
 """
 
+import contextlib
+
 import pytest
 
 from repro.datasets import uniform_rectangles
@@ -20,6 +22,7 @@ from repro.geometry import Rect
 from repro.join import (LevelBatchState, PartialJoinResult, SpatialJoin,
                         WithinDistance, parallel_spatial_join,
                         spatial_join, supports_level_batch)
+from repro.join import batch
 from repro.join.predicates import Overlap
 from repro.join.sync import _TraversalState, traversal_state
 from repro.obs import MemorySink, MetricsRegistry, Tracer
@@ -210,9 +213,10 @@ class TestObservability:
 
     @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
     def test_governor_is_polled_per_descent_not_per_item(self, trees, enum):
-        """A budget does not change the stepping loop's complexity: one
-        poll on entry, one per descent (<= NA) and one per level
-        boundary of the plan — not one per enumerated entry pair."""
+        """A budget does not poll per item: one poll on entry, one per
+        level boundary of the plan and one per chunk of
+        ``CHARGE_CHUNK_ITEMS`` descents — not one per descent, let alone
+        one per enumerated entry pair."""
         t1, t2 = trees
         gov = ExecutionGovernor(Budget(deadline=3600.0, max_na=10 ** 9,
                                        max_da=10 ** 9))
@@ -220,8 +224,8 @@ class TestObservability:
             t1, t2, governor=gov,
             config=BATCH.with_options(pair_enumeration=enum))
         assert result.engine == "level-batch" and result.na_total > 100
-        assert gov.checks <= (result.na_total
-                              + max(t1.height, t2.height) + 1)
+        chunks = -(-result.na_total // (2 * batch.CHARGE_CHUNK_ITEMS))
+        assert gov.checks <= 1 + max(t1.height, t2.height) + chunks
 
     def test_parallel_modes_merge_batch_counters(self, trees):
         t1, t2 = trees
@@ -239,10 +243,24 @@ def _shifted(items, by):
             for rect, oid in items]
 
 
+@contextlib.contextmanager
+def _per_read(*trees):
+    """The trees read through pagers that draw a fault per read (at rate
+    zero, so none fails): a reader that acts on each read, which sends
+    every drain through the stepping loop."""
+    for tree in dict.fromkeys(trees):
+        tree.pager = FaultyPager(tree.pager, FaultInjector(seed=0))
+    try:
+        yield
+    finally:
+        for tree in dict.fromkeys(trees):
+            tree.pager = tree.pager.inner
+
+
 class TestArrayCharger:
-    """An ungoverned drain is charged in bulk from its plan's arrays
-    (``LevelBatchState._charge``); a governor, even one that never
-    trips, forces the one-item-at-a-time stepping loop
+    """A drain on plain readers is charged in bulk from its plan's
+    arrays (``LevelBatchState._charge``), governed or not; a reader that
+    acts on each read forces the one-item-at-a-time stepping loop
     (``LevelBatchState._step``).  Both walk one ``ReadPage`` order and
     must leave the same pairs, counters, comparison count and buffer."""
 
@@ -261,7 +279,8 @@ class TestArrayCharger:
     @staticmethod
     def _spy(monkeypatch):
         """Record each ``access_many`` call: the bulk path makes one per
-        drain, the stepping path none (it reads page by page)."""
+        drain (ungoverned), the stepping path none (it reads page by
+        page)."""
         calls = []
         for cls in (BufferManager, NoBuffer, PathBuffer, LRUBuffer):
             if "access_many" in vars(cls):
@@ -284,15 +303,15 @@ class TestArrayCharger:
         config = BATCH.with_options(pair_enumeration=enum)
         calls = self._spy(monkeypatch)
         runs = []
-        for governor in (None, ExecutionGovernor(Budget(max_na=10 ** 9))):
+        for stepped in (False, True):
             buffer = make_buffer()
-            result = spatial_join(t1, t2, buffer=buffer, governor=governor,
-                                  config=config)
+            with _per_read(t1, t2) if stepped else contextlib.nullcontext():
+                result = spatial_join(t1, t2, buffer=buffer, config=config)
             assert result.engine == "level-batch"
             runs.append((result.pairs, result.stats.as_dict(),
                          result.comparisons, buffer.snapshot()))
-            # Charged in bulk once ungoverned; by the loop governed.
-            assert len(calls) == (governor is None)
+            # Charged in bulk once on plain readers; by the loop else.
+            assert len(calls) == (not stepped)
             calls.clear()
         assert runs[0] == runs[1]
         if shape == "empty":
@@ -318,11 +337,13 @@ class TestArrayCharger:
         t1, t2 = shapes[shape]
         calls = self._spy(monkeypatch)
         logs = []
-        for config, governor in ((STACK, None), (BATCH, None), (BATCH, (
-                ExecutionGovernor(Budget(max_na=10 ** 9))))):
+        for config, stepped in ((STACK, False), (BATCH, False),
+                                (BATCH, True)):
             reads = []
-            spatial_join(t1, t2, buffer=Recording(5), governor=governor,
-                         config=config.with_options(pair_enumeration=enum))
+            with _per_read(t1, t2) if stepped else contextlib.nullcontext():
+                spatial_join(t1, t2, buffer=Recording(5),
+                             config=config.with_options(
+                                 pair_enumeration=enum))
             logs.append(reads)
         stack, bulk, stepped = logs
         assert calls == [len(bulk)] and len(stack) > 10
@@ -337,13 +358,13 @@ class TestArrayCharger:
         calls = self._spy(monkeypatch)
         config = BATCH.with_options(mode="serial", workers=3)
         runs = []
-        for governor in (None, ExecutionGovernor(Budget(max_na=10 ** 9))):
-            result = parallel_spatial_join(*trees, governor=governor,
-                                           config=config)
+        for stepped in (False, True):
+            with _per_read(*trees) if stepped else contextlib.nullcontext():
+                result = parallel_spatial_join(*trees, config=config)
             runs.append((result.pairs,
                          [s.as_dict() for s in result.worker_stats],
                          result.comparisons))
-            assert bool(calls) == (governor is None)
+            assert bool(calls) == (not stepped)
             calls.clear()
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == 3
@@ -423,6 +444,145 @@ class TestArrayCharger:
                     tree.pager = tree.pager.inner
             draws.append(injector.counts.reads)
         assert draws[0] == draws[1] > 100
+
+
+class _RecordingGovernor(ExecutionGovernor):
+    """A partial governor that notes NA at each of its polls and, given
+    ``cancel_at``, cancels its token at that poll (1-based) or, given
+    ``cancel_na``, at its first poll that sees that many node
+    accesses."""
+
+    def __init__(self, cancel_at=None, cancel_na=None):
+        super().__init__(partial=True)
+        self.cancel_at, self.cancel_na, self.polled = cancel_at, cancel_na, []
+
+    def check(self, stats, results=0):
+        self.polled.append(stats.na())
+        if (self.checks + 1 == self.cancel_at
+                or (self.cancel_na is not None
+                    and stats.na() >= self.cancel_na)):
+            self.token.cancel()
+        super().check(stats, results)
+
+
+def _equal_height(n1, n2, max_entries):
+    trees = tuple(str_pack(uniform_rectangles(n, 0.5, 2, seed=seed).items,
+                           2, max_entries)
+                  for seed, n in ((91, n1), (92, n2)))
+    assert trees[0].height == trees[1].height > 2
+    return trees
+
+
+class TestGovernedBulkCharge:
+    """A governed drain on plain readers is charged in bulk too
+    (``LevelBatchState._charge_governed``): count budgets trip at the
+    item the stepping loop trips at, found from the plan's arrays, and
+    a deadline or a cancellation is polled after each chunk of
+    ``CHARGE_CHUNK_ITEMS`` items, at one of the stack machine's polls."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return (build_rstar(make_items(100, seed=81, side=0.06),
+                            max_entries=4),
+                build_rstar(make_items(25, seed=82, side=0.06),
+                            max_entries=6))
+
+    BUFFERS = {"path": PathBuffer, "none": NoBuffer,
+               "lru": lambda: LRUBuffer(8)}
+
+    def _cut(self, trees, enum, kind, axis, limit, stepped):
+        buffer = self.BUFFERS[kind]()
+        join = SpatialJoin(
+            *trees, buffer, Overlap(),
+            governor=ExecutionGovernor(Budget(**{axis: limit}),
+                                       partial=True),
+            config=BATCH.with_options(pair_enumeration=enum))
+        with _per_read(*trees) if stepped else contextlib.nullcontext():
+            result = join.run()
+        checkpoint = getattr(result, "checkpoint", None)
+        return (list(result.pairs), result.stats.as_dict(),
+                result.comparisons, buffer.snapshot(),
+                checkpoint and _canonical(checkpoint.to_dict()))
+
+    @pytest.mark.parametrize("chunk", [batch.CHARGE_CHUNK_ITEMS, 3])
+    @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
+    @pytest.mark.parametrize("kind", ["path", "none", "lru"])
+    def test_every_cut_equals_stepping(self, small, kind, enum, chunk,
+                                       monkeypatch):
+        """At every ``max_na``, ``max_da`` and ``max_results`` cut: the
+        pairs in order, NA/DA per tree and level, comparisons, the
+        buffer left behind and the checkpoint bytes.  A DA trip inside a
+        chunk rewinds the buffer and charges the prefix only."""
+        monkeypatch.setattr(batch, "CHARGE_CHUNK_ITEMS", chunk)
+        whole = spatial_join(*small, buffer=self.BUFFERS[kind](),
+                             config=BATCH)
+        assert small[0].height != small[1].height
+        for axis, total in (("max_na", whole.na_total),
+                            ("max_da", whole.da_total),
+                            ("max_results", whole.pair_count)):
+            assert total > 20
+            for limit in range(1, total + 2):
+                bulk = self._cut(small, enum, kind, axis, limit, False)
+                assert bulk == self._cut(small, enum, kind, axis, limit,
+                                         True), (axis, limit)
+                assert (bulk[-1] is None) == (limit > total)
+
+    def test_no_fetch_per_item(self, monkeypatch):
+        """A governed drain on plain readers fetches no page through the
+        readers: one ``access_many`` per chunk, and one poll on entry,
+        one per level boundary of the plan and one per chunk."""
+        trees = _equal_height(400, 350, 6)
+        bare = signature(spatial_join(*trees, config=BATCH))
+        fetches, chunks = [], []
+        monkeypatch.setattr(MeteredReader, "fetch",
+                            lambda self, *a: fetches.append(a))
+        many = PathBuffer.access_many
+        monkeypatch.setattr(
+            PathBuffer, "access_many",
+            lambda self, *a: chunks.append(len(a[1])) or many(self, *a))
+        monkeypatch.setattr(batch, "CHARGE_CHUNK_ITEMS", 50)
+        metrics = MetricsRegistry()
+        governor = ExecutionGovernor(Budget(deadline=3600.0, max_na=10 ** 9,
+                                            max_da=10 ** 9))
+        result = spatial_join(*trees, governor=governor, metrics=metrics,
+                              config=BATCH)
+        assert signature(result) == bare
+        items = result.na_total // 2
+        levels = metrics.counter("join.batch.levels").value
+        assert fetches == [] and items > 200
+        assert sum(chunks) == result.na_total
+        assert len(chunks) == -(-items // 50)
+        assert governor.checks == 1 + (levels - 1) + len(chunks)
+
+    @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
+    def test_a_cancellation_at_each_chunk_poll(self, enum):
+        """A join of more than ``CHARGE_CHUNK_ITEMS`` items, cancelled at
+        each of its polls: the checkpoint is the one the stack machine
+        writes at its first poll that has seen as many node accesses
+        (the one after the same item's fetches), and resuming it
+        finishes the join as the uncut run does."""
+        trees = _equal_height(2400, 2200, 8)
+        config = BATCH.with_options(pair_enumeration=enum)
+        governor = _RecordingGovernor()
+        uncut = SpatialJoin(*trees, governor=governor, config=config).run()
+        assert uncut.complete
+        assert uncut.na_total // 2 > 2 * batch.CHARGE_CHUNK_ITEMS
+        chunk_polls = [k for k, na in enumerate(governor.polled, start=1)
+                       if na]
+        assert len(chunk_polls) == -(-uncut.na_total // 2
+                                     // batch.CHARGE_CHUNK_ITEMS)
+        for k in range(1, len(governor.polled) + 1):
+            cut = SpatialJoin(*trees, config=config,
+                              governor=_RecordingGovernor(cancel_at=k)).run()
+            stack = SpatialJoin(
+                *trees, config=config.with_options(traversal="stack"),
+                governor=_RecordingGovernor(
+                    cancel_na=governor.polled[k - 1])).run()
+            assert not cut.complete and not stack.complete
+            assert _canonical(cut.checkpoint.to_dict()) \
+                == _canonical(stack.checkpoint.to_dict())
+            final = SpatialJoin(*trees, config=config).resume(cut.checkpoint)
+            assert final.complete and signature(final) == signature(uncut)
 
 
 def _lattice(step, side, shift=0.0, points=False):

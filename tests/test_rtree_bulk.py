@@ -172,9 +172,13 @@ def _reference_pack(items, ndim, max_entries, fill=0.67, min_fill=0.4,
             chunks = runs(sorted(
                 entries, key=lambda e: hilbert_index_float(e.rect.center)))
         nodes = [make(level, chunk) for chunk in fix_tail(chunks)]
+        if len(nodes) == 1:             # one run left: it is the root
+            root, = nodes
+            break
         entries = [Entry(n.mbr(), n.page_id) for n in nodes]
         level += 1
-    root = make(level, entries)
+    else:
+        root = make(level, entries)
     tree.root_id, tree.height, tree.size = root.page_id, level, len(items)
     return tree
 
@@ -216,10 +220,24 @@ def test_packers_build_the_reference_tree(items, order, max_entries, fill,
                           min_fill=min_fill)
     want = _reference_pack(items, ndim, max_entries, fill, min_fill, order)
     assert tree_digest(tree) == tree_digest(want)
-    # Not ``== []``: a level that merges into a single run gives a root
-    # with one entry (``str_pack`` of 35-39 items at M = 50 does), in
-    # both packers alike.
-    assert validate(tree) == validate(want)
+    assert validate(tree) == []
+    assert_installed_arena(tree)
+
+
+@pytest.mark.parametrize("pack", [str_pack, hilbert_pack],
+                         ids=["str", "hilbert"])
+@pytest.mark.parametrize("n", range(35, 40))
+def test_a_level_merged_into_one_run_is_the_root(pack, n):
+    """35-39 items at M = 50 (capacity 34) cut into a full run and a
+    short one, which ``_fix_tail`` merges: that one node is the root, a
+    leaf, not the single entry of an internal root above it."""
+    items = make_items(n, seed=n)
+    tree = pack(items, 2, 50)
+    assert validate(tree) == []
+    assert (tree.height, len(tree.root().entries)) == (1, n)
+    assert sorted(tree.range_query(Rect((0, 0), (1, 1)))) == list(range(n))
+    assert tree_digest(tree) == tree_digest(_reference_pack(
+        items, 2, 50, order="str" if pack is str_pack else "hilbert"))
     assert_installed_arena(tree)
 
 

@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rtree import hilbert_index, hilbert_index_float
+from repro.rtree.hilbert import hilbert_keys
 
 
 class TestHilbertIndex:
@@ -73,3 +77,32 @@ class TestHilbertFloat:
     def test_deterministic(self):
         assert hilbert_index_float((0.123, 0.456)) == \
             hilbert_index_float((0.123, 0.456))
+
+
+#: Coordinates at 0 and 1 exactly, on a lattice (ties), just inside and
+#: outside the unit interval, and anywhere.
+COORDS = (st.sampled_from([0.0, -0.0, 1.0, 0.5, 1.0 - 2 ** -53, 2 ** -17,
+                           -1e-12, 1.0 + 1e-12, -3.0, 7.5])
+          | st.integers(0, 16).map(lambda k: k / 16)
+          | st.floats(-2.0, 3.0, allow_nan=False))
+
+
+class TestHilbertKeys:
+    """One Skilling transform over ``int64`` rows gives every point the
+    key the scalar transform gives it."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda ndim: st.lists(
+               st.lists(COORDS, min_size=ndim, max_size=ndim),
+               min_size=1, max_size=40)),
+           st.sampled_from([1, 3, 16]))
+    def test_keys_equal_the_scalar_keys(self, points, bits):
+        keys = hilbert_keys(np.array(points).T, bits)
+        assert [int(k) for k in keys] \
+            == [hilbert_index_float(p, bits) for p in points]
+
+    def test_wide_keys_are_python_ints(self):
+        points = [[0.1, 0.9, 0.5, 0.25, 1.0], [1.0, 0.0, 0.3, 0.7, 0.5]]
+        keys = hilbert_keys(np.array(points).T)
+        assert keys.dtype == object
+        assert list(keys) == [hilbert_index_float(p) for p in points]

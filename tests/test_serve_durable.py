@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.reliability import CorruptPageError
-from repro.serve import DurableState, JsonlLog
+from repro.serve import DurableState, JsonlLog, durable
 
 TORN = settings(max_examples=80,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -198,6 +198,78 @@ class TestTornTailProperty:
         path.write_bytes(json.dumps(doc).encode() + b"\n")
         loaded, torn = JsonlLog(path).load()
         assert loaded == [] and torn is not None
+
+
+class TestJournalBytes:
+    """Each record is encoded once, its CRC input and its line joined
+    from the same parts; the bytes are what the canonical encoding of
+    the record plus its ``crc`` gives, so logs written before load
+    unchanged.  The golden lines hold keys sorting before ``"crc"``
+    (``"at"``, ``"checkpoint"``) and after it, non-ASCII strings and
+    floats."""
+
+    RECORDS = [
+        {"op": "spill", "rid": 7, "checkpoint": {"b": [1.5, -0.0],
+                                                 "a": "zé"},
+         "at": 0.1},
+        {"op": "complete", "rid": 7, "key": "clé-☃",
+         "response": {"na": 206, "t": 2.5e-07, "big": 1e+22,
+                      "pairs": [[1, 2]]}},
+    ]
+    GOLDEN = (
+        b'{"at":0.1,"checkpoint":{"a":"z\\u00e9","b":[1.5,-0.0]},'
+        b'"crc":86352023,"op":"spill","rid":7}\n'
+        b'{"crc":940380985,"key":"cl\\u00e9-\\u2603","op":"complete",'
+        b'"response":{"big":1e+22,"na":206,"pairs":[[1,2]],'
+        b'"t":2.5e-07},"rid":7}\n')
+
+    def test_golden_lines(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        assert _write_log(path, self.RECORDS) == self.GOLDEN
+        log = JsonlLog(tmp_path / "compacted.jsonl")
+        log.compact(self.RECORDS)
+        assert log.path.read_bytes() == self.GOLDEN
+
+    def test_load_verifies_each_line(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(self.GOLDEN)
+        assert JsonlLog(path).load() == (self.RECORDS, None)
+
+    def test_a_flipped_byte_is_quarantined(self, tmp_path):
+        """In the final line: a torn tail, quarantined; before it:
+        corruption, refused."""
+        last = self.GOLDEN.index(b"\n") + 1
+        for at in (self.GOLDEN.index(b"940380985"),
+                   self.GOLDEN.index(b"2603")):
+            damaged = bytearray(self.GOLDEN)
+            damaged[at] ^= 1
+            path = tmp_path / f"tail-{at}.jsonl"
+            path.write_bytes(bytes(damaged))
+            loaded, torn = JsonlLog(path).load()
+            assert loaded == self.RECORDS[:1]
+            assert torn.offset == last and torn.quarantine
+        damaged = bytearray(self.GOLDEN)
+        damaged[self.GOLDEN.index(b"86352023")] ^= 1
+        path = tmp_path / "head.jsonl"
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(CorruptPageError):
+            JsonlLog(path).load()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.text(max_size=6),
+        st.recursive(
+            st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False) | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=8),
+        max_size=6))
+    def test_bytes_are_the_canonical_record(self, doc):
+        record = {k: v for k, v in doc.items() if k != "crc"}
+        record["crc"] = durable._record_crc(record)
+        assert durable._record_line(doc) \
+            == durable._canonical(record) + b"\n"
 
 
 class TestDurableState:
