@@ -33,7 +33,7 @@ from repro.rtree import share_tree, str_pack
 from repro.storage import (AccessStats, BufferManager, LRUBuffer,
                            MeteredReader, NoBuffer, PathBuffer)
 
-from .conftest import build_rstar, make_items, signature
+from .conftest import BUFFERS, build_rstar, make_items, signature
 
 # The planner pads its tiles with NaN: NaN or overflow arithmetic in its
 # kernels must fail here, not pass as a warning.
@@ -487,11 +487,9 @@ class TestGovernedBulkCharge:
                 build_rstar(make_items(25, seed=82, side=0.06),
                             max_entries=6))
 
-    BUFFERS = {"path": PathBuffer, "none": NoBuffer,
-               "lru": lambda: LRUBuffer(8)}
-
-    def _cut(self, trees, enum, kind, axis, limit, stepped):
-        buffer = self.BUFFERS[kind]()
+    @staticmethod
+    def _cut(trees, enum, kind, axis, limit, stepped):
+        buffer = BUFFERS[kind]()
         join = SpatialJoin(
             *trees, buffer, Overlap(),
             governor=ExecutionGovernor(Budget(**{axis: limit}),
@@ -514,8 +512,7 @@ class TestGovernedBulkCharge:
         buffer left behind and the checkpoint bytes.  A DA trip inside a
         chunk rewinds the buffer and charges the prefix only."""
         monkeypatch.setattr(batch, "CHARGE_CHUNK_ITEMS", chunk)
-        whole = spatial_join(*small, buffer=self.BUFFERS[kind](),
-                             config=BATCH)
+        whole = spatial_join(*small, buffer=BUFFERS[kind](), config=BATCH)
         assert small[0].height != small[1].height
         for axis, total in (("max_na", whole.na_total),
                             ("max_da", whole.da_total),
