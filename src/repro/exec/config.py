@@ -39,8 +39,8 @@ PAIR_ENUMERATIONS = ("nested-loop", "plane-sweep", "vectorized",
 #: breadth-first frontier engine of :mod:`repro.join.batch` that
 #: advances a whole tree level per NumPy kernel call over the
 #: :class:`~repro.geometry.TreeArena` and then charges pages in the
-#: stack machine's one ``ReadPage`` order, in bulk or stepped item by
-#: item (NA/DA, pairs and checkpoints stay bit-identical;
+#: stack machine's one ``ReadPage`` order, in bulk or read by read
+#: (NA/DA, pairs and checkpoints stay bit-identical;
 #: configurations the batch engine cannot express fall back to the
 #: stack machine, with the reason recorded).
 TRAVERSALS = ("stack", "level-batch")

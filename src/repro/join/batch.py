@@ -53,26 +53,22 @@ level order.  The engine therefore runs in two phases:
    visits in index order, so a drain's pairs are the first
    ``pair_count - base`` leaf items, kept as one slice of the leaf
    plan's two ``int64`` columns (no tuple per pair) and joined into
-   one :class:`~repro.join.PairList` when the result is built.  A drain
-   on plain readers sharing one buffer is charged in bulk
-   (:meth:`LevelBatchState._charge`: one
-   :meth:`~repro.storage.BufferManager.access_many` call, then
-   ``bincount`` s for NA/DA per tree and level), governed or not; one
-   that something must watch read by read or step by step
-   (:meth:`LevelBatchState._stepwise`) is **stepped**
-   (:meth:`LevelBatchState._step`) by one flat loop over the same
-   arrays, the only code that samples.  A count budget trips where the
-   stack machine's poll before every item first sees it — after the
-   item whose fetches spend an NA or DA budget, at the pair that spends
-   a result budget — so a trip lands on the same item: the stepping
-   loop polls after every item, the bulk charge finds the trip item
-   from cumulative counts along the order and charges only the prefix
-   up to it, polling deadlines and cancellation after every
-   ``CHARGE_CHUNK_ITEMS`` items (:meth:`LevelBatchState._charge_governed`).
-   Either way the frames, cursors and comparison count a checkpoint
-   needs are derived from the stop's position in the order.  Sampled
-   ``node_pair`` events come from the visit-counter range each step
-   covers, skipped non-qualifying items included.
+   one :class:`~repro.join.PairList` when the result is built.  One
+   loop (:meth:`LevelBatchState._charge`) charges the order in chunks
+   of items with a poll after each, by one of two read primitives: in
+   bulk, one :meth:`~repro.storage.BufferManager.access_many` call and
+   ``bincount`` s for NA/DA per tree and level; or, when a reader must
+   see each read (:meth:`LevelBatchState._per_read`), through the
+   readers' ``fetch``, one item per chunk.  An ungoverned bulk drain is
+   one chunk.  A count budget trips where the stack machine's poll
+   first sees it — after the item whose fetches spend an NA or DA
+   budget, at the pair that spends a result budget — and a governed
+   bulk drain finds that item from cumulative counts along the order,
+   then charges the prefix up to it ``CHARGE_CHUNK_ITEMS`` items at a
+   time.  The frames, cursors and comparison count a checkpoint needs
+   follow from the stop's position in the order, and sampled
+   ``node_pair`` events from the visit counter laid out as arrays,
+   skipped non-qualifying items included.
 
 A checkpoint's frames are pushed with their cursors: each is planned
 like a root pair less the depth-0 items its cut consumed, its visit
@@ -89,13 +85,12 @@ fall back to the stack machine, and the join says so
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from ..exec import ExecutionGovernor
-from ..exec.budget import BudgetExceeded, Cancelled
+from ..exec.budget import Budget, BudgetExceeded, Cancelled
 from ..geometry.arena import run_slots
 from ..reliability import FaultyPager
 from ..storage import AccessStats, MeteredReader
@@ -115,12 +110,12 @@ BATCH_PAIR_ENUMERATIONS = ("nested-loop", "vectorized")
 #: * B`` over a chunk of ``V`` visits of one tile shape (one visit even
 #: if it alone is larger).  Groups larger than this are processed in
 #: visit chunks, bounding the planning phase's memory high-water mark
-#: (docs/performance.md).
+#: (docs/performance.md); so are sampled visits mapped to their frames.
 MAX_CHUNK_ITEMS = 1 << 20
 
 #: Items a governed drain charges in bulk between two polls: a deadline
 #: or a cancellation is seen at most this many items late (count budgets
-#: still trip exactly; :meth:`LevelBatchState._charge_governed`).
+#: still trip exactly; :meth:`LevelBatchState._charge`).
 CHARGE_CHUNK_ITEMS = 1024
 
 
@@ -287,16 +282,12 @@ class LevelBatchState:
 
     def drain(self) -> None:
         """Plan and charge every pending root pair (LIFO, like the stack)."""
-        stepwise = self._stepwise()
         while self._pending:
             frame = self._pending.pop()
             plans = self._plan(frame)
             base = self.pair_count
             try:
-                if stepwise:
-                    self._step(frame, plans)
-                else:
-                    self._charge(frame, plans)
+                self._charge(frame, plans)
             finally:
                 # The pairs counted, complete or tripped: the first ones
                 # of the leaf level (see the module doc).
@@ -307,27 +298,21 @@ class LevelBatchState:
                                                 leaf.child2[:n]))
             self.stack.pop()
 
-    def _stepwise(self) -> bool:
-        """Whether a drain must be stepped (:meth:`_step`) rather than
-        charged in bulk (:meth:`_charge`).
-
-        It must when something must see each step: a tracer sampling
-        node pairs, a reader that does more than price a page (a
-        ``ResilientReader`` retries and a ``FaultyPager`` draws a fault
-        per read, a tracer sampling buffer accesses watches each one),
-        two readers that do not share the one buffer :meth:`_charge`
-        charges both trees through, or a reader counting into other
-        stats than the ones the drain's polls read.
-        """
-        readers = (self.reader1, self.reader2)
-        return ((self.tracer is not None and self.tracer.sample_pairs > 0)
-                or self.reader1.buffer is not self.reader2.buffer
+    def _per_read(self) -> bool:
+        """Whether a drain must be charged through the readers' ``fetch``
+        rather than in bulk (:meth:`_bulk`): when a reader does more than
+        price a page (a ``ResilientReader`` retries, a ``FaultyPager``
+        draws a fault, a subclass may do anything, a tracer sampling
+        buffer accesses watches each read), when the readers do not share
+        the one buffer :meth:`_bulk` charges, or when one counts into
+        other stats than those the drain's polls read."""
+        return (self.reader1.buffer is not self.reader2.buffer
                 or any(type(reader) is not MeteredReader
                        or reader.stats is not self.stats
                        or isinstance(reader.pager, FaultyPager)
                        or (reader.tracer is not None
                            and reader.tracer.sample_buffer > 0)
-                       for reader in readers))
+                       for reader in (self.reader1, self.reader2)))
 
     def join(self, n1, n2) -> None:
         """SJ over a pair of resident nodes, drained to completion."""
@@ -362,8 +347,8 @@ class LevelBatchState:
                 if max_na is not None and na0 + depth + 1 >= max_na:
                     # Sub-budget slicer: consuming any item at depth
                     # depth+1 first charges >= 1 fetch per level along
-                    # its path, so the NA budget is guaranteed to trip
-                    # (stepped or in bulk) before deeper plans are read.
+                    # its path, so the NA budget trips, however it is
+                    # charged, before deeper plans are read.
                     break
             pages1 = plan.child1
             pages2 = plan.child2
@@ -601,7 +586,7 @@ class LevelBatchState:
         plan.skip = 0
         return plan
 
-    # -- phase 2: one ReadPage order, charged in bulk or stepped ------------
+    # -- phase 2: one ReadPage order, charged chunk by chunk ----------------
 
     @staticmethod
     def _preorder(plans: list[_LevelPlan]):
@@ -638,109 +623,86 @@ class LevelBatchState:
         return reads, at
 
     def _charge(self, root: _Frame, plans: list[_LevelPlan]) -> None:
-        """Charge the plan's :meth:`_preorder` in bulk, less the pinned
-        roots: :meth:`~repro.storage.BufferManager.access_many` gives
-        the hits NA/DA are counted from; comparisons and pairs follow
-        from the plan's totals.  Under a governor
-        (:meth:`_charge_governed`) only the prefix up to a count
-        budget's trip is charged, in chunks with a poll after each."""
+        """Charge the plan's :meth:`_preorder` chunk by chunk, with a poll
+        after each, stopping where the stack machine does.
+
+        Polls ``j`` count the virtual root item (0) and the items in
+        order (``j = position + 1``): the one after item ``j``'s fetches
+        sees the child visits of the items before it opened, and one
+        more follows the pair that spends a result budget.  A chunk is
+        read in bulk (:meth:`_bulk`; an ungoverned drain is one chunk, a
+        governed one ``CHARGE_CHUNK_ITEMS`` items, up to the first poll
+        a count budget trips at) or, if :meth:`_per_read`, item by item
+        through the readers.  The sampled ``node_pair`` events up to a
+        chunk's poll are emitted before it is read (in bulk: once its
+        end is known)."""
         reads, at = self._preorder(plans)
+        n = reads.shape[1] // 2
         live = reads[2] != np.where(reads[0] == 0, self.pinned1,
                                     self.pinned2)
-        if self.governor is not None:
-            self._charge_governed(root, plans, reads, live, at)
+        governor, per_read = self.governor, self._per_read()
+        emit = self._sampler(root, plans, at)
+        if governor is None and emit is None and not per_read:
+            # One chunk and nothing to watch: no per-item array is built.
+            self._bulk(reads, live, None, 0, n, None)
+            self.comparisons += sum(int(plan.cost.sum()) for plan in plans)
+            if plans[-1].kind == "leaf":
+                self.pair_count += plans[-1].qual_total
             return
-        sides, levels, pages = reads[:, live]
-        self._record(sides, levels, self._access(sides, levels, pages))
-        self.comparisons += sum(int(plan.cost.sum()) for plan in plans)
-        if plans[-1].kind == "leaf":
-            self.pair_count += plans[-1].qual_total
-
-    def _access(self, sides, levels, pages):
-        """The buffer hits of ``ReadPage`` s in order (one call)."""
-        return self.reader1.buffer.access_many(
-            (self.reader1.label, self.reader2.label), sides, levels, pages)
-
-    def _record(self, sides, levels, hits) -> None:
-        """NA/DA per tree and level of charged reads, by ``bincount``."""
-        for side, reader in enumerate((self.reader1, self.reader2)):
-            mine = sides == side
-            na = np.bincount(levels[mine])
-            da = np.bincount(levels[mine & ~hits], minlength=len(na))
-            for level in np.flatnonzero(na).tolist():
-                reader.stats.record_counts(reader.label, level,
-                                           int(na[level]), int(da[level]))
-
-    def _charge_governed(self, root: _Frame, plans: list[_LevelPlan],
-                         reads, live, at) -> None:
-        """Charge a governed drain in bulk, stopping where stepping does.
-
-        Positions ``j`` count the virtual root item (0) and the items in
-        order (``j = position + 1``); the stepping loop polls at every
-        ``j`` after its fetches, with the children of the items before
-        it opened, and once more after the pair that spends a result
-        budget.  The first poll a count budget trips at is found from
-        cumulative arrays: NA and results by one ``searchsorted`` before
-        anything is read; DA from each chunk's hits, the buffer then
-        restored from a :meth:`~repro.storage.BufferManager.snapshot`
-        and only the prefix re-charged.  Between the entry poll and that
-        trip the drain is charged ``CHARGE_CHUNK_ITEMS`` items at a time
-        with one poll after each chunk — at one of the stack machine's
-        poll positions, so a deadline or a cancellation stops the drain
-        there, at most that many items late."""
-        governor, budget = self.governor, self.governor.budget
-        stats, buffer = self.stats, self.reader1.buffer
-        n = reads.shape[1] // 2
-        depth, item, cost, qual = self._items(plans, at)
+        # Per item (``j``): its depth, its index there (the visit it
+        # opens one depth down), that visit's comparisons and, at leaf
+        # depth, its pairs.
+        leaf = len(plans) - 1 if plans[-1].kind == "leaf" else -1
+        depth, item, cost, qual = np.zeros((4, n + 1), dtype=np.int64)
+        for d, pos in enumerate([np.full(1, -1)] + at, start=-1):
+            depth[pos + 1], item[pos + 1] = d, np.arange(len(pos))
+            if d + 1 < len(plans):
+                cost[pos + 1] = plans[d + 1].cost
+            if d + 1 == leaf:
+                qual[pos + 1] = np.diff(plans[leaf].qual_start)
         fetched = np.concatenate(([0], np.cumsum(
             live.reshape(n, 2).sum(axis=1))))
-        opened = np.concatenate(([0], np.cumsum(cost)))
         counted = np.concatenate(([0], np.cumsum(qual)))
         # The first poll a count budget trips at, ``(j, 0)`` after item
         # j's fetches or ``(j, 1)`` after the pair of its child visit
         # that spends the result budget — else ``(stop, 2)``, the end of
-        # what is planned (past it, the slicer promised a trip).
+        # what is planned (past it, the slicer promised a trip).  The
+        # readers of a per-read drain count its NA, so its polls see it.
+        budget = governor.budget if governor is not None else Budget()
         sliced = plans[-1].kind != "leaf" and plans[-1].qual_total > 0
         stop = (int(at[-1][0]) + 1 if sliced else n, 2)
-        if budget.max_na is not None:
+        if budget.max_na is not None and not per_read:
             stop = min(stop, (int(np.searchsorted(
-                fetched, budget.max_na - stats.na())), 0))
+                fetched, budget.max_na - self.stats.na())), 0))
         if budget.max_results is not None:
             stop = min(stop, (int(np.searchsorted(
                 counted[1:], budget.max_results - self.pair_count)), 1))
         stop, kind = stop
+        size = (1 if per_read else n if governor is None
+                else CHARGE_CHUNK_ITEMS)
+        opened = np.concatenate(([0], np.cumsum(cost))).tolist()
+        counted = counted.tolist()
+        listed = reads.T.tolist() if per_read else None
+        emit = emit or (lambda j, within=0: None)
+        fetch = (self._fetch1, self._fetch2)
+        poll = governor.check if governor is not None else lambda *a: None
         position, cursor, j = -1, None, 0
         try:
-            governor.check(stats, self.pair_count)      # the entry poll
+            poll(self.stats, self.pair_count)           # the entry poll
             while j < stop:
-                e = min(j + CHARGE_CHUNK_ITEMS, stop)
-                chunk = live[2 * j:2 * e]
-                sides, levels, pages = reads[:, 2 * j:2 * e][:, chunk]
-                room = (None if budget.max_da is None
-                        else budget.max_da - stats.da())
-                rewind = room is not None and room <= fetched[e] - fetched[j]
-                if rewind:                  # DA may trip inside the chunk
-                    saved = buffer.snapshot()
-                hits = self._access(sides, levels, pages)
-                if rewind:
-                    missed = np.zeros(len(chunk), dtype=np.int64)
-                    missed[chunk] = ~hits
-                    k = int(np.searchsorted(
-                        np.cumsum(missed.reshape(-1, 2).sum(axis=1)), room))
-                    if k < e - j - 1:
-                        # DA trips at the poll after item j + k + 1, not
-                        # at the chunk's: rewind and charge up to it.
-                        e = j + k + 1
-                        cut = int(chunk[:2 * (k + 1)].sum())
-                        sides, levels, pages = (sides[:cut], levels[:cut],
-                                                pages[:cut])
-                        buffer.restore(saved)
-                        hits = self._access(sides, levels, pages)
-                self._record(sides, levels, hits)
-                self.comparisons += int(opened[e] - opened[j])
-                self.pair_count += int(counted[e] - counted[j])
+                e = min(j + size, stop)
+                if per_read:
+                    emit(e)
+                    for side, level, page in listed[2 * j:2 * e]:
+                        fetch[side](page, level)
+                else:
+                    e = self._bulk(reads, live, fetched, j, e,
+                                   budget.max_da)
+                    emit(e)
+                self.comparisons += opened[e] - opened[j]
+                self.pair_count += counted[e] - counted[j]
                 position, j = e - 1, e
-                governor.check(stats, self.pair_count)  # the chunk poll
+                poll(self.stats, self.pair_count)       # the chunk poll
             if kind != 1 and j < n:
                 raise RuntimeError(
                     "level-batch sub-budget slicer reached an unplanned "
@@ -750,97 +712,120 @@ class LevelBatchState:
             self.comparisons += int(cost[j])
             if kind != 1:
                 self.pair_count += int(qual[j])
+                emit(None)
                 return
             spent = budget.max_results - self.pair_count
             leaf, v = plans[int(depth[j]) + 1], int(item[j])
             cursor = self._cursor(leaf, v, int(leaf.qual_start[v]) + spent)
             self.pair_count += spent
-            governor.check(stats, self.pair_count)
+            emit(j, cursor - leaf.skip)
+            poll(self.stats, self.pair_count)
         except (BudgetExceeded, Cancelled):
             self._trip(root, plans, at, position, cursor)
             raise
 
-    @staticmethod
-    def _items(plans: list[_LevelPlan], at):
-        """Per item of the order, the virtual root first (``j``): its
-        depth, its index there — the visit it opens one depth down —
-        that visit's comparisons and, at leaf depth, its pairs."""
-        n = sum(len(pos) for pos in at)
-        leaf = len(plans) - 1 if plans[-1].kind == "leaf" else -1
-        depth, item, cost, qual = np.zeros((4, n + 1), dtype=np.int64)
-        for d, pos in enumerate([np.full(1, -1)] + at, start=-1):
-            depth[pos + 1], item[pos + 1] = d, np.arange(len(pos))
+    def _bulk(self, reads, live, fetched, j: int, e: int, max_da) -> int:
+        """Charge the reads of items ``j`` to ``e`` (positions), less the
+        pinned roots: one :meth:`~repro.storage.BufferManager.access_many`
+        call gives the hits NA/DA are counted from.  If a DA budget
+        ``max_da`` can trip inside, the buffer is snapshot first and, if
+        it does, restored and only the prefix up to the item whose
+        misses spend it charged.  Returns the end charged."""
+        chunk = live[2 * j:2 * e]
+        sides, levels, pages = reads[:, 2 * j:2 * e][:, chunk]
+        buffer, labels = self.reader1.buffer, (self.reader1.label,
+                                               self.reader2.label)
+        room = None if max_da is None else max_da - self.stats.da()
+        rewind = room is not None and room <= fetched[e] - fetched[j]
+        if rewind:
+            saved = buffer.snapshot()
+        hits = buffer.access_many(labels, sides, levels, pages)
+        if rewind:
+            missed = np.zeros(len(chunk), dtype=np.int64)
+            missed[chunk] = ~hits
+            k = int(np.searchsorted(
+                np.cumsum(missed.reshape(-1, 2).sum(axis=1)), room))
+            if k < e - j - 1:
+                # DA trips at the poll after item j + k + 1, not at the
+                # chunk's: rewind and charge up to it.
+                e = j + k + 1
+                cut = int(chunk[:2 * (k + 1)].sum())
+                sides, levels, pages = sides[:cut], levels[:cut], pages[:cut]
+                buffer.restore(saved)
+                hits = buffer.access_many(labels, sides, levels, pages)
+        # NA/DA per tree and level, by ``bincount``.
+        for side, reader in enumerate((self.reader1, self.reader2)):
+            mine = sides == side
+            na = np.bincount(levels[mine])
+            da = np.bincount(levels[mine & ~hits], minlength=len(na))
+            for level in np.flatnonzero(na).tolist():
+                reader.stats.record_counts(reader.label, level,
+                                           int(na[level]), int(da[level]))
+        return e
+
+    def _sampler(self, root: _Frame, plans: list[_LevelPlan], at):
+        """``emit(j, within=0)``, emitting the sampled ``node_pair``
+        events up to poll ``j`` (``None``: the end), ``within`` items into
+        the child visit of item ``j`` — ``None`` if no tracer samples.
+
+        The stack machine's visit counter counts consumed items,
+        non-qualifying ones included.  A visit spans its items and its
+        child visits (summed bottom up); an item's count is its visit's
+        start, its cursor and its elder siblings' spans (top down).  A
+        sample lies in the innermost visit whose range holds it: one
+        ``searchsorted`` per depth over the counts of the items above."""
+        every = self.tracer.sample_pairs if self.tracer is not None else 0
+        if not every:
+            return None
+        spans = [None] * len(plans)
+        for d in reversed(range(len(plans))):
+            qs = plans[d].qual_start
+            spans[d] = plans[d].cost if plans[d].raw else np.diff(qs)
             if d + 1 < len(plans):
-                cost[pos + 1] = plans[d + 1].cost
-            if d + 1 == leaf:
-                qual[pos + 1] = np.diff(plans[leaf].qual_start)
-        return depth, item, cost, qual
+                below = np.concatenate(([0], np.cumsum(spans[d + 1])))
+                spans[d] = spans[d] + below.take(qs[1:]) - below.take(qs[:-1])
+        counts, count = [], np.zeros(1, dtype=np.int64)
+        for d, plan in enumerate(plans):
+            qs = plan.qual_start
+            visit = np.repeat(np.arange(len(qs) - 1), np.diff(qs))
+            first = qs.take(visit)
+            count = count.take(visit) + (
+                plan.qual_pos + 1 - plan.skip if plan.raw
+                else np.arange(plan.qual_total) - first + 1)
+            if d + 1 < len(plans):
+                elder = np.cumsum(spans[d + 1]) - spans[d + 1]
+                count += elder - elder.take(first)
+            counts.append(count)
+        polls = np.zeros(sum(map(len, at)) + 1, dtype=np.int64)
+        for pos, count in zip(at, counts):
+            polls[pos + 1] = count
+        polls, end, start = polls.tolist(), int(spans[0][0]), self.visits
 
-    def _step(self, root: _Frame, plans: list[_LevelPlan]) -> None:
-        """Charge the same order one item at a time, through the
-        readers — for the drains :meth:`_stepwise` picks, which must
-        see each read or each step: per item its two fetches, a poll
-        (governed; before the child is looked at — one past the slicer
-        horizon is never read), then the opening of its child visit:
-        its comparisons charged whole and, at leaf depth, its pairs
-        counted up to the one that spends a result budget, polled
-        after.  The root visit is the child of a virtual item that
-        fetches nothing.  A deadline or a cancellation lands on the
-        same boundaries as a budget, at most one node pair late."""
-        reads, at = self._preorder(plans)
-        governor = self.governor
-        limit = governor.budget.max_results if governor is not None else None
-        sampling = self.tracer is not None and self.tracer.sample_pairs > 0
-        leaf = len(plans) - 1 if plans[-1].kind == "leaf" else -1
-        n = reads.shape[1] // 2
-        depth, item, cost, qual = self._items(plans, at)
-        fetches = iter(reads.T.tolist())    # [side, level, page] each
-        fetch = (self._fetch1, self._fetch2)
-        opened, top = [0] * len(plans), -1   # the open visits, for sampling
-        cursor = None                       # the item's child not charged
-        try:
-            for position, pair, d, v, c, k in zip(
-                    range(-1, n), itertools.chain([()], zip(fetches, fetches)),
-                    depth.tolist(), item.tolist(), cost.tolist(),
-                    qual.tolist()):
-                if sampling and position >= 0:
-                    self._sample_to(root, plans, opened, top, d, v)
-                    top = d
-                for side, level, page in pair:
-                    fetch[side](page, level)
-                if governor is not None:
-                    governor.check(self.stats, self.pair_count)
-                d += 1
-                if d == len(plans):
-                    raise RuntimeError(
-                        "level-batch sub-budget slicer reached an "
-                        "unplanned depth without a budget trip")
-                self.comparisons += c
-                if d != leaf:
-                    opened[d], top = v, d
-                    continue
-                full = limit is not None and k >= limit - self.pair_count
-                if full:
-                    k = limit - self.pair_count
-                self.pair_count += k
-                if sampling or full:
-                    # Whole, or up to the pair that spent the budget: the
-                    # poll after it trips, the leaf frame still open.
-                    end = int(plans[d].qual_start[v]) + k
-                    consumed = self._cursor(plans[d], v,
-                                            end if full else end + 1)
-                    if sampling:
-                        self._sample(root, plans, d, v,
-                                     consumed - plans[d].skip)
-                    if full:
-                        cursor = consumed
-                        governor.check(self.stats, self.pair_count)
-            if sampling:
-                self._sample_to(root, plans, opened, top, 0,
-                                int(plans[0].qual_start[1]))
-        except (BudgetExceeded, Cancelled):
-            self._trip(root, plans, at, position, cursor)
-            raise
+        def emit(j, within=0):
+            seen = self.visits
+            self.visits = start + (end if j is None else polls[j] + within)
+            step = every * MAX_CHUNK_ITEMS      # bounds the arrays below
+            for low in range(seen - seen % every + every, self.visits + 1,
+                             step):
+                value = np.arange(low, min(low + step, self.visits + 1),
+                                  every)
+                rel = value - start
+                at_depth, visit = np.zeros((2, len(value)), dtype=np.int64)
+                for d in range(1, len(plans)):
+                    if not len(counts[d - 1]):
+                        break
+                    g = np.searchsorted(counts[d - 1], rel) - 1
+                    c = np.maximum(g, 0)
+                    inside = (g >= 0) & (rel <= counts[d - 1].take(c)
+                                         + spans[d].take(c))
+                    at_depth[inside], visit[inside] = d, g[inside]
+                for sample, d, v in np.stack((value, at_depth,
+                                              visit)).T.tolist():
+                    frame = self._frame(root, plans, d, v, 0)
+                    self.tracer.node_pair(self.join_id, sample,
+                                          frame.n1.page_id, frame.n1.level,
+                                          frame.n2.page_id, frame.n2.level)
+        return emit
 
     @staticmethod
     def _cursor(plan: _LevelPlan, v: int, idx: int) -> int:
@@ -865,31 +850,6 @@ class LevelBatchState:
         up = plans[depth - 1]
         return _Frame(_PageRef(int(up.child1[v]), up.child_l1),
                       _PageRef(int(up.child2[v]), up.child_l2), cursor)
-
-    def _sample_to(self, root: _Frame, plans: list[_LevelPlan], opened,
-                   top: int, depth: int, idx: int) -> None:
-        """Count the items consumed up to item ``idx`` of ``depth``: the
-        trailing ones of the visits ``opened`` below it, innermost
-        first, then its own visit's up to ``idx`` (or trailing)."""
-        for d in range(top, depth - 1, -1):
-            plan, u = plans[d], opened[d]
-            i = idx if d == depth else int(plan.qual_start[u + 1])
-            self._sample(root, plans, d, u, self._cursor(plan, u, i + 1)
-                         - self._cursor(plan, u, i))
-
-    def _sample(self, root: _Frame, plans: list[_LevelPlan], depth: int,
-                v: int, consumed: int) -> None:
-        """Count ``consumed`` more items of a visit (the skipped
-        non-qualifying ones included) and emit the sampled ones."""
-        every, seen = self.tracer.sample_pairs, self.visits
-        self.visits = seen + consumed
-        sampled = range(seen - seen % every + every, self.visits + 1, every)
-        if sampled:
-            at = self._frame(root, plans, depth, v, 0)
-            for visit in sampled:
-                self.tracer.node_pair(self.join_id, visit,
-                                      at.n1.page_id, at.n1.level,
-                                      at.n2.page_id, at.n2.level)
 
     def _trip(self, root: _Frame, plans: list[_LevelPlan], at,
               position: int, cursor: int) -> None:

@@ -14,16 +14,22 @@ from ..geometry import Rect
 __all__ = ["Entry"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     """One ``(rect, ref)`` slot of an R-tree node.
 
     ``ref`` is an object id at leaf level and a child page id above it;
-    the containing node's ``level`` disambiguates.
+    the containing node's ``level`` disambiguates.  Slotted: a leaf
+    entry carries no ``__dict__``.
     """
 
     rect: Rect
     ref: int
+
+    def __reduce__(self):
+        # Pickle as a constructor call: smaller and faster than the
+        # per-field state of a frozen slotted dataclass.
+        return Entry, (self.rect, self.ref)
 
     def __repr__(self) -> str:
         return f"Entry({self.rect!r} -> {self.ref})"

@@ -641,16 +641,24 @@ class TestEngineDifferential:
             paths.append(str(tree))
         return paths
 
+    @pytest.mark.parametrize("faults", [
+        (), ("--inject-transient", "0.05", "--fault-seed", "7")],
+        ids=["plain", "faults"])
     def test_sampled_node_pairs_and_counters(self, two_trees, tmp_path,
-                                             capsys):
+                                             capsys, faults):
+        """Sampled node pairs and counters alike on both traversals; with
+        transient faults the join reads through a retrying reader, which
+        level-batch charges read by read."""
         import json
 
         def traced(*flags):
             trace = tmp_path / f"trace{len(flags)}.jsonl"
-            code, _out, _err = run(
+            code, out, _err = run(
                 capsys, "join", *two_trees, "--max-na", "100000",
-                "--trace", str(trace), "--sample-pairs", "25", *flags)
+                "--trace", str(trace), "--sample-pairs", "25", *faults,
+                *flags)
             assert code == 0
+            assert ("retried reads" in out) == bool(faults)
             events = [json.loads(line)
                       for line in trace.read_text().splitlines()]
             finish, = [e for e in events if e["event"] == "join_finish"]

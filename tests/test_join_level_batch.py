@@ -4,10 +4,11 @@ The equivalence guarantees live in ``test_conformance.py``;
 this file pins the *plumbing*: which configurations actually dispatch
 to :class:`~repro.join.LevelBatchState` (a resumed join included),
 which fall back to the stack machine (the flag must never make a join
-illegal) and under which recorded reason, that the bulk charger of an
-ungoverned drain charges what the stepping loop does, how the
-observability hooks surface the batch engine, and that a priced plan
-executes on the engine the config names.
+illegal) and under which recorded reason, that the one charge loop
+leaves the same state whether it reads a drain in bulk or read by read
+(governed, cut and sampled too), how the observability hooks surface
+the batch engine, and that a priced plan executes on the engine the
+config names.
 """
 
 import contextlib
@@ -246,8 +247,8 @@ def _shifted(items, by):
 @contextlib.contextmanager
 def _per_read(*trees):
     """The trees read through pagers that draw a fault per read (at rate
-    zero, so none fails): a reader that acts on each read, which sends
-    every drain through the stepping loop."""
+    zero, so none fails): a reader that acts on each read, so every
+    drain is charged read by read."""
     for tree in dict.fromkeys(trees):
         tree.pager = FaultyPager(tree.pager, FaultInjector(seed=0))
     try:
@@ -258,11 +259,11 @@ def _per_read(*trees):
 
 
 class TestArrayCharger:
-    """A drain on plain readers is charged in bulk from its plan's
-    arrays (``LevelBatchState._charge``), governed or not; a reader that
-    acts on each read forces the one-item-at-a-time stepping loop
-    (``LevelBatchState._step``).  Both walk one ``ReadPage`` order and
-    must leave the same pairs, counters, comparison count and buffer."""
+    """One loop (``LevelBatchState._charge``) charges a drain from its
+    plan's arrays: in bulk on plain readers, governed or not; read by
+    read, one item per chunk, when a reader acts on each read.  Both
+    walk one ``ReadPage`` order and must leave the same pairs, counters,
+    comparison count and buffer."""
 
     @pytest.fixture(scope="class")
     def shapes(self, trees):
@@ -278,9 +279,8 @@ class TestArrayCharger:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record each ``access_many`` call: the bulk path makes one per
-        drain (ungoverned), the stepping path none (it reads page by
-        page)."""
+        """Record each ``access_many`` call: a bulk drain makes one
+        (ungoverned), a per-read drain none (it reads page by page)."""
         calls = []
         for cls in (BufferManager, NoBuffer, PathBuffer, LRUBuffer):
             if "access_many" in vars(cls):
@@ -303,15 +303,15 @@ class TestArrayCharger:
         config = BATCH.with_options(pair_enumeration=enum)
         calls = self._spy(monkeypatch)
         runs = []
-        for stepped in (False, True):
+        for per_read in (False, True):
             buffer = make_buffer()
-            with _per_read(t1, t2) if stepped else contextlib.nullcontext():
+            with _per_read(t1, t2) if per_read else contextlib.nullcontext():
                 result = spatial_join(t1, t2, buffer=buffer, config=config)
             assert result.engine == "level-batch"
             runs.append((result.pairs, result.stats.as_dict(),
                          result.comparisons, buffer.snapshot()))
-            # Charged in bulk once on plain readers; by the loop else.
-            assert len(calls) == (not stepped)
+            # Charged in bulk once on plain readers; read by read else.
+            assert len(calls) == (not per_read)
             calls.clear()
         assert runs[0] == runs[1]
         if shape == "empty":
@@ -324,8 +324,8 @@ class TestArrayCharger:
         "equal", "tall-first", "short-first", "leaf-r1"])
     def test_both_read_in_the_stack_machines_order(self, shapes, shape,
                                                    enum, monkeypatch):
-        """The bulk charge's one ``access_many`` call and the stepping
-        loop's fetches hand the buffer the stack machine's ``ReadPage``
+        """The bulk charge's one ``access_many`` call and the per-read
+        fetches hand the buffer the stack machine's ``ReadPage``
         sequence, read by read — the mixed-height re-fetch of a leaf
         after the other tree's child included, which a path buffer (one
         path per tree) cannot see."""
@@ -337,18 +337,18 @@ class TestArrayCharger:
         t1, t2 = shapes[shape]
         calls = self._spy(monkeypatch)
         logs = []
-        for config, stepped in ((STACK, False), (BATCH, False),
+        for config, per_read in ((STACK, False), (BATCH, False),
                                 (BATCH, True)):
             reads = []
-            with _per_read(t1, t2) if stepped else contextlib.nullcontext():
+            with _per_read(t1, t2) if per_read else contextlib.nullcontext():
                 spatial_join(t1, t2, buffer=Recording(5),
                              config=config.with_options(
                                  pair_enumeration=enum))
             logs.append(reads)
-        stack, bulk, stepped = logs
+        stack, bulk, per_read = logs
         assert calls == [len(bulk)] and len(stack) > 10
         assert bulk == stack
-        assert stepped == stack
+        assert per_read == stack
 
     def test_parallel_workers_start_from_buffer_state(self, trees,
                                                       monkeypatch):
@@ -358,39 +358,55 @@ class TestArrayCharger:
         calls = self._spy(monkeypatch)
         config = BATCH.with_options(mode="serial", workers=3)
         runs = []
-        for stepped in (False, True):
-            with _per_read(*trees) if stepped else contextlib.nullcontext():
+        for per_read in (False, True):
+            with _per_read(*trees) if per_read else contextlib.nullcontext():
                 result = parallel_spatial_join(*trees, config=config)
             runs.append((result.pairs,
                          [s.as_dict() for s in result.worker_stats],
                          result.comparisons))
-            assert bool(calls) == (not stepped)
+            assert bool(calls) == (not per_read)
             calls.clear()
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == 3
 
 
-    @pytest.mark.parametrize("sampling", [{"sample_pairs": 7},
-                                          {"sample_buffer": 5}])
-    def test_a_sampling_tracer_sees_every_step(self, trees, sampling):
-        """A tracer that samples node pairs or buffer accesses watches
-        each step, so even an ungoverned drain takes the loop and traces
-        what the stack machine traces."""
+    @pytest.mark.parametrize("sampling", [
+        {"sample_pairs": 7}, {"sample_buffer": 5},
+        {"sample_pairs": 7, "sample_buffer": 5}],
+        ids=["pairs", "buffer", "both"])
+    @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
+    @pytest.mark.parametrize("shape", [
+        "equal", "tall-first", "short-first", "leaf-r1", "empty"])
+    def test_sampling_interleaves(self, shapes, shape, enum, sampling,
+                                  monkeypatch):
+        """A sampling tracer sees the stack machine's ``node_pair`` and
+        ``buffer_access`` events, in its order: a node pair between the
+        reads of the items around it.  Sampling node pairs alone leaves
+        an ungoverned drain on plain readers in bulk, one
+        ``access_many`` call; a tracer sampling buffer accesses watches
+        each read, so the drain is charged read by read."""
+        t1, t2 = shapes[shape]
+        calls = self._spy(monkeypatch)
         traced = []
         for config in (BATCH, STACK):
-            sink = MemorySink()
-            spatial_join(*trees, config=config,
-                         tracer=Tracer(sink, **sampling))
+            sink = MemorySink(1 << 16)
+            spatial_join(t1, t2, tracer=Tracer(sink, **sampling),
+                         config=config.with_options(pair_enumeration=enum))
             traced.append([
                 {k: v for k, v in r.items()
                  if k not in ("seq", "ts", "elapsed", "join")}
                 for r in sink.records
                 if r["event"] in ("node_pair", "buffer_access")])
-        assert traced[0] == traced[1] and len(traced[0]) > 20
+        assert traced[0] == traced[1]
+        assert len(traced[0]) > 10 or shape == "empty"
+        # (The empty join's drain has no item to read.)
+        assert len(calls) == ("sample_buffer" not in sampling
+                              and shape != "empty")
 
     def test_readers_with_buffers_of_their_own(self, trees):
         """The bulk charger sends both trees through one buffer; readers
-        that keep one each take the loop, as the stack machine would."""
+        that keep one each are read by read, as the stack machine
+        would."""
         runs = []
         for config in (BATCH, STACK):
             stats, buffers = AccessStats(), (PathBuffer(), PathBuffer())
@@ -408,7 +424,7 @@ class TestArrayCharger:
 
     def test_a_reader_subclass_sees_every_fetch(self, trees):
         """A reader that is not exactly a ``MeteredReader`` may do
-        anything in ``fetch``: the drain takes the loop and calls it in
+        anything in ``fetch``: the drain is read by read, calling it in
         the stack machine's order."""
         class Logged(MeteredReader):
             def fetch(self, page_id, level):
@@ -430,7 +446,7 @@ class TestArrayCharger:
         """The parallel join's workers read through plain readers, with
         no retry policy; over a ``FaultyPager`` each fetch must still
         read its page — and draw its fault — as the stack machine's
-        does, so such a drain takes the loop."""
+        does, so such a drain is read by read."""
         draws = []
         for config in (BATCH, STACK):
             injector = FaultInjector(seed=3)
@@ -475,9 +491,9 @@ def _equal_height(n1, n2, max_entries):
 
 class TestGovernedBulkCharge:
     """A governed drain on plain readers is charged in bulk too
-    (``LevelBatchState._charge_governed``): count budgets trip at the
-    item the stepping loop trips at, found from the plan's arrays, and
-    a deadline or a cancellation is polled after each chunk of
+    (``LevelBatchState._charge``): count budgets trip at the item a
+    per-read drain trips at, found from the plan's arrays, and a
+    deadline or a cancellation is polled after each chunk of
     ``CHARGE_CHUNK_ITEMS`` items, at one of the stack machine's polls."""
 
     @pytest.fixture(scope="class")
@@ -488,18 +504,18 @@ class TestGovernedBulkCharge:
                             max_entries=6))
 
     @staticmethod
-    def _cut(trees, enum, kind, axis, limit, stepped):
-        buffer = BUFFERS[kind]()
+    def _cut(trees, enum, kind, axis, limit, per_read, sample_pairs):
+        buffer, sink = BUFFERS[kind](), MemorySink(1 << 16)
         join = SpatialJoin(
             *trees, buffer, Overlap(),
             governor=ExecutionGovernor(Budget(**{axis: limit}),
                                        partial=True),
+            tracer=Tracer(sink, sample_pairs=sample_pairs),
             config=BATCH.with_options(pair_enumeration=enum))
-        with _per_read(*trees) if stepped else contextlib.nullcontext():
+        with _per_read(*trees) if per_read else contextlib.nullcontext():
             result = join.run()
         checkpoint = getattr(result, "checkpoint", None)
-        return (list(result.pairs), result.stats.as_dict(),
-                result.comparisons, buffer.snapshot(),
+        return (signature(result, sink), buffer.snapshot(),
                 checkpoint and _canonical(checkpoint.to_dict()))
 
     @pytest.mark.parametrize("chunk", [batch.CHARGE_CHUNK_ITEMS, 3])
@@ -507,22 +523,53 @@ class TestGovernedBulkCharge:
     @pytest.mark.parametrize("kind", ["path", "none", "lru"])
     def test_every_cut_equals_stepping(self, small, kind, enum, chunk,
                                        monkeypatch):
-        """At every ``max_na``, ``max_da`` and ``max_results`` cut: the
-        pairs in order, NA/DA per tree and level, comparisons, the
-        buffer left behind and the checkpoint bytes.  A DA trip inside a
-        chunk rewinds the buffer and charges the prefix only."""
+        """At every ``max_na``, ``max_da`` and ``max_results`` cut, the
+        bulk charge leaves what the per-read one does: the pairs in
+        order, NA/DA per tree and level, comparisons, the buffer left
+        behind and the checkpoint bytes — and, under a tracer sampling
+        every or every third node pair, the sampled ``node_pair``
+        events.  A DA trip inside a chunk rewinds the buffer and
+        charges the prefix only; the samples stop at the same item."""
         monkeypatch.setattr(batch, "CHARGE_CHUNK_ITEMS", chunk)
         whole = spatial_join(*small, buffer=BUFFERS[kind](), config=BATCH)
         assert small[0].height != small[1].height
-        for axis, total in (("max_na", whole.na_total),
-                            ("max_da", whole.da_total),
-                            ("max_results", whole.pair_count)):
-            assert total > 20
-            for limit in range(1, total + 2):
-                bulk = self._cut(small, enum, kind, axis, limit, False)
-                assert bulk == self._cut(small, enum, kind, axis, limit,
-                                         True), (axis, limit)
-                assert (bulk[-1] is None) == (limit > total)
+        for sample_pairs in (0, 1, 3):
+            for axis, total in (("max_na", whole.na_total),
+                                ("max_da", whole.da_total),
+                                ("max_results", whole.pair_count)):
+                assert total > 20
+                for limit in range(1, total + 2):
+                    cut = (small, enum, kind, axis, limit)
+                    bulk = self._cut(*cut, False, sample_pairs)
+                    assert bulk == self._cut(*cut, True, sample_pairs), \
+                        (sample_pairs, axis, limit)
+                    assert (bulk[-1] is None) == (limit > total)
+                assert bool(bulk[0]["node_pairs"]) == bool(sample_pairs)
+
+    @pytest.mark.parametrize("enum", ["nested-loop", "vectorized"])
+    def test_a_resumed_drain_samples_from_its_cursor(self, small, enum):
+        """A resumed frame's visit starts at its cursor and the visit
+        counter restarts with the run: at every few ``max_na`` cuts, the
+        resumed run samples what the stack machine's does, in bulk and
+        read by read."""
+        whole = spatial_join(*small, config=BATCH)
+        for limit in range(1, whole.na_total, 3):
+            runs = []
+            for config, per_read in ((STACK, False), (BATCH, False),
+                                     (BATCH, True)):
+                config = config.with_options(pair_enumeration=enum)
+                cut = SpatialJoin(*small, config=config,
+                                  governor=ExecutionGovernor(
+                                      Budget(max_na=limit), partial=True))
+                sink = MemorySink(1 << 16)
+                join = SpatialJoin(*small, config=config,
+                                   tracer=Tracer(sink, sample_pairs=1))
+                with (_per_read(*small) if per_read
+                      else contextlib.nullcontext()):
+                    runs.append(signature(
+                        join.resume(cut.run().checkpoint), sink))
+            assert runs[0]["node_pairs"]
+            assert runs[1] == runs[0] and runs[2] == runs[0], limit
 
     def test_no_fetch_per_item(self, monkeypatch):
         """A governed drain on plain readers fetches no page through the

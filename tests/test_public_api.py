@@ -190,16 +190,16 @@ def test_one_plane_sweep():
 
 
 def test_one_charging_replay():
-    # One ReadPage order, built by one preorder builder: a bare
-    # level-batch join charges it in bulk, a governed or traced one
-    # steps through it; no second walk of the visit tree is left.
+    # One ReadPage order, built by one preorder builder and charged by
+    # one loop, in bulk or read by read; no second walk of the visit
+    # tree and no second charger is left.
     from repro.join import LevelBatchState
     from repro.join.batch import _LevelPlan
     assert callable(LevelBatchState._preorder)
     assert callable(LevelBatchState._charge)
-    assert callable(LevelBatchState._step)
     for name in ("_replay", "_replay_fast", "_replay_exact", "_init_frame",
-                 "_consume"):
+                 "_consume", "_step", "_sample", "_sample_to",
+                 "_charge_governed", "_stepwise"):
         assert not hasattr(LevelBatchState, name), name
     assert not hasattr(_LevelPlan, "listed")
 

@@ -9,6 +9,7 @@ the nodes, byte for byte.
 """
 
 import math
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,6 +46,14 @@ class TestPacking:
         window = Rect((0.3, 0.1), (0.55, 0.7))
         want = sorted(o for r, o in items if r.intersects(window))
         assert sorted(tree.range_query(window)) == want
+
+    def test_pickle_round_trip(self, pack):
+        """The processes mode ships trees to its workers by pickle: a
+        packed tree's copy holds the same nodes, entry for entry."""
+        tree = pack(make_items(500, seed=5), 2, 16)
+        clone = pickle.loads(pickle.dumps(tree))
+        assert tree_digest(clone) == tree_digest(tree)
+        assert validate(clone) == []
 
     def test_empty_input(self, pack):
         tree = pack([], 2, 16)

@@ -1,5 +1,7 @@
 """Unit tests for R-tree nodes and entries."""
 
+import pickle
+
 import pytest
 
 from repro.geometry import Rect
@@ -21,6 +23,13 @@ class TestEntry:
         a = Entry(Rect((0,), (1,)), 1)
         b = Entry(Rect((0,), (1,)), 1)
         assert a == b
+
+    def test_slotted_and_pickled(self):
+        e = Entry(Rect((0.25, 0.5), (0.75, 1.0)), 7)
+        assert not hasattr(e, "__dict__")
+        clone = pickle.loads(pickle.dumps(e))
+        assert type(clone) is Entry and clone == e
+        assert clone.rect.lo == e.rect.lo and clone.rect.hi == e.rect.hi
 
 
 class TestNode:
