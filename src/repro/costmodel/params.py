@@ -56,10 +56,34 @@ def rtree_height(n_objects: int, max_entries: int,
     if n_objects < 0:
         raise ModelDomainError("n_objects must be >= 0")
     _check_structure(max_entries, fill)
-    cm = fill * max_entries
+    return height_from_fanout(n_objects, fill * max_entries)
+
+
+# The scalar Eq. 2/4/5 expressions.  AnalyticalTreeParams evaluates them
+# per tree; the batch estimator maps the same functions over whole
+# columns, so both paths agree bit for bit by construction.  They check
+# nothing: callers validate their arguments first.
+
+def height_from_fanout(n_objects: int, cm: float) -> int:
+    """Eq. 2 for the average fan-out ``cm = c * M``."""
     if n_objects <= cm:
         return 1
     return 1 + math.ceil(math.log(n_objects / cm, cm))
+
+
+def level_nodes(n_objects: int, cm: float, level: int) -> float:
+    """Eq. 3: ``N_j = N / (cM)^j`` (real-valued, as in the model)."""
+    return n_objects / cm ** level
+
+
+def propagate_density(d_prev: float, cm: float, ndim: int) -> float:
+    """Eq. 5: density of level-j node rects from level j-1."""
+    return (1.0 + (d_prev ** (1.0 / ndim) - 1.0) / cm ** (1.0 / ndim)) ** ndim
+
+
+def side_from_ratio(ratio: float, ndim: int) -> float:
+    """Eq. 4 before the clamp to 1: the side ``(D / N)^(1/n)``."""
+    return ratio ** (1.0 / ndim)
 
 
 class TreeParams(Protocol):
@@ -124,10 +148,11 @@ class AnalyticalTreeParams:
                 raise ValueError("height must be >= 1")
             self.height = height
         # Propagate node densities D_1 .. D_h once (Eq. 5).
+        cm = fill * max_entries
         self._level_density = [density]
         for _ in range(self.height):
             self._level_density.append(
-                self._propagate(self._level_density[-1]))
+                propagate_density(self._level_density[-1], cm, ndim))
 
     @classmethod
     def from_dataset(cls, dataset: SpatialDataset, max_entries: int,
@@ -136,18 +161,13 @@ class AnalyticalTreeParams:
         return cls(dataset.cardinality, dataset.density(), max_entries,
                    dataset.ndim, fill)
 
-    def _propagate(self, d_prev: float) -> float:
-        """Eq. 5: density of level-j node rects from level j-1."""
-        n = self.ndim
-        cm = self.fill * self.max_entries
-        return (1.0 + (d_prev ** (1.0 / n) - 1.0) / cm ** (1.0 / n)) ** n
-
     def nodes_at(self, level: int) -> float:
         """Eq. 3: ``N_j = N / (cM)^j`` (real-valued, as in the model)."""
         self._check_level(level)
         if level >= self.height:
             return 1.0  # the root
-        return self.n_objects / (self.fill * self.max_entries) ** level
+        return level_nodes(self.n_objects, self.fill * self.max_entries,
+                           level)
 
     def density_at(self, level: int) -> float:
         """Eq. 5 result; ``density_at(0)`` is the data density itself."""
@@ -168,7 +188,8 @@ class AnalyticalTreeParams:
         nodes = self.nodes_at(level)
         if nodes <= 0.0:
             return (0.0,) * self.ndim
-        side = (self._level_density[level] / nodes) ** (1.0 / self.ndim)
+        side = side_from_ratio(self._level_density[level] / nodes,
+                               self.ndim)
         return (min(side, 1.0),) * self.ndim
 
     def average_object_extents(self) -> tuple[float, ...]:
@@ -178,7 +199,7 @@ class AnalyticalTreeParams:
         """
         if self.n_objects == 0:
             return (0.0,) * self.ndim
-        side = (self.density / self.n_objects) ** (1.0 / self.ndim)
+        side = side_from_ratio(self.density / self.n_objects, self.ndim)
         return (min(side, 1.0),) * self.ndim
 
     def _check_level(self, level: int) -> None:

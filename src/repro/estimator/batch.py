@@ -4,9 +4,10 @@
 rows — each one a complete ``(N1, D1, N2, D2, M, ndim, fill, window)``
 description of a candidate join — and returns a :class:`BatchResult`
 with NA / DA (both role assignments) / selectivity predictions for every
-row.  The whole grid is evaluated by the vectorized kernels of
-:mod:`~repro.estimator.kernels` (the property tests assert they agree
-with the scalar reference formulas to 1e-12).
+row.  The Eq. 2-5 level tables are derived a column at a time from the
+scalar formulas, and the whole grid is then evaluated by the vectorized
+kernels of :mod:`~repro.estimator.kernels`; the property tests assert
+every result equals the scalar reference formulas' bit for bit.
 
 Requests are validated up front with the same domain rules as
 :func:`~repro.costmodel.check_model_params`; a bad row raises
@@ -18,13 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import truediv
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..costmodel.params import DEFAULT_FILL
+from ..costmodel.params import (DEFAULT_FILL, height_from_fanout,
+                                level_nodes, propagate_density,
+                                side_from_ratio)
 from ..reliability import ModelDomainError
-from .cache import ParamCache
 from .kernels import join_kernel, range_na_kernel, selectivity_kernel
 
 __all__ = ["EstimateRequest", "BatchResult", "estimate_batch",
@@ -162,7 +165,77 @@ class BatchResult:
         return [self.record(i) for i in range(len(self))]
 
 
-def _validate(requests: Sequence[EstimateRequest]) -> None:
+class _Columns:
+    """The requests as columns, with the right-side overrides resolved."""
+
+    def __init__(self, requests: Sequence[EstimateRequest]):
+        self.n1 = [r.n1 for r in requests]
+        self.d1 = [r.d1 for r in requests]
+        self.n2 = [r.n2 for r in requests]
+        self.d2 = [r.d2 for r in requests]
+        self.ndim = [r.ndim for r in requests]
+        self.m1 = [r.max_entries for r in requests]
+        self.fill1 = [r.fill for r in requests]
+        self.m2 = [r.max_entries if r.max_entries_right is None
+                   else r.max_entries_right for r in requests]
+        self.fill2 = [r.fill if r.fill_right is None else r.fill_right
+                      for r in requests]
+        self.distance = [r.distance for r in requests]
+        self.window = [r.window for r in requests]
+
+    def valid(self, requests: Sequence[EstimateRequest]) -> bool:
+        """True only if every row passes :func:`_check_rows`.
+
+        Each column's distinct values (types and least values, for the
+        integer ones) are checked once.  The fan-out ``c*M`` is checked
+        on the least ``c`` and ``M`` of a side (a rounded product does
+        not fall when a factor grows), then on the distinct pairs.  An
+        error of any kind only sends the caller to the row walk, which
+        reports it.  These are the row rules in bulk form; a property
+        test holds the two to agreement.
+        """
+        try:
+            return (_counts(self.n1, 1) and _counts(self.n2, 1)
+                    and _finite_nonneg(self.d1)
+                    and _finite_nonneg(self.d2)
+                    and _counts(self.ndim, 1)
+                    and _structure_ok(self.m1, self.fill1)
+                    and _structure_ok(self.m2, self.fill2)
+                    and _finite_nonneg(self.distance)
+                    and all(_window_ok(requests[i])
+                            for i, w in enumerate(self.window)
+                            if w is not None))
+        except (TypeError, ValueError, OverflowError):
+            return False
+
+
+_NUMBERS = frozenset((int, float))
+
+
+def _counts(column, least: int) -> bool:
+    return {int}.issuperset(map(type, column)) and min(column) >= least
+
+
+def _finite_nonneg(column) -> bool:
+    return (_NUMBERS.issuperset(map(type, column))
+            and all(math.isfinite(v) and v >= 0.0 for v in set(column)))
+
+
+def _structure_ok(ms, fills) -> bool:
+    return (min(ms) >= 2 and _NUMBERS.issuperset(map(type, fills))
+            and all(math.isfinite(f) and 0.0 < f <= 1.0
+                    for f in set(fills))
+            and (min(fills) * min(ms) > 1.0
+                 or all(f * m > 1.0 for m, f in set(zip(ms, fills)))))
+
+
+def _window_ok(r: EstimateRequest) -> bool:
+    w = r.window_tuple()
+    return len(w) == r.ndim and all(math.isfinite(q) and q >= 0.0
+                                    for q in w)
+
+
+def _check_rows(requests: Sequence[EstimateRequest]) -> None:
     """Per-row domain guard, mirroring the scalar constructors."""
     for i, r in enumerate(requests):
         where = f"request {i}"
@@ -179,6 +252,9 @@ def _validate(requests: Sequence[EstimateRequest]) -> None:
                     f"{where}: {side} must be finite, got {d!r}")
             if d < 0.0:
                 raise ModelDomainError(f"{where}: {side} must be >= 0")
+        if not isinstance(r.ndim, int) or isinstance(r.ndim, bool):
+            raise ModelDomainError(
+                f"{where}: ndim must be an integer, got {r.ndim!r}")
         if r.ndim < 1:
             raise ModelDomainError(f"{where}: ndim must be >= 1")
         for m, fill in ((r.m_left, r.fill_left),
@@ -194,6 +270,10 @@ def _validate(requests: Sequence[EstimateRequest]) -> None:
             if fill * m <= 1.0:
                 raise ModelDomainError(
                     f"{where}: average fan-out c*M must exceed 1")
+        if (not isinstance(r.distance, (int, float))
+                or not math.isfinite(r.distance)):
+            raise ModelDomainError(
+                f"{where}: distance must be finite, got {r.distance!r}")
         if r.distance < 0.0:
             raise ModelDomainError(f"{where}: distance must be >= 0")
         w = r.window_tuple()
@@ -207,6 +287,19 @@ def _validate(requests: Sequence[EstimateRequest]) -> None:
                     f"{where}: window extents must be finite and >= 0")
 
 
+def _validate(requests: Sequence[EstimateRequest]) -> _Columns:
+    """The requests' columns, once every row is in the model's domain.
+
+    A bad row raises :class:`~repro.reliability.ModelDomainError`
+    naming its index; the rows are walked only when the column checks
+    fail.
+    """
+    columns = _Columns(requests)
+    if not columns.valid(requests):
+        _check_rows(requests)
+    return columns
+
+
 def estimate_batch(requests: Iterable[EstimateRequest],
                    mixed_height_mode: str = "traversal",
                    ) -> BatchResult:
@@ -218,80 +311,108 @@ def estimate_batch(requests: Iterable[EstimateRequest],
     reqs = [r if isinstance(r, EstimateRequest)
             else EstimateRequest.from_dict(dict(r), i)
             for i, r in enumerate(requests)]
-    _validate(reqs)
     if not reqs:
         return BatchResult(requests=reqs,
                            mixed_height_mode=mixed_height_mode)
-    return _estimate_batch_kernels(reqs, mixed_height_mode)
+    return _estimate_batch_kernels(reqs, _validate(reqs), mixed_height_mode)
 
 
-def _tree_tables(descs: list[tuple], cache: ParamCache):
-    """Per-row level tables from deduplicated scalar derivations.
+def _tree_tables(n, d, m, ndim, fill):
+    """Per-row Eq. 2-5 level tables, derived a column at a time.
 
-    ``descs`` holds one ``(N, D, M, ndim, fill)`` tuple per row.  The
-    Eq. 2-5 parameters involve ``pow``/``log``, whose NumPy SIMD loops
-    are not bit-identical to libm, so they are derived once per
-    *distinct* tree through the scalar
-    :class:`~repro.costmodel.AnalyticalTreeParams` (via the cache) and
-    scattered to all rows — the expensive O(rows x stages) arithmetic
-    stays fully vectorized in the kernels.
+    ``n``/``d``/``m``/``ndim``/``fill`` hold one ``N``, ``D``, ``M``,
+    ``ndim`` and ``c`` per row.  NumPy's ``pow``/``log`` loops are not
+    libm, so every formula is a scalar call of the function
+    :class:`~repro.costmodel.AnalyticalTreeParams` uses, mapped over
+    flat lists: Eq. 2 and the average object extent per distinct tree,
+    Eq. 5 once per distinct ``(D, cM, ndim)`` group up to the group's
+    greatest height, Eq. 3 and Eq. 4 (with its ``D_j / N_j`` ratio) per
+    distinct tree and level below its root.  NumPy only lays the values
+    out and does the ``min(·, 1)`` clamps, which are exact, so every
+    table entry equals the scalar accessor's.
 
     Returns ``(nodes, extents, heights, sbar)``: two ``(rows, max_h)``
-    level tables (columns at/above a row's root hold 1.0, like the
-    scalar accessors), the integer heights and the average object
-    extent per row.
+    level tables whose column ``j-1`` answers level ``j`` (columns at
+    and above a row's root hold 1.0, like the scalar accessors), the
+    integer heights and the average object extent per row.
     """
     index: dict[tuple, int] = {}
-    uparams = []
-    inverse = []
-    for key in descs:
-        u = index.get(key)
-        if u is None:
-            u = len(uparams)
-            index[key] = u
-            uparams.append(cache.get(*key))
-        inverse.append(u)
-    max_h = max(p.height for p in uparams)
-    unodes = np.ones((len(uparams), max_h))
-    uext = np.ones((len(uparams), max_h))
-    uh = np.empty(len(uparams), dtype=np.int64)
-    usbar = np.empty(len(uparams), dtype=np.float64)
-    for ui, p in enumerate(uparams):
-        uh[ui] = p.height
-        usbar[ui] = p.average_object_extents()[0]
-        for j in range(1, p.height):
-            unodes[ui, j - 1] = p.nodes_at(j)
-            uext[ui, j - 1] = p.extents_at(j)[0]
-    inv = np.array(inverse, dtype=np.int64)
-    return unodes[inv], uext[inv], uh[inv], usbar[inv]
+    inverse = [index.setdefault(key, len(index))
+               for key in zip(n, d, m, ndim, fill)]
+    trees = list(index)
+    n_u = [key[0] for key in trees]
+    d_u = [key[1] for key in trees]
+    nd_u = [key[3] for key in trees]
+    fanout = [f * mm for _, _, mm, _, f in trees]
+    heights = list(map(height_from_fanout, n_u, fanout))
+
+    # Eq. 5: dens[start[g] + j - 1] holds group g's density D_j.
+    groups: dict[tuple, int] = {}
+    group = [groups.setdefault(key, len(groups))
+             for key in zip(d_u, fanout, nd_u)]
+    top = [1] * len(groups)
+    for g, h in zip(group, heights):
+        if h > top[g]:
+            top[g] = h
+    dens, start = [], []
+    for (dj, cm, nd), t in zip(groups, top):
+        start.append(len(dens))
+        for _ in range(1, t):
+            dj = propagate_density(dj, cm, nd)
+            dens.append(dj)
+
+    # The cells below each root, tree by tree and level by level, hold
+    # Eq. 3's N_j and Eq. 4's min((D_j / N_j)^(1/n), 1); N_j > 1 there,
+    # so the scalar's N_j <= 0 branch never applies.  Level 0 (N, D)
+    # gives the average object extent.
+    h_u = np.array(heights, dtype=np.int64)
+    below_root = np.arange(1, h_u.max() + 1) < h_u[:, None]
+    tree_of, col = np.nonzero(below_root)
+    cells = tree_of.tolist()
+    first = np.array([start[g] for g in group], dtype=np.intp)
+    level_n = list(map(level_nodes, map(n_u.__getitem__, cells),
+                       map(fanout.__getitem__, cells), (col + 1).tolist()))
+    level_d = map(dens.__getitem__, (first[tree_of] + col).tolist())
+    nodes = np.ones(below_root.shape)
+    nodes[below_root] = level_n
+    extents = np.ones_like(nodes)
+    extents[below_root] = np.minimum(
+        _sides(map(truediv, level_d, level_n),
+               map(nd_u.__getitem__, cells)), 1.0)
+    sbar = np.minimum(_sides(map(truediv, d_u, n_u), nd_u), 1.0)
+
+    inv = np.array(inverse, dtype=np.intp)
+    return nodes[inv], extents[inv], h_u[inv], sbar[inv]
 
 
-def _estimate_batch_kernels(reqs: list[EstimateRequest],
+def _sides(ratios, ndim):
+    """Eq. 4's scalar ``pow`` mapped over a column of ratios."""
+    return np.fromiter(map(side_from_ratio, ratios, ndim), np.float64)
+
+
+def _estimate_batch_kernels(reqs: list[EstimateRequest], cols: _Columns,
                             mode: str) -> BatchResult:
-    cache = ParamCache(maxsize=None)
-    left = [(r.n1, r.d1, r.m_left, r.ndim, r.fill_left) for r in reqs]
-    right = [(r.n2, r.d2, r.m_right, r.ndim, r.fill_right_)
-             for r in reqs]
-    nodes1, ext1, h1, sbar1 = _tree_tables(left, cache)
-    nodes2, ext2, h2, sbar2 = _tree_tables(right, cache)
-    ndim = np.array([r.ndim for r in reqs], dtype=np.int64)
-    dist = np.array([r.distance for r in reqs], dtype=np.float64)
-    n1f = np.array([float(r.n1) for r in reqs])
-    n2f = np.array([float(r.n2) for r in reqs])
+    nodes1, ext1, h1, sbar1 = _tree_tables(cols.n1, cols.d1, cols.m1,
+                                           cols.ndim, cols.fill1)
+    nodes2, ext2, h2, sbar2 = _tree_tables(cols.n2, cols.d2, cols.m2,
+                                           cols.ndim, cols.fill2)
+    ndim = np.array(cols.ndim, dtype=np.int64)
+    dist = np.array(cols.distance, dtype=np.float64)
+    n1f = np.array(cols.n1, dtype=np.float64)
+    n2f = np.array(cols.n2, dtype=np.float64)
 
     out = join_kernel(nodes1, ext1, h1, nodes2, ext2, h2, ndim, mode)
     swapped = join_kernel(nodes2, ext2, h2, nodes1, ext1, h1, ndim, mode)
     sel = selectivity_kernel(n1f, sbar1, n2f, sbar2, ndim, dist)
 
-    windows = [r.window_tuple() for r in reqs]
     range_na: list[float | None] = [None] * len(reqs)
-    with_window = [i for i, w in enumerate(windows) if w is not None]
+    with_window = [i for i, w in enumerate(cols.window) if w is not None]
     if with_window:
         idx = np.array(with_window, dtype=np.int64)
         max_ndim = int(ndim[idx].max())
         warr = np.zeros((len(with_window), max_ndim))
         for row, i in enumerate(with_window):
-            w = windows[i]
+            w = reqs[i].window_tuple()
             warr[row, :len(w)] = w
         totals = range_na_kernel(nodes1[idx], ext1[idx], h1[idx],
                                  ndim[idx], warr)

@@ -1,9 +1,10 @@
 """Memoized per-level tree parameters.
 
 Deriving :class:`~repro.costmodel.params.AnalyticalTreeParams` runs the
-Eq. 5 density propagation once per level — cheap, but plan enumeration,
-admission control, and grid sweeps ask for the *same* trees over and
-over (a Figure-5 grid holds one side fixed while the other sweeps).
+Eq. 5 density propagation once per level — cheap, but plan enumeration
+and admission control ask for the *same* trees over and over.  (Grids
+go through :func:`~repro.estimator.estimate_batch`, which derives its
+level tables by column and builds no parameter objects.)
 :class:`ParamCache` memoizes the derived objects on the complete key
 ``(N, D, M, ndim, fill)``; the objects are immutable in practice (no
 public mutator), so sharing them is safe.

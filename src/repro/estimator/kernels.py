@@ -12,17 +12,17 @@ Bit-for-bit equivalence with the scalar path
 --------------------------------------------
 
 The scalar formulas in :mod:`repro.costmodel` remain the reference
-implementation, and the test suite asserts the vectorized results match
-them to an *absolute* 1e-12 — which on costs of magnitude 1e6 means
-bit-identical floats.  Two design rules make that achievable:
+implementation, and the property tests assert that every batch result
+*equals* theirs, float for float.  Two design rules make that hold:
 
 * the per-level parameters (Eqs. 2-5) involve ``pow``/``log``, whose
-  NumPy SIMD loops are *not* bit-identical to libm — so they are never
-  vectorized.  The caller derives them through the scalar
-  :class:`~repro.costmodel.AnalyticalTreeParams` once per *distinct*
-  tree (deduplicated on ``(N, D, M, ndim, fill)``, the batch-side
-  analogue of :class:`~repro.estimator.cache.ParamCache`) and passes
-  level tables in;
+  NumPy SIMD loops are *not* bit-identical to libm — so no ``pow`` or
+  ``log`` is ever vectorized.  The caller
+  (:func:`~repro.estimator.batch._tree_tables`) maps the scalar Eq.
+  2-5 functions of :mod:`repro.costmodel.params` — the ones
+  :class:`~repro.costmodel.AnalyticalTreeParams` calls — over columns
+  of distinct trees, leaves only the exact ``min`` clamps to NumPy,
+  and passes level tables in;
 * the per-stage arithmetic (Eqs. 6-10) is pure ``+``/``*``/``min`` —
   IEEE-exact and identical under vectorization — and mirrors the scalar
   operation sequence: products over dimensions multiply sequentially

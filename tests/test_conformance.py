@@ -134,6 +134,9 @@ def test_process_cells_conform(mode, assignment):
          Overlap(), (6, 6), "path", 3, True)
 @example(lattice_squares(0), lattice_squares(1), "max_results", 0.5,
          Overlap(), (8, 3), "lru", 7, True)
+# A resumed, sampled drain (no bucket: the resume legs run).
+@example(lattice_squares(0), lattice_squares(1), "max_na", 0.4,
+         Overlap(), (6, 6), "path", 3, False)
 def test_governed_cuts_conform(enum, items1, items2, axis, frac,
                                predicate, capacities, kind, sample_pairs,
                                bucket):

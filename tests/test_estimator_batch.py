@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.costmodel import AnalyticalTreeParams
 from repro.costmodel.join_da import join_da_breakdown
@@ -11,6 +13,7 @@ from repro.costmodel.range_query import range_query_na
 from repro.costmodel.selectivity import join_selectivity_pairs
 from repro.estimator import (EstimateRequest, ParamCache, estimate_batch,
                              range_na_batch)
+from repro.estimator.batch import _check_rows, _Columns
 from repro.reliability import ModelDomainError
 
 
@@ -57,6 +60,19 @@ def test_batch_matches_scalar_reference():
             assert res.range_na[i] == range_query_na(p1, w)
 
 
+def test_batch_builds_no_parameter_objects(monkeypatch):
+    """The batch derives its tables by column, not through the scalar
+    parameter objects or their cache."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the batch path built a parameter object")
+    expected = estimate_batch(_grid())
+    monkeypatch.setattr(AnalyticalTreeParams, "__init__", refuse)
+    monkeypatch.setattr(ParamCache, "get", refuse)
+    res = estimate_batch(_grid())
+    assert (res.na, res.da, res.selectivity, res.range_na) == (
+        expected.na, expected.da, expected.selectivity, expected.range_na)
+
+
 def test_accepts_dict_requests():
     res = estimate_batch([
         {"n1": 1000, "d1": 0.5, "n2": 2000, "d2": 0.4},
@@ -100,12 +116,87 @@ def test_empty_batch():
      "distance"),
     ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5, "window": [0.1]},
      "window"),
+    ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5,
+      "distance": float("nan")}, "distance must be finite"),
+    ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5,
+      "distance": float("inf")}, "distance must be finite"),
+    ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5, "ndim": 2.5},
+     "ndim must be an integer"),
+    ({"n1": True, "d1": 0.5, "n2": 10, "d2": 0.5}, "n1 must be an integer"),
 ])
 def test_validation_names_the_row(record, match):
     good = {"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5}
     with pytest.raises(ModelDomainError, match=match) as exc:
         estimate_batch([good, record])
     assert "request 1" in str(exc.value)
+
+
+def test_column_checks_fall_back_to_the_rows():
+    # The least c and the least M come from different rows, so their
+    # product is below 1 although every row's own c*M is above it.
+    rows = [EstimateRequest(10, 0.5, 10, 0.5, max_entries=2, fill=0.9),
+            EstimateRequest(10, 0.5, 10, 0.5, max_entries=50, fill=0.3)]
+    assert len(estimate_batch(rows)) == 2
+    bad = EstimateRequest(10, 0.5, 10, 0.5, max_entries=3, fill=0.3)
+    with pytest.raises(ModelDomainError, match="request 2: average"):
+        estimate_batch(rows + [bad])
+    # 1 == True: a bool among equal ints is still named.
+    with pytest.raises(ModelDomainError, match="request 1: n2 must be"):
+        estimate_batch([EstimateRequest(1, 0.5, 1, 0.5),
+                        EstimateRequest(1, 0.5, True, 0.5)])
+
+
+NAN, INF = float("nan"), float("inf")
+#: Values each field's row rules reject (or that are of a type they
+#: only accept by way of ``isinstance``, like ``True`` for ``fill``).
+BAD = {
+    "n1": [0, -1, True, 1.5, NAN], "n2": [0, -7, False, 2.0],
+    "d1": [-0.5, NAN, INF, -INF, True], "d2": [-1, NAN, INF],
+    "ndim": [0, -1, 2.5, 2.0, True],
+    "max_entries": [1, 0, -3, 1.5], "max_entries_right": [1, 0, 1.5],
+    "fill": [0.01, 0.02, 0.0, -0.1, 1.5, 2, 1.0000001, NAN, INF, True],
+    "fill_right": [0.01, 0.02, 0.0, 1.01, 3.0, NAN, 1],
+    "distance": [-0.1, NAN, INF, True],
+    "window": [NAN, INF, -0.2, (0.1, NAN), (-0.1, 0.2), (), (0.1,) * 4,
+               (0.2,) * 5],
+}
+
+
+@st.composite
+def mixed_batches(draw):
+    """In-domain requests, then up to two fields of any rows replaced by
+    out-of-domain values; also returns how many were replaced."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        ndim = draw(st.integers(1, 3))
+        rows.append(dict(
+            n1=draw(st.integers(1, 10 ** 7)), d1=draw(st.floats(0, 5)),
+            n2=draw(st.sampled_from([1, 60_000, 2 ** 60])),
+            d2=draw(st.sampled_from([0, 0.5, 3])),
+            ndim=ndim, max_entries=draw(st.integers(4, 60)),
+            fill=draw(st.sampled_from([0.3, 0.67, 1.0, 1])),
+            max_entries_right=draw(st.sampled_from([None, 4, 50])),
+            fill_right=draw(st.sampled_from([None, 0.67, 1.0])),
+            distance=draw(st.sampled_from([0.0, 0, 0.25])),
+            window=draw(st.sampled_from([None, 0.1, (0.2,) * ndim]))))
+    bad = draw(st.integers(0, 2))
+    for _ in range(bad):
+        name = draw(st.sampled_from(sorted(BAD)))
+        draw(st.sampled_from(rows))[name] = draw(st.sampled_from(BAD[name]))
+    return [EstimateRequest(**row) for row in rows], bad
+
+
+@settings(max_examples=600, deadline=None)
+@given(mixed_batches())
+def test_column_checks_admit_only_what_the_rows_admit(batch):
+    """The column checks that let a batch skip the row walk accept no
+    batch the row walk rejects, whatever column holds the bad value, and
+    accept every batch of plain in-domain values."""
+    reqs, bad = batch
+    if _Columns(reqs).valid(reqs):
+        _check_rows(reqs)
+    else:
+        assert bad
 
 
 def test_bad_mode_and_bad_fields():
