@@ -24,6 +24,7 @@ experiments (how much error comes from Eqs. 2-5 vs from Eqs. 6-12).
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import Protocol, Sequence
 
 from ..datasets import SpatialDataset
@@ -272,7 +273,16 @@ def check_model_params(*params: TreeParams) -> None:
                     f"non-finite node extent at level {level} of {p!r}")
 
 
+def is_integer(value) -> bool:
+    """An integer in the model's sense: any ``Integral`` (NumPy's too),
+    never a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _check_structure(max_entries: int, fill: float) -> None:
+    if not is_integer(max_entries):
+        raise ModelDomainError(
+            f"max_entries must be an integer, got {max_entries!r}")
     if max_entries < 2:
         raise ModelDomainError("max_entries must be >= 2")
     if not isinstance(fill, (int, float)) or not math.isfinite(fill):

@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..costmodel.params import (DEFAULT_FILL, height_from_fanout,
-                                level_nodes, propagate_density,
-                                side_from_ratio)
+                                is_integer, level_nodes,
+                                propagate_density, side_from_ratio)
 from ..reliability import ModelDomainError
 from .kernels import join_kernel, range_na_kernel, selectivity_kernel
 
@@ -222,7 +222,7 @@ def _finite_nonneg(column) -> bool:
 
 
 def _structure_ok(ms, fills) -> bool:
-    return (min(ms) >= 2 and _NUMBERS.issuperset(map(type, fills))
+    return (_counts(ms, 2) and _NUMBERS.issuperset(map(type, fills))
             and all(math.isfinite(f) and 0.0 < f <= 1.0
                     for f in set(fills))
             and (min(fills) * min(ms) > 1.0
@@ -257,11 +257,14 @@ def _check_rows(requests: Sequence[EstimateRequest]) -> None:
                 f"{where}: ndim must be an integer, got {r.ndim!r}")
         if r.ndim < 1:
             raise ModelDomainError(f"{where}: ndim must be >= 1")
-        for m, fill in ((r.m_left, r.fill_left),
-                        (r.m_right, r.fill_right_)):
-            if m < 2:
+        for name, m, fill in (("max_entries", r.m_left, r.fill_left),
+                              ("max_entries_right", r.m_right,
+                               r.fill_right_)):
+            if not is_integer(m):
                 raise ModelDomainError(
-                    f"{where}: max_entries must be >= 2")
+                    f"{where}: {name} must be an integer, got {m!r}")
+            if m < 2:
+                raise ModelDomainError(f"{where}: {name} must be >= 2")
             if not isinstance(fill, (int, float)) or not math.isfinite(fill):
                 raise ModelDomainError(
                     f"{where}: fill must be finite, got {fill!r}")

@@ -3,7 +3,10 @@
 :class:`ServeDaemon` wraps one :class:`~repro.serve.service.JoinService`
 behind a minimal JSON-over-HTTP protocol, listening on TCP and/or a
 unix-domain socket.  Requests are parsed with ``asyncio`` streams (no
-third-party framework); each blocking join runs in a thread pool via
+third-party framework).  A join request is admitted on the event loop
+(:meth:`JoinService.admit` never blocks), so a replayed idempotency key
+is answered with its recorded bytes and a refusal with its status
+without a thread hop.  Only an admitted join runs in a thread pool via
 ``run_in_executor`` while the event loop keeps accepting connections —
 and keeps *watching* the join's connection: a client that disconnects
 mid-join cancels its cooperative token, turning the work into a partial
@@ -40,8 +43,8 @@ from ..reliability import (CorruptPageError, MalformedFileError,
                            ReproError, TransientPageError)
 from .config import ServeConfig
 from .quotas import QuotaExceeded
-from .service import (JoinService, Overloaded, ServiceDraining,
-                      UnknownTree)
+from .service import (JoinResponse, JoinService, Overloaded,
+                      ServiceDraining, UnknownTree, wire_body)
 
 __all__ = ["ServeDaemon"]
 
@@ -234,20 +237,24 @@ class ServeDaemon:
         return method.upper(), path, body, idem_key
 
     async def _write_response(self, writer, status: int,
-                              payload: dict) -> None:
+                              payload: dict | JoinResponse) -> None:
+        """Send ``payload``: a document, or a join response's body."""
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                    405: "Method Not Allowed", 408: "Request Timeout",
                    413: "Payload Too Large", 422: "Unprocessable Entity",
                    429: "Too Many Requests", 499: "Client Closed Request",
                    500: "Internal Server Error",
                    503: "Service Unavailable"}
-        body = (json.dumps(payload) + "\n").encode("utf-8")
+        if isinstance(payload, JoinResponse):
+            body = payload.body
+        else:
+            body = wire_body(payload)
         head = (f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n")
-        retry_after = payload.get("retry_after")
-        if status in (429, 503) and retry_after is not None:
-            head += f"Retry-After: {max(1, round(retry_after))}\r\n"
+        if status in (429, 503) and payload.get("retry_after") is not None:
+            head += (f"Retry-After: "
+                     f"{max(1, round(payload['retry_after']))}\r\n")
         head += "Connection: close\r\n\r\n"
         writer.write(head.encode("ascii") + body)
         await writer.drain()
@@ -301,10 +308,16 @@ class ServeDaemon:
         doc = self._json_body(body)
         if idem_key is not None and "idempotency_key" not in doc:
             doc["idempotency_key"] = idem_key
+        try:
+            admitted = self.service.admit(doc)
+        except Exception as exc:        # noqa: BLE001 — typed mapping
+            return _error_status(exc)
+        if isinstance(admitted, JoinResponse):  # a replay
+            return 200, admitted
         loop = asyncio.get_running_loop()
         token = CancellationToken()
-        join = loop.run_in_executor(self._pool, self.service.execute,
-                                    doc, token)
+        join = loop.run_in_executor(self._pool, self._run_body,
+                                    admitted, token)
         # Watch for the client hanging up while the join runs: EOF on
         # the request stream cancels this request's token, converting
         # the orphaned work into a resumable partial result.
@@ -321,6 +334,18 @@ class ServeDaemon:
             return _error_status(exc)
         finally:
             watchdog.cancel()
+
+    def _run_body(self, admitted, token: CancellationToken,
+                  ) -> JoinResponse:
+        """Run an admitted join and encode its response, in the pool.
+
+        The response keeps its document until the body is written: the
+        document (one list per pair) is freed after the client has its
+        bytes, not before.
+        """
+        response = self.service.run(admitted, token)
+        response.body                    # encoded here, off the loop
+        return response
 
     @staticmethod
     async def _await_eof(reader: asyncio.StreamReader) -> None:

@@ -5,8 +5,11 @@ owns the registered trees (with their Eq. 2-5 parameters cached at
 registration, so per-request admission is O(1)), the bounded admission
 queue, the per-tenant buffer-page quotas, and the running-join registry
 used for cooperative cancellation and drain.  The HTTP layer
-(:mod:`repro.serve.http`) is a thin JSON mapping over
-:meth:`JoinService.execute`; tests exercise the service directly.
+(:mod:`repro.serve.http`) is a thin JSON mapping over its two halves:
+:meth:`JoinService.admit`, which never blocks and answers a replay or a
+refusal itself, and :meth:`JoinService.run`, which executes an admitted
+join; :meth:`JoinService.execute` chains them, and tests exercise the
+service directly.
 
 Design invariants:
 
@@ -34,17 +37,19 @@ Design invariants:
   :meth:`JoinService.recover` replays it all after a crash — resumed
   joins produce NA/DA/pairs bit-identical to an uninterrupted run, and
   a retried completed idempotency key is answered from the cache
-  without re-executing.
+  without re-executing.  The cache holds each response's wire body, so
+  a replay is one lookup and nobody can alter what it replays.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..exec import (Budget, CancellationToken, ExecutionGovernor,
                     JoinCheckpoint, tree_params)
@@ -60,7 +65,8 @@ from .durable import DurableState
 from .quotas import BufferPool, QuotaExceeded
 from .tokens import decode_resume_token, encode_resume_token
 
-__all__ = ["JoinService", "Overloaded", "ServiceDraining", "UnknownTree"]
+__all__ = ["AdmittedJoin", "JoinResponse", "JoinService", "Overloaded",
+           "ServiceDraining", "UnknownTree"]
 
 _REQUEST_FIELDS = frozenset({
     "tree1", "tree2", "tenant", "deadline", "max_na", "max_da",
@@ -82,6 +88,41 @@ def _journal_request(doc: dict) -> dict:
     the *latest* frontier, not the token the client happened to send.
     """
     return {k: v for k, v in doc.items() if k != "resume_token"}
+
+
+def wire_body(doc: dict) -> bytes:
+    """A response document as the daemon sends it: ``json.dumps(doc)``
+    and a newline, UTF-8."""
+    return (json.dumps(doc) + "\n").encode("utf-8")
+
+
+#: A response's top-level fields and a stop reason's, in the order
+#: :meth:`JoinService._respond` and ``BudgetExceeded.as_dict`` write
+#: them.  The journal keeps a response key-sorted (canonical JSON);
+#: recovery puts the keys back in this order, so a restarted daemon
+#: replays the bytes its predecessor answered with.
+_RESPONSE_ORDER = (
+    "join_id", "tenant", "pair_count", "comparisons", "elapsed",
+    "predicted_na", "predicted_da", "na", "da", "na_by_tree",
+    "da_by_tree", "status", "workers", "pairs", "degraded", "engine",
+    "fallback", "reason", "resume_token", "remaining_na_estimate",
+    "remaining_da_estimate", "retry_after")
+_REASON_ORDER = ("error", "resource", "limit", "observed", "predicted")
+
+
+def _in_order(doc: dict, order: tuple[str, ...]) -> dict:
+    """``doc`` with the keys named in ``order`` first, in that order."""
+    out = {k: doc[k] for k in order if k in doc}
+    out.update(doc)
+    return out
+
+
+def _recorded_body(response: dict) -> bytes:
+    """The wire body of a response read back from the journal."""
+    doc = _in_order(response, _RESPONSE_ORDER)
+    if isinstance(doc.get("reason"), dict):
+        doc["reason"] = _in_order(doc["reason"], _REASON_ORDER)
+    return wire_body(doc)
 
 
 class UnknownTree(ReproError, KeyError):
@@ -162,6 +203,46 @@ class _Running:
         self.predicted_na = predicted_na
         self.started = started
         self.token = token
+
+
+class _Recorded(NamedTuple):
+    """One idempotency-cache entry: a completed response's wire body."""
+
+    rid: int
+    join_id: str
+    body: bytes
+
+
+class JoinResponse:
+    """A finished join's response document and its wire body
+    (:func:`wire_body`), encoded at most once, when first asked for.
+
+    A replay carries only the recorded body: its ``doc`` is ``None``.
+    """
+
+    __slots__ = ("doc", "_body")
+
+    def __init__(self, doc: dict | None, body: bytes | None = None):
+        self.doc = doc
+        self._body = body
+
+    @property
+    def body(self) -> bytes:
+        if self._body is None:
+            self._body = wire_body(self.doc)
+        return self._body
+
+
+class AdmittedJoin(NamedTuple):
+    """A request :meth:`JoinService.admit` let through, with what it
+    looked up: the input of :meth:`JoinService.run`."""
+
+    request: dict
+    req: "JoinRequest"
+    reg1: _RegisteredTree
+    reg2: _RegisteredTree
+    predicted_na: float | None
+    predicted_da: float | None
 
 
 class JoinRequest:
@@ -271,7 +352,7 @@ class JoinService:
                                      self.config.journal_fsync_interval,
                                      clock=clock)
                         if self.config.state_dir is not None else None)
-        self._idem: OrderedDict[str, dict] = OrderedDict()
+        self._idem: OrderedDict[str, _Recorded] = OrderedDict()
         self._idem_lock = threading.Lock()
         self._recovery_report: dict[str, object] | None = None
 
@@ -446,7 +527,11 @@ class JoinService:
             trees.append({"name": r.name, "path": path,
                           "size": r.size, "height": r.height})
         with self._idem_lock:
-            completed = list(self._idem.values())
+            cached = list(self._idem.items())
+        # The journal keeps documents, the cache wire bytes: decode here.
+        completed = [{"op": "complete", "rid": rec.rid, "key": key,
+                      "response": json.loads(rec.body)}
+                     for key, rec in cached]
         self.durable.compact(trees, completed)
         self.durable.close()
 
@@ -462,33 +547,47 @@ class JoinService:
                 ) -> dict[str, object]:
         """Admit, (maybe) queue, and run one join request; blocking.
 
+        :meth:`admit`, then :meth:`run` on what it let through.
         ``token`` lets the transport cancel this specific request from
         outside (client disconnect); the join's own token is linked to
-        it.  Returns the JSON-safe response document.  Raises typed
-        errors for every refusal — :class:`UnknownTree`,
+        it.  Returns the JSON-safe response document: a replay decodes
+        a fresh copy of the recorded bytes.  Raises typed errors for
+        every refusal — :class:`UnknownTree`,
         :class:`~repro.exec.AdmissionRejected`, :class:`Overloaded`,
         :class:`~repro.serve.quotas.QuotaExceeded`,
         :class:`ServiceDraining`, ``ValueError`` for malformed requests
         — which the transport maps to status codes.
+        """
+        admitted = self.admit(request)
+        if isinstance(admitted, JoinResponse):
+            return json.loads(admitted.body)
+        return self.run(admitted, token).doc
+
+    def admit(self, request: dict) -> JoinResponse | AdmittedJoin:
+        """The half of :meth:`execute` that never blocks: parse, replay,
+        drain check, tree lookup and Eq. 7/10 admission, in that order.
+
+        Returns the recorded response of a completed idempotency key,
+        as its wire body only (the join is not executed again, even
+        across a restart), or the :class:`AdmittedJoin` for
+        :meth:`run`; raises the typed refusal otherwise.  No page is
+        read, no slot taken and nothing journaled, so the transport
+        answers it on its event loop.
         """
         req = JoinRequest(request, self.config)
         key = req.idempotency_key
         if key is not None:
             cached = self._idem_get(key)
             if cached is not None:
-                # A completed key replays its recorded response — the
-                # join is NOT re-executed, even across a restart.
                 self.metrics.counter("serve.idempotent_hits").inc()
                 if self.tracer is not None:
                     self.tracer.emit("idempotent_hit", key=key,
-                                     join_id=cached.get("join_id"))
-                return dict(cached)
+                                     join_id=cached.join_id)
+                return JoinResponse(None, cached.body)
         if self.draining:
             raise ServiceDraining(self.config.drain_grace)
         reg1 = self._lookup(req.tree1)
         reg2 = self._lookup(req.tree2)
-        checkpoint = (decode_resume_token(req.resume_token)
-                      if req.resume_token is not None else None)
 
         # O(1) admission: closed-form Eq. 7/10 over cached parameters,
         # against the server ceiling and (opt-out) the request budget.
@@ -502,9 +601,18 @@ class JoinService:
             except Exception:
                 self.metrics.counter("serve.rejected.admission").inc()
                 raise
-        predicted_na = predicted[0] if predicted else None
-        predicted_da = predicted[1] if predicted else None
+        return AdmittedJoin(request, req, reg1, reg2,
+                            predicted[0] if predicted else None,
+                            predicted[1] if predicted else None)
 
+    def run(self, admitted: AdmittedJoin,
+            token: CancellationToken | None = None) -> JoinResponse:
+        """The blocking half of :meth:`execute`: decode the resume
+        token, take a slot (queueing) and the pool pages, journal, join
+        and respond."""
+        request, req, reg1, reg2, predicted_na, predicted_da = admitted
+        checkpoint = (decode_resume_token(req.resume_token)
+                      if req.resume_token is not None else None)
         pages = req.buffer_footprint(reg1.height, reg2.height)
         join_id, token = self._acquire_slot(req, predicted_na,
                                             predicted_da, token)
@@ -518,7 +626,8 @@ class JoinService:
             if self.durable is not None:
                 # Journal AFTER admission: a shed or rejected request
                 # must never be replayed on recovery.
-                rid = self.durable.begin(key, _journal_request(request))
+                rid = self.durable.begin(req.idempotency_key,
+                                         _journal_request(request))
             try:
                 self.pool.acquire(req.tenant, pages)
                 pages_held = True
@@ -548,15 +657,14 @@ class JoinService:
 
     # -- idempotency cache --------------------------------------------------
 
-    def _idem_get(self, key: str) -> dict | None:
+    def _idem_get(self, key: str) -> _Recorded | None:
         with self._idem_lock:
             record = self._idem.get(key)
-            if record is None:
-                return None
-            self._idem.move_to_end(key)
-            return record["response"]
+            if record is not None:
+                self._idem.move_to_end(key)
+            return record
 
-    def _idem_store(self, key: str, record: dict) -> None:
+    def _idem_store(self, key: str, record: _Recorded) -> None:
         with self._idem_lock:
             self._idem[key] = record
             self._idem.move_to_end(key)
@@ -780,8 +888,11 @@ class JoinService:
                                      name=name, path=path)
         for rec in state.completed:
             key = rec.get("key")
-            if key is not None:
-                self._idem_store(key, rec)
+            response = rec.get("response")
+            if key is not None and isinstance(response, dict):
+                self._idem_store(key, _Recorded(
+                    rec.get("rid"), response.get("join_id"),
+                    _recorded_body(response)))
                 report["completed_cached"] += 1
         for entry in state.in_flight:
             report[self._recover_entry(entry)] += 1
@@ -835,7 +946,7 @@ class JoinService:
         except Exception as exc:
             return self._recovery_failed(rid, key, exc)
         response = self._respond(req, join_id, result, None, None,
-                                 self._clock() - started, None, rid)
+                                 self._clock() - started, None, rid).doc
         outcome = "resumed" if checkpoint is not None else "replayed"
         self.metrics.counter(f"serve.recovery.{outcome}").inc()
         if self.tracer is not None:
@@ -857,9 +968,10 @@ class JoinService:
 
     def _respond(self, req, join_id, result, predicted_na, predicted_da,
                  elapsed, degraded, rid):
-        """The response document of one finished join — recorded under
-        the request's idempotency key and in the journal (``rid``)
-        before anyone sees it."""
+        """The :class:`JoinResponse` of one finished join — recorded
+        under the request's idempotency key (as its wire body, encoded
+        here once for the cache and the transport) and in the journal
+        (``rid``) before anyone sees it."""
         doc: dict[str, object] = {
             "join_id": join_id,
             "tenant": req.tenant,
@@ -907,10 +1019,11 @@ class JoinService:
                     result.remaining_na_estimate), 3)
         else:
             self.metrics.counter("serve.completed").inc()
+        response = JoinResponse(doc)
         if rid is not None:
             key = req.idempotency_key
             if key is not None:
-                self._idem_store(key, {"op": "complete", "rid": rid,
-                                       "key": key, "response": doc})
+                self._idem_store(key, _Recorded(rid, join_id,
+                                                response.body))
             self.durable.complete(rid, key, doc)
-        return doc
+        return response

@@ -630,8 +630,10 @@ COERCED_FIELDS = [
 class DaemonHarness:
     """A ServeDaemon on its own event-loop thread."""
 
-    def __init__(self, config: ServeConfig):
-        self.service = JoinService(config)
+    def __init__(self, config: ServeConfig | None = None,
+                 service: JoinService | None = None):
+        self.service = (service if service is not None
+                        else JoinService(config))
         self.daemon = ServeDaemon(self.service)
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever,

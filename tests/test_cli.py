@@ -267,6 +267,12 @@ class TestBuildJoinEstimate:
         code, _out, err = run(capsys, "estimate", "--batch", str(grid))
         assert code == 2
         assert "JSON list" in err
+        # json reads a NaN literal as a float: refused, named, exit 2.
+        grid.write_text('[{"n1": 500, "d1": 0.5, "n2": 500, "d2": 0.5,'
+                        ' "max_entries": NaN}]')
+        code, _out, err = run(capsys, "estimate", "--batch", str(grid))
+        assert code == 2
+        assert "request 0: max_entries must be an integer" in err
 
     def test_figures(self, capsys):
         code, out, _err = run(capsys, "figures")

@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import AnalyticalTreeParams
+from repro.costmodel import AnalyticalTreeParams, rtree_height
 from repro.costmodel.join_da import join_da_breakdown
 from repro.costmodel.join_na import join_na_breakdown
 from repro.costmodel.range_query import range_query_na
@@ -123,12 +124,41 @@ def test_empty_batch():
     ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5, "ndim": 2.5},
      "ndim must be an integer"),
     ({"n1": True, "d1": 0.5, "n2": 10, "d2": 0.5}, "n1 must be an integer"),
+    # A non-integer fan-out would otherwise leak as a bare ValueError
+    # (nan, from Eq. 2's ceil) or price a join silently (2.5, inf).
+    ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5,
+      "max_entries": float("nan")}, "max_entries must be an integer"),
+    ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5, "max_entries": 2.5},
+     "max_entries must be an integer"),
+    ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5,
+      "max_entries": float("inf")}, "max_entries must be an integer"),
+    ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5, "max_entries": True},
+     "max_entries must be an integer"),
+    ({"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5,
+      "max_entries_right": 12.0}, "max_entries_right must be an integer"),
 ])
 def test_validation_names_the_row(record, match):
     good = {"n1": 10, "d1": 0.5, "n2": 10, "d2": 0.5}
     with pytest.raises(ModelDomainError, match=match) as exc:
         estimate_batch([good, record])
     assert "request 1" in str(exc.value)
+
+
+def test_numpy_integer_fan_out_is_an_integer():
+    rows = [EstimateRequest(10_000, 0.5, 8_000, 0.5, max_entries=m,
+                            max_entries_right=m)
+            for m in (np.int64(24), 24)]
+    got = estimate_batch(rows)
+    assert got.na[0] == got.na[1] and got.da[0] == got.da[1]
+
+
+@pytest.mark.parametrize("m", [float("nan"), 2.5, float("inf"), True])
+def test_scalar_model_refuses_a_non_integer_fan_out(m):
+    with pytest.raises(ModelDomainError, match="max_entries must be an "
+                                               "integer"):
+        AnalyticalTreeParams(1000, 0.5, m, 2)
+    with pytest.raises(ModelDomainError, match="max_entries"):
+        rtree_height(1000, m)
 
 
 def test_column_checks_fall_back_to_the_rows():
@@ -153,7 +183,8 @@ BAD = {
     "n1": [0, -1, True, 1.5, NAN], "n2": [0, -7, False, 2.0],
     "d1": [-0.5, NAN, INF, -INF, True], "d2": [-1, NAN, INF],
     "ndim": [0, -1, 2.5, 2.0, True],
-    "max_entries": [1, 0, -3, 1.5], "max_entries_right": [1, 0, 1.5],
+    "max_entries": [1, 0, -3, 1.5, 2.5, 50.0, NAN, INF, True],
+    "max_entries_right": [1, 0, 1.5, 2.5, NAN, INF],
     "fill": [0.01, 0.02, 0.0, -0.1, 1.5, 2, 1.0000001, NAN, INF, True],
     "fill_right": [0.01, 0.02, 0.0, 1.01, 3.0, NAN, 1],
     "distance": [-0.1, NAN, INF, True],

@@ -5,18 +5,27 @@ loop listening on an ephemeral TCP port *and* a unix socket; tests talk
 to it with :class:`ServeClient` exactly as a remote caller would.
 """
 
+import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import zlib
+from pathlib import Path
 
 import pytest
 
 from repro.cli import EXIT_BUDGET, EXIT_USAGE, main
 from repro.exec import AdmissionRejected, ExecutionConfig
+from repro.io import save_tree
 from repro.join import SpatialJoin
 from repro.reliability import MalformedFileError
-from repro.serve import (Overloaded, ServeClient, ServeConfig,
-                         ServiceDraining, UnknownTree)
+from repro.serve import (JoinService, Overloaded, ServeClient,
+                         ServeConfig, ServiceDraining, UnknownTree)
+from repro.serve.service import wire_body
 from repro.storage import PathBuffer
 
 from .conftest import (COERCED_FIELDS, DaemonHarness, build_rstar,
@@ -320,3 +329,176 @@ class TestServeJoinCli:
     def test_unknown_tree_exit_2(self, harness, capsys):
         code = main(["serve-join", harness.http_url, "a", "missing"])
         assert code == EXIT_USAGE
+
+
+REQUEST = {"tree1": "a", "tree2": "b", "collect_pairs": True}
+
+
+def _post_join(url: str, doc: dict, key: str | None = None):
+    """POST ``doc`` to ``/join``; returns ``(status, raw body bytes)``."""
+    host, port = url[len("http://"):].split(":")
+    headers = {"Content-Type": "application/json"}
+    if key is not None:
+        headers["Idempotency-Key"] = key
+    conn = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        conn.request("POST", "/join", json.dumps(doc), headers)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def _durable_service(trees, state_dir) -> JoinService:
+    """A durable service on a constant clock ("elapsed" is pinned)."""
+    service = JoinService(ServeConfig(port=0, state_dir=str(state_dir)),
+                          clock=lambda: 0.0)
+    service.register_tree("a", trees[0])
+    service.register_tree("b", trees[1])
+    return service
+
+
+def _journal_line(doc: dict) -> str:
+    """One log record as the document-caching daemon wrote it:
+    canonical JSON with a CRC32 over the record without its crc."""
+    def canonical(d):
+        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return canonical(dict(doc, crc=zlib.crc32(
+        canonical(doc).encode()))) + "\n"
+
+
+class TestReplayAndRefusalOnTheLoop:
+    """A replay is the recorded wire body; a replay and a 413 are
+    answered on the event loop, never in the daemon's thread pool."""
+
+    @pytest.fixture
+    def durable(self, trees, tmp_path):
+        h = DaemonHarness(service=_durable_service(trees,
+                                                   tmp_path / "state"))
+        yield h
+        h.close()
+
+    def test_replay_body_is_the_first_body(self, trees, durable,
+                                           tmp_path):
+        status, first = _post_join(durable.http_url, REQUEST, "k-1")
+        assert status == 200
+        status, again = _post_join(durable.http_url, REQUEST, "k-1")
+        assert status == 200 and again == first
+        # Both are execute()'s document as the wire encodes it.
+        twin = _durable_service(trees, tmp_path / "twin")
+        want = json.dumps(twin.execute(dict(REQUEST,
+                                            idempotency_key="k-1")))
+        assert first == (want + "\n").encode()
+        twin.durable.close()
+
+    def test_replay_and_refusal_never_enter_the_pool(self, durable,
+                                                     monkeypatch):
+        url = durable.http_url
+        assert _post_join(url, REQUEST, "k-2")[0] == 200
+        submitted = []
+        submit = durable.daemon._pool.submit
+
+        def spy(fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(durable.daemon._pool, "submit", spy)
+        for _ in range(3):
+            assert _post_join(url, REQUEST, "k-2")[0] == 200
+            assert _post_join(url, dict(REQUEST, max_na=1))[0] == 413
+        assert submitted == []
+        counters = durable.service.metrics_snapshot()["counters"]
+        assert counters["serve.idempotent_hits"] == 3
+        assert counters["serve.rejected.admission"] == 3
+        assert counters["serve.admitted"] == 1
+        assert _post_join(url, REQUEST)[0] == 200     # an admitted join
+        assert len(submitted) == 1
+
+    def test_parent_format_journal_recovers_and_replays(self, trees,
+                                                        tmp_path):
+        doc = _durable_service(trees, tmp_path / "first").execute(REQUEST)
+        state = tmp_path / "state"
+        state.mkdir()
+        lines = []
+        for name, tree in zip("ab", trees):
+            path = tmp_path / f"{name}.json"
+            save_tree(tree, path)
+            lines.append(_journal_line({
+                "op": "tree", "name": name, "path": str(path),
+                "size": len(tree), "height": tree.height}))
+        (state / "manifest.jsonl").write_text("".join(lines))
+        (state / "journal.jsonl").write_text(
+            _journal_line({"op": "begin", "rid": 1, "key": "k-old",
+                           "request": dict(REQUEST,
+                                           idempotency_key="k-old")})
+            + _journal_line({"op": "complete", "rid": 1, "key": "k-old",
+                             "response": doc}))
+        h = DaemonHarness(ServeConfig(port=0, state_dir=str(state)))
+        try:
+            status, body = _post_join(h.http_url, REQUEST, "k-old")
+            assert status == 200 and body == wire_body(doc)
+            counters = h.service.metrics_snapshot()["counters"]
+            assert counters["serve.idempotent_hits"] == 1
+            assert "serve.admitted" not in counters
+        finally:
+            h.close()
+
+
+class TestDrainAndRestartE2E:
+    """SIGTERM a durable subprocess daemon; its successor replays."""
+
+    def _spawn(self, args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--host", "127.0.0.1", "--port", "0", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, env=env)
+        line = proc.stdout.readline()
+        assert line, "daemon exited before announcing its address"
+        doc = json.loads(line)
+        return proc, doc["serving"][0], doc
+
+    @staticmethod
+    def _terminate(proc) -> tuple[int, str]:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            out, _err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise AssertionError("daemon did not exit after SIGTERM")
+        return proc.returncode, out
+
+    def test_sigterm_compacts_and_restart_replays_the_bytes(self, trees,
+                                                             tmp_path):
+        for name, tree in zip("ab", trees):
+            save_tree(tree, tmp_path / f"{name}.json")
+        state = tmp_path / "state"
+        proc, url, _doc = self._spawn([
+            "--state-dir", str(state), "--journal-fsync", "-1",
+            "--tree", f"a={tmp_path / 'a.json'}",
+            "--tree", f"b={tmp_path / 'b.json'}"])
+        try:
+            status, first = _post_join(url, REQUEST, "k-e2e")
+            assert status == 200
+            assert _post_join(url, REQUEST, "k-e2e") == (200, first)
+        finally:
+            code, out = self._terminate(proc)
+        assert code == 0 and '"drained": "clean"' in out
+        journal = (state / "journal.jsonl").read_text()
+        assert '"op":"begin"' not in journal
+        assert journal.count('"op":"complete"') == 1
+
+        proc, url, doc = self._spawn(["--state-dir", str(state)])
+        try:
+            assert doc["recovered"]["completed_cached"] == 1
+            assert _post_join(url, REQUEST, "k-e2e") == (200, first)
+            counters = ServeClient(url).metrics()["counters"]
+            assert counters["serve.idempotent_hits"] == 1
+            assert "serve.admitted" not in counters
+        finally:
+            code, out = self._terminate(proc)
+        assert code == 0 and '"drained": "clean"' in out

@@ -25,6 +25,7 @@ import pytest
 from repro.io import save_tree
 from repro.join import SpatialJoin
 from repro.serve import JoinService, ServeClient, ServeConfig
+from repro.serve.service import wire_body
 from repro.storage import PathBuffer
 
 from .conftest import build_rstar, make_items
@@ -90,6 +91,51 @@ class TestIdempotency:
         assert_matches_direct(resp, direct)
         assert "serve.admitted" not in \
             svc2.metrics_snapshot()["counters"]
+        svc2.durable.close()
+
+    def test_responses_do_not_alias_the_cache(self, trees, direct,
+                                              tmp_path):
+        # Regression: the cache held the very dict the first execute()
+        # returned, and a replay was a shallow copy sharing "pairs", so
+        # a caller's edit changed every later replay.
+        state = tmp_path / "state"
+        svc = make_durable_service(trees, state)
+        request = dict(REQUEST, idempotency_key="k-alias")
+        first = svc.execute(request)
+        expected = json.loads(json.dumps(first))
+        assert_matches_direct(expected, direct)
+        first["pairs"].clear()
+        first["na"] = -1
+        replay = svc.execute(request)
+        assert replay == expected
+        replay["pairs"].append([-1, -1])
+        replay["na_by_tree"]["R1"] = -1
+        assert svc.execute(request) == expected
+        assert svc.drain()
+
+        svc2 = JoinService(ServeConfig(state_dir=str(state)))
+        svc2.recover()
+        assert svc2.execute(request) == expected
+        svc2.durable.close()
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"max_na": 30, "admission": "off"},      # partial: has "reason"
+        {"workers": 2, "mode": "threads"},       # parallel: has "workers"
+    ], ids=["complete", "partial", "parallel"])
+    def test_restart_replays_the_first_bytes(self, trees, tmp_path,
+                                             extra):
+        # The journal keeps a response key-sorted; the recovered cache
+        # must still answer with the bytes the first response carried.
+        state = tmp_path / "state"
+        svc = make_durable_service(trees, state)
+        request = dict(REQUEST, idempotency_key="k-bytes", **extra)
+        first = wire_body(svc.execute(request))
+        assert svc.admit(request).body == first
+        assert svc.drain()
+        svc2 = JoinService(ServeConfig(state_dir=str(state)))
+        assert svc2.recover()["completed_cached"] == 1
+        assert svc2.admit(request).body == first
         svc2.durable.close()
 
     def test_recover_is_idempotent(self, trees, tmp_path):
