@@ -49,7 +49,8 @@ from ..exec.checkpoint import JoinCheckpoint
 from ..reliability import CorruptPageError
 from ..storage import AccessStats
 
-__all__ = ["DurableState", "JsonlLog", "RecoveredState", "TornTail"]
+__all__ = ["DurableState", "JsonText", "JsonlLog", "RecoveredState",
+           "TornTail"]
 
 
 def _canonical(obj: Any) -> bytes:
@@ -63,12 +64,35 @@ def _record_crc(doc: dict) -> int:
         {k: v for k, v in doc.items() if k != "crc"}))
 
 
+class JsonText(str):
+    """A value already written as its :func:`_canonical` JSON text.
+
+    :func:`_record_line` splices it into a record as is, at the top
+    level or one level down (a value of a top-level object), so a large
+    value encoded once elsewhere is not decoded or encoded again.
+    """
+
+    __slots__ = ()
+
+
+def _value_text(value: Any) -> str:
+    """``value``'s canonical JSON text; a :class:`JsonText`, or one
+    among an object's values, is taken as is."""
+    if isinstance(value, JsonText):
+        return value
+    if isinstance(value, dict) and any(
+            isinstance(item, JsonText) for item in value.values()):
+        return "{" + ",".join(json.dumps(key) + ":" + _value_text(value[key])
+                              for key in sorted(value)) + "}"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _record_line(doc: dict) -> bytes:
     """``_canonical(doc | {"crc": _record_crc(doc)})`` and its newline,
     each top-level value encoded once: the CRC input and the line are
-    both joined from the same ``"key":value`` parts, in key order."""
-    parts = {key: json.dumps(key) + ":" + json.dumps(
-                 value, sort_keys=True, separators=(",", ":"))
+    both joined from the same ``"key":value`` parts, in key order.  A
+    :class:`JsonText` value goes in as the text it already is."""
+    parts = {key: json.dumps(key) + ":" + _value_text(value)
              for key, value in doc.items() if key != "crc"}
     body = ",".join(parts[key] for key in sorted(parts))
     parts["crc"] = f'"crc":{zlib.crc32(("{" + body + "}").encode())}'

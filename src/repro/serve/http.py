@@ -132,16 +132,24 @@ class ServeDaemon:
         return list(self.addresses)
 
     async def stop(self, grace: float | None = None) -> bool:
-        """Drain then close: the SIGTERM path.  True = drained cleanly."""
+        """Drain then close: the SIGTERM path.  True = drained cleanly.
+
+        The listeners close, the pool shuts down and :meth:`run_forever`
+        returns whatever the drain does: a drain that raises still stops
+        the daemon, its error propagates and :meth:`run_forever` reports
+        it as not clean.
+        """
         for server in self._servers:
             server.close()
-        clean = await asyncio.get_running_loop().run_in_executor(
-            None, self.service.drain, grace)
-        for server in self._servers:
-            await server.wait_closed()
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        if self._stopping is not None:
-            self._stopping.set()
+        try:
+            clean = await asyncio.get_running_loop().run_in_executor(
+                None, self.service.drain, grace)
+        finally:
+            for server in self._servers:
+                await server.wait_closed()
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            if self._stopping is not None:
+                self._stopping.set()
         return clean
 
     async def run_forever(self) -> bool:
@@ -154,7 +162,11 @@ class ServeDaemon:
 
         async def _shutdown():
             nonlocal drained_clean
-            drained_clean = await self.stop()
+            try:
+                drained_clean = await self.stop()
+            except Exception:
+                drained_clean = False
+                raise
 
         def _on_signal():
             asyncio.ensure_future(_shutdown())
@@ -339,9 +351,9 @@ class ServeDaemon:
                   ) -> JoinResponse:
         """Run an admitted join and encode its response, in the pool.
 
-        The response keeps its document until the body is written: the
-        document (one list per pair) is freed after the client has its
-        bytes, not before.
+        The body is written from the result's pair columns: no per-pair
+        document is built, so none is kept alive until the client has
+        its bytes.
         """
         response = self.service.run(admitted, token)
         response.body                    # encoded here, off the loop

@@ -51,17 +51,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from ..exec import (Budget, CancellationToken, ExecutionGovernor,
                     JoinCheckpoint, tree_params)
 from ..io import load_tree
-from ..join import (ParallelJoinResult, PartialJoinResult, SpatialJoin,
-                    parallel_spatial_join)
+from ..join import (PairList, ParallelJoinResult, PartialJoinResult,
+                    SpatialJoin, parallel_spatial_join)
 from ..obs import MetricsRegistry
 from ..reliability import ReproError
 from ..storage import AccessStats, buffer_from_spec
 from .admission import CostAdmission, ThroughputClock
 from .config import ServeConfig
-from .durable import DurableState
+from .durable import DurableState, JsonText
 from .quotas import BufferPool, QuotaExceeded
 from .tokens import decode_resume_token, encode_resume_token
 
@@ -92,8 +94,61 @@ def _journal_request(doc: dict) -> dict:
 
 def wire_body(doc: dict) -> bytes:
     """A response document as the daemon sends it: ``json.dumps(doc)``
-    and a newline, UTF-8."""
-    return (json.dumps(doc) + "\n").encode("utf-8")
+    and a newline, UTF-8.
+
+    A :class:`~repro.serve.durable.JsonText` value (a response's pairs,
+    :func:`_pairs_text`) is spliced in with the default separators: it
+    holds only digits, ``-``, brackets and commas, so that form is its
+    compact text with ``", "`` for ``","``.
+    """
+    if not any(isinstance(value, JsonText) for value in doc.values()):
+        return (json.dumps(doc) + "\n").encode("utf-8")
+    text = ", ".join(
+        json.dumps(key) + ": " + (value.replace(",", ", ")
+                                  if isinstance(value, JsonText)
+                                  else json.dumps(value))
+        for key, value in doc.items())
+    return ("{" + text + "}\n").encode("utf-8")
+
+
+def _pairs_text(pairs: PairList) -> JsonText:
+    """``json.dumps(pairs.tolist(), separators=(",", ":"))``, written
+    straight from the two ``int64`` columns: no per-pair object.
+
+    Each pair is one row of bytes, ``[`` sign digits ``,`` sign digits
+    ``]`` ``,``, every number right-aligned in as many digit slots as
+    the longest needs.  A zero byte fills the sign of a non-negative
+    number and the slots left of a number's first digit; the text is the
+    rows without those bytes and without the last comma.
+    """
+    values = np.stack((pairs.refs1, pairs.refs2), axis=1)
+    n = len(values)
+    negative = values < 0
+    # |value| as uint64: two's-complement negation also fits int64's min.
+    mag = values.view(np.uint64)
+    mag = np.where(negative, np.uint64(0) - mag, mag)
+    width = len(str(int(mag.max(initial=0))))
+    # Built column by column (one contiguous (n, 2) plane per byte
+    # position), then transposed into the rows at once.
+    cols = np.empty((width + 2, n, 2), dtype=np.uint8)
+    cols[0, :, 0] = ord("[")
+    cols[0, :, 1] = ord(",")
+    np.multiply(negative, ord("-"), out=cols[1], casting="unsafe")
+    for col in range(width + 1, 1, -1):
+        quotient = mag // np.uint64(10)
+        digit = cols[col]
+        np.subtract(mag, quotient * np.uint64(10), out=digit,
+                    casting="unsafe")
+        digit += np.uint8(ord("0"))
+        if col <= width:             # the units digit is always written
+            digit *= mag != 0
+        mag = quotient
+    rows = np.empty((n, 2 * width + 6), dtype=np.uint8)
+    rows[:, :-2].reshape(n, 2, width + 2)[...] = cols.transpose(1, 2, 0)
+    rows[:, -2] = ord("]")
+    rows[:, -1] = ord(",")
+    body = rows.tobytes().replace(b"\0", b"")[:-1].decode("ascii")
+    return JsonText("[" + body + "]")
 
 
 #: A response's top-level fields and a stop reason's, in the order
@@ -214,22 +269,45 @@ class _Recorded(NamedTuple):
 
 
 class JoinResponse:
-    """A finished join's response document and its wire body
+    """A finished join's response: its document, with the pairs kept as
+    the result's :class:`~repro.join.PairList`, and its wire body
     (:func:`wire_body`), encoded at most once, when first asked for.
 
+    The pairs are written as JSON text straight from their columns
+    (:func:`_pairs_text`), once for the wire body and the journal;
+    :attr:`doc` turns them into lists only for an in-process caller.
     A replay carries only the recorded body: its ``doc`` is ``None``.
     """
 
-    __slots__ = ("doc", "_body")
+    __slots__ = ("_doc", "_encoded", "_body")
 
     def __init__(self, doc: dict | None, body: bytes | None = None):
-        self.doc = doc
+        self._doc = doc
+        self._encoded = None
         self._body = body
+
+    @property
+    def doc(self) -> dict | None:
+        """The JSON-safe document, pairs as ``[[oid1, oid2], ...]``:
+        a new top-level dict on each read."""
+        if self._doc is None:
+            return None
+        return {key: value.tolist() if isinstance(value, PairList)
+                else value for key, value in self._doc.items()}
+
+    def _encoded_doc(self) -> dict:
+        """The document with its pairs as :class:`JsonText`, what the
+        wire body and the journal's ``complete`` record are made of."""
+        if self._encoded is None:
+            self._encoded = {
+                key: _pairs_text(value) if isinstance(value, PairList)
+                else value for key, value in self._doc.items()}
+        return self._encoded
 
     @property
     def body(self) -> bytes:
         if self._body is None:
-            self._body = wire_body(self.doc)
+            self._body = wire_body(self._encoded_doc())
         return self._body
 
 
@@ -971,7 +1049,8 @@ class JoinService:
         """The :class:`JoinResponse` of one finished join — recorded
         under the request's idempotency key (as its wire body, encoded
         here once for the cache and the transport) and in the journal
-        (``rid``) before anyone sees it."""
+        (``rid``) before anyone sees it.  The pairs stay the result's
+        columns; both records splice in one text of them."""
         doc: dict[str, object] = {
             "join_id": join_id,
             "tenant": req.tenant,
@@ -993,7 +1072,7 @@ class JoinService:
                                  "R2": result.da("R2")}
             doc["status"] = ("complete" if result.complete else "partial")
         if req.collect_pairs and result.complete:
-            doc["pairs"] = result.pairs.tolist()
+            doc["pairs"] = result.pairs
         # Degradation is part of the contract, not a hidden fallback:
         # the field is always present (None = ran as requested) and the
         # generic counter aggregates the per-reason ones.  So is the
@@ -1025,5 +1104,5 @@ class JoinService:
             if key is not None:
                 self._idem_store(key, _Recorded(rid, join_id,
                                                 response.body))
-            self.durable.complete(rid, key, doc)
+            self.durable.complete(rid, key, response._encoded_doc())
         return response

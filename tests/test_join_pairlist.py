@@ -15,6 +15,8 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import PairList as TopLevelPairList
 from repro.exec import Budget, ExecutionConfig, ExecutionGovernor
@@ -22,6 +24,7 @@ from repro.join import (PairList, PartialJoinResult, SpatialJoin,
                         parallel_spatial_join, partition_spatial_join,
                         spatial_join)
 from repro.serve import JoinService, encode_resume_token
+from repro.serve.service import _pairs_text, wire_body
 from repro.storage import PathBuffer
 
 from .conftest import build_rstar, make_items
@@ -175,12 +178,42 @@ class TestByteIdentity:
     @pytest.mark.parametrize("strategy", [None, "pbsm"])
     def test_served_response_body(self, trees, strategy):
         # A constant clock pins "elapsed"; the daemon writes the
-        # document as json.dumps(payload) + "\n".
-        service = JoinService(clock=lambda: 0.0)
-        service.register_tree("a", trees[0])
-        service.register_tree("b", trees[1])
+        # document as json.dumps(payload) + "\n".  Each body comes from
+        # a fresh service, so both answers are join "j1".
+        def service():
+            served = JoinService(clock=lambda: 0.0)
+            served.register_tree("a", trees[0])
+            served.register_tree("b", trees[1])
+            return served
+
         request = {"tree1": "a", "tree2": "b", "collect_pairs": True}
         if strategy is not None:
             request["strategy"] = strategy
-        body = (json.dumps(service.execute(request)) + "\n").encode()
+        body = (json.dumps(service().execute(request)) + "\n").encode()
         assert hashlib.sha256(body).hexdigest() == self.SERVED[strategy]
+        # The transport's body, written from the pair columns.
+        served = service()
+        body = served.run(served.admit(request)).body
+        assert hashlib.sha256(body).hexdigest() == self.SERVED[strategy]
+
+
+_INT64 = np.iinfo(np.int64)
+_OIDS = st.sampled_from([int(_INT64.min), int(_INT64.max), -1, 0]) \
+    | st.integers(int(_INT64.min), int(_INT64.max)) \
+    | st.integers(-20, 20_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_OIDS, _OIDS), max_size=40))
+@example([])
+@example([(0, 0)])
+@example([(int(_INT64.min), int(_INT64.max)), (-1, 0)])
+def test_pairs_text_is_the_json_of_the_pairs(items):
+    pairs = PairList.of(items)
+    lists = pairs.tolist()
+    text = _pairs_text(pairs)
+    assert text == json.dumps(lists, separators=(",", ":"))
+    # The wire form: json.dumps' default separators.
+    assert wire_body({"n": len(lists), "pairs": text, "x": None}) \
+        == (json.dumps({"n": len(lists), "pairs": lists, "x": None})
+            + "\n").encode()

@@ -270,6 +270,15 @@ class TestJournalBytes:
         record["crc"] = durable._record_crc(record)
         assert durable._record_line(doc) \
             == durable._canonical(record) + b"\n"
+        # Values already written as canonical text, at the top level
+        # and one level down, give the same line.
+        def text(value):
+            return durable.JsonText(durable._canonical(value).decode())
+
+        encoded = {key: ({k: text(v) for k, v in value.items()}
+                         if isinstance(value, dict) else text(value))
+                   for key, value in doc.items()}
+        assert durable._record_line(encoded) == durable._record_line(doc)
 
 
 class TestDurableState:

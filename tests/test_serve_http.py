@@ -5,6 +5,7 @@ loop listening on an ephemeral TCP port *and* a unix socket; tests talk
 to it with :class:`ServeClient` exactly as a remote caller would.
 """
 
+import asyncio
 import http.client
 import json
 import os
@@ -21,10 +22,12 @@ import pytest
 from repro.cli import EXIT_BUDGET, EXIT_USAGE, main
 from repro.exec import AdmissionRejected, ExecutionConfig
 from repro.io import save_tree
-from repro.join import SpatialJoin
+from repro.join import PairList, SpatialJoin
 from repro.reliability import MalformedFileError
 from repro.serve import (JoinService, Overloaded, ServeClient,
-                         ServeConfig, ServiceDraining, UnknownTree)
+                         ServeConfig, ServeDaemon, ServiceDraining,
+                         UnknownTree)
+from repro.serve.durable import _record_line
 from repro.serve.service import wire_body
 from repro.storage import PathBuffer
 
@@ -284,6 +287,25 @@ class TestOverloadOverHttp:
 
 
 class TestDrainOverHttp:
+    def test_drain_that_raises_still_stops_the_daemon(self):
+        service = JoinService(ServeConfig(port=0))
+
+        def broken(grace=None):
+            raise RuntimeError("compaction failed")
+
+        service.drain = broken
+        daemon = ServeDaemon(service)
+
+        async def serve():
+            await daemon.start()
+            # SIGTERM once run_forever has installed its handler.
+            asyncio.get_running_loop().call_later(
+                0.05, os.kill, os.getpid(), signal.SIGTERM)
+            return await asyncio.wait_for(daemon.run_forever(), 30)
+
+        assert asyncio.run(serve()) is False
+        assert daemon._pool._shutdown
+
     def test_draining_daemon_reports_503(self, trees):
         h = DaemonHarness(ServeConfig(port=0))
         try:
@@ -413,6 +435,28 @@ class TestReplayAndRefusalOnTheLoop:
         assert counters["serve.admitted"] == 1
         assert _post_join(url, REQUEST)[0] == 200     # an admitted join
         assert len(submitted) == 1
+
+    def test_a_keyed_join_makes_no_pair_lists(self, durable,
+                                              monkeypatch):
+        # The pairs go from the result's columns to the wire body and to
+        # the journal's complete record as text, never as lists.
+        calls = []
+        tolist = PairList.tolist
+
+        def spy(pairs):
+            calls.append(len(pairs))
+            return tolist(pairs)
+
+        monkeypatch.setattr(PairList, "tolist", spy)
+        status, body = _post_join(durable.http_url, REQUEST, "k-3")
+        assert status == 200 and calls == []
+        doc = json.loads(body)
+        assert doc["status"] == "complete"
+        assert len(doc["pairs"]) == doc["pair_count"] > 0
+        assert body == wire_body(doc)
+        journal = durable.service.durable.journal.path.read_bytes()
+        assert journal.splitlines(keepends=True)[-1] == _record_line(
+            {"op": "complete", "rid": 1, "key": "k-3", "response": doc})
 
     def test_parent_format_journal_recovers_and_replays(self, trees,
                                                         tmp_path):
