@@ -21,8 +21,8 @@ order-dependent step keeps the scalar's order.
 
 * It uses ``<=``, ``-``, ``*``, ``minimum`` and ``maximum`` on float64,
   each bit-equal to the scalar operation (the sign of a
-  zero may differ; no comparison sees it).  Areas multiply the sides in
-  dimension order — the scalar's leading ``1.0 *`` is exact.  An
+  zero may differ; no comparison sees it).  Overlaps multiply the sides
+  in dimension order — the scalar's leading ``1.0 *`` is exact.  An
   intersection with ``side <= 0`` on any axis is ``0.0`` through a
   mask, never through a product.  The diagonal ``j == i`` the scalar
   skips is set to ``+0.0``.  The sum over the siblings ``j`` is a
@@ -31,16 +31,12 @@ order-dependent step keeps the scalar's order.
   in the last bit, flips a tie-break and so builds another tree.
 * A choice among candidates is :func:`first_least`, for the kernel and
   for every scalar loop it stands in for.
-* The kernel answers without the O(n^2) pass only where the scalar
-  keys are known without it: the containing entries, when they are
-  exactly the entries whose area enlargement is ``0.0``, every area is
-  finite and no enlargement is NaN (see
-  :func:`least_overlap_enlargement`).
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -119,55 +115,29 @@ def segment_bounds(coords, starts):
     return out
 
 
-def least_overlap_enlargement(lo, hi, rect_lo, rect_hi) -> int:
+def least_overlap_enlargement(rects, rect, keys) -> int:
     """R*-tree ChooseSubtree above the leaves, one node in one pass.
 
-    ``lo``/``hi`` are one node's ``(n, ndim)`` entry corners and
-    ``rect_lo``/``rect_hi`` the corners of the rectangle being
-    inserted.  Returns the first index minimising ``(overlap
-    enlargement, area enlargement, area)`` [BKSS90 §4.1] — the index the
-    scalar loop over ``Rect.union``/``intersection_area``/``area``
-    returns, by the module's exactness contract — in O(n^2) array
-    elements instead of O(n^2) Python calls.
-
-    Containment first: growing a box never shrinks its overlap with a
-    sibling or its area (IEEE rounding is monotone), so with every area
-    finite and no enlargement NaN each key is at least ``(0.0, 0.0,
-    ·)``, and an entry that contains the rectangle grows to itself bit
-    for bit (``min``/``max`` keep the first argument on ties): its key
-    is ``(0.0, 0.0, area)`` exactly.  When some entry contains the
-    rectangle and no other entry's area enlargement is ``0.0``, every
-    other key is larger, and the answer is the first containing entry
-    of least area, read in O(n).  A NaN enlargement (a grown side of
-    ``inf`` times one of ``0.0``) is a key no comparison displaces, so
-    it goes to the full pass.
+    ``rects`` are one node's entry rectangles, ``rect`` the one being
+    inserted and ``keys`` each entry's ``(area enlargement, area)``.
+    Returns the first index minimising ``(overlap enlargement, area
+    enlargement, area)`` [BKSS90 §4.1], the scalar loop's answer by the
+    module's exactness contract, in O(n^2) array elements.
     """
-    lo_t, hi_t = lo.T, hi.T
-    n = len(lo)
+    n, ndim = len(rects), len(rect.lo)
+    lo_t, hi_t = np.fromiter(
+        chain.from_iterable([r.lo + r.hi for r in rects]), float,
+        2 * ndim * n).reshape(n, 2, ndim).transpose(1, 2, 0)
     # Axis k of entry i as it stands at [k, 0, i] and grown to hold the
     # rectangle at [k, 1, i]: min/max against +-inf is the identity.
-    both_lo = np.minimum(
-        lo_t[:, None, :],
-        np.array([(_INF, x) for x in rect_lo])[:, :, None])
-    both_hi = np.maximum(
-        hi_t[:, None, :],
-        np.array([(-_INF, x) for x in rect_hi])[:, :, None])
-    # Overflowing products are inf, as the scalar's are; a masked-out
-    # inf * 0 is not an event worth a warning.
+    both_lo = np.minimum(lo_t[:, None, :], np.array(
+        [(_INF, x) for x in rect.lo])[:, :, None])
+    both_hi = np.maximum(hi_t[:, None, :], np.array(
+        [(-_INF, x) for x in rect.hi])[:, :, None])
+    # side[k, g, i, j]: extent on axis k of (entry i, grown or not)
+    # with sibling j as it stands.  Overflowing products are inf, as the
+    # scalar's are; a masked-out inf * 0 is not an event worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        area = reduce(np.multiply, both_hi - both_lo)
-        enlargement = area[1] - area[0]
-        # A container's enlargement is 0.0 when its area is finite, so
-        # with every area finite (a NaN fails ``<`` too) the containers
-        # are the zeros exactly when every zero is a container.  A NaN
-        # enlargement is a key no comparison displaces: full pass.
-        zeros = (enlargement == 0.0).nonzero()[0]
-        if zeros.size and np.maximum.reduce(area[0]) < _INF \
-                and not np.isnan(enlargement).any() \
-                and ((lo[zeros] <= rect_lo) & (hi[zeros] >= rect_hi)).all():
-            return int(zeros[first_least(area[0][zeros].tolist())])
-        # side[k, g, i, j]: extent on axis k of (entry i, grown or not)
-        # with sibling j as it stands.
         side = np.minimum(both_hi[:, :, :, None], hi_t[:, None, None, :])
         side -= np.maximum(both_lo[:, :, :, None], lo_t[:, None, None, :])
         overlap = reduce(np.multiply, side)
@@ -175,5 +145,4 @@ def least_overlap_enlargement(lo, hi, rect_lo, rect_hi) -> int:
         growth = np.subtract(overlap[1], overlap[0], out=overlap[1])
         growth.flat[::n + 1] = 0.0
         delta = growth.cumsum(axis=1)[:, -1]
-    return first_least(list(zip(delta.tolist(), enlargement.tolist(),
-                                area[0].tolist())))
+    return first_least([(d,) + key for d, key in zip(delta.tolist(), keys)])

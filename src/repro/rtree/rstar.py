@@ -33,6 +33,32 @@ __all__ = ["RStarTree"]
 REINSERT_FRACTION = 0.3
 
 
+def _keeps_its_overlaps(rects: list[Rect], i: int, rect: Rect) -> bool:
+    """Whether ``rects[i]``, grown to hold ``rect``, overlaps each sibling
+    as much as before (``Rect.intersection_area``'s arithmetic); a grown
+    side ``<= 0`` is one before too, so axis 0 settles most siblings."""
+    lo, hi = rects[i].lo, rects[i].hi
+    grown_lo = tuple(map(min, lo, rect.lo))
+    grown_hi = tuple(map(max, hi, rect.hi))
+    if grown_lo == lo and grown_hi == hi:
+        return True
+    lo0, hi0 = grown_lo[0], grown_hi[0]
+    for j, other in enumerate(rects):
+        x, y = other.lo[0], other.hi[0]
+        if j == i or (y if y < hi0 else hi0) - (x if x > lo0 else lo0) <= 0.0:
+            continue
+        grown = kept = 1.0
+        for a, b, p, q, x, y in zip(grown_lo, grown_hi, lo, hi,
+                                    other.lo, other.hi):
+            side = (y if y < b else b) - (x if x > a else a)
+            grown = grown * side if side > 0.0 else 0.0
+            side = (y if y < q else q) - (x if x > p else p)
+            kept = kept * side if side > 0.0 else 0.0
+        if grown != kept:
+            return False
+    return True
+
+
 class RStarTree(RTreeBase):
     """R*-tree with forced reinsertion and margin-driven splits."""
 
@@ -49,13 +75,18 @@ class RStarTree(RTreeBase):
     # -- ChooseSubtree -------------------------------------------------------
 
     def _choose_subtree(self, node: Node, rect: Rect) -> int:
+        keys = self._area_keys(node, rect)
+        best = first_least(keys)
         if node.level != 2:
-            return self._least_area_enlargement(node, rect)
-        # One node as a column block, rebuilt per call: O(M) against
-        # the kernel's O(M^2), and nothing to keep in step with the node.
-        block = np.array([e.rect.lo + e.rect.hi for e in node.entries])
-        return least_overlap_enlargement(
-            block[:, :self.ndim], block[:, self.ndim:], rect.lo, rect.hi)
+            return best
+        # A non-finite area makes its enlargement NaN; with none NaN, no
+        # overlap enlargement is below 0.0 (rounding is monotone), so a
+        # lead whose growth keeps every overlap leads all three keys.
+        rects = [e.rect for e in node.entries]
+        if all(enl == enl for enl, _ in keys) \
+                and _keeps_its_overlaps(rects, best, rect):
+            return best
+        return least_overlap_enlargement(rects, rect, keys)
 
     # -- overflow: forced reinsertion, then split ---------------------------------
 

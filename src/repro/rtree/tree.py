@@ -128,10 +128,14 @@ class RTreeBase:
     @staticmethod
     def _least_area_enlargement(node: Node, rect: Rect) -> int:
         """Guttman's ChooseLeaf criterion: the entry needing the least
-        area enlargement to hold ``rect`` (ties: the smaller area).
+        area enlargement to hold ``rect`` (ties: the smaller area)."""
+        return first_least(RTreeBase._area_keys(node, rect))
 
-        Read off the corners — ``Rect.enlargement`` bit for bit, without
-        a union rectangle per entry.
+    @staticmethod
+    def _area_keys(node: Node, rect: Rect) -> list[tuple[float, float]]:
+        """Per entry of ``node``, ``(area enlargement to hold rect,
+        area)``: read off the corners — ``Rect.enlargement`` bit for
+        bit, without a union rectangle per entry.
         """
         keys = []
         for entry in node.entries:
@@ -141,7 +145,7 @@ class RTreeBase:
                 area *= b - a
                 grown *= (d if d > b else b) - (c if c < a else a)
             keys.append((grown - area, area))
-        return first_least(keys)
+        return keys
 
     # -- insertion -------------------------------------------------------------
 

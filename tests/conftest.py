@@ -553,6 +553,9 @@ GOLDEN_TREES = {
     "uniform-3d-M6": (
         lambda: build_rstar(uniform_rectangles(1500, 1.0, 3, seed=5), 3, 6),
         "6c2ddf4ad020d96b791348058d9863ee6e359d0ea46d901fca0e349f13124133"),
+    "uniform-3d-M24": (
+        lambda: build_rstar(uniform_rectangles(1500, 0.5, 3, seed=44), 3, 24),
+        "f51ce94ad8ed40c91f90e2a662d1fe6439565df929853f04b8b8f66bdbfc65bf"),
     "zipf-2d-M16": (
         lambda: build_rstar(zipf_rectangles(2000, 0.5, 2, seed=9), 2, 16),
         "d77824f79f6cb351770688ec8a692bf929d01422fe58779f6d25f5ac0ab84589"),

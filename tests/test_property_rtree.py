@@ -8,7 +8,8 @@ from repro.join import naive_join, spatial_join
 from repro.rtree import Entry, GuttmanRTree, Node, RStarTree, \
     hilbert_pack, str_pack, validate
 
-from .conftest import items, rects, reference_insert
+from .conftest import (items, least_overlap_enlargement, rects,
+                       reference_insert)
 
 SLOW = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow],
@@ -178,3 +179,56 @@ def test_kernel_insert_builds_the_scalar_tree(script):
     with reference_insert():
         scalar = _replay(*script)
     assert with_kernel == scalar
+
+
+# -- ChooseSubtree above the leaves, node by node --------------------------
+
+#: A lattice (ties, touching and zero extents), ``-0.0``, and magnitudes
+#: whose sides and areas overflow: an ``inf`` area (enlargement
+#: ``inf - inf``) or a grown side of ``inf`` times one of ``0.0`` makes a
+#: NaN enlargement.
+_NODE_COORD = st.one_of(st.integers(-8, 8).map(lambda k: k / 8),
+                        st.just(-0.0),
+                        st.sampled_from([-1e308, -1e200, 1e200, 1e308]))
+
+
+def _level2(rects):
+    return Node(0, 2, [Entry(r, i) for i, r in enumerate(rects)])
+
+
+@st.composite
+def _level2_node(draw):
+    """``(node, rect)``: a level-2 node of 1 to 84 entries in 1 to 3
+    dimensions and a rectangle to insert."""
+    rect = rects(draw(st.sampled_from([1, 2, 3])), coord=_NODE_COORD)
+    size = draw(st.integers(1, 84))
+    return _level2(draw(st.lists(rect, min_size=size, max_size=size))), \
+        draw(rect)
+
+
+#: Entry 2 leads on (area enlargement, area) and keeps its overlaps, but
+#: entry 1's enlargement is NaN (width inf, height 0) and its overlap
+#: enlargement 0.0: the scalar loop answers 1.
+_NAN_BEFORE_THE_LEAD = (_level2([
+    Rect((-1.0, 0.0), (1.0, 1.0)), Rect((0.0, 0.5), (1e308, 0.5)),
+    Rect((-1e308, 0.0), (-1e308, 0.25)), Rect((-2.0, 0.0), (-1.5, 1.0))]),
+    Rect.point((-1e308, 0.5)))
+
+#: Entry 1 leads on (area enlargement, area); grown, it overlaps the
+#: last entry more and no other: the scalar loop answers 3.
+_GROWTH_INTO_THE_LAST_SIBLING = (_level2([
+    Rect((0.125, 0.625), (0.25, 0.875)), Rect((0.125, 0.375), (0.25, 1.0)),
+    Rect((0.375, 0.625), (0.875, 0.875)),
+    Rect((0.125, 0.25), (0.875, 0.5))]),
+    Rect((0.125, 0.125), (0.25, 0.125)))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_level2_node())
+@example(_NAN_BEFORE_THE_LEAD)
+@example(_GROWTH_INTO_THE_LAST_SIBLING)
+def test_choose_subtree_answers_the_scalar_loop(case):
+    node, rect = case
+    assert RStarTree(rect.ndim, 84)._choose_subtree(node, rect) == \
+        least_overlap_enlargement(node, rect)

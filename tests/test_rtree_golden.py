@@ -6,9 +6,11 @@ digests are the scalar insert's from before ChooseSubtree became a
 NumPy kernel and the split scans went O(M); together they cover the
 kernel (level-2 nodes at M up to 84), the split, forced reinsertion,
 ``delete`` -> ``_condense`` -> orphan reinsertion, and exact ties
-(lattice coordinates).  The Guttman, STR and Hilbert digests were
-computed before path MBRs grew by ``union`` and the R* split went
-columnar: both Guttman splits with deletes, and packed trees (one at
+(lattice coordinates).  ``uniform-3d-M24``, computed on the scalar
+reference path before ChooseSubtree learned to skip the O(M^2) pass,
+is a tree where about half of the level-2 calls still take it.  The
+Guttman, STR and Hilbert digests were computed before path MBRs grew
+by ``union`` and the R* split went columnar: both Guttman splits with deletes, and packed trees (one at
 ``min_fill=0.5``) that then take R* inserts.  Five more packed trees
 were computed with the ``sorted``-based packer, before packing moved
 to stable argsorts over corner arrays: STR in one dimension at M = 84

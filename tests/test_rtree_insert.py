@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry import Rect
 from repro.rtree import (Entry, GuttmanRTree, Node, RStarTree, check,
-                         validate)
+                         rstar, validate)
 
 from .conftest import (INSERT_PATHS, build_guttman, build_rstar,
                        least_overlap_enlargement, make_items,
@@ -162,13 +162,111 @@ def _node(level, rects):
 
 
 class TestKernelAnswersTheScalarLoop:
-    """ChooseSubtree above the leaves: the NumPy kernel against the
-    scalar reference, on nodes built to part them."""
+    """ChooseSubtree above the leaves against the scalar reference, on
+    nodes built to part them: the lead on (area enlargement, area)
+    answers when it holds the rectangle or its growth keeps every
+    overlap, and the O(n^2) pass answers otherwise."""
 
     @staticmethod
     def both_paths(node, rect):
         kernel = RStarTree(rect.ndim, 4)._choose_subtree(node, rect)
         return kernel, least_overlap_enlargement(node, rect)
+
+    @staticmethod
+    def decide(node, rect):
+        """``(answer, reference answer, whether the O(n^2) pass ran)``."""
+        passes = []
+        kernel = rstar.least_overlap_enlargement
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rstar, "least_overlap_enlargement",
+                          lambda *args: passes.append(args) or kernel(*args))
+            answer = RStarTree(rect.ndim, 4)._choose_subtree(node, rect)
+        return answer, least_overlap_enlargement(node, rect), bool(passes)
+
+    def test_a_container_answers_without_the_pass(self):
+        node = _node(2, [Rect((0.0, 0.0), (0.5, 0.5)),
+                         Rect((0.25, 0.25), (1.0, 1.0))])
+        assert self.decide(node, Rect((0.25, 0.25), (0.375, 0.375))) == \
+            (0, 0, False)
+
+    def test_a_non_container_that_adds_no_overlap(self):
+        # Entry 0 grows upwards into empty space.  Its overlap with
+        # entry 1, below the growth, stays 0.25 * 0.25: equal, not 0.0.
+        node = _node(2, [Rect((0.0, 0.0), (0.5, 0.5)),
+                         Rect((0.25, 0.0), (0.75, 0.25)),
+                         Rect((0.625, 0.75), (1.0, 1.0))])
+        rect = Rect((0.0, 0.5), (0.125, 0.625))
+        assert self.decide(node, rect) == (0, 0, False)
+
+    def test_growth_into_the_last_sibling_only(self):
+        # Entry 1 leads on area enlargement.  Its overlap with entry 0,
+        # which it holds, does not change; grown down, it overlaps the
+        # last entry more, so a scan that stops early answers 1.
+        node = _node(2, [Rect((0.125, 0.625), (0.25, 0.875)),
+                         Rect((0.125, 0.375), (0.25, 1.0)),
+                         Rect((0.375, 0.625), (0.875, 0.875)),
+                         Rect((0.125, 0.25), (0.875, 0.5))])
+        rect = Rect((0.125, 0.125), (0.25, 0.125))
+        assert self.decide(node, rect) == (3, 3, True)
+
+    def test_a_zero_area_candidate(self):
+        # Entry 0, a segment, grows along its line to the point: area
+        # and enlargement 0.0, every overlap 0.0, so it leads entry 1,
+        # which holds the point but has an area.
+        node = _node(2, [Rect((0.0, 0.5), (0.25, 0.5)),
+                         Rect((0.25, 0.25), (0.75, 0.75))])
+        assert self.decide(node, Rect.point((0.375, 0.5))) == (0, 0, False)
+        # Entry 1, a segment, grows into a box that overlaps entry 2.
+        node = _node(2, [Rect((1.0, 0.125), (1.0, 0.5)),
+                         Rect((0.125, 0.5), (0.75, 0.5)),
+                         Rect((0.5, 0.0), (0.875, 0.5)),
+                         Rect((0.625, 0.875), (1.0, 0.875))])
+        assert self.decide(node, Rect((0.25, 0.375), (0.75, 0.5))) == \
+            (2, 2, True)
+
+    def test_tied_keys(self):
+        # Entries 1 and 2 tie on (area enlargement, area) at (0.1875,
+        # 0.09375).  Entry 1 grows into entry 3 and entry 2 does not.
+        node = _node(2, [Rect((0.125, 0.375), (0.875, 0.375)),
+                         Rect((0.125, 0.625), (0.375, 1.0)),
+                         Rect((0.75, 0.25), (1.0, 0.625)),
+                         Rect((0.125, 0.5), (1.0, 1.0))])
+        rect = Rect((0.25, 0.25), (0.5, 0.625))
+        assert self.decide(node, rect) == (2, 2, True)
+
+    def test_signed_zero_corners(self):
+        # -0.0 == 0.0: entry 0 holds the rectangle ...
+        node = _node(2, [Rect((-0.0, -0.0), (0.5, 0.5)),
+                         Rect((0.0, 0.0), (1.0, 1.0))])
+        assert self.decide(node, Rect((0.0, 0.0), (0.25, 0.25))) == \
+            (0, 0, False)
+        # ... and grown upwards, still only touches entry 1 at x = 0
+        # (a side of -0.0 - 0.0): no overlap before or after.
+        node = _node(2, [Rect((-0.5, 0.0), (-0.0, 0.5)),
+                         Rect((0.0, 0.0), (0.5, 0.5))])
+        assert self.decide(node, Rect((-0.25, 0.5), (-0.0, 0.75))) == \
+            (0, 0, False)
+
+    def test_a_nan_enlargement_before_the_lead(self):
+        # Entry 1, a segment at y = 0.5, grows to width inf and height
+        # 0: enlargement inf * 0 = NaN, overlaps 0.0.  Entry 2 leads on
+        # (area enlargement, area) and keeps its overlaps, but the
+        # scalar loop seats entry 1 over entry 0 on overlap enlargement
+        # (0.0 < 0.5), and entry 2, tied there, cannot displace a NaN.
+        node = _node(2, [Rect((-1.0, 0.0), (1.0, 1.0)),
+                         Rect((0.0, 0.5), (1e308, 0.5)),
+                         Rect((-1e308, 0.0), (-1e308, 0.25)),
+                         Rect((-2.0, 0.0), (-1.5, 1.0))])
+        assert self.decide(node, Rect.point((-1e308, 0.5))) == (1, 1, True)
+
+    def test_an_overflowing_area_before_the_lead(self):
+        # Entry 1's area is inf, so its enlargement is inf - inf = NaN;
+        # as above, it takes the seat from entry 0 and keeps it.
+        node = _node(2, [Rect((-3.0, 2.0), (-2.0, 3.0)),
+                         Rect((0.0, 0.0), (1e200, 1e200)),
+                         Rect((-1.0, 0.0), (-1.0, 0.25)),
+                         Rect((-2.5, 1.0), (-1.5, 1.5))])
+        assert self.decide(node, Rect.point((-1.0, 0.5))) == (1, 1, True)
 
     def test_sum_over_siblings_is_a_left_fold(self):
         # Entries 2 and 3 tie but for the rounding of their overlap
