@@ -44,7 +44,7 @@ from .datasets import (LocalDensityGrid, SpatialDataset,
                        tiger_like_segments, uniform_rectangles,
                        zipf_rectangles)
 from .estimator import (BatchResult, EstimateRequest, Estimator,
-                        ParamCache, estimate_batch, range_na_batch)
+                        estimate_batch, range_na_batch)
 from .exec import (AdmissionRejected, Budget, BudgetExceeded, Cancelled,
                    CancellationToken, CheckpointMismatch,
                    ExecutionConfig, ExecutionGovernor, JoinCheckpoint)
@@ -114,7 +114,6 @@ __all__ = [
     "Overlap",
     "PairList",
     "ParallelJoinResult",
-    "ParamCache",
     "PartialJoinResult",
     "PathBuffer",
     "RStarTree",

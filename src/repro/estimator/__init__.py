@@ -12,25 +12,23 @@ scalar call at a time.  This package is the consolidated front door:
   window)`` grid points in one call, NumPy-vectorized.  Plan
   enumeration, the experiments harness and the CLI (``repro estimate
   --batch``) all go through it.
-* :class:`ParamCache` / :func:`cached_params` — memoized Eq. 2-5
-  derivations keyed on ``(N, D, M, ndim, fill)``, shared by the facade
-  and the execution governor's admission control.
+
+Nothing is memoized here: deriving one tree's Eq. 2-5 parameters
+(:class:`~repro.costmodel.AnalyticalTreeParams`) takes a few
+microseconds, and what a built tree's statistics cost to gather is kept
+with the tree (:meth:`~repro.rtree.RTreeBase.derived`).
 """
 
 from .batch import (BatchResult, EstimateRequest, estimate_batch,
                     range_na_batch)
-from .cache import DEFAULT_PARAM_CACHE, ParamCache, cached_params
 from .facade import Estimate, EstimateBreakdown, Estimator
 
 __all__ = [
     "BatchResult",
-    "DEFAULT_PARAM_CACHE",
     "Estimate",
     "EstimateBreakdown",
     "EstimateRequest",
     "Estimator",
-    "ParamCache",
-    "cached_params",
     "estimate_batch",
     "range_na_batch",
 ]

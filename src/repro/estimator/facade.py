@@ -12,8 +12,7 @@ spelling returns the same floats.
 Construction is cheap (no estimation happens until a method is called)
 and the classmethods cover the common sources:
 
-* :meth:`Estimator.from_stats` — raw catalog numbers, memoized through
-  :func:`~repro.estimator.cache.cached_params`;
+* :meth:`Estimator.from_stats` — raw catalog numbers;
 * :meth:`Estimator.from_datasets` — measured primitive properties of
   concrete data sets;
 * :meth:`Estimator.from_trees` — built trees (cardinality and summed
@@ -32,10 +31,9 @@ from typing import Any, Sequence
 from ..costmodel.join_da import (MIXED_HEIGHT_MODES, StageCost,
                                  join_da_breakdown)
 from ..costmodel.join_na import join_na_breakdown
-from ..costmodel.params import (DEFAULT_FILL, TreeParams,
-                                check_model_params)
+from ..costmodel.params import (DEFAULT_FILL, AnalyticalTreeParams,
+                                TreeParams, check_model_params)
 from ..costmodel.range_query import intsect
-from .cache import ParamCache, cached_params
 
 __all__ = ["Estimator", "Estimate", "EstimateBreakdown"]
 
@@ -109,23 +107,20 @@ class Estimator:
     def from_stats(cls, n1: int, d1: float, n2: int, d2: float,
                    max_entries: int, ndim: int = 2,
                    fill: float = DEFAULT_FILL,
-                   cache: ParamCache | None = None,
                    mixed_height_mode: str = "traversal") -> "Estimator":
-        """From raw catalog statistics, memoized per distinct tree."""
-        get = cache.get if cache is not None else cached_params
-        return cls(get(n1, d1, max_entries, ndim, fill),
-                   get(n2, d2, max_entries, ndim, fill),
+        """From raw catalog statistics (Eqs. 2-5 per side)."""
+        return cls(AnalyticalTreeParams(n1, d1, max_entries, ndim, fill),
+                   AnalyticalTreeParams(n2, d2, max_entries, ndim, fill),
                    mixed_height_mode=mixed_height_mode)
 
     @classmethod
     def from_datasets(cls, left: Any, right: Any, max_entries: int,
-                      fill: float = DEFAULT_FILL,
-                      cache: ParamCache | None = None) -> "Estimator":
+                      fill: float = DEFAULT_FILL) -> "Estimator":
         """From two :class:`~repro.datasets.SpatialDataset` objects."""
         return cls.from_stats(
             left.cardinality, left.density(),
             right.cardinality, right.density(),
-            max_entries, left.ndim, fill, cache=cache)
+            max_entries, left.ndim, fill)
 
     @classmethod
     def from_trees(cls, left: Any, right: Any,

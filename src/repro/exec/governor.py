@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..costmodel.params import AnalyticalTreeParams, DEFAULT_FILL
-from ..estimator import Estimator, cached_params
+from ..estimator import Estimator
 from ..reliability import ModelDomainError
 from ..storage import AccessStats
 from .budget import (UNLIMITED, AdmissionRejected, Budget, BudgetExceeded,
@@ -51,19 +51,19 @@ def tree_params(tree: Any, fill: float = DEFAULT_FILL,
     performed: nothing touches a :class:`~repro.storage.MeteredReader`
     or a buffer.  The sum, a walk over every leaf entry, is remembered
     with the tree (:meth:`~repro.rtree.RTreeBase.derived`) until the
-    tree changes, so pricing the same trees again costs a staleness
-    check; a tree-like without that catalog is walked per call.  Both
-    read the nodes uncounted, so a pager that injects faults into the
-    join's ``ReadPage`` s never fails them.  The Eq. 2-5 derivations go
-    through the shared :data:`~repro.estimator.cache.DEFAULT_PARAM_CACHE`.
+    tree changes, so pricing the same trees again costs one clock
+    comparison and no node read; a tree-like without that catalog is
+    walked per call.  Both walks read the nodes uncounted, so a pager
+    that injects faults into the join's ``ReadPage`` s never fails
+    them.  The Eq. 2-5 parameters are derived afresh on each call.
     """
     derived = getattr(tree, "derived", None)
     catalog = {} if derived is None else derived()
     if "leaf_area" not in catalog:
         catalog["leaf_area"] = sum(e.rect.area()
                                    for e in tree.leaf_entries())
-    return cached_params(len(tree), catalog["leaf_area"],
-                         tree.max_entries, tree.ndim, fill)
+    return AnalyticalTreeParams(len(tree), catalog["leaf_area"],
+                                tree.max_entries, tree.ndim, fill)
 
 
 def predict_join_cost(left: Any, right: Any,

@@ -36,7 +36,7 @@ from .geometry import Rect
 from .reliability import (CorruptionReport, CorruptPageError,
                           MalformedFileError)
 from .rtree import Entry, Node, RStarTree, RTreeBase
-from .rtree.node import LEAF_LEVEL
+from .rtree.node import LEAF_LEVEL, MutationClock
 
 __all__ = ["save_dataset", "load_dataset", "save_tree", "load_tree",
            "verify_tree_file", "TREE_FORMAT_VERSION"]
@@ -217,7 +217,10 @@ def load_tree(path: str | Path, strict: bool = True) -> RStarTree:
                     f"(stored {stored!r})")
             report.document_checksum_ok = False
 
-    # Parse and verify every node before touching the tree.
+    # Parse and verify every node before installing any; the nodes go
+    # on the new tree's clock.
+    tree = RStarTree(doc["ndim"], doc["max_entries"])
+    tree.pager.free(tree.root_id)      # drop the constructor's empty root
     good: dict[int, Node] = {}
     for page_id_str, payload in doc["nodes"].items():
         try:
@@ -226,7 +229,7 @@ def load_tree(path: str | Path, strict: bool = True) -> RStarTree:
             raise MalformedFileError(
                 f"{path}: non-integer page id {page_id_str!r}",
                 path=path, field="nodes") from None
-        node, why = _parse_node(page_id, payload, checksummed)
+        node, why = _parse_node(page_id, payload, checksummed, tree.clock)
         if node is not None:
             good[page_id] = node
             continue
@@ -246,8 +249,6 @@ def load_tree(path: str | Path, strict: bool = True) -> RStarTree:
             f"{path}: root page {root_id} is missing or corrupt; "
             f"the tree cannot be loaded even leniently", root_id)
 
-    tree = RStarTree(doc["ndim"], doc["max_entries"])
-    tree.pager.free(tree.root_id)      # drop the constructor's empty root
     if "min_entries" in doc:           # format-v1 files may lack it
         tree.min_entries = _saved_min_entries(doc, path)
 
@@ -293,7 +294,7 @@ def _saved_min_entries(doc: dict, path: Path) -> int:
 
 
 def _parse_node(page_id: int, payload: Any, checksummed: bool,
-                ) -> tuple[Node | None, str | None]:
+                clock: MutationClock) -> tuple[Node | None, str | None]:
     """Verify and build one node; ``(None, reason)`` on failure."""
     try:
         level = payload["level"]
@@ -302,7 +303,7 @@ def _parse_node(page_id: int, payload: Any, checksummed: bool,
             return None, "crc"
         entries = [Entry(Rect(lo, hi), ref)
                    for lo, hi, ref in raw_entries]
-        return Node(page_id, level, entries), None
+        return Node(page_id, level, entries, clock), None
     except (KeyError, TypeError, ValueError):
         # Unreadable payloads in a checksummed file are corruption (the
         # CRC cannot be trusted either); in a v1 file they are malformed.

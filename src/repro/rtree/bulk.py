@@ -39,7 +39,7 @@ from ..geometry.columnar import segment_bounds
 from ..storage import Pager
 from .entry import Entry
 from .hilbert import hilbert_keys
-from .node import LEAF_LEVEL, Node
+from .node import LEAF_LEVEL
 from .rstar import RStarTree
 
 __all__ = ["str_pack", "hilbert_pack"]
@@ -108,14 +108,14 @@ def _pack(items: Sequence[tuple[Rect, int]], ndim: int, max_entries: int,
                 or len(entries) <= capacity:
             # The surviving entries fit into a single root node (at the
             # leaves: a small data set).
-            root = _make_node(tree, level, entries)
+            root = tree._new_node(level, entries)
             levels.append(_root_level(root.page_id, coords, refs))
             break
         perm, sizes = order((coords[0] + coords[1]) / 2.0, capacity)
         sizes = np.array(_fix_tail(sizes, tree.min_entries), np.intp)
         starts = np.cumsum(sizes) - sizes
         ordered = [entries[i] for i in perm.tolist()]
-        nodes = [_make_node(tree, level, ordered[start:start + size])
+        nodes = [tree._new_node(level, ordered[start:start + size])
                  for start, size in zip(starts.tolist(), sizes.tolist())]
         pages = np.array([node.page_id for node in nodes], dtype=np.int64)
         levels.append((perm, starts, sizes, pages, coords, refs))
@@ -136,13 +136,6 @@ def _pack(items: Sequence[tuple[Rect, int]], ndim: int, max_entries: int,
     tree.size = len(items)
     tree._adopt_arena(_layout(ndim, levels))
     return tree
-
-
-def _make_node(tree: RStarTree, level: int,
-               entries: list[Entry]) -> Node:
-    node = Node(tree.pager.allocate(), level, entries)
-    tree.pager.write(node.page_id, node)
-    return node
 
 
 def _root_level(page_id: int, coords, refs) -> tuple:

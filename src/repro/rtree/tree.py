@@ -23,7 +23,7 @@ from ..geometry import Rect, TreeArena
 from ..geometry.columnar import first_least
 from ..storage import MeteredReader, Pager
 from .entry import Entry
-from .node import LEAF_LEVEL, Node
+from .node import LEAF_LEVEL, MutationClock, Node
 
 __all__ = ["RTreeBase", "LevelStats"]
 
@@ -80,16 +80,14 @@ class RTreeBase:
         self.min_entries = max(1, min(int(min_fill * max_entries),
                                       max_entries // 2))
         self.pager = pager if pager is not None else Pager()
-        root = Node(self.pager.allocate(), LEAF_LEVEL)
-        self.pager.write(root.page_id, root)
-        self.root_id = root.page_id
+        #: Shared by every node of the tree (see :meth:`_refresh`).
+        self.clock = MutationClock()
+        self.root_id = self._new_node(LEAF_LEVEL).page_id
         self.height = 1
         self.size = 0
-        self._mutations = 0
         self._arena: TreeArena | None = None
         self._derived: dict = {}
-        self._arena_snapshot: dict | None = None
-        self._arena_mutations = -1
+        self._derived_at = self.clock.ticks
 
     # -- node access ---------------------------------------------------------
 
@@ -104,6 +102,13 @@ class RTreeBase:
     def root(self) -> Node:
         """The root node (pinned in memory, never counted)."""
         return self.node(self.root_id)
+
+    def _new_node(self, level: int, entries: list[Entry] | None = None,
+                  ) -> Node:
+        """A node on a fresh page of this tree, on the tree's clock."""
+        node = Node(self.pager.allocate(), level, entries, self.clock)
+        self.pager.write(node.page_id, node)
+        return node
 
     # -- policy hooks (overridden by concrete variants) -----------------------
 
@@ -155,7 +160,6 @@ class RTreeBase:
         self._begin_insert()
         self._insert_entry(Entry(rect, oid), LEAF_LEVEL)
         self.size += 1
-        self._mutations += 1
 
     def extend(self, items: Iterable[tuple[Rect, int]]) -> None:
         """Insert many ``(rect, oid)`` pairs."""
@@ -240,15 +244,13 @@ class RTreeBase:
                 "split policy violated the minimum fill requirement"
             )
         node.entries = group1
-        sibling = Node(self.pager.allocate(), node.level, group2)
-        self.pager.write(sibling.page_id, sibling)
+        sibling = self._new_node(node.level, group2)
 
         if node.page_id == self.root_id:
-            new_root = Node(self.pager.allocate(), node.level + 1, [
+            new_root = self._new_node(node.level + 1, [
                 Entry(node.mbr(), node.page_id),
                 Entry(sibling.mbr(), sibling.page_id),
             ])
-            self.pager.write(new_root.page_id, new_root)
             self.root_id = new_root.page_id
             self.height = new_root.level
             return
@@ -278,7 +280,6 @@ class RTreeBase:
         leaf = path[-1]
         del leaf.entries[entry_index]
         self.size -= 1
-        self._mutations += 1
 
         orphans: list[tuple[Entry, int]] = []
         self._condense(path, indices, orphans)
@@ -369,12 +370,10 @@ class RTreeBase:
         Building snapshots every node's entry MBRs into one contiguous
         NumPy block (see :class:`~repro.geometry.TreeArena`), the only
         columnar copy of the tree, which the batched kernels read in
-        place.  The cache is invalidated by the tree's own mutation
-        counter *and* by the mutation-counting entry lists: any
-        ``insert``/``delete``, and any direct entry mutation a test may
-        perform, forces a rebuild on next call.  Every tree has one: the
-        build reads the nodes uncounted (:meth:`node`), so a pager that
-        injects faults into the join's ``ReadPage`` s never fails it.
+        place.  The cache holds until the tree's clock ticks (see
+        :meth:`_refresh`).  Every tree has one: the build reads the
+        nodes uncounted (:meth:`node`), so a pager that injects faults
+        into the join's ``ReadPage`` s never fails it.
         """
         self._refresh()
         if self._arena is None:
@@ -387,9 +386,9 @@ class RTreeBase:
         as it stands, so :meth:`arena` builds nothing until the tree
         changes.  It must equal ``TreeArena.build(self.nodes(), ndim)``.
         """
-        self._arena_snapshot = None
-        self._refresh()
         self._arena = arena
+        self._derived = {}
+        self._derived_at = self.clock.ticks
 
     def derived(self) -> dict:
         """Statistics derived from the tree's present content — its
@@ -402,63 +401,29 @@ class RTreeBase:
         return self._derived
 
     def _refresh(self) -> None:
-        """Drop what was derived from an older state of the tree and
-        snapshot the present one; a no-op while the snapshot holds."""
-        if self._arena_current():
-            return
-        self._arena = None
-        self._derived = {}
-        self._arena_snapshot = {
-            node.page_id: (node.entries, node.entries.version)
-            for node in self.nodes()}
-        self._arena_mutations = self._mutations
+        """Drop what was derived (the arena, :meth:`derived`) from an
+        older state of the tree.
 
-    def _arena_current(self) -> bool:
-        """Is what was derived (the arena, :meth:`derived`) still a
-        faithful snapshot of the tree?
-
-        Cheap check first (the tree-level mutation counter), then the
-        authoritative one: every node still holds the *same* entry-list
-        object at the *same* mutation version as at build time, and no
-        node appeared or vanished.  Rebinding ``node.entries`` swaps
-        the list object, in-place mutation bumps its version — both are
-        caught, so even direct node surgery invalidates the arena.
+        Every node of the tree shares :attr:`clock`, which each change
+        to an entry list ticks — an insert, a delete, a split, a forced
+        reinsertion, direct node surgery, a rebound ``node.entries`` —
+        so what was derived is current while the clock reads what it
+        read then: one comparison, no node read.
         """
-        if getattr(self, "_arena_mutations", -1) != self._mutations:
-            return False
-        snapshot = self._arena_snapshot
-        if snapshot is None:
-            return False
-        seen = 0
-        for node in self.nodes():
-            rec = snapshot.get(node.page_id)
-            if rec is None:
-                return False
-            entries, version = rec
-            if node.entries is not entries \
-                    or node.entries.version != version:
-                return False
-            seen += 1
-        return seen == len(snapshot)
+        if self._derived_at != self.clock.ticks:
+            self._arena = None
+            self._derived = {}
+            self._derived_at = self.clock.ticks
 
-    # Pickled trees travel without their arena: the snapshot holds
-    # references into live nodes (and, attached, shared-memory views
-    # that cannot cross process boundaries); receivers rebuild on
-    # demand.
+    # Pickled trees travel without what they derived: the arena may hold
+    # shared-memory views that cannot cross process boundaries;
+    # receivers rebuild on demand.  The clock goes with the nodes, so
+    # the copy's nodes share one clock of their own.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_arena"] = None
         state["_derived"] = {}
-        state["_arena_snapshot"] = None
-        state.pop("_arena_mutations", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_mutations", 0)
-        self.__dict__.setdefault("_arena", None)
-        self.__dict__.setdefault("_derived", {})
-        self.__dict__.setdefault("_arena_snapshot", None)
 
     # -- introspection --------------------------------------------------------------
 

@@ -4,15 +4,18 @@ The level-batched traversal (:mod:`repro.join.batch`) plans entire
 frontiers from ``tree.arena()`` coordinates.  A stale cached arena
 would silently desynchronize the batch engine from the tree — wrong
 pairs with no error — so this file pins that *every* way a tree can
-change invalidates the cache: plain ``insert``/``delete``, bulk-loaded
-trees mutated after packing (``str_pack``/``hilbert_pack``), the
-R*-tree forced-reinsertion path, and direct node surgery (in-place
-entry-list mutation and wholesale ``entries`` rebinds).  The converse
-is pinned too: an unmutated tree keeps returning the *same* cached
-arena object, since a spurious rebuild per join would erase the point
-of caching.  The tables an arena derives from its snapshot
-(``page_table``, ``node_mbrs``) are built once per arena and go with it
-when it is replaced.
+change invalidates what the tree derived, as its callers see it: a new
+``arena()`` object and an emptied ``derived()``.  The paths are plain
+``insert``/``delete``, bulk-loaded trees mutated after packing
+(``str_pack``/``hilbert_pack``), trees read back by ``load_tree``, the
+R*-tree forced-reinsertion path, direct node surgery (in-place
+entry-list mutation and wholesale ``entries`` rebinds) and unpickled
+copies.  The converse is pinned too: an unmutated tree keeps returning
+the *same* cached arena object without reading a node, since a
+spurious rebuild or a walk per join would erase the point of caching,
+and one tree's mutation leaves another's cache alone.  The tables an
+arena derives from its snapshot (``page_table``, ``node_mbrs``) are
+built once per arena and go with it when it is replaced.
 """
 
 import pickle
@@ -23,14 +26,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import ExecutionConfig
+from repro.exec import ExecutionConfig, tree_params
 from repro.geometry import Rect
 from repro.geometry.columnar import segment_bounds
+from repro.io import load_tree, save_tree
 from repro.join import spatial_join
-from repro.rtree import RStarTree, hilbert_pack, str_pack
+from repro.rtree import RStarTree, RTreeBase, hilbert_pack, str_pack
 from repro.rtree.node import Entry
+from repro.storage import Pager
 
-from .conftest import _signed_lattice16, build_rstar
+from .conftest import _signed_lattice16, build_rstar, make_items
 
 BATCH = ExecutionConfig(traversal="level-batch")
 STACK = ExecutionConfig(traversal="stack")
@@ -73,6 +78,24 @@ def _arena_matches_tree(tree) -> bool:
     return True
 
 
+def _derive(tree):
+    """Derive both things a tree keeps: a catalog value in
+    ``derived()`` and the arena, which is returned."""
+    tree.derived()["probe"] = True
+    return tree.arena()
+
+
+def _assert_stale(tree, first) -> None:
+    """What a caller sees of a tree whose derived state went stale."""
+    assert "probe" not in tree.derived()
+    assert tree.arena() is not first
+
+
+def _assert_current(tree, first) -> None:
+    assert tree.derived().get("probe") is True
+    assert tree.arena() is first
+
+
 def _batch_equals_stack(t1, t2) -> None:
     """Behavioral check: a stale arena would break this equality."""
     batch = spatial_join(t1, t2, config=BATCH)
@@ -88,10 +111,37 @@ def _batch_equals_stack(t1, t2) -> None:
 
 def test_unmutated_tree_reuses_cached_arena():
     tree = _tree(120, seed=1)
-    first = tree.arena()
-    assert tree.arena() is first
+    first = _derive(tree)
+    _assert_current(tree, first)
     tree.range_query(Rect((0.1, 0.1), (0.4, 0.4)))    # reads don't count
-    assert tree.arena() is first
+    _assert_current(tree, first)
+
+
+def test_current_tree_reads_no_node(monkeypatch):
+    """On a current tree, ``arena()``, ``derived()`` and the catalog
+    statistics admission prices from are one clock comparison: no node
+    is read, not even to check."""
+    tree = str_pack(make_items(60_000, seed=1), ndim=2, max_entries=50)
+    first = tree.arena()
+    params = tree_params(tree)           # walks the leaves once
+    reads = []
+    peek, nodes = Pager.peek, RTreeBase.nodes
+
+    def spy_peek(self, page_id):
+        reads.append(page_id)
+        return peek(self, page_id)
+
+    def spy_nodes(self):
+        reads.append("nodes")
+        return nodes(self)
+
+    monkeypatch.setattr(Pager, "peek", spy_peek)
+    monkeypatch.setattr(RTreeBase, "nodes", spy_nodes)
+    for _ in range(3):
+        assert tree.arena() is first
+        assert "leaf_area" in tree.derived()
+        assert tree_params(tree).density == params.density
+    assert reads == []
 
 
 # -- tables derived from the snapshot -----------------------------------------
@@ -207,10 +257,9 @@ def test_empty_root_has_no_mbr():
 
 def test_insert_invalidates_arena():
     tree = _tree(80, seed=3)
-    first = tree.arena()
+    first = _derive(tree)
     tree.insert(Rect((0.2, 0.2), (0.25, 0.25)), 10_000)
-    assert not tree._arena_current()
-    assert tree.arena() is not first
+    _assert_stale(tree, first)
     assert _arena_matches_tree(tree)
 
 
@@ -220,19 +269,18 @@ def test_delete_invalidates_arena():
     tree = RStarTree(2, 6)
     for rect, oid in items:
         tree.insert(rect, oid)
-    first = tree.arena()
+    first = _derive(tree)
     rect, oid = items[17]
     assert tree.delete(rect, oid)
-    assert not tree._arena_current()
-    assert tree.arena() is not first
+    _assert_stale(tree, first)
     assert _arena_matches_tree(tree)
 
 
 def test_failed_delete_keeps_arena():
     tree = _tree(40, seed=5)
-    first = tree.arena()
+    first = _derive(tree)
     assert not tree.delete(Rect((0.0, 0.0), (0.001, 0.001)), 999_999)
-    assert tree.arena() is first         # nothing changed, cache holds
+    _assert_current(tree, first)         # nothing changed, cache holds
 
 
 # -- bulk-loaded trees mutated after packing ----------------------------------
@@ -243,26 +291,37 @@ def test_bulk_loaded_tree_invalidates_on_mutation(pack):
     tree = pack(_items(200, seed=6), ndim=2, max_entries=8)
     installed = tree._arena
     assert installed is not None         # packing lays the arena out
-    assert tree.arena() is installed     # and it caches like any other
+    assert _derive(tree) is installed    # and it caches like any other
     assert _arena_matches_tree(tree)
     tree.insert(Rect((0.5, 0.5), (0.55, 0.55)), 10_000)
-    assert not tree._arena_current()
-    assert tree.arena() is not installed
+    _assert_stale(tree, installed)
     assert _arena_matches_tree(tree)
 
-    second = tree.arena()
+    second = _derive(tree)
     rect, oid = _items(200, seed=6)[3]
     assert tree.delete(rect, oid)
-    assert tree.arena() is not second
+    _assert_stale(tree, second)
     assert _arena_matches_tree(tree)
 
     # Direct entry surgery on a freshly packed tree, its arena unread.
     tree = pack(_items(200, seed=6), ndim=2, max_entries=8)
     installed = tree._arena
+    tree.derived()["probe"] = True
     leaf = next(node for node in tree.nodes() if node.is_leaf)
     leaf.entries.append(Entry(Rect((0.9, 0.9), (0.95, 0.95)), 77_000))
-    assert not tree._arena_current()
-    assert tree.arena() is not installed
+    _assert_stale(tree, installed)
+    assert _arena_matches_tree(tree)
+
+
+def test_loaded_tree_invalidates_on_mutation(tmp_path):
+    save_tree(str_pack(_items(200, seed=6), ndim=2, max_entries=8),
+              tmp_path / "t.json")
+    tree = load_tree(tmp_path / "t.json")
+    first = _derive(tree)
+    assert _arena_matches_tree(tree)
+    leaf = next(node for node in tree.nodes() if node.is_leaf)
+    leaf.entries[0] = Entry(Rect((0.9, 0.9), (0.95, 0.95)), 77_000)
+    _assert_stale(tree, first)
     assert _arena_matches_tree(tree)
 
 
@@ -282,8 +341,8 @@ def test_bulk_loaded_tree_batch_join_after_mutation(pack):
 def test_rstar_reinsert_invalidates_arena():
     """Overflow handled by forced reinsertion (not a split) must still
     invalidate: reinsertion rewires nodes *within* one ``insert`` call,
-    so a cache keyed on anything weaker than the mutation counter plus
-    entry-list versions would miss it."""
+    and every one of its entry-list changes must tick the tree's
+    clock."""
     rng = random.Random(9)
     tree = RStarTree(2, 4)               # tiny fanout: overflows early
     reinserts = []
@@ -297,13 +356,12 @@ def test_rstar_reinsert_invalidates_arena():
     oid = 0
     stale_seen = 0
     while not reinserts or stale_seen < 3:
-        first = tree.arena()
+        first = _derive(tree)
         # Clustered inserts overflow the same subtree repeatedly.
         lo = (0.4 + rng.random() * 0.1, 0.4 + rng.random() * 0.1)
         tree.insert(Rect(lo, (lo[0] + 0.02, lo[1] + 0.02)), oid)
         oid += 1
-        assert not tree._arena_current()
-        assert tree.arena() is not first
+        _assert_stale(tree, first)
         if reinserts:
             stale_seen += 1
         assert oid < 500, "never triggered a forced reinsertion"
@@ -316,22 +374,30 @@ def test_rstar_reinsert_invalidates_arena():
 
 def test_inplace_entry_mutation_invalidates_arena():
     tree = _tree(60, seed=10)
-    first = tree.arena()
+    first = _derive(tree)
     leaf = next(node for node in tree.nodes() if node.is_leaf)
     leaf.entries.append(Entry(Rect((0.9, 0.9), (0.95, 0.95)), 77_000))
-    assert not tree._arena_current()     # caught via entries.version
-    assert tree.arena() is not first
+    _assert_stale(tree, first)
     assert _arena_matches_tree(tree)
 
 
 def test_entries_rebind_invalidates_arena():
     tree = _tree(60, seed=11)
-    first = tree.arena()
+    first = _derive(tree)
     leaf = next(node for node in tree.nodes() if node.is_leaf)
     leaf.entries = type(leaf.entries)(list(leaf.entries))
-    assert not tree._arena_current()     # caught via object identity
-    assert tree.arena() is not first
+    _assert_stale(tree, first)
     assert _arena_matches_tree(tree)
+
+
+def test_one_tree_mutated_leaves_another_current():
+    t1, t2 = _tree(60, seed=17), _tree(60, seed=17)
+    first1, first2 = _derive(t1), _derive(t2)
+    leaf = next(node for node in t1.nodes() if node.is_leaf)
+    leaf.entries.append(Entry(Rect((0.9, 0.9), (0.95, 0.95)), 77_000))
+    t1.insert(Rect((0.2, 0.2), (0.25, 0.25)), 10_000)
+    _assert_current(t2, first2)
+    _assert_stale(t1, first1)
 
 
 # -- pickling sheds the cache entirely ----------------------------------------
@@ -339,10 +405,28 @@ def test_entries_rebind_invalidates_arena():
 
 def test_unpickled_tree_rebuilds_fresh_arena():
     tree = _tree(60, seed=12)
-    tree.arena()
+    first = _derive(tree)
     clone = pickle.loads(pickle.dumps(tree))
-    assert clone._arena is None
+    assert clone._arena is None and clone.derived() == {}
     assert _arena_matches_tree(clone)
+    _assert_current(tree, first)
+
+
+def test_unpickled_copy_has_its_own_clock():
+    tree = _tree(60, seed=12)
+    clone = pickle.loads(pickle.dumps(tree))
+    assert clone.clock is not tree.clock
+    assert all(node.clock is clone.clock for node in clone.nodes())
+    first, copied = _derive(tree), _derive(clone)
+    leaf = next(node for node in clone.nodes() if node.is_leaf)
+    leaf.entries.append(Entry(Rect((0.9, 0.9), (0.95, 0.95)), 77_000))
+    _assert_current(tree, first)
+    _assert_stale(clone, copied)
+    assert _arena_matches_tree(clone)
+    copied = _derive(clone)
+    tree.insert(Rect((0.2, 0.2), (0.25, 0.25)), 10_000)
+    _assert_current(clone, copied)
+    _assert_stale(tree, first)
 
 
 # -- end to end: mutate between batch joins -----------------------------------

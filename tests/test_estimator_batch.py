@@ -12,8 +12,7 @@ from repro.costmodel.join_da import join_da_breakdown
 from repro.costmodel.join_na import join_na_breakdown
 from repro.costmodel.range_query import range_query_na
 from repro.costmodel.selectivity import join_selectivity_pairs
-from repro.estimator import (EstimateRequest, ParamCache, estimate_batch,
-                             range_na_batch)
+from repro.estimator import EstimateRequest, estimate_batch, range_na_batch
 from repro.estimator.batch import _check_rows, _Columns
 from repro.reliability import ModelDomainError
 
@@ -63,12 +62,11 @@ def test_batch_matches_scalar_reference():
 
 def test_batch_builds_no_parameter_objects(monkeypatch):
     """The batch derives its tables by column, not through the scalar
-    parameter objects or their cache."""
+    parameter objects."""
     def refuse(*args, **kwargs):
         raise AssertionError("the batch path built a parameter object")
     expected = estimate_batch(_grid())
     monkeypatch.setattr(AnalyticalTreeParams, "__init__", refuse)
-    monkeypatch.setattr(ParamCache, "get", refuse)
     res = estimate_batch(_grid())
     assert (res.na, res.da, res.selectivity, res.range_na) == (
         expected.na, expected.da, expected.selectivity, expected.range_na)
@@ -252,15 +250,3 @@ def test_range_na_batch():
         AnalyticalTreeParams(3000, 0.7, 16, 2, 0.67), windows[2])
     with pytest.raises(ValueError, match="equal length"):
         range_na_batch(trees, windows[:2])
-
-
-def test_param_cache_dedup():
-    cache = ParamCache(maxsize=2)
-    a = cache.get(1000, 0.5, 50, 2)
-    assert cache.get(1000, 0.5, 50, 2) is a
-    assert (cache.hits, cache.misses) == (1, 1)
-    cache.get(2000, 0.5, 50, 2)
-    cache.get(3000, 0.5, 50, 2)          # evicts the LRU entry
-    assert len(cache) == 2
-    cache.clear()
-    assert len(cache) == 0 and cache.hits == 0

@@ -8,7 +8,7 @@ from repro.costmodel import (AnalyticalTreeParams, MeasuredTreeParams,
                              join_na_total, join_selectivity_fraction,
                              join_selectivity_pairs, range_query_na)
 from repro.datasets import uniform_rectangles
-from repro.estimator import Estimator, ParamCache
+from repro.estimator import EstimateRequest, Estimator, estimate_batch
 from repro.reliability import ModelDomainError
 from .conftest import build_rstar, make_items
 
@@ -73,12 +73,25 @@ def test_swapped_swaps_roles(pair):
     assert sw.da() != est.da()
 
 
-def test_from_stats_uses_cache():
-    cache = ParamCache()
-    est = Estimator.from_stats(10_000, 0.5, 10_000, 0.5, 50, cache=cache)
-    # Identical (N, D, M, ndim, fill): one derivation, shared object.
-    assert est.left is est.right
-    assert cache.misses == 1 and cache.hits == 1
+@pytest.mark.parametrize("fills", [(1, 1.0), (1.0, 1)],
+                         ids=["int-first", "float-first"])
+def test_from_stats_answers_each_fill_type(fills):
+    """Eq. 3 divides an int fill exactly where a float one rounds, so
+    from N = 2**53 + 1 on an int and a float fill of equal value give
+    different trees; neither may be answered with the other's, in
+    whichever order they are asked for."""
+    n = 2 ** 53 + 1
+    for fill in fills:
+        est = Estimator.from_stats(n, 0.5, n, 0.5, 24, 1, fill=fill)
+        fresh = Estimator(AnalyticalTreeParams(n, 0.5, 24, 1, fill),
+                          AnalyticalTreeParams(n, 0.5, 24, 1, fill))
+        row = estimate_batch([EstimateRequest(
+            n1=n, d1=0.5, n2=n, d2=0.5, max_entries=24, ndim=1,
+            fill=fill)])
+        assert (est.na(), est.da()) == (fresh.na(), fresh.da()) \
+            == (row.na[0], row.da[0])
+    assert Estimator.from_stats(n, 0.5, n, 0.5, 24, 1, fill=1).na() \
+        != Estimator.from_stats(n, 0.5, n, 0.5, 24, 1, fill=1.0).na()
 
 
 def test_from_datasets():

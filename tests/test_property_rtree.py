@@ -191,6 +191,14 @@ _NODE_COORD = st.one_of(st.integers(-8, 8).map(lambda k: k / 8),
                         st.just(-0.0),
                         st.sampled_from([-1e308, -1e200, 1e200, 1e308]))
 
+#: The lattice and ``-0.0`` alone: rectangles of finite area.
+_FINITE_COORD = st.one_of(st.integers(-8, 8).map(lambda k: k / 8),
+                          st.just(-0.0))
+
+#: Holds any rectangle of ``ndim`` dimensions; its sides overflow.
+_INFINITE = {ndim: Rect((-1e308,) * ndim, (1e308,) * ndim)
+             for ndim in (1, 2, 3)}
+
 
 def _level2(rects):
     return Node(0, 2, [Entry(r, i) for i, r in enumerate(rects)])
@@ -199,11 +207,27 @@ def _level2(rects):
 @st.composite
 def _level2_node(draw):
     """``(node, rect)``: a level-2 node of 1 to 84 entries in 1 to 3
-    dimensions and a rectangle to insert."""
-    rect = rects(draw(st.sampled_from([1, 2, 3])), coord=_NODE_COORD)
+    dimensions and a rectangle to insert.
+
+    Half the draws are of finite area, with two more entries: one of
+    infinite area second and a copy of the rectangle after it.  The
+    infinite entry holds the rectangle and every sibling, so its area
+    enlargement is NaN (``inf - inf``) and its overlap enlargement 0.0;
+    the copy leads on (area enlargement, area) and keeps its overlaps;
+    and unless the first entry holds the rectangle too, its growth adds
+    overlap with the infinite entry: the scalar loop answers the NaN
+    entry.
+    """
+    ndim = draw(st.sampled_from([1, 2, 3]))
+    finite = draw(st.booleans())
+    rect = rects(ndim, coord=_FINITE_COORD if finite else _NODE_COORD)
     size = draw(st.integers(1, 84))
-    return _level2(draw(st.lists(rect, min_size=size, max_size=size))), \
-        draw(rect)
+    entries = draw(st.lists(rect, min_size=size, max_size=size))
+    target = draw(rect)
+    if finite:
+        entries.insert(1, _INFINITE[ndim])
+        entries.insert(draw(st.integers(2, size + 1)), target)
+    return _level2(entries), target
 
 
 #: Entry 2 leads on (area enlargement, area) and keeps its overlaps, but

@@ -114,6 +114,18 @@ def test_keyword_rename_shim_is_gone():
     assert not hasattr(join_na_total, "__wrapped__")
 
 
+def test_parameter_cache_is_gone():
+    # Eq. 2-5 parameters are derived per call; what a tree's statistics
+    # cost to gather is kept with the tree, on its mutation clock.
+    import inspect
+
+    from repro.estimator import Estimator
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.estimator.cache")
+    for fn in (Estimator.from_stats, Estimator.from_datasets):
+        assert "cache" not in inspect.signature(fn).parameters
+
+
 def test_one_columnar_copy_and_one_chooser():
     # The per-node column cache, the array('d') backend, the
     # plan-carried traversal and the shared_memory switch are gone; the
@@ -261,9 +273,8 @@ def test_numpy_is_a_dependency():
     with pytest.raises(ImportError):
         importlib.import_module("repro.estimator.backend")
     assert repro.estimator.__all__ == [
-        "BatchResult", "DEFAULT_PARAM_CACHE", "Estimate",
-        "EstimateBreakdown", "EstimateRequest", "Estimator", "ParamCache",
-        "cached_params", "estimate_batch", "range_na_batch"]
+        "BatchResult", "Estimate", "EstimateBreakdown", "EstimateRequest",
+        "Estimator", "estimate_batch", "range_na_batch"]
     assert "backend" not in BatchResult.__dataclass_fields__
     assert "np" not in TreeArena.__slots__
     for kernel in (JoinPredicate.pair_mask, JoinPredicate.confirm):
