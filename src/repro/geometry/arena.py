@@ -6,9 +6,11 @@ plus an index table (node id → offset, count, level) — the
 struct-of-arrays layout the SIMD-ified R-tree work keeps its kernels
 hot with (PAPERS.md, arXiv 2309.16913).  A node's view
 (:meth:`TreeArena.slice`) is a zero-copy pair of transposed slices
-``block[corner, :, off:end]``.  The ``Rect`` objects stay the source
-of truth, and every tree has an arena: it is built from uncounted node
-reads, which fault injection never fails.
+``block[corner, :, off:end]``.  The ``Rect`` objects of a node stay
+the source of truth once it is built (a packed tree builds its nodes
+from its arena as they are first read), and every tree has an arena:
+it is built from uncounted node reads, which fault injection never
+fails.
 
 Because coordinates are stored as raw float64 (the exact bits of the
 ``Rect`` tuples they came from), every kernel result over an arena
@@ -57,8 +59,8 @@ class TreeArena:
 
     Instances are immutable snapshots of the tree at build time;
     staleness tracking lives with the owner
-    (:meth:`repro.rtree.RTreeBase.arena` checks the mutation-counting
-    ``_EntryList`` versions it snapshotted at build).
+    (:meth:`repro.rtree.RTreeBase.arena` compares the tree's mutation
+    clock with its reading when the arena was made or installed).
     """
 
     __slots__ = ("ndim", "total", "index", "_coords", "_refs", "_shm",

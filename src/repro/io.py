@@ -219,7 +219,8 @@ def load_tree(path: str | Path, strict: bool = True) -> RStarTree:
 
     # Parse and verify every node before installing any; the nodes go
     # on the new tree's clock.
-    tree = RStarTree(doc["ndim"], doc["max_entries"])
+    tree = RStarTree(_saved_int(doc, "ndim", 1, path),
+                     _saved_int(doc, "max_entries", 2, path))
     tree.pager.free(tree.root_id)      # drop the constructor's empty root
     good: dict[int, Node] = {}
     for page_id_str, payload in doc["nodes"].items():
@@ -278,6 +279,17 @@ def verify_tree_file(path: str | Path) -> CorruptionReport:
     only for files that are malformed or unrecoverable (corrupt root).
     """
     return load_tree(path, strict=False).corruption_report
+
+
+def _saved_int(doc: dict, field: str, least: int, path: Path) -> int:
+    """The document's integer ``field``, at least ``least`` (a bool is
+    not an integer here)."""
+    value = doc[field]
+    if type(value) is not int or value < least:
+        raise MalformedFileError(
+            f"{path}: {field} must be an integer >= {least}, "
+            f"got {value!r}", path=path, field=field)
+    return value
 
 
 def _saved_min_entries(doc: dict, path: Path) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from ..storage.pager import Pager
 from .errors import CorruptPageError, TransientPageError
@@ -248,6 +248,9 @@ class FaultyPager:
 
     def put(self, page_id: int, payload: Any) -> None:
         self.inner.put(page_id, payload)
+
+    def install(self, source: Any, page_ids: Iterable[int]) -> None:
+        self.inner.install(source, page_ids)
 
     def read(self, page_id: int) -> Any:
         self.injector.on_read(page_id)

@@ -1,14 +1,21 @@
-"""Read-only R-tree facades over a columnar arena.
+"""Nodes built from a columnar arena, and read-only trees over one.
+
+:class:`ArenaPages` is the source of a pager's unread pages
+(:meth:`repro.storage.Pager.install`): it builds one page's ``Node``
+from the arena's raw float64 coordinates on the page's first read.
+The bits are the arena's, so the ``Rect``/``Entry`` objects it makes
+equal the originals bit for bit.  A packed tree installs every page
+this way (:mod:`repro.rtree.bulk`) and hands it its own ``(rect, oid)``
+items for the leaves.
 
 A parallel-join worker process does not need a mutable R-tree — it
 needs exactly what the synchronized traversal touches: a pager that
 answers ``read(page_id)``, the pinned root, and the arena the batched
-kernels read.  :class:`ArenaTreeView` provides
-that over a :class:`~repro.geometry.TreeArena`, materializing ``Node``
-objects lazily (only the pages a bucket actually visits) from the
-arena's raw float64 coordinates — which rebuild ``Rect``/``Entry``
-objects bit-identically to the originals, so NA/DA/pairs match the
-serial join exactly.
+kernels read.  :class:`ArenaTreeView` provides that over a
+:class:`~repro.geometry.TreeArena`: a :class:`~repro.storage.Pager`
+whose pages are all installed unread, so only the pages a bucket
+actually visits are built, and NA/DA/pairs match the serial join
+exactly.
 
 :class:`ArenaTreeHandle` is the picklable coordinator→worker message:
 the shared-memory :class:`~repro.geometry.ArenaHandle` plus the few
@@ -20,41 +27,48 @@ tree's arena into shared memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..geometry import Rect, TreeArena
 from ..geometry.arena import (ArenaHandle, SharedArena,
                               arena_from_shared_memory,
                               arena_to_shared_memory)
+from ..storage import Pager
 from .entry import Entry
-from .node import Node
+from .node import LEAF_LEVEL, MutationClock, Node
 
-__all__ = ["ArenaTreeHandle", "ArenaTreeView", "share_tree"]
+__all__ = ["ArenaPages", "ArenaTreeHandle", "ArenaTreeView", "share_tree"]
 
 
-class _ArenaPager:
-    """Materializing pager: ``read(page_id)`` -> cached ``Node``.
+class ArenaPages:
+    """Builds the ``Node`` of one of an arena's pages, on ``clock``.
 
-    Nodes are built once and cached so repeated reads return the same
-    object — the path buffer relies on stable identity.
+    Entries come from the arena's float64 bits (``Rect._trusted``: they
+    are the bits of validated rectangles).  With ``leaves``, the
+    ``(rect, oid)`` items of the arena's leaf slots in slot order
+    (they are its last slots), a leaf's entries hold those rect and
+    oid objects instead.  Building ticks no clock: an unread page is
+    part of the tree as it stands.
     """
 
-    __slots__ = ("_arena", "_nodes")
+    __slots__ = ("arena", "clock", "leaves")
 
-    def __init__(self, arena: TreeArena):
-        self._arena = arena
-        self._nodes: dict[int, Node] = {}
+    def __init__(self, arena: TreeArena, clock: MutationClock,
+                 leaves: Sequence[tuple[Rect, int]] | None = None):
+        self.arena = arena
+        self.clock = clock
+        self.leaves = leaves
 
-    def read(self, page_id: int) -> Node:
-        node = self._nodes.get(page_id)
-        if node is None:
-            level, rows = self._arena.materialize(page_id)
-            # The arena holds the exact float64 bits of validated
-            # rectangles, so this worker-side path skips re-validation.
-            entries = [Entry(Rect._trusted(lo, hi), ref)
-                       for lo, hi, ref in rows]
-            node = Node(page_id, level, entries)
-            self._nodes[page_id] = node
-        return node
+    def build(self, page_id: int) -> Node:
+        offset, count, level = self.arena.index[page_id]
+        if level == LEAF_LEVEL and self.leaves is not None:
+            start = offset - (self.arena.total - len(self.leaves))
+            entries = [Entry(rect, oid) for rect, oid
+                       in self.leaves[start:start + count]]
+        else:
+            entries = [Entry(Rect._trusted(lo, hi), ref) for lo, hi, ref
+                       in self.arena.materialize(page_id)[1]]
+        return Node(page_id, level, entries, self.clock)
 
 
 class ArenaTreeView:
@@ -63,7 +77,8 @@ class ArenaTreeView:
     def __init__(self, arena: TreeArena, root_id: int, height: int,
                  ndim: int, size: int):
         self._arena = arena
-        self.pager = _ArenaPager(arena)
+        self.pager = Pager()
+        self.pager.install(ArenaPages(arena, MutationClock()), arena.index)
         self.root_id = root_id
         self.height = height
         self.ndim = ndim

@@ -24,11 +24,21 @@ rectangles one level up are one exact segmented min/max
 bit.  The tree's arena is laid out breadth-first from the same blocks and
 installed, so ``tree.arena()`` after packing builds nothing: it equals
 ``TreeArena.build`` over the nodes byte for byte.
+
+Packing makes no ``Entry``, ``Node`` or ``Rect``.  Page ids are allocated
+in the order the nodes used to be, and every page is installed unread
+(:meth:`~repro.storage.Pager.install`) over the arena: a page's node is
+built on its first read, its leaf entries from the caller's own
+``(rect, oid)`` objects, the entries above from the arena's bits
+(:class:`~repro.rtree.arena_view.ArenaPages`).  A join that reads only
+the arena builds the two roots; an insert or a delete builds the path it
+reads and ticks the tree's clock like any other.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +47,7 @@ from ..geometry import Rect, TreeArena
 from ..geometry.arena import run_slots
 from ..geometry.columnar import segment_bounds
 from ..storage import Pager
-from .entry import Entry
+from .arena_view import ArenaPages
 from .hilbert import hilbert_keys
 from .node import LEAF_LEVEL
 from .rstar import RStarTree
@@ -84,57 +94,57 @@ def _pack(items: Sequence[tuple[Rect, int]], ndim: int, max_entries: int,
     tree = RStarTree(ndim, max_entries, min_fill, pager)
     if not items:
         tree._adopt_arena(_layout(ndim, [_root_level(
-            tree.root_id, np.empty((2, ndim, 0)), np.empty(0, np.int64))]))
+            tree.root_id, np.empty((2, ndim, 0)), np.empty(0, np.int64))])[0])
         return tree
 
     capacity = max(2, round(fill * max_entries), tree.min_entries)
 
-    rects = [rect for rect, _oid in items]
-    if any(len(rect.lo) != ndim for rect in rects):
+    lo = [rect.lo for rect, _oid in items]
+    if set(map(len, lo)) != {ndim}:
         raise ValueError("item dimensionality mismatch")
-    entries = [Entry(rect, oid) for rect, oid in items]
-    coords = np.empty((2, ndim, len(rects)))
-    coords[0] = np.array([rect.lo for rect in rects]).T
-    coords[1] = np.array([rect.hi for rect in rects]).T
+    coords = np.empty((2, ndim, len(lo)))
+    for corner, column in enumerate((lo, [rect.hi for rect, _oid in items])):
+        coords[corner] = np.fromiter(chain.from_iterable(column), float,
+                                     len(lo) * ndim).reshape(-1, ndim).T
     refs = np.array([oid for _rect, oid in items], dtype=np.int64)
 
-    # Free the placeholder empty root created by the RTreeBase constructor.
+    # Free the placeholder empty root created by the RTreeBase constructor
+    # (never read, so never built).
     tree.pager.free(tree.root_id)
 
     levels = []
     level = LEAF_LEVEL
     while True:
-        if (len(entries) <= max_entries and level > LEAF_LEVEL) \
-                or len(entries) <= capacity:
+        if (len(refs) <= max_entries and level > LEAF_LEVEL) \
+                or len(refs) <= capacity:
             # The surviving entries fit into a single root node (at the
             # leaves: a small data set).
-            root = tree._new_node(level, entries)
-            levels.append(_root_level(root.page_id, coords, refs))
+            tree.root_id = tree.pager.allocate()
+            levels.append(_root_level(tree.root_id, coords, refs))
             break
         perm, sizes = order((coords[0] + coords[1]) / 2.0, capacity)
         sizes = np.array(_fix_tail(sizes, tree.min_entries), np.intp)
         starts = np.cumsum(sizes) - sizes
-        ordered = [entries[i] for i in perm.tolist()]
-        nodes = [tree._new_node(level, ordered[start:start + size])
-                 for start, size in zip(starts.tolist(), sizes.tolist())]
-        pages = np.array([node.page_id for node in nodes], dtype=np.int64)
+        pages = np.array([tree.pager.allocate() for _ in range(len(sizes))],
+                         dtype=np.int64)
         levels.append((perm, starts, sizes, pages, coords, refs))
-        if len(nodes) == 1:
+        if len(pages) == 1:
             # _fix_tail merged the level into one run: that node is the
             # root, not the one entry of a root above it.
-            root = nodes[0]
+            tree.root_id = int(pages[0])
             break
         coords = segment_bounds(coords[:, :, perm], starts)
         refs = pages
-        lo, hi = coords.transpose(0, 2, 1).tolist()
-        entries = [Entry(Rect._trusted(tuple(a), tuple(b)), page)
-                   for a, b, page in zip(lo, hi, pages.tolist())]
         level += 1
 
-    tree.root_id = root.page_id
-    tree.height = root.level
+    tree.height = level
     tree.size = len(items)
-    tree._adopt_arena(_layout(ndim, levels))
+    arena, leaf_items = _layout(ndim, levels)
+    # The pages are built on first read (the arena's bits above the
+    # leaves, the caller's own rect and oid objects in them).
+    tree.pager.install(ArenaPages(arena, tree.clock, [
+        items[i] for i in leaf_items.tolist()]), arena.index)
+    tree._adopt_arena(arena)
     return tree
 
 
@@ -204,9 +214,10 @@ def _fix_tail(sizes: list[int], min_entries: int) -> list[int]:
     return out
 
 
-def _layout(ndim: int, levels: list[tuple]) -> TreeArena:
+def _layout(ndim: int, levels: list[tuple]) -> tuple[TreeArena, np.ndarray]:
     """The arena of a packed tree, breadth-first as ``TreeArena.build``
-    walks ``tree.nodes()``.
+    walks ``tree.nodes()``, and the index into the leaf level's entries
+    (the input items) of each of its leaf slots, in slot order.
 
     ``levels`` runs from the leaves up; each record is ``(perm, starts,
     sizes, pages, coords, refs)``: node ``k`` of the level is page
@@ -238,4 +249,4 @@ def _layout(ndim: int, levels: list[tuple]) -> TreeArena:
         all_refs[offset:end] = refs[slots]
         offset = end
         nodes = slots
-    return TreeArena(ndim, total, index, all_coords, all_refs)
+    return TreeArena(ndim, total, index, all_coords, all_refs), nodes

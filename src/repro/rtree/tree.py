@@ -50,6 +50,19 @@ class LevelStats:
                 f"density={self.density:.4f})")
 
 
+class _EmptyLeaf:
+    """Builds a new tree's first root, an empty leaf on the tree's
+    clock (the source of an unread page, see ``Pager.install``)."""
+
+    __slots__ = ("clock",)
+
+    def __init__(self, clock: MutationClock):
+        self.clock = clock
+
+    def build(self, page_id: int) -> Node:
+        return Node(page_id, LEAF_LEVEL, None, self.clock)
+
+
 class RTreeBase:
     """Common machinery of all dynamic R-tree variants.
 
@@ -82,7 +95,10 @@ class RTreeBase:
         self.pager = pager if pager is not None else Pager()
         #: Shared by every node of the tree (see :meth:`_refresh`).
         self.clock = MutationClock()
-        self.root_id = self._new_node(LEAF_LEVEL).page_id
+        # The first root, an empty leaf, is built on its first read, so
+        # a packer or loader that replaces it frees it unbuilt.
+        self.root_id = self.pager.allocate()
+        self.pager.install(_EmptyLeaf(self.clock), (self.root_id,))
         self.height = 1
         self.size = 0
         self._arena: TreeArena | None = None

@@ -6,6 +6,13 @@ page ids to in-memory node objects and, combined with a
 :class:`~repro.storage.buffers.BufferManager` through
 :class:`MeteredReader`, yields the NA/DA counters the experiments report.
 
+A page may also be *installed unread* (:meth:`Pager.install`): the pager
+keeps the object that can build its payload and builds it on the first
+read, once.  A packed tree's pages are installed this way over its
+columnar arena (:mod:`repro.rtree.bulk`), so a join that reads only the
+arena never makes the node objects; every other method treats an unread
+page as present.
+
 ``node_capacity`` reproduces the paper's fan-out arithmetic: with 1 Kbyte
 pages it yields ``M = 84`` for ``n = 1`` and ``M = 50`` for ``n = 2``,
 the exact values used in Section 4.
@@ -13,7 +20,7 @@ the exact values used in Section 4.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from .buffers import BufferManager
 from .stats import AccessStats
@@ -61,6 +68,10 @@ class Pager:
             raise ValueError("page_size must be positive")
         self.page_size = page_size
         self._pages: dict[int, Any] = {}
+        #: Installed pages not yet read: page id -> the object whose
+        #: ``build(page_id)`` makes the payload.  A source is dropped
+        #: with the last of its pages to be read, written or freed.
+        self._unread: dict[int, Any] = {}
         self._next_id = 0
 
     def allocate(self, payload: Any = None) -> int:
@@ -72,9 +83,10 @@ class Pager:
 
     def write(self, page_id: int, payload: Any) -> None:
         """Store a payload into an allocated page."""
-        if page_id not in self._pages:
+        if page_id not in self:
             raise KeyError(f"page {page_id} was never allocated")
         self._pages[page_id] = payload
+        self._unread.pop(page_id, None)
 
     def put(self, page_id: int, payload: Any) -> None:
         """Install a payload at an explicit page id (deserialisation).
@@ -85,15 +97,49 @@ class Pager:
         if page_id < 0:
             raise ValueError("page ids must be non-negative")
         self._pages[page_id] = payload
+        self._unread.pop(page_id, None)
         if page_id >= self._next_id:
             self._next_id = page_id + 1
+
+    def install(self, source: Any, page_ids: Iterable[int]) -> None:
+        """Install pages whose payloads ``source.build(page_id)`` makes
+        on their first read.
+
+        Like :meth:`put`, creates the pages (replacing what they held)
+        and keeps future :meth:`allocate` calls clear of their ids.
+        """
+        for page_id in page_ids:
+            if page_id < 0:
+                raise ValueError("page ids must be non-negative")
+            self._pages.pop(page_id, None)
+            self._unread[page_id] = source
+            if page_id >= self._next_id:
+                self._next_id = page_id + 1
 
     def read(self, page_id: int) -> Any:
         """Raw, uncounted page read (use :class:`MeteredReader` to count)."""
         try:
             return self._pages[page_id]
         except KeyError:
-            raise KeyError(f"page {page_id} does not exist") from None
+            return self._first_read(page_id)
+
+    def _first_read(self, page_id: int) -> Any:
+        """Build an unread page and keep it.
+
+        Readers on several threads may build one page at once:
+        ``setdefault`` keeps the first payload stored and hands it to
+        all of them, and the page leaves ``_unread`` only once it is
+        stored, so a reader that finds neither raises.
+        """
+        source = self._unread.get(page_id)
+        if source is None:
+            try:
+                return self._pages[page_id]     # built meanwhile
+            except KeyError:
+                raise KeyError(f"page {page_id} does not exist") from None
+        payload = self._pages.setdefault(page_id, source.build(page_id))
+        self._unread.pop(page_id, None)
+        return payload
 
     #: A catalog or maintenance read (tree upkeep, statistics, the
     #: columnar arena): not a ``ReadPage`` of any query, so a pager that
@@ -101,17 +147,21 @@ class Pager:
     peek = read
 
     def free(self, page_id: int) -> None:
-        """Release a page (e.g. after an R*-tree node merge)."""
+        """Release a page (e.g. after an R*-tree node merge); an unread
+        page is never built."""
         self._pages.pop(page_id, None)
+        self._unread.pop(page_id, None)
 
     def __len__(self) -> int:
-        return len(self._pages)
+        # A page being built by another thread is counted twice until
+        # it leaves ``_unread``.
+        return len(self._pages) + len(self._unread)
 
     def __contains__(self, page_id: int) -> bool:
-        return page_id in self._pages
+        return page_id in self._pages or page_id in self._unread
 
     def __repr__(self) -> str:
-        return f"Pager(pages={len(self._pages)}, page_size={self.page_size})"
+        return f"Pager(pages={len(self)}, page_size={self.page_size})"
 
 
 class MeteredReader:

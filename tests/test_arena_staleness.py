@@ -9,8 +9,9 @@ change invalidates what the tree derived, as its callers see it: a new
 ``insert``/``delete``, bulk-loaded trees mutated after packing
 (``str_pack``/``hilbert_pack``), trees read back by ``load_tree``, the
 R*-tree forced-reinsertion path, direct node surgery (in-place
-entry-list mutation and wholesale ``entries`` rebinds) and unpickled
-copies.  The converse is pinned too: an unmutated tree keeps returning
+entry-list mutation and wholesale ``entries`` rebinds), unpickled
+copies, and packed trees whose pages were never read, or read in
+part.  The converse is pinned too: an unmutated tree keeps returning
 the *same* cached arena object without reading a node, since a
 spurious rebuild or a walk per join would erase the point of caching,
 and one tree's mutation leaves another's cache alone.  The tables an
@@ -20,6 +21,7 @@ built once per arena and go with it when it is replaced.
 
 import pickle
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -27,15 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec import ExecutionConfig, tree_params
-from repro.geometry import Rect
+from repro.geometry import Rect, TreeArena
 from repro.geometry.columnar import segment_bounds
 from repro.io import load_tree, save_tree
 from repro.join import spatial_join
+from repro.reliability import FaultInjector, FaultyPager
 from repro.rtree import RStarTree, RTreeBase, hilbert_pack, str_pack
+from repro.rtree.arena_view import ArenaPages
 from repro.rtree.node import Entry
 from repro.storage import Pager
 
-from .conftest import _signed_lattice16, build_rstar, make_items
+from .conftest import (_signed_lattice16, build_rstar, make_items,
+                       tree_digest)
 
 BATCH = ExecutionConfig(traversal="level-batch")
 STACK = ExecutionConfig(traversal="stack")
@@ -443,3 +448,130 @@ def test_batch_join_correct_across_interleaved_mutations():
     rect0 = _rect(rng)
     assert t2.delete(rect0, 0)
     _batch_equals_stack(t1, t2)
+
+
+# -- packed trees whose pages are built on first read -------------------------
+#
+# A packed tree's pages are installed unread over its arena and built
+# as they are read.  A tree never read, or read in part, must mutate,
+# derive, pickle and serialise exactly as the same tree fully read.
+
+
+READS = ["never", "half"]
+
+
+def _packed(reads: str, pack=str_pack):
+    tree = pack(_items(300, seed=18), ndim=2, max_entries=6)
+    if reads == "half":
+        for page in list(tree.arena().index)[::2]:
+            tree.node(page)
+    return tree
+
+
+def _fully_read(pack=str_pack):
+    tree = _packed("never", pack)
+    list(tree.nodes())
+    assert tree.pager._unread == {}
+    return tree
+
+
+def _arena_is_build(tree) -> None:
+    """``arena()`` is ``TreeArena.build`` over the nodes, byte for byte."""
+    arena = tree.arena()
+    built = TreeArena.build(tree.nodes(), tree.ndim)
+    assert list(arena.index.items()) == list(built.index.items())
+    assert arena._coords.tobytes() == built._coords.tobytes()
+    assert arena._refs.tobytes() == built._refs.tobytes()
+
+
+@pytest.mark.parametrize("reads", READS)
+@pytest.mark.parametrize("pack", [str_pack, hilbert_pack])
+def test_packed_tree_read_on_demand_takes_an_insert(reads, pack):
+    tree, twin = _packed(reads, pack), _fully_read(pack)
+    first = _derive(tree)
+    for oid, rect in enumerate([Rect((0.5, 0.5), (0.55, 0.55)),
+                                Rect((0.02, 0.9), (0.03, 0.95))]):
+        tree.insert(rect, 10_000 + oid)
+        twin.insert(rect, 10_000 + oid)
+    _assert_stale(tree, first)
+    _arena_is_build(tree)
+    assert tree_digest(tree) == tree_digest(twin)
+    assert len(tree.pager) == len(twin.pager)
+
+
+@pytest.mark.parametrize("reads", READS)
+def test_packed_tree_read_on_demand_takes_a_delete(reads):
+    tree, twin = _packed(reads), _fully_read()
+    first = _derive(tree)
+    # A leaf not read yet, emptied below the minimum fill: the delete
+    # reads it, dissolves it and frees its page.
+    page = next(node.page_id for node in twin.nodes()
+                if node.is_leaf and node.page_id in tree.pager._unread)
+    doomed = list(twin.node(page).entries)
+    for entry in doomed[:len(doomed) - tree.min_entries + 1]:
+        assert tree.delete(entry.rect, entry.ref)
+        assert twin.delete(entry.rect, entry.ref)
+    assert page not in tree.pager and page not in twin.pager
+    _assert_stale(tree, first)
+    _arena_is_build(tree)
+    assert tree_digest(tree) == tree_digest(twin)
+    assert len(tree.pager) == len(twin.pager)
+
+
+@pytest.mark.parametrize("reads", READS)
+def test_packed_tree_read_on_demand_pickles(reads):
+    tree = _packed(reads)
+    first = _derive(tree)
+    clone = pickle.loads(pickle.dumps(tree))
+    assert clone.clock is not tree.clock
+    assert tree_digest(clone) == tree_digest(_fully_read())
+    assert all(node.clock is clone.clock for node in clone.nodes())
+    _arena_is_build(clone)
+    clone.insert(Rect((0.5, 0.5), (0.55, 0.55)), 10_000)
+    _arena_is_build(clone)
+    _assert_current(tree, first)
+
+
+@pytest.mark.parametrize("reads", READS)
+def test_packed_tree_read_on_demand_through_a_faulty_pager(reads):
+    tree, twin = _packed(reads), _fully_read()
+    tree.pager = FaultyPager(tree.pager, FaultInjector(seed=0))
+    got = spatial_join(tree, tree, config=STACK)
+    want = spatial_join(twin, twin, config=STACK)
+    assert got.pairs == want.pairs
+    assert (got.na_total, got.da_total) == (want.na_total, want.da_total)
+    assert tree.pager.inner._unread == {}
+    assert tree_digest(tree) == tree_digest(twin)
+
+
+def test_two_threads_reading_one_unread_page_get_one_node(monkeypatch):
+    tree = _packed("never")
+    page = next(iter(tree.arena().index))
+    # Both readers are inside ``build`` at once: neither found the page.
+    barrier = threading.Barrier(2, timeout=10)
+    build = ArenaPages.build
+
+    def racing_build(self, page_id):
+        barrier.wait()
+        return build(self, page_id)
+
+    monkeypatch.setattr(ArenaPages, "build", racing_build)
+    got = [None, None]
+
+    def read(slot):
+        got[slot] = tree.pager.read(page)
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got[0] is not None and got[0] is got[1]
+    assert tree.pager.read(page) is got[0]
+
+
+def test_save_tree_bytes_of_an_unread_packed_tree(tmp_path):
+    save_tree(_packed("never"), tmp_path / "never.json")
+    save_tree(_fully_read(), tmp_path / "read.json")
+    assert (tmp_path / "never.json").read_bytes() \
+        == (tmp_path / "read.json").read_bytes()

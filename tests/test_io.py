@@ -6,7 +6,9 @@ import pytest
 
 from repro.datasets import SpatialDataset, uniform_rectangles
 from repro.geometry import Rect
-from repro.io import load_dataset, load_tree, save_dataset, save_tree
+from repro.cli import main
+from repro.io import (_doc_crc, load_dataset, load_tree, save_dataset,
+                      save_tree)
 from repro.join import spatial_join
 from repro.reliability import MalformedFileError
 from repro.rtree import GuttmanRTree, RStarTree, check, str_pack
@@ -143,6 +145,27 @@ class TestTreeRoundTrip:
         with pytest.raises(MalformedFileError) as excinfo:
             load_tree(path)
         assert excinfo.value.field == "min_entries"
+
+    @pytest.mark.parametrize("field, value", [
+        ("ndim", "x"), ("ndim", 2.5), ("ndim", 2.0), ("ndim", True),
+        ("ndim", 0), ("ndim", None), ("max_entries", 1),
+        ("max_entries", 8.0), ("max_entries", False), ("max_entries", "8")])
+    def test_bad_shape_field_is_named(self, tmp_path, capsys, field, value):
+        """A checksummed document whose ``ndim`` or ``max_entries`` is
+        not an integer in range is malformed, and ``repro query`` on it
+        exits 2."""
+        save_tree(build_rstar(make_items(50, seed=13)), tmp_path / "t.json")
+        path = tmp_path / "t.json"
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        doc["checksum"] = _doc_crc(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError) as excinfo:
+            load_tree(path)
+        assert excinfo.value.field == field
+        assert main(["query", str(path), "--window", "0", "0", "1",
+                     "1"]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
 
     def test_v1_file_without_min_entries_keeps_the_default(self, tmp_path):
         tree = _inserted(RStarTree(2, 10, min_fill=0.5), make_items(60))

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.geometry import Rect
 from repro.reliability import (CorruptPageError, FaultInjector, FaultyPager,
                                TransientPageError)
+from repro.rtree import RStarTree, str_pack
 from repro.storage import Pager
 
 
@@ -118,6 +120,19 @@ class TestFaultyPager:
         assert pager.page_size == inner.page_size
         pager.free(99)
         assert 99 not in inner
+
+    def test_a_tree_built_on_it_installs_through_it(self):
+        # A tree's empty root is installed unread, a packed tree's pages
+        # too: both go to the wrapped pager.
+        inner = filled_pager(2)
+        tree = RStarTree(2, 8, pager=FaultyPager(inner, FaultInjector()))
+        assert tree.root_id in inner and len(tree.root().entries) == 0
+        items = [(Rect((i / 50, 0.1), (i / 50 + 0.01, 0.2)), i)
+                 for i in range(40)]
+        packed = str_pack(items, 2, 8,
+                          pager=FaultyPager(inner, FaultInjector()))
+        assert sorted(packed.range_query(Rect((0, 0), (1, 1)))) \
+            == list(range(40))
 
     def test_peek_is_not_a_read_page(self):
         # Catalog and maintenance reads pass through without a draw.

@@ -5,7 +5,9 @@ tree's arena.  They are held here, node for node, to a packer that
 ``sorted``s ``Entry`` lists and bounds with ``Node.mbr()``
 (``_reference_pack``, the reference, as the scalar insert path is in
 ``conftest``), and their installed arena to ``TreeArena.build`` over
-the nodes, byte for byte.
+the nodes, byte for byte.  Packing makes no ``Entry`` or ``Node``: a
+page's node is built on its first read, its leaf entries holding the
+caller's own objects, and a level-batch join builds only the roots.
 """
 
 import math
@@ -15,9 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import ExecutionGovernor, PathBuffer, spatial_join
+from repro.datasets import uniform_rectangles
+from repro.exec import Budget, ExecutionConfig
 from repro.geometry import Rect, TreeArena
 from repro.rtree import (RStarTree, check, hilbert_pack, str_pack,
                          validate)
+from repro.rtree.arena_view import ArenaPages
 from repro.rtree.entry import Entry
 from repro.rtree.hilbert import hilbert_index_float
 from repro.rtree.node import LEAF_LEVEL, Node
@@ -294,3 +300,86 @@ def test_packing_installs_the_arena_build_would(case, build_calls):
     assert build_calls == []            # packed and served: no build
     assert_installed_arena(tree)
     assert tree.arena() is arena
+
+
+# -- pages built on first read ------------------------------------------------
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every ``Entry`` and ``Node`` constructed while the test runs, by
+    class name."""
+    counts = {"Entry": 0, "Node": 0}
+    for cls in (Entry, Node):
+        init = cls.__init__
+
+        def spy(self, *args, init=init, name=cls.__name__, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    return counts
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The page ids whose nodes are built from an arena while the test
+    runs."""
+    pages = []
+    build = ArenaPages.build
+
+    def spy(self, page_id):
+        pages.append(page_id)
+        return build(self, page_id)
+
+    monkeypatch.setattr(ArenaPages, "build", spy)
+    return pages
+
+
+@pytest.mark.parametrize("pack", [str_pack, hilbert_pack],
+                         ids=["str", "hilbert"])
+def test_packing_makes_no_entry_or_node(pack, made):
+    tree = pack(make_items(3_000, seed=21), 2, 16)
+    assert made == {"Entry": 0, "Node": 0}
+    assert tree.height == 4
+    tree.root()
+    assert made == {"Entry": len(tree.root().entries), "Node": 1}
+
+
+@pytest.mark.parametrize("governed", [False, True])
+def test_a_level_batch_join_builds_only_the_roots(governed, built):
+    trees = [str_pack(uniform_rectangles(n, 0.5, 2, seed=seed).items, 2, 50)
+             for n, seed in ((20_000, 1), (19_000, 2))]
+    governor = ExecutionGovernor(Budget(deadline=3600.0, max_na=10 ** 9,
+                                        max_da=10 ** 9)) if governed else None
+    result = spatial_join(*trees, buffer=PathBuffer(), governor=governor,
+                          config=ExecutionConfig(traversal="level-batch"))
+    assert result.engine == "level-batch" and result.na_total > 0
+    assert sorted(built) == sorted(tree.root_id for tree in trees)
+
+
+def test_a_built_leaf_holds_the_callers_objects():
+    # Object ids past the small-int cache: each is its own object.
+    items = [(rect, oid + 10 ** 6) for rect, oid in make_items(500, seed=22)]
+    tree = str_pack(items, 2, 8)
+    by_oid = {id(oid): (rect, oid) for rect, oid in items}
+    leaves = [node for node in tree.nodes() if node.is_leaf]
+    assert sum(len(leaf.entries) for leaf in leaves) == len(items)
+    for leaf in leaves:
+        for entry in leaf.entries:
+            rect, oid = by_oid[id(entry.ref)]
+            assert entry.ref is oid and entry.rect is rect
+
+
+@pytest.mark.parametrize("order", sorted(PACKERS))
+def test_unread_pages_count_as_present(order):
+    items = make_items(400, seed=23)
+    tree = PACKERS[order](items, 2, 8)
+    eager = _reference_pack(items, 2, 8, order=order)
+    probe = range(-1, len(eager.pager) + 10)
+    for _ in range(2):
+        assert len(tree.pager) == len(eager.pager)
+        assert [p in tree.pager for p in probe] \
+            == [p in eager.pager for p in probe]
+        list(tree.nodes())              # read every page
+    assert tree.pager._unread == {}     # and the arena source is dropped

@@ -90,6 +90,60 @@ class TestPager:
             Pager(page_size=0)
 
 
+class _Source:
+    """An unread-page source that records what it builds."""
+
+    def __init__(self):
+        self.built = []
+
+    def build(self, page_id):
+        self.built.append(page_id)
+        return f"page {page_id}"
+
+
+class TestUnreadPages:
+    def test_first_read_builds_once(self):
+        pager, source = Pager(), _Source()
+        pager.install(source, [3, 4])
+        assert pager.read(3) == "page 3"
+        assert pager.peek(3) is pager.read(3)
+        assert source.built == [3]
+
+    def test_unread_pages_are_present(self):
+        pager, source = Pager(), _Source()
+        pager.allocate("x")
+        pager.install(source, [2, 5])
+        assert len(pager) == 3
+        assert [p in pager for p in range(7)] == \
+            [True, False, True, False, False, True, False]
+        assert pager.allocate() == 6    # clear of the installed ids
+        assert source.built == []
+
+    def test_free_never_builds(self):
+        pager, source = Pager(), _Source()
+        pager.install(source, [0, 1])
+        pager.free(0)
+        assert 0 not in pager and len(pager) == 1
+        with pytest.raises(KeyError):
+            pager.read(0)
+        assert source.built == []
+
+    def test_write_and_put_replace_an_unread_page(self):
+        pager, source = Pager(), _Source()
+        pager.install(source, [0, 1])
+        pager.write(0, "written")
+        pager.put(1, "put")
+        assert (pager.read(0), pager.read(1)) == ("written", "put")
+        assert len(pager) == 2 and source.built == []
+
+    def test_source_dropped_with_its_last_page(self):
+        pager, source = Pager(), _Source()
+        pager.install(source, [0, 1])
+        pager.read(0)
+        pager.free(1)
+        assert pager._unread == {}
+
+
 class TestMeteredReader:
     def test_counts_node_and_disk_accesses(self):
         pager = Pager()
