@@ -25,9 +25,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from ..costmodel.params import AnalyticalTreeParams, DEFAULT_FILL
 from ..estimator import Estimator
+from ..geometry import TreeArena
+from ..geometry.arena import run_slots
 from ..reliability import ModelDomainError
+from ..rtree.node import LEAF_LEVEL
 from ..storage import AccessStats
 from .budget import (UNLIMITED, AdmissionRejected, Budget, BudgetExceeded,
                      Cancelled)
@@ -49,21 +54,44 @@ def tree_params(tree: Any, fill: float = DEFAULT_FILL,
     density ``D``) — the statistics a real SDBMS keeps in its catalog —
     and is the one place that derives them.  No metered page read is
     performed: nothing touches a :class:`~repro.storage.MeteredReader`
-    or a buffer.  The sum, a walk over every leaf entry, is remembered
-    with the tree (:meth:`~repro.rtree.RTreeBase.derived`) until the
-    tree changes, so pricing the same trees again costs one clock
-    comparison and no node read; a tree-like without that catalog is
-    walked per call.  Both walks read the nodes uncounted, so a pager
-    that injects faults into the join's ``ReadPage`` s never fails
-    them.  The Eq. 2-5 parameters are derived afresh on each call.
+    or a buffer.  The sum is read from the tree's arena
+    (:func:`_leaf_area`), so a packed or loaded tree builds no node to
+    be priced, and it is remembered with the tree
+    (:meth:`~repro.rtree.RTreeBase.derived`) until the tree changes:
+    pricing the same trees again costs one clock comparison.  A
+    tree-like without that catalog is summed per call.  The arena is
+    built from uncounted node reads, so a pager that injects faults
+    into the join's ``ReadPage`` s never fails it.  The Eq. 2-5
+    parameters are derived afresh on each call.
     """
     derived = getattr(tree, "derived", None)
     catalog = {} if derived is None else derived()
     if "leaf_area" not in catalog:
-        catalog["leaf_area"] = sum(e.rect.area()
-                                   for e in tree.leaf_entries())
+        catalog["leaf_area"] = _leaf_area(tree.arena())
     return AnalyticalTreeParams(len(tree), catalog["leaf_area"],
                                 tree.max_entries, tree.ndim, fill)
+
+
+def _leaf_area(arena: TreeArena) -> float:
+    """The summed area of an arena's leaf rectangles, the bits of
+    ``sum(e.rect.area() for e in tree.leaf_entries())``: each area is
+    the product of the extents over the axes in order, as
+    ``Rect.area`` multiplies, and the areas are added in a left fold
+    in slot order (breadth-first, the order of ``leaf_entries``), as
+    ``sum`` adds floats (before Python 3.12, which compensates).  An
+    arena without leaf entries sums to ``0``.
+    """
+    runs = [(offset, count) for offset, count, level
+            in arena.index.values() if level == LEAF_LEVEL]
+    offset, count = np.array(runs, np.int64).reshape(-1, 2).T
+    slots = run_slots(offset, count)
+    if not len(slots):
+        return 0
+    lo, hi = arena._coords[:, :, slots]
+    area = hi[0] - lo[0]
+    for k in range(1, arena.ndim):
+        area *= hi[k] - lo[k]
+    return float(np.add.accumulate(area)[-1])
 
 
 def predict_join_cost(left: Any, right: Any,

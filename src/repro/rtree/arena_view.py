@@ -6,7 +6,9 @@ from the arena's raw float64 coordinates on the page's first read.
 The bits are the arena's, so the ``Rect``/``Entry`` objects it makes
 equal the originals bit for bit.  A packed tree installs every page
 this way (:mod:`repro.rtree.bulk`) and hands it its own ``(rect, oid)``
-items for the leaves.
+items for the leaves; a tree read back by :func:`repro.io.load_tree`
+installs every page this way too, over the arena it lays out from the
+file.
 
 A parallel-join worker process does not need a mutable R-tree — it
 needs exactly what the synchronized traversal touches: a pager that

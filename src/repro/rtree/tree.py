@@ -397,10 +397,11 @@ class RTreeBase:
         return self._arena
 
     def _adopt_arena(self, arena: TreeArena) -> None:
-        """Install an arena laid out by whoever built the nodes (the
-        packers of :mod:`repro.rtree.bulk`) as the snapshot of the tree
-        as it stands, so :meth:`arena` builds nothing until the tree
-        changes.  It must equal ``TreeArena.build(self.nodes(), ndim)``.
+        """Install an arena laid out by whoever made the tree (the
+        packers of :mod:`repro.rtree.bulk`, :func:`repro.io.load_tree`)
+        as the snapshot of the tree as it stands, so :meth:`arena`
+        builds nothing until the tree changes.  It must equal
+        ``TreeArena.build(self.nodes(), ndim)``.
         """
         self._arena = arena
         self._derived = {}

@@ -164,8 +164,7 @@ class PathBuffer(BufferManager):
         """
         hits = np.zeros(len(levels), dtype=bool)
         above = np.zeros(0, dtype=np.int64)   # positions of higher misses
-        for level in sorted(set(path) | set(np.unique(levels).tolist()),
-                            reverse=True):
+        for level in sorted(set(path) | set(levels.tolist()), reverse=True):
             at = np.flatnonzero(levels == level)
             if not len(at):
                 if len(above):
@@ -181,7 +180,9 @@ class PathBuffer(BufferManager):
                 path[level] = int(page[-1])
             else:
                 path.pop(level, None)
-            above = np.union1d(above, at[~hit])
+            # Disjoint sorted positions: their sorted concatenation is
+            # their union (``np.union1d`` would import ``numpy.ma``).
+            above = np.sort(np.concatenate((above, at[~hit])))
         return hits
 
     def reset(self) -> None:

@@ -8,10 +8,11 @@ page ids to in-memory node objects and, combined with a
 
 A page may also be *installed unread* (:meth:`Pager.install`): the pager
 keeps the object that can build its payload and builds it on the first
-read, once.  A packed tree's pages are installed this way over its
-columnar arena (:mod:`repro.rtree.bulk`), so a join that reads only the
-arena never makes the node objects; every other method treats an unread
-page as present.
+read, once.  A packed or loaded tree's pages are installed this way
+over its columnar arena (:mod:`repro.rtree.bulk`,
+:func:`repro.io.load_tree`), so a join that reads only the arena never
+makes the node objects; every other method treats an unread page as
+present.
 
 ``node_capacity`` reproduces the paper's fan-out arithmetic: with 1 Kbyte
 pages it yields ``M = 84`` for ``n = 1`` and ``M = 50`` for ``n = 2``,

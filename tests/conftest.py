@@ -26,6 +26,7 @@ from repro.join.batch import BATCH_PAIR_ENUMERATIONS
 from repro.obs import MemorySink, Tracer
 from repro.rtree import (GuttmanRTree, RStarTree, RTreeBase, hilbert_pack,
                          str_pack)
+from repro.rtree.arena_view import ArenaPages
 from repro.serve import JoinService, ServeConfig, ServeDaemon
 from repro.storage import AccessStats, LRUBuffer, NoBuffer, PathBuffer
 
@@ -453,6 +454,21 @@ def build_guttman(items, ndim: int = 2, max_entries: int = 8,
     for rect, oid in items:
         tree.insert(rect, oid)
     return tree
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The page ids whose nodes are built from an arena while the test
+    runs."""
+    pages = []
+    build = ArenaPages.build
+
+    def spy(self, page_id):
+        pages.append(page_id)
+        return build(self, page_id)
+
+    monkeypatch.setattr(ArenaPages, "build", spy)
+    return pages
 
 
 @pytest.fixture

@@ -570,6 +570,54 @@ def test_two_threads_reading_one_unread_page_get_one_node(monkeypatch):
     assert tree.pager.read(page) is got[0]
 
 
+# A loaded tree comes as a packed one does: every page installed unread
+# over the arena laid out from the file.
+
+
+def _loaded(path, reads: str):
+    tree = load_tree(path)
+    if reads == "all":
+        list(tree.nodes())
+        assert tree.pager._unread == {}
+    return tree
+
+
+def test_loaded_tree_read_on_demand_takes_an_insert_and_a_delete(
+        tmp_path):
+    path = tmp_path / "t.json"
+    save_tree(_tree(300, seed=19), path)
+    tree, twin = _loaded(path, "never"), _loaded(path, "all")
+    assert len(tree.pager._unread) == len(tree.pager)
+    first = _derive(tree)
+    for oid, rect in enumerate([Rect((0.5, 0.5), (0.55, 0.55)),
+                                Rect((0.02, 0.9), (0.03, 0.95))]):
+        tree.insert(rect, 10_000 + oid)
+        twin.insert(rect, 10_000 + oid)
+    _assert_stale(tree, first)
+    _arena_is_build(tree)
+    assert tree_digest(tree) == tree_digest(twin)
+    assert len(tree.pager) == len(twin.pager)
+
+    tree, twin = _loaded(path, "never"), _loaded(path, "all")
+    first = _derive(tree)
+    # A leaf not read yet, emptied below the minimum fill: the delete
+    # reads it, dissolves it and frees its page.
+    page = next(node.page_id for node in twin.nodes() if node.is_leaf)
+    doomed = list(twin.node(page).entries)
+    for entry in doomed[:len(doomed) - tree.min_entries + 1]:
+        assert tree.delete(entry.rect, entry.ref)
+        assert twin.delete(entry.rect, entry.ref)
+    assert page not in tree.pager and page not in twin.pager
+    _assert_stale(tree, first)
+    save_tree(tree, tmp_path / "never.json")
+    save_tree(twin, tmp_path / "all.json")
+    assert (tmp_path / "never.json").read_bytes() \
+        == (tmp_path / "all.json").read_bytes()
+    _arena_is_build(tree)
+    assert tree_digest(tree) == tree_digest(twin)
+    assert len(tree.pager) == len(twin.pager)
+
+
 def test_save_tree_bytes_of_an_unread_packed_tree(tmp_path):
     save_tree(_packed("never"), tmp_path / "never.json")
     save_tree(_fully_read(), tmp_path / "read.json")

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.exec.governor as governor_module
 from repro.exec import (AdmissionRejected, Budget, BudgetExceeded,
                         ExecutionGovernor, evaluate_admission,
                         predict_join_cost, tree_params)
@@ -111,20 +112,18 @@ class TestOnePrice:
 
     @pytest.fixture
     def walked(self, monkeypatch):
-        """Two fresh trees and the leaf-entry walks each has served."""
+        """Two fresh trees and the sums over their leaf rectangles each
+        has served (``governor._leaf_area``, over the tree's arena)."""
         pair = (build_rstar(make_items(300, seed=43)),
                 build_rstar(make_items(300, seed=44)))
         walks = [0, 0]
+        leaf_area = governor_module._leaf_area
 
-        def spy(i, tree):
-            walk = tree.leaf_entries
-
-            def leaf_entries():
-                walks[i] += 1
-                return walk()
-            monkeypatch.setattr(tree, "leaf_entries", leaf_entries)
-        for i, tree in enumerate(pair):
-            spy(i, tree)
+        def spy(arena):
+            for i, tree in enumerate(pair):
+                walks[i] += tree.arena() is arena
+            return leaf_area(arena)
+        monkeypatch.setattr(governor_module, "_leaf_area", spy)
         return pair, walks
 
     def test_unchanged_trees_are_walked_once(self, walked):

@@ -1,19 +1,29 @@
 """Persistence of datasets and trees."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import Estimator, PathBuffer
 from repro.datasets import SpatialDataset, uniform_rectangles
-from repro.geometry import Rect
+from repro.exec import Budget, ExecutionConfig, ExecutionGovernor
+from repro.geometry import Rect, TreeArena
 from repro.cli import main
-from repro.io import (_doc_crc, load_dataset, load_tree, save_dataset,
+from repro.io import (_canonical, _doc_crc, _doc_crc_of, _node_crc,
+                      _node_crc_of, load_dataset, load_tree, save_dataset,
                       save_tree)
 from repro.join import spatial_join
 from repro.reliability import MalformedFileError
-from repro.rtree import GuttmanRTree, RStarTree, check, str_pack
+from repro.rtree import (GuttmanRTree, RStarTree, check, hilbert_pack,
+                         str_pack)
+from repro.rtree.node import Node
+from repro.serve import JoinService
 
-from .conftest import build_rstar, make_items, tree_digest
+from .conftest import (LATTICE, build_rstar, items, make_items, rects,
+                       tree_digest)
 
 
 class TestDatasetRoundTrip:
@@ -207,6 +217,133 @@ def _as_v1(path, min_entries):
         doc["min_entries"] = min_entries
     path.write_text(json.dumps(doc))
     return path
+
+
+# -- one canonical encoding; a loaded tree is its arena ------------------------
+
+#: Lattice coordinates, signed zeros, the float range's ends and
+#: integral values (which the int rewrite below writes as JSON ints).
+COORDS = st.one_of(LATTICE, st.sampled_from(
+    [-0.0, 0.0, -1e308, 1e308, -3.0, 2.0, 7.0]))
+
+BUILDS = {
+    "rstar": lambda items: build_rstar(items, max_entries=4),
+    "str": lambda items: str_pack(items, 2, 4),
+    "hilbert": lambda items: hilbert_pack(items, 2, 4),
+}
+
+
+def _arena_bytes(arena) -> tuple:
+    return (list(arena.index.items()), arena._coords.tobytes(),
+            arena._refs.tobytes())
+
+
+def _assert_shared_encoding(doc: dict) -> None:
+    """The CRCs read from one encoding of each node's entries are the
+    reference definitions'."""
+    encoded = {key: _canonical(payload["entries"])
+               for key, payload in doc["nodes"].items()}
+    assert _doc_crc_of(doc, encoded) == _doc_crc(doc)
+    for key, payload in doc["nodes"].items():
+        assert _node_crc_of(payload["level"], encoded[key]) \
+            == _node_crc(payload["level"], payload["entries"])
+
+
+def _with_int_coordinates_and_extra_keys(doc: dict) -> dict:
+    """The document with every integral coordinate (but ``-0.0``)
+    written as a JSON int, a payload key and a document key no tree
+    reads, and its checksums recomputed by definition."""
+    def as_int(x):
+        return int(x) if x.is_integer() and abs(x) < 2 ** 53 \
+            and math.copysign(1.0, x) > 0 else x
+
+    for i, payload in enumerate(doc["nodes"].values()):
+        payload["entries"] = [[[as_int(x) for x in lo],
+                               [as_int(x) for x in hi], ref]
+                              for lo, hi, ref in payload["entries"]]
+        if i % 2:
+            payload["note"] = ["kept", i]
+        payload["crc"] = _node_crc(payload["level"], payload["entries"])
+    doc["comment"] = {"written": "by hand"}
+    doc["checksum"] = _doc_crc(doc)
+    return doc
+
+
+class TestLoadedTreeIsItsArena:
+    # The packers' centres of corners near +-1e308 overflow to +-inf,
+    # as ``Rect.center`` does.
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("build", list(BUILDS))
+    @given(data=items(max_size=60, rect=rects(coord=COORDS)))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip(self, tmp_path, build, data):
+        tree = BUILDS[build](data)
+        path, again = tmp_path / "t.json", tmp_path / "again.json"
+        save_tree(tree, path)
+        loaded = load_tree(path)
+        installed = loaded.arena()
+        assert _arena_bytes(installed) == _arena_bytes(tree.arena())
+        assert _arena_bytes(installed) == _arena_bytes(
+            TreeArena.build(loaded.nodes(), loaded.ndim))
+        assert loaded.arena() is installed
+        assert tree_digest(loaded) == tree_digest(tree)
+        save_tree(load_tree(path), again)
+        assert again.read_bytes() == path.read_bytes()
+        # The file is json.dumps of its own document, byte for byte.
+        doc = json.loads(path.read_text())
+        assert json.dumps(doc) == path.read_text()
+        _assert_shared_encoding(doc)
+
+        edited = _with_int_coordinates_and_extra_keys(doc)
+        _assert_shared_encoding(edited)
+        path.write_text(json.dumps(edited))
+        assert _arena_bytes(load_tree(path).arena()) \
+            == _arena_bytes(installed)
+        assert load_tree(path, strict=False).corruption_report.clean
+
+    def test_a_strict_load_builds_no_node(self, tmp_path, monkeypatch,
+                                          built):
+        save_tree(build_rstar(make_items(300, seed=3)), tmp_path / "t.json")
+        made = []
+        init = Node.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Node, "__init__", spy)
+        tree = load_tree(tmp_path / "t.json")
+        tree.arena()
+        assert made == [] and built == []
+        tree.root()
+        assert made == built == [tree.root_id]
+
+    def test_pricing_builds_no_node(self, tmp_path, built):
+        packed = [str_pack(make_items(n, seed=n), 2, 16) for n in (900, 700)]
+        Estimator.from_trees(*packed)
+        assert built == []
+        save_tree(packed[0], tmp_path / "t.json")
+        assert JoinService().register_tree_file(
+            "t", str(tmp_path / "t.json"))["priceable"]
+        assert built == []
+
+    @pytest.mark.parametrize("governed", [False, True])
+    def test_a_level_batch_join_on_loaded_trees_builds_only_the_roots(
+            self, tmp_path, governed, built):
+        trees = []
+        for n, seed in ((4_000, 1), (3_800, 2)):
+            path = tmp_path / f"{seed}.json"
+            save_tree(str_pack(uniform_rectangles(n, 0.5, 2, seed=seed)
+                               .items, 2, 24), path)
+            trees.append(load_tree(path))
+        governor = ExecutionGovernor(Budget(deadline=3600.0, max_na=10 ** 9,
+                                            max_da=10 ** 9)) \
+            if governed else None
+        result = spatial_join(*trees, buffer=PathBuffer(), governor=governor,
+                              config=ExecutionConfig(traversal="level-batch"))
+        assert result.engine == "level-batch" and result.na_total > 0
+        assert sorted(built) == sorted(tree.root_id for tree in trees)
 
 
 class TestDatasetErrorContext:

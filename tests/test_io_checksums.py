@@ -7,8 +7,9 @@ import pytest
 
 from repro.datasets import SpatialDataset
 from repro.geometry import Rect
-from repro.io import (TREE_FORMAT_VERSION, load_dataset, load_tree,
-                      save_dataset, save_tree, verify_tree_file)
+from repro.geometry import TreeArena
+from repro.io import (TREE_FORMAT_VERSION, _doc_crc, _node_crc, load_dataset,
+                      load_tree, save_dataset, save_tree, verify_tree_file)
 from repro.join import spatial_join
 from repro.reliability import (CorruptPageError, MalformedFileError,
                                ReproError)
@@ -184,6 +185,171 @@ class TestV1Compatibility:
         assert report.clean
         assert not report.checksummed
         assert "no checksums" in report.summary()
+
+
+# -- structural refusals --------------------------------------------------
+#
+# Each file below has every CRC recomputed: what is wrong is structure
+# a checksum cannot see.  Each edit returns the page it puts at fault
+# (the one whose entries break the structure, or the root) and the
+# field a v1 file's refusal names.
+
+
+def _internal(doc) -> int:
+    """A deterministic level-2 page below the root."""
+    pages = sorted(int(p) for p, payload in doc["nodes"].items()
+                   if payload["level"] == 2 and int(p) != doc["root_id"])
+    assert pages, "test tree must have height >= 3"
+    return pages[0]
+
+
+def _entries(doc, page_id):
+    return doc["nodes"][str(page_id)]["entries"]
+
+
+def _back_at_root(doc):
+    page = _internal(doc)
+    _entries(doc, page)[0][2] = doc["root_id"]
+    return page, "nodes"
+
+
+def _absent_child(doc):
+    page = _internal(doc)
+    _entries(doc, page)[0][2] = 99_999
+    return page, "nodes"
+
+
+def _child_one_level_up(doc):
+    page = _internal(doc)
+    doc["nodes"][str(_entries(doc, page)[0][2])]["level"] = 2
+    return page, "nodes"
+
+
+def _child_twice(doc):
+    page = _internal(doc)
+    entries = _entries(doc, page)
+    entries[1][2] = entries[0][2]
+    return page, "nodes"
+
+
+def _three_d_rect(doc):
+    leaf = non_root_leaf_id(doc)
+    lo, hi, _oid = _entries(doc, leaf)[0]
+    lo.append(0.25)
+    hi.append(0.5)
+    return leaf, "nodes"
+
+
+def _fractional_oid(doc):
+    leaf = non_root_leaf_id(doc)
+    _entries(doc, leaf)[0][2] = 3.5
+    return leaf, "nodes"
+
+
+def _root_not_at_height(doc):
+    doc["height"] += 1
+    return doc["root_id"], "height"
+
+
+def _size_not_the_leaf_count(doc):
+    doc["size"] += 1
+    return None, "size"
+
+
+ENTRY_FAULTS = [_back_at_root, _absent_child, _child_one_level_up,
+                _child_twice]
+PAGE_FAULTS = [_three_d_rect, _fractional_oid]
+STRUCTURAL = ENTRY_FAULTS + PAGE_FAULTS + [_root_not_at_height,
+                                           _size_not_the_leaf_count]
+
+
+def _rewritten(path, edit, v1=False):
+    """Apply ``edit`` to a saved document and re-checksum it (v1: drop
+    the checksums); returns what ``edit`` returns."""
+    doc = json.loads(path.read_text())
+    fault = edit(doc)
+    for payload in doc["nodes"].values():
+        if v1:
+            del payload["crc"]
+        else:
+            payload["crc"] = _node_crc(payload["level"], payload["entries"])
+    if v1:
+        doc["format"] = 1
+        del doc["checksum"]
+    else:
+        doc["checksum"] = _doc_crc(doc)
+    path.write_text(json.dumps(doc))
+    return fault
+
+
+def _assert_whole(tree) -> None:
+    """The tree's walk ends, and its arena is the nodes' own."""
+    nodes = list(tree.nodes())
+    assert len({node.page_id for node in nodes}) == len(nodes)
+    built = TreeArena.build(nodes, tree.ndim)
+    assert built._coords.tobytes() == tree.arena()._coords.tobytes()
+    assert [p for p in validate(tree) if "stale" in p] == []
+    assert len(tree) == sum(len(node.entries) for node in nodes
+                            if node.is_leaf)
+
+
+class TestStructuralRefusals:
+    @pytest.mark.parametrize("edit", STRUCTURAL)
+    def test_strict_load_names_the_page(self, tmp_path, edit):
+        _tree, path = saved(tmp_path)
+        page, _field = _rewritten(path, edit)
+        with pytest.raises(CorruptPageError) as excinfo:
+            load_tree(path)
+        assert excinfo.value.page_id == page
+
+    @pytest.mark.parametrize("edit", STRUCTURAL)
+    def test_strict_v1_load_names_the_field(self, tmp_path, edit):
+        _tree, path = saved(tmp_path)
+        _page, field = _rewritten(path, edit, v1=True)
+        with pytest.raises(MalformedFileError) as excinfo:
+            load_tree(path)
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("edit", ENTRY_FAULTS)
+    def test_lenient_load_drops_the_entry(self, tmp_path, edit):
+        tree, path = saved(tmp_path)
+        _rewritten(path, edit)
+        degraded = load_tree(path, strict=False)
+        report = degraded.corruption_report
+        assert (report.dropped_entries, report.corrupt_pages) == (1, [])
+        assert not report.clean and report.orphaned_pages
+        _assert_whole(degraded)
+        window = Rect((0.0, 0.0), (1.0, 1.0))
+        assert set(degraded.range_query(window)) \
+            < set(tree.range_query(window))
+
+    @pytest.mark.parametrize("edit", PAGE_FAULTS)
+    def test_lenient_load_quarantines_the_page(self, tmp_path, edit):
+        tree, path = saved(tmp_path)
+        page, _field = _rewritten(path, edit)
+        degraded = load_tree(path, strict=False)
+        report = degraded.corruption_report
+        assert (report.corrupt_pages, report.dropped_entries) == ([page], 1)
+        lost = len(json.loads(path.read_text())["nodes"][str(page)]
+                   ["entries"])
+        assert report.lost_objects == lost
+        assert len(degraded) == len(tree) - lost
+        _assert_whole(degraded)
+
+    def test_a_root_not_at_height_cannot_be_degraded_around(self,
+                                                            tmp_path):
+        _tree, path = saved(tmp_path)
+        _rewritten(path, _root_not_at_height)
+        with pytest.raises(CorruptPageError, match="height"):
+            load_tree(path, strict=False)
+
+    def test_lenient_load_counts_the_leaves(self, tmp_path):
+        tree, path = saved(tmp_path)
+        _rewritten(path, _size_not_the_leaf_count)
+        degraded = load_tree(path, strict=False)
+        assert len(degraded) == len(tree)
+        assert degraded.corruption_report.lost_objects == 1
+        _assert_whole(degraded)
 
 
 class TestMalformedDocuments:

@@ -23,7 +23,6 @@ from repro.exec import Budget, ExecutionConfig
 from repro.geometry import Rect, TreeArena
 from repro.rtree import (RStarTree, check, hilbert_pack, str_pack,
                          validate)
-from repro.rtree.arena_view import ArenaPages
 from repro.rtree.entry import Entry
 from repro.rtree.hilbert import hilbert_index_float
 from repro.rtree.node import LEAF_LEVEL, Node
@@ -319,21 +318,6 @@ def made(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", spy)
     return counts
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """The page ids whose nodes are built from an arena while the test
-    runs."""
-    pages = []
-    build = ArenaPages.build
-
-    def spy(self, page_id):
-        pages.append(page_id)
-        return build(self, page_id)
-
-    monkeypatch.setattr(ArenaPages, "build", spy)
-    return pages
 
 
 @pytest.mark.parametrize("pack", [str_pack, hilbert_pack],

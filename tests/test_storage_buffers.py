@@ -1,5 +1,10 @@
 """Unit tests for the buffer managers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -305,3 +310,21 @@ class TestBufferFromSpec:
         if want is LRUBuffer:
             assert buffer_from_spec(spec).capacity == 16
             assert request().buffer_footprint(3, 2) == 16
+
+
+def test_a_level_batch_join_imports_no_numpy_ma():
+    """``PathBuffer._walk`` unions sorted positions without ``np.unique``
+    or ``np.union1d``, which import ``numpy.ma`` (~19 ms) on first use;
+    in a fresh interpreter, a join leaves it unimported."""
+    import repro
+    code = (
+        "import sys\n"
+        "from repro import PathBuffer, spatial_join, str_pack, "
+        "uniform_rectangles\n"
+        "trees = [str_pack(uniform_rectangles(n, 0.5, 2, seed=n).items, 2, 16)"
+        " for n in (900, 800)]\n"
+        "assert spatial_join(*trees, buffer=PathBuffer()).da_total > 0\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    src = str(Path(repro.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=src))
